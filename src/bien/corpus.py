@@ -464,9 +464,7 @@ def load_columns(doc, rows, columns=("pos", "chunk"), lenient=False):
 
 @dataclass(frozen=True)
 class SplitPlan:
-    mode: str = "holdout"  # "holdout" | "kfold"
     train_fraction: float = 0.8
-    folds: int = 10
     runs: int = 5
     seed: int = 0
 
@@ -477,11 +475,11 @@ def _run_rng(seed, run):
 
 
 def split(corpus, plan):
-    """Partition a corpus into (train, test) pairs per the plan.
+    """Partition a corpus into one shuffled (train, test) holdout pair per run.
 
-    Holdout mode yields one shuffled partition per run; kfold mode yields
-    ``folds`` disjoint partitions per run whose test sides cover the
-    corpus. Identical plans produce identical partitions.
+    Each run draws its permutation from its own seeded stream, so run ``r``
+    does not depend on ``plan.runs``: it equals the last pair of the same
+    plan with ``runs=r + 1``. Identical plans produce identical partitions.
     """
     corpus = list(corpus)
     n = len(corpus)
@@ -489,33 +487,18 @@ def split(corpus, plan):
         raise InvalidPlan("cannot split an empty corpus")
     if plan.runs < 1:
         raise InvalidPlan(f"runs must be >= 1, got {plan.runs}")
+    if not 0.0 < plan.train_fraction < 1.0:
+        raise InvalidPlan(f"train fraction {plan.train_fraction} outside (0, 1)")
+    n_train = int(round(plan.train_fraction * n))
+    n_train = min(max(n_train, 1), n - 1)
     partitions = []
-    if plan.mode == "holdout":
-        if not 0.0 < plan.train_fraction < 1.0:
-            raise InvalidPlan(f"train fraction {plan.train_fraction} outside (0, 1)")
-        n_train = int(round(plan.train_fraction * n))
-        n_train = min(max(n_train, 1), n - 1)
-        for r in range(plan.runs):
-            perm = _run_rng(plan.seed, r).permutation(n)
-            train_idx = sorted(perm[:n_train].tolist())
-            test_idx = sorted(perm[n_train:].tolist())
-            partitions.append(
-                ([corpus[i] for i in train_idx], [corpus[i] for i in test_idx])
-            )
-    elif plan.mode == "kfold":
-        if not 2 <= plan.folds <= n:
-            raise InvalidPlan(f"folds={plan.folds} invalid for corpus of {n}")
-        for r in range(plan.runs):
-            perm = _run_rng(plan.seed, r).permutation(n)
-            for k in range(plan.folds):
-                test_idx = sorted(perm[k :: plan.folds].tolist())
-                test_set = set(test_idx)
-                train_idx = [i for i in range(n) if i not in test_set]
-                partitions.append(
-                    ([corpus[i] for i in train_idx], [corpus[i] for i in test_idx])
-                )
-    else:
-        raise InvalidPlan(f"unknown split mode {plan.mode!r}")
+    for r in range(plan.runs):
+        perm = _run_rng(plan.seed, r).permutation(n)
+        train_idx = sorted(perm[:n_train].tolist())
+        test_idx = sorted(perm[n_train:].tolist())
+        partitions.append(
+            ([corpus[i] for i in train_idx], [corpus[i] for i in test_idx])
+        )
     return partitions
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -229,12 +230,8 @@ class ExperimentResult:
         return out
 
 
-def _run_one(corpus, cfg, run_index):
+def _run_one(cfg, lexicons, run_index, train_docs, test_docs):
     """Train and score a single split. Top level so process pools can use it."""
-    if cfg.plan.mode != "holdout":
-        raise InvalidSpec("experiment protocol uses holdout splits")
-    train_docs, test_docs = split(corpus, replace(cfg.plan, runs=run_index + 1))[-1]
-    lexicons = default_lexicons()
     gazetteer = build_gazetteer(
         train_docs,
         lexicons.lemma_table,
@@ -268,17 +265,19 @@ def _run_one(corpus, cfg, run_index):
 
 
 def run_experiment(corpus, cfg, jobs=1):
-    """The full protocol: per run, split, build the gazetteer from the
-    training side only, train, decode the test side, and score. Run results
-    merge in run order, so the outcome is identical for any ``jobs``."""
+    """The full protocol: split the corpus once into the plan's holdout
+    runs; per run, build the gazetteer from the training side only, train,
+    decode the test side, and score. Run results merge in run order, so the
+    outcome is identical for any ``jobs``."""
     corpus = sorted(corpus, key=lambda d: d.id)
-    run_indices = list(range(cfg.plan.runs))
+    train_sides, test_sides = zip(*split(corpus, cfg.plan))
+    run_one = functools.partial(_run_one, cfg, default_lexicons())
+    run_indices = range(len(train_sides))
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            outs = list(pool.map(_run_one, [corpus] * len(run_indices),
-                                 [cfg] * len(run_indices), run_indices))
+            outs = list(pool.map(run_one, run_indices, train_sides, test_sides))
     else:
-        outs = [_run_one(corpus, cfg, r) for r in run_indices]
+        outs = list(map(run_one, run_indices, train_sides, test_sides))
     runs = [run for run, _, _ in outs]
     _, last_model, last_gaz = outs[-1]
     return ExperimentResult(cfg, runs, last_model, last_gaz)

@@ -81,12 +81,6 @@ class Posteriors:
         np.add.at(out.T, chain.tag_of, self.gamma.T)
         return out
 
-    def ds_marginals(self, chain):
-        T = self.gamma.shape[0]
-        out = np.zeros((T, 2))
-        np.add.at(out.T, chain.ds_of, self.gamma.T)
-        return out
-
 
 def _scored_emissions(chain, evidence):
     emis = chain.log_emission(evidence.obs)
@@ -97,9 +91,12 @@ def _scored_emissions(chain, evidence):
 def forward_backward(chain, evidence):
     """Exact smoothing. Raises :class:`ZeroProbabilityEvidence` naming the
     first token at which every state dies; raises :class:`NumericError` if
-    the forward and backward likelihoods disagree beyond tolerance."""
+    the forward and backward likelihoods disagree beyond tolerance. An empty
+    document has empty posteriors and log-likelihood 0."""
     emis = _scored_emissions(chain, evidence)
     T, S = emis.shape
+    if T == 0:
+        return Posteriors(0.0, np.zeros((0, S)), np.zeros((S, S)))
     log_alpha = np.empty((T, S))
     log_alpha[0] = chain.log_init + emis[0]
     if np.max(log_alpha[0]) == -np.inf:
@@ -136,10 +133,12 @@ def viterbi(chain, evidence):
     """Most probable state path and its log score.
 
     Ties break toward the lowest state index, both for backpointers and
-    for the final state.
+    for the final state. An empty document has an empty path scoring 0.
     """
     emis = _scored_emissions(chain, evidence)
     T, S = emis.shape
+    if T == 0:
+        return np.zeros(0, dtype=np.int64), 0.0
     delta = chain.log_init + emis[0]
     if np.max(delta) == -np.inf:
         raise ZeroProbabilityEvidence("no state admits token 0", step=0)

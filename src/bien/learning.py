@@ -1,11 +1,10 @@
 """EM training. Tags are observed from gold spans; the segment chain is hidden.
 
-Two E-step implementations produce identical expected counts: a generic
-one running forward-backward on the compiled product chain with the tags
-clamped, and a factored one that exploits the clamping to reduce each
-document to a two-state segment chain, batched across documents. The
-factored path is the default; the generic path remains as the reference
-and handles any clamping pattern.
+With the tags observed, the compiled product chain collapses per document
+to a two-state chain over segments. The E-step runs forward-backward on
+that chain, batched across documents. Its reference, forward-backward on
+the compiled product chain with the tags clamped, is ``chain_estep`` in
+``tests/oracles.py``; the two give identical expected counts.
 """
 
 from __future__ import annotations
@@ -17,15 +16,13 @@ import numpy as np
 from .errors import (
     EmptyCorpus,
     InconsistentGold,
-    InvalidSpec,
     MissingColumn,
     OverlappingSpans,
     UnknownField,
-    ZeroProbabilityEvidence,
 )
 from .features import featurize
-from .inference import Evidence, _logsumexp, forward_backward
-from .model import DS_NAMES, LT_NONE, compile_chain
+from .inference import _logsumexp
+from .model import DS_NAMES
 
 
 @dataclass(frozen=True)
@@ -35,7 +32,6 @@ class TrainConfig:
     tol: float = 1e-4        # relative log-likelihood change at convergence
     seed: int = 0
     jitter: float = 1e-3     # emission symmetry breaking; 0 disables
-    estep: str = "auto"      # auto | factored | chain
     observe_ds: bool = False
 
 
@@ -107,67 +103,12 @@ def make_examples(docs, gazetteer, lexicons, model, mask=()):
 
 
 # ---------------------------------------------------------------------------
-# E-step: generic path on the compiled chain
+# E-step
 # ---------------------------------------------------------------------------
 
 def _zero_counts(model):
     return {name: np.zeros(cpt.shape) for name, cpt in model.cpts.items()}
 
-
-def _ds_clamp(example, observe_ds):
-    if not observe_ds:
-        return None
-    if example.ds is None:
-        raise MissingColumn(
-            f"{example.doc_id}: segment observation requested but no ds column"
-        )
-    T = len(example.tags)
-    allowed = np.zeros((T, 2), dtype=bool)
-    allowed[np.arange(T), example.ds] = True
-    return allowed
-
-
-def _chain_estep(model, examples, observe_ds):
-    chain = compile_chain(model)
-    counts = _zero_counts(model)
-    tag_of, lt_of, ds_of = chain.tag_of, chain.lt_of, chain.ds_of
-    total_ll = 0.0
-    for ex in examples:
-        ev = Evidence.from_tags(ex.obs, ex.tags, model.tags.size, _ds_clamp(ex, observe_ds))
-        try:
-            post = forward_backward(chain, ev)
-        except ZeroProbabilityEvidence as exc:
-            raise InconsistentGold(
-                f"{ex.doc_id}: gold tags impossible at token {exc.step}",
-                doc_id=ex.doc_id,
-                step=exc.step,
-            ) from exc
-        total_ll += post.log_likelihood
-        gamma, xi = post.gamma, post.xi_sum
-        np.add.at(counts["ds_init"], ds_of, gamma[0])
-        np.add.at(counts["tag_init"], (ds_of, tag_of), gamma[0])
-        np.add.at(counts["ds_trans"], (ds_of[:, None], ds_of[None, :]), xi)
-        np.add.at(
-            counts["tag_trans"],
-            (tag_of[:, None], lt_of[:, None], ds_of[None, :], tag_of[None, :]),
-            xi,
-        )
-        for k, spec in enumerate(model.observables):
-            col = ex.obs[:, k]
-            seen = col >= 0
-            if not seen.any():
-                continue
-            np.add.at(
-                counts[f"emit:{spec.name}"],
-                (tag_of[None, :], ds_of[None, :], col[seen, None]),
-                gamma[seen],
-            )
-    return counts, total_ll
-
-
-# ---------------------------------------------------------------------------
-# E-step: factored two-state path, batched over documents
-# ---------------------------------------------------------------------------
 
 class _FactoredBatch:
     """Precomputed index tensors for the segment-chain E-step.
@@ -183,7 +124,6 @@ class _FactoredBatch:
         Tmax = int(lengths.max())
         K = len(model.observables)
         self.examples = examples
-        self.lengths = lengths
         self.fully_observed = bool(observe_ds)
         self.valid = np.arange(Tmax)[None, :] < lengths[:, None]
         self.g = np.zeros((D, Tmax), dtype=np.int64)
@@ -193,8 +133,11 @@ class _FactoredBatch:
             T = lengths[d]
             self.g[d, :T] = ex.tags
             self.obs[d, :T] = ex.obs
-            clamp = _ds_clamp(ex, observe_ds)
-            if clamp is not None:
+            if observe_ds:
+                if ex.ds is None:
+                    raise MissingColumn(
+                        f"{ex.doc_id}: segment observation requested but no ds column"
+                    )
                 self.ds_obs[d, :T] = ex.ds
         # last-target memory after each token, deterministic given gold tags
         lt = np.zeros((D, Tmax), dtype=np.int64)
@@ -403,8 +346,6 @@ def train(model, examples, config=TrainConfig()):
     """Fit the unfrozen CPTs by EM; returns the trained copy and the
     per-iteration data log-likelihood trace (likelihood of each iteration's
     starting model, so at ``alpha=0`` the trace never decreases)."""
-    if config.estep not in ("auto", "factored", "chain"):
-        raise InvalidSpec(f"unknown estep {config.estep!r}")
     if not examples:
         raise EmptyCorpus("no training examples")
     examples = sorted(examples, key=lambda e: e.doc_id)
@@ -412,17 +353,12 @@ def train(model, examples, config=TrainConfig()):
     model.validate()
     _apply_jitter(model, config)
 
-    # under full observation both routes collapse to exact tabulation
-    factored = config.estep in ("auto", "factored") or config.observe_ds
-    batch = _FactoredBatch(model, examples, config.observe_ds) if factored else None
+    batch = _FactoredBatch(model, examples, config.observe_ds)
 
     trace = []
     converged = False
     for _ in range(config.max_iter):
-        if factored:
-            counts, ll = batch.estep(model)
-        else:
-            counts, ll = _chain_estep(model, examples, observe_ds=False)
+        counts, ll = batch.estep(model)
         trace.append(ll)
         if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= config.tol * max(
             1.0, abs(trace[-2])
@@ -433,39 +369,3 @@ def train(model, examples, config=TrainConfig()):
             _m_step_cpt(cpt, counts[name], config.alpha)
         model.validate()
     return TrainResult(model, trace, len(trace), converged)
-
-
-# ---------------------------------------------------------------------------
-# Sampling from the generative story
-# ---------------------------------------------------------------------------
-
-def sample_example(model, T, rng, doc_id="sample"):
-    """Ancestral sample of (tags, segments, observations) for T tokens."""
-    ds_init = model.cpts["ds_init"].table
-    ds_trans = model.cpts["ds_trans"].table
-    tag_init = model.cpts["tag_init"].table
-    tag_trans = model.cpts["tag_trans"].table
-    tags = np.zeros(T, dtype=np.int64)
-    ds = np.zeros(T, dtype=np.int64)
-    obs = np.zeros((T, len(model.observables)), dtype=np.int64)
-    lt = LT_NONE
-    for t in range(T):
-        if t == 0:
-            ds[t] = rng.choice(2, p=ds_init)
-            tags[t] = rng.choice(model.tags.size, p=tag_init[ds[t]])
-        else:
-            ds[t] = rng.choice(2, p=ds_trans[ds[t - 1]])
-            tags[t] = rng.choice(model.tags.size, p=tag_trans[tags[t - 1], lt, ds[t]])
-        lt = model.lt_update(lt, tags[t])
-        for k, spec in enumerate(model.observables):
-            emit = model.cpts[f"emit:{spec.name}"].table
-            obs[t, k] = rng.choice(spec.cardinality, p=emit[tags[t], ds[t]])
-    return TrainExample(doc_id, obs.astype(np.int16), tags, ds)
-
-
-def sample_corpus(model, n_docs, rng, t_range=(4, 12)):
-    lo, hi = t_range
-    return [
-        sample_example(model, int(rng.integers(lo, hi + 1)), rng, doc_id=f"s{i:05d}")
-        for i in range(n_docs)
-    ]

@@ -266,35 +266,6 @@ class BienModel:
         dup.cpts = {k: v.copy() for k, v in self.cpts.items()}
         return dup
 
-    # -- direct factored probability (reference path) -----------------------
-
-    def assignment_log_prob(self, tag_seq, ds_seq, obs_matrix):
-        """Log joint of one full assignment straight from the CPT product.
-
-        Serves as the uncompiled reference for the compiled chain: both
-        must give identical joints. Masked observations contribute no factor.
-        """
-        tag_seq = np.asarray(tag_seq)
-        ds_seq = np.asarray(ds_seq)
-        T = len(tag_seq)
-        with np.errstate(divide="ignore"):
-            logp = np.log(self.cpts["ds_init"].table[ds_seq[0]])
-            logp += np.log(self.cpts["tag_init"].table[ds_seq[0], tag_seq[0]])
-            lt = self.lt_update(LT_NONE, tag_seq[0])
-            trans = self.cpts["tag_trans"].table
-            ds_trans = self.cpts["ds_trans"].table
-            for t in range(1, T):
-                logp += np.log(ds_trans[ds_seq[t - 1], ds_seq[t]])
-                logp += np.log(trans[tag_seq[t - 1], lt, ds_seq[t], tag_seq[t]])
-                lt = self.lt_update(lt, tag_seq[t])
-            for k, obs in enumerate(self.observables):
-                emit = self.cpts[f"emit:{obs.name}"].table
-                for t in range(T):
-                    o = obs_matrix[t, k]
-                    if o >= 0:
-                        logp += np.log(emit[tag_seq[t], ds_seq[t], o])
-        return float(logp)
-
 
 def build_model(fields, observables, memory=True):
     """A fresh model with uniform CPTs over the allowed structure.
@@ -381,26 +352,6 @@ class CompiledChain:
             state_rows = log_emit[self.tag_of, self.ds_of, :]  # (S, card)
             out[seen] += state_rows[:, col[seen]].T
         return out
-
-    def joint_log_prob(self, state_seq, obs_matrix):
-        """Log joint of a state path and observations via the compiled arrays."""
-        state_seq = np.asarray(state_seq)
-        emis = self.log_emission(obs_matrix)
-        logp = self.log_init[state_seq[0]] + emis[0, state_seq[0]]
-        for t in range(1, len(state_seq)):
-            logp += self.log_trans[state_seq[t - 1], state_seq[t]]
-            logp += emis[t, state_seq[t]]
-        return float(logp)
-
-    def states_of_assignment(self, tag_seq, ds_seq):
-        """Map (tag, segment) sequences onto product-state indices."""
-        m = self.model
-        lt = LT_NONE
-        out = []
-        for tag, ds in zip(tag_seq, ds_seq):
-            lt = m.lt_update(lt, tag)
-            out.append(self.index[(int(tag), lt, int(ds))])
-        return np.array(out)
 
 
 def compile_chain(model):

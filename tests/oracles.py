@@ -1,12 +1,22 @@
 """Independent reference implementations used to check the package's math.
 
-Everything here recomputes quantities by brute force (dense enumeration
-over all state sequences) or directly from first principles, sharing no
-recursion code with the package.
+Most of what is here recomputes quantities by brute force (dense
+enumeration over all state sequences) or directly from first principles,
+sharing no recursion code with the package. The exception is
+``chain_estep``, the reference for the package's factored E-step: it runs
+the package's ``forward_backward`` on the compiled product chain with the
+tags clamped, and ``test_inference.py`` checks that recursion against
+enumeration. ``sample_example`` and ``sample_corpus`` draw test data from
+a model's generative story.
 """
 
 import numpy as np
 from scipy.special import logsumexp
+
+from bien.errors import InconsistentGold, ZeroProbabilityEvidence
+from bien.inference import Evidence, forward_backward
+from bien.learning import TrainExample
+from bien.model import LT_NONE, compile_chain
 
 
 def randomize_model(model, rng):
@@ -72,3 +82,130 @@ def enumerate_best_path(chain, log_emis, log_clamp=None):
     flat = np.argmax(scores)
     best = np.unravel_index(flat, scores.shape)
     return float(scores[best]), np.array(best)
+
+
+def assignment_log_prob(model, tag_seq, ds_seq, obs_matrix):
+    """Log joint of one full assignment straight from the CPT product.
+
+    The uncompiled reference for the compiled chain: both must give
+    identical joints. Masked observations contribute no factor.
+    """
+    tag_seq = np.asarray(tag_seq)
+    ds_seq = np.asarray(ds_seq)
+    T = len(tag_seq)
+    with np.errstate(divide="ignore"):
+        logp = np.log(model.cpts["ds_init"].table[ds_seq[0]])
+        logp += np.log(model.cpts["tag_init"].table[ds_seq[0], tag_seq[0]])
+        lt = model.lt_update(LT_NONE, tag_seq[0])
+        trans = model.cpts["tag_trans"].table
+        ds_trans = model.cpts["ds_trans"].table
+        for t in range(1, T):
+            logp += np.log(ds_trans[ds_seq[t - 1], ds_seq[t]])
+            logp += np.log(trans[tag_seq[t - 1], lt, ds_seq[t], tag_seq[t]])
+            lt = model.lt_update(lt, tag_seq[t])
+        for k, obs in enumerate(model.observables):
+            emit = model.cpts[f"emit:{obs.name}"].table
+            for t in range(T):
+                o = obs_matrix[t, k]
+                if o >= 0:
+                    logp += np.log(emit[tag_seq[t], ds_seq[t], o])
+    return float(logp)
+
+
+def joint_log_prob(chain, state_seq, obs_matrix):
+    """Log joint of a state path and observations via the compiled arrays."""
+    state_seq = np.asarray(state_seq)
+    emis = chain.log_emission(obs_matrix)
+    logp = chain.log_init[state_seq[0]] + emis[0, state_seq[0]]
+    for t in range(1, len(state_seq)):
+        logp += chain.log_trans[state_seq[t - 1], state_seq[t]]
+        logp += emis[t, state_seq[t]]
+    return float(logp)
+
+
+def states_of_assignment(chain, tag_seq, ds_seq):
+    """Map (tag, segment) sequences onto product-state indices."""
+    lt = LT_NONE
+    out = []
+    for tag, ds in zip(tag_seq, ds_seq):
+        lt = chain.model.lt_update(lt, tag)
+        out.append(chain.index[(int(tag), lt, int(ds))])
+    return np.array(out)
+
+
+def chain_estep(model, examples, observe_ds):
+    """Expected counts and data log-likelihood by forward-backward on the
+    compiled product chain, with each example's tags (and, under
+    ``observe_ds``, its segments) clamped."""
+    chain = compile_chain(model)
+    counts = {name: np.zeros(cpt.shape) for name, cpt in model.cpts.items()}
+    tag_of, lt_of, ds_of = chain.tag_of, chain.lt_of, chain.ds_of
+    total_ll = 0.0
+    for ex in examples:
+        allowed_ds = None
+        if observe_ds:
+            allowed_ds = np.zeros((len(ex.tags), 2), dtype=bool)
+            allowed_ds[np.arange(len(ex.tags)), ex.ds] = True
+        ev = Evidence.from_tags(ex.obs, ex.tags, model.tags.size, allowed_ds)
+        try:
+            post = forward_backward(chain, ev)
+        except ZeroProbabilityEvidence as exc:
+            raise InconsistentGold(
+                f"{ex.doc_id}: gold tags impossible at token {exc.step}",
+                doc_id=ex.doc_id,
+                step=exc.step,
+            ) from exc
+        total_ll += post.log_likelihood
+        gamma, xi = post.gamma, post.xi_sum
+        np.add.at(counts["ds_init"], ds_of, gamma[0])
+        np.add.at(counts["tag_init"], (ds_of, tag_of), gamma[0])
+        np.add.at(counts["ds_trans"], (ds_of[:, None], ds_of[None, :]), xi)
+        np.add.at(
+            counts["tag_trans"],
+            (tag_of[:, None], lt_of[:, None], ds_of[None, :], tag_of[None, :]),
+            xi,
+        )
+        for k, spec in enumerate(model.observables):
+            col = ex.obs[:, k]
+            seen = col >= 0
+            if not seen.any():
+                continue
+            np.add.at(
+                counts[f"emit:{spec.name}"],
+                (tag_of[None, :], ds_of[None, :], col[seen, None]),
+                gamma[seen],
+            )
+    return counts, total_ll
+
+
+def sample_example(model, T, rng, doc_id="sample"):
+    """Ancestral sample of (tags, segments, observations) for T tokens."""
+    ds_init = model.cpts["ds_init"].table
+    ds_trans = model.cpts["ds_trans"].table
+    tag_init = model.cpts["tag_init"].table
+    tag_trans = model.cpts["tag_trans"].table
+    tags = np.zeros(T, dtype=np.int64)
+    ds = np.zeros(T, dtype=np.int64)
+    obs = np.zeros((T, len(model.observables)), dtype=np.int64)
+    lt = LT_NONE
+    for t in range(T):
+        if t == 0:
+            ds[t] = rng.choice(2, p=ds_init)
+            tags[t] = rng.choice(model.tags.size, p=tag_init[ds[t]])
+        else:
+            ds[t] = rng.choice(2, p=ds_trans[ds[t - 1]])
+            tags[t] = rng.choice(model.tags.size, p=tag_trans[tags[t - 1], lt, ds[t]])
+        lt = model.lt_update(lt, tags[t])
+        for k, spec in enumerate(model.observables):
+            emit = model.cpts[f"emit:{spec.name}"].table
+            obs[t, k] = rng.choice(spec.cardinality, p=emit[tags[t], ds[t]])
+    return TrainExample(doc_id, obs.astype(np.int16), tags, ds)
+
+
+def sample_corpus(model, n_docs, rng, t_range=(4, 12)):
+    """``n_docs`` sampled examples with lengths drawn uniformly from ``t_range``."""
+    lo, hi = t_range
+    return [
+        sample_example(model, int(rng.integers(lo, hi + 1)), rng, doc_id=f"s{i:05d}")
+        for i in range(n_docs)
+    ]

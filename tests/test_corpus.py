@@ -225,7 +225,7 @@ def make_corpus(n):
 class TestSplit:
     def test_holdout_sizes(self):
         corpus = make_corpus(485)
-        parts = split(corpus, SplitPlan(mode="holdout", train_fraction=0.8, runs=5, seed=7))
+        parts = split(corpus, SplitPlan(train_fraction=0.8, runs=5, seed=7))
         assert len(parts) == 5
         for train, test in parts:
             assert (len(train), len(test)) == (388, 97)
@@ -243,18 +243,13 @@ class TestSplit:
         assert [ids(p) for p in a] == [ids(p) for p in b]
         assert {d.id for d in a[0][1]} != {d.id for d in a[1][1]}
 
-    def test_kfold_partitions_cover_corpus(self):
-        corpus = make_corpus(25)
-        parts = split(corpus, SplitPlan(mode="kfold", folds=5, runs=2, seed=3))
-        assert len(parts) == 10
-        for r in range(2):
-            seen = []
-            for train, test in parts[r * 5 : (r + 1) * 5]:
-                assert {d.id for d in train} | {d.id for d in test} == {
-                    d.id for d in corpus
-                }
-                seen.extend(d.id for d in test)
-            assert sorted(seen) == sorted(d.id for d in corpus)
+    def test_run_does_not_depend_on_run_count(self):
+        corpus = make_corpus(50)
+        ids = lambda pair: [[d.id for d in side] for side in pair]
+        parts = split(corpus, SplitPlan(runs=5, seed=11))
+        for r, pair in enumerate(parts):
+            alone = split(corpus, SplitPlan(runs=r + 1, seed=11))[-1]
+            assert ids(pair) == ids(alone)
 
     def test_invalid_plans(self):
         corpus = make_corpus(10)
@@ -263,11 +258,7 @@ class TestSplit:
         with pytest.raises(InvalidPlan):
             split(corpus, SplitPlan(train_fraction=1.0))
         with pytest.raises(InvalidPlan):
-            split(corpus, SplitPlan(mode="kfold", folds=11))
-        with pytest.raises(InvalidPlan):
             split(corpus, SplitPlan(runs=0))
-        with pytest.raises(InvalidPlan):
-            split(corpus, SplitPlan(mode="stratified"))
 
 
 class TestCache:

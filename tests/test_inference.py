@@ -3,6 +3,7 @@ import pytest
 from oracles import (
     enumerate_best_path,
     enumerate_posteriors,
+    joint_log_prob,
     random_obs,
     randomize_model,
 )
@@ -95,7 +96,6 @@ class TestForwardBackward:
         np.testing.assert_allclose(post.gamma.sum(axis=1), 1.0, atol=1e-9)
         np.testing.assert_allclose(post.xi_sum.sum(), 6.0, atol=1e-8)
         np.testing.assert_allclose(post.tag_marginals(chain).sum(axis=1), 1.0, atol=1e-9)
-        np.testing.assert_allclose(post.ds_marginals(chain).sum(axis=1), 1.0, atol=1e-9)
 
     def test_no_evidence_has_unit_likelihood(self):
         chain = make_chain(("a",), seed=3)
@@ -148,7 +148,7 @@ class TestViterbi:
             np.testing.assert_allclose(score, best_score, rtol=1e-9)
             # continuous random tables make the maximizer unique in practice
             np.testing.assert_array_equal(path, best_path)
-            assert chain.joint_log_prob(path, ev.obs) == pytest.approx(score, rel=1e-9)
+            assert joint_log_prob(chain, path, ev.obs) == pytest.approx(score, rel=1e-9)
 
     def test_clamped_matches_enumeration(self):
         rng = np.random.default_rng(400)
@@ -177,4 +177,16 @@ class TestViterbi:
         expect = chain.log_init + chain.log_emission(obs)[0]
         assert score == pytest.approx(float(np.max(expect)))
         post = forward_backward(chain, Evidence(obs))
+        assert post.xi_sum.sum() == 0.0
+
+    def test_empty_document(self):
+        chain = make_chain(("a",), seed=9)
+        obs = np.zeros((0, len(chain.model.observables)), dtype=np.int16)
+        path, score = viterbi(chain, Evidence(obs))
+        assert path.shape == (0,)
+        assert score == 0.0
+        post = forward_backward(chain, Evidence(obs))
+        assert post.log_likelihood == 0.0
+        assert post.gamma.shape == (0, chain.n_states)
+        assert post.xi_sum.shape == (chain.n_states, chain.n_states)
         assert post.xi_sum.sum() == 0.0

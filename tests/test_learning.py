@@ -2,13 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import randomize_model
+from oracles import chain_estep, randomize_model, sample_corpus
 
 from bien.corpus import parse_tagged_document
 from bien.errors import (
     EmptyCorpus,
     InconsistentGold,
-    InvalidSpec,
     MissingColumn,
     OverlappingSpans,
     UnknownField,
@@ -17,11 +16,9 @@ from bien.features import Gazetteer, default_lexicons
 from bien.learning import (
     TrainConfig,
     TrainExample,
-    _chain_estep,
     _FactoredBatch,
     encode_tags,
     make_examples,
-    sample_corpus,
     train,
 )
 from bien.model import build_model
@@ -107,10 +104,9 @@ def fully_observed_examples(m):
 
 
 class TestExactMaximumLikelihood:
-    @pytest.mark.parametrize("estep", ["factored", "chain"])
-    def test_counts_normalize_to_exact_fractions(self, estep):
+    def test_counts_normalize_to_exact_fractions(self):
         m = build_model(("x",), OBS)
-        cfg = TrainConfig(alpha=0.0, jitter=0.0, max_iter=1, estep=estep, observe_ds=True)
+        cfg = TrainConfig(alpha=0.0, jitter=0.0, max_iter=1, observe_ds=True)
         result = train(m, fully_observed_examples(m), cfg)
         got = result.model.cpts
 
@@ -134,16 +130,6 @@ class TestExactMaximumLikelihood:
         for code in (0, 1, 2):
             assert emit_u[0, 1, code] == float(Fraction(1, 3))
 
-    def test_exactness_bitwise_between_esteps(self):
-        m = build_model(("x",), OBS)
-        outs = []
-        for estep in ("factored", "chain"):
-            cfg = TrainConfig(alpha=0.0, jitter=0.0, max_iter=1, estep=estep, observe_ds=True)
-            outs.append(train(m, fully_observed_examples(m), cfg).model)
-        for name in outs[0].cpts:
-            a, b = outs[0].cpts[name].table, outs[1].cpts[name].table
-            assert np.array_equal(a, b), name
-
 
 class TestEstepEquivalence:
     @pytest.mark.parametrize("memory", [True, False])
@@ -165,31 +151,27 @@ class TestEstepEquivalence:
             obs = ex.obs.copy()
             obs[rng.random(obs.shape) < 0.2] = -1
             examples.append(TrainExample(ex.doc_id, obs, ex.tags, ex.ds))
-        c1, ll1 = _chain_estep(m, examples, observe_ds)
+        c1, ll1 = chain_estep(m, examples, observe_ds)
         c2, ll2 = _FactoredBatch(m, examples, observe_ds).estep(m)
         assert ll1 == pytest.approx(ll2, rel=1e-12)
         for name in c1:
             np.testing.assert_allclose(c2[name], c1[name], atol=1e-9)
 
     def test_trained_models_agree(self):
+        """Both E-steps agree on every model EM visits, not only the first."""
         rng = np.random.default_rng(11)
         m = randomize_model(build_model(("x",), OBS), rng)
         src = randomize_model(build_model(("x",), OBS), np.random.default_rng(5))
         examples = sample_corpus(src, 30, np.random.default_rng(6))
         examples = [TrainExample(e.doc_id, e.obs, e.tags, None) for e in examples]
-        results = {}
-        for estep in ("factored", "chain"):
-            cfg = TrainConfig(alpha=0.05, jitter=1e-3, seed=3, max_iter=8, estep=estep)
-            results[estep] = train(m, examples, cfg)
-        np.testing.assert_allclose(
-            results["factored"].log_likelihood, results["chain"].log_likelihood, rtol=1e-9
-        )
-        for name in m.cpts:
-            np.testing.assert_allclose(
-                results["factored"].model.cpts[name].table,
-                results["chain"].model.cpts[name].table,
-                atol=1e-9,
-            )
+        for k in range(1, 9):
+            cfg = TrainConfig(alpha=0.05, jitter=1e-3, seed=3, max_iter=k, tol=0.0)
+            fitted = train(m, examples, cfg).model
+            c1, ll1 = chain_estep(fitted, examples, observe_ds=False)
+            c2, ll2 = _FactoredBatch(fitted, examples, observe_ds=False).estep(fitted)
+            assert ll1 == pytest.approx(ll2, rel=1e-9)
+            for name in c1:
+                np.testing.assert_allclose(c2[name], c1[name], atol=1e-9)
 
 
 class TestEmBehavior:
@@ -257,12 +239,13 @@ class TestEmBehavior:
         m = build_model(("x",), OBS)
         with pytest.raises(EmptyCorpus):
             train(m, [], TrainConfig())
-        with pytest.raises(InvalidSpec):
-            train(m, self.hidden_ds_examples(m, n=2), TrainConfig(estep="bogus"))
         bad = [example("d", [m.tags.inside(0), 0], model=m)]
-        for estep in ("factored", "chain"):
+        for run in (
+            lambda: train(m, bad, TrainConfig(jitter=0.0)),
+            lambda: chain_estep(m, bad, observe_ds=False),
+        ):
             with pytest.raises(InconsistentGold) as exc:
-                train(m, bad, TrainConfig(estep=estep, jitter=0.0))
+                run()
             assert exc.value.doc_id == "d"
             assert exc.value.step == 0
         with pytest.raises(MissingColumn):

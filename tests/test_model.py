@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from oracles import random_obs, randomize_model
+from oracles import (
+    assignment_log_prob,
+    joint_log_prob,
+    random_obs,
+    randomize_model,
+    states_of_assignment,
+)
 
 from bien.errors import (
     ChecksumMismatch,
@@ -201,9 +207,9 @@ class TestCompiledChain:
                     tags_seq = rng.integers(0, m.tags.size, size=T)
                     ds_seq = rng.integers(0, 2, size=T)
                     obs = random_obs(m, T, rng, mask_rate=0.2)
-                    direct = m.assignment_log_prob(tags_seq, ds_seq, obs)
-                    states = chain.states_of_assignment(tags_seq, ds_seq)
-                    via_chain = chain.joint_log_prob(states, obs)
+                    direct = assignment_log_prob(m, tags_seq, ds_seq, obs)
+                    states = states_of_assignment(chain, tags_seq, ds_seq)
+                    via_chain = joint_log_prob(chain, states, obs)
                     if np.isfinite(direct) or np.isfinite(via_chain):
                         np.testing.assert_allclose(via_chain, direct, rtol=1e-12)
 
@@ -214,9 +220,9 @@ class TestCompiledChain:
         tags_seq = [m.tags.inside(0), m.tags.end(0)]  # inside cannot start
         ds_seq = [0, 0]
         obs = random_obs(m, 2, rng)
-        assert m.assignment_log_prob(tags_seq, ds_seq, obs) == -np.inf
-        states = chain.states_of_assignment(tags_seq, ds_seq)
-        assert chain.joint_log_prob(states, obs) == -np.inf
+        assert assignment_log_prob(m, tags_seq, ds_seq, obs) == -np.inf
+        states = states_of_assignment(chain, tags_seq, ds_seq)
+        assert joint_log_prob(chain, states, obs) == -np.inf
 
     def test_masked_observations_drop_factors(self):
         rng = np.random.default_rng(9)
