@@ -507,7 +507,9 @@ def split(corpus, plan):
 # ---------------------------------------------------------------------------
 
 def load_corpus_dir(path, fields=DEFAULT_FIELDS, abbreviations=None, strict=False):
-    """Parse every ``*.txt`` file under a directory, sorted by name.
+    """Parse every ``*.txt`` file under a directory, sorted by name. A
+    document's id is its file name without the suffix, as
+    :func:`bien.synth.write_corpus` writes it.
 
     Returns ``(documents, lint_issues)``.
     """
@@ -518,7 +520,7 @@ def load_corpus_dir(path, fields=DEFAULT_FIELDS, abbreviations=None, strict=Fals
     for p in sorted(Path(path).glob("*.txt")):
         raw = p.read_text(encoding="utf-8")
         doc, doc_issues = parse_tagged_document(
-            raw, doc_id=p.name, fields=fields, abbreviations=abbreviations, strict=strict
+            raw, doc_id=p.stem, fields=fields, abbreviations=abbreviations, strict=strict
         )
         docs.append(doc)
         issues.extend(doc_issues)

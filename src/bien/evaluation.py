@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
-import functools
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -264,33 +264,47 @@ def _run_one(cfg, lexicons, run_index, train_docs, test_docs):
     return run, fitted.model, gazetteer
 
 
-def run_experiment(corpus, cfg, jobs=1):
-    """The full protocol: split the corpus once into the plan's holdout
-    runs; per run, build the gazetteer from the training side only, train,
-    decode the test side, and score. Run results merge in run order, so the
-    outcome is identical for any ``jobs``."""
+def _run_variants(corpus, cfgs, jobs):
+    """Run the protocol once per config. The configs share one split plan:
+    the corpus is split once into the plan's holdout runs and the lexicons
+    are loaded once, then every (config, run) pair trains and scores on its
+    split. Results merge in config and run order, so the outcome is
+    identical for any ``jobs``."""
     corpus = sorted(corpus, key=lambda d: d.id)
-    train_sides, test_sides = zip(*split(corpus, cfg.plan))
-    run_one = functools.partial(_run_one, cfg, default_lexicons())
-    run_indices = range(len(train_sides))
+    pairs = split(corpus, cfgs[0].plan)
+    lexicons = default_lexicons()
+    tasks = [
+        (cfg, lexicons, r, train_docs, test_docs)
+        for cfg in cfgs
+        for r, (train_docs, test_docs) in enumerate(pairs)
+    ]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            outs = list(pool.map(run_one, run_indices, train_sides, test_sides))
+            outs = list(pool.map(_run_one, *zip(*tasks)))
     else:
-        outs = list(map(run_one, run_indices, train_sides, test_sides))
-    runs = [run for run, _, _ in outs]
-    _, last_model, last_gaz = outs[-1]
-    return ExperimentResult(cfg, runs, last_model, last_gaz)
+        outs = list(itertools.starmap(_run_one, tasks))
+    n = len(pairs)
+    results = []
+    for i, cfg in enumerate(cfgs):
+        runs, models, gazetteers = zip(*outs[i * n : (i + 1) * n])
+        results.append(ExperimentResult(cfg, list(runs), models[-1], gazetteers[-1]))
+    return results
+
+
+def run_experiment(corpus, cfg, jobs=1):
+    """The full protocol: split the corpus into the plan's holdout runs;
+    per run, build the gazetteer from the training side only, train,
+    decode the test side, and score."""
+    return _run_variants(corpus, [cfg], jobs)[0]
 
 
 def run_ablations(corpus, cfg, jobs=1, variants=None):
-    """The feature/structure ablation grid, reusing the same split plan."""
-    results = {}
-    for name in variants or ABLATIONS:
-        mask = ABLATIONS[name]
-        variant = replace(cfg, mask=mask, memory=(name != "no memory"))
-        results[name] = run_experiment(corpus, variant, jobs=jobs)
-    return results
+    """The feature/structure ablation grid, all variants on one split."""
+    names = list(variants or ABLATIONS)
+    cfgs = [
+        replace(cfg, mask=ABLATIONS[name], memory=(name != "no memory")) for name in names
+    ]
+    return dict(zip(names, _run_variants(corpus, cfgs, jobs)))
 
 
 def learning_curve(corpus, cfg, fractions=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8), jobs=1):

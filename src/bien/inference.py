@@ -120,7 +120,8 @@ def forward_backward(chain, evidence):
         )
 
     ll_backward = _logsumexp(chain.log_init + emis[0] + log_beta[0])
-    if abs(ll - ll_backward) > _HEALTH_TOL * max(1.0, abs(ll)):
+    # written as "not within" so that a NaN on either side fails the check
+    if not abs(ll - ll_backward) <= _HEALTH_TOL * max(1.0, abs(ll)):
         raise NumericError(
             f"forward/backward disagree: {ll!r} vs {ll_backward!r}"
         )

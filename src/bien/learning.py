@@ -155,9 +155,8 @@ class _FactoredBatch:
     def _log_factors(self, model):
         """A[d, t, ds]: log P(tag_t | history, ds) + log P(obs_t | tag_t, ds)."""
         D, Tmax = self.g.shape
-        with np.errstate(divide="ignore"):
-            log_tag_init = np.log(model.cpts["tag_init"].table)
-            log_tt = np.log(model.cpts["tag_trans"].table)
+        log_tag_init = model.cpts["tag_init"].log_table()
+        log_tt = model.cpts["tag_trans"].log_table()
         A = np.zeros((D, Tmax, 2))
         A[:, 0, :] = log_tag_init[:, self.g[:, 0]].T
         if Tmax > 1:
@@ -168,8 +167,7 @@ class _FactoredBatch:
             ]
             A[d_idx, t_idx, :] = rows
         for k, spec in enumerate(model.observables):
-            with np.errstate(divide="ignore"):
-                log_emit = np.log(model.cpts[f"emit:{spec.name}"].table)
+            log_emit = model.cpts[f"emit:{spec.name}"].log_table()
             d_idx, t_idx = np.nonzero(self.valid & (self.obs[:, :, k] >= 0))
             A[d_idx, t_idx, :] += log_emit[
                 self.g[d_idx, t_idx], :, self.obs[d_idx, t_idx, k]
@@ -226,9 +224,8 @@ class _FactoredBatch:
     def _hidden_posteriors(self, model, A):
         """Forward-backward on the two-state segment chain, batched over docs."""
         D, Tmax = self.g.shape
-        with np.errstate(divide="ignore"):
-            log_ds_init = np.log(model.cpts["ds_init"].table)
-            log_ds_trans = np.log(model.cpts["ds_trans"].table)
+        log_ds_init = model.cpts["ds_init"].log_table()
+        log_ds_trans = model.cpts["ds_trans"].log_table()
 
         la = np.zeros((D, Tmax, 2))
         la[:, 0] = log_ds_init[None, :] + A[:, 0]
@@ -270,9 +267,8 @@ class _FactoredBatch:
         one-hot indicators and counts tabulate to integer-valued floats."""
         D, Tmax = self.g.shape
         ds = self.ds_obs
-        with np.errstate(divide="ignore"):
-            log_ds_init = np.log(model.cpts["ds_init"].table)
-            log_ds_trans = np.log(model.cpts["ds_trans"].table)
+        log_ds_init = model.cpts["ds_init"].log_table()
+        log_ds_trans = model.cpts["ds_trans"].log_table()
 
         d_idx, t_idx = np.nonzero(self.valid)
         step_ll = A[d_idx, t_idx, ds[d_idx, t_idx]]
@@ -310,19 +306,11 @@ class _FactoredBatch:
 # ---------------------------------------------------------------------------
 
 def _m_step_cpt(cpt, counts, alpha):
-    if cpt.frozen:
-        return
-    free = cpt.allowed & ~cpt.pinned
-    c = np.where(free, counts + alpha, 0.0)
+    c = np.where(cpt.allowed, counts + alpha, 0.0)
     tot = c.sum(axis=-1, keepdims=True)
-    pinned_mass = np.where(cpt.pinned, cpt.table, 0.0).sum(axis=-1, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        fresh = c / tot * (1.0 - pinned_mass)
     # rows that saw no evidence (possible only at alpha=0) keep their values
-    new = np.where(tot > 0, np.where(free, fresh, cpt.table), cpt.table)
-    new = np.where(cpt.allowed, new, 0.0)
-    new = np.where(cpt.pinned, cpt.table, new)
-    cpt.table = new
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cpt.table = np.where(tot > 0, c / tot, cpt.table)
 
 
 def _apply_jitter(model, config):
@@ -330,20 +318,17 @@ def _apply_jitter(model, config):
         return
     rng = np.random.default_rng(np.random.SeedSequence(config.seed & (2**64 - 1)))
     for name, cpt in model.cpts.items():
-        if not name.startswith("emit:") or cpt.frozen:
+        if not name.startswith("emit:"):
             continue
         noise = 1.0 + rng.uniform(-config.jitter, config.jitter, size=cpt.shape)
-        free = cpt.allowed & ~cpt.pinned
-        perturbed = np.where(free, cpt.table * noise, 0.0)
-        pinned_mass = np.where(cpt.pinned, cpt.table, 0.0).sum(axis=-1, keepdims=True)
+        perturbed = np.where(cpt.allowed, cpt.table * noise, 0.0)
         tot = perturbed.sum(axis=-1, keepdims=True)
         with np.errstate(invalid="ignore", divide="ignore"):
-            scaled = np.where(tot > 0, perturbed / tot * (1.0 - pinned_mass), 0.0)
-        cpt.table = np.where(cpt.pinned, cpt.table, scaled)
+            cpt.table = np.where(tot > 0, perturbed / tot, 0.0)
 
 
 def train(model, examples, config=TrainConfig()):
-    """Fit the unfrozen CPTs by EM; returns the trained copy and the
+    """Fit every CPT by EM; returns the trained copy and the
     per-iteration data log-likelihood trace (likelihood of each iteration's
     starting model, so at ``alpha=0`` the trace never decreases)."""
     if not examples:

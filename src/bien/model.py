@@ -106,8 +106,8 @@ class Cpt:
     row. ``allowed`` marks the structural support; cells outside it stay
     exactly zero. ``reachable`` marks parent rows that can occur given the
     chain structure; unreachable rows are kept uniform and skipped by
-    validation and training. ``pinned`` cells hold fixed probabilities that
-    training must not move (the rest of the row renormalizes around them).
+    validation and training. A fresh table spreads each row uniformly over
+    its allowed cells.
     """
 
     def __init__(self, name, parents, shape, allowed=None, reachable=None):
@@ -125,41 +125,10 @@ class Cpt:
             if reachable is None
             else reachable.astype(bool)
         )
-        self.pinned = np.zeros(self.shape, dtype=bool)
-        self.frozen = False
-        self.table = np.zeros(self.shape, dtype=np.float64)
-        self.set_uniform()
-
-    def set_uniform(self):
-        """Spread each row's free mass uniformly over its allowed cells."""
         counts = self.allowed.sum(axis=-1, keepdims=True)
         if (counts == 0).any():
             raise InvalidSpec(f"cpt {self.name}: a row has no allowed cell")
-        table = self.allowed / counts
-        if self.pinned.any():
-            free = self.allowed & ~self.pinned
-            pinned_mass = np.where(self.pinned, self.table, 0.0).sum(axis=-1, keepdims=True)
-            n_free = free.sum(axis=-1, keepdims=True)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                spread = np.where(n_free > 0, (1.0 - pinned_mass) / np.maximum(n_free, 1), 0.0)
-            table = np.where(self.pinned, self.table, np.where(free, spread, 0.0))
-        self.table = table
-
-    def pin(self, index, value):
-        """Fix one cell's probability; training renormalizes around it."""
-        if not self.allowed[index]:
-            raise InvalidSpec(f"cpt {self.name}: cannot pin disallowed cell {index}")
-        self.pinned[index] = True
-        self.table[index] = float(value)
-        row = index[:-1]
-        free = self.allowed[row] & ~self.pinned[row]
-        pinned_mass = np.where(self.pinned[row], self.table[row], 0.0).sum()
-        if pinned_mass > 1.0 + 1e-12:
-            raise InvalidSpec(f"cpt {self.name}: pinned mass {pinned_mass} exceeds 1")
-        n_free = free.sum()
-        if n_free:
-            self.table[row][free] = (1.0 - pinned_mass) / n_free
-        self.table[row][~self.allowed[row]] = 0.0
+        self.table = self.allowed / counts
 
     def validate(self, atol=1e-9):
         if (self.table < -atol).any():
@@ -184,8 +153,6 @@ class Cpt:
         dup.shape = self.shape
         dup.allowed = self.allowed.copy()
         dup.reachable = self.reachable.copy()
-        dup.pinned = self.pinned.copy()
-        dup.frozen = self.frozen
         dup.table = self.table.copy()
         return dup
 
@@ -315,11 +282,10 @@ class CompiledChain:
     def _build_matrices(self):
         m = self.model
         S = self.n_states
-        with np.errstate(divide="ignore"):
-            log_ds_init = np.log(m.cpts["ds_init"].table)
-            log_ds_trans = np.log(m.cpts["ds_trans"].table)
-            log_tag_init = np.log(m.cpts["tag_init"].table)
-            log_tag_trans = np.log(m.cpts["tag_trans"].table)
+        log_ds_init = m.cpts["ds_init"].log_table()
+        log_ds_trans = m.cpts["ds_trans"].log_table()
+        log_tag_init = m.cpts["tag_init"].log_table()
+        log_tag_trans = m.cpts["tag_trans"].log_table()
 
         init = np.full(S, -np.inf)
         for s, (tag, lt, ds) in enumerate(self.states):
@@ -347,8 +313,7 @@ class CompiledChain:
             seen = col >= 0
             if not seen.any():
                 continue
-            with np.errstate(divide="ignore"):
-                log_emit = np.log(self.model.cpts[f"emit:{obs.name}"].table)
+            log_emit = self.model.cpts[f"emit:{obs.name}"].log_table()
             state_rows = log_emit[self.tag_of, self.ds_of, :]  # (S, card)
             out[seen] += state_rows[:, col[seen]].T
         return out
@@ -369,7 +334,7 @@ def compile_chain(model):
 # Serialization
 # ---------------------------------------------------------------------------
 
-_FORMAT_LINE = "bien-model v1"
+_FORMAT_LINE = "bien-model v2"
 
 
 def _model_body(model):
@@ -381,22 +346,24 @@ def _model_body(model):
     for name in sorted(model.cpts):
         cpt = model.cpts[name]
         lines.append(f"cpt {name}")
-        lines.append(f"frozen {int(cpt.frozen)}")
         lines.append("shape " + " ".join(str(n) for n in cpt.shape))
         parent_shape = cpt.shape[:-1]
         for row in np.ndindex(*parent_shape) if parent_shape else [()]:
             values = " ".join(repr(float(v)) for v in cpt.table[row])
             idx = " ".join(str(i) for i in row) if row else "-"
             lines.append(f"row {idx} {values}")
-        for cell in np.argwhere(cpt.pinned):
-            idx = " ".join(str(i) for i in cell)
-            lines.append(f"pin {idx} {float(cpt.table[tuple(cell)])!r}")
         lines.append("end")
     return "\n".join(lines) + "\n"
 
 
 def serialize_model(model, path):
-    """Write the model as versioned, checksummed, human-readable text."""
+    """Write the model as versioned, checksummed, human-readable text.
+
+    Layout (v2): the format line, the SHA-256 of the body, then the body:
+    ``fields``, ``memory`` and one ``observable`` line each, followed per
+    CPT by ``cpt <name>``, ``shape``, one ``row <index> <values>`` line per
+    parent row and ``end``.
+    """
     body = _model_body(model)
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     with open(path, "w", encoding="utf-8") as fh:
@@ -449,7 +416,6 @@ def load_model(path):
         if name not in model.cpts:
             raise ModelFormatError(f"unknown cpt {name!r}")
         cpt = model.cpts[name]
-        cpt.frozen = bool(int(take().split()[1]))
         shape = tuple(int(n) for n in take().split()[1:])
         if shape != cpt.shape:
             raise ModelFormatError(f"cpt {name}: shape {shape} != {cpt.shape}")
@@ -469,12 +435,6 @@ def load_model(path):
             if len(values) != cpt.shape[-1]:
                 raise ModelFormatError(f"cpt {name}: row {idx} has {len(values)} values")
             cpt.table[idx] = np.array([float(v) for v in values])
-        while pos < len(lines) and lines[pos].startswith("pin "):
-            parts = take().split()
-            idx = tuple(int(i) for i in parts[1:-1])
-            cpt.pinned[idx] = True
-            if cpt.table[idx] != float(parts[-1]):
-                raise ModelFormatError(f"cpt {name}: pin value disagrees with row")
         if take() != "end":
             raise ModelFormatError(f"cpt {name}: expected end marker")
 

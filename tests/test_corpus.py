@@ -10,6 +10,7 @@ from bien.corpus import (
     SplitPlan,
     TagSpan,
     load_columns,
+    load_corpus_dir,
     parse_tagged_document,
     read_column_file,
     read_corpus_cache,
@@ -20,6 +21,7 @@ from bien.corpus import (
 )
 from bien.errors import AlignmentError, InvalidPlan, MalformedTag, UnknownField
 from bien.resources import load_abbreviations
+from bien.synth import generate_corpus, write_corpus
 
 ABBREV = load_abbreviations()
 
@@ -277,3 +279,21 @@ class TestCache:
             "Who: <speaker>Dr. Steals</speaker> at <stime>1 am</stime>.", doc_id="x"
         )
         assert Document.from_dict(doc.to_dict()) == doc
+
+
+class TestCorpusDir:
+    def test_round_trip_through_write_corpus(self, tmp_path):
+        docs = generate_corpus(30, 5)
+        write_corpus(docs, tmp_path)
+        again, issues = load_corpus_dir(tmp_path)
+        assert issues == []
+        blocks = read_column_file(tmp_path / "columns.tsv")
+        assert len(again) == len(blocks) == len(docs)
+        for doc, loaded, rows in zip(sorted(docs, key=lambda d: d.id), again, blocks):
+            loaded = load_columns(loaded, rows)
+            assert loaded.id == doc.id
+            assert loaded.text == doc.text
+            assert loaded.tokens == doc.tokens
+            assert loaded.gold_spans == doc.gold_spans
+            assert loaded.column("pos") == doc.column("pos")
+            assert loaded.column("chunk") == doc.column("chunk")

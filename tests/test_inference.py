@@ -8,7 +8,7 @@ from oracles import (
     randomize_model,
 )
 
-from bien.errors import ZeroProbabilityEvidence
+from bien.errors import NumericError, ZeroProbabilityEvidence
 from bien.inference import Evidence, forward_backward, viterbi
 from bien.model import build_model, compile_chain
 
@@ -136,6 +136,14 @@ class TestForwardBackward:
         with pytest.raises(ZeroProbabilityEvidence) as exc:
             viterbi(chain, Evidence(obs, allowed))
         assert exc.value.step == 3
+
+    def test_nan_transition_raises_numeric_error(self):
+        chain = make_chain(("a",), seed=6)
+        obs = random_obs(chain.model, 4, np.random.default_rng(2))
+        chain.log_trans[0, 0] = np.nan
+        with pytest.raises(NumericError) as exc:
+            forward_backward(chain, Evidence(obs))
+        assert not isinstance(exc.value, ZeroProbabilityEvidence)
 
 
 class TestViterbi:

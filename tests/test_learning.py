@@ -224,17 +224,6 @@ class TestEmBehavior:
         for name in m.cpts:
             assert np.array_equal(r1.model.cpts[name].table, r2.model.cpts[name].table)
 
-    def test_pinned_and_frozen_respected(self):
-        m = build_model(("x",), OBS)
-        m.cpts["ds_trans"].pin((0, 1), 0.25)
-        m.cpts["emit:v"].frozen = True
-        frozen_before = m.cpts["emit:v"].table.copy()
-        examples = self.hidden_ds_examples(m, n=25)
-        result = train(m, examples, TrainConfig(alpha=0.1, max_iter=6))
-        assert result.model.cpts["ds_trans"].table[0, 1] == 0.25
-        np.testing.assert_allclose(result.model.cpts["ds_trans"].table.sum(axis=1), 1.0)
-        assert np.array_equal(result.model.cpts["emit:v"].table, frozen_before)
-
     def test_errors(self):
         m = build_model(("x",), OBS)
         with pytest.raises(EmptyCorpus):
