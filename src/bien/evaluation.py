@@ -47,7 +47,7 @@ def assemble_slots(tag_seq, tag_space):
         fi, start = open_run
         spans.append(TagSpan(tag_space.fields[fi], start, upto))
 
-    for t, tag in enumerate(np.asarray(tag_seq)):
+    for t, tag in enumerate(np.asarray(tag_seq).tolist()):
         role = tag_space.role(tag)
         fi = tag_space.field_index(tag)
         if role == ROLE_BACKGROUND:

@@ -7,13 +7,20 @@ the observation model rather than the code space.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import KIND_PUNCT, KIND_SYMBOL, KIND_WORD, NA_VALUE
-from .errors import EmptyVocabulary, InvalidSpec, MissingResource, UnknownTag
+from .errors import (
+    EmptyVocabulary,
+    InvalidSpec,
+    MissingResource,
+    ModelFormatError,
+    UnknownTag,
+)
 from . import resources
 
 MASKED = -1
@@ -105,9 +112,17 @@ def lemmatise(surface, table):
     return table.get(low, low)
 
 
+# Bound on the per-instance (surface, kind) memos; a full memo starts over.
+_MEMO_LIMIT = 1 << 16
+
+
 @dataclass(frozen=True)
 class LexiconSet:
-    """The word lists consulted by the semantic feature, plus the lemma table."""
+    """The word lists consulted by the semantic feature, plus the lemma table.
+
+    Semantic codes are memoized per (surface, kind) on the instance; the
+    memo is not a field, so ``dataclasses.replace`` starts a fresh one.
+    """
 
     titles: frozenset
     firstnames: dict
@@ -115,6 +130,17 @@ class LexiconSet:
     locations: frozenset
     timewords: frozenset
     lemma_table: dict = field(default_factory=dict)
+    _semantic_codes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def semantic_code(self, token):
+        """Index into :data:`SEMANTIC` of :func:`semantic_feature`, memoized."""
+        key = (token.surface, token.kind)
+        code = self._semantic_codes.get(key)
+        if code is None:
+            if len(self._semantic_codes) >= _MEMO_LIMIT:
+                self._semantic_codes.clear()
+            code = self._semantic_codes[key] = SEMANTIC.index(semantic_feature(token, self))
+        return code
 
 
 def default_lexicons():
@@ -173,6 +199,7 @@ class Gazetteer:
 
     Ids 1..V cover the vocabulary in descending corpus frequency; V+1 is
     out-of-vocabulary and V+2 is not-a-word (punctuation and symbols).
+    Lookups are memoized per (surface, kind) on the instance.
     """
 
     def __init__(self, ids, lemma_table):
@@ -185,6 +212,7 @@ class Gazetteer:
             raise InvalidSpec("gazetteer ids must be exactly 1..V")
         self.oov_id = v + 1
         self.naw_id = v + 2
+        self._ids_of = {}
 
     def __len__(self):
         return len(self.ids)
@@ -202,6 +230,15 @@ class Gazetteer:
         return len(self.ids) + 2
 
     def lookup(self, token):
+        key = (token.surface, token.kind)
+        got = self._ids_of.get(key)
+        if got is None:
+            if len(self._ids_of) >= _MEMO_LIMIT:
+                self._ids_of.clear()
+            got = self._ids_of[key] = self._id_of(token)
+        return got
+
+    def _id_of(self, token):
         if token.kind in (KIND_PUNCT, KIND_SYMBOL):
             return self.naw_id
         lemma = lemmatise(token.surface, self.lemma_table)
@@ -222,22 +259,24 @@ class Gazetteer:
 
     @classmethod
     def load(cls, path):
-        from .errors import ModelFormatError
-
+        """Read a saved gazetteer; a malformed file raises :class:`ModelFormatError`."""
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().strip()
             if header != "gazetteer v1":
                 raise ModelFormatError(f"bad gazetteer header {header!r}")
-            counts = fh.readline().split()
-            n_ids, n_rows = int(counts[1]), int(counts[3])
-            ids = {}
-            for _ in range(n_ids):
-                lemma, i = fh.readline().rstrip("\n").split("\t")
-                ids[lemma] = int(i)
-            table = {}
-            for _ in range(n_rows):
-                surface, _, lemma = fh.readline().rstrip("\n").split("\t")
-                table[surface] = lemma
+            try:
+                counts = fh.readline().split()
+                n_ids, n_rows = int(counts[1]), int(counts[3])
+                ids = {}
+                for _ in range(n_ids):
+                    lemma, i = fh.readline().rstrip("\n").split("\t")
+                    ids[lemma] = int(i)
+                table = {}
+                for _ in range(n_rows):
+                    surface, _, lemma = fh.readline().rstrip("\n").split("\t")
+                    table[surface] = lemma
+            except (ValueError, IndexError) as exc:
+                raise ModelFormatError(f"malformed gazetteer file {path}: {exc}") from exc
         return cls(ids, table)
 
 
@@ -308,21 +347,47 @@ def featurize(doc, gazetteer, lexicons, mask=()):
     if "semantic" not in mask and lexicons is None:
         raise MissingResource("featurize needs lexicons unless semantic is masked")
 
-    T = len(doc.tokens)
-    out = np.full((T, len(FEATURE_NAMES)), MASKED, dtype=np.int16)
-    pos_col = doc.column("pos")
-    chunk_col = doc.column("chunk")
-    for t, tok in enumerate(doc.tokens):
-        if "lemma" not in mask:
-            out[t, 0] = gazetteer.lookup(tok) - 1
-        if "pos" not in mask:
-            out[t, 1] = POS_CLUSTERS.index(pos_cluster(pos_col[t]))
-        if "chunk" not in mask:
-            out[t, 2] = CHUNKS.index(chunk_flatten(chunk_col[t]))
-        if "semantic" not in mask:
-            out[t, 3] = SEMANTIC.index(semantic_feature(tok, lexicons))
-        if "case" not in mask:
-            out[t, 4] = CASES.index(case_feature(tok.surface))
-        if "length" not in mask:
-            out[t, 5] = LENGTH_BUCKETS.index(length_feature(tok.surface))
+    # a masked lemma or semantic column may lack its resource: fill it with
+    # a placeholder, which is overwritten with MASKED below
+    lemma_id = gazetteer.lookup if "lemma" not in mask else _placeholder
+    semantic = lexicons.semantic_code if "semantic" not in mask else _placeholder
+    rows = [
+        (
+            lemma_id(tok) - 1,
+            _pos_code(pos),
+            _chunk_code(chunk),
+            semantic(tok),
+            _case_code(tok.surface),
+            _length_code(tok.surface),
+        )
+        for tok, pos, chunk in zip(doc.tokens, doc.column("pos"), doc.column("chunk"))
+    ]
+    out = np.array(rows, dtype=np.int16).reshape(len(rows), len(FEATURE_NAMES))
+    for k, name in enumerate(FEATURE_NAMES):
+        if name in mask:
+            out[:, k] = MASKED
     return out
+
+
+def _placeholder(token):
+    return 0
+
+
+@functools.lru_cache(maxsize=1024)
+def _pos_code(tag):
+    return POS_CLUSTERS.index(pos_cluster(tag))
+
+
+@functools.lru_cache(maxsize=1024)
+def _chunk_code(value):
+    return CHUNKS.index(chunk_flatten(value))
+
+
+@functools.lru_cache(maxsize=_MEMO_LIMIT)
+def _case_code(surface):
+    return CASES.index(case_feature(surface))
+
+
+@functools.lru_cache(maxsize=_MEMO_LIMIT)
+def _length_code(surface):
+    return LENGTH_BUCKETS.index(length_feature(surface))

@@ -140,19 +140,30 @@ def viterbi(chain, evidence):
     T, S = emis.shape
     if T == 0:
         return np.zeros(0, dtype=np.int64), 0.0
-    delta = chain.log_init + emis[0]
-    if np.max(delta) == -np.inf:
-        raise ZeroProbabilityEvidence("no state admits token 0", step=0)
-    backptr = np.zeros((T, S), dtype=np.int64)
-    for t in range(1, T):
-        scores = delta[:, None] + chain.log_trans
-        backptr[t] = np.argmax(scores, axis=0)
-        delta = scores[backptr[t], np.arange(S)] + emis[t]
-        if np.max(delta) == -np.inf:
-            raise ZeroProbabilityEvidence(f"no state admits token {t}", step=t)
+    trans_T = chain.log_trans.T.copy()  # row j: scores of every move into j
+    scores = np.empty((S, S))
+    flat_scores = scores.reshape(-1)
+    row_starts = np.arange(0, S * S, S)
+    picked = np.empty(S, dtype=np.intp)
+    best = np.empty((T, S))
+    backptr = np.zeros((T, S), dtype=np.intp)
+    np.add(chain.log_init, emis[0], out=best[0])
+    # per step: score every move, pick the first best predecessor of each
+    # state, gather its score, add the emission
+    for prev, cur, ptr, e in zip(best, best[1:], backptr[1:], emis[1:]):
+        np.add(trans_T, prev, out=scores)
+        scores.argmax(axis=1, out=ptr)
+        np.add(ptr, row_starts, out=picked)
+        flat_scores.take(picked, out=cur)
+        cur += e
+    # a step with no live state leaves every later step dead as well
+    dead = np.flatnonzero(best.max(axis=1) == -np.inf)
+    if dead.size:
+        step = int(dead[0])
+        raise ZeroProbabilityEvidence(f"no state admits token {step}", step=step)
     path = np.empty(T, dtype=np.int64)
-    path[-1] = int(np.argmax(delta))
-    score = float(delta[path[-1]])
+    path[-1] = int(np.argmax(best[-1]))
+    score = float(best[-1, path[-1]])
     for t in range(T - 1, 0, -1):
         path[t - 1] = backptr[t, path[t]]
     return path, score

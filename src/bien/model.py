@@ -255,7 +255,12 @@ def build_model(fields, observables, memory=True):
 # ---------------------------------------------------------------------------
 
 class CompiledChain:
-    """First-order Markov chain over reachable (tag, last-target, segment) states."""
+    """First-order Markov chain over reachable (tag, last-target, segment) states.
+
+    The chain is a snapshot of the model at compile time: ``log_init``,
+    ``log_trans`` and the per-state emission rows are computed once from
+    the CPTs, so changing the model afterwards needs a fresh compile.
+    """
 
     def __init__(self, model):
         self.model = model
@@ -303,19 +308,37 @@ class CompiledChain:
                 )
         self.log_trans = trans
 
+        # Per observable, a (card + 1, S) table: row c holds every state's
+        # log P(code c); the last row is zeros, so a masked (-1) code adds 0.
+        self._emit_rows = tuple(
+            np.vstack([log_emit[self.tag_of, self.ds_of, :].T, np.zeros(S)])
+            for log_emit in (m.cpts[f"emit:{obs.name}"].log_table() for obs in m.observables)
+        )
+        self._cardinalities = np.array([obs.cardinality for obs in m.observables])
+
     def log_emission(self, obs_matrix):
-        """Per-step state log-likelihoods, shape ``(T, S)``; -1 codes are skipped."""
+        """Per-step state log-likelihoods, shape ``(T, S)``; -1 codes are skipped.
+
+        ``obs_matrix`` must be an integer ``(T, K)`` matrix over the model's
+        K observables with codes in ``-1 .. cardinality - 1``; anything else
+        raises :class:`InvalidSpec`.
+        """
         obs_matrix = np.asarray(obs_matrix)
+        K = len(self._emit_rows)
+        if obs_matrix.dtype.kind not in "iu" or obs_matrix.ndim != 2 or obs_matrix.shape[1] != K:
+            raise InvalidSpec(
+                f"observations must be an integer (T, {K}) matrix, "
+                f"got {obs_matrix.dtype} of shape {obs_matrix.shape}"
+            )
         T = obs_matrix.shape[0]
+        if T and (obs_matrix.min() < -1 or (obs_matrix.max(axis=0) >= self._cardinalities).any()):
+            raise InvalidSpec(
+                "observation codes must lie in -1 .. cardinality - 1 "
+                f"(cardinalities {self._cardinalities.tolist()})"
+            )
         out = np.zeros((T, self.n_states))
-        for k, obs in enumerate(self.model.observables):
-            col = obs_matrix[:, k]
-            seen = col >= 0
-            if not seen.any():
-                continue
-            log_emit = self.model.cpts[f"emit:{obs.name}"].log_table()
-            state_rows = log_emit[self.tag_of, self.ds_of, :]  # (S, card)
-            out[seen] += state_rows[:, col[seen]].T
+        for col, rows in zip(obs_matrix.T, self._emit_rows):
+            out += rows[col]
         return out
 
 

@@ -7,13 +7,32 @@ sharing no recursion code with the package. The exception is
 the package's ``forward_backward`` on the compiled product chain with the
 tags clamped, and ``test_inference.py`` checks that recursion against
 enumeration. ``sample_example`` and ``sample_corpus`` draw test data from
-a model's generative story.
+a model's generative story. ``viterbi_reference`` and
+``featurize_reference`` are the plain per-step and per-token versions of
+the package's ``viterbi`` and ``featurize``, which must match them bit for
+bit.
 """
 
 import numpy as np
 from scipy.special import logsumexp
 
-from bien.errors import InconsistentGold, ZeroProbabilityEvidence
+from bien.corpus import KIND_PUNCT, KIND_SYMBOL
+from bien.errors import InconsistentGold, InvalidSpec, MissingResource, ZeroProbabilityEvidence
+from bien.features import (
+    CASES,
+    CHUNKS,
+    FEATURE_NAMES,
+    LENGTH_BUCKETS,
+    MASKED,
+    POS_CLUSTERS,
+    SEMANTIC,
+    case_feature,
+    chunk_flatten,
+    lemmatise,
+    length_feature,
+    pos_cluster,
+    semantic_feature,
+)
 from bien.inference import Evidence, forward_backward
 from bien.learning import TrainExample
 from bien.model import LT_NONE, compile_chain
@@ -209,3 +228,72 @@ def sample_corpus(model, n_docs, rng, t_range=(4, 12)):
         sample_example(model, int(rng.integers(lo, hi + 1)), rng, doc_id=f"s{i:05d}")
         for i in range(n_docs)
     ]
+
+
+def viterbi_reference(chain, evidence):
+    """Max-product recursion one step at a time, dead steps raised as found.
+
+    Ties break toward the lowest state index (``np.argmax`` takes the first
+    maximum), both for backpointers and for the final state.
+    """
+    emis = chain.log_emission(evidence.obs)
+    emis += evidence.log_clamp(chain)
+    T, S = emis.shape
+    if T == 0:
+        return np.zeros(0, dtype=np.int64), 0.0
+    delta = chain.log_init + emis[0]
+    if np.max(delta) == -np.inf:
+        raise ZeroProbabilityEvidence("no state admits token 0", step=0)
+    backptr = np.zeros((T, S), dtype=np.int64)
+    for t in range(1, T):
+        scores = delta[:, None] + chain.log_trans
+        backptr[t] = np.argmax(scores, axis=0)
+        delta = scores[backptr[t], np.arange(S)] + emis[t]
+        if np.max(delta) == -np.inf:
+            raise ZeroProbabilityEvidence(f"no state admits token {t}", step=t)
+    path = np.empty(T, dtype=np.int64)
+    path[-1] = int(np.argmax(delta))
+    score = float(delta[path[-1]])
+    for t in range(T - 1, 0, -1):
+        path[t - 1] = backptr[t, path[t]]
+    return path, score
+
+
+def _gazetteer_id(gazetteer, token):
+    if token.kind in (KIND_PUNCT, KIND_SYMBOL):
+        return gazetteer.naw_id
+    got = gazetteer.ids.get(lemmatise(token.surface, gazetteer.lemma_table))
+    if got is None:
+        got = gazetteer.ids.get(token.surface.lower())
+    return got if got is not None else gazetteer.oov_id
+
+
+def featurize_reference(doc, gazetteer, lexicons, mask=()):
+    """Every feature of every token computed afresh, one cell at a time."""
+    mask = set(mask)
+    unknown = mask - set(FEATURE_NAMES)
+    if unknown:
+        raise InvalidSpec(f"unknown feature names in mask: {sorted(unknown)}")
+    if "lemma" not in mask and gazetteer is None:
+        raise MissingResource("featurize needs a gazetteer unless lemma is masked")
+    if "semantic" not in mask and lexicons is None:
+        raise MissingResource("featurize needs lexicons unless semantic is masked")
+
+    T = len(doc.tokens)
+    out = np.full((T, len(FEATURE_NAMES)), MASKED, dtype=np.int16)
+    pos_col = doc.column("pos")
+    chunk_col = doc.column("chunk")
+    for t, tok in enumerate(doc.tokens):
+        if "lemma" not in mask:
+            out[t, 0] = _gazetteer_id(gazetteer, tok) - 1
+        if "pos" not in mask:
+            out[t, 1] = POS_CLUSTERS.index(pos_cluster(pos_col[t]))
+        if "chunk" not in mask:
+            out[t, 2] = CHUNKS.index(chunk_flatten(chunk_col[t]))
+        if "semantic" not in mask:
+            out[t, 3] = SEMANTIC.index(semantic_feature(tok, lexicons))
+        if "case" not in mask:
+            out[t, 4] = CASES.index(case_feature(tok.surface))
+        if "length" not in mask:
+            out[t, 5] = LENGTH_BUCKETS.index(length_feature(tok.surface))
+    return out

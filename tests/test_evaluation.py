@@ -192,6 +192,13 @@ class TestScoreDocuments:
         assert slot_filler(doc, doc.gold_spans[0]) == "wean hall 5409"
 
 
+def set_lemma(obs, code):
+    """A copy of ``obs`` whose first token has lemma code ``code``."""
+    out = obs.copy()
+    out[0, 0] = code
+    return out
+
+
 class TestDecode:
     def test_decode_matches_assembly_of_its_own_tags(self):
         rng = np.random.default_rng(11)
@@ -219,6 +226,26 @@ class TestDecode:
         assert result.score == 0.0
         assert result.spans == []
         assert result.diagnostics == {"unterminated": 0, "orphan_inside": 0, "orphan_end": 0}
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param(lambda obs: set_lemma(obs, 5), id="code-past-cardinality"),
+            pytest.param(lambda obs: obs[:, :1], id="too-few-columns"),
+            pytest.param(lambda obs: obs[:, 0], id="one-dimensional"),
+            pytest.param(lambda obs: np.hstack([obs, obs[:, :1]]), id="extra-column"),
+            pytest.param(lambda obs: set_lemma(obs, -2), id="code-below-masked"),
+            pytest.param(lambda obs: obs.astype(float), id="float-codes"),
+        ],
+    )
+    def test_bad_observation_matrix_is_a_typed_error(self, bad):
+        rng = np.random.default_rng(12)
+        model = randomize_model(
+            build_model(("speaker", "location"), {"lemma": 5, "case": 3}), rng
+        )
+        obs = sample_example(model, 6, rng).obs
+        with pytest.raises(InvalidSpec):
+            decode(compile_chain(model), bad(obs))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from oracles import featurize_reference
 
+from bien import features
 from bien.corpus import Token, parse_tagged_document
-from bien.errors import EmptyVocabulary, InvalidSpec, MissingResource, UnknownTag
+from bien.errors import (
+    EmptyVocabulary,
+    InvalidSpec,
+    MissingResource,
+    ModelFormatError,
+    UnknownTag,
+)
+from bien.evaluation import ABLATIONS
 from bien.features import (
     CANONICAL_POS,
     CASES,
@@ -13,6 +24,7 @@ from bien.features import (
     POS_CLUSTERS,
     SEMANTIC,
     Gazetteer,
+    LexiconSet,
     build_gazetteer,
     case_feature,
     chunk_flatten,
@@ -24,6 +36,7 @@ from bien.features import (
     pos_cluster,
     semantic_feature,
 )
+from bien.synth import generate_corpus
 
 LEX = default_lexicons()
 
@@ -98,8 +111,6 @@ class TestSemantic:
         assert semantic_feature(word("Steals"), LEX) == "LastName"
 
     def test_rank_tie_goes_to_lastname(self):
-        from bien.features import LexiconSet
-
         lex = LexiconSet(
             titles=frozenset(),
             firstnames={"jordan": 5},
@@ -199,6 +210,34 @@ class TestGazetteer:
         gaz.save(path)
         assert Gazetteer.load(path) == gaz
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda lines: lines[:4], id="truncated"),
+            pytest.param(lambda lines: lines[:2] + ["talk\tone"] + lines[3:], id="non-integer-id"),
+            pytest.param(lambda lines: lines[:1], id="missing-counts"),
+            pytest.param(lambda lines: lines[:1] + ["entries x"] + lines[2:], id="bad-counts"),
+            pytest.param(lambda lines: lines[:2] + ["talk 1"] + lines[3:], id="no-tab"),
+        ],
+    )
+    def test_malformed_file_raises_format_error(self, tmp_path, damage):
+        gaz = build_gazetteer(tiny_corpus(), LEX.lemma_table, window=2, min_freq=1)
+        path = tmp_path / "v.gaz"
+        gaz.save(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(damage(lines)) + "\n", encoding="utf-8")
+        with pytest.raises(ModelFormatError):
+            Gazetteer.load(path)
+
+    def test_lookup_memo_is_per_instance(self):
+        small = Gazetteer({"talk": 1}, LEX.lemma_table)
+        large = Gazetteer({"dr.": 1, "talk": 2}, LEX.lemma_table)
+        talks = word("talks")
+        assert small.lookup(talks) == small.lookup(talks) == 1
+        assert large.lookup(talks) == 2
+        assert small.lookup(word("Doctor")) == small.oov_id
+        assert large.lookup(word("Doctor")) == 1
+
 
 class TestFeaturize:
     def trace_doc(self):
@@ -277,3 +316,89 @@ class TestFeaturize:
             "lemma": 8, "pos": 7, "chunk": 4, "semantic": 6, "case": 5, "length": 6,
         }
         assert tuple(card) == FEATURE_NAMES
+
+
+def cold_memos():
+    """Empty the module-wide code caches that featurize shares across calls."""
+    for cached in (features._pos_code, features._chunk_code, features._case_code,
+                   features._length_code):
+        cached.cache_clear()
+
+
+class TestFeaturizeMatchesReference:
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_corpus_under_every_ablation(self, seed):
+        docs = generate_corpus(60, seed)
+        base = build_gazetteer(docs, LEX.lemma_table)
+        for name, mask in ABLATIONS.items():
+            cold_memos()
+            gaz = Gazetteer(base.ids, base.lemma_table)
+            lex = replace(LEX)
+            for temperature in ("cold", "warm"):
+                for doc in docs:
+                    got = featurize(doc, gaz, lex, mask=mask)
+                    want = featurize_reference(doc, gaz, lex, mask=mask)
+                    assert got.dtype == want.dtype
+                    np.testing.assert_array_equal(
+                        got, want, err_msg=f"{name} {temperature} {doc.id}"
+                    )
+
+    def test_empty_document(self):
+        doc, _ = parse_tagged_document("", doc_id="empty")
+        gaz = Gazetteer({"talk": 1}, LEX.lemma_table)
+        got = featurize(doc, gaz, LEX)
+        assert got.shape == (0, len(FEATURE_NAMES))
+        assert got.dtype == np.int16
+        np.testing.assert_array_equal(got, featurize_reference(doc, gaz, LEX))
+
+    @pytest.mark.parametrize(
+        "use_gazetteer, use_lexicons, mask",
+        [
+            (False, True, ("lemma",)),
+            (True, False, ("semantic",)),
+            (False, False, ("lemma", "semantic", "case")),
+        ],
+    )
+    def test_missing_resources_under_their_masks(self, use_gazetteer, use_lexicons, mask):
+        docs = generate_corpus(10, 4)
+        gaz = build_gazetteer(docs, LEX.lemma_table) if use_gazetteer else None
+        lex = LEX if use_lexicons else None
+        for doc in docs:
+            np.testing.assert_array_equal(
+                featurize(doc, gaz, lex, mask=mask),
+                featurize_reference(doc, gaz, lex, mask=mask),
+            )
+
+    def test_semantic_memo_is_per_lexicon_set(self):
+        doc, _ = parse_tagged_document("Professor Zyzzyva spoke", doc_id="z")
+        gaz = Gazetteer({"talk": 1}, LEX.lemma_table)
+        lex = replace(LEX)
+
+        def code_of_zyzzyva(lexicons):
+            return SEMANTIC[featurize(doc, gaz, lexicons)[1, 3]]
+
+        assert code_of_zyzzyva(lex) == "None"  # warms lex's memo
+        titled = replace(lex, titles=lex.titles | {"zyzzyva"})
+        assert code_of_zyzzyva(titled) == "Title"
+        surnames = LexiconSet(
+            titles=frozenset(),
+            firstnames={},
+            lastnames={"zyzzyva": 1},
+            locations=frozenset(),
+            timewords=frozenset(),
+        )
+        assert code_of_zyzzyva(surnames) == "LastName"
+        assert code_of_zyzzyva(lex) == "None"
+        assert titled != lex and replace(lex) == lex
+
+    def test_memos_key_on_surface_and_kind(self):
+        lex = replace(LEX)
+        gaz = Gazetteer({"hall": 1}, LEX.lemma_table)
+        as_word = word("hall")
+        as_mixed = Token("hall", 0, 4, "mixed")
+        as_punct = Token("hall", 0, 4, "punctuation")
+        for _ in range(2):
+            assert SEMANTIC[lex.semantic_code(as_word)] == "Location"
+            assert SEMANTIC[lex.semantic_code(as_mixed)] == "None"
+            assert gaz.lookup(as_word) == 1
+            assert gaz.lookup(as_punct) == gaz.naw_id

@@ -6,6 +6,7 @@ from oracles import (
     joint_log_prob,
     random_obs,
     randomize_model,
+    viterbi_reference,
 )
 
 from bien.errors import NumericError, ZeroProbabilityEvidence
@@ -198,3 +199,55 @@ class TestViterbi:
         assert post.gamma.shape == (0, chain.n_states)
         assert post.xi_sum.shape == (chain.n_states, chain.n_states)
         assert post.xi_sum.sum() == 0.0
+
+
+def assert_same_outcome(chain, ev):
+    """``viterbi`` and ``viterbi_reference`` agree bit for bit, or raise at one step."""
+    try:
+        want_path, want_score = viterbi_reference(chain, ev)
+    except ZeroProbabilityEvidence as want:
+        with pytest.raises(ZeroProbabilityEvidence) as got:
+            viterbi(chain, ev)
+        assert got.value.step == want.step
+        return False
+    path, score = viterbi(chain, ev)
+    np.testing.assert_array_equal(path, want_path)
+    assert np.float64(score).tobytes() == np.float64(want_score).tobytes()
+    return True
+
+
+class TestViterbiMatchesReference:
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_random_chains(self, clamp):
+        rng = np.random.default_rng(500 + clamp)
+        outcomes = [
+            assert_same_outcome(chain, random_evidence(chain, T, rng, clamp=clamp))
+            for chain, T, seed in cases()
+        ]
+        assert sum(outcomes) >= 10
+
+    @pytest.mark.parametrize("memory", [True, False])
+    def test_forced_ties_break_toward_lowest_index(self, memory):
+        chain = make_chain(("a", "b"), memory=memory, seed=4)
+        for table in (chain.log_init, chain.log_trans):
+            table[np.isfinite(table)] = np.log(0.5)
+        for T in (1, 2, 5, 9):
+            obs = np.full((T, len(chain.model.observables)), -1, dtype=np.int16)
+            assert assert_same_outcome(chain, Evidence(obs))
+        # every live state ties at the last step, so the path ends in the
+        # lowest-numbered one
+        path, _ = viterbi(chain, Evidence(obs))
+        reachable = np.isfinite(chain.log_init) | np.isfinite(chain.log_trans).any(axis=0)
+        assert path[-1] == np.flatnonzero(reachable).min()
+
+    def test_dead_evidence_raises_at_the_same_step(self):
+        chain = make_chain(("a",), seed=6)
+        T = 6
+        obs = random_obs(chain.model, T, np.random.default_rng(3))
+        for step in range(T):
+            allowed_ds = np.ones((T, 2), dtype=bool)
+            allowed_ds[step] = False
+            with pytest.raises(ZeroProbabilityEvidence) as exc:
+                viterbi(chain, Evidence(obs, allowed_ds=allowed_ds))
+            assert exc.value.step == step
+            assert not assert_same_outcome(chain, Evidence(obs, allowed_ds=allowed_ds))
