@@ -7,7 +7,6 @@ tokens each pair covered. All offsets refer to the tag-stripped text.
 
 from __future__ import annotations
 
-import json
 import re
 import unicodedata
 from dataclasses import dataclass, field, replace
@@ -102,25 +101,6 @@ class Document:
         merged = dict(self.columns)
         merged.update({k: tuple(v) for k, v in cols.items()})
         return replace(self, columns=merged)
-
-    def to_dict(self):
-        return {
-            "id": self.id,
-            "text": self.text,
-            "tokens": [[t.start, t.end, t.kind] for t in self.tokens],
-            "spans": [[s.field, s.start_token, s.end_token] for s in self.gold_spans],
-            "columns": {k: list(v) for k, v in self.columns.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        text = d["text"]
-        tokens = tuple(
-            Token(text[s:e], s, e, kind) for s, e, kind in d["tokens"]
-        )
-        spans = tuple(TagSpan(f, a, b) for f, a, b in d["spans"])
-        columns = {k: tuple(v) for k, v in d.get("columns", {}).items()}
-        return cls(d["id"], text, tokens, spans, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +463,8 @@ def split(corpus, plan):
     """
     corpus = list(corpus)
     n = len(corpus)
-    if n == 0:
-        raise InvalidPlan("cannot split an empty corpus")
+    if n < 2:
+        raise InvalidPlan(f"a train/test split needs at least 2 documents, got {n}")
     if plan.runs < 1:
         raise InvalidPlan(f"runs must be >= 1, got {plan.runs}")
     if not 0.0 < plan.train_fraction < 1.0:
@@ -503,7 +483,7 @@ def split(corpus, plan):
 
 
 # ---------------------------------------------------------------------------
-# Corpus directories and caches
+# Corpus directories
 # ---------------------------------------------------------------------------
 
 def load_corpus_dir(path, fields=DEFAULT_FIELDS, abbreviations=None, strict=False):
@@ -525,18 +505,3 @@ def load_corpus_dir(path, fields=DEFAULT_FIELDS, abbreviations=None, strict=Fals
         docs.append(doc)
         issues.extend(doc_issues)
     return docs, issues
-
-
-def write_corpus_cache(docs, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            fh.write(json.dumps(doc.to_dict(), ensure_ascii=False) + "\n")
-
-
-def read_corpus_cache(path):
-    docs = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                docs.append(Document.from_dict(json.loads(line)))
-    return docs

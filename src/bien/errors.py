@@ -52,10 +52,6 @@ class MissingResource(DataError):
     """A feature is enabled but its backing resource is unavailable."""
 
 
-class UnknownTag(DataError):
-    """A part-of-speech tag outside the known tag set (strict mode)."""
-
-
 class InvalidSpec(BienError):
     """Model declaration is inconsistent (empty fields, duplicate observables)."""
 

@@ -19,7 +19,6 @@ from .errors import (
     InvalidSpec,
     MissingResource,
     ModelFormatError,
-    UnknownTag,
 )
 from . import resources
 
@@ -32,13 +31,6 @@ CHUNKS = ("NP", "VP", "PP", "NA")
 SEMANTIC = ("Title", "FirstName", "LastName", "Location", "Time", "None")
 CASES = ("UpperInitial", "Lower", "AllCaps", "Mixed", "NA")
 LENGTH_BUCKETS = ("1", "2", "3", "4-5", "6-8", "9+")
-
-_WORD_TAGS = (
-    "CC CD DT EX FW IN JJ JJR JJS LS MD NN NNS NNP NNPS PDT POS PRP PRP$ "
-    "RB RBR RBS RP SYM TO UH VB VBD VBG VBN VBP VBZ WDT WP WP$ WRB"
-).split()
-_PUNCT_TAGS = ["$", "#", "``", "''", "(", ")", "-LRB-", "-RRB-", ",", ".", ":"]
-CANONICAL_POS = tuple(_WORD_TAGS + _PUNCT_TAGS)
 
 _CLUSTER_OF = {
     "CD": "CD",
@@ -61,16 +53,11 @@ for _t in (",", ".", ":", "``", "''", "(", ")", "-LRB-", "-RRB-"):
     _CLUSTER_OF[_t] = "PUNCT"
 
 
-def pos_cluster(tag, strict=False):
+def pos_cluster(tag):
     """Collapse a Penn Treebank tag into one of the seven coarse clusters.
 
-    Tags outside the canonical set fall into SYM, or raise
-    :class:`UnknownTag` under ``strict``. An absent value (NA) is SYM.
+    Every tag without a cluster of its own, and an absent value (NA), is SYM.
     """
-    if tag == NA_VALUE:
-        return "SYM"
-    if strict and tag not in CANONICAL_POS:
-        raise UnknownTag(f"POS tag {tag!r} not in the canonical set")
     return _CLUSTER_OF.get(tag, "SYM")
 
 

@@ -1,9 +1,9 @@
 """Exact inference on the compiled chain: forward-backward and Viterbi.
 
-All recursions run in log space. Evidence carries the observation matrix
-plus optional per-token clamps restricting the tag and segment values a
-token may take; clamps enter the recursions as -inf masks, so clamped
-inference is exact inference in the restricted chain.
+All recursions run in log space over the emission scores that
+``Evidence.log_emission`` returns. The package's evidence is the
+observation matrix alone; ``ClampedEvidence`` in ``tests/oracles.py``
+subclasses it to add per-token -inf masks on tag and segment values.
 """
 
 from __future__ import annotations
@@ -30,39 +30,16 @@ def _logsumexp(a, axis=None):
 
 @dataclass
 class Evidence:
-    """Observations plus optional per-token clamps.
-
-    ``allowed_tags``/``allowed_ds`` are boolean masks of shape (T, n_tags)
-    and (T, 2); a False cell forbids that value at that token. ``None``
-    leaves the variable unconstrained.
-    """
+    """The (T, K) observation matrix of one document."""
 
     obs: np.ndarray
-    allowed_tags: np.ndarray | None = None
-    allowed_ds: np.ndarray | None = None
 
     def __len__(self):
         return self.obs.shape[0]
 
-    @classmethod
-    def from_tags(cls, obs, tag_seq, n_tags, allowed_ds=None):
-        """Evidence with the tag at every token clamped to a known value."""
-        T = len(tag_seq)
-        allowed = np.zeros((T, n_tags), dtype=bool)
-        allowed[np.arange(T), np.asarray(tag_seq)] = True
-        return cls(np.asarray(obs), allowed, allowed_ds)
-
-    def log_clamp(self, chain):
-        """The clamps as a (T, S) additive log mask over chain states."""
-        T = len(self)
-        mask = np.zeros((T, chain.n_states))
-        if self.allowed_tags is not None:
-            bad = ~np.asarray(self.allowed_tags, dtype=bool)[:, chain.tag_of]
-            mask[bad] = -np.inf
-        if self.allowed_ds is not None:
-            bad = ~np.asarray(self.allowed_ds, dtype=bool)[:, chain.ds_of]
-            mask[bad] = -np.inf
-        return mask
+    def log_emission(self, chain):
+        """The (T, S) emission log-probabilities of every chain state."""
+        return chain.log_emission(self.obs)
 
 
 @dataclass
@@ -82,18 +59,12 @@ class Posteriors:
         return out
 
 
-def _scored_emissions(chain, evidence):
-    emis = chain.log_emission(evidence.obs)
-    emis += evidence.log_clamp(chain)
-    return emis
-
-
 def forward_backward(chain, evidence):
     """Exact smoothing. Raises :class:`ZeroProbabilityEvidence` naming the
     first token at which every state dies; raises :class:`NumericError` if
     the forward and backward likelihoods disagree beyond tolerance. An empty
     document has empty posteriors and log-likelihood 0."""
-    emis = _scored_emissions(chain, evidence)
+    emis = evidence.log_emission(chain)
     T, S = emis.shape
     if T == 0:
         return Posteriors(0.0, np.zeros((0, S)), np.zeros((S, S)))
@@ -136,7 +107,7 @@ def viterbi(chain, evidence):
     Ties break toward the lowest state index, both for backpointers and
     for the final state. An empty document has an empty path scoring 0.
     """
-    emis = _scored_emissions(chain, evidence)
+    emis = evidence.log_emission(chain)
     T, S = emis.shape
     if T == 0:
         return np.zeros(0, dtype=np.int64), 0.0

@@ -1,10 +1,13 @@
-"""EM training. Tags are observed from gold spans; the segment chain is hidden.
+"""EM training. Tags are observed from gold spans; the segment chain is
+always hidden.
 
 With the tags observed, the compiled product chain collapses per document
 to a two-state chain over segments. The E-step runs forward-backward on
 that chain, batched across documents. Its reference, forward-backward on
 the compiled product chain with the tags clamped, is ``chain_estep`` in
-``tests/oracles.py``; the two give identical expected counts.
+``tests/oracles.py``; the two give identical expected counts. Counts with
+the segments observed too are the oracles' ``observed_counts``, which the
+exact maximum-likelihood tests feed to :func:`_m_step_cpt`.
 """
 
 from __future__ import annotations
@@ -13,16 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyCorpus,
-    InconsistentGold,
-    MissingColumn,
-    OverlappingSpans,
-    UnknownField,
-)
+from .errors import EmptyCorpus, InconsistentGold, OverlappingSpans, UnknownField
 from .features import featurize
 from .inference import _logsumexp
-from .model import DS_NAMES
 
 
 @dataclass(frozen=True)
@@ -32,7 +28,6 @@ class TrainConfig:
     tol: float = 1e-4        # relative log-likelihood change at convergence
     seed: int = 0
     jitter: float = 1e-3     # emission symmetry breaking; 0 disables
-    observe_ds: bool = False
 
 
 @dataclass
@@ -48,7 +43,6 @@ class TrainExample:
     doc_id: str
     obs: np.ndarray           # (T, K) feature codes
     tags: np.ndarray          # (T,) gold tag values
-    ds: np.ndarray | None = None  # (T,) observed segments, when annotated
 
 
 def encode_tags(doc, tag_space):
@@ -82,8 +76,7 @@ def make_examples(docs, gazetteer, lexicons, model, mask=()):
     """Featurize and tag-encode documents into training examples.
 
     Documents are keyed and sorted by id, so example order (and therefore
-    training) is invariant to the order documents arrive in. A "ds" column
-    on a document becomes an observed segment sequence.
+    training) is invariant to the order documents arrive in.
     """
     examples = []
     for doc in docs:
@@ -91,12 +84,7 @@ def make_examples(docs, gazetteer, lexicons, model, mask=()):
             continue
         obs = featurize(doc, gazetteer, lexicons, mask=mask)
         tags = encode_tags(doc, model.tags)
-        ds = None
-        if "ds" in doc.columns:
-            ds = np.array(
-                [DS_NAMES.index(v) for v in doc.columns["ds"]], dtype=np.int64
-            )
-        examples.append(TrainExample(doc.id, obs, tags, ds))
+        examples.append(TrainExample(doc.id, obs, tags))
     if not examples:
         raise EmptyCorpus("no non-empty documents to train on")
     return sorted(examples, key=lambda e: e.doc_id)
@@ -118,27 +106,19 @@ class _FactoredBatch:
     and emission probabilities evaluated at the gold tags.
     """
 
-    def __init__(self, model, examples, observe_ds):
+    def __init__(self, model, examples):
         D = len(examples)
         lengths = np.array([len(ex.tags) for ex in examples])
         Tmax = int(lengths.max())
         K = len(model.observables)
         self.examples = examples
-        self.fully_observed = bool(observe_ds)
         self.valid = np.arange(Tmax)[None, :] < lengths[:, None]
         self.g = np.zeros((D, Tmax), dtype=np.int64)
         self.obs = np.full((D, Tmax, K), -1, dtype=np.int64)
-        self.ds_obs = np.full((D, Tmax), -1, dtype=np.int64)
         for d, ex in enumerate(examples):
             T = lengths[d]
             self.g[d, :T] = ex.tags
             self.obs[d, :T] = ex.obs
-            if observe_ds:
-                if ex.ds is None:
-                    raise MissingColumn(
-                        f"{ex.doc_id}: segment observation requested but no ds column"
-                    )
-                self.ds_obs[d, :T] = ex.ds
         # last-target memory after each token, deterministic given gold tags
         lt = np.zeros((D, Tmax), dtype=np.int64)
         running = np.zeros(D, dtype=np.int64)
@@ -172,18 +152,11 @@ class _FactoredBatch:
             A[d_idx, t_idx, :] += log_emit[
                 self.g[d_idx, t_idx], :, self.obs[d_idx, t_idx, k]
             ]
-        observed = self.ds_obs >= 0
-        if observed.any():
-            d_idx, t_idx = np.nonzero(observed)
-            A[d_idx, t_idx, 1 - self.ds_obs[d_idx, t_idx]] = -np.inf
         return A
 
     def estep(self, model):
         A = self._log_factors(model)
-        if self.fully_observed:
-            gamma, pair_counts, ll_total = self._observed_posteriors(model, A)
-        else:
-            gamma, pair_counts, ll_total = self._hidden_posteriors(model, A)
+        gamma, pair_counts, ll_total = self._hidden_posteriors(model, A)
 
         counts = _zero_counts(model)
         counts["ds_init"] += gamma[:, 0].sum(axis=0)
@@ -262,43 +235,13 @@ class _FactoredBatch:
             pair_counts += xi.sum(axis=0)
         return gamma, pair_counts, float(ll_doc.sum())
 
-    def _observed_posteriors(self, model, A):
-        """With segments observed nothing is hidden: posteriors are exact
-        one-hot indicators and counts tabulate to integer-valued floats."""
-        D, Tmax = self.g.shape
-        ds = self.ds_obs
-        log_ds_init = model.cpts["ds_init"].log_table()
-        log_ds_trans = model.cpts["ds_trans"].log_table()
-
-        d_idx, t_idx = np.nonzero(self.valid)
-        step_ll = A[d_idx, t_idx, ds[d_idx, t_idx]]
-        if np.isinf(step_ll).any():
-            k = int(np.nonzero(np.isinf(step_ll))[0][0])
-            self._raise_dead(int(d_idx[k]), int(t_idx[k]))
-
-        gamma = np.zeros((D, Tmax, 2))
-        gamma[d_idx, t_idx, ds[d_idx, t_idx]] = 1.0
-
-        pair_counts = np.zeros((2, 2))
-        ll = float(step_ll.sum()) + float(log_ds_init[ds[:, 0]].sum())
-        if Tmax > 1:
-            d2, t2 = np.nonzero(self.valid[:, 1:])
-            t2 = t2 + 1
-            np.add.at(pair_counts, (ds[d2, t2 - 1], ds[d2, t2]), 1.0)
-            ll += float(log_ds_trans[ds[d2, t2 - 1], ds[d2, t2]].sum())
-        return gamma, pair_counts, ll
-
-    def _raise_dead(self, d, t):
-        raise InconsistentGold(
-            f"{self.examples[d].doc_id}: gold tags impossible at token {t}",
-            doc_id=self.examples[d].doc_id,
-            step=t,
-        )
-
     def _check_alive(self, la_t, t, live):
         dead = live & ~np.isfinite(la_t).any(axis=1)
         if dead.any():
-            self._raise_dead(int(np.nonzero(dead)[0][0]), t)
+            doc_id = self.examples[int(np.nonzero(dead)[0][0])].doc_id
+            raise InconsistentGold(
+                f"{doc_id}: gold tags impossible at token {t}", doc_id=doc_id, step=t
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -330,15 +273,17 @@ def _apply_jitter(model, config):
 def train(model, examples, config=TrainConfig()):
     """Fit every CPT by EM; returns the trained copy and the
     per-iteration data log-likelihood trace (likelihood of each iteration's
-    starting model, so at ``alpha=0`` the trace never decreases)."""
+    starting model, so at ``alpha=0`` the trace never decreases).
+    Zero-token examples are skipped, as :func:`make_examples` skips empty
+    documents."""
+    examples = sorted((e for e in examples if len(e.tags)), key=lambda e: e.doc_id)
     if not examples:
-        raise EmptyCorpus("no training examples")
-    examples = sorted(examples, key=lambda e: e.doc_id)
+        raise EmptyCorpus("no non-empty training examples")
     model = model.copy()
     model.validate()
     _apply_jitter(model, config)
 
-    batch = _FactoredBatch(model, examples, config.observe_ds)
+    batch = _FactoredBatch(model, examples)
 
     trace = []
     converged = False

@@ -370,10 +370,9 @@ def _model_body(model):
         cpt = model.cpts[name]
         lines.append(f"cpt {name}")
         lines.append("shape " + " ".join(str(n) for n in cpt.shape))
-        parent_shape = cpt.shape[:-1]
-        for row in np.ndindex(*parent_shape) if parent_shape else [()]:
+        for row in np.ndindex(*cpt.shape[:-1]):
             values = " ".join(repr(float(v)) for v in cpt.table[row])
-            idx = " ".join(str(i) for i in row) if row else "-"
+            idx = " ".join(str(i) for i in row) or "-"
             lines.append(f"row {idx} {values}")
         lines.append("end")
     return "\n".join(lines) + "\n"
@@ -409,7 +408,18 @@ def load_model(path):
     if digest != checksum_line[1]:
         raise ChecksumMismatch("model file checksum does not match its contents")
 
-    lines = body.splitlines()
+    try:
+        model = _read_body(body.splitlines())
+        model.validate(atol=1e-9)
+    except (IndexError, ValueError, InvalidSpec) as exc:
+        raise ModelFormatError(f"malformed model file {path}: {exc}") from exc
+    return model
+
+
+def _read_body(lines):
+    """The model a body's lines describe. Malformed lines raise
+    :class:`ModelFormatError`, or the ``IndexError``/``ValueError`` that
+    :func:`load_model` turns into one."""
     pos = 0
 
     def take():
@@ -424,45 +434,40 @@ def load_model(path):
     if head[0] != "fields":
         raise ModelFormatError("expected fields line")
     fields = tuple(head[1:])
-    memory = bool(int(take().split()[1]))
+    memory = take().split()[1]
+    if memory not in ("0", "1"):
+        raise ModelFormatError(f"memory must be 0 or 1, got {memory!r}")
     observables = []
     while pos < len(lines) and lines[pos].startswith("observable "):
         _, name, card = take().split()
         observables.append((name, int(card)))
-    model = build_model(fields, observables, memory=memory)
+    model = build_model(fields, observables, memory=memory == "1")
 
+    unread = set(model.cpts)
     while pos < len(lines):
         head = take().split()
         if head[0] != "cpt":
             raise ModelFormatError(f"expected cpt block, got {head[0]!r}")
         name = head[1]
-        if name not in model.cpts:
-            raise ModelFormatError(f"unknown cpt {name!r}")
+        if name not in unread:
+            raise ModelFormatError(f"unknown or repeated cpt {name!r}")
+        unread.remove(name)
         cpt = model.cpts[name]
         shape = tuple(int(n) for n in take().split()[1:])
         if shape != cpt.shape:
             raise ModelFormatError(f"cpt {name}: shape {shape} != {cpt.shape}")
-        parent_shape = cpt.shape[:-1]
-        n_rows = int(np.prod(parent_shape)) if parent_shape else 1
-        for _ in range(n_rows):
+        # rows come in the order _model_body writes them
+        for row in np.ndindex(*cpt.shape[:-1]):
+            label = [str(i) for i in row] or ["-"]
             parts = take().split()
-            if parts[0] != "row":
-                raise ModelFormatError(f"cpt {name}: expected row line")
-            if parent_shape:
-                rank = len(parent_shape)
-                idx = tuple(int(i) for i in parts[1 : 1 + rank])
-                values = parts[1 + rank :]
-            else:
-                idx = ()
-                values = parts[2:]
+            if parts[: 1 + len(label)] != ["row", *label]:
+                raise ModelFormatError(f"cpt {name}: expected row {' '.join(label)}")
+            values = parts[1 + len(label) :]
             if len(values) != cpt.shape[-1]:
-                raise ModelFormatError(f"cpt {name}: row {idx} has {len(values)} values")
-            cpt.table[idx] = np.array([float(v) for v in values])
+                raise ModelFormatError(f"cpt {name}: row {row} has {len(values)} values")
+            cpt.table[row] = np.array([float(v) for v in values])
         if take() != "end":
             raise ModelFormatError(f"cpt {name}: expected end marker")
-
-    try:
-        model.validate(atol=1e-9)
-    except InvalidSpec as exc:
-        raise ModelFormatError(f"loaded model fails validation: {exc}") from exc
+    if unread:
+        raise ModelFormatError(f"missing cpt blocks: {sorted(unread)}")
     return model

@@ -5,13 +5,17 @@ enumeration over all state sequences) or directly from first principles,
 sharing no recursion code with the package. The exception is
 ``chain_estep``, the reference for the package's factored E-step: it runs
 the package's ``forward_backward`` on the compiled product chain with the
-tags clamped, and ``test_inference.py`` checks that recursion against
-enumeration. ``sample_example`` and ``sample_corpus`` draw test data from
-a model's generative story. ``viterbi_reference`` and
-``featurize_reference`` are the plain per-step and per-token versions of
-the package's ``viterbi`` and ``featurize``, which must match them bit for
-bit.
+tags clamped by ``ClampedEvidence``, and ``test_inference.py`` checks that
+recursion against enumeration. ``observed_counts`` tallies the counts of
+fully observed ``SegmentedExample`` data, which the exact
+maximum-likelihood tests normalize with the package's M-step.
+``sample_example`` and ``sample_corpus`` draw test data from a model's
+generative story. ``viterbi_reference`` and ``featurize_reference`` are
+the plain per-step and per-token versions of the package's ``viterbi`` and
+``featurize``, which must match them bit for bit.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -36,6 +40,48 @@ from bien.features import (
 from bien.inference import Evidence, forward_backward
 from bien.learning import TrainExample
 from bien.model import LT_NONE, compile_chain
+
+
+@dataclass
+class ClampedEvidence(Evidence):
+    """Observations plus optional per-token clamps.
+
+    ``allowed_tags``/``allowed_ds`` are boolean masks of shape (T, n_tags)
+    and (T, 2); a False cell forbids that value at that token. ``None``
+    leaves the variable unconstrained. The clamps enter the recursions as
+    -inf emission scores, so clamped inference is exact inference in the
+    restricted chain.
+    """
+
+    allowed_tags: np.ndarray | None = None
+    allowed_ds: np.ndarray | None = None
+
+    @classmethod
+    def from_tags(cls, obs, tag_seq, n_tags, allowed_ds=None):
+        """Evidence with the tag at every token clamped to a known value."""
+        T = len(tag_seq)
+        allowed = np.zeros((T, n_tags), dtype=bool)
+        allowed[np.arange(T), np.asarray(tag_seq)] = True
+        return cls(np.asarray(obs), allowed, allowed_ds)
+
+    def log_clamp(self, chain):
+        """The clamps as a (T, S) additive log mask over chain states."""
+        mask = np.zeros((len(self), chain.n_states))
+        if self.allowed_tags is not None:
+            mask[~np.asarray(self.allowed_tags, dtype=bool)[:, chain.tag_of]] = -np.inf
+        if self.allowed_ds is not None:
+            mask[~np.asarray(self.allowed_ds, dtype=bool)[:, chain.ds_of]] = -np.inf
+        return mask
+
+    def log_emission(self, chain):
+        return super().log_emission(chain) + self.log_clamp(chain)
+
+
+@dataclass(frozen=True)
+class SegmentedExample(TrainExample):
+    """A training example whose segments are known too, as sampled data has."""
+
+    ds: np.ndarray  # (T,) segment values
 
 
 def randomize_model(model, rng):
@@ -155,7 +201,7 @@ def states_of_assignment(chain, tag_seq, ds_seq):
 def chain_estep(model, examples, observe_ds):
     """Expected counts and data log-likelihood by forward-backward on the
     compiled product chain, with each example's tags (and, under
-    ``observe_ds``, its segments) clamped."""
+    ``observe_ds``, its ``SegmentedExample.ds`` segments) clamped."""
     chain = compile_chain(model)
     counts = {name: np.zeros(cpt.shape) for name, cpt in model.cpts.items()}
     tag_of, lt_of, ds_of = chain.tag_of, chain.lt_of, chain.ds_of
@@ -165,7 +211,7 @@ def chain_estep(model, examples, observe_ds):
         if observe_ds:
             allowed_ds = np.zeros((len(ex.tags), 2), dtype=bool)
             allowed_ds[np.arange(len(ex.tags)), ex.ds] = True
-        ev = Evidence.from_tags(ex.obs, ex.tags, model.tags.size, allowed_ds)
+        ev = ClampedEvidence.from_tags(ex.obs, ex.tags, model.tags.size, allowed_ds)
         try:
             post = forward_backward(chain, ev)
         except ZeroProbabilityEvidence as exc:
@@ -197,6 +243,32 @@ def chain_estep(model, examples, observe_ds):
     return counts, total_ll
 
 
+def observed_counts(model, examples):
+    """Counts and data log-likelihood with tags and segments both observed.
+
+    Nothing is hidden, so every count is a tally of one (parents, value)
+    pair and the maximum-likelihood CPTs are ratios of integers. The
+    likelihood is the sum of ``assignment_log_prob`` over the examples.
+    """
+    counts = {name: np.zeros(cpt.shape) for name, cpt in model.cpts.items()}
+    total_ll = 0.0
+    for ex in examples:
+        lt = LT_NONE
+        for t, (tag, ds) in enumerate(zip(ex.tags, ex.ds)):
+            if t == 0:
+                counts["ds_init"][ds] += 1
+                counts["tag_init"][ds, tag] += 1
+            else:
+                counts["ds_trans"][ex.ds[t - 1], ds] += 1
+                counts["tag_trans"][ex.tags[t - 1], lt, ds, tag] += 1
+            lt = model.lt_update(lt, tag)
+            for k, spec in enumerate(model.observables):
+                if ex.obs[t, k] >= 0:
+                    counts[f"emit:{spec.name}"][tag, ds, ex.obs[t, k]] += 1
+        total_ll += assignment_log_prob(model, ex.tags, ex.ds, ex.obs)
+    return counts, total_ll
+
+
 def sample_example(model, T, rng, doc_id="sample"):
     """Ancestral sample of (tags, segments, observations) for T tokens."""
     ds_init = model.cpts["ds_init"].table
@@ -218,7 +290,7 @@ def sample_example(model, T, rng, doc_id="sample"):
         for k, spec in enumerate(model.observables):
             emit = model.cpts[f"emit:{spec.name}"].table
             obs[t, k] = rng.choice(spec.cardinality, p=emit[tags[t], ds[t]])
-    return TrainExample(doc_id, obs.astype(np.int16), tags, ds)
+    return SegmentedExample(doc_id, obs.astype(np.int16), tags, ds)
 
 
 def sample_corpus(model, n_docs, rng, t_range=(4, 12)):
@@ -236,8 +308,7 @@ def viterbi_reference(chain, evidence):
     Ties break toward the lowest state index (``np.argmax`` takes the first
     maximum), both for backpointers and for the final state.
     """
-    emis = chain.log_emission(evidence.obs)
-    emis += evidence.log_clamp(chain)
+    emis = evidence.log_emission(chain)
     T, S = emis.shape
     if T == 0:
         return np.zeros(0, dtype=np.int64), 0.0

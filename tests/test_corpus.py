@@ -1,23 +1,18 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bien.corpus import (
-    Document,
     SplitPlan,
     TagSpan,
     load_columns,
     load_corpus_dir,
     parse_tagged_document,
     read_column_file,
-    read_corpus_cache,
     serialize_document,
     split,
     tokenize,
-    write_corpus_cache,
 )
 from bien.errors import AlignmentError, InvalidPlan, MalformedTag, UnknownField
 from bien.resources import load_abbreviations
@@ -257,28 +252,12 @@ class TestSplit:
         corpus = make_corpus(10)
         with pytest.raises(InvalidPlan):
             split([], SplitPlan())
+        with pytest.raises(InvalidPlan):  # one document leaves a side empty
+            split(corpus[:1], SplitPlan())
         with pytest.raises(InvalidPlan):
             split(corpus, SplitPlan(train_fraction=1.0))
         with pytest.raises(InvalidPlan):
             split(corpus, SplitPlan(runs=0))
-
-
-class TestCache:
-    def test_jsonl_round_trip(self, tmp_path):
-        docs = make_corpus(3)
-        docs[0] = docs[0].with_columns(pos=["NN"] * len(docs[0]))
-        path = tmp_path / "cache.jsonl"
-        write_corpus_cache(docs, path)
-        again = read_corpus_cache(path)
-        assert again == docs
-        line = path.read_text(encoding="utf-8").splitlines()[0]
-        assert json.loads(line)["id"] == "doc000"
-
-    def test_document_dict_round_trip(self):
-        doc, _ = parse_tagged_document(
-            "Who: <speaker>Dr. Steals</speaker> at <stime>1 am</stime>.", doc_id="x"
-        )
-        assert Document.from_dict(doc.to_dict()) == doc
 
 
 class TestCorpusDir:

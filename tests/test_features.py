@@ -11,11 +11,9 @@ from bien.errors import (
     InvalidSpec,
     MissingResource,
     ModelFormatError,
-    UnknownTag,
 )
 from bien.evaluation import ABLATIONS
 from bien.features import (
-    CANONICAL_POS,
     CASES,
     CHUNKS,
     FEATURE_NAMES,
@@ -58,16 +56,8 @@ class TestAtomicFeatures:
             assert pos_cluster(tag) == "PUNCT"
         for tag in ("IN", "CC", "TO"):
             assert pos_cluster(tag) == "IN"
-        for tag in ("DT", "JJ", "RB", "PRP", "$", "#", "SYM", "NA"):
+        for tag in ("DT", "JJ", "RB", "PRP", "$", "#", "SYM", "NA", "XYZ"):
             assert pos_cluster(tag) == "SYM"
-
-    def test_pos_cluster_strict(self):
-        with pytest.raises(UnknownTag):
-            pos_cluster("XYZ", strict=True)
-        assert pos_cluster("XYZ") == "SYM"
-        assert len(CANONICAL_POS) == 47
-        for tag in CANONICAL_POS:
-            assert pos_cluster(tag, strict=True) in POS_CLUSTERS
 
     def test_chunk_flatten(self):
         assert chunk_flatten("B-NP") == "NP"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from oracles import (
+    ClampedEvidence,
     enumerate_best_path,
     enumerate_posteriors,
     joint_log_prob,
@@ -46,7 +47,7 @@ def random_evidence(chain, T, rng, clamp=False):
     allowed_tags[np.arange(T), rng.integers(0, n_tags, T)] = True
     allowed_ds = rng.random((T, 2)) < 0.8
     allowed_ds[np.arange(T), rng.integers(0, 2, T)] = True
-    return Evidence(obs, allowed_tags, allowed_ds)
+    return ClampedEvidence(obs, allowed_tags, allowed_ds)
 
 
 def cases():
@@ -110,7 +111,7 @@ class TestForwardBackward:
         gold = [0, tags.begin(0), tags.end(0), 0, tags.single(1)]
         rng = np.random.default_rng(0)
         obs = random_obs(chain.model, 5, rng)
-        ev = Evidence.from_tags(obs, gold, tags.size)
+        ev = ClampedEvidence.from_tags(obs, gold, tags.size)
         post = forward_backward(chain, ev)
         marg = post.tag_marginals(chain)
         expect = np.zeros_like(marg)
@@ -127,7 +128,7 @@ class TestForwardBackward:
         allowed[0] = False
         allowed[0, tags.inside(0)] = True  # inside cannot start a document
         with pytest.raises(ZeroProbabilityEvidence) as exc:
-            forward_backward(chain, Evidence(obs, allowed))
+            forward_backward(chain, ClampedEvidence(obs, allowed))
         assert exc.value.step == 0
 
         allowed = np.zeros((T, tags.size), dtype=bool)
@@ -135,7 +136,7 @@ class TestForwardBackward:
         allowed[3, 0] = False
         allowed[3, tags.end(0)] = True  # ... then an end with no begin
         with pytest.raises(ZeroProbabilityEvidence) as exc:
-            viterbi(chain, Evidence(obs, allowed))
+            viterbi(chain, ClampedEvidence(obs, allowed))
         assert exc.value.step == 3
 
     def test_nan_transition_raises_numeric_error(self):
@@ -248,6 +249,6 @@ class TestViterbiMatchesReference:
             allowed_ds = np.ones((T, 2), dtype=bool)
             allowed_ds[step] = False
             with pytest.raises(ZeroProbabilityEvidence) as exc:
-                viterbi(chain, Evidence(obs, allowed_ds=allowed_ds))
+                viterbi(chain, ClampedEvidence(obs, allowed_ds=allowed_ds))
             assert exc.value.step == step
-            assert not assert_same_outcome(chain, Evidence(obs, allowed_ds=allowed_ds))
+            assert not assert_same_outcome(chain, ClampedEvidence(obs, allowed_ds=allowed_ds))

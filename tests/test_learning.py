@@ -2,21 +2,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import chain_estep, randomize_model, sample_corpus
+from oracles import (
+    SegmentedExample,
+    chain_estep,
+    observed_counts,
+    randomize_model,
+    sample_corpus,
+)
 
 from bien.corpus import parse_tagged_document
-from bien.errors import (
-    EmptyCorpus,
-    InconsistentGold,
-    MissingColumn,
-    OverlappingSpans,
-    UnknownField,
-)
+from bien.errors import EmptyCorpus, InconsistentGold, OverlappingSpans, UnknownField
 from bien.features import Gazetteer, default_lexicons
 from bien.learning import (
     TrainConfig,
     TrainExample,
     _FactoredBatch,
+    _m_step_cpt,
     encode_tags,
     make_examples,
     train,
@@ -34,12 +35,20 @@ def example(doc_id, tags, ds=None, obs=None, model=None, rng=None):
         obs = np.stack(
             [rng.integers(0, spec.cardinality, T) for spec in model.observables], axis=1
         )
-    return TrainExample(
-        doc_id,
-        np.asarray(obs, dtype=np.int16),
-        np.asarray(tags, dtype=np.int64),
-        None if ds is None else np.asarray(ds, dtype=np.int64),
-    )
+    obs = np.asarray(obs, dtype=np.int16)
+    tags = np.asarray(tags, dtype=np.int64)
+    if ds is None:
+        return TrainExample(doc_id, obs, tags)
+    return SegmentedExample(doc_id, obs, tags, np.asarray(ds, dtype=np.int64))
+
+
+def maximum_likelihood(model, examples):
+    """The CPTs that one alpha=0 M-step makes of fully observed counts."""
+    model = model.copy()
+    counts, _ = observed_counts(model, examples)
+    for name, cpt in model.cpts.items():
+        _m_step_cpt(cpt, counts[name], 0.0)
+    return model
 
 
 class TestEncodeTags:
@@ -106,9 +115,8 @@ def fully_observed_examples(m):
 class TestExactMaximumLikelihood:
     def test_counts_normalize_to_exact_fractions(self):
         m = build_model(("x",), OBS)
-        cfg = TrainConfig(alpha=0.0, jitter=0.0, max_iter=1, observe_ds=True)
-        result = train(m, fully_observed_examples(m), cfg)
-        got = result.model.cpts
+        fitted = maximum_likelihood(m, fully_observed_examples(m))
+        got = fitted.cpts
 
         # segment chain: starts header, header, body; transitions hh, hb, bb, bb
         assert got["ds_init"].table[0] == float(Fraction(2, 3))
@@ -117,7 +125,7 @@ class TestExactMaximumLikelihood:
         assert got["ds_trans"].table[0, 1] == float(Fraction(2, 3))
         assert got["ds_trans"].table[1, 1] == float(Fraction(2, 2))
 
-        tags = result.model.tags
+        tags = fitted.tags
         # initial tags: header docs start with background once, single once;
         # the body-initial doc starts with background
         assert got["tag_init"].table[0, 0] == float(Fraction(1, 2))
@@ -131,28 +139,45 @@ class TestExactMaximumLikelihood:
             assert emit_u[0, 1, code] == float(Fraction(1, 3))
 
 
+def masked_examples(m, rng, segments):
+    """Four hand-tagged examples with 20% masked cells and, under
+    ``segments``, random known segments."""
+    tags = m.tags
+    seqs = [
+        [0, tags.begin(0), tags.inside(0), tags.end(0), 0],
+        [tags.single(1), 0, tags.begin(1), tags.end(1)],
+        [0, 0, 0],
+        [tags.single(0), tags.single(1), 0, tags.single(0)],
+    ]
+    examples = []
+    for i, seq in enumerate(seqs):
+        ds = rng.integers(0, 2, len(seq)) if segments else None
+        ex = example(f"d{i}", seq, ds=ds, model=m, rng=rng)
+        ex.obs[rng.random(ex.obs.shape) < 0.2] = -1
+        examples.append(ex)
+    return examples
+
+
 class TestEstepEquivalence:
     @pytest.mark.parametrize("memory", [True, False])
-    @pytest.mark.parametrize("observe_ds", [False, True])
-    def test_factored_matches_chain(self, memory, observe_ds):
+    def test_factored_matches_chain(self, memory):
         rng = np.random.default_rng(7)
         m = randomize_model(build_model(("x", "y"), OBS, memory=memory), rng)
-        tags = m.tags
-        seqs = [
-            [0, tags.begin(0), tags.inside(0), tags.end(0), 0],
-            [tags.single(1), 0, tags.begin(1), tags.end(1)],
-            [0, 0, 0],
-            [tags.single(0), tags.single(1), 0, tags.single(0)],
-        ]
-        examples = []
-        for i, seq in enumerate(seqs):
-            ds = rng.integers(0, 2, len(seq)) if observe_ds else None
-            ex = example(f"d{i}", seq, ds=ds, model=m, rng=rng)
-            obs = ex.obs.copy()
-            obs[rng.random(obs.shape) < 0.2] = -1
-            examples.append(TrainExample(ex.doc_id, obs, ex.tags, ex.ds))
-        c1, ll1 = chain_estep(m, examples, observe_ds)
-        c2, ll2 = _FactoredBatch(m, examples, observe_ds).estep(m)
+        examples = masked_examples(m, rng, segments=False)
+        c1, ll1 = chain_estep(m, examples, observe_ds=False)
+        c2, ll2 = _FactoredBatch(m, examples).estep(m)
+        assert ll1 == pytest.approx(ll2, rel=1e-12)
+        for name in c1:
+            np.testing.assert_allclose(c2[name], c1[name], atol=1e-9)
+
+    @pytest.mark.parametrize("memory", [True, False])
+    def test_observed_counts_match_chain(self, memory):
+        """The tally oracle agrees with the chain clamped to tags and segments."""
+        rng = np.random.default_rng(8)
+        m = randomize_model(build_model(("x", "y"), OBS, memory=memory), rng)
+        examples = masked_examples(m, rng, segments=True)
+        c1, ll1 = chain_estep(m, examples, observe_ds=True)
+        c2, ll2 = observed_counts(m, examples)
         assert ll1 == pytest.approx(ll2, rel=1e-12)
         for name in c1:
             np.testing.assert_allclose(c2[name], c1[name], atol=1e-9)
@@ -163,12 +188,11 @@ class TestEstepEquivalence:
         m = randomize_model(build_model(("x",), OBS), rng)
         src = randomize_model(build_model(("x",), OBS), np.random.default_rng(5))
         examples = sample_corpus(src, 30, np.random.default_rng(6))
-        examples = [TrainExample(e.doc_id, e.obs, e.tags, None) for e in examples]
         for k in range(1, 9):
             cfg = TrainConfig(alpha=0.05, jitter=1e-3, seed=3, max_iter=k, tol=0.0)
             fitted = train(m, examples, cfg).model
             c1, ll1 = chain_estep(fitted, examples, observe_ds=False)
-            c2, ll2 = _FactoredBatch(fitted, examples, observe_ds=False).estep(fitted)
+            c2, ll2 = _FactoredBatch(fitted, examples).estep(fitted)
             assert ll1 == pytest.approx(ll2, rel=1e-9)
             for name in c1:
                 np.testing.assert_allclose(c2[name], c1[name], atol=1e-9)
@@ -177,8 +201,7 @@ class TestEstepEquivalence:
 class TestEmBehavior:
     def hidden_ds_examples(self, m, n=40, seed=9):
         src = randomize_model(m.copy(), np.random.default_rng(seed))
-        sampled = sample_corpus(src, n, np.random.default_rng(seed + 1))
-        return [TrainExample(e.doc_id, e.obs, e.tags, None) for e in sampled]
+        return sample_corpus(src, n, np.random.default_rng(seed + 1))
 
     def test_likelihood_is_monotone_without_prior(self):
         m = build_model(("x", "y"), OBS)
@@ -237,8 +260,23 @@ class TestEmBehavior:
                 run()
             assert exc.value.doc_id == "d"
             assert exc.value.step == 0
-        with pytest.raises(MissingColumn):
-            train(m, self.hidden_ds_examples(m, n=2), TrainConfig(observe_ds=True))
+
+    def test_zero_token_examples_are_skipped(self):
+        m = build_model(("x",), OBS)
+        examples = self.hidden_ds_examples(m, n=6)
+        empty = example("e", [], obs=np.zeros((0, 2)))
+        cfg = TrainConfig(max_iter=3, tol=0.0)
+        r1 = train(m, examples, cfg)
+        r2 = train(m, examples + [empty], cfg)
+        assert r2.log_likelihood == r1.log_likelihood
+        for name in m.cpts:
+            assert np.array_equal(r1.model.cpts[name].table, r2.model.cpts[name].table)
+
+    def test_only_zero_token_examples_is_an_empty_corpus(self):
+        m = build_model(("x",), OBS)
+        empty = [example(f"e{i}", [], obs=np.zeros((0, 2))) for i in range(2)]
+        with pytest.raises(EmptyCorpus):
+            train(m, empty, TrainConfig())
 
 
 class TestSamplingRecovery:
@@ -248,8 +286,7 @@ class TestSamplingRecovery:
         errs = []
         for n in (300, 6000):
             corpus = sample_corpus(src, n, np.random.default_rng(42), t_range=(5, 10))
-            cfg = TrainConfig(alpha=0.0, jitter=0.0, max_iter=1, observe_ds=True)
-            got = train(src, corpus, cfg).model
+            got = maximum_likelihood(src, corpus)
             err = max(
                 np.abs(got.cpts["ds_init"].table - src.cpts["ds_init"].table).max(),
                 np.abs(got.cpts["ds_trans"].table - src.cpts["ds_trans"].table).max(),
@@ -278,16 +315,6 @@ class TestMakeExamples:
         assert examples[0].obs.shape == (6, 6)
         names = [m.tags.name(t) for t in examples[0].tags]
         assert names[:2] == ["begin:speaker", "end:speaker"]
-        assert examples[0].ds is None
-
-    def test_ds_column_becomes_observation(self):
-        m = build_model(("stime",), {"lemma": 4, "pos": 7, "chunk": 4,
-                                     "semantic": 6, "case": 5, "length": 6})
-        gaz = Gazetteer({"at": 1}, LEX.lemma_table)
-        doc, _ = parse_tagged_document("at <stime>3:30</stime>", doc_id="d", fields=("stime",))
-        doc = doc.with_columns(ds=["header", "body"])
-        (ex,) = make_examples([doc], gaz, LEX, m)
-        np.testing.assert_array_equal(ex.ds, [0, 1])
 
     def test_empty_corpus(self):
         m = build_model(("stime",), OBS)

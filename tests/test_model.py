@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from oracles import (
@@ -223,6 +225,37 @@ class TestCompiledChain:
         assert np.isfinite(emis).all()
 
 
+def replacing(old, new):
+    """A body edit that swaps the first ``old`` for ``new``."""
+
+    def edit(body):
+        assert old in body
+        return body.replace(old, new, 1)
+
+    return edit
+
+
+def last_cpt(body):
+    return body[body.index("cpt tag_trans") :]
+
+
+# bodies with a valid checksum that load_model must reject as ModelFormatError
+MALFORMED_BODIES = {
+    "empty-fields": replacing("fields stime etime\n", "\n"),
+    "memory-without-value": replacing("memory 1\n", "memory\n"),
+    "memory-not-integer": replacing("memory 1\n", "memory yes\n"),
+    "memory-not-a-flag": replacing("memory 1\n", "memory 7\n"),
+    "short-observable": replacing("observable lemma 9\n", "observable lemma\n"),
+    "row-value-not-float": replacing("row - 0.5 0.5\n", "row - 0.5 half\n"),
+    "shape-not-integer": replacing("shape 2 2\n", "shape 2 two\n"),
+    "row-index-out-of-range": replacing("row 1 0.5 0.5\n", "row 7 0.5 0.5\n"),
+    "row-index-negative": replacing("row 1 0.5 0.5\n", "row -1 0.5 0.5\n"),
+    "empty-cpt": replacing("cpt ds_init\n", "cpt\n"),
+    "missing-cpt-block": lambda body: body[: -len(last_cpt(body))],
+    "repeated-cpt-block": lambda body: body + last_cpt(body),
+}
+
+
 class TestSerialization:
     def roundtrip(self, m, tmp_path):
         path = tmp_path / "m.bien"
@@ -260,15 +293,22 @@ class TestSerialization:
         with pytest.raises(ChecksumMismatch):
             load_model(path)
 
-    def test_row_sum_validation_on_load(self, tmp_path):
-        import hashlib
-
-        m = small_model()
+    def rechecksummed(self, tmp_path, edit):
+        """A saved small model with its body edited and a valid checksum."""
         path = tmp_path / "m.bien"
-        serialize_model(m, path)
+        serialize_model(small_model(), path)
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        body = "".join(lines[2:]).replace("row - 0.5 0.5", "row - 0.5 0.75", 1)
+        body = edit("".join(lines[2:]))
         digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
         path.write_text(lines[0] + f"checksum {digest}\n" + body)
+        return path
+
+    def test_row_sum_validation_on_load(self, tmp_path):
+        path = self.rechecksummed(tmp_path, replacing("row - 0.5 0.5", "row - 0.5 0.75"))
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+    @pytest.mark.parametrize("edit", MALFORMED_BODIES.values(), ids=MALFORMED_BODIES.keys())
+    def test_malformed_body_raises_format_error(self, tmp_path, edit):
+        with pytest.raises(ModelFormatError):
+            load_model(self.rechecksummed(tmp_path, edit))
