@@ -3,11 +3,16 @@ always hidden.
 
 With the tags observed, the compiled product chain collapses per document
 to a two-state chain over segments. The E-step runs forward-backward on
-that chain, batched across documents. Its reference, forward-backward on
-the compiled product chain with the tags clamped, is ``chain_estep`` in
-``tests/oracles.py``; the two give identical expected counts. Counts with
-the segments observed too are the oracles' ``observed_counts``, which the
-exact maximum-likelihood tests feed to :func:`_m_step_cpt`.
+that chain for all documents at once, in probability space with each
+step's forward row rescaled to sum to one (the scaling of Rabiner 1989),
+over tokens packed time-major with no padding (see :class:`_FactoredBatch`).
+Its references in ``tests/oracles.py`` are ``chain_estep``,
+forward-backward on the compiled product chain with the tags clamped, and
+``PaddedLogBatch``, the same segment-chain E-step in log space over a
+padded batch; all three give the same expected counts up to rounding.
+Counts with the segments observed too are the oracles'
+``observed_counts``, which the exact maximum-likelihood tests feed to
+:func:`_m_step_cpt`.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCorpus, InconsistentGold, OverlappingSpans, UnknownField
+from .errors import EmptyCorpus, InconsistentGold, InvalidSpec, OverlappingSpans, UnknownField
 from .features import featurize
-from .inference import _logsumexp
+from .model import check_observations
 
 
 @dataclass(frozen=True)
@@ -94,154 +99,178 @@ def make_examples(docs, gazetteer, lexicons, model, mask=()):
 # E-step
 # ---------------------------------------------------------------------------
 
-def _zero_counts(model):
-    return {name: np.zeros(cpt.shape) for name, cpt in model.cpts.items()}
+def _check_example(model, ex, cardinalities):
+    """Raise :class:`InvalidSpec` unless ``ex`` holds integer tags of the
+    model's tag space and one row of valid observation codes per tag."""
+    tags = np.asarray(ex.tags)
+    if tags.dtype.kind not in "iu" or tags.ndim != 1 or (
+        tags.min() < 0 or tags.max() >= model.tags.size
+    ):
+        raise InvalidSpec(
+            f"{ex.doc_id}: tags must be a 1-D integer array of values "
+            f"0 .. {model.tags.size - 1}"
+        )
+    try:
+        obs = check_observations(ex.obs, cardinalities)
+    except InvalidSpec as exc:
+        raise InvalidSpec(f"{ex.doc_id}: {exc}") from None
+    if len(obs) != len(tags):
+        raise InvalidSpec(f"{ex.doc_id}: {len(obs)} observation rows for {len(tags)} tags")
 
 
 class _FactoredBatch:
-    """Precomputed index tensors for the segment-chain E-step.
+    """The segment-chain E-step over a fixed set of non-empty examples.
 
     With tags observed, the product chain collapses per document to a
     two-state chain over segments whose step factors are tag-transition
     and emission probabilities evaluated at the gold tags.
+
+    Tokens are packed time-major with no padding. Documents are sorted
+    longest first (stably, so equal lengths keep example order), and step
+    t holds one row per document longer than t, in that order: the
+    documents alive at step t are the first ``n[t]`` rows of step t - 1,
+    so every step of both recursions works on a contiguous prefix.
+
+    A token's factors are gathers through flat indices built here once:
+    the tag-transition index selects a row of ``tag_init`` at t = 0 and of
+    ``tag_trans`` (given the previous tag and memory) after, and each
+    emission table gets a trailing zero column that masked (-1) codes
+    select. The same indices tally the counts with ``np.bincount``.
+
+    The recursions run on ``B = exp(A - max_ds A)``, each token's factors
+    scaled so the larger is 1. Every forward row is divided by its sum
+    ``c``, so the data log-likelihood is ``sum(log c) + sum(max_ds A)``
+    and ``alpha * beta`` is the segment posterior with no further
+    normalizer.
     """
 
     def __init__(self, model, examples):
-        D = len(examples)
+        cardinalities = np.array([spec.cardinality for spec in model.observables])
+        for ex in examples:
+            _check_example(model, ex, cardinalities)
         lengths = np.array([len(ex.tags) for ex in examples])
-        Tmax = int(lengths.max())
-        K = len(model.observables)
         self.examples = examples
-        self.valid = np.arange(Tmax)[None, :] < lengths[:, None]
-        self.g = np.zeros((D, Tmax), dtype=np.int64)
-        self.obs = np.full((D, Tmax, K), -1, dtype=np.int64)
-        for d, ex in enumerate(examples):
-            T = lengths[d]
-            self.g[d, :T] = ex.tags
-            self.obs[d, :T] = ex.obs
-        # last-target memory after each token, deterministic given gold tags
-        lt = np.zeros((D, Tmax), dtype=np.int64)
-        running = np.zeros(D, dtype=np.int64)
+        self.order = np.argsort(-lengths, kind="stable")
+        D, Tmax = len(examples), int(lengths.max())
+        self.n = D - np.cumsum(np.bincount(lengths, minlength=Tmax + 1))[:Tmax]
+        self.starts = np.concatenate([[0], np.cumsum(self.n)])
+        N = int(self.starts[-1])
+
+        # flat position of each token, taking the documents in sorted order
+        sorted_len = lengths[self.order]
+        step = np.arange(N) - np.repeat(np.cumsum(sorted_len) - sorted_len, sorted_len)
+        pos = self.starts[step] + np.repeat(np.arange(D), sorted_len)
+        g = np.empty(N, dtype=np.int64)
+        g[pos] = np.concatenate([examples[d].tags for d in self.order])
+        obs = np.empty((N, len(model.observables)), dtype=np.int64)
+        obs[pos] = np.concatenate([examples[d].obs for d in self.order])
+
+        # t = 0 rows index tag_init by tag; later rows index the tag_trans
+        # rows that follow tag_init, by (previous tag, its memory, tag). The
+        # last-target memory after each token is deterministic given gold
+        # tags: the field of a field tag, else the memory before it.
+        n_tags = model.tags.size
         fi_of = np.array(
-            [-1] + [model.tags.field_index(t) for t in range(1, model.tags.size)]
+            [-1] + [model.tags.field_index(t) for t in range(1, n_tags)]
         )
-        for t in range(Tmax):
-            tag_fi = fi_of[self.g[:, t]]
-            if model.memory:
-                running = np.where(self.valid[:, t] & (tag_fi >= 0), tag_fi + 1, running)
-            lt[:, t] = running
-        self.lt = lt
+        fi = fi_of[g] if model.memory else np.full(N, -1)
+        lt = fi + 1
+        self.trans_idx = g.copy()
+        for t in range(1, Tmax):
+            cur, prev = slice(self.starts[t], self.starts[t + 1]), self._prev_rows(t)
+            lt[cur] = np.where(fi[cur] >= 0, lt[cur], lt[prev])
+            self.trans_idx[cur] += n_tags * (1 + g[prev] * model.lt_card + lt[prev])
+        # per observed column: (name, cardinality, flat emission index);
+        # columns masked throughout add nothing and count nothing
+        self.emit = []
+        for spec, col in zip(model.observables, obs.T):
+            if (col >= 0).any():
+                card = spec.cardinality
+                idx = g * (card + 1) + np.where(col >= 0, col, card)
+                self.emit.append((f"emit:{spec.name}", card, idx))
+
+    def _prev_rows(self, t):
+        """Rows of step t - 1 holding the documents alive at step t."""
+        return slice(self.starts[t - 1], self.starts[t - 1] + self.n[t])
 
     def _log_factors(self, model):
-        """A[d, t, ds]: log P(tag_t | history, ds) + log P(obs_t | tag_t, ds)."""
-        D, Tmax = self.g.shape
-        log_tag_init = model.cpts["tag_init"].log_table()
+        """A[i, ds]: log P(tag | history, ds) + log P(obs | tag, ds) at token i."""
+        n_tags = model.tags.size
         log_tt = model.cpts["tag_trans"].log_table()
-        A = np.zeros((D, Tmax, 2))
-        A[:, 0, :] = log_tag_init[:, self.g[:, 0]].T
-        if Tmax > 1:
-            d_idx, t_idx = np.nonzero(self.valid[:, 1:])
-            t_idx = t_idx + 1
-            rows = log_tt[
-                self.g[d_idx, t_idx - 1], self.lt[d_idx, t_idx - 1], :, self.g[d_idx, t_idx]
-            ]
-            A[d_idx, t_idx, :] = rows
-        for k, spec in enumerate(model.observables):
-            log_emit = model.cpts[f"emit:{spec.name}"].log_table()
-            d_idx, t_idx = np.nonzero(self.valid & (self.obs[:, :, k] >= 0))
-            A[d_idx, t_idx, :] += log_emit[
-                self.g[d_idx, t_idx], :, self.obs[d_idx, t_idx, k]
-            ]
+        trans = np.concatenate(
+            [model.cpts["tag_init"].log_table().T, log_tt.transpose(0, 1, 3, 2).reshape(-1, 2)]
+        )
+        A = trans[self.trans_idx]
+        for name, card, idx in self.emit:
+            rows = np.zeros((n_tags, card + 1, 2))
+            rows[:, :card] = model.cpts[name].log_table().transpose(0, 2, 1)
+            A += rows.reshape(-1, 2)[idx]
         return A
 
     def estep(self, model):
+        """Expected counts and the data log-likelihood under ``model``."""
         A = self._log_factors(model)
-        gamma, pair_counts, ll_total = self._hidden_posteriors(model, A)
+        # shift each token's factors by their max, so exp keeps them in range;
+        # a token with no possible segment gets a zero row and is caught below
+        shift = A.max(axis=1)
+        shift[~np.isfinite(shift)] = 0.0
+        B = np.exp(A - shift[:, None])
+        P = model.cpts["ds_trans"].table
+        n, starts = self.n, self.starts
+        Tmax = len(n)
 
-        counts = _zero_counts(model)
-        counts["ds_init"] += gamma[:, 0].sum(axis=0)
-        counts["ds_trans"] += pair_counts
-        np.add.at(counts["tag_init"].T, self.g[:, 0], gamma[:, 0])
+        alpha = np.empty_like(B)
+        c = np.empty(len(B))
+        with np.errstate(invalid="ignore"):  # 0 / 0 on a dead row
+            for t in range(Tmax):
+                cur = alpha[starts[t] : starts[t + 1]]
+                if t:
+                    np.matmul(alpha[self._prev_rows(t)], P, out=cur)
+                else:
+                    cur[:] = model.cpts["ds_init"].table
+                cur *= B[starts[t] : starts[t + 1]]
+                ct = np.sum(cur, axis=1, out=c[starts[t] : starts[t + 1]])
+                cur /= ct[:, None]
+        dead = ~(c > 0)
+        if dead.any():
+            self._raise_dead(dead)
+        ll_total = float(np.log(c).sum() + shift.sum())
 
-        Tmax = self.g.shape[1]
-        d_idx, t_idx = (
-            np.nonzero(self.valid[:, 1:]) if Tmax > 1 else (np.array([], int),) * 2
-        )
-        if d_idx.size:
-            t_idx = t_idx + 1
-            np.add.at(
-                counts["tag_trans"],
-                (
-                    self.g[d_idx, t_idx - 1][:, None],
-                    self.lt[d_idx, t_idx - 1][:, None],
-                    np.arange(2)[None, :],
-                    self.g[d_idx, t_idx][:, None],
-                ),
-                gamma[d_idx, t_idx],
+        # fp_t = B_t * beta_t / c_t; beta at each document's last token is 1
+        beta = np.ones_like(B)
+        B /= c[:, None]
+        pair = np.zeros((2, 2))
+        for t in range(Tmax - 1, 0, -1):
+            fp = B[starts[t] : starts[t + 1]] * beta[starts[t] : starts[t + 1]]
+            prev = self._prev_rows(t)
+            np.matmul(fp, P.T, out=beta[prev])
+            pair += alpha[prev].T @ fp
+        gamma = (alpha * beta).T.copy()
+
+        counts = {name: np.zeros(cpt.shape) for name, cpt in model.cpts.items()}
+        n_tags, lt_card = model.tags.size, model.lt_card
+        counts["ds_init"] = gamma[:, : n[0]].sum(axis=1)
+        counts["ds_trans"] = pair * P
+        for ds in range(2):
+            tally = np.bincount(
+                self.trans_idx, weights=gamma[ds], minlength=n_tags * (1 + n_tags * lt_card)
             )
-        for k, spec in enumerate(model.observables):
-            d_idx, t_idx = np.nonzero(self.valid & (self.obs[:, :, k] >= 0))
-            if not d_idx.size:
-                continue
-            np.add.at(
-                counts[f"emit:{spec.name}"],
-                (
-                    self.g[d_idx, t_idx][:, None],
-                    np.arange(2)[None, :],
-                    self.obs[d_idx, t_idx, k][:, None],
-                ),
-                gamma[d_idx, t_idx],
-            )
+            counts["tag_init"][ds] = tally[:n_tags]
+            counts["tag_trans"][:, :, ds, :] = tally[n_tags:].reshape(n_tags, lt_card, n_tags)
+            for name, card, idx in self.emit:
+                tally = np.bincount(idx, weights=gamma[ds], minlength=n_tags * (card + 1))
+                counts[name][:, ds, :] = tally.reshape(n_tags, card + 1)[:, :card]
         return counts, ll_total
 
-    def _hidden_posteriors(self, model, A):
-        """Forward-backward on the two-state segment chain, batched over docs."""
-        D, Tmax = self.g.shape
-        log_ds_init = model.cpts["ds_init"].log_table()
-        log_ds_trans = model.cpts["ds_trans"].log_table()
-
-        la = np.zeros((D, Tmax, 2))
-        la[:, 0] = log_ds_init[None, :] + A[:, 0]
-        self._check_alive(la[:, 0], 0, np.ones(D, dtype=bool))
-        for t in range(1, Tmax):
-            prop = (
-                _logsumexp(la[:, t - 1, :, None] + log_ds_trans[None, :, :], axis=1)
-                + A[:, t]
-            )
-            live = self.valid[:, t]
-            la[:, t] = np.where(live[:, None], prop, la[:, t - 1])
-            self._check_alive(la[:, t], t, live)
-        ll_doc = _logsumexp(la[:, -1, :], axis=1)
-
-        lb = np.zeros((D, Tmax, 2))
-        for t in range(Tmax - 2, -1, -1):
-            forward_part = A[:, t + 1] + lb[:, t + 1]
-            prop = _logsumexp(log_ds_trans[None, :, :] + forward_part[:, None, :], axis=2)
-            lb[:, t] = np.where(self.valid[:, t + 1, None], prop, 0.0)
-
-        gamma = np.exp(la + lb - ll_doc[:, None, None]) * self.valid[:, :, None]
-
-        pair_counts = np.zeros((2, 2))
-        for t in range(1, Tmax):
-            live = self.valid[:, t]
-            if not live.any():
-                continue
-            xi = np.exp(
-                la[live, t - 1, :, None]
-                + log_ds_trans[None, :, :]
-                + (A[live, t] + lb[live, t])[:, None, :]
-                - ll_doc[live, None, None]
-            )
-            pair_counts += xi.sum(axis=0)
-        return gamma, pair_counts, float(ll_doc.sum())
-
-    def _check_alive(self, la_t, t, live):
-        dead = live & ~np.isfinite(la_t).any(axis=1)
-        if dead.any():
-            doc_id = self.examples[int(np.nonzero(dead)[0][0])].doc_id
-            raise InconsistentGold(
-                f"{doc_id}: gold tags impossible at token {t}", doc_id=doc_id, step=t
-            )
+    def _raise_dead(self, dead):
+        """InconsistentGold at the earliest step at which some document's
+        gold tags are impossible, naming the first such document there."""
+        t = int(np.searchsorted(self.starts, np.flatnonzero(dead)[0], side="right")) - 1
+        rows = np.flatnonzero(dead[self.starts[t] : self.starts[t + 1]])
+        doc_id = self.examples[int(self.order[rows].min())].doc_id
+        raise InconsistentGold(
+            f"{doc_id}: gold tags impossible at token {t}", doc_id=doc_id, step=t
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -323,23 +323,33 @@ class CompiledChain:
         K observables with codes in ``-1 .. cardinality - 1``; anything else
         raises :class:`InvalidSpec`.
         """
-        obs_matrix = np.asarray(obs_matrix)
-        K = len(self._emit_rows)
-        if obs_matrix.dtype.kind not in "iu" or obs_matrix.ndim != 2 or obs_matrix.shape[1] != K:
-            raise InvalidSpec(
-                f"observations must be an integer (T, {K}) matrix, "
-                f"got {obs_matrix.dtype} of shape {obs_matrix.shape}"
-            )
-        T = obs_matrix.shape[0]
-        if T and (obs_matrix.min() < -1 or (obs_matrix.max(axis=0) >= self._cardinalities).any()):
-            raise InvalidSpec(
-                "observation codes must lie in -1 .. cardinality - 1 "
-                f"(cardinalities {self._cardinalities.tolist()})"
-            )
-        out = np.zeros((T, self.n_states))
+        obs_matrix = check_observations(obs_matrix, self._cardinalities)
+        out = np.zeros((len(obs_matrix), self.n_states))
         for col, rows in zip(obs_matrix.T, self._emit_rows):
             out += rows[col]
         return out
+
+
+def check_observations(obs_matrix, cardinalities):
+    """``obs_matrix`` as an array, once it is known to be an integer
+    ``(T, K)`` matrix over K observables of the given cardinalities, with
+    codes in ``-1 .. cardinality - 1``; anything else raises
+    :class:`InvalidSpec`."""
+    obs_matrix = np.asarray(obs_matrix)
+    K = len(cardinalities)
+    if obs_matrix.dtype.kind not in "iu" or obs_matrix.ndim != 2 or obs_matrix.shape[1] != K:
+        raise InvalidSpec(
+            f"observations must be an integer (T, {K}) matrix, "
+            f"got {obs_matrix.dtype} of shape {obs_matrix.shape}"
+        )
+    if len(obs_matrix) and (
+        obs_matrix.min() < -1 or (obs_matrix.max(axis=0) >= cardinalities).any()
+    ):
+        raise InvalidSpec(
+            "observation codes must lie in -1 .. cardinality - 1 "
+            f"(cardinalities {np.asarray(cardinalities).tolist()})"
+        )
+    return obs_matrix
 
 
 def compile_chain(model):

@@ -6,7 +6,9 @@ sharing no recursion code with the package. The exception is
 ``chain_estep``, the reference for the package's factored E-step: it runs
 the package's ``forward_backward`` on the compiled product chain with the
 tags clamped by ``ClampedEvidence``, and ``test_inference.py`` checks that
-recursion against enumeration. ``observed_counts`` tallies the counts of
+recursion against enumeration. ``PaddedLogBatch`` is the package's earlier
+padded, log-space segment-chain E-step, the reference on batches too large
+for ``chain_estep``. ``observed_counts`` tallies the counts of
 fully observed ``SegmentedExample`` data, which the exact
 maximum-likelihood tests normalize with the package's M-step.
 ``sample_example`` and ``sample_corpus`` draw test data from a model's
@@ -37,7 +39,7 @@ from bien.features import (
     pos_cluster,
     semantic_feature,
 )
-from bien.inference import Evidence, forward_backward
+from bien.inference import Evidence, _logsumexp, forward_backward
 from bien.learning import TrainExample
 from bien.model import LT_NONE, compile_chain
 
@@ -241,6 +243,154 @@ def chain_estep(model, examples, observe_ds):
                 gamma[seen],
             )
     return counts, total_ll
+
+
+class PaddedLogBatch:
+    """The segment-chain E-step in log space over a (D, Tmax) padded batch.
+
+    This is the package's earlier ``_FactoredBatch``: the same two-state
+    chain and counts, with a log-sum-exp per step, documents padded to the
+    longest and counts tallied with ``np.add.at``. It is the reference for
+    the packed, scaled-probability E-step on batches too large for
+    ``chain_estep``.
+    """
+
+    def __init__(self, model, examples):
+        D = len(examples)
+        lengths = np.array([len(ex.tags) for ex in examples])
+        Tmax = int(lengths.max())
+        K = len(model.observables)
+        self.examples = examples
+        self.valid = np.arange(Tmax)[None, :] < lengths[:, None]
+        self.g = np.zeros((D, Tmax), dtype=np.int64)
+        self.obs = np.full((D, Tmax, K), -1, dtype=np.int64)
+        for d, ex in enumerate(examples):
+            T = lengths[d]
+            self.g[d, :T] = ex.tags
+            self.obs[d, :T] = ex.obs
+        # last-target memory after each token, deterministic given gold tags
+        lt = np.zeros((D, Tmax), dtype=np.int64)
+        running = np.zeros(D, dtype=np.int64)
+        fi_of = np.array(
+            [-1] + [model.tags.field_index(t) for t in range(1, model.tags.size)]
+        )
+        for t in range(Tmax):
+            tag_fi = fi_of[self.g[:, t]]
+            if model.memory:
+                running = np.where(self.valid[:, t] & (tag_fi >= 0), tag_fi + 1, running)
+            lt[:, t] = running
+        self.lt = lt
+
+    def _log_factors(self, model):
+        """A[d, t, ds]: log P(tag_t | history, ds) + log P(obs_t | tag_t, ds)."""
+        D, Tmax = self.g.shape
+        log_tag_init = model.cpts["tag_init"].log_table()
+        log_tt = model.cpts["tag_trans"].log_table()
+        A = np.zeros((D, Tmax, 2))
+        A[:, 0, :] = log_tag_init[:, self.g[:, 0]].T
+        if Tmax > 1:
+            d_idx, t_idx = np.nonzero(self.valid[:, 1:])
+            t_idx = t_idx + 1
+            rows = log_tt[
+                self.g[d_idx, t_idx - 1], self.lt[d_idx, t_idx - 1], :, self.g[d_idx, t_idx]
+            ]
+            A[d_idx, t_idx, :] = rows
+        for k, spec in enumerate(model.observables):
+            log_emit = model.cpts[f"emit:{spec.name}"].log_table()
+            d_idx, t_idx = np.nonzero(self.valid & (self.obs[:, :, k] >= 0))
+            A[d_idx, t_idx, :] += log_emit[
+                self.g[d_idx, t_idx], :, self.obs[d_idx, t_idx, k]
+            ]
+        return A
+
+    def estep(self, model):
+        A = self._log_factors(model)
+        gamma, pair_counts, ll_total = self._hidden_posteriors(model, A)
+
+        counts = {name: np.zeros(cpt.shape) for name, cpt in model.cpts.items()}
+        counts["ds_init"] += gamma[:, 0].sum(axis=0)
+        counts["ds_trans"] += pair_counts
+        np.add.at(counts["tag_init"].T, self.g[:, 0], gamma[:, 0])
+
+        Tmax = self.g.shape[1]
+        d_idx, t_idx = (
+            np.nonzero(self.valid[:, 1:]) if Tmax > 1 else (np.array([], int),) * 2
+        )
+        if d_idx.size:
+            t_idx = t_idx + 1
+            np.add.at(
+                counts["tag_trans"],
+                (
+                    self.g[d_idx, t_idx - 1][:, None],
+                    self.lt[d_idx, t_idx - 1][:, None],
+                    np.arange(2)[None, :],
+                    self.g[d_idx, t_idx][:, None],
+                ),
+                gamma[d_idx, t_idx],
+            )
+        for k, spec in enumerate(model.observables):
+            d_idx, t_idx = np.nonzero(self.valid & (self.obs[:, :, k] >= 0))
+            if not d_idx.size:
+                continue
+            np.add.at(
+                counts[f"emit:{spec.name}"],
+                (
+                    self.g[d_idx, t_idx][:, None],
+                    np.arange(2)[None, :],
+                    self.obs[d_idx, t_idx, k][:, None],
+                ),
+                gamma[d_idx, t_idx],
+            )
+        return counts, ll_total
+
+    def _hidden_posteriors(self, model, A):
+        """Forward-backward on the two-state segment chain, batched over docs."""
+        D, Tmax = self.g.shape
+        log_ds_init = model.cpts["ds_init"].log_table()
+        log_ds_trans = model.cpts["ds_trans"].log_table()
+
+        la = np.zeros((D, Tmax, 2))
+        la[:, 0] = log_ds_init[None, :] + A[:, 0]
+        self._check_alive(la[:, 0], 0, np.ones(D, dtype=bool))
+        for t in range(1, Tmax):
+            prop = (
+                _logsumexp(la[:, t - 1, :, None] + log_ds_trans[None, :, :], axis=1)
+                + A[:, t]
+            )
+            live = self.valid[:, t]
+            la[:, t] = np.where(live[:, None], prop, la[:, t - 1])
+            self._check_alive(la[:, t], t, live)
+        ll_doc = _logsumexp(la[:, -1, :], axis=1)
+
+        lb = np.zeros((D, Tmax, 2))
+        for t in range(Tmax - 2, -1, -1):
+            forward_part = A[:, t + 1] + lb[:, t + 1]
+            prop = _logsumexp(log_ds_trans[None, :, :] + forward_part[:, None, :], axis=2)
+            lb[:, t] = np.where(self.valid[:, t + 1, None], prop, 0.0)
+
+        gamma = np.exp(la + lb - ll_doc[:, None, None]) * self.valid[:, :, None]
+
+        pair_counts = np.zeros((2, 2))
+        for t in range(1, Tmax):
+            live = self.valid[:, t]
+            if not live.any():
+                continue
+            xi = np.exp(
+                la[live, t - 1, :, None]
+                + log_ds_trans[None, :, :]
+                + (A[live, t] + lb[live, t])[:, None, :]
+                - ll_doc[live, None, None]
+            )
+            pair_counts += xi.sum(axis=0)
+        return gamma, pair_counts, float(ll_doc.sum())
+
+    def _check_alive(self, la_t, t, live):
+        dead = live & ~np.isfinite(la_t).any(axis=1)
+        if dead.any():
+            doc_id = self.examples[int(np.nonzero(dead)[0][0])].doc_id
+            raise InconsistentGold(
+                f"{doc_id}: gold tags impossible at token {t}", doc_id=doc_id, step=t
+            )
 
 
 def observed_counts(model, examples):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from oracles import (
+    PaddedLogBatch,
     SegmentedExample,
     chain_estep,
     observed_counts,
@@ -11,8 +12,14 @@ from oracles import (
 )
 
 from bien.corpus import parse_tagged_document
-from bien.errors import EmptyCorpus, InconsistentGold, OverlappingSpans, UnknownField
-from bien.features import Gazetteer, default_lexicons
+from bien.errors import (
+    EmptyCorpus,
+    InconsistentGold,
+    InvalidSpec,
+    OverlappingSpans,
+    UnknownField,
+)
+from bien.features import Gazetteer, build_gazetteer, default_lexicons, feature_cardinalities
 from bien.learning import (
     TrainConfig,
     TrainExample,
@@ -23,6 +30,7 @@ from bien.learning import (
     train,
 )
 from bien.model import build_model
+from bien.synth import generate_corpus
 
 LEX = default_lexicons()
 OBS = {"u": 3, "v": 2}
@@ -182,6 +190,44 @@ class TestEstepEquivalence:
         for name in c1:
             np.testing.assert_allclose(c2[name], c1[name], atol=1e-9)
 
+    @pytest.mark.parametrize("memory,mask", [(True, ()), (False, ()), (True, ("lemma",))])
+    def test_packed_matches_padded_on_generated_corpus(self, memory, mask):
+        """The packed, scaled E-step agrees with the padded log-space one on
+        a featurized corpus too large for ``chain_estep``."""
+        docs = generate_corpus(60, 4)
+        gaz = build_gazetteer(docs, LEX.lemma_table)
+        fields = ("speaker", "location", "stime", "etime")
+        m = build_model(fields, feature_cardinalities(gaz), memory=memory)
+        examples = make_examples(docs, gaz, LEX, m, mask=mask)
+        m = randomize_model(m, np.random.default_rng(3))
+        c1, ll1 = PaddedLogBatch(m, examples).estep(m)
+        c2, ll2 = _FactoredBatch(m, examples).estep(m)
+        assert ll2 == pytest.approx(ll1, rel=1e-12)
+        for name in c1:
+            np.testing.assert_allclose(c2[name], c1[name], atol=1e-9)
+
+    def test_equal_lengths_and_one_token_documents(self):
+        rng = np.random.default_rng(12)
+        m = randomize_model(build_model(("x", "y"), OBS), rng)
+        tags = m.tags
+        seqs = {
+            "a": [0],
+            "b": [tags.single(0), 0, 0],
+            "c": [0, tags.begin(1), tags.end(1)],
+            "d": [tags.single(1)],
+            "e": [0, tags.single(0), 0, tags.begin(0), tags.end(0)],
+            "f": [0, 0, 0],
+        }
+        examples = [example(k, seq, model=m, rng=rng) for k, seq in seqs.items()]
+        examples[2].obs[1, 0] = -1
+        for batch in (examples, [ex for ex in examples if len(ex.tags) == 1]):
+            c1, ll1 = chain_estep(m, batch, observe_ds=False)
+            for estep in (PaddedLogBatch(m, batch).estep, _FactoredBatch(m, batch).estep):
+                c2, ll2 = estep(m)
+                assert ll2 == pytest.approx(ll1, rel=1e-12)
+                for name in c1:
+                    np.testing.assert_allclose(c2[name], c1[name], atol=1e-9)
+
     def test_trained_models_agree(self):
         """Both E-steps agree on every model EM visits, not only the first."""
         rng = np.random.default_rng(11)
@@ -261,6 +307,33 @@ class TestEmBehavior:
             assert exc.value.doc_id == "d"
             assert exc.value.step == 0
 
+    @pytest.mark.parametrize("with_earlier", [False, True])
+    def test_inconsistent_gold_names_earliest_step_then_lowest_id(self, with_earlier):
+        m = build_model(("x",), OBS)
+        inside = m.tags.inside(0)
+        docs = [
+            example("a", [0, 0, inside], model=m),
+            example("b", [0, 0, inside, 0, 0, 0], model=m),  # longer, same dead step
+            example("c", [0, 0, 0, 0], model=m),
+        ]
+        if with_earlier:
+            docs.append(example("d", [0, inside, 0, 0, 0, 0, 0], model=m))
+        steps = {}
+        for ex in docs:
+            try:
+                chain_estep(m, [ex], observe_ds=False)
+            except InconsistentGold as exc:
+                steps[ex.doc_id] = exc.step
+        step, doc_id = min((s, d) for d, s in steps.items())
+        assert (doc_id, step) == (("d", 1) if with_earlier else ("a", 2))
+        for run in (
+            lambda: train(m, docs, TrainConfig(jitter=0.0)),
+            lambda: PaddedLogBatch(m, docs).estep(m),
+        ):
+            with pytest.raises(InconsistentGold) as exc:
+                run()
+            assert (exc.value.doc_id, exc.value.step) == (doc_id, step)
+
     def test_zero_token_examples_are_skipped(self):
         m = build_model(("x",), OBS)
         examples = self.hidden_ds_examples(m, n=6)
@@ -277,6 +350,32 @@ class TestEmBehavior:
         empty = [example(f"e{i}", [], obs=np.zeros((0, 2))) for i in range(2)]
         with pytest.raises(EmptyCorpus):
             train(m, empty, TrainConfig())
+
+
+def malformed(obs, tags=(0, 0), dtype=np.int16):
+    return TrainExample("bad", np.asarray(obs, dtype=dtype), np.asarray(tags))
+
+
+class TestMalformedExamples:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param(malformed([[3, 0], [0, 0]]), id="code-past-cardinality"),
+            pytest.param(malformed([[-2, 0], [0, 0]]), id="code-below-minus-one"),
+            pytest.param(malformed([[0, 0], [1, 1]], dtype=float), id="float-obs"),
+            pytest.param(malformed([[0], [1]]), id="wrong-column-count"),
+            pytest.param(malformed([[0, 0]]), id="fewer-obs-rows-than-tags"),
+            pytest.param(malformed([[0, 0]] * 3), id="more-obs-rows-than-tags"),
+            pytest.param(malformed([[0, 0]] * 2, tags=(0, 5)), id="tag-past-tag-space"),
+            pytest.param(malformed([[0, 0]] * 2, tags=(0, -1)), id="negative-tag"),
+            pytest.param(malformed([[0, 0]] * 2, tags=(0.0, 0.0)), id="float-tags"),
+        ],
+    )
+    def test_raises_invalid_spec(self, bad):
+        m = build_model(("x",), OBS)
+        good = example("good", [0, m.tags.single(0), 0], model=m)
+        with pytest.raises(InvalidSpec, match="^bad: "):
+            train(m, [good, bad], TrainConfig(max_iter=1))
 
 
 class TestSamplingRecovery:
