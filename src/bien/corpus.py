@@ -375,8 +375,11 @@ def _column_values(rows, col_index, name):
     return values
 
 
-def load_columns(doc, rows, columns=("pos", "chunk"), lenient=False):
-    """Attach annotation columns to a document, aligned by surface form.
+_ROW_COLUMNS = {"pos": 1, "chunk": 2}  # column name -> index in an annotation row
+
+
+def load_columns(doc, rows, lenient=False):
+    """Attach the pos and chunk columns to a document, aligned by surface form.
 
     ``rows`` is one block from :func:`read_column_file`. In strict mode any
     surface mismatch or length difference raises :class:`AlignmentError`
@@ -384,11 +387,6 @@ def load_columns(doc, rows, columns=("pos", "chunk"), lenient=False):
     re-aligned character-by-character, tolerating merged or split tokens
     on the annotator's side.
     """
-    want = {name: i + 1 for i, name in enumerate(("pos", "chunk")) if name in columns}
-    unknown = set(columns) - set(("pos", "chunk"))
-    if unknown:
-        raise MissingColumn(f"unsupported columns requested: {sorted(unknown)}")
-
     if not lenient:
         n = min(len(rows), len(doc.tokens))
         for i in range(n):
@@ -406,9 +404,7 @@ def load_columns(doc, rows, columns=("pos", "chunk"), lenient=False):
                 f"row count {len(rows)} != token count {len(doc.tokens)}",
                 index=i,
             )
-        cols = {
-            name: _column_values(rows, idx, name) for name, idx in want.items()
-        }
+        cols = {name: _column_values(rows, idx, name) for name, idx in _ROW_COLUMNS.items()}
         return doc.with_columns(**cols)
 
     # Lenient: align on the concatenated non-space characters of both sides.
@@ -432,7 +428,7 @@ def load_columns(doc, rows, columns=("pos", "chunk"), lenient=False):
         row_of_token.append(file_chars[pos][1])
         pos += sum(1 for ch in tok.surface if not ch.isspace())
     cols = {}
-    for name, idx in want.items():
+    for name, idx in _ROW_COLUMNS.items():
         values = _column_values(rows, idx, name)
         cols[name] = [values[r] for r in row_of_token]
     return doc.with_columns(**cols)
@@ -491,6 +487,11 @@ def load_corpus_dir(path, fields=DEFAULT_FIELDS, abbreviations=None, strict=Fals
     document's id is its file name without the suffix, as
     :func:`bien.synth.write_corpus` writes it.
 
+    If the directory holds the ``columns.tsv`` that ``write_corpus``
+    writes, its blocks are attached with strict :func:`load_columns`, one
+    per non-empty document in id order; a block that does not align raises
+    :class:`AlignmentError`.
+
     Returns ``(documents, lint_issues)``.
     """
     from pathlib import Path
@@ -504,4 +505,20 @@ def load_corpus_dir(path, fields=DEFAULT_FIELDS, abbreviations=None, strict=Fals
         )
         docs.append(doc)
         issues.extend(doc_issues)
+    column_file = Path(path) / "columns.tsv"
+    if column_file.exists():
+        blocks = read_column_file(column_file)
+        # an empty document's block is blank, which read_column_file skips
+        by_id = sorted((i for i, d in enumerate(docs) if d.tokens), key=lambda i: docs[i].id)
+        if len(blocks) != len(by_id):
+            raise AlignmentError(
+                f"{column_file}: {len(blocks)} blocks for {len(by_id)} non-empty documents"
+            )
+        for i, rows in zip(by_id, blocks):
+            try:
+                docs[i] = load_columns(docs[i], rows)
+            except AlignmentError as exc:
+                raise AlignmentError(
+                    f"{docs[i].id}: {exc}", exc.index, exc.expected, exc.got
+                ) from None
     return docs, issues

@@ -17,8 +17,8 @@ from .features import (
     featurize,
 )
 from .inference import Evidence, viterbi
-from .learning import TrainConfig, make_examples, train
-from .model import ROLE_BACKGROUND, build_model, compile_chain
+from .learning import TrainConfig, check_unique_ids, make_examples, train
+from .model import ROLE_BEGIN, ROLE_END, ROLE_INSIDE, build_model, compile_chain
 
 # mask name per ablation; "no memory" flips the model structure instead
 ABLATIONS = {
@@ -39,54 +39,33 @@ def assemble_slots(tag_seq, tag_space):
     runs (possible on arbitrary input) are salvaged into spans rather than
     dropped, and counted in the returned diagnostics.
     """
+    fields = tag_space.fields
     spans = []
     diagnostics = {"unterminated": 0, "orphan_inside": 0, "orphan_end": 0}
     open_run = None  # (field index, start token)
-
-    def close(upto):
-        fi, start = open_run
-        spans.append(TagSpan(tag_space.fields[fi], start, upto))
-
-    for t, tag in enumerate(np.asarray(tag_seq).tolist()):
-        role = tag_space.role(tag)
-        fi = tag_space.field_index(tag)
-        if role == ROLE_BACKGROUND:
-            if open_run is not None:
-                close(t - 1)
-                diagnostics["unterminated"] += 1
-                open_run = None
-        elif role == "begin":
-            if open_run is not None:
-                close(t - 1)
-                diagnostics["unterminated"] += 1
-            open_run = (fi, t)
-        elif role == "inside":
-            if open_run is None or open_run[0] != fi:
-                if open_run is not None:
-                    close(t - 1)
-                    diagnostics["unterminated"] += 1
-                diagnostics["orphan_inside"] += 1
-                open_run = (fi, t)
-        elif role == "end":
-            if open_run is not None and open_run[0] == fi:
-                close(t)
-                open_run = None
-            else:
-                if open_run is not None:
-                    close(t - 1)
-                    diagnostics["unterminated"] += 1
+    # a trailing background tag closes a run still open at the end
+    for t, tag in enumerate([*np.asarray(tag_seq).tolist(), tag_space.background]):
+        if tag == tag_space.background and open_run is None:
+            continue
+        role, fi = tag_space.role(tag), tag_space.field_index(tag)
+        if open_run is not None:
+            if open_run[0] == fi and role in (ROLE_INSIDE, ROLE_END):
+                if role == ROLE_END:
+                    spans.append(TagSpan(fields[fi], open_run[1], t))
                     open_run = None
-                diagnostics["orphan_end"] += 1
-                spans.append(TagSpan(tag_space.fields[fi], t, t))
-        else:  # single
-            if open_run is not None:
-                close(t - 1)
-                diagnostics["unterminated"] += 1
-                open_run = None
-            spans.append(TagSpan(tag_space.fields[fi], t, t))
-    if open_run is not None:
-        close(len(tag_seq) - 1)
-        diagnostics["unterminated"] += 1
+                continue
+            spans.append(TagSpan(fields[open_run[0]], open_run[1], t - 1))
+            diagnostics["unterminated"] += 1
+            open_run = None
+        # an inside or end tag that reaches here continues no open run
+        if role == ROLE_INSIDE:
+            diagnostics["orphan_inside"] += 1
+        elif role == ROLE_END:
+            diagnostics["orphan_end"] += 1
+        if role in (ROLE_BEGIN, ROLE_INSIDE):
+            open_run = (fi, t)
+        elif fi is not None:  # end or single: a one-token span
+            spans.append(TagSpan(fields[fi], t, t))
     return spans, diagnostics
 
 
@@ -269,8 +248,9 @@ def _run_variants(corpus, cfgs, jobs):
     the corpus is split once into the plan's holdout runs and the lexicons
     are loaded once, then every (config, run) pair trains and scores on its
     split. Results merge in config and run order, so the outcome is
-    identical for any ``jobs``."""
+    identical for any ``jobs``. Document ids must be unique."""
     corpus = sorted(corpus, key=lambda d: d.id)
+    check_unique_ids([d.id for d in corpus])
     pairs = split(corpus, cfgs[0].plan)
     lexicons = default_lexicons()
     tasks = [

@@ -17,13 +17,14 @@ Counts with the segments observed too are the oracles'
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyCorpus, InconsistentGold, InvalidSpec, OverlappingSpans, UnknownField
 from .features import featurize
-from .model import check_observations
+from .model import LT_NONE, check_observations
 
 
 @dataclass(frozen=True)
@@ -93,6 +94,15 @@ def make_examples(docs, gazetteer, lexicons, model, mask=()):
     if not examples:
         raise EmptyCorpus("no non-empty documents to train on")
     return sorted(examples, key=lambda e: e.doc_id)
+
+
+def check_unique_ids(sorted_ids):
+    """Raise :class:`InvalidSpec` naming the first id that repeats in
+    ``sorted_ids``. Training and the protocol order documents by id, so
+    two documents with one id would be ordered by input order."""
+    for a, b in itertools.pairwise(sorted_ids):
+        if a == b:
+            raise InvalidSpec(f"document id {a!r} is used more than once")
 
 
 # ---------------------------------------------------------------------------
@@ -167,18 +177,14 @@ class _FactoredBatch:
 
         # t = 0 rows index tag_init by tag; later rows index the tag_trans
         # rows that follow tag_init, by (previous tag, its memory, tag). The
-        # last-target memory after each token is deterministic given gold
-        # tags: the field of a field tag, else the memory before it.
+        # last-target memory after each token is model.next_lt applied along
+        # the gold tags.
         n_tags = model.tags.size
-        fi_of = np.array(
-            [-1] + [model.tags.field_index(t) for t in range(1, n_tags)]
-        )
-        fi = fi_of[g] if model.memory else np.full(N, -1)
-        lt = fi + 1
+        lt = model.next_lt[LT_NONE, g]
         self.trans_idx = g.copy()
         for t in range(1, Tmax):
             cur, prev = slice(self.starts[t], self.starts[t + 1]), self._prev_rows(t)
-            lt[cur] = np.where(fi[cur] >= 0, lt[cur], lt[prev])
+            lt[cur] = model.next_lt[lt[prev], g[cur]]
             self.trans_idx[cur] += n_tags * (1 + g[prev] * model.lt_card + lt[prev])
         # per observed column: (name, cardinality, flat emission index);
         # columns masked throughout add nothing and count nothing
@@ -308,6 +314,7 @@ def train(model, examples, config=TrainConfig()):
     examples = sorted((e for e in examples if len(e.tags)), key=lambda e: e.doc_id)
     if not examples:
         raise EmptyCorpus("no non-empty training examples")
+    check_unique_ids([e.doc_id for e in examples])
     model = model.copy()
     model.validate()
     _apply_jitter(model, config)

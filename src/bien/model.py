@@ -28,7 +28,6 @@ _FIELD_ROLES = (ROLE_BEGIN, ROLE_INSIDE, ROLE_END, ROLE_SINGLE)
 
 DS_HEADER = 0
 DS_BODY = 1
-DS_NAMES = ("header", "body")
 
 LT_NONE = 0
 
@@ -102,15 +101,13 @@ class TagSpace:
 class Cpt:
     """One conditional probability table.
 
-    ``table`` is normalized over its last axis for every reachable parent
-    row. ``allowed`` marks the structural support; cells outside it stay
-    exactly zero. ``reachable`` marks parent rows that can occur given the
-    chain structure; unreachable rows are kept uniform and skipped by
-    validation and training. A fresh table spreads each row uniformly over
-    its allowed cells.
+    ``table`` is normalized over its last axis for every parent row.
+    ``allowed`` marks the structural support; cells outside it stay
+    exactly zero. A fresh table spreads each row uniformly over its
+    allowed cells.
     """
 
-    def __init__(self, name, parents, shape, allowed=None, reachable=None):
+    def __init__(self, name, parents, shape, allowed=None):
         self.name = name
         self.parents = tuple(parents)
         self.shape = tuple(shape)
@@ -118,12 +115,6 @@ class Cpt:
             raise InvalidSpec(f"cpt {name}: {len(self.parents)} parents for shape {shape}")
         self.allowed = (
             np.ones(self.shape, dtype=bool) if allowed is None else allowed.astype(bool)
-        )
-        parent_shape = self.shape[:-1]
-        self.reachable = (
-            np.ones(parent_shape, dtype=bool)
-            if reachable is None
-            else reachable.astype(bool)
         )
         counts = self.allowed.sum(axis=-1, keepdims=True)
         if (counts == 0).any():
@@ -136,11 +127,9 @@ class Cpt:
         if np.where(~self.allowed, self.table, 0.0).any():
             raise InvalidSpec(f"cpt {self.name}: mass outside allowed support")
         sums = np.atleast_1d(self.table.sum(axis=-1))
-        bad = ~np.isclose(sums, 1.0, rtol=0.0, atol=atol) & np.atleast_1d(self.reachable)
+        bad = ~np.isclose(sums, 1.0, rtol=0.0, atol=atol)
         if bad.any():
-            raise InvalidSpec(
-                f"cpt {self.name}: a reachable row sums to {sums[bad].flat[0]!r}"
-            )
+            raise InvalidSpec(f"cpt {self.name}: a row sums to {sums[bad].flat[0]!r}")
 
     def log_table(self):
         with np.errstate(divide="ignore"):
@@ -152,7 +141,6 @@ class Cpt:
         dup.parents = self.parents
         dup.shape = self.shape
         dup.allowed = self.allowed.copy()
-        dup.reachable = self.reachable.copy()
         dup.table = self.table.copy()
         return dup
 
@@ -172,6 +160,15 @@ class BienModel:
         self.observables = tuple(observables)
         self.memory = bool(memory)
         self.lt_card = (len(self.fields) + 1) if self.memory else 1
+        # next_lt[lt, tag]: the last-target memory after emitting ``tag`` with
+        # memory ``lt`` before it. A field tag sets it to its field (1-based),
+        # background keeps it, and without memory it stays LT_NONE.
+        self.next_lt = np.full((self.lt_card, self.tags.size), LT_NONE)
+        if self.memory:
+            for tag in range(self.tags.size):
+                fi = self.tags.field_index(tag)
+                self.next_lt[:, tag] = np.arange(self.lt_card) if fi is None else fi + 1
+        self.next_lt.flags.writeable = False
         self.cpts = {}
         self._build_cpts()
 
@@ -192,19 +189,8 @@ class BienModel:
         for tp in range(n_tags):
             for tc in range(n_tags):
                 allowed[tp, :, :, tc] = self.tags.allows_follow(tp, tc)
-        reachable = np.ones(shape[:-1], dtype=bool)
-        if self.memory:
-            for tp in range(n_tags):
-                fi = self.tags.field_index(tp)
-                if fi is not None:
-                    for lt in range(self.lt_card):
-                        reachable[tp, lt, :] = lt == fi + 1
         self.cpts["tag_trans"] = Cpt(
-            "tag_trans",
-            ("tag_prev", "last_target", "ds"),
-            shape,
-            allowed=allowed,
-            reachable=reachable,
+            "tag_trans", ("tag_prev", "last_target", "ds"), shape, allowed=allowed
         )
 
         for obs in self.observables:
@@ -213,11 +199,8 @@ class BienModel:
             )
 
     def lt_update(self, lt, tag):
-        """Memory after emitting ``tag``: unchanged on background, else the field."""
-        if not self.memory:
-            return 0
-        fi = self.tags.field_index(tag)
-        return lt if fi is None else fi + 1
+        """Memory after emitting ``tag`` with memory ``lt`` before it."""
+        return int(self.next_lt[lt, tag])
 
     def validate(self, atol=1e-9):
         for cpt in self.cpts.values():
@@ -230,6 +213,7 @@ class BienModel:
         dup.observables = self.observables
         dup.memory = self.memory
         dup.lt_card = self.lt_card
+        dup.next_lt = self.next_lt
         dup.cpts = {k: v.copy() for k, v in self.cpts.items()}
         return dup
 
@@ -264,18 +248,13 @@ class CompiledChain:
 
     def __init__(self, model):
         self.model = model
-        tags = model.tags
-        states = []
-        for tag in range(tags.size):
-            fi = tags.field_index(tag)
-            if model.memory:
-                lts = range(model.lt_card) if fi is None else (fi + 1,)
-            else:
-                lts = (0,)
-            for lt in lts:
-                for ds in (DS_HEADER, DS_BODY):
-                    states.append((tag, lt, ds))
-        states.sort()
+        # a tag's states carry every memory that emitting it can leave
+        states = sorted(
+            (tag, lt, ds)
+            for tag in range(model.tags.size)
+            for lt in set(model.next_lt[:, tag].tolist())
+            for ds in (DS_HEADER, DS_BODY)
+        )
         self.states = tuple(states)
         self.index = {s: i for i, s in enumerate(states)}
         self.n_states = len(states)
@@ -287,26 +266,16 @@ class CompiledChain:
     def _build_matrices(self):
         m = self.model
         S = self.n_states
-        log_ds_init = m.cpts["ds_init"].log_table()
-        log_ds_trans = m.cpts["ds_trans"].log_table()
-        log_tag_init = m.cpts["tag_init"].log_table()
-        log_tag_trans = m.cpts["tag_trans"].log_table()
-
-        init = np.full(S, -np.inf)
-        for s, (tag, lt, ds) in enumerate(self.states):
-            if lt == m.lt_update(LT_NONE, tag):
-                init[s] = log_ds_init[ds] + log_tag_init[ds, tag]
-        self.log_init = init
-
-        trans = np.full((S, S), -np.inf)
-        for s, (tag, lt, ds) in enumerate(self.states):
-            for s2, (tag2, lt2, ds2) in enumerate(self.states):
-                if lt2 != m.lt_update(lt, tag2):
-                    continue
-                trans[s, s2] = (
-                    log_ds_trans[ds, ds2] + log_tag_trans[tag, lt, ds2, tag2]
-                )
-        self.log_trans = trans
+        tag, lt, ds = self.tag_of, self.lt_of, self.ds_of
+        # a state is entered only with the memory its tag leaves behind
+        init = m.cpts["ds_init"].log_table()[ds] + m.cpts["tag_init"].log_table()[ds, tag]
+        self.log_init = np.where(lt == m.next_lt[LT_NONE, tag], init, -np.inf)
+        # rows are the previous state, columns the next
+        trans = (
+            m.cpts["ds_trans"].log_table()[ds[:, None], ds]
+            + m.cpts["tag_trans"].log_table()[tag[:, None], lt[:, None], ds, tag]
+        )
+        self.log_trans = np.where(lt == m.next_lt[lt[:, None], tag], trans, -np.inf)
 
         # Per observable, a (card + 1, S) table: row c holds every state's
         # log P(code c); the last row is zeros, so a masked (-1) code adds 0.

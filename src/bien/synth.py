@@ -22,7 +22,6 @@ seed)`` pair always yields byte-identical documents.
 
 from __future__ import annotations
 
-import re
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +33,6 @@ from .corpus import (
     parse_tagged_document,
     serialize_document,
 )
-from .model import DS_BODY, DS_HEADER, DS_NAMES
 from .resources import load_ranked, load_wordlist
 
 DEFAULT_DOCS = 485
@@ -69,8 +67,6 @@ _NOUNS = ("algorithm", "framework", "approach", "model", "system", "method",
           "proof", "architecture")
 _ADJS = ("novel", "adaptive", "robust", "efficient", "scalable", "formal",
          "practical", "general", "incremental", "compact")
-
-_TAG_STRIP = re.compile(r"</?[A-Za-z][A-Za-z0-9_-]*>")
 
 
 _SYLLABLES = ("ta", "ke", "mu", "ra", "hi", "no", "sa", "to", "ko", "ya",
@@ -236,7 +232,7 @@ def _core_sentence(rng):
 
 
 def _announcement(rng, pools, seq):
-    """One tagged announcement text plus its header/body split point."""
+    """One tagged announcement text: a keyword header, a blank line, a prose body."""
     has_etime = rng.random() >= 0.48
     has_speaker = rng.random() >= 0.38
     has_location = rng.random() >= 0.05
@@ -384,9 +380,7 @@ def _announcement(rng, pools, seq):
                          f"{rng.integers(1, 6)}:{int(_choice(rng, (10, 20, 50))):02d} .")
 
     body = f" {_topic(rng, 3)} Seminar\n " + "\n ".join(sentences)
-    text = header + "\n\n" + body + "\n"
-    boundary = len(_TAG_STRIP.sub("", header))
-    return text, boundary
+    return header + "\n\n" + body + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -440,36 +434,28 @@ def _pos_of(token):
     return "NNP" if token.surface[:1].isupper() else "NN"
 
 
-def annotate(doc, boundary=None):
-    """Attach heuristic pos/chunk columns (and a segment column if the
-    header/body boundary offset is known)."""
+def annotate(doc):
+    """Attach heuristic pos/chunk columns."""
     pos = tuple(_pos_of(t) for t in doc.tokens)
     chunk = tuple(_CHUNK_OF_POS.get(p, "NA") for p in pos)
-    doc = doc.with_columns(pos=pos, chunk=chunk)
-    if boundary is not None:
-        ds = tuple(
-            DS_NAMES[DS_HEADER if t.start < boundary else DS_BODY]
-            for t in doc.tokens
-        )
-        doc = doc.with_columns(ds=ds)
-    return doc
+    return doc.with_columns(pos=pos, chunk=chunk)
 
 
-def generate_corpus(n_docs=DEFAULT_DOCS, seed=DEFAULT_SEED, columns=True):
+def generate_corpus(n_docs=DEFAULT_DOCS, seed=DEFAULT_SEED):
     """Generate ``n_docs`` announcements; same arguments, same documents."""
     rng = np.random.default_rng(seed)
     pools = _Pools(rng)
     docs = []
     for i in range(n_docs):
-        text, boundary = _announcement(rng, pools, seq=i)
+        text = _announcement(rng, pools, seq=i)
         doc, issues = parse_tagged_document(text, doc_id=f"ann{i:04d}")
         if issues:
             raise AssertionError(f"generator produced lint issues: {issues}")
-        docs.append(annotate(doc, boundary) if columns else doc)
+        docs.append(annotate(doc))
     return docs
 
 
-def write_corpus(docs, out_dir, columns=True):
+def write_corpus(docs, out_dir):
     """Write tagged ``.txt`` files plus one tab-separated annotation file.
 
     The annotation file carries ``surface<TAB>pos<TAB>chunk`` rows with one
@@ -480,12 +466,10 @@ def write_corpus(docs, out_dir, columns=True):
     docs = sorted(docs, key=lambda d: d.id)
     for doc in docs:
         (out / f"{doc.id}.txt").write_text(serialize_document(doc), encoding="utf-8")
-    if columns:
-        blocks = []
-        for doc in docs:
-            pos, chunk = doc.column("pos"), doc.column("chunk")
-            rows = [f"{t.surface}\t{p}\t{c}"
-                    for t, p, c in zip(doc.tokens, pos, chunk)]
-            blocks.append("\n".join(rows))
-        (out / "columns.tsv").write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
+    blocks = []
+    for doc in docs:
+        pos, chunk = doc.column("pos"), doc.column("chunk")
+        rows = [f"{t.surface}\t{p}\t{c}" for t, p, c in zip(doc.tokens, pos, chunk)]
+        blocks.append("\n".join(rows))
+    (out / "columns.tsv").write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
     return out

@@ -15,6 +15,8 @@ maximum-likelihood tests normalize with the package's M-step.
 generative story. ``viterbi_reference`` and ``featurize_reference`` are
 the plain per-step and per-token versions of the package's ``viterbi`` and
 ``featurize``, which must match them bit for bit.
+``assemble_slots_reference`` is the branch-per-role version of
+``assemble_slots``.
 """
 
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from bien.corpus import KIND_PUNCT, KIND_SYMBOL
+from bien.corpus import KIND_PUNCT, KIND_SYMBOL, TagSpan
 from bien.errors import InconsistentGold, InvalidSpec, MissingResource, ZeroProbabilityEvidence
 from bien.features import (
     CASES,
@@ -41,7 +43,7 @@ from bien.features import (
 )
 from bien.inference import Evidence, _logsumexp, forward_backward
 from bien.learning import TrainExample
-from bien.model import LT_NONE, compile_chain
+from bien.model import LT_NONE, ROLE_BACKGROUND, compile_chain
 
 
 @dataclass
@@ -478,6 +480,61 @@ def viterbi_reference(chain, evidence):
     for t in range(T - 1, 0, -1):
         path[t - 1] = backptr[t, path[t]]
     return path, score
+
+
+def assemble_slots_reference(tag_seq, tag_space):
+    """The package's earlier ``assemble_slots``, one branch per role, each
+    closing the open run itself. The package's version must return the
+    same spans and diagnostics."""
+    spans = []
+    diagnostics = {"unterminated": 0, "orphan_inside": 0, "orphan_end": 0}
+    open_run = None  # (field index, start token)
+
+    def close(upto):
+        fi, start = open_run
+        spans.append(TagSpan(tag_space.fields[fi], start, upto))
+
+    for t, tag in enumerate(np.asarray(tag_seq).tolist()):
+        role = tag_space.role(tag)
+        fi = tag_space.field_index(tag)
+        if role == ROLE_BACKGROUND:
+            if open_run is not None:
+                close(t - 1)
+                diagnostics["unterminated"] += 1
+                open_run = None
+        elif role == "begin":
+            if open_run is not None:
+                close(t - 1)
+                diagnostics["unterminated"] += 1
+            open_run = (fi, t)
+        elif role == "inside":
+            if open_run is None or open_run[0] != fi:
+                if open_run is not None:
+                    close(t - 1)
+                    diagnostics["unterminated"] += 1
+                diagnostics["orphan_inside"] += 1
+                open_run = (fi, t)
+        elif role == "end":
+            if open_run is not None and open_run[0] == fi:
+                close(t)
+                open_run = None
+            else:
+                if open_run is not None:
+                    close(t - 1)
+                    diagnostics["unterminated"] += 1
+                    open_run = None
+                diagnostics["orphan_end"] += 1
+                spans.append(TagSpan(tag_space.fields[fi], t, t))
+        else:  # single
+            if open_run is not None:
+                close(t - 1)
+                diagnostics["unterminated"] += 1
+                open_run = None
+            spans.append(TagSpan(tag_space.fields[fi], t, t))
+    if open_run is not None:
+        close(len(tag_seq) - 1)
+        diagnostics["unterminated"] += 1
+    return spans, diagnostics
 
 
 def _gazetteer_id(gazetteer, token):

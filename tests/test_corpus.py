@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bien.corpus import (
+    Document,
     SplitPlan,
     TagSpan,
     load_columns,
@@ -15,6 +18,7 @@ from bien.corpus import (
     tokenize,
 )
 from bien.errors import AlignmentError, InvalidPlan, MalformedTag, UnknownField
+from bien.features import build_gazetteer, default_lexicons, featurize
 from bien.resources import load_abbreviations
 from bien.synth import generate_corpus, write_corpus
 
@@ -261,18 +265,46 @@ class TestSplit:
 
 
 class TestCorpusDir:
-    def test_round_trip_through_write_corpus(self, tmp_path):
+    def _written(self, tmp_path):
         docs = generate_corpus(30, 5)
+        # file name order puts "a-b.txt" before "a.txt"; id order, which the
+        # annotation blocks follow, puts "a" before "a-b"
+        docs[0], docs[1] = replace(docs[0], id="a-b"), replace(docs[1], id="a")
+        # an empty document writes a blank annotation block
+        docs[2] = Document("empty", "", ())
         write_corpus(docs, tmp_path)
+        return docs
+
+    def test_round_trip_through_write_corpus(self, tmp_path):
+        docs = self._written(tmp_path)
         again, issues = load_corpus_dir(tmp_path)
         assert issues == []
-        blocks = read_column_file(tmp_path / "columns.tsv")
-        assert len(again) == len(blocks) == len(docs)
-        for doc, loaded, rows in zip(sorted(docs, key=lambda d: d.id), again, blocks):
-            loaded = load_columns(loaded, rows)
-            assert loaded.id == doc.id
-            assert loaded.text == doc.text
-            assert loaded.tokens == doc.tokens
-            assert loaded.gold_spans == doc.gold_spans
-            assert loaded.column("pos") == doc.column("pos")
-            assert loaded.column("chunk") == doc.column("chunk")
+        loaded = {d.id: d for d in again}
+        assert sorted(loaded) == sorted(d.id for d in docs)
+        lexicons = default_lexicons()
+        gazetteer = build_gazetteer(docs, lexicons.lemma_table)
+        for doc in docs:
+            got = loaded[doc.id]
+            assert got.text == doc.text
+            assert got.tokens == doc.tokens
+            assert got.gold_spans == doc.gold_spans
+            assert got.columns == doc.columns
+            np.testing.assert_array_equal(
+                featurize(got, gazetteer, lexicons), featurize(doc, gazetteer, lexicons)
+            )
+
+    def test_misaligned_column_file_raises(self, tmp_path):
+        self._written(tmp_path)
+        path = tmp_path / "columns.tsv"
+        blocks = read_column_file(path)
+        blocks[1][3][0] = "changed"
+        path.write_text(
+            "\n\n".join("\n".join("\t".join(r) for r in b) for b in blocks) + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(AlignmentError, match="^a-b: ") as exc:
+            load_corpus_dir(tmp_path)
+        assert exc.value.index == 3
+        path.write_text(path.read_text(encoding="utf-8").split("\n\n", 1)[1], encoding="utf-8")
+        with pytest.raises(AlignmentError, match="28 blocks for 29 non-empty documents"):
+            load_corpus_dir(tmp_path)

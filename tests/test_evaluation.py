@@ -1,5 +1,7 @@
 """Span assembly, scoring, the experiment protocol, and the transition report."""
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -25,7 +27,7 @@ from bien.features import Gazetteer, default_lexicons, feature_cardinalities, fe
 from bien.learning import TrainConfig, encode_tags
 from bien.model import _model_body, build_model, compile_chain
 
-from oracles import randomize_model, sample_example
+from oracles import assemble_slots_reference, randomize_model, sample_example
 
 
 FIELDS = ("speaker", "location", "stime", "etime")
@@ -97,6 +99,14 @@ class TestAssembleSlots:
         assert spans == [TagSpan("speaker", 0, 0), TagSpan("location", 1, 1)]
         assert diag["unterminated"] == 1
         assert diag["orphan_end"] == 1
+
+    @pytest.mark.parametrize("n_fields", [1, 2, 4])
+    def test_matches_reference_on_random_sequences(self, n_fields):
+        space = tiny_space(n_fields)
+        rng = np.random.default_rng(n_fields)
+        for _ in range(2000):
+            seq = rng.integers(0, space.size, size=int(rng.integers(0, 12)))
+            assert assemble_slots(seq, space) == assemble_slots_reference(seq, space)
 
 
 class TestFieldScore:
@@ -307,6 +317,12 @@ class TestExperimentProtocol:
         parallel = run_experiment(corpus, cfg, jobs=2)
         assert serial.summary() == parallel.summary()
         assert _model_body(serial.model) == _model_body(parallel.model)
+
+    def test_duplicate_document_ids_raise(self):
+        corpus = tiny_corpus()
+        corpus[7] = replace(corpus[7], id=corpus[20].id)
+        with pytest.raises(InvalidSpec, match="'t020'"):
+            run_experiment(corpus, tiny_config(runs=1))
 
     def test_corpus_order_does_not_change_results(self):
         corpus = tiny_corpus()

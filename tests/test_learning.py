@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -292,6 +293,12 @@ class TestEmBehavior:
         r2 = train(m, list(reversed(examples)), TrainConfig(max_iter=5))
         for name in m.cpts:
             assert np.array_equal(r1.model.cpts[name].table, r2.model.cpts[name].table)
+
+    def test_duplicate_doc_ids_raise(self):
+        m = build_model(("x",), OBS)
+        examples = [replace(e, doc_id="same") for e in self.hidden_ds_examples(m, n=15)]
+        with pytest.raises(InvalidSpec, match="'same'"):
+            train(m, examples, TrainConfig(max_iter=5))
 
     def test_errors(self):
         m = build_model(("x",), OBS)

@@ -103,15 +103,36 @@ class TestModelStructure:
                 if not expect:
                     assert (cpt.table[tp, :, :, tc] == 0.0).all()
 
-    def test_unreachable_rows_flagged(self):
-        m = small_model()
-        cpt = m.cpts["tag_trans"]
+    @pytest.mark.parametrize("memory", [True, False])
+    def test_next_lt_is_the_memory_rule(self, memory):
+        m = build_model(FIELDS4, OBS2, memory=memory)
         tags = m.tags
-        for tp in range(tags.size):
-            fi = tags.field_index(tp)
-            for lt in range(m.lt_card):
-                expect = True if fi is None else (lt == fi + 1)
-                assert cpt.reachable[tp, lt, :].all() == expect
+        assert m.next_lt.shape == (m.lt_card, tags.size)
+        assert m.copy().next_lt is m.next_lt
+        for lt in range(m.lt_card):
+            for tag in range(tags.size):
+                fi = tags.field_index(tag)
+                if not memory:
+                    expect = LT_NONE
+                elif fi is None:
+                    expect = lt
+                else:
+                    expect = fi + 1
+                assert m.next_lt[lt, tag] == expect
+                assert m.lt_update(lt, tag) == expect
+        # the compiled states, enumerated longhand: background carries any
+        # memory, a field tag only its own field's, and no memory carries 0
+        states = []
+        for tag in range(tags.size):
+            fi = tags.field_index(tag)
+            if not memory:
+                lts = [LT_NONE]
+            else:
+                lts = range(m.lt_card) if fi is None else [fi + 1]
+            states += [(tag, lt, ds) for lt in lts for ds in (0, 1)]
+        chain = compile_chain(m)
+        assert chain.states == tuple(sorted(states))
+        assert chain.n_states == (42 if memory else 34)
 
     def test_uniform_rows_normalize_over_allowed(self):
         m = build_model(FIELDS4, OBS2)
