@@ -9,16 +9,17 @@ from __future__ import annotations
 
 import re
 import unicodedata
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import (
     AlignmentError,
+    EmptyCorpus,
     InvalidPlan,
     MalformedTag,
     MissingColumn,
-    UnknownField,
 )
 
 KIND_WORD = "word"
@@ -63,9 +64,6 @@ class LintIssue:
     token_index: int
     code: str
     message: str
-
-    def format(self):
-        return f"{self.file}:{self.token_index}:{self.code}:{self.message}"
 
 
 @dataclass(frozen=True)
@@ -219,19 +217,17 @@ def _line_of(text, pos):
     return text.count("\n", 0, pos) + 1
 
 
-def parse_tagged_document(
-    raw,
-    doc_id="doc",
-    fields=DEFAULT_FIELDS,
-    abbreviations=None,
-    strict=False,
-):
+def parse_tagged_document(raw, doc_id="doc", fields=DEFAULT_FIELDS, abbreviations=None):
     """Parse text with inline ``<field>...</field>`` markup into a Document.
 
     Returns ``(document, lint_issues)``. Tags are stripped from the token
-    stream; offsets refer to the stripped text. Tags naming unknown fields
-    are stripped and reported (or rejected under ``strict``). Misplaced
-    tags in the source are ingested as-is and flagged, never corrected.
+    stream; offsets refer to the stripped text. A pair covers the tokens
+    that lie wholly inside it. A tag naming a field outside ``fields`` is
+    dropped and reported as ``UNKNOWN_FIELD``. Misplaced tags in the source
+    are ingested as-is and flagged, never corrected: a token cut by a tag
+    is ``PARTIAL_BOUNDARY``, a pair covering no token is ``EMPTY_SPAN`` and
+    one covering more than 15 is ``LONG_SPAN``. Unmatched or nested tags
+    raise :class:`MalformedTag`.
     """
     if abbreviations is None:
         from .resources import load_abbreviations
@@ -276,23 +272,17 @@ def parse_tagged_document(
     text = "".join(pieces)
 
     tokens = tokenize(text, abbreviations)
-    starts = np.array([t.start for t in tokens], dtype=np.int64)
-    ends = np.array([t.end for t in tokens], dtype=np.int64)
+    # tokens are ordered and disjoint, so both boundary lists are sorted
+    starts = [t.start for t in tokens]
+    ends = [t.end for t in tokens]
 
     spans = []
     for name, cs, ce in char_spans:
-        inside = [
-            i for i in range(len(tokens)) if starts[i] >= cs and ends[i] <= ce
-        ]
-        partial = [
-            i
-            for i in range(len(tokens))
-            if starts[i] < ce and ends[i] > cs and i not in inside
-        ]
+        inside = range(bisect_left(starts, cs), bisect_right(ends, ce))
+        overlap = range(bisect_right(ends, cs), bisect_left(starts, ce))
+        partial = [i for i in overlap if i not in inside]
         anchor = inside[0] if inside else (partial[0] if partial else -1)
         if name not in fields:
-            if strict:
-                raise UnknownField(f"unknown field tag <{name}> in {doc_id}")
             issues.append(
                 LintIssue(doc_id, anchor, "UNKNOWN_FIELD", f"tag <{name}> dropped")
             )
@@ -366,72 +356,36 @@ def read_column_file(path):
     return blocks
 
 
-def _column_values(rows, col_index, name):
-    values = []
-    for row in rows:
-        if len(row) <= col_index:
-            raise MissingColumn(f"column {name!r} absent from annotation rows")
-        values.append(row[col_index] or NA_VALUE)
-    return values
-
-
-_ROW_COLUMNS = {"pos": 1, "chunk": 2}  # column name -> index in an annotation row
-
-
-def load_columns(doc, rows, lenient=False):
+def load_columns(doc, rows):
     """Attach the pos and chunk columns to a document, aligned by surface form.
 
-    ``rows`` is one block from :func:`read_column_file`. In strict mode any
-    surface mismatch or length difference raises :class:`AlignmentError`
-    at the first offending token index. With ``lenient`` the rows are
-    re-aligned character-by-character, tolerating merged or split tokens
-    on the annotator's side.
+    ``rows`` is one block from :func:`read_column_file`, one row per token.
+    A surface mismatch or a row count that differs from the token count
+    raises :class:`AlignmentError` at the first offending token index; a
+    row lacking the pos or chunk cell raises :class:`MissingColumn`. An
+    empty cell becomes ``NA``.
     """
-    if not lenient:
-        n = min(len(rows), len(doc.tokens))
-        for i in range(n):
-            if rows[i][0] != doc.tokens[i].surface:
-                raise AlignmentError(
-                    f"surface mismatch at token {i}: "
-                    f"doc {doc.tokens[i].surface!r} vs file {rows[i][0]!r}",
-                    index=i,
-                    expected=doc.tokens[i].surface,
-                    got=rows[i][0],
-                )
-        if len(rows) != len(doc.tokens):
-            i = n
+    n = min(len(rows), len(doc.tokens))
+    for i in range(n):
+        if rows[i][0] != doc.tokens[i].surface:
             raise AlignmentError(
-                f"row count {len(rows)} != token count {len(doc.tokens)}",
+                f"surface mismatch at token {i}: "
+                f"doc {doc.tokens[i].surface!r} vs file {rows[i][0]!r}",
                 index=i,
+                expected=doc.tokens[i].surface,
+                got=rows[i][0],
             )
-        cols = {name: _column_values(rows, idx, name) for name, idx in _ROW_COLUMNS.items()}
-        return doc.with_columns(**cols)
-
-    # Lenient: align on the concatenated non-space characters of both sides.
-    file_chars = []  # (char, row index)
-    for ri, row in enumerate(rows):
-        for ch in row[0]:
-            if not ch.isspace():
-                file_chars.append((ch, ri))
-    pos = 0
-    row_of_token = []
-    for i, tok in enumerate(doc.tokens):
-        if pos >= len(file_chars):
-            raise AlignmentError("annotation rows exhausted", index=i)
-        if file_chars[pos][0] != tok.surface[0]:
-            raise AlignmentError(
-                f"character mismatch at token {i}",
-                index=i,
-                expected=tok.surface,
-                got=file_chars[pos][0],
-            )
-        row_of_token.append(file_chars[pos][1])
-        pos += sum(1 for ch in tok.surface if not ch.isspace())
-    cols = {}
-    for name, idx in _ROW_COLUMNS.items():
-        values = _column_values(rows, idx, name)
-        cols[name] = [values[r] for r in row_of_token]
-    return doc.with_columns(**cols)
+    if len(rows) != len(doc.tokens):
+        raise AlignmentError(
+            f"row count {len(rows)} != token count {len(doc.tokens)}", index=n
+        )
+    pos, chunk = [], []
+    for i, row in enumerate(rows):
+        if len(row) < 3:
+            raise MissingColumn(f"annotation row {i} lacks the pos or chunk cell")
+        pos.append(row[1] or NA_VALUE)
+        chunk.append(row[2] or NA_VALUE)
+    return doc.with_columns(pos=pos, chunk=chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -482,13 +436,15 @@ def split(corpus, plan):
 # Corpus directories
 # ---------------------------------------------------------------------------
 
-def load_corpus_dir(path, fields=DEFAULT_FIELDS, abbreviations=None, strict=False):
+def load_corpus_dir(path, fields=DEFAULT_FIELDS):
     """Parse every ``*.txt`` file under a directory, sorted by name. A
     document's id is its file name without the suffix, as
-    :func:`bien.synth.write_corpus` writes it.
+    :func:`bien.synth.write_corpus` writes it, and its tokens come from the
+    bundled abbreviation list, as the written documents' did. A missing
+    directory, or one without ``*.txt`` files, raises :class:`EmptyCorpus`.
 
     If the directory holds the ``columns.tsv`` that ``write_corpus``
-    writes, its blocks are attached with strict :func:`load_columns`, one
+    writes, its blocks are attached with :func:`load_columns`, one
     per non-empty document in id order; a block that does not align raises
     :class:`AlignmentError`.
 
@@ -496,13 +452,14 @@ def load_corpus_dir(path, fields=DEFAULT_FIELDS, abbreviations=None, strict=Fals
     """
     from pathlib import Path
 
+    files = sorted(Path(path).glob("*.txt"))
+    if not files:
+        raise EmptyCorpus(f"no *.txt documents in {path}")
     docs = []
     issues = []
-    for p in sorted(Path(path).glob("*.txt")):
+    for p in files:
         raw = p.read_text(encoding="utf-8")
-        doc, doc_issues = parse_tagged_document(
-            raw, doc_id=p.stem, fields=fields, abbreviations=abbreviations, strict=strict
-        )
+        doc, doc_issues = parse_tagged_document(raw, doc_id=p.stem, fields=fields)
         docs.append(doc)
         issues.extend(doc_issues)
     column_file = Path(path) / "columns.tsv"

@@ -19,7 +19,7 @@ class MalformedTag(DataError):
 
 
 class UnknownField(DataError):
-    """A tag names a field outside the configured field set."""
+    """A gold span names a field the model lacks."""
 
 
 class AlignmentError(DataError):
@@ -33,7 +33,7 @@ class AlignmentError(DataError):
 
 
 class MissingColumn(DataError):
-    """A requested annotation column is absent."""
+    """Annotation rows lack the pos or chunk cell."""
 
 
 class InvalidPlan(DataError):
@@ -49,11 +49,14 @@ class EmptyVocabulary(DataError):
 
 
 class MissingResource(DataError):
-    """A feature is enabled but its backing resource is unavailable."""
+    """A bundled data file, or the gazetteer or lexicons featurize needs, is absent."""
 
 
 class InvalidSpec(BienError):
-    """Model declaration is inconsistent (empty fields, duplicate observables)."""
+    """A declaration or an argument is inconsistent: a bad field list, an
+    empty or repeated observable, a CPT off its support, an unknown feature
+    mask or match mode, gazetteer ids that are not 1..V, a malformed training
+    example or a repeated document id."""
 
 
 class ModelFormatError(BienError):

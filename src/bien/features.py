@@ -309,7 +309,7 @@ def build_gazetteer(docs, lemma_table, window=3, min_freq=3, max_size=1200):
 
 def feature_cardinalities(gazetteer):
     return {
-        "lemma": (gazetteer.cardinality if gazetteer is not None else 0),
+        "lemma": gazetteer.cardinality,
         "pos": len(POS_CLUSTERS),
         "chunk": len(CHUNKS),
         "semantic": len(SEMANTIC),
@@ -321,23 +321,20 @@ def feature_cardinalities(gazetteer):
 def featurize(doc, gazetteer, lexicons, mask=()):
     """Encode a document as a ``(T, 6)`` int16 matrix of 0-based codes.
 
-    Column order follows :data:`FEATURE_NAMES`. Masked features are -1
-    throughout. POS and chunk columns come from the document's annotation
-    columns and degrade to their NA codes when absent.
+    Column order follows :data:`FEATURE_NAMES`. Both resources are required
+    whatever the mask: ``None`` for either raises :class:`MissingResource`.
+    Masked features are -1 throughout. POS and chunk columns come from the
+    document's annotation columns and degrade to their NA codes when absent.
     """
     mask = set(mask)
     unknown = mask - set(FEATURE_NAMES)
     if unknown:
         raise InvalidSpec(f"unknown feature names in mask: {sorted(unknown)}")
-    if "lemma" not in mask and gazetteer is None:
-        raise MissingResource("featurize needs a gazetteer unless lemma is masked")
-    if "semantic" not in mask and lexicons is None:
-        raise MissingResource("featurize needs lexicons unless semantic is masked")
+    if gazetteer is None or lexicons is None:
+        raise MissingResource("featurize needs both a gazetteer and lexicons")
 
-    # a masked lemma or semantic column may lack its resource: fill it with
-    # a placeholder, which is overwritten with MASKED below
-    lemma_id = gazetteer.lookup if "lemma" not in mask else _placeholder
-    semantic = lexicons.semantic_code if "semantic" not in mask else _placeholder
+    lemma_id = gazetteer.lookup
+    semantic = lexicons.semantic_code
     rows = [
         (
             lemma_id(tok) - 1,
@@ -354,10 +351,6 @@ def featurize(doc, gazetteer, lexicons, mask=()):
         if name in mask:
             out[:, k] = MASKED
     return out
-
-
-def _placeholder(token):
-    return 0
 
 
 @functools.lru_cache(maxsize=1024)

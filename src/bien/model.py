@@ -228,9 +228,13 @@ def build_model(fields, observables, memory=True):
         observables = tuple(ObservableSpec(n, c) for n, c in observables.items())
     else:
         observables = tuple(ObservableSpec(n, c) for n, c in observables)
+    seen = set()
     for obs in observables:
         if obs.cardinality < 1:
             raise InvalidSpec(f"observable {obs.name}: cardinality {obs.cardinality}")
+        if obs.name in seen:
+            raise InvalidSpec(f"observable {obs.name} is declared more than once")
+        seen.add(obs.name)
     return BienModel(fields, observables, memory=memory)
 
 

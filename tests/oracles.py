@@ -16,7 +16,9 @@ generative story. ``viterbi_reference`` and ``featurize_reference`` are
 the plain per-step and per-token versions of the package's ``viterbi`` and
 ``featurize``, which must match them bit for bit.
 ``assemble_slots_reference`` is the branch-per-role version of
-``assemble_slots``.
+``assemble_slots``. ``tag_spans_reference`` maps tag pairs to tokens by
+scanning every token for every pair, the longhand form of the bisection
+in ``parse_tagged_document``.
 """
 
 from dataclasses import dataclass
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from bien.corpus import KIND_PUNCT, KIND_SYMBOL, TagSpan
+from bien.corpus import KIND_PUNCT, KIND_SYMBOL, LintIssue, TagSpan
 from bien.errors import InconsistentGold, InvalidSpec, MissingResource, ZeroProbabilityEvidence
 from bien.features import (
     CASES,
@@ -552,10 +554,8 @@ def featurize_reference(doc, gazetteer, lexicons, mask=()):
     unknown = mask - set(FEATURE_NAMES)
     if unknown:
         raise InvalidSpec(f"unknown feature names in mask: {sorted(unknown)}")
-    if "lemma" not in mask and gazetteer is None:
-        raise MissingResource("featurize needs a gazetteer unless lemma is masked")
-    if "semantic" not in mask and lexicons is None:
-        raise MissingResource("featurize needs lexicons unless semantic is masked")
+    if gazetteer is None or lexicons is None:
+        raise MissingResource("featurize needs both a gazetteer and lexicons")
 
     T = len(doc.tokens)
     out = np.full((T, len(FEATURE_NAMES)), MASKED, dtype=np.int16)
@@ -575,3 +575,39 @@ def featurize_reference(doc, gazetteer, lexicons, mask=()):
         if "length" not in mask:
             out[t, 5] = LENGTH_BUCKETS.index(length_feature(tok.surface))
     return out
+
+
+def tag_spans_reference(doc_id, tokens, char_spans, fields):
+    """Gold spans and lint issues for ``(field, start, end)`` character
+    spans of the tag-stripped text, as ``parse_tagged_document`` reports
+    them, found by testing every token against every span."""
+    spans = []
+    issues = []
+    for name, cs, ce in char_spans:
+        inside = [i for i, t in enumerate(tokens) if t.start >= cs and t.end <= ce]
+        partial = [
+            i for i, t in enumerate(tokens) if t.start < ce and t.end > cs and i not in inside
+        ]
+        anchor = inside[0] if inside else (partial[0] if partial else -1)
+        if name not in fields:
+            issues.append(LintIssue(doc_id, anchor, "UNKNOWN_FIELD", f"tag <{name}> dropped"))
+            continue
+        for i in partial:
+            issues.append(
+                LintIssue(
+                    doc_id,
+                    i,
+                    "PARTIAL_BOUNDARY",
+                    f"<{name}> boundary falls inside token {tokens[i].surface!r}",
+                )
+            )
+        if not inside:
+            issues.append(LintIssue(doc_id, anchor, "EMPTY_SPAN", f"<{name}> covers no token"))
+            continue
+        if len(inside) > 15:
+            issues.append(
+                LintIssue(doc_id, inside[0], "LONG_SPAN", f"<{name}> covers {len(inside)} tokens")
+            )
+        spans.append(TagSpan(name, inside[0], inside[-1]))
+    spans.sort(key=lambda s: s.start_token)
+    return tuple(spans), issues

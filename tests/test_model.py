@@ -165,6 +165,10 @@ class TestModelStructure:
         with pytest.raises(InvalidSpec):
             build_model(("a",), {"lemma": 0})
 
+    def test_repeated_observable(self):
+        with pytest.raises(InvalidSpec, match="more than once"):
+            build_model(("stime",), [("a", 3), ("a", 5)])
+
 
 class TestCompiledChain:
     def test_state_count(self):
@@ -267,6 +271,9 @@ MALFORMED_BODIES = {
     "memory-not-integer": replacing("memory 1\n", "memory yes\n"),
     "memory-not-a-flag": replacing("memory 1\n", "memory 7\n"),
     "short-observable": replacing("observable lemma 9\n", "observable lemma\n"),
+    "repeated-observable": replacing(
+        "observable lemma 9\n", "observable lemma 9\nobservable lemma 9\n"
+    ),
     "row-value-not-float": replacing("row - 0.5 0.5\n", "row - 0.5 half\n"),
     "shape-not-integer": replacing("shape 2 2\n", "shape 2 two\n"),
     "row-index-out-of-range": replacing("row 1 0.5 0.5\n", "row 7 0.5 0.5\n"),
