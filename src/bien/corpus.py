@@ -77,7 +77,7 @@ class Document:
     def __post_init__(self):
         for name, values in self.columns.items():
             if len(values) != len(self.tokens):
-                raise ValueError(
+                raise AlignmentError(
                     f"column {name!r} has {len(values)} values for "
                     f"{len(self.tokens)} tokens"
                 )
@@ -157,12 +157,12 @@ def _accept_whole(s, abbreviations):
     )
 
 
-def _split_chunk(chunk, base, abbreviations):
-    """Split one whitespace-delimited chunk into (surface, offset) pieces."""
+def _split_chunk(chunk, abbreviations):
+    """Split one whitespace-delimited chunk into (surface, offset, kind) pieces."""
     pieces = []
     tail = []
     s = chunk
-    off = base
+    off = 0
     while s:
         if s.isalnum() or _accept_whole(s, abbreviations):
             pieces.append((s, off))
@@ -188,7 +188,28 @@ def _split_chunk(chunk, base, abbreviations):
         pieces.append((s[:cut], off))
         s, off = s[cut:], off + cut
     pieces.extend(reversed(tail))
-    return pieces
+    return tuple((piece, at, token_kind(piece)) for piece, at in pieces)
+
+
+# Bound on every per-type memo: a full memo starts over.
+_MEMO_LIMIT = 1 << 16
+
+
+class TypeMemo(dict):
+    """``memo[key]`` is ``compute(*key)``, computed once per distinct key;
+    a memo holding ``_MEMO_LIMIT`` keys starts over."""
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __missing__(self, key):
+        if len(self) >= _MEMO_LIMIT:
+            self.clear()
+        value = self[key] = self.compute(*key)
+        return value
+
+
+_chunk_memo = TypeMemo(_split_chunk)
 
 
 def tokenize(text, abbreviations=frozenset()):
@@ -198,11 +219,21 @@ def tokenize(text, abbreviations=frozenset()):
     abbreviations, decimal points, and punctuation internal to emails,
     URLs, and glued alphanumeric forms. ``abbreviations`` entries carry
     their trailing period ("dr.") and are matched case-insensitively.
+
+    Each distinct ``(chunk, frozenset(abbreviations))`` is split once, into
+    (surface, offset, kind) pieces kept in a module-wide :class:`TypeMemo`
+    that starts over once it holds ``_MEMO_LIMIT`` chunks.
     """
+    abbreviations = frozenset(abbreviations)
     tokens = []
-    for m in re.finditer(r"\S+", text):
-        for surface, off in _split_chunk(m.group(), m.start(), abbreviations):
-            tokens.append(Token(surface, off, off + len(surface), token_kind(surface)))
+    base = 0
+    for chunk in text.split():
+        # only whitespace lies between the last chunk and this one
+        base = text.find(chunk, base)
+        for surface, off, kind in _chunk_memo[chunk, abbreviations]:
+            start = base + off
+            tokens.append(Token(surface, start, start + len(surface), kind))
+        base += len(chunk)
     return tuple(tokens)
 
 
@@ -281,7 +312,8 @@ def parse_tagged_document(raw, doc_id="doc", fields=DEFAULT_FIELDS, abbreviation
         inside = range(bisect_left(starts, cs), bisect_right(ends, ce))
         overlap = range(bisect_right(ends, cs), bisect_left(starts, ce))
         partial = [i for i in overlap if i not in inside]
-        anchor = inside[0] if inside else (partial[0] if partial else -1)
+        # a pair over no token anchors at the next token, clamped to the last
+        anchor = (inside or partial or [min(inside.start, len(tokens) - 1)])[0]
         if name not in fields:
             issues.append(
                 LintIssue(doc_id, anchor, "UNKNOWN_FIELD", f"tag <{name}> dropped")

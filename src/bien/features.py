@@ -7,13 +7,13 @@ the observation model rather than the code space.
 
 from __future__ import annotations
 
-import functools
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import KIND_PUNCT, KIND_SYMBOL, KIND_WORD, NA_VALUE
+from .corpus import _MEMO_LIMIT, KIND_PUNCT, KIND_SYMBOL, KIND_WORD, NA_VALUE, Token, TypeMemo
 from .errors import (
     EmptyVocabulary,
     InvalidSpec,
@@ -99,16 +99,12 @@ def lemmatise(surface, table):
     return table.get(low, low)
 
 
-# Bound on the per-instance (surface, kind) memos; a full memo starts over.
-_MEMO_LIMIT = 1 << 16
-
-
 @dataclass(frozen=True)
 class LexiconSet:
     """The word lists consulted by the semantic feature, plus the lemma table.
 
-    Semantic codes are memoized per (surface, kind) on the instance; the
-    memo is not a field, so ``dataclasses.replace`` starts a fresh one.
+    Semantic codes are cached per token type in the gazetteer's type memo
+    (see :class:`Gazetteer`), not on the set.
     """
 
     titles: frozenset
@@ -117,17 +113,6 @@ class LexiconSet:
     locations: frozenset
     timewords: frozenset
     lemma_table: dict = field(default_factory=dict)
-    _semantic_codes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    def semantic_code(self, token):
-        """Index into :data:`SEMANTIC` of :func:`semantic_feature`, memoized."""
-        key = (token.surface, token.kind)
-        code = self._semantic_codes.get(key)
-        if code is None:
-            if len(self._semantic_codes) >= _MEMO_LIMIT:
-                self._semantic_codes.clear()
-            code = self._semantic_codes[key] = SEMANTIC.index(semantic_feature(token, self))
-        return code
 
 
 def default_lexicons():
@@ -186,7 +171,12 @@ class Gazetteer:
 
     Ids 1..V cover the vocabulary in descending corpus frequency; V+1 is
     out-of-vocabulary and V+2 is not-a-word (punctuation and symbols).
-    Lookups are memoized per (surface, kind) on the instance.
+
+    The instance also carries :func:`featurize`'s type memo: the lemma,
+    semantic, case and length codes of each distinct (surface, kind), coded
+    for one :class:`LexiconSet`. The memo starts over when it is used with
+    a different set (by identity), or before a document once it holds
+    ``_MEMO_LIMIT`` types.
     """
 
     def __init__(self, ids, lemma_table):
@@ -199,7 +189,7 @@ class Gazetteer:
             raise InvalidSpec("gazetteer ids must be exactly 1..V")
         self.oov_id = v + 1
         self.naw_id = v + 2
-        self._ids_of = {}
+        self._types = None  # featurize's type memo, a _TypeRows
 
     def __len__(self):
         return len(self.ids)
@@ -217,15 +207,6 @@ class Gazetteer:
         return len(self.ids) + 2
 
     def lookup(self, token):
-        key = (token.surface, token.kind)
-        got = self._ids_of.get(key)
-        if got is None:
-            if len(self._ids_of) >= _MEMO_LIMIT:
-                self._ids_of.clear()
-            got = self._ids_of[key] = self._id_of(token)
-        return got
-
-    def _id_of(self, token):
         if token.kind in (KIND_PUNCT, KIND_SYMBOL):
             return self.naw_id
         lemma = lemmatise(token.surface, self.lemma_table)
@@ -275,18 +256,17 @@ def build_gazetteer(docs, lemma_table, window=3, min_freq=3, max_size=1200):
     whole-corpus lemma frequency reaches ``min_freq``; the vocabulary is
     cut to the ``max_size`` most frequent (ties broken alphabetically).
     """
-    freq = {}
+    # a token's lemma, None for a non-word, depends only on its type
+    lemma_of = TypeMemo(
+        lambda surface, kind: None
+        if kind in (KIND_PUNCT, KIND_SYMBOL)
+        else lemmatise(surface, lemma_table)
+    )
+    freq = Counter()
     candidates = set()
     for doc in docs:
-        lemmas = [
-            None
-            if t.kind in (KIND_PUNCT, KIND_SYMBOL)
-            else lemmatise(t.surface, lemma_table)
-            for t in doc.tokens
-        ]
-        for lem in lemmas:
-            if lem is not None:
-                freq[lem] = freq.get(lem, 0) + 1
+        lemmas = [lemma_of[t.surface, t.kind] for t in doc.tokens]
+        freq.update(lemmas)  # None is counted but is never a candidate
         for span in doc.gold_spans:
             lo = max(0, span.start_token - window)
             hi = min(len(doc.tokens) - 1, span.end_token + window)
@@ -318,6 +298,41 @@ def feature_cardinalities(gazetteer):
     }
 
 
+class _TypeRows(dict):
+    """(surface, kind) -> index of the type's feature row in ``table``,
+    coded on the first lookup. The pos and chunk cells of a row are 0;
+    they depend on the document's columns, not on the type."""
+
+    def __init__(self, gazetteer, lexicons):
+        self.gazetteer = gazetteer
+        self.lexicons = lexicons
+        self.table = np.zeros((256, len(FEATURE_NAMES)), dtype=np.int16)
+
+    def __missing__(self, key):
+        surface, kind = key
+        token = Token(surface, 0, len(surface), kind)
+        row = (
+            self.gazetteer.lookup(token) - 1,
+            0,
+            0,
+            SEMANTIC.index(semantic_feature(token, self.lexicons)),
+            CASES.index(case_feature(surface)),
+            LENGTH_BUCKETS.index(length_feature(surface)),
+        )
+        n = len(self)
+        if n == len(self.table):
+            self.table = np.concatenate([self.table, np.zeros_like(self.table)])
+        self.table[n] = row
+        self[key] = n
+        return n
+
+
+def _column_codes(values, code_of):
+    """Code each distinct value of a column once."""
+    codes = {v: code_of(v) for v in set(values)}
+    return [codes[v] for v in values]
+
+
 def featurize(doc, gazetteer, lexicons, mask=()):
     """Encode a document as a ``(T, 6)`` int16 matrix of 0-based codes.
 
@@ -325,6 +340,10 @@ def featurize(doc, gazetteer, lexicons, mask=()):
     whatever the mask: ``None`` for either raises :class:`MissingResource`.
     Masked features are -1 throughout. POS and chunk columns come from the
     document's annotation columns and degrade to their NA codes when absent.
+
+    The lemma, semantic, case and length codes of each distinct (surface,
+    kind) are computed once, into the gazetteer's type memo (see
+    :class:`Gazetteer`); pos and chunk codes once per distinct column value.
     """
     mask = set(mask)
     unknown = mask - set(FEATURE_NAMES)
@@ -333,41 +352,15 @@ def featurize(doc, gazetteer, lexicons, mask=()):
     if gazetteer is None or lexicons is None:
         raise MissingResource("featurize needs both a gazetteer and lexicons")
 
-    lemma_id = gazetteer.lookup
-    semantic = lexicons.semantic_code
-    rows = [
-        (
-            lemma_id(tok) - 1,
-            _pos_code(pos),
-            _chunk_code(chunk),
-            semantic(tok),
-            _case_code(tok.surface),
-            _length_code(tok.surface),
-        )
-        for tok, pos, chunk in zip(doc.tokens, doc.column("pos"), doc.column("chunk"))
-    ]
-    out = np.array(rows, dtype=np.int16).reshape(len(rows), len(FEATURE_NAMES))
+    types = gazetteer._types
+    if types is None or types.lexicons is not lexicons or len(types) >= _MEMO_LIMIT:
+        types = gazetteer._types = _TypeRows(gazetteer, lexicons)
+    # index first: coding a new type may grow (replace) types.table
+    rows = [types[t.surface, t.kind] for t in doc.tokens]
+    out = types.table[rows]
+    out[:, 1] = _column_codes(doc.column("pos"), lambda v: POS_CLUSTERS.index(pos_cluster(v)))
+    out[:, 2] = _column_codes(doc.column("chunk"), lambda v: CHUNKS.index(chunk_flatten(v)))
     for k, name in enumerate(FEATURE_NAMES):
         if name in mask:
             out[:, k] = MASKED
     return out
-
-
-@functools.lru_cache(maxsize=1024)
-def _pos_code(tag):
-    return POS_CLUSTERS.index(pos_cluster(tag))
-
-
-@functools.lru_cache(maxsize=1024)
-def _chunk_code(value):
-    return CHUNKS.index(chunk_flatten(value))
-
-
-@functools.lru_cache(maxsize=_MEMO_LIMIT)
-def _case_code(surface):
-    return CASES.index(case_feature(surface))
-
-
-@functools.lru_cache(maxsize=_MEMO_LIMIT)
-def _length_code(surface):
-    return LENGTH_BUCKETS.index(length_feature(surface))

@@ -30,6 +30,7 @@ from .corpus import (
     KIND_NUMBER,
     KIND_PUNCT,
     KIND_SYMBOL,
+    TypeMemo,
     parse_tagged_document,
     serialize_document,
 )
@@ -405,12 +406,12 @@ _CHUNK_OF_POS = {
 }
 
 
-def _pos_of(token):
-    if token.kind == KIND_NUMBER:
+def _pos_of(surface, kind):
+    if kind == KIND_NUMBER:
         return "CD"
-    if token.kind in (KIND_PUNCT, KIND_SYMBOL):
-        return token.surface if token.surface in (".", ",", ":") else "SYM"
-    low = token.surface.lower()
+    if kind in (KIND_PUNCT, KIND_SYMBOL):
+        return surface if surface in (".", ",", ":") else "SYM"
+    low = surface.lower()
     if any(ch.isdigit() for ch in low):
         return "CD"
     if low in _DETS:
@@ -431,14 +432,17 @@ def _pos_of(token):
         return "VBZ" if low.endswith("s") and low not in ("is",) else "VB"
     if low in _ADJ_WORDS:
         return "JJ"
-    return "NNP" if token.surface[:1].isupper() else "NN"
+    return "NNP" if surface[:1].isupper() else "NN"
+
+
+_pos_memo = TypeMemo(_pos_of)
 
 
 def annotate(doc):
-    """Attach heuristic pos/chunk columns."""
-    pos = tuple(_pos_of(t) for t in doc.tokens)
-    chunk = tuple(_CHUNK_OF_POS.get(p, "NA") for p in pos)
-    return doc.with_columns(pos=pos, chunk=chunk)
+    """Attach heuristic pos/chunk columns, POS-tagging each distinct
+    (surface, kind) once in a module-wide :class:`~bien.corpus.TypeMemo`."""
+    pos = [_pos_memo[t.surface, t.kind] for t in doc.tokens]
+    return doc.with_columns(pos=pos, chunk=[_CHUNK_OF_POS.get(p, "NA") for p in pos])
 
 
 def generate_corpus(n_docs=DEFAULT_DOCS, seed=DEFAULT_SEED):

@@ -18,15 +18,24 @@ the plain per-step and per-token versions of the package's ``viterbi`` and
 ``assemble_slots_reference`` is the branch-per-role version of
 ``assemble_slots``. ``tag_spans_reference`` maps tag pairs to tokens by
 scanning every token for every pair, the longhand form of the bisection
-in ``parse_tagged_document``.
+in ``parse_tagged_document``. ``tokenize_reference`` splits and classifies
+every whitespace chunk afresh, the memo-free form of ``tokenize``.
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
-from bien.corpus import KIND_PUNCT, KIND_SYMBOL, LintIssue, TagSpan
+from bien.corpus import (
+    KIND_PUNCT,
+    KIND_SYMBOL,
+    LintIssue,
+    TagSpan,
+    Token,
+    _split_chunk,
+)
 from bien.errors import InconsistentGold, InvalidSpec, MissingResource, ZeroProbabilityEvidence
 from bien.features import (
     CASES,
@@ -588,7 +597,12 @@ def tag_spans_reference(doc_id, tokens, char_spans, fields):
         partial = [
             i for i, t in enumerate(tokens) if t.start < ce and t.end > cs and i not in inside
         ]
-        anchor = inside[0] if inside else (partial[0] if partial else -1)
+        if inside or partial:
+            anchor = (inside or partial)[0]
+        else:
+            # the first token that starts at or after the pair, else the last
+            later = [i for i, t in enumerate(tokens) if t.start >= cs]
+            anchor = later[0] if later else len(tokens) - 1
         if name not in fields:
             issues.append(LintIssue(doc_id, anchor, "UNKNOWN_FIELD", f"tag <{name}> dropped"))
             continue
@@ -611,3 +625,14 @@ def tag_spans_reference(doc_id, tokens, char_spans, fields):
         spans.append(TagSpan(name, inside[0], inside[-1]))
     spans.sort(key=lambda s: s.start_token)
     return tuple(spans), issues
+
+
+def tokenize_reference(text, abbreviations=frozenset()):
+    """``tokenize`` with no memo: every whitespace chunk is split and
+    classified on its own."""
+    tokens = []
+    for m in re.finditer(r"\S+", text):
+        for surface, off, kind in _split_chunk(m.group(), abbreviations):
+            start = m.start() + off
+            tokens.append(Token(surface, start, start + len(surface), kind))
+    return tuple(tokens)

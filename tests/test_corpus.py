@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import tag_spans_reference
+from oracles import tag_spans_reference, tokenize_reference
 
+from bien import corpus as corpus_module, synth
 from bien.corpus import (
     DEFAULT_FIELDS,
     Document,
@@ -21,7 +22,14 @@ from bien.corpus import (
     split,
     tokenize,
 )
-from bien.errors import AlignmentError, EmptyCorpus, InvalidPlan, MalformedTag, MissingColumn
+from bien.errors import (
+    AlignmentError,
+    DataError,
+    EmptyCorpus,
+    InvalidPlan,
+    MalformedTag,
+    MissingColumn,
+)
 from bien.features import build_gazetteer, default_lexicons, featurize
 from bien.resources import load_abbreviations
 from bien.synth import generate_corpus, write_corpus
@@ -89,6 +97,69 @@ class TestTokenize:
         assert "".join(t.surface for t in toks) == "".join(text.split())
 
 
+# whole chunks and pieces that exercise every branch of the chunk splitter
+CHUNK_PIECES = (
+    "Dr.", "dr.", "DR.", "Prof.", "mil.", "e.g.", "Wean", "3:30", "3:30-5:00", "10.5",
+    "1.", "7pm", "p.m.", "bovik@cs.cmu.edu", "www.cs.cmu.edu", "http://cs.cmu.edu/a.b",
+    "state-of-the-art", "...", "?!", "((", "--", "$", ",", "-", ":", ".", "\u00e9t\u00e9", "\u2014",
+)
+
+
+class TestTokenizeMatchesReference:
+    """The chunk memo must not change a token: every text tokenizes as the
+    memo-free per-chunk loop does, whatever the memo already holds."""
+
+    @pytest.mark.parametrize("n_docs,seed", [(485, 1993), (800, 1994)])
+    def test_generated_corpora(self, n_docs, seed):
+        for doc in generate_corpus(n_docs, seed):
+            want = tokenize_reference(doc.text, ABBREV)
+            assert doc.tokens == want
+            assert tokenize(doc.text, ABBREV) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(CHUNK_PIECES) | st.text(max_size=4), max_size=3),
+                st.sampled_from((" ", "  ", "\n", "\t", "\u00a0")),
+            ),
+            max_size=12,
+        )
+    )
+    def test_mixed_texts(self, parts):
+        text = "".join("".join(chunk) + gap for chunk, gap in parts)
+        for abbreviations in (ABBREV, frozenset()):
+            assert tokenize(text, abbreviations) == tokenize_reference(text, abbreviations)
+
+    def test_memo_keys_on_a_frozen_copy_of_the_abbreviations(self):
+        text = "Dr. mil."
+        mutable = {"dr."}
+        assert [t.surface for t in tokenize(text, mutable)] == ["Dr.", "mil", "."]
+        mutable.add("mil.")  # the memo must not still answer for {"dr."}
+        assert [t.surface for t in tokenize(text, mutable)] == ["Dr.", "mil."]
+        for abbreviations in (ABBREV, frozenset(), {"mil."}, frozenset({"dr."}), mutable):
+            assert tokenize(text, abbreviations) == tokenize_reference(text, abbreviations)
+
+    def test_memo_that_starts_over_mid_corpus(self, monkeypatch):
+        monkeypatch.setattr(corpus_module, "_MEMO_LIMIT", 7)
+        corpus_module._chunk_memo.clear()
+        for doc in generate_corpus(60, 5):
+            assert tokenize(doc.text, ABBREV) == tokenize_reference(doc.text, ABBREV)
+            assert len(corpus_module._chunk_memo) <= 7
+
+    @pytest.mark.parametrize("limit", [None, 5])
+    def test_annotate_follows_the_per_token_pos_rule(self, monkeypatch, limit):
+        if limit is not None:
+            monkeypatch.setattr(corpus_module, "_MEMO_LIMIT", limit)
+            synth._pos_memo.clear()
+        for doc in generate_corpus(60, 5):
+            pos = tuple(synth._pos_of(t.surface, t.kind) for t in doc.tokens)
+            assert doc.column("pos") == pos
+            assert doc.column("chunk") == tuple(synth._CHUNK_OF_POS.get(p, "NA") for p in pos)
+        if limit is not None:
+            assert len(synth._pos_memo) <= limit
+
+
 class TestParseTagged:
     def test_simple_span(self):
         doc, issues = parse_tagged_document(
@@ -135,6 +206,19 @@ class TestParseTagged:
         assert "PARTIAL_BOUNDARY" in codes
         assert "EMPTY_SPAN" in codes
         assert doc.gold_spans == ()
+
+    def test_pair_over_no_token_anchors_at_the_next_token(self):
+        raw = "Time: 3:30 <stime>  </stime> pm\nPlace: <location></location>Wean"
+        doc, issues = parse_tagged_document(raw, doc_id="d")
+        assert [(i.code, i.token_index) for i in issues] == [
+            ("EMPTY_SPAN", 3), ("EMPTY_SPAN", 6),
+        ]
+        assert (doc.surfaces[3], doc.surfaces[6]) == ("pm", "Wean")
+        # past the last token the anchor is clamped to it; -1 only without tokens
+        _, issues = parse_tagged_document("Wean <location> </location>", doc_id="d")
+        assert [i.token_index for i in issues] == [0]
+        _, issues = parse_tagged_document(" <location></location> ", doc_id="d")
+        assert [i.token_index for i in issues] == [-1]
 
     def test_angle_text_that_is_not_a_tag(self):
         doc, issues = parse_tagged_document("<0.12.4.93.1> x < y", doc_id="d")
@@ -254,6 +338,14 @@ class TestColumns:
     def test_unrequested_column_defaults_to_na(self):
         doc = self._doc("a b")
         assert doc.column("pos") == ("NA", "NA")
+
+    def test_column_of_wrong_length_raises_alignment_error(self):
+        doc = self._doc("a b")
+        with pytest.raises(AlignmentError) as exc:
+            doc.with_columns(pos=("NN",))
+        assert isinstance(exc.value, DataError)
+        with pytest.raises(AlignmentError):
+            Document("d", "a", doc.tokens[:1], columns={"chunk": ("NP", "NP")})
 
     def test_column_file_blocks(self, tmp_path):
         p = tmp_path / "cols.tsv"

@@ -5,7 +5,7 @@ import pytest
 from oracles import featurize_reference
 
 from bien import features
-from bien.corpus import Token, parse_tagged_document
+from bien.corpus import Document, Token, parse_tagged_document
 from bien.errors import (
     EmptyVocabulary,
     InvalidSpec,
@@ -308,20 +308,14 @@ class TestFeaturize:
         assert tuple(card) == FEATURE_NAMES
 
 
-def cold_memos():
-    """Empty the module-wide code caches that featurize shares across calls."""
-    for cached in (features._pos_code, features._chunk_code, features._case_code,
-                   features._length_code):
-        cached.cache_clear()
-
-
 class TestFeaturizeMatchesReference:
     @pytest.mark.parametrize("seed", [3, 11])
     def test_corpus_under_every_ablation(self, seed):
         docs = generate_corpus(60, seed)
         base = build_gazetteer(docs, LEX.lemma_table)
         for name, mask in ABLATIONS.items():
-            cold_memos()
+            # the gazetteer's type memo is the only memo featurize reads,
+            # so a fresh gazetteer makes the first pass cold
             gaz = Gazetteer(base.ids, base.lemma_table)
             lex = replace(LEX)
             for temperature in ("cold", "warm"):
@@ -363,14 +357,46 @@ class TestFeaturizeMatchesReference:
         assert code_of_zyzzyva(lex) == "None"
         assert titled != lex and replace(lex) == lex
 
+    def test_one_gazetteer_with_two_lexicon_sets(self):
+        docs = generate_corpus(40, 3)
+        gaz = build_gazetteer(docs, LEX.lemma_table)
+        other = replace(
+            LEX,
+            titles=LEX.titles | {"hall", "seminar"},
+            locations=frozenset(),
+            timewords=LEX.timewords | {"talk"},
+        )
+        for doc in docs:
+            for lexicons in (LEX, other, replace(LEX)):
+                np.testing.assert_array_equal(
+                    featurize(doc, gaz, lexicons), featurize_reference(doc, gaz, lexicons),
+                    err_msg=doc.id,
+                )
+
+    def test_type_memo_that_starts_over_mid_corpus(self, monkeypatch):
+        monkeypatch.setattr(features, "_MEMO_LIMIT", 16)
+        docs = generate_corpus(40, 3)
+        gaz = build_gazetteer(docs, LEX.lemma_table)
+        restarts, memo = 0, None
+        for doc in docs * 2:
+            got = featurize(doc, gaz, LEX)
+            restarts += memo is not None and gaz._types is not memo
+            memo = gaz._types
+            np.testing.assert_array_equal(got, featurize_reference(doc, gaz, LEX), err_msg=doc.id)
+            # full memos start over before a document, so one holds at most
+            # the limit plus one document's types
+            assert len(gaz._types) < 16 + len(doc.tokens)
+        assert restarts > 1
+
     def test_memos_key_on_surface_and_kind(self):
-        lex = replace(LEX)
         gaz = Gazetteer({"hall": 1}, LEX.lemma_table)
-        as_word = word("hall")
-        as_mixed = Token("hall", 0, 4, "mixed")
-        as_punct = Token("hall", 0, 4, "punctuation")
+        kinds = ("word", "mixed", "punctuation", "word")
+        doc = Document(
+            "kinds", "hall " * 4,
+            tuple(Token("hall", 5 * i, 5 * i + 4, kind) for i, kind in enumerate(kinds)),
+        )
         for _ in range(2):
-            assert SEMANTIC[lex.semantic_code(as_word)] == "Location"
-            assert SEMANTIC[lex.semantic_code(as_mixed)] == "None"
-            assert gaz.lookup(as_word) == 1
-            assert gaz.lookup(as_punct) == gaz.naw_id
+            vec = featurize(doc, gaz, LEX)
+            np.testing.assert_array_equal(vec, featurize_reference(doc, gaz, LEX))
+            assert [SEMANTIC[c] for c in vec[:, 3]] == ["Location", "None", "None", "Location"]
+            assert list(vec[:, 0] + 1) == [1, 1, gaz.naw_id, 1]
