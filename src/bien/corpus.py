@@ -196,16 +196,24 @@ _MEMO_LIMIT = 1 << 16
 
 
 class TypeMemo(dict):
-    """``memo[key]`` is ``compute(*key)``, computed once per distinct key;
-    a memo holding ``_MEMO_LIMIT`` keys starts over."""
+    """``memo[key]`` is ``compute(key, *context)``, computed once per key, for
+    the context of the last :meth:`bind`. The memo starts over when bound to
+    a context that differs (item by item, by identity or ``==``) and when it
+    holds ``_MEMO_LIMIT`` keys."""
 
     def __init__(self, compute):
-        self.compute = compute
+        self.compute, self.context = compute, ()
+
+    def bind(self, *context):
+        if context != self.context:
+            self.clear()
+            self.context = context
+        return self
 
     def __missing__(self, key):
         if len(self) >= _MEMO_LIMIT:
             self.clear()
-        value = self[key] = self.compute(*key)
+        value = self[key] = self.compute(key, *self.context)
         return value
 
 
@@ -220,17 +228,16 @@ def tokenize(text, abbreviations=frozenset()):
     URLs, and glued alphanumeric forms. ``abbreviations`` entries carry
     their trailing period ("dr.") and are matched case-insensitively.
 
-    Each distinct ``(chunk, frozenset(abbreviations))`` is split once, into
-    (surface, offset, kind) pieces kept in a module-wide :class:`TypeMemo`
-    that starts over once it holds ``_MEMO_LIMIT`` chunks.
+    Each distinct chunk is split once into (surface, offset, kind) pieces, kept in
+    a :class:`TypeMemo` bound to ``frozenset(abbreviations)``, of at most ``_MEMO_LIMIT`` chunks.
     """
-    abbreviations = frozenset(abbreviations)
+    pieces_of = _chunk_memo.bind(frozenset(abbreviations))
     tokens = []
     base = 0
     for chunk in text.split():
         # only whitespace lies between the last chunk and this one
         base = text.find(chunk, base)
-        for surface, off, kind in _chunk_memo[chunk, abbreviations]:
+        for surface, off, kind in pieces_of[chunk]:
             start = base + off
             tokens.append(Token(surface, start, start + len(surface), kind))
         base += len(chunk)
@@ -244,8 +251,8 @@ def tokenize(text, abbreviations=frozenset()):
 _TAG_RE = re.compile(r"<(/?)([A-Za-z][A-Za-z0-9_-]*)>")
 
 
-def _line_of(text, pos):
-    return text.count("\n", 0, pos) + 1
+def _malformed(message, raw, pos):
+    return MalformedTag(message, line=raw.count("\n", 0, pos) + 1, offset=pos)
 
 
 def parse_tagged_document(raw, doc_id="doc", fields=DEFAULT_FIELDS, abbreviations=None):
@@ -278,27 +285,15 @@ def parse_tagged_document(raw, doc_id="doc", fields=DEFAULT_FIELDS, abbreviation
         last = m.end()
         if not closing:
             if open_tag is not None:
-                raise MalformedTag(
-                    f"tag <{name}> opened inside <{open_tag[0]}>",
-                    line=_line_of(raw, m.start()),
-                    offset=m.start(),
-                )
+                raise _malformed(f"tag <{name}> opened inside <{open_tag[0]}>", raw, m.start())
             open_tag = (name, stripped_len, m.start())
         else:
             if open_tag is None or open_tag[0] != name:
-                raise MalformedTag(
-                    f"unmatched closing tag </{name}>",
-                    line=_line_of(raw, m.start()),
-                    offset=m.start(),
-                )
+                raise _malformed(f"unmatched closing tag </{name}>", raw, m.start())
             char_spans.append((name, open_tag[1], stripped_len))
             open_tag = None
     if open_tag is not None:
-        raise MalformedTag(
-            f"tag <{open_tag[0]}> never closed",
-            line=_line_of(raw, open_tag[2]),
-            offset=open_tag[2],
-        )
+        raise _malformed(f"tag <{open_tag[0]}> never closed", raw, open_tag[2])
     pieces.append(raw[last:])
     text = "".join(pieces)
 

@@ -8,12 +8,11 @@ the observation model rather than the code space.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import _MEMO_LIMIT, KIND_PUNCT, KIND_SYMBOL, KIND_WORD, NA_VALUE, Token, TypeMemo
+from .corpus import KIND_PUNCT, KIND_SYMBOL, KIND_WORD, NA_VALUE, Token, TypeMemo
 from .errors import (
     EmptyVocabulary,
     InvalidSpec,
@@ -103,8 +102,8 @@ def lemmatise(surface, table):
 class LexiconSet:
     """The word lists consulted by the semantic feature, plus the lemma table.
 
-    Semantic codes are cached per token type in the gazetteer's type memo
-    (see :class:`Gazetteer`), not on the set.
+    Semantic codes are not memoized on the set: :func:`featurize` caches each
+    type's code with its other codes, in a memo bounded by ``_MEMO_LIMIT`` types.
     """
 
     titles: frozenset
@@ -171,12 +170,8 @@ class Gazetteer:
 
     Ids 1..V cover the vocabulary in descending corpus frequency; V+1 is
     out-of-vocabulary and V+2 is not-a-word (punctuation and symbols).
-
-    The instance also carries :func:`featurize`'s type memo: the lemma,
-    semantic, case and length codes of each distinct (surface, kind), coded
-    for one :class:`LexiconSet`. The memo starts over when it is used with
-    a different set (by identity), or before a document once it holds
-    ``_MEMO_LIMIT`` types.
+    :meth:`lookup` is not memoized: :func:`featurize` caches each type's id
+    with its other codes, in a memo bounded by ``_MEMO_LIMIT`` types.
     """
 
     def __init__(self, ids, lemma_table):
@@ -189,7 +184,6 @@ class Gazetteer:
             raise InvalidSpec("gazetteer ids must be exactly 1..V")
         self.oov_id = v + 1
         self.naw_id = v + 2
-        self._types = None  # featurize's type memo, a _TypeRows
 
     def __len__(self):
         return len(self.ids)
@@ -256,17 +250,18 @@ def build_gazetteer(docs, lemma_table, window=3, min_freq=3, max_size=1200):
     whole-corpus lemma frequency reaches ``min_freq``; the vocabulary is
     cut to the ``max_size`` most frequent (ties broken alphabetically).
     """
-    # a token's lemma, None for a non-word, depends only on its type
-    lemma_of = TypeMemo(
-        lambda surface, kind: None
-        if kind in (KIND_PUNCT, KIND_SYMBOL)
-        else lemmatise(surface, lemma_table)
-    )
-    freq = Counter()
+    freq = {}
     candidates = set()
     for doc in docs:
-        lemmas = [lemma_of[t.surface, t.kind] for t in doc.tokens]
-        freq.update(lemmas)  # None is counted but is never a candidate
+        lemmas = [
+            None
+            if t.kind in (KIND_PUNCT, KIND_SYMBOL)
+            else lemmatise(t.surface, lemma_table)
+            for t in doc.tokens
+        ]
+        for lem in lemmas:
+            if lem is not None:
+                freq[lem] = freq.get(lem, 0) + 1
         for span in doc.gold_spans:
             lo = max(0, span.start_token - window)
             hi = min(len(doc.tokens) - 1, span.end_token + window)
@@ -298,33 +293,17 @@ def feature_cardinalities(gazetteer):
     }
 
 
-class _TypeRows(dict):
-    """(surface, kind) -> index of the type's feature row in ``table``,
-    coded on the first lookup. The pos and chunk cells of a row are 0;
-    they depend on the document's columns, not on the type."""
+def _type_codes(key, gazetteer, lexicons):
+    """The codes of one (surface, kind) type as the bytes of an int16 feature
+    row; the pos and chunk cells are 0, as they come from the document's columns."""
+    surface, kind = key
+    token = Token(surface, 0, len(surface), kind)
+    row = (gazetteer.lookup(token) - 1, 0, 0, SEMANTIC.index(semantic_feature(token, lexicons)),
+           CASES.index(case_feature(surface)), LENGTH_BUCKETS.index(length_feature(surface)))
+    return np.array(row, dtype=np.int16).tobytes()
 
-    def __init__(self, gazetteer, lexicons):
-        self.gazetteer = gazetteer
-        self.lexicons = lexicons
-        self.table = np.zeros((256, len(FEATURE_NAMES)), dtype=np.int16)
 
-    def __missing__(self, key):
-        surface, kind = key
-        token = Token(surface, 0, len(surface), kind)
-        row = (
-            self.gazetteer.lookup(token) - 1,
-            0,
-            0,
-            SEMANTIC.index(semantic_feature(token, self.lexicons)),
-            CASES.index(case_feature(surface)),
-            LENGTH_BUCKETS.index(length_feature(surface)),
-        )
-        n = len(self)
-        if n == len(self.table):
-            self.table = np.concatenate([self.table, np.zeros_like(self.table)])
-        self.table[n] = row
-        self[key] = n
-        return n
+_type_memo = TypeMemo(_type_codes)
 
 
 def _column_codes(values, code_of):
@@ -341,9 +320,9 @@ def featurize(doc, gazetteer, lexicons, mask=()):
     Masked features are -1 throughout. POS and chunk columns come from the
     document's annotation columns and degrade to their NA codes when absent.
 
-    The lemma, semantic, case and length codes of each distinct (surface,
-    kind) are computed once, into the gazetteer's type memo (see
-    :class:`Gazetteer`); pos and chunk codes once per distinct column value.
+    Each distinct (surface, kind) is coded once, in a :class:`~bien.corpus.TypeMemo`
+    bound to ``(gazetteer, lexicons)`` that holds at most ``_MEMO_LIMIT`` types;
+    pos and chunk codes once per distinct value in the document's columns.
     """
     mask = set(mask)
     unknown = mask - set(FEATURE_NAMES)
@@ -352,12 +331,9 @@ def featurize(doc, gazetteer, lexicons, mask=()):
     if gazetteer is None or lexicons is None:
         raise MissingResource("featurize needs both a gazetteer and lexicons")
 
-    types = gazetteer._types
-    if types is None or types.lexicons is not lexicons or len(types) >= _MEMO_LIMIT:
-        types = gazetteer._types = _TypeRows(gazetteer, lexicons)
-    # index first: coding a new type may grow (replace) types.table
-    rows = [types[t.surface, t.kind] for t in doc.tokens]
-    out = types.table[rows]
+    codes = _type_memo.bind(gazetteer, lexicons)
+    rows = bytearray().join([codes[t.surface, t.kind] for t in doc.tokens])  # writable
+    out = np.frombuffer(rows, dtype=np.int16).reshape(len(doc.tokens), len(FEATURE_NAMES))
     out[:, 1] = _column_codes(doc.column("pos"), lambda v: POS_CLUSTERS.index(pos_cluster(v)))
     out[:, 2] = _column_codes(doc.column("chunk"), lambda v: CHUNKS.index(chunk_flatten(v)))
     for k, name in enumerate(FEATURE_NAMES):

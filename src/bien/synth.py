@@ -435,7 +435,7 @@ def _pos_of(surface, kind):
     return "NNP" if surface[:1].isupper() else "NN"
 
 
-_pos_memo = TypeMemo(_pos_of)
+_pos_memo = TypeMemo(lambda key: _pos_of(*key))
 
 
 def annotate(doc):

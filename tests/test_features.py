@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracles import featurize_reference
 
+from bien import corpus as corpus_module
 from bien import features
 from bien.corpus import Document, Token, parse_tagged_document
 from bien.errors import (
@@ -308,14 +309,18 @@ class TestFeaturize:
         assert tuple(card) == FEATURE_NAMES
 
 
+def cold_memos():
+    """Empty the module-wide type memo that featurize shares across calls."""
+    features._type_memo.clear()
+
+
 class TestFeaturizeMatchesReference:
     @pytest.mark.parametrize("seed", [3, 11])
     def test_corpus_under_every_ablation(self, seed):
         docs = generate_corpus(60, seed)
         base = build_gazetteer(docs, LEX.lemma_table)
         for name, mask in ABLATIONS.items():
-            # the gazetteer's type memo is the only memo featurize reads,
-            # so a fresh gazetteer makes the first pass cold
+            cold_memos()
             gaz = Gazetteer(base.ids, base.lemma_table)
             lex = replace(LEX)
             for temperature in ("cold", "warm"):
@@ -374,19 +379,30 @@ class TestFeaturizeMatchesReference:
                 )
 
     def test_type_memo_that_starts_over_mid_corpus(self, monkeypatch):
-        monkeypatch.setattr(features, "_MEMO_LIMIT", 16)
+        monkeypatch.setattr(corpus_module, "_MEMO_LIMIT", 16)
         docs = generate_corpus(40, 3)
         gaz = build_gazetteer(docs, LEX.lemma_table)
-        restarts, memo = 0, None
+        cold_memos()
+        peak = 0
         for doc in docs * 2:
-            got = featurize(doc, gaz, LEX)
-            restarts += memo is not None and gaz._types is not memo
-            memo = gaz._types
-            np.testing.assert_array_equal(got, featurize_reference(doc, gaz, LEX), err_msg=doc.id)
-            # full memos start over before a document, so one holds at most
-            # the limit plus one document's types
-            assert len(gaz._types) < 16 + len(doc.tokens)
-        assert restarts > 1
+            np.testing.assert_array_equal(
+                featurize(doc, gaz, LEX), featurize_reference(doc, gaz, LEX), err_msg=doc.id
+            )
+            peak = max(peak, len(features._type_memo))
+        assert peak == 16
+
+    def test_an_equal_gazetteer_and_lexicon_set_share_the_memo(self):
+        docs = generate_corpus(10, 3)
+        gaz = build_gazetteer(docs, LEX.lemma_table)
+        featurize(docs[0], gaz, LEX)
+        memo = dict(features._type_memo)
+        featurize(docs[0], Gazetteer(gaz.ids, gaz.lemma_table), replace(LEX))
+        assert dict(features._type_memo) == memo
+        smaller = Gazetteer({"talk": 1}, LEX.lemma_table)
+        np.testing.assert_array_equal(
+            featurize(docs[0], smaller, LEX), featurize_reference(docs[0], smaller, LEX)
+        )
+        assert dict(features._type_memo) != memo
 
     def test_memos_key_on_surface_and_kind(self):
         gaz = Gazetteer({"hall": 1}, LEX.lemma_table)
