@@ -16,7 +16,7 @@ from .features import (
     feature_cardinalities,
     featurize,
 )
-from .inference import Evidence, viterbi
+from .inference import Evidence, viterbi, viterbi_batch
 from .learning import TrainConfig, check_unique_ids, make_examples, train
 from .model import ROLE_BEGIN, ROLE_END, ROLE_INSIDE, build_model, compile_chain
 
@@ -78,13 +78,22 @@ class DecodeResult:
     diagnostics: dict
 
 
+def _decode_result(chain, path, score):
+    tags = chain.tag_of[path]
+    spans, diagnostics = assemble_slots(tags, chain.model.tags)
+    return DecodeResult(tags, chain.ds_of[path], score, spans, diagnostics)
+
+
 def decode(chain, obs):
     """Viterbi-decode one observation matrix into tags, segments, and spans."""
-    path, score = viterbi(chain, Evidence(np.asarray(obs)))
-    tags = chain.tag_of[path]
-    ds = chain.ds_of[path]
-    spans, diagnostics = assemble_slots(tags, chain.model.tags)
-    return DecodeResult(tags, ds, score, spans, diagnostics)
+    return _decode_result(chain, *viterbi(chain, Evidence(np.asarray(obs))))
+
+
+def decode_batch(chain, obs_list):
+    """``decode`` for many observation matrices at once, through the
+    packed ``viterbi_batch``; one ``DecodeResult`` per matrix, in order."""
+    decoded = viterbi_batch(chain, [Evidence(np.asarray(obs)) for obs in obs_list])
+    return [_decode_result(chain, path, score) for path, score in decoded]
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +140,12 @@ def score_documents(docs, predictions, fields, mode="slot"):
     """
     if mode not in ("slot", "occurrence"):
         raise InvalidSpec(f"unknown match mode {mode!r}")
+    if len(docs) != len(predictions):
+        raise InvalidSpec(
+            f"{len(docs)} documents but {len(predictions)} prediction lists"
+        )
     scores = {f: FieldScore() for f in fields}
-    for doc, spans in zip(docs, predictions, strict=True):
+    for doc, spans in zip(docs, predictions):
         for f in fields:
             gold = [s for s in doc.gold_spans if s.field == f]
             pred = [s for s in spans if s.field == f]
@@ -222,12 +235,12 @@ def _run_one(cfg, lexicons, run_index, train_docs, test_docs):
     examples = make_examples(train_docs, gazetteer, lexicons, model, mask=cfg.mask)
     fitted = train(model, examples, cfg.train)
     chain = compile_chain(fitted.model)
-    predictions = []
+    decoded = decode_batch(
+        chain, [featurize(doc, gazetteer, lexicons, mask=cfg.mask) for doc in test_docs]
+    )
+    predictions = [result.spans for result in decoded]
     diagnostics = {}
-    for doc in test_docs:
-        obs = featurize(doc, gazetteer, lexicons, mask=cfg.mask)
-        result = decode(chain, obs)
-        predictions.append(result.spans)
+    for result in decoded:
         for k, v in result.diagnostics.items():
             diagnostics[k] = diagnostics.get(k, 0) + v
     scores = score_documents(test_docs, predictions, cfg.fields, mode=cfg.match_mode)

@@ -2,19 +2,20 @@
 
 Most of what is here recomputes quantities by brute force (dense
 enumeration over all state sequences) or directly from first principles,
-sharing no recursion code with the package. The exception is
-``chain_estep``, the reference for the package's factored E-step: it runs
-the package's ``forward_backward`` on the compiled product chain with the
-tags clamped by ``ClampedEvidence``, and ``test_inference.py`` checks that
-recursion against enumeration. ``PaddedLogBatch`` is the package's earlier
+sharing no recursion code with the package. ``forward_backward`` is
+exact log-space smoothing on the compiled product chain, which
+``test_inference.py`` checks against enumeration. ``chain_estep``, the
+reference for the package's factored E-step, runs it with the tags
+clamped by ``ClampedEvidence``. ``PaddedLogBatch`` is the package's earlier
 padded, log-space segment-chain E-step, the reference on batches too large
 for ``chain_estep``. ``observed_counts`` tallies the counts of
 fully observed ``SegmentedExample`` data, which the exact
 maximum-likelihood tests normalize with the package's M-step.
 ``sample_example`` and ``sample_corpus`` draw test data from a model's
 generative story. ``viterbi_reference`` and ``featurize_reference`` are
-the plain per-step and per-token versions of the package's ``viterbi`` and
-``featurize``, which must match them bit for bit.
+the plain per-step and per-token versions of the package's ``viterbi``
+(and ``viterbi_batch``) and ``featurize``, which must match them bit for
+bit.
 ``assemble_slots_reference`` is the branch-per-role version of
 ``assemble_slots``. ``tag_spans_reference`` maps tag pairs to tokens by
 scanning every token for every pair, the longhand form of the bisection
@@ -36,7 +37,13 @@ from bien.corpus import (
     Token,
     _split_chunk,
 )
-from bien.errors import InconsistentGold, InvalidSpec, MissingResource, ZeroProbabilityEvidence
+from bien.errors import (
+    InconsistentGold,
+    InvalidSpec,
+    MissingResource,
+    NumericError,
+    ZeroProbabilityEvidence,
+)
 from bien.features import (
     CASES,
     CHUNKS,
@@ -52,9 +59,23 @@ from bien.features import (
     pos_cluster,
     semantic_feature,
 )
-from bien.inference import Evidence, _logsumexp, forward_backward
+from bien.inference import Evidence
 from bien.learning import TrainExample
 from bien.model import LT_NONE, ROLE_BACKGROUND, compile_chain
+
+
+_HEALTH_TOL = 1e-9
+
+
+def _logsumexp(a, axis=None):
+    a = np.asarray(a, dtype=np.float64)
+    m = np.max(a, axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.exp(a - shift).sum(axis=axis, keepdims=True)) + shift
+    if axis is None:
+        return float(out.reshape(()))
+    return np.squeeze(out, axis=axis)
 
 
 @dataclass
@@ -117,6 +138,65 @@ def random_obs(model, T, rng, mask_rate=0.0):
     if mask_rate:
         out[rng.random(out.shape) < mask_rate] = -1
     return out
+
+
+@dataclass
+class Posteriors:
+    """Smoothed posteriors: state marginals, summed transition counts, log-likelihood."""
+
+    log_likelihood: float
+    gamma: np.ndarray  # (T, S)
+    xi_sum: np.ndarray  # (S, S), expected transition counts summed over steps
+
+    def tag_marginals(self, chain):
+        """Per-token posterior over tags, aggregating the product states."""
+        T = self.gamma.shape[0]
+        n_tags = chain.model.tags.size
+        out = np.zeros((T, n_tags))
+        np.add.at(out.T, chain.tag_of, self.gamma.T)
+        return out
+
+
+def forward_backward(chain, evidence):
+    """Exact smoothing. Raises :class:`ZeroProbabilityEvidence` naming the
+    first token at which every state dies; raises :class:`NumericError` if
+    the forward and backward likelihoods disagree beyond tolerance. An empty
+    document has empty posteriors and log-likelihood 0."""
+    emis = evidence.log_emission(chain)
+    T, S = emis.shape
+    if T == 0:
+        return Posteriors(0.0, np.zeros((0, S)), np.zeros((S, S)))
+    log_alpha = np.empty((T, S))
+    log_alpha[0] = chain.log_init + emis[0]
+    if np.max(log_alpha[0]) == -np.inf:
+        raise ZeroProbabilityEvidence("no state admits token 0", step=0)
+    for t in range(1, T):
+        log_alpha[t] = (
+            _logsumexp(log_alpha[t - 1][:, None] + chain.log_trans, axis=0) + emis[t]
+        )
+        if np.max(log_alpha[t]) == -np.inf:
+            raise ZeroProbabilityEvidence(f"no state admits token {t}", step=t)
+    ll = _logsumexp(log_alpha[-1])
+
+    log_beta = np.empty((T, S))
+    log_beta[-1] = 0.0
+    xi_sum = np.zeros((S, S))
+    for t in range(T - 2, -1, -1):
+        forward_part = emis[t + 1] + log_beta[t + 1]
+        log_beta[t] = _logsumexp(chain.log_trans + forward_part[None, :], axis=1)
+        xi_sum += np.exp(
+            log_alpha[t][:, None] + chain.log_trans + forward_part[None, :] - ll
+        )
+
+    ll_backward = _logsumexp(chain.log_init + emis[0] + log_beta[0])
+    # written as "not within" so that a NaN on either side fails the check
+    if not abs(ll - ll_backward) <= _HEALTH_TOL * max(1.0, abs(ll)):
+        raise NumericError(
+            f"forward/backward disagree: {ll!r} vs {ll_backward!r}"
+        )
+
+    gamma = np.exp(log_alpha + log_beta - ll)
+    return Posteriors(ll, gamma, xi_sum)
 
 
 def _sequence_scores(chain, log_emis, log_clamp=None):

@@ -13,6 +13,7 @@ from bien.evaluation import (
     FieldScore,
     assemble_slots,
     decode,
+    decode_batch,
     learning_curve,
     macro_f1,
     report_cpt,
@@ -190,6 +191,11 @@ class TestScoreDocuments:
         with pytest.raises(InvalidSpec):
             score_documents([], [], FIELDS, mode="overlap")
 
+    def test_prediction_count_must_match_document_count(self):
+        docs = [parse(f"<stime>{h} pm</stime> talk") for h in (3, 4, 5)]
+        with pytest.raises(InvalidSpec, match="3 documents but 1 prediction lists"):
+            score_documents(docs, [[]], FIELDS)
+
     def test_macro_f1(self):
         scores = {
             "a": FieldScore(1, 1, 1),   # f1 = 1
@@ -224,6 +230,23 @@ class TestDecode:
         spans, diag = assemble_slots(result.tags, model.tags)
         assert result.spans == spans
         assert result.diagnostics == diag
+
+    @pytest.mark.parametrize("memory", [True, False])
+    def test_decode_batch_matches_decode(self, memory):
+        rng = np.random.default_rng(13)
+        model = randomize_model(build_model(FIELDS, {"lemma": 5, "case": 3}, memory=memory), rng)
+        chain = compile_chain(model)
+        obs_list = [sample_example(model, T, rng).obs for T in rng.integers(1, 30, size=40)]
+        obs_list[5] = obs_list[5][:0]
+        got = decode_batch(chain, obs_list)
+        assert len(got) == len(obs_list)
+        for result, obs in zip(got, obs_list):
+            want = decode(chain, obs)
+            npt.assert_array_equal(result.tags, want.tags)
+            npt.assert_array_equal(result.ds, want.ds)
+            assert result.score == want.score
+            assert result.spans == want.spans
+            assert result.diagnostics == want.diagnostics
 
     @pytest.mark.parametrize("text", ["", " \n\t \n"], ids=["empty", "whitespace"])
     def test_empty_document(self, text):

@@ -4,6 +4,7 @@ from oracles import (
     ClampedEvidence,
     enumerate_best_path,
     enumerate_posteriors,
+    forward_backward,
     joint_log_prob,
     random_obs,
     randomize_model,
@@ -11,7 +12,7 @@ from oracles import (
 )
 
 from bien.errors import NumericError, ZeroProbabilityEvidence
-from bien.inference import Evidence, forward_backward, viterbi
+from bien.inference import _BATCH_DOCS, Evidence, viterbi, viterbi_batch
 from bien.model import build_model, compile_chain
 
 OBS = {"lemma": 6, "case": 4}
@@ -252,3 +253,97 @@ class TestViterbiMatchesReference:
                 viterbi(chain, ClampedEvidence(obs, allowed_ds=allowed_ds))
             assert exc.value.step == step
             assert not assert_same_outcome(chain, ClampedEvidence(obs, allowed_ds=allowed_ds))
+
+
+FOUR_FIELDS = ("speaker", "location", "stime", "etime")
+
+
+def mixed_batches(clamp):
+    """Per ``cases()`` chain, plus the four-field chain with memory (42
+    states) and without (34), one batch of random evidence with lengths
+    0 to 9 in random order, longer than one packed chunk."""
+    rng = np.random.default_rng(600 + clamp)
+    chains = {id(chain): chain for chain, _, _ in cases()}
+    chains = [*chains.values()]
+    chains += [make_chain(FOUR_FIELDS, memory=m, seed=5) for m in (True, False)]
+    for chain in chains:
+        lengths = rng.permutation(np.arange(_BATCH_DOCS + 7) % 10)
+        yield chain, [random_evidence(chain, int(T), rng, clamp=clamp) for T in lengths]
+
+
+class TestViterbiBatch:
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_matches_reference(self, clamp):
+        n_states = set()
+        for chain, batch in mixed_batches(clamp):
+            n_states.add(chain.n_states)
+            live = []
+            for ev in batch:
+                try:
+                    live.append((ev, viterbi_reference(chain, ev)))
+                except ZeroProbabilityEvidence:
+                    pass
+            assert len(live) > _BATCH_DOCS
+            got = viterbi_batch(chain, [ev for ev, _ in live])
+            for (path, score), (_, (want_path, want_score)) in zip(got, live, strict=True):
+                np.testing.assert_array_equal(path, want_path)
+                assert path.dtype == want_path.dtype
+                assert np.float64(score).tobytes() == np.float64(want_score).tobytes()
+        assert {42, 34} < n_states
+
+    def test_empty_and_single_token_documents(self):
+        chain = make_chain(("a", "b"), seed=9)
+        rng = np.random.default_rng(7)
+        batch = [random_evidence(chain, T, rng) for T in (0, 1, 0, 1, 3)]
+        got = viterbi_batch(chain, batch)
+        for (path, score), ev in zip(got, batch, strict=True):
+            want_path, want_score = viterbi_reference(chain, ev)
+            np.testing.assert_array_equal(path, want_path)
+            assert score == want_score
+        assert got[0][0].shape == (0,) and got[0][1] == 0.0
+        empty = [path.shape for path, _ in viterbi_batch(chain, [batch[0], batch[2]])]
+        assert empty == [(0,), (0,)]
+        [(path, score)] = viterbi_batch(chain, [batch[4]])
+        np.testing.assert_array_equal(path, got[4][0])
+        assert score == got[4][1]
+        assert viterbi_batch(chain, []) == []
+
+    @pytest.mark.parametrize("memory", [True, False])
+    def test_forced_ties_break_toward_lowest_index(self, memory):
+        chain = make_chain(("a", "b"), memory=memory, seed=4)
+        for table in (chain.log_init, chain.log_trans):
+            table[np.isfinite(table)] = np.log(0.5)
+        K = len(chain.model.observables)
+        batch = [Evidence(np.full((T, K), -1, dtype=np.int16)) for T in (1, 9, 2, 5, 9)]
+        for (path, score), ev in zip(viterbi_batch(chain, batch), batch, strict=True):
+            want_path, want_score = viterbi_reference(chain, ev)
+            np.testing.assert_array_equal(path, want_path)
+            assert np.float64(score).tobytes() == np.float64(want_score).tobytes()
+
+    def test_dead_document_raises_at_its_reference_step(self):
+        chain = make_chain(("a",), seed=6)
+        rng = np.random.default_rng(3)
+        batch = [random_evidence(chain, T, rng) for T in (4, 7, 6, 2, 8)]
+        for doc, step in ((2, 3), (4, 0)):
+            allowed_ds = np.ones((len(batch[doc]), 2), dtype=bool)
+            allowed_ds[step] = False
+            dying = list(batch)
+            dying[doc] = ClampedEvidence(batch[doc].obs, allowed_ds=allowed_ds)
+            with pytest.raises(ZeroProbabilityEvidence) as want:
+                viterbi_reference(chain, dying[doc])
+            with pytest.raises(ZeroProbabilityEvidence) as got:
+                viterbi_batch(chain, dying)
+            assert got.value.step == want.value.step == step
+
+    def test_first_dead_document_in_input_order_is_reported(self):
+        """The later-sorted (shorter) document dies first in input order."""
+        chain = make_chain(("a",), seed=6)
+        rng = np.random.default_rng(4)
+        batch = []
+        for T, step in ((3, 1), (8, 5)):
+            allowed_ds = np.ones((T, 2), dtype=bool)
+            allowed_ds[step] = False
+            batch.append(ClampedEvidence(random_obs(chain.model, T, rng), allowed_ds=allowed_ds))
+        with pytest.raises(ZeroProbabilityEvidence) as got:
+            viterbi_batch(chain, batch)
+        assert got.value.step == 1
