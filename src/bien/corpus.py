@@ -1,4 +1,4 @@
-"""Corpus ingestion: tokenization, inline-tag parsing, annotation columns, splits.
+"""Corpus ingestion: tokenization, inline-tag parsing and train/test splits.
 
 Documents are single token streams. Gold annotations arrive as inline
 ``<field>...</field>`` pairs; parsing strips the markup and records which
@@ -14,13 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    AlignmentError,
-    EmptyCorpus,
-    InvalidPlan,
-    MalformedTag,
-    MissingColumn,
-)
+from .errors import AlignmentError, InvalidPlan, MalformedTag
 
 KIND_WORD = "word"
 KIND_NUMBER = "number"
@@ -341,80 +335,6 @@ def parse_tagged_document(raw, doc_id="doc", fields=DEFAULT_FIELDS, abbreviation
     return doc, issues
 
 
-def serialize_document(doc):
-    """Re-insert gold tags into the document text at token boundaries."""
-    inserts = []  # (char position, sort rank, text)
-    for s in doc.gold_spans:
-        inserts.append((doc.tokens[s.start_token].start, 0, f"<{s.field}>"))
-        inserts.append((doc.tokens[s.end_token].end, 1, f"</{s.field}>"))
-    out = []
-    last = 0
-    for pos, _, tag in sorted(inserts):
-        out.append(doc.text[last:pos])
-        out.append(tag)
-        last = pos
-    out.append(doc.text[last:])
-    return "".join(out)
-
-
-# ---------------------------------------------------------------------------
-# Annotation columns
-# ---------------------------------------------------------------------------
-
-def read_column_file(path):
-    """Read a tab-separated annotation file into per-document row blocks.
-
-    One token per line (``surface<TAB>pos<TAB>chunk``), documents
-    separated by blank lines.
-    """
-    blocks = []
-    current = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line.strip():
-                if current:
-                    blocks.append(current)
-                    current = []
-                continue
-            current.append(line.split("\t"))
-    if current:
-        blocks.append(current)
-    return blocks
-
-
-def load_columns(doc, rows):
-    """Attach the pos and chunk columns to a document, aligned by surface form.
-
-    ``rows`` is one block from :func:`read_column_file`, one row per token.
-    A surface mismatch or a row count that differs from the token count
-    raises :class:`AlignmentError` at the first offending token index; a
-    row lacking the pos or chunk cell raises :class:`MissingColumn`. An
-    empty cell becomes ``NA``.
-    """
-    n = min(len(rows), len(doc.tokens))
-    for i in range(n):
-        if rows[i][0] != doc.tokens[i].surface:
-            raise AlignmentError(
-                f"surface mismatch at token {i}: "
-                f"doc {doc.tokens[i].surface!r} vs file {rows[i][0]!r}",
-                index=i,
-                expected=doc.tokens[i].surface,
-                got=rows[i][0],
-            )
-    if len(rows) != len(doc.tokens):
-        raise AlignmentError(
-            f"row count {len(rows)} != token count {len(doc.tokens)}", index=n
-        )
-    pos, chunk = [], []
-    for i, row in enumerate(rows):
-        if len(row) < 3:
-            raise MissingColumn(f"annotation row {i} lacks the pos or chunk cell")
-        pos.append(row[1] or NA_VALUE)
-        chunk.append(row[2] or NA_VALUE)
-    return doc.with_columns(pos=pos, chunk=chunk)
-
-
 # ---------------------------------------------------------------------------
 # Train/test partitions
 # ---------------------------------------------------------------------------
@@ -457,52 +377,3 @@ def split(corpus, plan):
             ([corpus[i] for i in train_idx], [corpus[i] for i in test_idx])
         )
     return partitions
-
-
-# ---------------------------------------------------------------------------
-# Corpus directories
-# ---------------------------------------------------------------------------
-
-def load_corpus_dir(path, fields=DEFAULT_FIELDS):
-    """Parse every ``*.txt`` file under a directory, sorted by name. A
-    document's id is its file name without the suffix, as
-    :func:`bien.synth.write_corpus` writes it, and its tokens come from the
-    bundled abbreviation list, as the written documents' did. A missing
-    directory, or one without ``*.txt`` files, raises :class:`EmptyCorpus`.
-
-    If the directory holds the ``columns.tsv`` that ``write_corpus``
-    writes, its blocks are attached with :func:`load_columns`, one
-    per non-empty document in id order; a block that does not align raises
-    :class:`AlignmentError`.
-
-    Returns ``(documents, lint_issues)``.
-    """
-    from pathlib import Path
-
-    files = sorted(Path(path).glob("*.txt"))
-    if not files:
-        raise EmptyCorpus(f"no *.txt documents in {path}")
-    docs = []
-    issues = []
-    for p in files:
-        raw = p.read_text(encoding="utf-8")
-        doc, doc_issues = parse_tagged_document(raw, doc_id=p.stem, fields=fields)
-        docs.append(doc)
-        issues.extend(doc_issues)
-    column_file = Path(path) / "columns.tsv"
-    if column_file.exists():
-        blocks = read_column_file(column_file)
-        # an empty document's block is blank, which read_column_file skips
-        by_id = sorted((i for i, d in enumerate(docs) if d.tokens), key=lambda i: docs[i].id)
-        if len(blocks) != len(by_id):
-            raise AlignmentError(
-                f"{column_file}: {len(blocks)} blocks for {len(by_id)} non-empty documents"
-            )
-        for i, rows in zip(by_id, blocks):
-            try:
-                docs[i] = load_columns(docs[i], rows)
-            except AlignmentError as exc:
-                raise AlignmentError(
-                    f"{docs[i].id}: {exc}", exc.index, exc.expected, exc.got
-                ) from None
-    return docs, issues

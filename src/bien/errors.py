@@ -6,7 +6,7 @@ class BienError(Exception):
 
 
 class DataError(BienError):
-    """Problems with corpus files, annotations, or resources."""
+    """Problems with corpus text, annotations, or resources."""
 
 
 class MalformedTag(DataError):
@@ -23,17 +23,7 @@ class UnknownField(DataError):
 
 
 class AlignmentError(DataError):
-    """Annotation rows do not align with document tokens."""
-
-    def __init__(self, message, index=None, expected=None, got=None):
-        super().__init__(message)
-        self.index = index
-        self.expected = expected
-        self.got = got
-
-
-class MissingColumn(DataError):
-    """Annotation rows lack the pos or chunk cell."""
+    """A document column does not hold one value per token."""
 
 
 class InvalidPlan(DataError):
@@ -57,18 +47,6 @@ class InvalidSpec(BienError):
     empty or repeated observable, a CPT off its support, an unknown feature
     mask or match mode, gazetteer ids that are not 1..V, a malformed training
     example or a repeated document id."""
-
-
-class ModelFormatError(BienError):
-    """Model or gazetteer file cannot be read back."""
-
-
-class VersionMismatch(ModelFormatError):
-    """Serialized file carries an unsupported format version."""
-
-
-class ChecksumMismatch(ModelFormatError):
-    """Serialized file content does not match its checksum."""
 
 
 class NumericError(BienError):

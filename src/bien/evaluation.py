@@ -193,6 +193,8 @@ class RunResult:
     scores: dict
     macro: float
     log_likelihood: list
+    iterations: int
+    converged: bool
     diagnostics: dict
     n_train: int
     n_test: int
@@ -249,6 +251,8 @@ def _run_one(cfg, lexicons, run_index, train_docs, test_docs):
         scores=scores,
         macro=macro_f1(scores),
         log_likelihood=fitted.log_likelihood,
+        iterations=fitted.iterations,
+        converged=fitted.converged,
         diagnostics=diagnostics,
         n_train=len(train_docs),
         n_test=len(test_docs),
@@ -292,69 +296,18 @@ def run_experiment(corpus, cfg, jobs=1):
 
 
 def run_ablations(corpus, cfg, jobs=1, variants=None):
-    """The feature/structure ablation grid, all variants on one split."""
-    names = list(variants or ABLATIONS)
+    """The feature/structure ablation grid, all variants on one split.
+    ``variants=None`` runs every entry of :data:`ABLATIONS`; an empty,
+    unknown or repeated variant list raises :class:`InvalidSpec`."""
+    names = list(ABLATIONS if variants is None else variants)
+    unknown = sorted({n for n in names if n not in ABLATIONS})
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if not names or unknown or repeated:
+        raise InvalidSpec(
+            f"ablation variants must be distinct names from {list(ABLATIONS)}; "
+            f"got {names!r} (unknown: {unknown}, repeated: {repeated})"
+        )
     cfgs = [
         replace(cfg, mask=ABLATIONS[name], memory=(name != "no memory")) for name in names
     ]
     return dict(zip(names, _run_variants(corpus, cfgs, jobs)))
-
-
-def learning_curve(corpus, cfg, fractions=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8), jobs=1):
-    """Mean precision/recall (averaged over fields and runs) per train fraction."""
-    points = []
-    for frac in fractions:
-        variant = replace(cfg, plan=replace(cfg.plan, train_fraction=frac))
-        result = run_experiment(corpus, variant, jobs=jobs)
-        avg_p = float(np.mean([result.mean(f, "precision") for f in cfg.fields]))
-        avg_r = float(np.mean([result.mean(f, "recall") for f in cfg.fields]))
-        points.append((float(frac), avg_p, avg_r))
-    return points
-
-
-# ---------------------------------------------------------------------------
-# Learned-transition report
-# ---------------------------------------------------------------------------
-
-def stationary_ds(ds_trans):
-    """Stationary distribution of the two-state segment chain."""
-    p01, p10 = float(ds_trans[0, 1]), float(ds_trans[1, 0])
-    if p01 + p10 <= 0:
-        return np.array([0.5, 0.5])
-    return np.array([p10 / (p01 + p10), p01 / (p01 + p10)])
-
-
-@dataclass
-class CptReport:
-    fields: tuple
-    rows: tuple          # "none" plus one row label per field
-    matrix: np.ndarray   # (F+1, F): P(next extracted field | last extracted field)
-
-
-def report_cpt(model):
-    """Summarize learned background transitions as field-to-field movement.
-
-    Rows condition on the last extracted field (or none); columns give the
-    probability that the next extracted field is each candidate, i.e. the
-    begin-or-single mass leaving a background token, renormalized over
-    fields and averaged over segments by their stationary weight.
-    """
-    tags = model.tags
-    F = len(tags.fields)
-    pi = stationary_ds(model.cpts["ds_trans"].table)
-    table = model.cpts["tag_trans"].table  # (tag_prev, lt, ds, tag)
-    matrix = np.zeros((F + 1, F))
-    lt_values = range(F + 1) if model.memory else [0] * (F + 1)
-    for row, lt in enumerate(lt_values):
-        for j in range(F):
-            mass = 0.0
-            for ds in (0, 1):
-                mass += pi[ds] * (
-                    table[tags.background, lt, ds, tags.begin(j)]
-                    + table[tags.background, lt, ds, tags.single(j)]
-                )
-            matrix[row, j] = mass
-        total = matrix[row].sum()
-        if total > 0:
-            matrix[row] /= total
-    return CptReport(tags.fields, ("none",) + tags.fields, matrix)

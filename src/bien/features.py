@@ -13,12 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import KIND_PUNCT, KIND_SYMBOL, KIND_WORD, NA_VALUE, Token, TypeMemo
-from .errors import (
-    EmptyVocabulary,
-    InvalidSpec,
-    MissingResource,
-    ModelFormatError,
-)
+from .errors import EmptyVocabulary, InvalidSpec, MissingResource
 from . import resources
 
 MASKED = -1
@@ -209,37 +204,6 @@ class Gazetteer:
             # surfaces whose lemma is unlisted may still match directly
             got = self.ids.get(token.surface.lower())
         return got if got is not None else self.oov_id
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("gazetteer v1\n")
-            fh.write(f"entries {len(self.ids)} lemma_rows {len(self.lemma_table)}\n")
-            for lemma, i in sorted(self.ids.items(), key=lambda kv: kv[1]):
-                fh.write(f"{lemma}\t{i}\n")
-            for surface, lemma in sorted(self.lemma_table.items()):
-                fh.write(f"{surface}\t>\t{lemma}\n")
-
-    @classmethod
-    def load(cls, path):
-        """Read a saved gazetteer; a malformed file raises :class:`ModelFormatError`."""
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != "gazetteer v1":
-                raise ModelFormatError(f"bad gazetteer header {header!r}")
-            try:
-                counts = fh.readline().split()
-                n_ids, n_rows = int(counts[1]), int(counts[3])
-                ids = {}
-                for _ in range(n_ids):
-                    lemma, i = fh.readline().rstrip("\n").split("\t")
-                    ids[lemma] = int(i)
-                table = {}
-                for _ in range(n_rows):
-                    surface, _, lemma = fh.readline().rstrip("\n").split("\t")
-                    table[surface] = lemma
-            except (ValueError, IndexError) as exc:
-                raise ModelFormatError(f"malformed gazetteer file {path}: {exc}") from exc
-        return cls(ids, table)
 
 
 def build_gazetteer(docs, lemma_table, window=3, min_freq=3, max_size=1200):

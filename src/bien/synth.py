@@ -22,8 +22,6 @@ seed)`` pair always yields byte-identical documents.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from .corpus import (
@@ -32,7 +30,6 @@ from .corpus import (
     KIND_SYMBOL,
     TypeMemo,
     parse_tagged_document,
-    serialize_document,
 )
 from .resources import load_ranked, load_wordlist
 
@@ -457,23 +454,3 @@ def generate_corpus(n_docs=DEFAULT_DOCS, seed=DEFAULT_SEED):
             raise AssertionError(f"generator produced lint issues: {issues}")
         docs.append(annotate(doc))
     return docs
-
-
-def write_corpus(docs, out_dir):
-    """Write tagged ``.txt`` files plus one tab-separated annotation file.
-
-    The annotation file carries ``surface<TAB>pos<TAB>chunk`` rows with one
-    blank-line-separated block per document, in document id order.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    docs = sorted(docs, key=lambda d: d.id)
-    for doc in docs:
-        (out / f"{doc.id}.txt").write_text(serialize_document(doc), encoding="utf-8")
-    blocks = []
-    for doc in docs:
-        pos, chunk = doc.column("pos"), doc.column("chunk")
-        rows = [f"{t.surface}\t{p}\t{c}" for t, p, c in zip(doc.tokens, pos, chunk)]
-        blocks.append("\n".join(rows))
-    (out / "columns.tsv").write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
-    return out

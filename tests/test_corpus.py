@@ -1,6 +1,3 @@
-import re
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,25 +11,13 @@ from bien.corpus import (
     Document,
     SplitPlan,
     TagSpan,
-    load_columns,
-    load_corpus_dir,
     parse_tagged_document,
-    read_column_file,
-    serialize_document,
     split,
     tokenize,
 )
-from bien.errors import (
-    AlignmentError,
-    DataError,
-    EmptyCorpus,
-    InvalidPlan,
-    MalformedTag,
-    MissingColumn,
-)
-from bien.features import build_gazetteer, default_lexicons, featurize
+from bien.errors import AlignmentError, DataError, InvalidPlan, MalformedTag
 from bien.resources import load_abbreviations
-from bien.synth import generate_corpus, write_corpus
+from bien.synth import generate_corpus
 
 ABBREV = load_abbreviations()
 
@@ -225,18 +210,10 @@ class TestParseTagged:
         assert "<0.12.4.93.1>" in doc.text
         assert issues == []
 
-    def test_serialize_round_trip(self):
-        raw = "Who: <speaker>Dr. Steals</speaker>\nTime: <stime>1 am</stime>."
-        doc, _ = parse_tagged_document(raw, doc_id="d")
-        assert serialize_document(doc) == raw
-        doc2, _ = parse_tagged_document(serialize_document(doc), doc_id="d")
-        assert doc2 == doc
-
-    def test_adjacent_same_field_spans_survive_round_trip(self):
+    def test_adjacent_same_field_spans_stay_separate(self):
         raw = "<stime>3:30</stime> <stime>4:30</stime>"
         doc, _ = parse_tagged_document(raw, doc_id="d")
         assert doc.gold_spans == (TagSpan("stime", 0, 0), TagSpan("stime", 1, 1))
-        assert serialize_document(doc) == raw
 
 
 class TestSpanMappingMatchesReference:
@@ -303,38 +280,6 @@ class TestColumns:
         doc, _ = parse_tagged_document(text, doc_id="d")
         return doc
 
-    def test_strict_alignment(self):
-        doc = self._doc("Dr. Steals presents")
-        rows = [["Dr.", "NNP", "NP"], ["Steals", "NNP", "NP"], ["presents", "VBZ", "VP"]]
-        doc2 = load_columns(doc, rows)
-        assert doc2.column("pos") == ("NNP", "NNP", "VBZ")
-        assert doc2.column("chunk") == ("NP", "NP", "VP")
-
-    def test_strict_surface_mismatch(self):
-        doc = self._doc("Dr. Steals presents")
-        rows = [["Dr.", "NNP", "NP"], ["Steels", "NNP", "NP"], ["presents", "VBZ", "VP"]]
-        with pytest.raises(AlignmentError) as exc:
-            load_columns(doc, rows)
-        assert exc.value.index == 1
-
-    def test_strict_row_count_mismatch(self):
-        doc = self._doc("a b c d e f g h i j")
-        rows = [[s, "NN", "NP"] for s in "a b c d e f g h i".split()]
-        with pytest.raises(AlignmentError) as exc:
-            load_columns(doc, rows)
-        assert exc.value.index == 9
-
-    def test_row_without_chunk_cell_raises(self):
-        doc = self._doc("a b")
-        with pytest.raises(MissingColumn):
-            load_columns(doc, [["a", "DT", "NP"], ["b", "NN"]])
-
-    def test_missing_column_values_become_na(self):
-        doc = self._doc("a b")
-        rows = [["a", "DT", ""], ["b", "NN", ""]]
-        doc2 = load_columns(doc, rows)
-        assert doc2.column("chunk") == ("NA", "NA")
-
     def test_unrequested_column_defaults_to_na(self):
         doc = self._doc("a b")
         assert doc.column("pos") == ("NA", "NA")
@@ -346,14 +291,6 @@ class TestColumns:
         assert isinstance(exc.value, DataError)
         with pytest.raises(AlignmentError):
             Document("d", "a", doc.tokens[:1], columns={"chunk": ("NP", "NP")})
-
-    def test_column_file_blocks(self, tmp_path):
-        p = tmp_path / "cols.tsv"
-        p.write_text("a\tDT\tNP\nb\tNN\tNP\n\nc\tVB\tVP\n", encoding="utf-8")
-        blocks = read_column_file(p)
-        assert len(blocks) == 2
-        assert blocks[0] == [["a", "DT", "NP"], ["b", "NN", "NP"]]
-        assert blocks[1] == [["c", "VB", "VP"]]
 
 
 def make_corpus(n):
@@ -405,56 +342,3 @@ class TestSplit:
             split(corpus, SplitPlan(train_fraction=1.0))
         with pytest.raises(InvalidPlan):
             split(corpus, SplitPlan(runs=0))
-
-
-class TestCorpusDir:
-    def _written(self, tmp_path):
-        docs = generate_corpus(30, 5)
-        # file name order puts "a-b.txt" before "a.txt"; id order, which the
-        # annotation blocks follow, puts "a" before "a-b"
-        docs[0], docs[1] = replace(docs[0], id="a-b"), replace(docs[1], id="a")
-        # an empty document writes a blank annotation block
-        docs[2] = Document("empty", "", ())
-        write_corpus(docs, tmp_path)
-        return docs
-
-    def test_round_trip_through_write_corpus(self, tmp_path):
-        docs = self._written(tmp_path)
-        again, issues = load_corpus_dir(tmp_path)
-        assert issues == []
-        loaded = {d.id: d for d in again}
-        assert sorted(loaded) == sorted(d.id for d in docs)
-        lexicons = default_lexicons()
-        gazetteer = build_gazetteer(docs, lexicons.lemma_table)
-        for doc in docs:
-            got = loaded[doc.id]
-            assert got.text == doc.text
-            assert got.tokens == doc.tokens
-            assert got.gold_spans == doc.gold_spans
-            assert got.columns == doc.columns
-            np.testing.assert_array_equal(
-                featurize(got, gazetteer, lexicons), featurize(doc, gazetteer, lexicons)
-            )
-
-    def test_misaligned_column_file_raises(self, tmp_path):
-        self._written(tmp_path)
-        path = tmp_path / "columns.tsv"
-        blocks = read_column_file(path)
-        blocks[1][3][0] = "changed"
-        path.write_text(
-            "\n\n".join("\n".join("\t".join(r) for r in b) for b in blocks) + "\n",
-            encoding="utf-8",
-        )
-        with pytest.raises(AlignmentError, match="^a-b: ") as exc:
-            load_corpus_dir(tmp_path)
-        assert exc.value.index == 3
-        path.write_text(path.read_text(encoding="utf-8").split("\n\n", 1)[1], encoding="utf-8")
-        with pytest.raises(AlignmentError, match="28 blocks for 29 non-empty documents"):
-            load_corpus_dir(tmp_path)
-
-    def test_directory_without_documents_raises(self, tmp_path):
-        with pytest.raises(EmptyCorpus, match="missing"):
-            load_corpus_dir(tmp_path / "missing")
-        (tmp_path / "notes.md").write_text("<stime>3:30</stime>", encoding="utf-8")
-        with pytest.raises(EmptyCorpus, match=re.escape(str(tmp_path))):
-            load_corpus_dir(tmp_path)

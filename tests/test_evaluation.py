@@ -1,5 +1,6 @@
-"""Span assembly, scoring, the experiment protocol, and the transition report."""
+"""Span assembly, scoring, and the experiment protocol."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,24 +10,20 @@ import pytest
 from bien.corpus import SplitPlan, TagSpan, parse_tagged_document
 from bien.errors import InvalidSpec
 from bien.evaluation import (
-    CptReport,
     FieldScore,
     assemble_slots,
     decode,
     decode_batch,
-    learning_curve,
     macro_f1,
-    report_cpt,
     run_ablations,
     run_experiment,
     score_documents,
     slot_filler,
-    stationary_ds,
     ExperimentConfig,
 )
 from bien.features import Gazetteer, default_lexicons, feature_cardinalities, featurize
 from bien.learning import TrainConfig, encode_tags
-from bien.model import _model_body, build_model, compile_chain
+from bien.model import build_model, compile_chain
 
 from oracles import assemble_slots_reference, randomize_model, sample_example
 
@@ -339,7 +336,11 @@ class TestExperimentProtocol:
         serial = run_experiment(corpus, cfg, jobs=1)
         parallel = run_experiment(corpus, cfg, jobs=2)
         assert serial.summary() == parallel.summary()
-        assert _model_body(serial.model) == _model_body(parallel.model)
+        a, b = serial.model, parallel.model
+        assert (a.fields, a.memory, a.observables) == (b.fields, b.memory, b.observables)
+        assert sorted(a.cpts) == sorted(b.cpts)
+        for name, cpt in a.cpts.items():
+            assert np.array_equal(cpt.table, b.cpts[name].table), name
 
     def test_duplicate_document_ids_raise(self):
         corpus = tiny_corpus()
@@ -369,52 +370,22 @@ class TestExperimentProtocol:
         )
         assert results["no memory"].model.memory is False
 
-    def test_learning_curve_points(self):
-        points = learning_curve(
-            tiny_corpus(), tiny_config(runs=1), fractions=(0.5, 0.75)
-        )
-        assert [p[0] for p in points] == [0.5, 0.75]
-        for _, p, r in points:
-            assert 0.0 <= p <= 1.0
-            assert 0.0 <= r <= 1.0
+    @pytest.mark.parametrize(
+        "variants, named",
+        [
+            ((), "got []"),
+            (["no lemmas"], "unknown: ['no lemmas']"),
+            (["complete", "complete"], "repeated: ['complete']"),
+        ],
+        ids=["empty", "unknown", "repeated"],
+    )
+    def test_bad_variant_lists_raise(self, variants, named):
+        with pytest.raises(InvalidSpec, match=re.escape(named)):
+            run_ablations(tiny_corpus(), tiny_config(runs=1), variants=variants)
 
-
-# ---------------------------------------------------------------------------
-# Transition report
-# ---------------------------------------------------------------------------
-
-class TestCptReport:
-    def test_stationary_distribution(self):
-        npt.assert_allclose(stationary_ds(np.array([[0.9, 0.1], [0.2, 0.8]])),
-                            [2 / 3, 1 / 3])
-        npt.assert_allclose(stationary_ds(np.array([[1.0, 0.0], [0.0, 1.0]])),
-                            [0.5, 0.5])
-
-    def test_report_rows(self):
-        model = build_model(("stime", "etime"), {"lemma": 3}, memory=True)
-        model.cpts["ds_trans"].table[:] = [[0.9, 0.1], [0.2, 0.8]]
-        trans = model.cpts["tag_trans"]
-        bg = model.tags.background
-        # lt = none row: field mass differs per segment
-        for ds, (m0, m1) in [(0, (0.20, 0.10)), (1, (0.05, 0.25))]:
-            row = np.zeros(model.tags.size)
-            row[model.tags.begin(0)] = m0 * 0.75
-            row[model.tags.single(0)] = m0 * 0.25
-            row[model.tags.begin(1)] = m1 * 0.5
-            row[model.tags.single(1)] = m1 * 0.5
-            row[bg] = 1.0 - row.sum()
-            trans.table[bg, 0, ds] = row
-        report = report_cpt(model)
-        assert isinstance(report, CptReport)
-        assert report.rows == ("none", "stime", "etime")
-        assert report.matrix.shape == (3, 2)
-        # pi = [2/3, 1/3]; both fields get 2/3*.2+1/3*.05 vs 2/3*.1+1/3*.25 = .15
-        npt.assert_allclose(report.matrix[0], [0.5, 0.5])
-        npt.assert_allclose(report.matrix.sum(axis=1), 1.0)
-
-    def test_memoryless_model_repeats_one_row(self):
-        model = build_model(("stime", "etime"), {"lemma": 3}, memory=False)
-        report = report_cpt(model)
-        assert report.matrix.shape == (3, 2)
-        npt.assert_allclose(report.matrix[0], report.matrix[1])
-        npt.assert_allclose(report.matrix[0], report.matrix[2])
+    def test_run_reports_em_iterations(self):
+        cfg = tiny_config(runs=1)
+        cfg = replace(cfg, train=replace(cfg.train, max_iter=1))
+        (run,) = run_experiment(tiny_corpus(), cfg).runs
+        assert run.iterations == 1 and run.converged is False
+        assert len(run.log_likelihood) == 1
