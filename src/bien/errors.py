@@ -49,6 +49,18 @@ class InvalidSpec(BienError):
     example or a repeated document id."""
 
 
+class ModelFormatError(BienError):
+    """Model file cannot be read back."""
+
+
+class VersionMismatch(ModelFormatError):
+    """Serialized file carries an unsupported format version."""
+
+
+class ChecksumMismatch(ModelFormatError):
+    """Serialized file content does not match its checksum."""
+
+
 class NumericError(BienError):
     """Numerical invariants violated during inference or training."""
 

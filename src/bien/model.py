@@ -11,11 +11,12 @@ EM learns.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import ChecksumMismatch, InvalidSpec, ModelFormatError, VersionMismatch
 
 ROLE_BACKGROUND = "background"
 ROLE_BEGIN = "begin"
@@ -333,3 +334,123 @@ def compile_chain(model):
             f"compiled chain has {chain.n_states} states, expected {max_states}"
         )
     return chain
+
+
+# ---------------------------------------------------------------------------
+# Serialization
+# ---------------------------------------------------------------------------
+
+_FORMAT_LINE = "bien-model v2"
+
+
+def _model_body(model):
+    lines = []
+    lines.append("fields " + " ".join(model.fields))
+    lines.append(f"memory {int(model.memory)}")
+    for obs in model.observables:
+        lines.append(f"observable {obs.name} {obs.cardinality}")
+    for name in sorted(model.cpts):
+        cpt = model.cpts[name]
+        lines.append(f"cpt {name}")
+        lines.append("shape " + " ".join(str(n) for n in cpt.shape))
+        for row in np.ndindex(*cpt.shape[:-1]):
+            values = " ".join(repr(float(v)) for v in cpt.table[row])
+            idx = " ".join(str(i) for i in row) or "-"
+            lines.append(f"row {idx} {values}")
+        lines.append("end")
+    return "\n".join(lines) + "\n"
+
+
+def serialize_model(model, path):
+    """Write the model as versioned, checksummed, human-readable text.
+
+    Layout (v2): the format line, the SHA-256 of the body, then the body:
+    ``fields``, ``memory`` and one ``observable`` line each, followed per
+    CPT by ``cpt <name>``, ``shape``, one ``row <index> <values>`` line per
+    parent row and ``end``.
+    """
+    body = _model_body(model)
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{_FORMAT_LINE}\n")
+        fh.write(f"checksum {digest}\n")
+        fh.write(body)
+
+
+def load_model(path):
+    """Read a model back, verifying version, checksum, support, and row sums."""
+    with open(path, encoding="utf-8") as fh:
+        version = fh.readline().rstrip("\n")
+        if version != _FORMAT_LINE:
+            raise VersionMismatch(f"unsupported model format {version!r}")
+        checksum_line = fh.readline().split()
+        if len(checksum_line) != 2 or checksum_line[0] != "checksum":
+            raise ModelFormatError("missing checksum line")
+        body = fh.read()
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    if digest != checksum_line[1]:
+        raise ChecksumMismatch("model file checksum does not match its contents")
+
+    try:
+        model = _read_body(body.splitlines())
+        model.validate(atol=1e-9)
+    except (IndexError, ValueError, InvalidSpec) as exc:
+        raise ModelFormatError(f"malformed model file {path}: {exc}") from exc
+    return model
+
+
+def _read_body(lines):
+    """The model a body's lines describe. Malformed lines raise
+    :class:`ModelFormatError`, or the ``IndexError``/``ValueError`` that
+    :func:`load_model` turns into one."""
+    pos = 0
+
+    def take():
+        nonlocal pos
+        if pos >= len(lines):
+            raise ModelFormatError("unexpected end of model file")
+        line = lines[pos]
+        pos += 1
+        return line
+
+    head = take().split()
+    if head[0] != "fields":
+        raise ModelFormatError("expected fields line")
+    fields = tuple(head[1:])
+    memory = take().split()[1]
+    if memory not in ("0", "1"):
+        raise ModelFormatError(f"memory must be 0 or 1, got {memory!r}")
+    observables = []
+    while pos < len(lines) and lines[pos].startswith("observable "):
+        _, name, card = take().split()
+        observables.append((name, int(card)))
+    model = build_model(fields, observables, memory=memory == "1")
+
+    unread = set(model.cpts)
+    while pos < len(lines):
+        head = take().split()
+        if head[0] != "cpt":
+            raise ModelFormatError(f"expected cpt block, got {head[0]!r}")
+        name = head[1]
+        if name not in unread:
+            raise ModelFormatError(f"unknown or repeated cpt {name!r}")
+        unread.remove(name)
+        cpt = model.cpts[name]
+        shape = tuple(int(n) for n in take().split()[1:])
+        if shape != cpt.shape:
+            raise ModelFormatError(f"cpt {name}: shape {shape} != {cpt.shape}")
+        # rows come in the order _model_body writes them
+        for row in np.ndindex(*cpt.shape[:-1]):
+            label = [str(i) for i in row] or ["-"]
+            parts = take().split()
+            if parts[: 1 + len(label)] != ["row", *label]:
+                raise ModelFormatError(f"cpt {name}: expected row {' '.join(label)}")
+            values = parts[1 + len(label) :]
+            if len(values) != cpt.shape[-1]:
+                raise ModelFormatError(f"cpt {name}: row {row} has {len(values)} values")
+            cpt.table[row] = np.array([float(v) for v in values])
+        if take() != "end":
+            raise ModelFormatError(f"cpt {name}: expected end marker")
+    if unread:
+        raise ModelFormatError(f"missing cpt blocks: {sorted(unread)}")
+    return model
