@@ -3,6 +3,11 @@
 Documents are single token streams. Gold annotations arrive as inline
 ``<field>...</field>`` pairs; parsing strips the markup and records which
 tokens each pair covered. All offsets refer to the tag-stripped text.
+
+Every token is also an id in a :class:`TypeTable` of ``(surface, kind)``
+types, and each document keeps its table and its int array of ids. The
+annotation and feature layers work once per type, on arrays the table
+holds, and gather them through the ids.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import AlignmentError, InvalidPlan, MalformedTag
+from .errors import AlignmentError, InvalidPlan, InvalidSpec, MalformedTag
 
 KIND_WORD = "word"
 KIND_NUMBER = "number"
@@ -27,7 +32,7 @@ NA_VALUE = "NA"
 DEFAULT_FIELDS = ("speaker", "location", "stime", "etime")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     surface: str
     start: int
@@ -35,8 +40,10 @@ class Token:
     kind: str
 
     def __post_init__(self):
-        if self.start >= self.end:
-            raise ValueError(f"empty token span [{self.start}, {self.end})")
+        if not self.surface or self.start >= self.end:
+            raise InvalidSpec(
+                f"empty token {self.surface!r} at [{self.start}, {self.end})"
+            )
 
 
 @dataclass(frozen=True)
@@ -49,7 +56,7 @@ class TagSpan:
 
     def __post_init__(self):
         if not 0 <= self.start_token <= self.end_token:
-            raise ValueError(f"bad span range {self.start_token}..{self.end_token}")
+            raise InvalidSpec(f"bad span range {self.start_token}..{self.end_token}")
 
 
 @dataclass(frozen=True)
@@ -62,11 +69,21 @@ class LintIssue:
 
 @dataclass(frozen=True)
 class Document:
+    """A token stream with its gold spans and annotation columns.
+
+    ``types`` is the :class:`TypeTable` that ``type_ids`` index, one id per
+    token. Neither is compared. A document built without them gets them
+    from its tokens on the first call to :meth:`typed`.
+    """
+
     id: str
     text: str
     tokens: tuple[Token, ...]
     gold_spans: tuple[TagSpan, ...] = ()
     columns: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    types: TypeTable | None = field(default=None, repr=False, compare=False)
+    type_ids: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _codes: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, values in self.columns.items():
@@ -75,6 +92,10 @@ class Document:
                     f"column {name!r} has {len(values)} values for "
                     f"{len(self.tokens)} tokens"
                 )
+        if self.type_ids is not None and len(self.type_ids) != len(self.tokens):
+            raise AlignmentError(
+                f"{len(self.type_ids)} type ids for {len(self.tokens)} tokens"
+            )
 
     def __len__(self):
         return len(self.tokens)
@@ -83,11 +104,35 @@ class Document:
     def surfaces(self):
         return tuple(t.surface for t in self.tokens)
 
+    def typed(self):
+        """``(types, type_ids)``: the table and the ids of the tokens' types,
+        taken from the tokens in the tokenizer's current table if the
+        document was built without them."""
+        if self.type_ids is None:
+            table = _current_types()
+            ids = [table.id_of(t.surface, t.kind) for t in self.tokens]
+            object.__setattr__(self, "types", table)
+            object.__setattr__(self, "type_ids", np.array(ids, dtype=np.int32))
+        return self.types, self.type_ids
+
     def column(self, name):
         """Per-token values for a column, or all-NA when absent."""
         if name in self.columns:
             return self.columns[name]
         return (NA_VALUE,) * len(self.tokens)
+
+    def column_codes(self, name, code_of):
+        """``code_of(value)`` per token of column ``name`` as an int8 array,
+        coding each distinct value once. The array is kept on the document."""
+        if self._codes is None:
+            object.__setattr__(self, "_codes", {})
+        key = (name, code_of)
+        got = self._codes.get(key)
+        if got is None:
+            values = self.column(name)
+            codes = {v: code_of(v) for v in set(values)}
+            got = self._codes[key] = np.array([codes[v] for v in values], dtype=np.int8)
+        return got
 
     def with_columns(self, **cols):
         merged = dict(self.columns)
@@ -152,7 +197,7 @@ def _accept_whole(s, abbreviations):
 
 
 def _split_chunk(chunk, abbreviations):
-    """Split one whitespace-delimited chunk into (surface, offset, kind) pieces."""
+    """Split one whitespace-delimited chunk into (surface, offset) pieces."""
     pieces = []
     tail = []
     s = chunk
@@ -182,11 +227,66 @@ def _split_chunk(chunk, abbreviations):
         pieces.append((s[:cut], off))
         s, off = s[cut:], off + cut
     pieces.extend(reversed(tail))
-    return tuple((piece, at, token_kind(piece)) for piece, at in pieces)
+    return pieces
 
 
-# Bound on every per-type memo: a full memo starts over.
+# Bound on the chunk memo and on the type table that tokenize fills.
 _MEMO_LIMIT = 1 << 16
+
+
+class TypeTable:
+    """An append-only table of ``(surface, kind)`` token types; a type's id
+    is its index.
+
+    :meth:`column` keeps arrays of per-type values derived from the table,
+    each computed once per context and then extended for new types only.
+    """
+
+    def __init__(self):
+        self.surfaces = []
+        self.kinds = []
+        self._ids = {}
+        self._columns = {}
+
+    def __len__(self):
+        return len(self.surfaces)
+
+    def __getstate__(self):
+        # a pickled table rebuilds its columns where it is used
+        return {**self.__dict__, "_columns": {}}
+
+    def id_of(self, surface, kind):
+        key = (surface, kind)
+        got = self._ids.get(key)
+        if got is None:
+            got = self._ids[key] = len(self.surfaces)
+            self.surfaces.append(surface)
+            self.kinds.append(kind)
+        return got
+
+    def column(self, compute, *context):
+        """The array of ``compute`` over every type. ``compute(table, start,
+        *context)`` returns the values of types ``start`` onwards. A column is
+        kept per ``compute``: it is computed afresh when the context differs
+        (item by item, by identity or ``==``) and extended for types added
+        since it was last read."""
+        n = len(self.surfaces)
+        have = self._columns.get(compute)
+        if have is None or have[0] != context:
+            values, done = compute(self, 0, *context), n
+        else:
+            _, values, done = have
+            if done < n:
+                new = compute(self, done, *context)
+                if len(values) < n:
+                    # room for as many again, so that extending per document stays linear
+                    grown = np.empty((2 * n, *values.shape[1:]), dtype=values.dtype)
+                    grown[:done] = values[:done]
+                    values = grown
+                values[done:n] = new
+                done = n
+        self._columns[compute] = (context, values, done)
+        return values[:done]
 
 
 class TypeMemo(dict):
@@ -211,31 +311,58 @@ class TypeMemo(dict):
         return value
 
 
-_chunk_memo = TypeMemo(_split_chunk)
+def _typed_pieces(chunk, abbreviations, table):
+    """The chunk's ``(surface, offset, kind, type id)`` pieces."""
+    typed = []
+    for surface, at in _split_chunk(chunk, abbreviations):
+        kind = token_kind(surface)
+        typed.append((surface, at, kind, table.id_of(surface, kind)))
+    return tuple(typed)
+
+
+_chunk_memo = TypeMemo(_typed_pieces)
+_types = TypeTable()
+
+
+def _current_types():
+    """The table that new tokens get their type ids from. A table that holds
+    ``_MEMO_LIMIT`` types is left to the documents that use it, and a new
+    one is started."""
+    global _types
+    if len(_types) >= _MEMO_LIMIT:
+        _types = TypeTable()
+    return _types
 
 
 def tokenize(text, abbreviations=frozenset()):
-    """Split raw text into tokens, separating punctuation from words.
+    """Split raw text into tokens, separating punctuation from words, and
+    give each token the id of its type.
 
     Punctuation becomes its own token except for periods on known
     abbreviations, decimal points, and punctuation internal to emails,
     URLs, and glued alphanumeric forms. ``abbreviations`` entries carry
     their trailing period ("dr.") and are matched case-insensitively.
 
-    Each distinct chunk is split once into (surface, offset, kind) pieces, kept in
-    a :class:`TypeMemo` bound to ``frozenset(abbreviations)``, of at most ``_MEMO_LIMIT`` chunks.
+    Returns ``(tokens, types, type_ids)``: the tokens, the :class:`TypeTable`
+    their types are in and an int array of their ids. Each distinct chunk is
+    split once into pieces with their type ids, kept in a :class:`TypeMemo`
+    bound to ``frozenset(abbreviations)`` and the table, of at most
+    ``_MEMO_LIMIT`` chunks.
     """
-    pieces_of = _chunk_memo.bind(frozenset(abbreviations))
+    table = _current_types()
+    pieces_of = _chunk_memo.bind(frozenset(abbreviations), table)
     tokens = []
+    ids = []
     base = 0
     for chunk in text.split():
         # only whitespace lies between the last chunk and this one
         base = text.find(chunk, base)
-        for surface, off, kind in pieces_of[chunk]:
+        for surface, off, kind, type_id in pieces_of[chunk]:
             start = base + off
             tokens.append(Token(surface, start, start + len(surface), kind))
+            ids.append(type_id)
         base += len(chunk)
-    return tuple(tokens)
+    return tuple(tokens), table, np.array(ids, dtype=np.int32)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +418,7 @@ def parse_tagged_document(raw, doc_id="doc", fields=DEFAULT_FIELDS, abbreviation
     pieces.append(raw[last:])
     text = "".join(pieces)
 
-    tokens = tokenize(text, abbreviations)
+    tokens, types, type_ids = tokenize(text, abbreviations)
     # tokens are ordered and disjoint, so both boundary lists are sorted
     starts = [t.start for t in tokens]
     ends = [t.end for t in tokens]
@@ -331,7 +458,7 @@ def parse_tagged_document(raw, doc_id="doc", fields=DEFAULT_FIELDS, abbreviation
         spans.append(TagSpan(name, inside[0], inside[-1]))
 
     spans.sort(key=lambda s: s.start_token)
-    doc = Document(doc_id, text, tokens, tuple(spans))
+    doc = Document(doc_id, text, tokens, tuple(spans), types=types, type_ids=type_ids)
     return doc, issues
 
 

@@ -46,7 +46,7 @@ class InvalidSpec(BienError):
     """A declaration or an argument is inconsistent: a bad field list, an
     empty or repeated observable, a CPT off its support, an unknown feature
     mask or match mode, gazetteer ids that are not 1..V, a malformed training
-    example or a repeated document id."""
+    example, a repeated document id, an empty token or an inverted span."""
 
 
 class ModelFormatError(BienError):

@@ -43,19 +43,26 @@ def assemble_slots(tag_seq, tag_space):
     spans = []
     diagnostics = {"unterminated": 0, "orphan_inside": 0, "orphan_end": 0}
     open_run = None  # (field index, start token)
-    # a trailing background tag closes a run still open at the end
-    for t, tag in enumerate([*np.asarray(tag_seq).tolist(), tag_space.background]):
-        if tag == tag_space.background and open_run is None:
-            continue
+    tags = np.asarray(tag_seq)
+    labelled = np.flatnonzero(tags != tag_space.background)
+    last = None  # the labelled token before t
+
+    def close_open_run():
+        spans.append(TagSpan(fields[open_run[0]], open_run[1], last))
+        diagnostics["unterminated"] += 1
+
+    # only labelled tokens are visited: a background token between two of
+    # them, or after the last, closes a run left open
+    for t, tag in zip(labelled.tolist(), tags[labelled].tolist()):
         role, fi = tag_space.role(tag), tag_space.field_index(tag)
         if open_run is not None:
-            if open_run[0] == fi and role in (ROLE_INSIDE, ROLE_END):
+            if t == last + 1 and open_run[0] == fi and role in (ROLE_INSIDE, ROLE_END):
                 if role == ROLE_END:
                     spans.append(TagSpan(fields[fi], open_run[1], t))
                     open_run = None
+                last = t
                 continue
-            spans.append(TagSpan(fields[open_run[0]], open_run[1], t - 1))
-            diagnostics["unterminated"] += 1
+            close_open_run()
             open_run = None
         # an inside or end tag that reaches here continues no open run
         if role == ROLE_INSIDE:
@@ -64,8 +71,11 @@ def assemble_slots(tag_seq, tag_space):
             diagnostics["orphan_end"] += 1
         if role in (ROLE_BEGIN, ROLE_INSIDE):
             open_run = (fi, t)
-        elif fi is not None:  # end or single: a one-token span
+        else:  # end or single: a one-token span
             spans.append(TagSpan(fields[fi], t, t))
+        last = t
+    if open_run is not None:
+        close_open_run()
     return spans, diagnostics
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import KIND_PUNCT, KIND_SYMBOL, KIND_WORD, NA_VALUE, Token, TypeMemo
+from .corpus import KIND_PUNCT, KIND_SYMBOL, KIND_WORD, NA_VALUE
 from .errors import EmptyVocabulary, InvalidSpec, MissingResource
 from . import resources
 
@@ -79,6 +79,8 @@ def case_feature(surface):
 
 def length_feature(surface):
     n = len(surface)
+    if n == 0:
+        raise InvalidSpec("an empty surface has no length bucket")
     if n <= 3:
         return LENGTH_BUCKETS[n - 1]
     if n <= 5:
@@ -97,8 +99,9 @@ def lemmatise(surface, table):
 class LexiconSet:
     """The word lists consulted by the semantic feature, plus the lemma table.
 
-    Semantic codes are not memoized on the set: :func:`featurize` caches each
-    type's code with its other codes, in a memo bounded by ``_MEMO_LIMIT`` types.
+    :func:`featurize` codes each token type against a set once, in a column
+    of the type's :class:`~bien.corpus.TypeTable`, and again only for a set
+    that differs.
     """
 
     titles: frozenset
@@ -132,15 +135,15 @@ def _matches_time(low):
     return any(p.fullmatch(low) for p in _TIME_PATTERNS)
 
 
-def semantic_feature(token, lexicons):
-    """Classify a token against the lexicons, most specific class first.
+def semantic_feature(surface, kind, lexicons):
+    """Classify a token type against the lexicons, most specific class first.
 
     Priority runs Title > first/last name > Location > Time. Name class is
     decided by frequency rank (lower rank wins, ties go to LastName). Word
     lists only apply to word tokens; time patterns apply to any token.
     """
-    low = token.surface.lower()
-    if token.kind == KIND_WORD:
+    low = surface.lower()
+    if kind == KIND_WORD:
         if low in lexicons.titles:
             return "Title"
         first = lexicons.firstnames.get(low)
@@ -165,8 +168,9 @@ class Gazetteer:
 
     Ids 1..V cover the vocabulary in descending corpus frequency; V+1 is
     out-of-vocabulary and V+2 is not-a-word (punctuation and symbols).
-    :meth:`lookup` is not memoized: :func:`featurize` caches each type's id
-    with its other codes, in a memo bounded by ``_MEMO_LIMIT`` types.
+    :func:`featurize` looks each token type up once per gazetteer, in a
+    column of the type's :class:`~bien.corpus.TypeTable`; an equal
+    gazetteer shares that column.
     """
 
     def __init__(self, ids, lemma_table):
@@ -195,15 +199,26 @@ class Gazetteer:
         """Number of distinct ids a token can map to."""
         return len(self.ids) + 2
 
-    def lookup(self, token):
-        if token.kind in (KIND_PUNCT, KIND_SYMBOL):
+    def lookup(self, surface, kind):
+        """The id of a token type."""
+        if kind in (KIND_PUNCT, KIND_SYMBOL):
             return self.naw_id
-        lemma = lemmatise(token.surface, self.lemma_table)
-        got = self.ids.get(lemma)
+        got = self.ids.get(lemmatise(surface, self.lemma_table))
         if got is None:
             # surfaces whose lemma is unlisted may still match directly
-            got = self.ids.get(token.surface.lower())
+            got = self.ids.get(surface.lower())
         return got if got is not None else self.oov_id
+
+
+def _lemma_keys(table, start, lemma_table):
+    """Per type from ``start``: its lemma, or None for punctuation and symbols."""
+    return np.array(
+        [
+            None if kind in (KIND_PUNCT, KIND_SYMBOL) else lemmatise(surface, lemma_table)
+            for surface, kind in zip(table.surfaces[start:], table.kinds[start:])
+        ],
+        dtype=object,
+    )
 
 
 def build_gazetteer(docs, lemma_table, window=3, min_freq=3, max_size=1200):
@@ -213,25 +228,33 @@ def build_gazetteer(docs, lemma_table, window=3, min_freq=3, max_size=1200):
     (span tokens included). A candidate enters the vocabulary when its
     whole-corpus lemma frequency reaches ``min_freq``; the vocabulary is
     cut to the ``max_size`` most frequent (ties broken alphabetically).
+    Tokens are counted per type and summed per lemma; each type's lemma is
+    computed once per lemma table.
     """
+    by_table = {}
+    for doc in docs:
+        table, _ = doc.typed()
+        by_table.setdefault(table, []).append(doc)
     freq = {}
     candidates = set()
-    for doc in docs:
-        lemmas = [
-            None
-            if t.kind in (KIND_PUNCT, KIND_SYMBOL)
-            else lemmatise(t.surface, lemma_table)
-            for t in doc.tokens
-        ]
-        for lem in lemmas:
+    for table, group in by_table.items():
+        lemmas = table.column(_lemma_keys, lemma_table)
+        counts = np.bincount(
+            np.concatenate([doc.type_ids for doc in group]), minlength=len(table)
+        )
+        near = np.zeros(len(table), dtype=bool)
+        for doc in group:
+            last = len(doc.tokens) - 1
+            for span in doc.gold_spans:
+                lo = max(0, span.start_token - window)
+                near[doc.type_ids[lo : min(last, span.end_token + window) + 1]] = True
+        seen = np.flatnonzero(counts)
+        for t, n, is_near in zip(seen.tolist(), counts[seen].tolist(), near[seen].tolist()):
+            lem = lemmas[t]
             if lem is not None:
-                freq[lem] = freq.get(lem, 0) + 1
-        for span in doc.gold_spans:
-            lo = max(0, span.start_token - window)
-            hi = min(len(doc.tokens) - 1, span.end_token + window)
-            for i in range(lo, hi + 1):
-                if lemmas[i] is not None:
-                    candidates.add(lemmas[i])
+                freq[lem] = freq.get(lem, 0) + n
+                if is_near:
+                    candidates.add(lem)
     kept = [lem for lem in candidates if freq[lem] >= min_freq]
     kept.sort(key=lambda lem: (-freq[lem], lem))
     kept = kept[:max_size]
@@ -257,23 +280,38 @@ def feature_cardinalities(gazetteer):
     }
 
 
-def _type_codes(key, gazetteer, lexicons):
-    """The codes of one (surface, kind) type as the bytes of an int16 feature
-    row; the pos and chunk cells are 0, as they come from the document's columns."""
-    surface, kind = key
-    token = Token(surface, 0, len(surface), kind)
-    row = (gazetteer.lookup(token) - 1, 0, 0, SEMANTIC.index(semantic_feature(token, lexicons)),
-           CASES.index(case_feature(surface)), LENGTH_BUCKETS.index(length_feature(surface)))
-    return np.array(row, dtype=np.int16).tobytes()
+def _lexicon_codes(table, start, lexicons):
+    """Per type from ``start``: its semantic, case and length codes."""
+    return np.array(
+        [
+            (
+                SEMANTIC.index(semantic_feature(surface, kind, lexicons)),
+                CASES.index(case_feature(surface)),
+                LENGTH_BUCKETS.index(length_feature(surface)),
+            )
+            for surface, kind in zip(table.surfaces[start:], table.kinds[start:])
+        ],
+        dtype=np.int16,
+    ).reshape(-1, 3)
 
 
-_type_memo = TypeMemo(_type_codes)
+def _type_codes(table, start, gazetteer, lexicons):
+    """Per type from ``start``: its row of feature codes, with 0 in the pos
+    and chunk cells, which come from the document's columns."""
+    rows = np.zeros((len(table) - start, len(FEATURE_NAMES)), dtype=np.int16)
+    rows[:, 0] = [
+        gazetteer.lookup(*t) - 1 for t in zip(table.surfaces[start:], table.kinds[start:])
+    ]
+    rows[:, 3:] = table.column(_lexicon_codes, lexicons)[start:]
+    return rows
 
 
-def _column_codes(values, code_of):
-    """Code each distinct value of a column once."""
-    codes = {v: code_of(v) for v in set(values)}
-    return [codes[v] for v in values]
+def _pos_code(value):
+    return POS_CLUSTERS.index(pos_cluster(value))
+
+
+def _chunk_code(value):
+    return CHUNKS.index(chunk_flatten(value))
 
 
 def featurize(doc, gazetteer, lexicons, mask=()):
@@ -284,9 +322,10 @@ def featurize(doc, gazetteer, lexicons, mask=()):
     Masked features are -1 throughout. POS and chunk columns come from the
     document's annotation columns and degrade to their NA codes when absent.
 
-    Each distinct (surface, kind) is coded once, in a :class:`~bien.corpus.TypeMemo`
-    bound to ``(gazetteer, lexicons)`` that holds at most ``_MEMO_LIMIT`` types;
-    pos and chunk codes once per distinct value in the document's columns.
+    The other codes are one gather of per-type rows, kept as a column of the
+    document's :class:`~bien.corpus.TypeTable` and computed once per
+    gazetteer and lexicon set; the semantic, case and length codes in them
+    once per lexicon set. POS and chunk codes are computed once per document.
     """
     mask = set(mask)
     unknown = mask - set(FEATURE_NAMES)
@@ -295,11 +334,10 @@ def featurize(doc, gazetteer, lexicons, mask=()):
     if gazetteer is None or lexicons is None:
         raise MissingResource("featurize needs both a gazetteer and lexicons")
 
-    codes = _type_memo.bind(gazetteer, lexicons)
-    rows = bytearray().join([codes[t.surface, t.kind] for t in doc.tokens])  # writable
-    out = np.frombuffer(rows, dtype=np.int16).reshape(len(doc.tokens), len(FEATURE_NAMES))
-    out[:, 1] = _column_codes(doc.column("pos"), lambda v: POS_CLUSTERS.index(pos_cluster(v)))
-    out[:, 2] = _column_codes(doc.column("chunk"), lambda v: CHUNKS.index(chunk_flatten(v)))
+    table, ids = doc.typed()
+    out = table.column(_type_codes, gazetteer, lexicons)[ids]
+    out[:, 1] = doc.column_codes("pos", _pos_code)
+    out[:, 2] = doc.column_codes("chunk", _chunk_code)
     for k, name in enumerate(FEATURE_NAMES):
         if name in mask:
             out[:, k] = MASKED

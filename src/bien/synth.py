@@ -24,13 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import (
-    KIND_NUMBER,
-    KIND_PUNCT,
-    KIND_SYMBOL,
-    TypeMemo,
-    parse_tagged_document,
-)
+from .corpus import KIND_NUMBER, KIND_PUNCT, KIND_SYMBOL, parse_tagged_document
 from .resources import load_ranked, load_wordlist
 
 DEFAULT_DOCS = 485
@@ -432,14 +426,19 @@ def _pos_of(surface, kind):
     return "NNP" if surface[:1].isupper() else "NN"
 
 
-_pos_memo = TypeMemo(lambda key: _pos_of(*key))
+def _pos_chunk_tags(table, start):
+    """Per type from ``start``: its POS and chunk tags."""
+    pos = [_pos_of(*t) for t in zip(table.surfaces[start:], table.kinds[start:])]
+    return np.array([(p, _CHUNK_OF_POS.get(p, "NA")) for p in pos], dtype=object).reshape(-1, 2)
 
 
 def annotate(doc):
-    """Attach heuristic pos/chunk columns, POS-tagging each distinct
-    (surface, kind) once in a module-wide :class:`~bien.corpus.TypeMemo`."""
-    pos = [_pos_memo[t.surface, t.kind] for t in doc.tokens]
-    return doc.with_columns(pos=pos, chunk=[_CHUNK_OF_POS.get(p, "NA") for p in pos])
+    """Attach heuristic pos/chunk columns. Both are functions of the token
+    type, so each type is tagged once, in a column of its
+    :class:`~bien.corpus.TypeTable`, and the document's tags are gathered."""
+    table, ids = doc.typed()
+    tags = table.column(_pos_chunk_tags)[ids]
+    return doc.with_columns(pos=tags[:, 0].tolist(), chunk=tags[:, 1].tolist())
 
 
 def generate_corpus(n_docs=DEFAULT_DOCS, seed=DEFAULT_SEED):

@@ -12,10 +12,10 @@ for ``chain_estep``. ``observed_counts`` tallies the counts of
 fully observed ``SegmentedExample`` data, which the exact
 maximum-likelihood tests normalize with the package's M-step.
 ``sample_example`` and ``sample_corpus`` draw test data from a model's
-generative story. ``viterbi_reference`` and ``featurize_reference`` are
-the plain per-step and per-token versions of the package's ``viterbi``
-(and ``viterbi_batch``) and ``featurize``, which must match them bit for
-bit.
+generative story. ``viterbi_reference``, ``featurize_reference`` and
+``build_gazetteer_reference`` are the plain per-step and per-token
+versions of the package's ``viterbi`` (and ``viterbi_batch``),
+``featurize`` and ``build_gazetteer``, which must match them bit for bit.
 ``assemble_slots_reference`` is the branch-per-role version of
 ``assemble_slots``. ``tag_spans_reference`` maps tag pairs to tokens by
 scanning every token for every pair, the longhand form of the bisection
@@ -36,8 +36,10 @@ from bien.corpus import (
     TagSpan,
     Token,
     _split_chunk,
+    token_kind,
 )
 from bien.errors import (
+    EmptyVocabulary,
     InconsistentGold,
     InvalidSpec,
     MissingResource,
@@ -48,6 +50,7 @@ from bien.features import (
     CASES,
     CHUNKS,
     FEATURE_NAMES,
+    Gazetteer,
     LENGTH_BUCKETS,
     MASKED,
     POS_CLUSTERS,
@@ -637,6 +640,37 @@ def _gazetteer_id(gazetteer, token):
     return got if got is not None else gazetteer.oov_id
 
 
+def build_gazetteer_reference(docs, lemma_table, window=3, min_freq=3, max_size=1200):
+    """The package's earlier ``build_gazetteer``: every token lemmatised and
+    counted on its own, every window scanned token by token."""
+    freq = {}
+    candidates = set()
+    for doc in docs:
+        lemmas = [
+            None
+            if t.kind in (KIND_PUNCT, KIND_SYMBOL)
+            else lemmatise(t.surface, lemma_table)
+            for t in doc.tokens
+        ]
+        for lem in lemmas:
+            if lem is not None:
+                freq[lem] = freq.get(lem, 0) + 1
+        for span in doc.gold_spans:
+            lo = max(0, span.start_token - window)
+            hi = min(len(doc.tokens) - 1, span.end_token + window)
+            for i in range(lo, hi + 1):
+                if lemmas[i] is not None:
+                    candidates.add(lemmas[i])
+    kept = [lem for lem in candidates if freq[lem] >= min_freq]
+    kept.sort(key=lambda lem: (-freq[lem], lem))
+    kept = kept[:max_size]
+    if not kept:
+        raise EmptyVocabulary(
+            f"no lemma near a gold span reaches frequency {min_freq}"
+        )
+    return Gazetteer({lem: i + 1 for i, lem in enumerate(kept)}, lemma_table)
+
+
 def featurize_reference(doc, gazetteer, lexicons, mask=()):
     """Every feature of every token computed afresh, one cell at a time."""
     mask = set(mask)
@@ -658,7 +692,7 @@ def featurize_reference(doc, gazetteer, lexicons, mask=()):
         if "chunk" not in mask:
             out[t, 2] = CHUNKS.index(chunk_flatten(chunk_col[t]))
         if "semantic" not in mask:
-            out[t, 3] = SEMANTIC.index(semantic_feature(tok, lexicons))
+            out[t, 3] = SEMANTIC.index(semantic_feature(tok.surface, tok.kind, lexicons))
         if "case" not in mask:
             out[t, 4] = CASES.index(case_feature(tok.surface))
         if "length" not in mask:
@@ -708,11 +742,11 @@ def tag_spans_reference(doc_id, tokens, char_spans, fields):
 
 
 def tokenize_reference(text, abbreviations=frozenset()):
-    """``tokenize`` with no memo: every whitespace chunk is split and
-    classified on its own."""
+    """The tokens of ``tokenize`` with no memo: every whitespace chunk is
+    split and classified on its own."""
     tokens = []
     for m in re.finditer(r"\S+", text):
-        for surface, off, kind in _split_chunk(m.group(), abbreviations):
+        for surface, off in _split_chunk(m.group(), abbreviations):
             start = m.start() + off
-            tokens.append(Token(surface, start, start + len(surface), kind))
+            tokens.append(Token(surface, start, start + len(surface), token_kind(surface)))
     return tuple(tokens)

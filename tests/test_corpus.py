@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,11 +13,13 @@ from bien.corpus import (
     Document,
     SplitPlan,
     TagSpan,
+    Token,
+    TypeTable,
     parse_tagged_document,
     split,
     tokenize,
 )
-from bien.errors import AlignmentError, DataError, InvalidPlan, MalformedTag
+from bien.errors import AlignmentError, DataError, InvalidPlan, InvalidSpec, MalformedTag
 from bien.resources import load_abbreviations
 from bien.synth import generate_corpus
 
@@ -23,7 +27,7 @@ ABBREV = load_abbreviations()
 
 
 def surfaces(text):
-    return [t.surface for t in tokenize(text, ABBREV)]
+    return [t.surface for t in tokenize(text, ABBREV)[0]]
 
 
 class TestTokenize:
@@ -36,7 +40,7 @@ class TestTokenize:
         assert surfaces("at 1 am.") == ["at", "1", "am", "."]
 
     def test_kinds(self):
-        kinds = [t.kind for t in tokenize("Dr. Steals, worth $10.5 mil.", ABBREV)]
+        kinds = [t.kind for t in tokenize("Dr. Steals, worth $10.5 mil.", ABBREV)[0]]
         assert kinds == [
             "word", "word", "punctuation", "word", "symbol", "number", "word",
         ]
@@ -61,7 +65,7 @@ class TestTokenize:
 
     def test_offsets_index_source_text(self):
         text = "  Dr. Steals,\n worth $10.5 mil."
-        for tok in tokenize(text, ABBREV):
+        for tok in tokenize(text, ABBREV)[0]:
             assert text[tok.start : tok.end] == tok.surface
 
     def test_reconstruction_preserves_non_whitespace(self):
@@ -72,7 +76,7 @@ class TestTokenize:
     @settings(max_examples=200, deadline=None)
     @given(st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=80))
     def test_offsets_sound_on_arbitrary_text(self, text):
-        toks = tokenize(text, ABBREV)
+        toks = tokenize(text, ABBREV)[0]
         prev_end = -1
         for tok in toks:
             assert text[tok.start : tok.end] == tok.surface
@@ -99,7 +103,8 @@ class TestTokenizeMatchesReference:
         for doc in generate_corpus(n_docs, seed):
             want = tokenize_reference(doc.text, ABBREV)
             assert doc.tokens == want
-            assert tokenize(doc.text, ABBREV) == want
+            assert tokenize(doc.text, ABBREV)[0] == want
+            assert_ids_name_types(doc)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -114,35 +119,111 @@ class TestTokenizeMatchesReference:
     def test_mixed_texts(self, parts):
         text = "".join("".join(chunk) + gap for chunk, gap in parts)
         for abbreviations in (ABBREV, frozenset()):
-            assert tokenize(text, abbreviations) == tokenize_reference(text, abbreviations)
+            tokens, types, type_ids = tokenize(text, abbreviations)
+            assert tokens == tokenize_reference(text, abbreviations)
+            assert_ids_name_types(Document("d", text, tokens, types=types, type_ids=type_ids))
 
     def test_memo_keys_on_a_frozen_copy_of_the_abbreviations(self):
         text = "Dr. mil."
         mutable = {"dr."}
-        assert [t.surface for t in tokenize(text, mutable)] == ["Dr.", "mil", "."]
+        assert [t.surface for t in tokenize(text, mutable)[0]] == ["Dr.", "mil", "."]
         mutable.add("mil.")  # the memo must not still answer for {"dr."}
-        assert [t.surface for t in tokenize(text, mutable)] == ["Dr.", "mil."]
+        assert [t.surface for t in tokenize(text, mutable)[0]] == ["Dr.", "mil."]
         for abbreviations in (ABBREV, frozenset(), {"mil."}, frozenset({"dr."}), mutable):
-            assert tokenize(text, abbreviations) == tokenize_reference(text, abbreviations)
+            assert tokenize(text, abbreviations)[0] == tokenize_reference(text, abbreviations)
 
     def test_memo_that_starts_over_mid_corpus(self, monkeypatch):
         monkeypatch.setattr(corpus_module, "_MEMO_LIMIT", 7)
         corpus_module._chunk_memo.clear()
         for doc in generate_corpus(60, 5):
-            assert tokenize(doc.text, ABBREV) == tokenize_reference(doc.text, ABBREV)
+            assert tokenize(doc.text, ABBREV)[0] == tokenize_reference(doc.text, ABBREV)
             assert len(corpus_module._chunk_memo) <= 7
 
     @pytest.mark.parametrize("limit", [None, 5])
     def test_annotate_follows_the_per_token_pos_rule(self, monkeypatch, limit):
         if limit is not None:
             monkeypatch.setattr(corpus_module, "_MEMO_LIMIT", limit)
-            synth._pos_memo.clear()
-        for doc in generate_corpus(60, 5):
+        docs = generate_corpus(60, 5)
+        if limit is not None:  # the type table started over between documents
+            assert len({id(doc.types) for doc in docs}) > 2
+        for doc in docs:
+            assert_ids_name_types(doc)
             pos = tuple(synth._pos_of(t.surface, t.kind) for t in doc.tokens)
             assert doc.column("pos") == pos
             assert doc.column("chunk") == tuple(synth._CHUNK_OF_POS.get(p, "NA") for p in pos)
-        if limit is not None:
-            assert len(synth._pos_memo) <= limit
+
+
+def assert_ids_name_types(doc):
+    table, ids = doc.typed()
+    assert ids.dtype == np.int32 and len(ids) == len(doc.tokens)
+    assert [(table.surfaces[i], table.kinds[i]) for i in ids.tolist()] == [
+        (t.surface, t.kind) for t in doc.tokens
+    ]
+
+
+class TestTypeIds:
+    def test_one_id_per_type(self):
+        text = "Dr. Who , dr. who , Dr. Who"
+        tokens, table, ids = tokenize(text, ABBREV)
+        assert ids[0] == ids[6] and ids[1] == ids[7] and ids[2] == ids[5]
+        assert ids[0] != ids[3]  # case makes another type
+        assert_ids_name_types(Document("d", text, tokens, types=table, type_ids=ids))
+
+    def test_hand_built_document_gets_ids_from_its_tokens(self):
+        kinds = ("word", "mixed", "word")
+        tokens = tuple(Token("hall", 5 * i, 5 * i + 4, kind) for i, kind in enumerate(kinds))
+        doc = Document("d", "hall hall hall", tokens)
+        assert doc.type_ids is None
+        table, ids = doc.typed()
+        assert ids[0] == ids[2] != ids[1]
+        assert doc.typed()[1] is ids
+        assert_ids_name_types(doc)
+
+    def test_ids_are_not_compared_and_must_fit_the_tokens(self):
+        doc, _ = parse_tagged_document("a b a", doc_id="d")
+        assert doc == Document("d", "a b a", doc.tokens)
+        with pytest.raises(AlignmentError):
+            Document("d", "a", doc.tokens, types=doc.types, type_ids=doc.type_ids[:2])
+
+    def test_a_pickled_document_carries_its_table(self):
+        doc = generate_corpus(3, 9)[2]
+        again = pickle.loads(pickle.dumps(doc))
+        assert again == doc and again.types is not doc.types
+        np.testing.assert_array_equal(again.type_ids, doc.type_ids)
+        assert_ids_name_types(again)
+
+
+class TestTypeTable:
+    def test_column_extends_for_new_types_and_restarts_for_a_new_context(self):
+        table = TypeTable()
+        starts = []
+
+        def lengths(table, start, offset):
+            starts.append(start)
+            return np.array([len(s) + offset for s in table.surfaces[start:]])
+
+        for n in range(1, 41):
+            assert table.id_of("x" * n, "word") == n - 1
+            assert table.id_of("x" * n, "word") == n - 1
+            assert table.column(lengths, 0).tolist() == list(range(1, n + 1))
+        assert starts == list(range(40))  # each read computed only the new type
+        assert table.column(lengths, 0).tolist() == list(range(1, 41))
+        assert table.column(lengths, 1).tolist() == list(range(2, 42))
+        assert starts[40:] == [0]
+        assert len(table) == 40 and table.id_of("x", "mixed") == 40
+
+
+class TestEmptyTokensAndSpans:
+    def test_empty_or_inverted_token_raises_invalid_spec(self):
+        for args in (("", 0, 1), ("a", 1, 1), ("ab", 2, 0)):
+            with pytest.raises(InvalidSpec):
+                Token(*args, "word")
+
+    def test_inverted_span_raises_invalid_spec(self):
+        for start, end in ((2, 1), (-1, 0)):
+            with pytest.raises(InvalidSpec):
+                TagSpan("speaker", start, end)
+        assert TagSpan("speaker", 1, 1).end_token == 1
 
 
 class TestParseTagged:
@@ -226,7 +307,7 @@ class TestSpanMappingMatchesReference:
         """Up to three tag pairs near one spot: a whitespace gap between two
         tokens, or two offsets that are each either random or snapped to a
         token boundary, some of them made zero-width."""
-        tokens = tokenize(text, ABBREV)
+        tokens = tokenize(text, ABBREV)[0]
         bounds = [b for t in tokens for b in (t.start, t.end)]
         gaps = [(a.end, b.start) for a, b in zip(tokens, tokens[1:])]
         center = int(rng.integers(0, len(text) + 1))

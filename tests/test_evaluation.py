@@ -106,6 +106,18 @@ class TestAssembleSlots:
             seq = rng.integers(0, space.size, size=int(rng.integers(0, 12)))
             assert assemble_slots(seq, space) == assemble_slots_reference(seq, space)
 
+    @pytest.mark.parametrize("n_fields", [1, 2, 4])
+    def test_matches_reference_across_long_background_runs(self, n_fields):
+        space = tiny_space(n_fields)
+        rng = np.random.default_rng(10 + n_fields)
+        for _ in range(500):
+            pieces = [np.full(int(rng.integers(0, 30)), space.background)]
+            for _ in range(int(rng.integers(0, 6))):
+                pieces.append(rng.integers(0, space.size, size=int(rng.integers(1, 5))))
+                pieces.append(np.full(int(rng.integers(0, 30)), space.background))
+            seq = np.concatenate(pieces)
+            assert assemble_slots(seq, space) == assemble_slots_reference(seq, space)
+
 
 class TestFieldScore:
     def test_metrics(self):

@@ -1,11 +1,15 @@
+import pickle
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import featurize_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import build_gazetteer_reference, featurize_reference
 
 from bien import corpus as corpus_module
-from bien import features
+from bien import features, synth
 from bien.corpus import Document, Token, parse_tagged_document
 from bien.errors import EmptyVocabulary, InvalidSpec, MissingResource
 from bien.evaluation import ABLATIONS
@@ -36,7 +40,9 @@ LEX = default_lexicons()
 
 
 def word(surface):
-    return Token(surface, 0, len(surface), "word")
+    """A word type: the ``(surface, kind)`` that semantic_feature and
+    Gazetteer.lookup take."""
+    return surface, "word"
 
 
 class TestAtomicFeatures:
@@ -78,6 +84,10 @@ class TestAtomicFeatures:
         got = [length_feature("x" * n) for n in (1, 2, 3, 4, 5, 6, 8, 9, 30)]
         assert got == ["1", "2", "3", "4-5", "4-5", "6-8", "6-8", "9+", "9+"]
 
+    def test_empty_surface_has_no_length_bucket(self):
+        with pytest.raises(InvalidSpec):
+            length_feature("")
+
     def test_lemmatise(self):
         assert lemmatise("Doctor", LEX.lemma_table) == "dr."
         assert lemmatise("Steals", LEX.lemma_table) == "steal"
@@ -88,13 +98,13 @@ class TestAtomicFeatures:
 class TestSemantic:
     def test_priority_title_beats_name(self):
         # "doctor" could begin a name, but the title list wins
-        assert semantic_feature(word("Doctor"), LEX) == "Title"
+        assert semantic_feature(*word("Doctor"), LEX) == "Title"
 
     def test_rank_decides_name_class(self):
         # listed in both name files; more common as a given name
-        assert semantic_feature(word("Alexander"), LEX) == "FirstName"
-        assert semantic_feature(word("Dean"), LEX) == "LastName"
-        assert semantic_feature(word("Steals"), LEX) == "LastName"
+        assert semantic_feature(*word("Alexander"), LEX) == "FirstName"
+        assert semantic_feature(*word("Dean"), LEX) == "LastName"
+        assert semantic_feature(*word("Steals"), LEX) == "LastName"
 
     def test_rank_tie_goes_to_lastname(self):
         lex = LexiconSet(
@@ -104,13 +114,13 @@ class TestSemantic:
             locations=frozenset(),
             timewords=frozenset(),
         )
-        assert semantic_feature(word("Jordan"), lex) == "LastName"
+        assert semantic_feature(*word("Jordan"), lex) == "LastName"
 
     def test_name_beats_location(self):
         # a surname that also names a building resolves as a name
         assert "porter" in LEX.lastnames
-        assert semantic_feature(word("Porter"), LEX) == "LastName"
-        assert semantic_feature(word("Hall"), LEX) == "Location"
+        assert semantic_feature(*word("Porter"), LEX) == "LastName"
+        assert semantic_feature(*word("Hall"), LEX) == "Location"
 
     def test_location_lexicon_holds_venue_heads(self):
         # synth draws venue names as this lexicon minus its generic heads,
@@ -121,21 +131,21 @@ class TestSemantic:
         assert _GENERIC_VENUE_WORDS <= load_wordlist("locations.txt")
 
     def test_time_words_and_patterns(self):
-        assert semantic_feature(word("am"), LEX) == "Time"
-        assert semantic_feature(word("noon"), LEX) == "Time"
-        assert semantic_feature(Token("3:30", 0, 4, "number"), LEX) == "Time"
-        assert semantic_feature(Token("3.30", 0, 4, "number"), LEX) == "Time"
-        assert semantic_feature(Token("12", 0, 2, "number"), LEX) == "Time"
-        assert semantic_feature(Token("7pm", 0, 3, "mixed"), LEX) == "Time"
-        assert semantic_feature(Token("7:30pm", 0, 6, "mixed"), LEX) == "Time"
+        assert semantic_feature(*word("am"), LEX) == "Time"
+        assert semantic_feature(*word("noon"), LEX) == "Time"
+        assert semantic_feature("3:30", "number", LEX) == "Time"
+        assert semantic_feature("3.30", "number", LEX) == "Time"
+        assert semantic_feature("12", "number", LEX) == "Time"
+        assert semantic_feature("7pm", "mixed", LEX) == "Time"
+        assert semantic_feature("7:30pm", "mixed", LEX) == "Time"
 
     def test_single_digit_is_not_a_time(self):
-        assert semantic_feature(Token("1", 0, 1, "number"), LEX) == "None"
-        assert semantic_feature(Token("123", 0, 3, "number"), LEX) == "None"
+        assert semantic_feature("1", "number", LEX) == "None"
+        assert semantic_feature("123", "number", LEX) == "None"
 
     def test_word_lists_only_apply_to_words(self):
-        assert semantic_feature(Token("hall", 0, 4, "mixed"), LEX) == "None"
-        assert semantic_feature(word("presents"), LEX) == "None"
+        assert semantic_feature("hall", "mixed", LEX) == "None"
+        assert semantic_feature(*word("presents"), LEX) == "None"
 
 
 def tiny_corpus():
@@ -183,11 +193,11 @@ class TestGazetteer:
 
     def test_lookup_ids(self):
         gaz = Gazetteer({"talk": 1, "dr.": 2}, LEX.lemma_table)
-        assert gaz.lookup(word("talks")) == 1
-        assert gaz.lookup(word("Doctor")) == 2
-        assert gaz.lookup(word("zyzzyva")) == gaz.oov_id == 3
-        assert gaz.lookup(Token(".", 0, 1, "punctuation")) == gaz.naw_id == 4
-        assert gaz.lookup(Token("$", 0, 1, "symbol")) == 4
+        assert gaz.lookup(*word("talks")) == 1
+        assert gaz.lookup(*word("Doctor")) == 2
+        assert gaz.lookup(*word("zyzzyva")) == gaz.oov_id == 3
+        assert gaz.lookup(".", "punctuation") == gaz.naw_id == 4
+        assert gaz.lookup("$", "symbol") == 4
         assert gaz.cardinality == 4
 
     def test_equality_follows_ids_and_lemma_table(self):
@@ -206,10 +216,10 @@ class TestGazetteer:
         small = Gazetteer({"talk": 1}, LEX.lemma_table)
         large = Gazetteer({"dr.": 1, "talk": 2}, LEX.lemma_table)
         talks = word("talks")
-        assert small.lookup(talks) == small.lookup(talks) == 1
-        assert large.lookup(talks) == 2
-        assert small.lookup(word("Doctor")) == small.oov_id
-        assert large.lookup(word("Doctor")) == 1
+        assert small.lookup(*talks) == small.lookup(*talks) == 1
+        assert large.lookup(*talks) == 2
+        assert small.lookup(*word("Doctor")) == small.oov_id
+        assert large.lookup(*word("Doctor")) == 1
 
 
 class TestFeaturize:
@@ -291,22 +301,18 @@ class TestFeaturize:
         assert tuple(card) == FEATURE_NAMES
 
 
-def cold_memos():
-    """Empty the module-wide type memo that featurize shares across calls."""
-    features._type_memo.clear()
-
-
 class TestFeaturizeMatchesReference:
     @pytest.mark.parametrize("seed", [3, 11])
     def test_corpus_under_every_ablation(self, seed):
         docs = generate_corpus(60, seed)
         base = build_gazetteer(docs, LEX.lemma_table)
         for name, mask in ABLATIONS.items():
-            cold_memos()
+            # unpickled documents share a copy of the table with no columns yet
+            cold = pickle.loads(pickle.dumps(docs))
             gaz = Gazetteer(base.ids, base.lemma_table)
             lex = replace(LEX)
             for temperature in ("cold", "warm"):
-                for doc in docs:
+                for doc in cold:
                     got = featurize(doc, gaz, lex, mask=mask)
                     want = featurize_reference(doc, gaz, lex, mask=mask)
                     assert got.dtype == want.dtype
@@ -360,31 +366,33 @@ class TestFeaturizeMatchesReference:
                     err_msg=doc.id,
                 )
 
-    def test_type_memo_that_starts_over_mid_corpus(self, monkeypatch):
-        monkeypatch.setattr(corpus_module, "_MEMO_LIMIT", 16)
+    def test_type_table_that_starts_over_mid_corpus(self, monkeypatch):
+        monkeypatch.setattr(corpus_module, "_MEMO_LIMIT", 64)
         docs = generate_corpus(40, 3)
+        assert len({id(doc.types) for doc in docs}) > 2
         gaz = build_gazetteer(docs, LEX.lemma_table)
-        cold_memos()
-        peak = 0
-        for doc in docs * 2:
+        assert gaz == build_gazetteer_reference(docs, LEX.lemma_table)
+        later = generate_corpus(10, 4)  # more restarts after the columns exist
+        for doc in docs + later + docs:
             np.testing.assert_array_equal(
                 featurize(doc, gaz, LEX), featurize_reference(doc, gaz, LEX), err_msg=doc.id
             )
-            peak = max(peak, len(features._type_memo))
-        assert peak == 16
+            pos = tuple(synth._pos_of(t.surface, t.kind) for t in doc.tokens)
+            assert synth.annotate(doc).column("pos") == doc.column("pos") == pos
 
-    def test_an_equal_gazetteer_and_lexicon_set_share_the_memo(self):
+    def test_an_equal_gazetteer_and_lexicon_set_share_the_codes(self):
         docs = generate_corpus(10, 3)
         gaz = build_gazetteer(docs, LEX.lemma_table)
+        table = docs[0].types
         featurize(docs[0], gaz, LEX)
-        memo = dict(features._type_memo)
+        codes = table.column(features._type_codes, gaz, LEX)
         featurize(docs[0], Gazetteer(gaz.ids, gaz.lemma_table), replace(LEX))
-        assert dict(features._type_memo) == memo
+        assert np.shares_memory(table.column(features._type_codes, gaz, LEX), codes)
         smaller = Gazetteer({"talk": 1}, LEX.lemma_table)
         np.testing.assert_array_equal(
             featurize(docs[0], smaller, LEX), featurize_reference(docs[0], smaller, LEX)
         )
-        assert dict(features._type_memo) != memo
+        assert not np.shares_memory(table.column(features._type_codes, gaz, LEX), codes)
 
     def test_memos_key_on_surface_and_kind(self):
         gaz = Gazetteer({"hall": 1}, LEX.lemma_table)
@@ -398,3 +406,85 @@ class TestFeaturizeMatchesReference:
             np.testing.assert_array_equal(vec, featurize_reference(doc, gaz, LEX))
             assert [SEMANTIC[c] for c in vec[:, 3]] == ["Location", "None", "None", "Location"]
             assert list(vec[:, 0] + 1) == [1, 1, gaz.naw_id, 1]
+
+
+def assert_same_gazetteer(docs, **kwargs):
+    """build_gazetteer equals its per-token reference, ids in the same order,
+    or both raise EmptyVocabulary."""
+    try:
+        want = build_gazetteer_reference(docs, LEX.lemma_table, **kwargs)
+    except EmptyVocabulary:
+        with pytest.raises(EmptyVocabulary):
+            build_gazetteer(docs, LEX.lemma_table, **kwargs)
+        return
+    got = build_gazetteer(docs, LEX.lemma_table, **kwargs)
+    assert got == want
+    assert list(got.ids.items()) == list(want.ids.items())
+
+
+SMALL_VOCABULARY = (
+    "talk", "talks", "Talk", "Doctor", "dr.", "Dr.", "Hall", "hall", "at", "in", "3:30",
+    ",", ".", "(", "$", "--",
+)
+
+
+def small_document(i, segments):
+    parts = [
+        f"<speaker>{' '.join(words)}</speaker>" if tagged else " ".join(words)
+        for tagged, words in segments
+    ]
+    return parse_tagged_document(" ".join(parts), doc_id=f"h{i}")[0]
+
+
+class TestGazetteerMatchesReference:
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_generated_corpora(self, seed):
+        docs = generate_corpus(80, seed)
+        for window in range(5):
+            for min_freq in range(1, 5):
+                assert_same_gazetteer(docs, window=window, min_freq=min_freq)
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_max_size_through_a_frequency_tie(self, seed):
+        docs = generate_corpus(80, seed)
+        freq = Counter(
+            lemmatise(t.surface, LEX.lemma_table)
+            for doc in docs
+            for t in doc.tokens
+            if t.kind not in ("punctuation", "symbol")
+        )
+        full = build_gazetteer_reference(docs, LEX.lemma_table, max_size=10**6)
+        ranked = sorted(full.ids, key=full.ids.get)
+        ties = [i for i in range(1, len(ranked)) if freq[ranked[i - 1]] == freq[ranked[i]]]
+        cut = ties[len(ties) // 2]
+        assert_same_gazetteer(docs, max_size=cut)
+        assert len(build_gazetteer(docs, LEX.lemma_table, max_size=cut)) == cut
+
+    def test_windows_of_only_punctuation(self):
+        docs = [parse_tagged_document("talk , ( <stime>.</stime> $ . talk", doc_id="p")[0]]
+        for window in range(3):
+            assert_same_gazetteer(docs, window=window, min_freq=1)
+        docs.append(parse_tagged_document("<stime>talk</stime> .", doc_id="q")[0])
+        for window in range(4):
+            assert_same_gazetteer(docs, window=window, min_freq=2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.booleans(),
+                    st.lists(st.sampled_from(SMALL_VOCABULARY), min_size=1, max_size=4),
+                ),
+                max_size=6,
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        st.integers(0, 4),
+        st.integers(1, 4),
+        st.integers(1, 6),
+    )
+    def test_small_corpora(self, corpus, window, min_freq, max_size):
+        docs = [small_document(i, segments) for i, segments in enumerate(corpus)]
+        assert_same_gazetteer(docs, window=window, min_freq=min_freq, max_size=max_size)

@@ -91,7 +91,7 @@ class TestEncodeTags:
     def test_overlap_rejected(self):
         from bien.corpus import Document, TagSpan, tokenize
 
-        toks = tokenize("a b c")
+        toks = tokenize("a b c")[0]
         doc = Document(
             "d", "a b c", toks, (TagSpan("x", 0, 1), TagSpan("x", 1, 2))
         )
@@ -102,7 +102,7 @@ class TestEncodeTags:
     def test_span_past_end_rejected(self):
         from bien.corpus import Document, TagSpan, tokenize
 
-        toks = tokenize("a b")
+        toks = tokenize("a b")[0]
         doc = Document("d", "a b", toks, (TagSpan("x", 1, 5),))
         m = build_model(("x",), OBS)
         with pytest.raises(InconsistentGold) as exc:
