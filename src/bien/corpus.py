@@ -4,10 +4,12 @@ Documents are single token streams. Gold annotations arrive as inline
 ``<field>...</field>`` pairs; parsing strips the markup and records which
 tokens each pair covered. All offsets refer to the tag-stripped text.
 
-Every token is also an id in a :class:`TypeTable` of ``(surface, kind)``
-types, and each document keeps its table and its int array of ids. The
-annotation and feature layers work once per type, on arrays the table
-holds, and gather them through the ids.
+A document holds its tokens as columns: a :class:`TypeTable` of
+``(surface, kind)`` types, an int32 array of each token's type id and an
+int32 array of each token's start offset. A token's end is its start plus
+the length of its surface. The annotation and feature layers work once per
+type, on arrays the table holds, and gather them through the ids;
+``Document.tokens`` builds a :class:`Token` only for an element that is read.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,15 +37,17 @@ DEFAULT_FIELDS = ("speaker", "location", "stime", "etime")
 
 @dataclass(frozen=True, slots=True)
 class Token:
+    """An element of ``Document.tokens``, and what a document is built from by hand."""
+
     surface: str
     start: int
     end: int
     kind: str
 
     def __post_init__(self):
-        if not self.surface or self.start >= self.end:
+        if not self.surface or self.end - self.start != len(self.surface):
             raise InvalidSpec(
-                f"empty token {self.surface!r} at [{self.start}, {self.end})"
+                f"token {self.surface!r} does not span [{self.start}, {self.end})"
             )
 
 
@@ -67,53 +72,96 @@ class LintIssue:
     message: str
 
 
+class TokenView(Sequence):
+    """A document's tokens as a read-only sequence over its columns: the
+    :class:`TypeTable` ``types``, and int32 arrays of each token's
+    ``type_ids`` and ``starts``. A :class:`Token` is built only for an
+    element that is read; a slice is a view too. Equal to any sequence of
+    equal tokens, whatever table the types are in."""
+
+    __slots__ = ("types", "type_ids", "starts")
+
+    def __init__(self, types, type_ids, starts):
+        if len(type_ids) != len(starts):
+            raise AlignmentError(f"{len(type_ids)} type ids for {len(starts)} starts")
+        self.types, self.type_ids, self.starts = types, type_ids, starts
+
+    def __len__(self):
+        return len(self.type_ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return TokenView(self.types, self.type_ids[i], self.starts[i])
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError(f"token index {i} out of range for {n} tokens")
+        return self._token(int(self.type_ids[i]), int(self.starts[i]))
+
+    def __iter__(self):
+        return map(self._token, self.type_ids.tolist(), self.starts.tolist())
+
+    def _token(self, type_id, start):
+        surface = self.types.surfaces[type_id]
+        return Token(surface, start, start + len(surface), self.types.kinds[type_id])
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self):
+        return f"TokenView({list(self)!r})"
+
+
 @dataclass(frozen=True)
 class Document:
     """A token stream with its gold spans and annotation columns.
 
-    ``types`` is the :class:`TypeTable` that ``type_ids`` index, one id per
-    token. Neither is compared. A document built without them gets them
-    from its tokens on the first call to :meth:`typed`.
+    ``tokens`` is a :class:`TokenView` over the token columns; ``types``
+    and ``type_ids`` read two of them from it. A document built by hand
+    from a sequence of :class:`Token` is converted to those columns once,
+    here, with its types in the tokenizer's current table. Equality
+    compares the id, the text, each token's surface, kind and start, the
+    gold spans and the columns, never type ids: documents made on either
+    side of a table restart hold a type under different ids.
     """
 
     id: str
     text: str
-    tokens: tuple[Token, ...]
+    tokens: TokenView
     gold_spans: tuple[TagSpan, ...] = ()
     columns: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    types: TypeTable | None = field(default=None, repr=False, compare=False)
-    type_ids: np.ndarray | None = field(default=None, repr=False, compare=False)
     _codes: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.tokens, TokenView):
+            table = _current_types()
+            ids = [table.id_of(t.surface, t.kind) for t in self.tokens]
+            starts = [t.start for t in self.tokens]
+            view = TokenView(table, np.array(ids, dtype=np.int32), np.array(starts, dtype=np.int32))
+            object.__setattr__(self, "tokens", view)
         for name, values in self.columns.items():
             if len(values) != len(self.tokens):
                 raise AlignmentError(
                     f"column {name!r} has {len(values)} values for "
                     f"{len(self.tokens)} tokens"
                 )
-        if self.type_ids is not None and len(self.type_ids) != len(self.tokens):
-            raise AlignmentError(
-                f"{len(self.type_ids)} type ids for {len(self.tokens)} tokens"
-            )
 
     def __len__(self):
         return len(self.tokens)
 
     @property
-    def surfaces(self):
-        return tuple(t.surface for t in self.tokens)
+    def types(self):
+        return self.tokens.types
 
-    def typed(self):
-        """``(types, type_ids)``: the table and the ids of the tokens' types,
-        taken from the tokens in the tokenizer's current table if the
-        document was built without them."""
-        if self.type_ids is None:
-            table = _current_types()
-            ids = [table.id_of(t.surface, t.kind) for t in self.tokens]
-            object.__setattr__(self, "types", table)
-            object.__setattr__(self, "type_ids", np.array(ids, dtype=np.int32))
-        return self.types, self.type_ids
+    @property
+    def type_ids(self):
+        return self.tokens.type_ids
+
+    @property
+    def surfaces(self):
+        surfaces = self.types.surfaces
+        return tuple(surfaces[i] for i in self.type_ids.tolist())
 
     def column(self, name):
         """Per-token values for a column, or all-NA when absent."""
@@ -233,6 +281,9 @@ def _split_chunk(chunk, abbreviations):
 # Bound on the chunk memo and on the type table that tokenize fills.
 _MEMO_LIMIT = 1 << 16
 
+# Contexts per compute function whose column a type table keeps.
+_COLUMN_CONTEXTS = 4
+
 
 class TypeTable:
     """An append-only table of ``(surface, kind)`` token types; a type's id
@@ -266,26 +317,31 @@ class TypeTable:
 
     def column(self, compute, *context):
         """The array of ``compute`` over every type. ``compute(table, start,
-        *context)`` returns the values of types ``start`` onwards. A column is
-        kept per ``compute``: it is computed afresh when the context differs
-        (item by item, by identity or ``==``) and extended for types added
+        *context)`` returns the values of types ``start`` onwards. Per
+        ``compute``, a column is kept for each of the ``_COLUMN_CONTEXTS``
+        contexts read last (matched item by item, by identity or ``==``): it
+        is computed for a context not kept and extended for types added
         since it was last read."""
         n = len(self.surfaces)
-        have = self._columns.get(compute)
-        if have is None or have[0] != context:
-            values, done = compute(self, 0, *context), n
+        kept = self._columns.setdefault(compute, [])
+        for k in reversed(range(len(kept))):
+            if kept[k][0] == context:
+                _, values, done = kept.pop(k)
+                break
         else:
-            _, values, done = have
-            if done < n:
-                new = compute(self, done, *context)
-                if len(values) < n:
-                    # room for as many again, so that extending per document stays linear
-                    grown = np.empty((2 * n, *values.shape[1:]), dtype=values.dtype)
-                    grown[:done] = values[:done]
-                    values = grown
-                values[done:n] = new
-                done = n
-        self._columns[compute] = (context, values, done)
+            if len(kept) == _COLUMN_CONTEXTS:
+                del kept[0]  # the least recently read
+            values, done = compute(self, 0, *context), n
+        if done < n:
+            new = compute(self, done, *context)
+            if len(values) < n:
+                # room for as many again, so that extending per document stays linear
+                grown = np.empty((2 * n, *values.shape[1:]), dtype=values.dtype)
+                grown[:done] = values[:done]
+                values = grown
+            values[done:n] = new
+            done = n
+        kept.append((context, values, done))
         return values[:done]
 
 
@@ -312,12 +368,15 @@ class TypeMemo(dict):
 
 
 def _typed_pieces(chunk, abbreviations, table):
-    """The chunk's ``(surface, offset, kind, type id)`` pieces."""
-    typed = []
-    for surface, at in _split_chunk(chunk, abbreviations):
-        kind = token_kind(surface)
-        typed.append((surface, at, kind, table.id_of(surface, kind)))
-    return tuple(typed)
+    """The chunk's piece offsets and the type ids of its pieces."""
+    pieces = _split_chunk(chunk, abbreviations)
+    offsets = tuple(at for _, at in pieces)
+    return offsets, tuple(table.id_of(surface, token_kind(surface)) for surface, _ in pieces)
+
+
+def _surface_lengths(table, start):
+    """Per type from ``start``: the length of its surface."""
+    return np.fromiter(map(len, table.surfaces[start:]), dtype=np.int32)
 
 
 _chunk_memo = TypeMemo(_typed_pieces)
@@ -335,34 +394,37 @@ def _current_types():
 
 
 def tokenize(text, abbreviations=frozenset()):
-    """Split raw text into tokens, separating punctuation from words, and
-    give each token the id of its type.
+    """Split raw text into tokens, separating punctuation from words, as
+    the columns a :class:`Document` holds.
 
     Punctuation becomes its own token except for periods on known
     abbreviations, decimal points, and punctuation internal to emails,
     URLs, and glued alphanumeric forms. ``abbreviations`` entries carry
     their trailing period ("dr.") and are matched case-insensitively.
 
-    Returns ``(tokens, types, type_ids)``: the tokens, the :class:`TypeTable`
-    their types are in and an int array of their ids. Each distinct chunk is
-    split once into pieces with their type ids, kept in a :class:`TypeMemo`
-    bound to ``frozenset(abbreviations)`` and the table, of at most
-    ``_MEMO_LIMIT`` chunks.
+    Returns ``(types, type_ids, starts)``: the :class:`TypeTable` the
+    tokens' types are in, and int32 arrays of each token's type id and
+    start offset in ``text``; no :class:`Token` is built. Each distinct
+    chunk is split once into its piece offsets and type ids, kept in a
+    :class:`TypeMemo` bound to ``frozenset(abbreviations)`` and the table,
+    of at most ``_MEMO_LIMIT`` chunks.
     """
     table = _current_types()
     pieces_of = _chunk_memo.bind(frozenset(abbreviations), table)
-    tokens = []
-    ids = []
+    bases, counts, offsets, ids = [], [], [], []
     base = 0
     for chunk in text.split():
         # only whitespace lies between the last chunk and this one
         base = text.find(chunk, base)
-        for surface, off, kind, type_id in pieces_of[chunk]:
-            start = base + off
-            tokens.append(Token(surface, start, start + len(surface), kind))
-            ids.append(type_id)
+        chunk_offsets, chunk_ids = pieces_of[chunk]
+        bases.append(base)
+        counts.append(len(chunk_offsets))
+        offsets.extend(chunk_offsets)
+        ids.extend(chunk_ids)
         base += len(chunk)
-    return tuple(tokens), table, np.array(ids, dtype=np.int32)
+    starts = np.repeat(np.array(bases, dtype=np.int32), counts)
+    starts += np.array(offsets, dtype=np.int32)
+    return table, np.array(ids, dtype=np.int32), starts
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +443,13 @@ def parse_tagged_document(raw, doc_id="doc", fields=DEFAULT_FIELDS, abbreviation
 
     Returns ``(document, lint_issues)``. Tags are stripped from the token
     stream; offsets refer to the stripped text. A pair covers the tokens
-    that lie wholly inside it. A tag naming a field outside ``fields`` is
-    dropped and reported as ``UNKNOWN_FIELD``. Misplaced tags in the source
-    are ingested as-is and flagged, never corrected: a token cut by a tag
-    is ``PARTIAL_BOUNDARY``, a pair covering no token is ``EMPTY_SPAN`` and
-    one covering more than 15 is ``LONG_SPAN``. Unmatched or nested tags
-    raise :class:`MalformedTag`.
+    that lie wholly inside it, found by bisecting the tokens' starts and
+    ends; an end is the start plus a per-type surface length. A tag naming
+    a field outside ``fields`` is dropped and reported as ``UNKNOWN_FIELD``.
+    Misplaced tags in the source are ingested as-is and flagged, never
+    corrected: a token cut by a tag is ``PARTIAL_BOUNDARY``, a pair covering
+    no token is ``EMPTY_SPAN`` and one covering more than 15 is
+    ``LONG_SPAN``. Unmatched or nested tags raise :class:`MalformedTag`.
     """
     if abbreviations is None:
         from .resources import load_abbreviations
@@ -418,10 +481,10 @@ def parse_tagged_document(raw, doc_id="doc", fields=DEFAULT_FIELDS, abbreviation
     pieces.append(raw[last:])
     text = "".join(pieces)
 
-    tokens, types, type_ids = tokenize(text, abbreviations)
+    tokens = TokenView(*tokenize(text, abbreviations))
+    ends = tokens.starts + tokens.types.column(_surface_lengths)[tokens.type_ids]
     # tokens are ordered and disjoint, so both boundary lists are sorted
-    starts = [t.start for t in tokens]
-    ends = [t.end for t in tokens]
+    starts, ends = tokens.starts.tolist(), ends.tolist()
 
     spans = []
     for name, cs, ce in char_spans:
@@ -458,8 +521,7 @@ def parse_tagged_document(raw, doc_id="doc", fields=DEFAULT_FIELDS, abbreviation
         spans.append(TagSpan(name, inside[0], inside[-1]))
 
     spans.sort(key=lambda s: s.start_token)
-    doc = Document(doc_id, text, tokens, tuple(spans), types=types, type_ids=type_ids)
-    return doc, issues
+    return Document(doc_id, text, tokens, tuple(spans)), issues
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,9 @@ class FieldScore:
 
 def slot_filler(doc, span):
     """A span's filler string, whitespace-normalized."""
-    return " ".join(t.surface for t in doc.tokens[span.start_token : span.end_token + 1])
+    surfaces = doc.types.surfaces
+    ids = doc.type_ids[span.start_token : span.end_token + 1]
+    return " ".join(surfaces[i] for i in ids.tolist())
 
 
 def score_documents(docs, predictions, fields, mode="slot"):

@@ -233,8 +233,7 @@ def build_gazetteer(docs, lemma_table, window=3, min_freq=3, max_size=1200):
     """
     by_table = {}
     for doc in docs:
-        table, _ = doc.typed()
-        by_table.setdefault(table, []).append(doc)
+        by_table.setdefault(doc.types, []).append(doc)
     freq = {}
     candidates = set()
     for table, group in by_table.items():
@@ -334,8 +333,7 @@ def featurize(doc, gazetteer, lexicons, mask=()):
     if gazetteer is None or lexicons is None:
         raise MissingResource("featurize needs both a gazetteer and lexicons")
 
-    table, ids = doc.typed()
-    out = table.column(_type_codes, gazetteer, lexicons)[ids]
+    out = doc.types.column(_type_codes, gazetteer, lexicons)[doc.type_ids]
     out[:, 1] = doc.column_codes("pos", _pos_code)
     out[:, 2] = doc.column_codes("chunk", _chunk_code)
     for k, name in enumerate(FEATURE_NAMES):

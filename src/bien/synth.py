@@ -436,8 +436,7 @@ def annotate(doc):
     """Attach heuristic pos/chunk columns. Both are functions of the token
     type, so each type is tagged once, in a column of its
     :class:`~bien.corpus.TypeTable`, and the document's tags are gathered."""
-    table, ids = doc.typed()
-    tags = table.column(_pos_chunk_tags)[ids]
+    tags = doc.types.column(_pos_chunk_tags)[doc.type_ids]
     return doc.with_columns(pos=tags[:, 0].tolist(), chunk=tags[:, 1].tolist())
 
 

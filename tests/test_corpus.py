@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 
 import numpy as np
@@ -14,6 +15,7 @@ from bien.corpus import (
     SplitPlan,
     TagSpan,
     Token,
+    TokenView,
     TypeTable,
     parse_tagged_document,
     split,
@@ -26,8 +28,12 @@ from bien.synth import generate_corpus
 ABBREV = load_abbreviations()
 
 
+def tokens_of(text, abbreviations=ABBREV):
+    return TokenView(*tokenize(text, abbreviations))
+
+
 def surfaces(text):
-    return [t.surface for t in tokenize(text, ABBREV)[0]]
+    return [t.surface for t in tokens_of(text)]
 
 
 class TestTokenize:
@@ -40,7 +46,7 @@ class TestTokenize:
         assert surfaces("at 1 am.") == ["at", "1", "am", "."]
 
     def test_kinds(self):
-        kinds = [t.kind for t in tokenize("Dr. Steals, worth $10.5 mil.", ABBREV)[0]]
+        kinds = [t.kind for t in tokens_of("Dr. Steals, worth $10.5 mil.")]
         assert kinds == [
             "word", "word", "punctuation", "word", "symbol", "number", "word",
         ]
@@ -65,7 +71,7 @@ class TestTokenize:
 
     def test_offsets_index_source_text(self):
         text = "  Dr. Steals,\n worth $10.5 mil."
-        for tok in tokenize(text, ABBREV)[0]:
+        for tok in tokens_of(text):
             assert text[tok.start : tok.end] == tok.surface
 
     def test_reconstruction_preserves_non_whitespace(self):
@@ -76,7 +82,7 @@ class TestTokenize:
     @settings(max_examples=200, deadline=None)
     @given(st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=80))
     def test_offsets_sound_on_arbitrary_text(self, text):
-        toks = tokenize(text, ABBREV)[0]
+        toks = tokens_of(text)
         prev_end = -1
         for tok in toks:
             assert text[tok.start : tok.end] == tok.surface
@@ -103,7 +109,7 @@ class TestTokenizeMatchesReference:
         for doc in generate_corpus(n_docs, seed):
             want = tokenize_reference(doc.text, ABBREV)
             assert doc.tokens == want
-            assert tokenize(doc.text, ABBREV)[0] == want
+            assert tokens_of(doc.text) == want
             assert_ids_name_types(doc)
 
     @settings(max_examples=200, deadline=None)
@@ -119,24 +125,24 @@ class TestTokenizeMatchesReference:
     def test_mixed_texts(self, parts):
         text = "".join("".join(chunk) + gap for chunk, gap in parts)
         for abbreviations in (ABBREV, frozenset()):
-            tokens, types, type_ids = tokenize(text, abbreviations)
-            assert tokens == tokenize_reference(text, abbreviations)
-            assert_ids_name_types(Document("d", text, tokens, types=types, type_ids=type_ids))
+            doc = Document("d", text, tokens_of(text, abbreviations))
+            assert doc.tokens == tokenize_reference(text, abbreviations)
+            assert_ids_name_types(doc)
 
     def test_memo_keys_on_a_frozen_copy_of_the_abbreviations(self):
         text = "Dr. mil."
         mutable = {"dr."}
-        assert [t.surface for t in tokenize(text, mutable)[0]] == ["Dr.", "mil", "."]
+        assert [t.surface for t in tokens_of(text, mutable)] == ["Dr.", "mil", "."]
         mutable.add("mil.")  # the memo must not still answer for {"dr."}
-        assert [t.surface for t in tokenize(text, mutable)[0]] == ["Dr.", "mil."]
+        assert [t.surface for t in tokens_of(text, mutable)] == ["Dr.", "mil."]
         for abbreviations in (ABBREV, frozenset(), {"mil."}, frozenset({"dr."}), mutable):
-            assert tokenize(text, abbreviations)[0] == tokenize_reference(text, abbreviations)
+            assert tokens_of(text, abbreviations) == tokenize_reference(text, abbreviations)
 
     def test_memo_that_starts_over_mid_corpus(self, monkeypatch):
         monkeypatch.setattr(corpus_module, "_MEMO_LIMIT", 7)
         corpus_module._chunk_memo.clear()
         for doc in generate_corpus(60, 5):
-            assert tokenize(doc.text, ABBREV)[0] == tokenize_reference(doc.text, ABBREV)
+            assert tokens_of(doc.text) == tokenize_reference(doc.text, ABBREV)
             assert len(corpus_module._chunk_memo) <= 7
 
     @pytest.mark.parametrize("limit", [None, 5])
@@ -153,9 +159,30 @@ class TestTokenizeMatchesReference:
             assert doc.column("chunk") == tuple(synth._CHUNK_OF_POS.get(p, "NA") for p in pos)
 
 
+class TestGoldenDocuments:
+    """The generated corpora of the protocol, token by token, with their gold
+    spans and annotation columns, pinned by a digest taken before tokens
+    became columns. Any change to the token path must keep it."""
+
+    @pytest.mark.parametrize(
+        "n_docs,seed,digest", [(485, 1993, "73a909ac2e9e2d01"), (800, 1994, "96880977e3e65030")]
+    )
+    def test_generated_documents(self, n_docs, seed, digest):
+        h = hashlib.sha256()
+        for doc in generate_corpus(n_docs, seed):
+            row = (
+                tuple((t.surface, t.start, t.end, t.kind) for t in doc.tokens),
+                tuple((s.field, s.start_token, s.end_token) for s in doc.gold_spans),
+                doc.column("pos"),
+                doc.column("chunk"),
+            )
+            h.update(repr(row).encode())
+        assert h.hexdigest()[:16] == digest
+
+
 def assert_ids_name_types(doc):
-    table, ids = doc.typed()
-    assert ids.dtype == np.int32 and len(ids) == len(doc.tokens)
+    table, ids = doc.types, doc.type_ids
+    assert ids.dtype == doc.tokens.starts.dtype == np.int32 and len(ids) == len(doc.tokens)
     assert [(table.surfaces[i], table.kinds[i]) for i in ids.tolist()] == [
         (t.surface, t.kind) for t in doc.tokens
     ]
@@ -164,32 +191,39 @@ def assert_ids_name_types(doc):
 class TestTypeIds:
     def test_one_id_per_type(self):
         text = "Dr. Who , dr. who , Dr. Who"
-        tokens, table, ids = tokenize(text, ABBREV)
+        table, ids, starts = tokenize(text, ABBREV)
         assert ids[0] == ids[6] and ids[1] == ids[7] and ids[2] == ids[5]
         assert ids[0] != ids[3]  # case makes another type
-        assert_ids_name_types(Document("d", text, tokens, types=table, type_ids=ids))
+        assert_ids_name_types(Document("d", text, TokenView(table, ids, starts)))
 
     def test_hand_built_document_gets_ids_from_its_tokens(self):
         kinds = ("word", "mixed", "word")
         tokens = tuple(Token("hall", 5 * i, 5 * i + 4, kind) for i, kind in enumerate(kinds))
         doc = Document("d", "hall hall hall", tokens)
-        assert doc.type_ids is None
-        table, ids = doc.typed()
+        assert isinstance(doc.tokens, TokenView) and doc.types is corpus_module._current_types()
+        ids = doc.type_ids
         assert ids[0] == ids[2] != ids[1]
-        assert doc.typed()[1] is ids
+        assert doc.tokens.starts.tolist() == [0, 5, 10]
+        assert doc.tokens == tokens
         assert_ids_name_types(doc)
 
     def test_ids_are_not_compared_and_must_fit_the_tokens(self):
         doc, _ = parse_tagged_document("a b a", doc_id="d")
-        assert doc == Document("d", "a b a", doc.tokens)
+        other = TypeTable()
+        ids = np.array([other.id_of(t.surface, t.kind) for t in doc.tokens], dtype=np.int32)
+        again = Document("d", "a b a", TokenView(other, ids, doc.tokens.starts))
+        assert again == doc and again.types is not doc.types
+        shifted = TokenView(doc.types, doc.type_ids, doc.tokens.starts + 1)
+        assert doc != Document("d", "a b a", shifted)
         with pytest.raises(AlignmentError):
-            Document("d", "a", doc.tokens, types=doc.types, type_ids=doc.type_ids[:2])
+            TokenView(doc.types, doc.type_ids, doc.tokens.starts[:2])
 
     def test_a_pickled_document_carries_its_table(self):
         doc = generate_corpus(3, 9)[2]
         again = pickle.loads(pickle.dumps(doc))
         assert again == doc and again.types is not doc.types
         np.testing.assert_array_equal(again.type_ids, doc.type_ids)
+        np.testing.assert_array_equal(again.tokens.starts, doc.tokens.starts)
         assert_ids_name_types(again)
 
 
@@ -212,10 +246,60 @@ class TestTypeTable:
         assert starts[40:] == [0]
         assert len(table) == 40 and table.id_of("x", "mixed") == 40
 
+    def test_alternating_contexts_are_each_computed_once_then_extended(self, monkeypatch):
+        monkeypatch.setattr(corpus_module, "_COLUMN_CONTEXTS", 3)
+        table = TypeTable()
+        calls = []
+
+        def lengths(table, start, offset):
+            calls.append((start, offset))
+            return np.array([len(s) + offset for s in table.surfaces[start:]])
+
+        for n in range(1, 21):
+            table.id_of("x" * n, "word")
+            for offset in (0, 1):
+                assert table.column(lengths, offset).tolist() == list(
+                    range(1 + offset, n + 1 + offset)
+                )
+        assert calls == [(n, offset) for n in range(20) for offset in (0, 1)]
+        for offset in (2, 1, 3):  # the third context drops 0, the least recently read
+            table.column(lengths, offset)
+        del calls[:]
+        assert table.column(lengths, 1).tolist() == list(range(2, 22))
+        assert table.column(lengths, 0).tolist() == list(range(1, 21))
+        assert calls == [(0, 0)]
+
+
+class TestTokenView:
+    @pytest.mark.parametrize(
+        "text", ["", " \n\t ", "Dr. Steals, worth $10.5 mil.", "  wait... (really?!)  at 1 am."]
+    )
+    def test_sequence_contract(self, text):
+        doc = Document("d", text, tokens_of(text))
+        view, want = doc.tokens, tokenize_reference(text, ABBREV)
+        assert len(view) == len(doc) == len(want)
+        assert list(view) == list(want) and view == want and want == view
+        for i in range(-len(want), len(want)):
+            assert view[i] == want[i]
+        for i in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                view[i]
+        for cut in (slice(None), slice(1, None), slice(-3, -1), slice(None, None, -2), slice(5, 2)):
+            assert isinstance(view[cut], TokenView) and view[cut] == want[cut]
+        assert view != want + (Token("x", 99, 100, "word"),)
+
+    def test_hand_built_document_equals_the_parsed_one(self):
+        for doc in generate_corpus(20, 9) + [parse_tagged_document("", doc_id="e")[0]]:
+            tokens = tokenize_reference(doc.text, ABBREV)
+            hand = Document(doc.id, doc.text, tokens, doc.gold_spans, doc.columns)
+            assert hand == doc and doc == hand
+            np.testing.assert_array_equal(hand.tokens.starts, doc.tokens.starts)
+            assert_ids_name_types(hand)
+
 
 class TestEmptyTokensAndSpans:
     def test_empty_or_inverted_token_raises_invalid_spec(self):
-        for args in (("", 0, 1), ("a", 1, 1), ("ab", 2, 0)):
+        for args in (("", 0, 1), ("a", 1, 1), ("ab", 2, 0), ("ab", 0, 3), ("abc", 4, 6)):
             with pytest.raises(InvalidSpec):
                 Token(*args, "word")
 
@@ -307,7 +391,7 @@ class TestSpanMappingMatchesReference:
         """Up to three tag pairs near one spot: a whitespace gap between two
         tokens, or two offsets that are each either random or snapped to a
         token boundary, some of them made zero-width."""
-        tokens = tokenize(text, ABBREV)[0]
+        tokens = tokens_of(text)
         bounds = [b for t in tokens for b in (t.start, t.end)]
         gaps = [(a.end, b.start) for a, b in zip(tokens, tokens[1:])]
         center = int(rng.integers(0, len(text) + 1))

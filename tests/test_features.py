@@ -309,6 +309,7 @@ class TestFeaturizeMatchesReference:
         for name, mask in ABLATIONS.items():
             # unpickled documents share a copy of the table with no columns yet
             cold = pickle.loads(pickle.dumps(docs))
+            assert cold == docs
             gaz = Gazetteer(base.ids, base.lemma_table)
             lex = replace(LEX)
             for temperature in ("cold", "warm"):
@@ -372,7 +373,11 @@ class TestFeaturizeMatchesReference:
         assert len({id(doc.types) for doc in docs}) > 2
         gaz = build_gazetteer(docs, LEX.lemma_table)
         assert gaz == build_gazetteer_reference(docs, LEX.lemma_table)
+        made = [(doc.tokens.starts.copy(), tuple(doc.tokens)) for doc in docs]
         later = generate_corpus(10, 4)  # more restarts after the columns exist
+        for doc, (starts, tokens) in zip(docs, made):
+            np.testing.assert_array_equal(doc.tokens.starts, starts)
+            assert doc.tokens == tokens
         for doc in docs + later + docs:
             np.testing.assert_array_equal(
                 featurize(doc, gaz, LEX), featurize_reference(doc, gaz, LEX), err_msg=doc.id
@@ -392,7 +397,9 @@ class TestFeaturizeMatchesReference:
         np.testing.assert_array_equal(
             featurize(docs[0], smaller, LEX), featurize_reference(docs[0], smaller, LEX)
         )
-        assert not np.shares_memory(table.column(features._type_codes, gaz, LEX), codes)
+        assert not np.shares_memory(table.column(features._type_codes, smaller, LEX), codes)
+        # the first pair's codes are kept beside the other gazetteer's
+        assert np.shares_memory(table.column(features._type_codes, gaz, LEX), codes)
 
     def test_memos_key_on_surface_and_kind(self):
         gaz = Gazetteer({"hall": 1}, LEX.lemma_table)

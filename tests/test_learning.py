@@ -89,9 +89,9 @@ class TestEncodeTags:
             encode_tags(doc, m.tags)
 
     def test_overlap_rejected(self):
-        from bien.corpus import Document, TagSpan, tokenize
+        from bien.corpus import Document, TagSpan, TokenView, tokenize
 
-        toks = tokenize("a b c")[0]
+        toks = TokenView(*tokenize("a b c"))
         doc = Document(
             "d", "a b c", toks, (TagSpan("x", 0, 1), TagSpan("x", 1, 2))
         )
@@ -100,9 +100,9 @@ class TestEncodeTags:
             encode_tags(doc, m.tags)
 
     def test_span_past_end_rejected(self):
-        from bien.corpus import Document, TagSpan, tokenize
+        from bien.corpus import Document, TagSpan, TokenView, tokenize
 
-        toks = tokenize("a b")[0]
+        toks = TokenView(*tokenize("a b"))
         doc = Document("d", "a b", toks, (TagSpan("x", 1, 5),))
         m = build_model(("x",), OBS)
         with pytest.raises(InconsistentGold) as exc:
