@@ -131,7 +131,7 @@ class Document:
     tokens: TokenView
     gold_spans: tuple[TagSpan, ...] = ()
     columns: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    _codes: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _cache: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.tokens, TokenView):
@@ -169,18 +169,26 @@ class Document:
             return self.columns[name]
         return (NA_VALUE,) * len(self.tokens)
 
+    def cached(self, key, compute):
+        """``compute()``, computed once per ``key`` and kept on the
+        document. A call that raises keeps nothing."""
+        if self._cache is None:
+            object.__setattr__(self, "_cache", {})
+        got = self._cache.get(key)
+        if got is None:
+            got = self._cache[key] = compute()
+        return got
+
     def column_codes(self, name, code_of):
         """``code_of(value)`` per token of column ``name`` as an int8 array,
         coding each distinct value once. The array is kept on the document."""
-        if self._codes is None:
-            object.__setattr__(self, "_codes", {})
-        key = (name, code_of)
-        got = self._codes.get(key)
-        if got is None:
+
+        def compute():
             values = self.column(name)
             codes = {v: code_of(v) for v in set(values)}
-            got = self._codes[key] = np.array([codes[v] for v in values], dtype=np.int8)
-        return got
+            return np.array([codes[v] for v in values], dtype=np.int8)
+
+        return self.cached((name, code_of), compute)
 
     def with_columns(self, **cols):
         merged = dict(self.columns)

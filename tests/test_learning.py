@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from bien.features import Gazetteer, build_gazetteer, default_lexicons, feature_
 from bien.learning import (
     TrainConfig,
     TrainExample,
+    _apply_jitter,
     _FactoredBatch,
     _m_step_cpt,
     encode_tags,
@@ -35,6 +37,7 @@ from bien.synth import generate_corpus
 
 LEX = default_lexicons()
 OBS = {"u": 3, "v": 2}
+FIELDS = ("speaker", "location", "stime", "etime")
 
 
 def example(doc_id, tags, ds=None, obs=None, model=None, rng=None):
@@ -85,8 +88,19 @@ class TestEncodeTags:
     def test_unknown_field(self):
         doc, _ = parse_tagged_document("<stime>3:30</stime>", doc_id="d")
         m = build_model(("etime",), OBS)
-        with pytest.raises(UnknownField):
-            encode_tags(doc, m.tags)
+        for _ in range(2):  # a failed encoding is not kept
+            with pytest.raises(UnknownField):
+                encode_tags(doc, m.tags)
+
+    def test_kept_on_the_document_per_field_tuple(self):
+        doc, _ = parse_tagged_document("<stime>3:30</stime> talk", doc_id="d")
+        one = build_model(("stime",), OBS).tags
+        two = build_model(("etime", "stime"), OBS).tags
+        got = encode_tags(doc, one)
+        assert encode_tags(doc, build_model(("stime",), OBS).tags) is got
+        assert not got.flags.writeable
+        assert [two.name(t) for t in encode_tags(doc, two)] == ["single:stime", "background"]
+        assert encode_tags(doc, one) is got
 
     def test_overlap_rejected(self):
         from bien.corpus import Document, TagSpan, TokenView, tokenize
@@ -197,12 +211,43 @@ class TestEstepEquivalence:
         a featurized corpus too large for ``chain_estep``."""
         docs = generate_corpus(60, 4)
         gaz = build_gazetteer(docs, LEX.lemma_table)
-        fields = ("speaker", "location", "stime", "etime")
-        m = build_model(fields, feature_cardinalities(gaz), memory=memory)
+        m = build_model(FIELDS, feature_cardinalities(gaz), memory=memory)
         examples = make_examples(docs, gaz, LEX, m, mask=mask)
         m = randomize_model(m, np.random.default_rng(3))
         c1, ll1 = PaddedLogBatch(m, examples).estep(m)
         c2, ll2 = _FactoredBatch(m, examples).estep(m)
+        assert ll2 == pytest.approx(ll1, rel=1e-12)
+        for name in c1:
+            np.testing.assert_allclose(c2[name], c1[name], atol=1e-9)
+
+    def test_distinct_rows_past_the_int64_radix(self):
+        """Sixteen observables of cardinality 31: the mixed-radix row key
+        would pass 2**63, so it is re-ranked on the way. Tokens share a few
+        observation rows, so distinct rows are fewer than tokens."""
+        m = build_model(("x", "y"), {f"o{k}": 31 for k in range(16)})
+        m = randomize_model(m, np.random.default_rng(4))
+        n_tags = m.tags.size
+        assert n_tags * (1 + n_tags * m.lt_card) * 32**16 > 2**63
+        rng = np.random.default_rng(5)
+        pool = rng.integers(-1, 31, (6, 16))
+        examples = [
+            TrainExample(e.doc_id, pool[rng.integers(0, len(pool), len(e.tags))], e.tags)
+            for e in sample_corpus(m, 30, rng)
+        ]
+        padded = PaddedLogBatch(m, examples)
+        # per token: previous tag and memory (-1 at t = 0), tag, codes
+        d, t = np.nonzero(padded.valid)
+        prev = np.maximum(t - 1, 0)
+        rows = np.column_stack([
+            np.where(t > 0, padded.g[d, prev], -1),
+            np.where(t > 0, padded.lt[d, prev], -1),
+            padded.g[d, t],
+            padded.obs[d, t],
+        ])
+        batch = _FactoredBatch(m, examples)
+        assert len(batch.row_trans) == len(np.unique(rows, axis=0)) < len(rows)
+        c1, ll1 = padded.estep(m)
+        c2, ll2 = batch.estep(m)
         assert ll2 == pytest.approx(ll1, rel=1e-12)
         for name in c1:
             np.testing.assert_allclose(c2[name], c1[name], atol=1e-9)
@@ -359,30 +404,124 @@ class TestEmBehavior:
             train(m, empty, TrainConfig())
 
 
+def reference_em(model, examples, config):
+    """EM as the loop that runs the full E-step, backward pass and counts
+    included, on every iteration, the converged one too."""
+    model = model.copy()
+    _apply_jitter(model, config)
+    batch = _FactoredBatch(model, sorted(examples, key=lambda e: e.doc_id))
+    trace = []
+    for _ in range(config.max_iter):
+        counts, ll = batch.estep(model)
+        trace.append(ll)
+        if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= config.tol * max(
+            1.0, abs(trace[-2])
+        ):
+            return model, trace, True
+        for name, cpt in model.cpts.items():
+            _m_step_cpt(cpt, counts[name], config.alpha)
+    return model, trace, False
+
+
+class TestEarlyExit:
+    """``train`` skips the backward pass on the iteration that converges;
+    it must fit the same tables as the loop that never skips it."""
+
+    @pytest.mark.parametrize(
+        "config,converged",
+        [
+            pytest.param(TrainConfig(max_iter=200, tol=1e-6), True, id="converged"),
+            pytest.param(TrainConfig(max_iter=4, tol=0.0), False, id="max-iter"),
+        ],
+    )
+    def test_train_matches_the_full_estep_loop(self, config, converged):
+        m = build_model(("x", "y"), OBS)
+        src = randomize_model(m.copy(), np.random.default_rng(9))
+        examples = sample_corpus(src, 40, np.random.default_rng(10))
+        want, trace, want_converged = reference_em(m, examples, config)
+        got = train(m, examples, config)
+        assert got.converged == want_converged == converged
+        assert got.log_likelihood == trace
+        assert got.iterations == len(trace)
+        for name in m.cpts:
+            assert np.array_equal(got.model.cpts[name].table, want.cpts[name].table)
+
+    def test_the_last_m_step_applies_at_max_iter(self):
+        m = build_model(("x", "y"), OBS)
+        src = randomize_model(m.copy(), np.random.default_rng(9))
+        examples = sample_corpus(src, 40, np.random.default_rng(10))
+        config = TrainConfig(max_iter=4, tol=0.0)
+        got = train(m, examples, config)
+        longer = train(m, examples, replace(config, max_iter=5))
+        _, ll = _FactoredBatch(got.model, examples).estep(got.model)
+        assert longer.log_likelihood[:4] == got.log_likelihood
+        assert ll == longer.log_likelihood[4]
+
+
+class TestGoldenTraining:
+    """Every trained table and the log-likelihood trace, pinned bit for bit
+    by one sha256 per memory setting, for a featurized generated corpus.
+    Any change to the arithmetic of the E-step or the M-step shows here."""
+
+    @pytest.mark.parametrize(
+        "memory,digest",
+        [
+            (True, "72415ccfc12f488e31123573f81a53dc92e58fd0497b6617d13204a76c669a23"),
+            (False, "6707f3df361972e83146476e50467e1db136e42b4c81057cbdab0bd2cb53de62"),
+        ],
+        ids=["memory", "no-memory"],
+    )
+    def test_trained_tables_and_trace(self, memory, digest):
+        docs = generate_corpus(40, 5)
+        gaz = build_gazetteer(docs, LEX.lemma_table)
+        m = build_model(FIELDS, feature_cardinalities(gaz), memory=memory)
+        result = train(m, make_examples(docs, gaz, LEX, m), TrainConfig(tol=1e-6))
+        h = hashlib.sha256()
+        for name in sorted(result.model.cpts):
+            h.update(name.encode())
+            h.update(result.model.cpts[name].table.tobytes())
+        h.update(np.array(result.log_likelihood).tobytes())
+        assert h.hexdigest() == digest
+
+
 def malformed(obs, tags=(0, 0), dtype=np.int16):
     return TrainExample("bad", np.asarray(obs, dtype=dtype), np.asarray(tags))
 
 
+MALFORMED = [
+    pytest.param(malformed([[3, 0], [0, 0]]), id="code-past-cardinality"),
+    pytest.param(malformed([[-2, 0], [0, 0]]), id="code-below-minus-one"),
+    pytest.param(malformed([[0, 0], [1, 1]], dtype=float), id="float-obs"),
+    pytest.param(malformed([[0], [1]]), id="wrong-column-count"),
+    pytest.param(malformed([[0, 0]]), id="fewer-obs-rows-than-tags"),
+    pytest.param(malformed([[0, 0]] * 3), id="more-obs-rows-than-tags"),
+    pytest.param(malformed([[0, 0]] * 2, tags=(0, 5)), id="tag-past-tag-space"),
+    pytest.param(malformed([[0, 0]] * 2, tags=(0, -1)), id="negative-tag"),
+    pytest.param(malformed([[0, 0]] * 2, tags=(0.0, 0.0)), id="float-tags"),
+]
+
+
 class TestMalformedExamples:
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            pytest.param(malformed([[3, 0], [0, 0]]), id="code-past-cardinality"),
-            pytest.param(malformed([[-2, 0], [0, 0]]), id="code-below-minus-one"),
-            pytest.param(malformed([[0, 0], [1, 1]], dtype=float), id="float-obs"),
-            pytest.param(malformed([[0], [1]]), id="wrong-column-count"),
-            pytest.param(malformed([[0, 0]]), id="fewer-obs-rows-than-tags"),
-            pytest.param(malformed([[0, 0]] * 3), id="more-obs-rows-than-tags"),
-            pytest.param(malformed([[0, 0]] * 2, tags=(0, 5)), id="tag-past-tag-space"),
-            pytest.param(malformed([[0, 0]] * 2, tags=(0, -1)), id="negative-tag"),
-            pytest.param(malformed([[0, 0]] * 2, tags=(0.0, 0.0)), id="float-tags"),
-        ],
-    )
+    @pytest.mark.parametrize("bad", MALFORMED)
     def test_raises_invalid_spec(self, bad):
         m = build_model(("x",), OBS)
         good = example("good", [0, m.tags.single(0), 0], model=m)
         with pytest.raises(InvalidSpec, match="^bad: "):
             train(m, [good, bad], TrainConfig(max_iter=1))
+
+    @pytest.mark.parametrize("bad", MALFORMED)
+    def test_named_among_forty_good_examples(self, bad):
+        """Ranges are checked on all examples at once; the error still
+        names the malformed one, which sorts between the good ones."""
+        m = build_model(("x",), OBS)
+        rng = np.random.default_rng(0)
+        good = [
+            example(f"{p}{i:02d}", [0, m.tags.single(0), 0], model=m, rng=rng)
+            for p in "ac"
+            for i in range(20)
+        ]
+        with pytest.raises(InvalidSpec, match="^bad: "):
+            train(m, good + [bad], TrainConfig(max_iter=1))
 
 
 class TestSamplingRecovery:
