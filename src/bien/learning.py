@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import EmptyCorpus, InconsistentGold, InvalidSpec, OverlappingSpans, UnknownField
 from .features import featurize
-from .model import LT_NONE, check_observations
+from .model import LT_NONE, check_observations, distinct_rows
 
 
 @dataclass(frozen=True)
@@ -216,12 +216,11 @@ class _FactoredBatch:
     which selects a row of ``tag_init`` at t = 0 and of ``tag_trans``
     (given the previous tag and memory) after, and its emission index per
     column, where masked (-1) codes select a trailing zero column. Tokens
-    are keyed by their row in mixed radix, re-ranked with ``np.unique``
-    before the key could pass 2**63, and ``row_of`` maps each packed token
-    to its distinct row. The log factors, their shift and ``exp`` are
-    computed per distinct row and gathered per token. The counts are
-    tallied per token, in token order, with ``np.bincount`` over each
-    row's flat index gathered per token.
+    are numbered by their row with :func:`bien.model.distinct_rows`, and
+    ``row_of`` maps each packed token to its distinct row. The log
+    factors, their shift and ``exp`` are computed per distinct row and
+    gathered per token. The counts are tallied per token, in token order,
+    with ``np.bincount`` over each row's flat index gathered per token.
 
     The recursions run on ``B = exp(A - max_ds A)``, each token's factors
     scaled so the larger is 1. Every forward row is divided by its sum
@@ -252,25 +251,21 @@ class _FactoredBatch:
         trans = _transition_index(model, tags, lengths)[packed]
         g, obs = tags[packed], obs[:, packed]
 
-        # Key each token's row in mixed radix over the transition index and
-        # the emission codes, re-ranking the key before it could pass 2**63.
+        # Key each token's row by its transition index and emission codes.
         # Columns masked throughout add nothing and count nothing.
         n_tags = model.tags.size
-        key, radix = trans, n_tags * (1 + n_tags * model.lt_card)
-        observed = []
-        for k, spec in enumerate(model.observables):
-            if not (obs[k] >= 0).any():
-                continue
-            card = int(spec.cardinality)
-            if radix * (card + 1) > 2**63:
-                key = np.unique(key, return_inverse=True)[1]
-                radix = int(key.max()) + 1
-            key = key * (card + 1) + _emission_codes(obs[k], card)
-            radix *= card + 1
-            observed.append((k, spec.name, card))
-        self.row_of = np.unique(key, return_inverse=True)[1]
-        row = np.empty(int(self.row_of.max()) + 1, dtype=np.int64)
-        row[self.row_of] = np.arange(len(key))  # one token per distinct row
+        observed = [
+            (k, spec.name, int(spec.cardinality))
+            for k, spec in enumerate(model.observables)
+            if (obs[k] >= 0).any()
+        ]
+        self.row_of, row = distinct_rows(
+            len(trans),
+            itertools.chain(
+                [(trans, n_tags * (1 + n_tags * model.lt_card))],
+                ((_emission_codes(obs[k], card), card + 1) for k, _, card in observed),
+            ),
+        )
         # per distinct row: the transition index, and per observed column
         # (name, cardinality, flat emission index)
         self.row_trans = trans[row]

@@ -302,6 +302,68 @@ class CompiledChain:
             out += rows[col]
         return out
 
+    def distinct_log_emission(self, obs_list):
+        """``log_emission`` of many observation matrices, computed once per
+        distinct observation row: ``(table, rows)``, where ``table[rows[i]]``
+        equals ``log_emission(obs_list[i])`` bit for bit. The first
+        malformed matrix raises the :class:`InvalidSpec` that
+        ``log_emission`` raises for it."""
+        obs, lengths = _check_observation_batch(obs_list, self._cardinalities)
+        # a masked (-1) code is digit 0
+        digits = ((obs[:, k] + 1, int(card) + 1) for k, card in enumerate(self._cardinalities))
+        row_of, first = distinct_rows(len(obs), digits)
+        ends = np.cumsum(lengths, dtype=np.int64).tolist()
+        return self.log_emission(obs[first]), [
+            row_of[end - n : end] for end, n in zip(ends, lengths)
+        ]
+
+
+def _check_observation_batch(obs_list, cardinalities):
+    """The matrices of ``obs_list`` stacked into one int64 ``(N, K)`` array,
+    with their lengths, once each is known to pass
+    :func:`check_observations`; otherwise the first that fails raises its
+    :class:`InvalidSpec`. Codes are range-checked once, on the stack; only
+    when a check fails are the matrices checked one by one."""
+    mats = [np.asarray(m) for m in obs_list]
+    try:
+        stack = np.concatenate(mats)
+    except ValueError:  # no matrices, or they differ in dimensions or column count
+        stack = None
+    if not (
+        stack is not None
+        and {m.dtype.kind for m in mats} <= {"i", "u"}
+        and stack.ndim == 2
+        and stack.shape[1] == len(cardinalities)
+        and not (len(stack) and (stack.min() < -1 or (stack.max(axis=0) >= cardinalities).any()))
+    ):
+        for m in mats:  # unless there are none, some matrix is malformed and this raises
+            check_observations(m, cardinalities)
+        return np.zeros((0, len(cardinalities)), dtype=np.int64), []
+    return stack.astype(np.int64, copy=False), [len(m) for m in mats]
+
+
+def distinct_rows(n_rows, digits):
+    """Number the distinct rows of an integer table given column by column.
+
+    ``digits`` yields ``(codes, radix)`` pairs: int64 arrays of ``n_rows``
+    codes in ``0 .. radix - 1``. Rows are keyed in mixed radix, and the key
+    is re-ranked with ``np.unique`` before it could pass 2**63, so any
+    number of columns keys exactly. Returns ``(row_of, first)``: each row's
+    distinct-row number, in key order, and for each distinct row the index
+    of one row that holds it.
+    """
+    key, radix = np.zeros(n_rows, dtype=np.int64), 1
+    for codes, base in digits:
+        if radix * base > 2**63:
+            uniq, key = np.unique(key, return_inverse=True)
+            radix = len(uniq)
+        key = key * base + codes
+        radix *= base
+    uniq, row_of = np.unique(key, return_inverse=True)
+    first = np.empty(len(uniq), dtype=np.int64)
+    first[row_of] = np.arange(n_rows)
+    return row_of, first
+
 
 def check_observations(obs_matrix, cardinalities):
     """``obs_matrix`` as an array, once it is known to be an integer

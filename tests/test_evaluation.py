@@ -1,5 +1,6 @@
 """Span assembly, scoring, and the experiment protocol."""
 
+import hashlib
 import re
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from bien import evaluation
 from bien.corpus import SplitPlan, TagSpan, parse_tagged_document
 from bien.errors import InvalidSpec
 from bien.evaluation import (
@@ -22,8 +24,10 @@ from bien.evaluation import (
     ExperimentConfig,
 )
 from bien.features import Gazetteer, default_lexicons, feature_cardinalities, featurize
+from bien.inference import _BATCH_DOCS
 from bien.learning import TrainConfig, encode_tags
 from bien.model import build_model, compile_chain
+from bien.synth import generate_corpus
 
 from oracles import assemble_slots_reference, randomize_model, sample_example
 
@@ -224,6 +228,17 @@ def set_lemma(obs, code):
     return out
 
 
+BAD_OBSERVATIONS = [
+    pytest.param(lambda obs: set_lemma(obs, 5), id="code-past-cardinality"),
+    pytest.param(lambda obs: obs[:, :1], id="too-few-columns"),
+    pytest.param(lambda obs: obs[:, 0], id="one-dimensional"),
+    pytest.param(lambda obs: np.hstack([obs, obs[:, :1]]), id="extra-column"),
+    pytest.param(lambda obs: set_lemma(obs, -2), id="code-below-masked"),
+    pytest.param(lambda obs: obs.astype(float), id="float-codes"),
+    pytest.param(lambda obs: obs[:0].astype(float), id="empty-float-codes"),
+]
+
+
 class TestDecode:
     def test_decode_matches_assembly_of_its_own_tags(self):
         rng = np.random.default_rng(11)
@@ -242,20 +257,62 @@ class TestDecode:
 
     @pytest.mark.parametrize("memory", [True, False])
     def test_decode_batch_matches_decode(self, memory):
+        """Byte for byte, on the 42-state chain and the 34-state one, for
+        batches longer than one chunk: sampled, with a column masked as
+        an ablation masks it, with every row the same, with every row
+        distinct, and with every third document empty."""
         rng = np.random.default_rng(13)
-        model = randomize_model(build_model(FIELDS, {"lemma": 5, "case": 3}, memory=memory), rng)
+        model = build_model(FIELDS, {"lemma": 1200, "case": 3}, memory=memory)
+        model = randomize_model(model, rng)
         chain = compile_chain(model)
-        obs_list = [sample_example(model, T, rng).obs for T in rng.integers(1, 30, size=40)]
-        obs_list[5] = obs_list[5][:0]
-        got = decode_batch(chain, obs_list)
-        assert len(got) == len(obs_list)
-        for result, obs in zip(got, obs_list):
+        assert chain.n_states == (42 if memory else 34)
+        sampled = [sample_example(model, T, rng).obs for T in rng.integers(1, 30, size=40)]
+        sampled[5] = sampled[5][:0]
+        masked = [obs.copy() for obs in sampled]
+        for obs in masked:
+            obs[:, 0] = -1
+        same = [np.broadcast_to(sampled[0][:1], obs.shape).copy() for obs in sampled]
+        distinct = [obs.copy() for obs in sampled]
+        ends = np.cumsum([len(obs) for obs in distinct])
+        for obs, end in zip(distinct, ends):
+            obs[:, 0] = np.arange(end - len(obs), end)
+        assert len(np.unique(np.concatenate(distinct), axis=0)) == ends[-1]
+        empty = [obs if i % 3 else obs[:0] for i, obs in enumerate(sampled)]
+        for obs_list in (sampled, masked, same, distinct, empty):
+            assert len(obs_list) > _BATCH_DOCS
+            got = decode_batch(chain, obs_list)
+            assert len(got) == len(obs_list)
+            for result, obs in zip(got, obs_list):
+                want = decode(chain, obs)
+                assert result.tags.tobytes() == want.tags.tobytes()
+                assert result.ds.tobytes() == want.ds.tobytes()
+                assert np.float64(result.score).tobytes() == np.float64(want.score).tobytes()
+                assert result.spans == want.spans
+                assert result.diagnostics == want.diagnostics
+        assert [r.tags.shape for r in decode_batch(chain, [sampled[5]] * 3)] == [(0,)] * 3
+        assert decode_batch(chain, []) == []
+
+    def test_decode_batch_keys_rows_past_two_to_the_63(self):
+        """Nine columns of 256 digits (255 codes and the mask) need a key
+        of 2**72. Without a re-rank the first column would shift out of
+        an int64 key, and rows that differ only there would share one
+        emission row."""
+        rng = np.random.default_rng(14)
+        cards = {f"c{i}": 255 for i in range(9)}
+        assert 256 ** len(cards) > 2**63
+        model = randomize_model(build_model(FIELDS[:2], cards), rng)
+        chain = compile_chain(model)
+        pool = rng.integers(-1, 255, size=(60, len(cards)))
+        pool[1::2, 1:] = pool[::2, 1:]  # pairs of rows that differ only in column 0
+        obs_list = [pool[rng.integers(0, len(pool), size=T)] for T in (9, 0, 14, 5, 11)]
+        table, rows = chain.distinct_log_emission(obs_list)
+        assert len(table) == len(np.unique(np.concatenate(obs_list), axis=0))
+        for obs, r in zip(obs_list, rows, strict=True):
+            assert table[r].tobytes() == chain.log_emission(obs).tobytes()
+        for result, obs in zip(decode_batch(chain, obs_list), obs_list, strict=True):
             want = decode(chain, obs)
-            npt.assert_array_equal(result.tags, want.tags)
-            npt.assert_array_equal(result.ds, want.ds)
-            assert result.score == want.score
-            assert result.spans == want.spans
-            assert result.diagnostics == want.diagnostics
+            assert result.tags.tobytes() == want.tags.tobytes()
+            assert np.float64(result.score).tobytes() == np.float64(want.score).tobytes()
 
     @pytest.mark.parametrize("text", ["", " \n\t \n"], ids=["empty", "whitespace"])
     def test_empty_document(self, text):
@@ -269,17 +326,7 @@ class TestDecode:
         assert result.spans == []
         assert result.diagnostics == {"unterminated": 0, "orphan_inside": 0, "orphan_end": 0}
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            pytest.param(lambda obs: set_lemma(obs, 5), id="code-past-cardinality"),
-            pytest.param(lambda obs: obs[:, :1], id="too-few-columns"),
-            pytest.param(lambda obs: obs[:, 0], id="one-dimensional"),
-            pytest.param(lambda obs: np.hstack([obs, obs[:, :1]]), id="extra-column"),
-            pytest.param(lambda obs: set_lemma(obs, -2), id="code-below-masked"),
-            pytest.param(lambda obs: obs.astype(float), id="float-codes"),
-        ],
-    )
+    @pytest.mark.parametrize("bad", BAD_OBSERVATIONS)
     def test_bad_observation_matrix_is_a_typed_error(self, bad):
         rng = np.random.default_rng(12)
         model = randomize_model(
@@ -288,6 +335,48 @@ class TestDecode:
         obs = sample_example(model, 6, rng).obs
         with pytest.raises(InvalidSpec):
             decode(compile_chain(model), bad(obs))
+
+    @pytest.mark.parametrize("bad", BAD_OBSERVATIONS)
+    def test_bad_matrix_in_a_batch_raises_what_decode_raises(self, bad):
+        """Among good matrices, the first malformed one raises the error
+        ``decode`` raises for it, never a numpy error from stacking."""
+        rng = np.random.default_rng(15)
+        model = randomize_model(
+            build_model(("speaker", "location"), {"lemma": 5, "case": 3}), rng
+        )
+        chain = compile_chain(model)
+        good = [sample_example(model, T, rng).obs for T in (6, 0, 3, 8)]
+        with pytest.raises(InvalidSpec) as want:
+            decode(chain, bad(good[0]))
+        for i in range(len(good) + 1):
+            batch = good[:i] + [bad(good[0]), good[3].astype(float)] + good[i:]
+            with pytest.raises(InvalidSpec) as got:
+                decode_batch(chain, batch)
+            assert str(got.value) == str(want.value)
+
+
+class TestGoldenDecode:
+    """Every decoded tag, segment and score of the 5 holdout runs of the
+    default experiment on ``generate_corpus(485, 1993)``, in run and
+    document order, pinned bit for bit by one sha256. Any change to the
+    arithmetic of the decode shows here."""
+
+    def test_experiment_decodes(self, monkeypatch):
+        h = hashlib.sha256()
+        decode_batch = evaluation.decode_batch
+
+        def hashed(chain, obs_list):
+            results = decode_batch(chain, obs_list)
+            for r in results:
+                h.update(r.tags.tobytes())
+                h.update(r.ds.tobytes())
+                h.update(np.float64(r.score).tobytes())
+            return results
+
+        monkeypatch.setattr(evaluation, "decode_batch", hashed)
+        result = run_experiment(generate_corpus(485, 1993), ExperimentConfig())
+        assert len(result.runs) == 5
+        assert h.hexdigest() == "d0da3aabc44f5945e631ab0a29b91c9b767ab8ac693c35e5fe4c8eec15d930b4"
 
 
 # ---------------------------------------------------------------------------
