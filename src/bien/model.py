@@ -309,6 +309,7 @@ class CompiledChain:
         malformed matrix raises the :class:`InvalidSpec` that
         ``log_emission`` raises for it."""
         obs, lengths = _check_observation_batch(obs_list, self._cardinalities)
+        obs = obs.astype(np.int64, copy=False)
         # a masked (-1) code is digit 0
         digits = ((obs[:, k] + 1, int(card) + 1) for k, card in enumerate(self._cardinalities))
         row_of, first = distinct_rows(len(obs), digits)
@@ -319,8 +320,8 @@ class CompiledChain:
 
 
 def _check_observation_batch(obs_list, cardinalities):
-    """The matrices of ``obs_list`` stacked into one int64 ``(N, K)`` array,
-    with their lengths, once each is known to pass
+    """The matrices of ``obs_list`` stacked into one integer ``(N, K)``
+    array of their common dtype, with their lengths, once each is known to pass
     :func:`check_observations`; otherwise the first that fails raises its
     :class:`InvalidSpec`. Codes are range-checked once, on the stack; only
     when a check fails are the matrices checked one by one."""
@@ -339,7 +340,7 @@ def _check_observation_batch(obs_list, cardinalities):
         for m in mats:  # unless there are none, some matrix is malformed and this raises
             check_observations(m, cardinalities)
         return np.zeros((0, len(cardinalities)), dtype=np.int64), []
-    return stack.astype(np.int64, copy=False), [len(m) for m in mats]
+    return stack, [len(m) for m in mats]
 
 
 def distinct_rows(n_rows, digits):

@@ -378,6 +378,30 @@ class TestGoldenDecode:
         assert len(result.runs) == 5
         assert h.hexdigest() == "d0da3aabc44f5945e631ab0a29b91c9b767ab8ac693c35e5fe4c8eec15d930b4"
 
+    def test_documents_decode_one_at_a_time(self):
+        """``decode`` of the final model, one unseen document at a time:
+        150 documents of ``generate_corpus(150, 1994)`` after three
+        degenerate ones (empty, whitespace only, punctuation only)."""
+        result = run_experiment(generate_corpus(485, 1993), ExperimentConfig())
+        chain = compile_chain(result.model)
+        lexicons = default_lexicons()
+        degenerate = ("", " \n\t \n", "-- ... --\n*** !!! ***\n")
+        docs = [parse_tagged_document(text, doc_id=f"d{k}")[0] for k, text in enumerate(degenerate)]
+        docs += generate_corpus(150, 1994)
+        h = hashlib.sha256()
+        for doc in docs:
+            obs = featurize(doc, result.gazetteer, lexicons, mask=result.config.mask)
+            try:
+                r = decode(chain, obs)
+            except Exception as exc:  # noqa: BLE001 - a raised error is pinned too
+                h.update(f"{type(exc).__name__}: {exc}".encode())
+                continue
+            h.update(r.tags.tobytes())
+            h.update(r.ds.tobytes())
+            h.update(repr(r.spans).encode())
+            h.update(np.float64(r.score).tobytes())
+        assert h.hexdigest() == "07821a0da58851b43a231f8aa6d785e60cd8a4ae3f433af4536d38967c8df2fa"
+
 
 # ---------------------------------------------------------------------------
 # Experiment protocol on a tiny deterministic corpus

@@ -16,6 +16,7 @@ from bien.inference import _BATCH_DOCS, Evidence, viterbi, viterbi_batch
 from bien.model import build_model, compile_chain
 
 OBS = {"lemma": 6, "case": 4}
+FOUR_FIELDS = ("speaker", "location", "stime", "etime")
 
 
 def make_chain(fields, memory=True, seed=0):
@@ -254,8 +255,40 @@ class TestViterbiMatchesReference:
             assert exc.value.step == step
             assert not assert_same_outcome(chain, ClampedEvidence(obs, allowed_ds=allowed_ds))
 
+    @pytest.mark.parametrize("step", [0, 20, 39])
+    def test_dead_step_of_a_long_document_on_the_full_chain(self, step):
+        chain = make_chain(FOUR_FIELDS, seed=5)
+        assert chain.n_states == 42
+        T = 40
+        obs = random_obs(chain.model, T, np.random.default_rng(step))
+        allowed_ds = np.ones((T, 2), dtype=bool)
+        allowed_ds[step] = False
+        with pytest.raises(ZeroProbabilityEvidence) as exc:
+            viterbi(chain, ClampedEvidence(obs, allowed_ds=allowed_ds))
+        assert exc.value.step == step
+        assert not assert_same_outcome(chain, ClampedEvidence(obs, allowed_ds=allowed_ds))
 
-FOUR_FIELDS = ("speaker", "location", "stime", "etime")
+    def test_nan_transition_on_the_full_chain(self):
+        """A NaN in one finite move reaches every later step's scores, in
+        both recursions alike. A step that no state admits before it does
+        (only step 0 can be one) is still raised at that step."""
+        rng = np.random.default_rng(700)
+        T = 40
+        raised = 0
+        for k in range(21):
+            chain = make_chain(FOUR_FIELDS, seed=5)
+            finite = np.flatnonzero(np.isfinite(chain.log_trans))
+            chain.log_trans.flat[rng.choice(finite)] = np.nan
+            allowed_ds = np.ones((T, 2), dtype=bool)
+            # no dead step, a dead first step, or a dead step that comes after the NaN
+            if k % 3:
+                allowed_ds[0 if k % 3 == 1 else rng.integers(1, T)] = False
+            ev = ClampedEvidence(random_obs(chain.model, T, rng), allowed_ds=allowed_ds)
+            if assert_same_outcome(chain, ev):
+                assert np.isnan(viterbi(chain, ev)[1])
+            else:
+                raised += 1
+        assert raised == 7
 
 
 def mixed_batches(clamp):
