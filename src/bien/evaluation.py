@@ -11,10 +11,12 @@ import numpy as np
 from .corpus import SplitPlan, TagSpan, split
 from .errors import InvalidSpec
 from .features import (
+    apply_mask,
     build_gazetteer,
     default_lexicons,
     feature_cardinalities,
     featurize,
+    mask_columns,
 )
 from .inference import EmissionRows, Evidence, viterbi, viterbi_batch
 from .learning import TrainConfig, check_unique_ids, make_examples, train
@@ -244,8 +246,17 @@ class ExperimentResult:
         return out
 
 
-def _run_one(cfg, lexicons, run_index, train_docs, test_docs):
-    """Train and score a single split. Top level so process pools can use it."""
+def _run_split(cfgs, lexicons, run_index, train_docs, test_docs):
+    """Train and score every config on one split; a ``(run, model,
+    gazetteer)`` triple per config, in config order. Top level so process
+    pools can use it.
+
+    The configs differ only in ``mask`` and ``memory``, so the gazetteer is
+    built once and the training and test documents are featurized once,
+    unmasked; each config then reads those arrays through its mask
+    (:func:`~bien.features.apply_mask`): a masked config gets copies, an
+    unmasked one the shared arrays, which are read-only."""
+    cfg = cfgs[0]
     gazetteer = build_gazetteer(
         train_docs,
         lexicons.lemma_table,
@@ -253,20 +264,43 @@ def _run_one(cfg, lexicons, run_index, train_docs, test_docs):
         min_freq=cfg.gazetteer_min_freq,
         max_size=cfg.gazetteer_max_size,
     )
-    model = build_model(cfg.fields, feature_cardinalities(gazetteer), memory=cfg.memory)
-    examples = make_examples(train_docs, gazetteer, lexicons, model, mask=cfg.mask)
-    fitted = train(model, examples, cfg.train)
+    cardinalities = feature_cardinalities(gazetteer)
+    model = build_model(cfg.fields, cardinalities, memory=cfg.memory)
+    examples = make_examples(train_docs, gazetteer, lexicons, model)
+    for ex in examples:
+        ex.obs.flags.writeable = False
+    test_obs = None  # featurized after the first training, so that it holds none
+    outs = []
+    for cfg in cfgs:
+        if cfg.memory != model.memory:  # train fits a copy, so a model is reused
+            model = build_model(cfg.fields, cardinalities, memory=cfg.memory)
+        masked = examples
+        if cfg.mask:
+            masked = [replace(ex, obs=apply_mask(ex.obs, cfg.mask)) for ex in examples]
+        fitted = train(model, masked, cfg.train)
+        if test_obs is None:
+            test_obs = [featurize(doc, gazetteer, lexicons) for doc in test_docs]
+            for obs in test_obs:
+                obs.flags.writeable = False
+        run = _score_run(cfg, fitted, test_docs, test_obs, run_index, len(train_docs))
+        outs.append((run, fitted.model, gazetteer))
+    return outs
+
+
+def _score_run(cfg, fitted, test_docs, test_obs, run_index, n_train):
+    """Decode the test side, masked as ``cfg`` says, with the trained model
+    of ``fitted`` and score it: the split's :class:`RunResult`. The chain
+    and the decoded paths are freed on return, before the next config
+    trains."""
     chain = compile_chain(fitted.model)
-    decoded = decode_batch(
-        chain, [featurize(doc, gazetteer, lexicons, mask=cfg.mask) for doc in test_docs]
-    )
+    decoded = decode_batch(chain, [apply_mask(obs, cfg.mask) for obs in test_obs])
     predictions = [result.spans for result in decoded]
     diagnostics = {}
     for result in decoded:
         for k, v in result.diagnostics.items():
             diagnostics[k] = diagnostics.get(k, 0) + v
     scores = score_documents(test_docs, predictions, cfg.fields, mode=cfg.match_mode)
-    run = RunResult(
+    return RunResult(
         run=run_index,
         scores=scores,
         macro=macro_f1(scores),
@@ -274,36 +308,37 @@ def _run_one(cfg, lexicons, run_index, train_docs, test_docs):
         iterations=fitted.iterations,
         converged=fitted.converged,
         diagnostics=diagnostics,
-        n_train=len(train_docs),
+        n_train=n_train,
         n_test=len(test_docs),
     )
-    return run, fitted.model, gazetteer
 
 
 def _run_variants(corpus, cfgs, jobs):
-    """Run the protocol once per config. The configs share one split plan:
-    the corpus is split once into the plan's holdout runs and the lexicons
-    are loaded once, then every (config, run) pair trains and scores on its
-    split. Results merge in config and run order, so the outcome is
+    """Run the protocol once per config. The configs share one split plan
+    and differ only in ``mask`` and ``memory``. Every mask is checked
+    first; then the corpus is split once into the plan's holdout runs and
+    the lexicons are loaded once, and each split trains and scores every
+    config (:func:`_run_split`). With ``jobs > 1`` the splits run in a
+    process pool. Results merge in config and run order, so the outcome is
     identical for any ``jobs``. Document ids must be unique."""
+    for cfg in cfgs:
+        mask_columns(cfg.mask)
     corpus = sorted(corpus, key=lambda d: d.id)
     check_unique_ids([d.id for d in corpus])
     pairs = split(corpus, cfgs[0].plan)
     lexicons = default_lexicons()
     tasks = [
-        (cfg, lexicons, r, train_docs, test_docs)
-        for cfg in cfgs
+        (cfgs, lexicons, r, train_docs, test_docs)
         for r, (train_docs, test_docs) in enumerate(pairs)
     ]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            outs = list(pool.map(_run_one, *zip(*tasks)))
+            outs = list(pool.map(_run_split, *zip(*tasks)))
     else:
-        outs = list(itertools.starmap(_run_one, tasks))
-    n = len(pairs)
+        outs = list(itertools.starmap(_run_split, tasks))
     results = []
     for i, cfg in enumerate(cfgs):
-        runs, models, gazetteers = zip(*outs[i * n : (i + 1) * n])
+        runs, models, gazetteers = zip(*(split_outs[i] for split_outs in outs))
         results.append(ExperimentResult(cfg, list(runs), models[-1], gazetteers[-1]))
     return results
 
@@ -316,9 +351,13 @@ def run_experiment(corpus, cfg, jobs=1):
 
 
 def run_ablations(corpus, cfg, jobs=1, variants=None):
-    """The feature/structure ablation grid, all variants on one split.
-    ``variants=None`` runs every entry of :data:`ABLATIONS`; an empty,
-    unknown or repeated variant list raises :class:`InvalidSpec`."""
+    """The feature/structure ablation grid: every variant runs on the same
+    holdout splits of ``cfg.plan``. Per split, the gazetteer is built and
+    the documents are featurized once; per variant, the model is built,
+    trained, compiled and decoded on those features, masked as the variant
+    says, and scored. ``variants=None`` runs every entry of
+    :data:`ABLATIONS`; an empty, unknown or repeated variant list raises
+    :class:`InvalidSpec`."""
     names = list(ABLATIONS if variants is None else variants)
     unknown = sorted({n for n in names if n not in ABLATIONS})
     repeated = sorted({n for n in names if names.count(n) > 1})

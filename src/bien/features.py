@@ -326,17 +326,30 @@ def featurize(doc, gazetteer, lexicons, mask=()):
     gazetteer and lexicon set; the semantic, case and length codes in them
     once per lexicon set. POS and chunk codes are computed once per document.
     """
-    mask = set(mask)
-    unknown = mask - set(FEATURE_NAMES)
-    if unknown:
-        raise InvalidSpec(f"unknown feature names in mask: {sorted(unknown)}")
     if gazetteer is None or lexicons is None:
         raise MissingResource("featurize needs both a gazetteer and lexicons")
 
     out = doc.types.column(_type_codes, gazetteer, lexicons)[doc.type_ids]
     out[:, 1] = doc.column_codes("pos", _pos_code)
     out[:, 2] = doc.column_codes("chunk", _chunk_code)
-    for k, name in enumerate(FEATURE_NAMES):
-        if name in mask:
-            out[:, k] = MASKED
+    return apply_mask(out, mask)
+
+
+def mask_columns(mask):
+    """The columns of :data:`FEATURE_NAMES` that ``mask`` names, in order.
+    An unknown name raises :class:`InvalidSpec`."""
+    unknown = set(mask) - set(FEATURE_NAMES)
+    if unknown:
+        raise InvalidSpec(f"unknown feature names in mask: {sorted(unknown)}")
+    return [k for k, name in enumerate(FEATURE_NAMES) if name in mask]
+
+
+def apply_mask(obs, mask):
+    """``obs`` as :func:`featurize` returns it with ``mask``: ``obs`` itself
+    when the mask is empty, else a copy with the masked columns all
+    ``MASKED``. An unknown name raises :class:`InvalidSpec`."""
+    if not mask:
+        return obs
+    out = obs.copy()
+    out[:, mask_columns(mask)] = MASKED
     return out

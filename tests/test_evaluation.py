@@ -438,6 +438,25 @@ def tiny_config(runs=2, train_fraction=0.75):
     )
 
 
+def assert_same_experiment(a, b):
+    """Every run's result and every final table of ``a`` and ``b`` agree exactly."""
+    assert a.config == b.config
+    assert a.summary() == b.summary()
+    assert len(a.runs) == len(b.runs)
+    for x, y in zip(a.runs, b.runs):
+        assert (x.run, x.scores, x.macro) == (y.run, y.scores, y.macro)
+        assert (x.log_likelihood, x.iterations, x.converged) == (
+            y.log_likelihood, y.iterations, y.converged
+        )
+        assert (x.diagnostics, x.n_train, x.n_test) == (y.diagnostics, y.n_train, y.n_test)
+    assert (a.model.fields, a.model.memory, a.model.observables) == (
+        b.model.fields, b.model.memory, b.model.observables
+    )
+    assert sorted(a.model.cpts) == sorted(b.model.cpts)
+    for name, cpt in a.model.cpts.items():
+        assert np.array_equal(cpt.table, b.model.cpts[name].table), name
+
+
 class TestExperimentProtocol:
     def test_smoke_run(self):
         result = run_experiment(tiny_corpus(), tiny_config())
@@ -458,14 +477,9 @@ class TestExperimentProtocol:
     def test_jobs_do_not_change_results(self):
         corpus = tiny_corpus()
         cfg = tiny_config()
-        serial = run_experiment(corpus, cfg, jobs=1)
-        parallel = run_experiment(corpus, cfg, jobs=2)
-        assert serial.summary() == parallel.summary()
-        a, b = serial.model, parallel.model
-        assert (a.fields, a.memory, a.observables) == (b.fields, b.memory, b.observables)
-        assert sorted(a.cpts) == sorted(b.cpts)
-        for name, cpt in a.cpts.items():
-            assert np.array_equal(cpt.table, b.cpts[name].table), name
+        assert_same_experiment(
+            run_experiment(corpus, cfg, jobs=1), run_experiment(corpus, cfg, jobs=2)
+        )
 
     def test_duplicate_document_ids_raise(self):
         corpus = tiny_corpus()
@@ -507,6 +521,34 @@ class TestExperimentProtocol:
     def test_bad_variant_lists_raise(self, variants, named):
         with pytest.raises(InvalidSpec, match=re.escape(named)):
             run_ablations(tiny_corpus(), tiny_config(runs=1), variants=variants)
+
+    def test_ablation_variants_match_their_own_experiments(self):
+        corpus, cfg = tiny_corpus(), tiny_config(runs=2)
+        grid = run_ablations(corpus, cfg)
+        assert list(grid) == list(evaluation.ABLATIONS)
+        for got in grid.values():
+            alone = run_experiment(corpus, got.config)
+            assert_same_experiment(got, alone)
+            assert got.gazetteer == alone.gazetteer
+
+    def test_ablation_jobs_do_not_change_results(self):
+        corpus, cfg = tiny_corpus(), tiny_config(runs=2)
+        variants = ("complete", "no lemma", "no memory")
+        serial = run_ablations(corpus, cfg, jobs=1, variants=variants)
+        parallel = run_ablations(corpus, cfg, jobs=2, variants=variants)
+        assert list(serial) == list(parallel)
+        for name in variants:
+            assert_same_experiment(serial[name], parallel[name])
+
+    def test_unknown_mask_name_raises_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the mask was checked")
+
+        monkeypatch.setattr(evaluation, "build_gazetteer", no_work)
+        monkeypatch.setattr(evaluation, "train", no_work)
+        cfg = replace(tiny_config(runs=1), mask=("bogus",))
+        with pytest.raises(InvalidSpec, match="bogus"):
+            run_experiment(tiny_corpus(), cfg)
 
     def test_run_reports_em_iterations(self):
         cfg = tiny_config(runs=1)
