@@ -11,16 +11,23 @@ import numpy as np
 from .corpus import SplitPlan, TagSpan, split
 from .errors import InvalidSpec
 from .features import (
-    apply_mask,
     build_gazetteer,
+    check_gazetteer_settings,
     default_lexicons,
     feature_cardinalities,
     featurize,
     mask_columns,
 )
 from .inference import EmissionRows, Evidence, viterbi, viterbi_batch
-from .learning import TrainConfig, check_unique_ids, make_examples, train
-from .model import ROLE_BEGIN, ROLE_END, ROLE_INSIDE, build_model, compile_chain
+from .learning import SharedExamples, TrainConfig, check_unique_ids, make_examples, train
+from .model import (
+    ROLE_BEGIN,
+    ROLE_END,
+    ROLE_INSIDE,
+    build_model,
+    compile_chain,
+    number_observations,
+)
 
 # mask name per ablation; "no memory" flips the model structure instead
 ABLATIONS = {
@@ -110,7 +117,10 @@ def decode_batch(chain, obs_list):
     The matrices of a run's test side share few distinct rows (271 among
     the 11,435 test tokens of a holdout run of ``generate_corpus(485,
     1993)``), so emission scores are computed once per distinct row and
-    each document reads its rows of that table as it is decoded."""
+    each document reads its rows of that table as it is decoded.
+    ``obs_list`` may also be those rows already numbered
+    (:class:`~bien.model.ObservationRows`), as the protocol numbers a test
+    side once for every config and masks the rows per config."""
     table, rows = chain.distinct_log_emission(obs_list)
     decoded = viterbi_batch(chain, [EmissionRows(table, r) for r in rows])
     return [_decode_result(chain, path, score) for path, score in decoded]
@@ -152,6 +162,15 @@ def slot_filler(doc, span):
     return " ".join(surfaces[i] for i in ids.tolist())
 
 
+MATCH_MODES = ("slot", "occurrence")
+
+
+def check_match_mode(mode):
+    """Raise :class:`InvalidSpec` unless ``mode`` is one of :data:`MATCH_MODES`."""
+    if mode not in MATCH_MODES:
+        raise InvalidSpec(f"unknown match mode {mode!r}")
+
+
 def score_documents(docs, predictions, fields, mode="slot"):
     """Tally produced/truth/correct per field over (gold document, spans) pairs.
 
@@ -160,8 +179,7 @@ def score_documents(docs, predictions, fields, mode="slot"):
     string in the document. ``occurrence`` mode counts every span and
     requires exact token boundaries.
     """
-    if mode not in ("slot", "occurrence"):
-        raise InvalidSpec(f"unknown match mode {mode!r}")
+    check_match_mode(mode)
     if len(docs) != len(predictions):
         raise InvalidSpec(
             f"{len(docs)} documents but {len(predictions)} prediction lists"
@@ -251,11 +269,14 @@ def _run_split(cfgs, lexicons, run_index, train_docs, test_docs):
     gazetteer)`` triple per config, in config order. Top level so process
     pools can use it.
 
-    The configs differ only in ``mask`` and ``memory``, so the gazetteer is
+    The configs differ only in ``mask`` and ``memory``. So the gazetteer is
     built once and the training and test documents are featurized once,
-    unmasked; each config then reads those arrays through its mask
-    (:func:`~bien.features.apply_mask`): a masked config gets copies, an
-    unmasked one the shared arrays, which are read-only."""
+    unmasked. The training side is packed for EM once per model structure
+    (:class:`~bien.learning.SharedExamples`), and each packing is freed
+    once the last config of its structure has trained. The test side is
+    numbered by its distinct observation rows once
+    (:func:`~bien.model.number_observations`). Each config reads both
+    through its mask."""
     cfg = cfgs[0]
     gazetteer = build_gazetteer(
         train_docs,
@@ -269,31 +290,38 @@ def _run_split(cfgs, lexicons, run_index, train_docs, test_docs):
     examples = make_examples(train_docs, gazetteer, lexicons, model)
     for ex in examples:
         ex.obs.flags.writeable = False
-    test_obs = None  # featurized after the first training, so that it holds none
+    last = {c.memory: i for i, c in enumerate(cfgs)}  # the last config per structure
+    shared = {}
+    test_side = None  # featurized after the first training, so that it holds none
     outs = []
-    for cfg in cfgs:
+    for i, cfg in enumerate(cfgs):
         if cfg.memory != model.memory:  # train fits a copy, so a model is reused
             model = build_model(cfg.fields, cardinalities, memory=cfg.memory)
-        masked = examples
-        if cfg.mask:
-            masked = [replace(ex, obs=apply_mask(ex.obs, cfg.mask)) for ex in examples]
-        fitted = train(model, masked, cfg.train)
-        if test_obs is None:
-            test_obs = [featurize(doc, gazetteer, lexicons) for doc in test_docs]
-            for obs in test_obs:
-                obs.flags.writeable = False
-        run = _score_run(cfg, fitted, test_docs, test_obs, run_index, len(train_docs))
+        if cfg.memory not in shared:
+            shared[cfg.memory] = SharedExamples(examples)
+        fitted = train(model, shared[cfg.memory].masked(cfg.mask), cfg.train)
+        if last[cfg.memory] == i:
+            del shared[cfg.memory]
+        if test_side is None:
+            test_side = number_observations(
+                [featurize(doc, gazetteer, lexicons) for doc in test_docs],
+                list(cardinalities.values()),
+            )
+        run = _score_run(
+            cfg, fitted, test_docs, test_side.masked(mask_columns(cfg.mask)), run_index,
+            len(train_docs),
+        )
         outs.append((run, fitted.model, gazetteer))
     return outs
 
 
-def _score_run(cfg, fitted, test_docs, test_obs, run_index, n_train):
-    """Decode the test side, masked as ``cfg`` says, with the trained model
-    of ``fitted`` and score it: the split's :class:`RunResult`. The chain
-    and the decoded paths are freed on return, before the next config
-    trains."""
+def _score_run(cfg, fitted, test_docs, test_side, run_index, n_train):
+    """Decode ``test_side``, the test documents' observations masked as
+    ``cfg`` says, with the trained model of ``fitted`` and score it: the
+    split's :class:`RunResult`. The chain and the decoded paths are freed
+    on return, before the next config trains."""
     chain = compile_chain(fitted.model)
-    decoded = decode_batch(chain, [apply_mask(obs, cfg.mask) for obs in test_obs])
+    decoded = decode_batch(chain, test_side)
     predictions = [result.spans for result in decoded]
     diagnostics = {}
     for result in decoded:
@@ -320,9 +348,14 @@ def _run_variants(corpus, cfgs, jobs):
     the lexicons are loaded once, and each split trains and scores every
     config (:func:`_run_split`). With ``jobs > 1`` the splits run in a
     process pool. Results merge in config and run order, so the outcome is
-    identical for any ``jobs``. Document ids must be unique."""
+    identical for any ``jobs``. Document ids must be unique.
+
+    Every mask name, match mode and gazetteer setting is checked before
+    any work: a bad one raises :class:`InvalidSpec` naming it."""
     for cfg in cfgs:
         mask_columns(cfg.mask)
+        check_match_mode(cfg.match_mode)
+        check_gazetteer_settings(cfg.gazetteer_window, cfg.gazetteer_max_size)
     corpus = sorted(corpus, key=lambda d: d.id)
     check_unique_ids([d.id for d in corpus])
     pairs = split(corpus, cfgs[0].plan)
@@ -352,10 +385,18 @@ def run_experiment(corpus, cfg, jobs=1):
 
 def run_ablations(corpus, cfg, jobs=1, variants=None):
     """The feature/structure ablation grid: every variant runs on the same
-    holdout splits of ``cfg.plan``. Per split, the gazetteer is built and
-    the documents are featurized once; per variant, the model is built,
-    trained, compiled and decoded on those features, masked as the variant
-    says, and scored. ``variants=None`` runs every entry of
+    holdout splits of ``cfg.plan``.
+
+    - Per split: the gazetteer is built, the documents are featurized, and
+      the test side is numbered by its distinct observation rows, once.
+    - Per memory structure (``no memory`` against the rest): the training
+      side is packed for EM once, by the first variant that trains on it,
+      and freed after the last.
+    - Per variant: the model is trained on that packing and compiled, and
+      the test side is decoded and scored, both read through the
+      variant's mask.
+
+    ``variants=None`` runs every entry of
     :data:`ABLATIONS`; an empty, unknown or repeated variant list raises
     :class:`InvalidSpec`."""
     names = list(ABLATIONS if variants is None else variants)

@@ -7,6 +7,7 @@ the observation model rather than the code space.
 
 from __future__ import annotations
 
+import numbers
 import re
 from dataclasses import dataclass, field
 
@@ -221,6 +222,14 @@ def _lemma_keys(table, start, lemma_table):
     )
 
 
+def check_gazetteer_settings(window, max_size):
+    """Raise :class:`InvalidSpec` naming ``window`` unless it is an int of
+    at least 0, or ``max_size`` unless it is an int of at least 1."""
+    for name, value, least in (("window", window, 0), ("max_size", max_size, 1)):
+        if not isinstance(value, numbers.Integral) or value < least:
+            raise InvalidSpec(f"gazetteer {name} must be an int >= {least}, got {value!r}")
+
+
 def build_gazetteer(docs, lemma_table, window=3, min_freq=3, max_size=1200):
     """Build the lemma vocabulary from gold-tagged training documents.
 
@@ -229,8 +238,10 @@ def build_gazetteer(docs, lemma_table, window=3, min_freq=3, max_size=1200):
     whole-corpus lemma frequency reaches ``min_freq``; the vocabulary is
     cut to the ``max_size`` most frequent (ties broken alphabetically).
     Tokens are counted per type and summed per lemma; each type's lemma is
-    computed once per lemma table.
+    computed once per lemma table. A negative ``window`` or a ``max_size``
+    below 1 raises :class:`InvalidSpec` before any work.
     """
+    check_gazetteer_settings(window, max_size)
     by_table = {}
     for doc in docs:
         by_table.setdefault(doc.types, []).append(doc)

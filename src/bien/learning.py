@@ -18,17 +18,29 @@ padded batch; all three give the same expected counts up to rounding.
 Counts with the segments observed too are the oracles'
 ``observed_counts``, which the exact maximum-likelihood tests feed to
 :func:`_m_step_cpt`.
+
+The packing of the examples (:class:`_FactoredBatch`) is tied to a
+model structure (memory, fields, and observable names and
+cardinalities), not to a mask: a mask only selects which emission
+columns enter the factors and counts. So configs that differ only in
+their mask share one packing (:class:`SharedExamples`), and train
+exactly as on masked copies, because each token's factors are the same
+terms summed in the same order. The ablation grid packs each split's
+training side once per memory setting.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyCorpus, InconsistentGold, InvalidSpec, OverlappingSpans, UnknownField
-from .features import featurize
+from .features import featurize, mask_columns
 from .model import LT_NONE, _check_observation_batch, check_observations, distinct_rows
 
 
@@ -52,6 +64,21 @@ class TrainConfig:
     tol: float = 1e-4        # relative log-likelihood change at convergence
     seed: int = 0
     jitter: float = 1e-3     # emission symmetry breaking; 0 disables
+
+    def __post_init__(self):
+        """Raise :class:`InvalidSpec` naming the first setting that
+        :func:`train` cannot honour: ``max_iter`` must be an int of at
+        least 1, ``alpha`` and ``tol`` finite and at least 0, and
+        ``jitter`` finite in [0, 1), so that every jittered cell stays
+        positive."""
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise InvalidSpec(f"TrainConfig.max_iter must be an int >= 1, got {self.max_iter!r}")
+        for name in ("alpha", "tol", "jitter"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
+                raise InvalidSpec(f"TrainConfig.{name} must be finite and >= 0, got {value!r}")
+        if self.jitter >= 1:
+            raise InvalidSpec(f"TrainConfig.jitter must be below 1, got {self.jitter!r}")
 
 
 @dataclass
@@ -277,12 +304,24 @@ class _FactoredBatch:
             ),
         )
         # per distinct row: the transition index, and per observed column
-        # (name, cardinality, flat emission index)
+        # (column, CPT name, cardinality, flat emission index)
         self.row_trans = trans[row]
         self.emit = [
-            (f"emit:{name}", card, g[row] * (card + 1) + _emission_codes(obs[k, row], card))
+            (k, f"emit:{name}", card, g[row] * (card + 1) + _emission_codes(obs[k, row], card))
             for k, name, card in observed
         ]
+        self.structure = _structure(model)
+
+    def without(self, columns):
+        """This packing with the observation ``columns`` left out of the
+        factors and counts, as if masked throughout; every array is shared.
+        Tokens stay numbered by their rows over every column, so rows that
+        differ only in those columns get equal factors."""
+        if not columns:
+            return self
+        view = copy.copy(self)
+        view.emit = [e for e in self.emit if e[0] not in columns]
+        return view
 
     def _packed_order(self, lengths):
         """The example-order index of the token at each packed row."""
@@ -303,7 +342,7 @@ class _FactoredBatch:
             [model.cpts["tag_init"].log_table().T, log_tt.transpose(0, 1, 3, 2).reshape(-1, 2)]
         )
         A = trans[self.row_trans]
-        for name, card, idx in self.emit:
+        for _, name, card, idx in self.emit:
             rows = np.zeros((n_tags, card + 1, 2))
             rows[:, :card] = model.cpts[name].log_table().transpose(0, 2, 1)
             A += rows.reshape(-1, 2)[idx]
@@ -350,7 +389,9 @@ class _FactoredBatch:
             fp = B[cur_rows] * beta[cur_rows]
             np.matmul(fp, P.T, out=beta[prev_rows])
             pair += alpha[prev_rows].T @ fp
-        gamma = (alpha * beta).T.copy()
+        beta *= alpha  # the segment posteriors, freed once copied by segment
+        gamma = beta.T.copy()
+        del beta
 
         counts = {name: np.zeros(cpt.shape) for name, cpt in model.cpts.items()}
         n_tags, lt_card = model.tags.size, model.lt_card
@@ -362,7 +403,7 @@ class _FactoredBatch:
             tally = np.bincount(idx, weights=gamma[ds], minlength=n_tags * (1 + n_tags * lt_card))
             counts["tag_init"][ds] = tally[:n_tags]
             counts["tag_trans"][:, :, ds, :] = tally[n_tags:].reshape(n_tags, lt_card, n_tags)
-        for name, card, rows in self.emit:
+        for _, name, card, rows in self.emit:
             idx = rows[self.row_of]
             for ds in range(2):
                 tally = np.bincount(idx, weights=gamma[ds], minlength=n_tags * (card + 1))
@@ -411,6 +452,67 @@ def _apply_jitter(model, config):
             cpt.table = np.where(tot > 0, perturbed / tot, 0.0)
 
 
+def _structure(model):
+    """What a packing of examples depends on in ``model``, as text."""
+    observables = ", ".join(f"{o.name}:{o.cardinality}" for o in model.observables)
+    return f"memory={model.memory}, fields={model.fields}, observables=({observables})"
+
+
+class SharedExamples:
+    """Training examples that several :func:`train` calls share, each
+    through its own mask.
+
+    The first ``train`` on them packs them for EM (a
+    :class:`_FactoredBatch`, unmasked), and every later one reuses that
+    packing. A packing is tied to the structure of the model it was built
+    for: its memory, fields and observables (names and cardinalities). A
+    model of another structure raises :class:`InvalidSpec` naming both.
+    :meth:`masked` returns a view that shares the packing; its mask drops
+    the emission columns it names from the factors and counts, so it
+    trains exactly as on copies of the examples masked by
+    ``features.apply_mask``. Iterating yields the examples, unmasked, in
+    training order: sorted by id, zero-token ones skipped.
+    """
+
+    def __init__(self, examples):
+        self.examples = sorted((e for e in examples if len(e.tags)), key=lambda e: e.doc_id)
+        if not self.examples:
+            raise EmptyCorpus("no non-empty training examples")
+        check_unique_ids([e.doc_id for e in self.examples])
+        self.mask = ()
+        self._packed = []  # the packing once built, shared by every view
+
+    def __iter__(self):
+        return iter(self.examples)
+
+    def masked(self, mask):
+        """A view of these examples that trains with ``mask``; an unknown
+        feature name raises :class:`InvalidSpec`."""
+        mask_columns(mask)
+        view = copy.copy(self)
+        view.mask = tuple(mask)
+        return view
+
+    def packing(self, model):
+        """The packing for ``model``, built on first use, with this view's
+        mask applied."""
+        if not self._packed:
+            self._packed.append(_FactoredBatch(model, self.examples))
+        batch = self._packed[0]
+        if batch.structure != _structure(model):
+            raise InvalidSpec(
+                f"examples packed for a model of {batch.structure} cannot train "
+                f"a model of {_structure(model)}"
+            )
+        columns = mask_columns(self.mask)
+        if columns and columns[-1] >= len(model.observables):
+            raise InvalidSpec(
+                f"mask {self.mask!r} names a column that the model's "
+                f"{len(model.observables)} observables lack"
+            )
+        return batch.without(columns)
+
+
 def train(model, examples, config=TrainConfig()):
     """Fit every CPT by EM; returns the trained copy and the
     per-iteration data log-likelihood trace (likelihood of each iteration's
@@ -418,19 +520,22 @@ def train(model, examples, config=TrainConfig()):
     Zero-token examples are skipped, as :func:`make_examples` skips empty
     documents.
 
+    ``examples`` is a list, packed for EM here and dropped on return, or
+    :class:`SharedExamples`, packed by the first ``train`` on them for that
+    model's structure and then trained through the view's mask. Either
+    way the trained tables and the trace are the same, bit for bit.
+
     ``converged`` is True when the trace's relative change fell within
     ``config.tol`` before ``max_iter`` iterations. With the tags observed,
     that happens at the segment saddle, after 3 iterations, whether or not
     the segment learned anything (see :class:`TrainConfig`)."""
-    examples = sorted((e for e in examples if len(e.tags)), key=lambda e: e.doc_id)
-    if not examples:
-        raise EmptyCorpus("no non-empty training examples")
-    check_unique_ids([e.doc_id for e in examples])
+    if not isinstance(examples, SharedExamples):
+        examples = SharedExamples(examples)
     model = model.copy()
     model.validate()
     _apply_jitter(model, config)
 
-    batch = _FactoredBatch(model, examples)
+    batch = examples.packing(model)
 
     trace = []
     converged = False

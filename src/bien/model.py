@@ -302,21 +302,52 @@ class CompiledChain:
             out += rows[col]
         return out
 
-    def distinct_log_emission(self, obs_list):
+    def distinct_log_emission(self, obs):
         """``log_emission`` of many observation matrices, computed once per
         distinct observation row: ``(table, rows)``, where ``table[rows[i]]``
-        equals ``log_emission(obs_list[i])`` bit for bit. The first
-        malformed matrix raises the :class:`InvalidSpec` that
-        ``log_emission`` raises for it."""
-        obs, lengths = _check_observation_batch(obs_list, self._cardinalities)
-        obs = obs.astype(np.int64, copy=False)
-        # a masked (-1) code is digit 0
-        digits = ((obs[:, k] + 1, int(card) + 1) for k, card in enumerate(self._cardinalities))
-        row_of, first = distinct_rows(len(obs), digits)
-        ends = np.cumsum(lengths, dtype=np.int64).tolist()
-        return self.log_emission(obs[first]), [
-            row_of[end - n : end] for end, n in zip(ends, lengths)
-        ]
+        equals ``log_emission`` of matrix i bit for bit. ``obs`` is a list
+        of matrices, numbered here, or :class:`ObservationRows` numbered
+        once for many chains. The first malformed matrix raises the
+        :class:`InvalidSpec` that ``log_emission`` raises for it."""
+        if not isinstance(obs, ObservationRows):
+            obs = number_observations(obs, self._cardinalities)
+        return self.log_emission(obs.table), obs.rows
+
+
+@dataclass(frozen=True)
+class ObservationRows:
+    """Observation matrices as their distinct rows: matrix i is
+    ``table[rows[i]]``, with ``table`` an int64 ``(R, K)`` array of
+    distinct rows (see :func:`number_observations`)."""
+
+    table: np.ndarray
+    rows: list
+
+    def masked(self, columns):
+        """The same matrices with ``columns`` masked (-1) throughout: a
+        blanked copy of the R distinct rows, with the row numbers shared.
+        Rows that differ only in those columns stay apart, and give equal
+        emission scores."""
+        if not columns:
+            return self
+        table = self.table.copy()
+        table[:, columns] = -1
+        return ObservationRows(table, self.rows)
+
+
+def number_observations(obs_list, cardinalities):
+    """The matrices of ``obs_list`` as :class:`ObservationRows`, once each
+    is known to pass :func:`check_observations` against ``cardinalities``;
+    otherwise the first that fails raises its :class:`InvalidSpec`. Only
+    the distinct rows and each matrix's row numbers are kept, not the
+    stack of matrices."""
+    obs, lengths = _check_observation_batch(obs_list, cardinalities)
+    obs = obs.astype(np.int64, copy=False)
+    # a masked (-1) code is digit 0
+    digits = ((obs[:, k] + 1, int(card) + 1) for k, card in enumerate(cardinalities))
+    row_of, first = distinct_rows(len(obs), digits)
+    ends = np.cumsum(lengths, dtype=np.int64).tolist()
+    return ObservationRows(obs[first], [row_of[end - n : end] for end, n in zip(ends, lengths)])
 
 
 def _check_observation_batch(obs_list, cardinalities):

@@ -8,7 +8,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from bien import evaluation
+from bien import evaluation, learning
+from bien import model as model_module
 from bien.corpus import SplitPlan, TagSpan, parse_tagged_document
 from bien.errors import InvalidSpec
 from bien.evaluation import (
@@ -23,10 +24,18 @@ from bien.evaluation import (
     slot_filler,
     ExperimentConfig,
 )
-from bien.features import Gazetteer, default_lexicons, feature_cardinalities, featurize
+from bien.features import (
+    Gazetteer,
+    apply_mask,
+    build_gazetteer,
+    default_lexicons,
+    feature_cardinalities,
+    featurize,
+    mask_columns,
+)
 from bien.inference import _BATCH_DOCS
 from bien.learning import TrainConfig, encode_tags
-from bien.model import build_model, compile_chain
+from bien.model import build_model, compile_chain, number_observations
 from bien.synth import generate_corpus
 
 from oracles import assemble_slots_reference, randomize_model, sample_example
@@ -355,6 +364,42 @@ class TestDecode:
             assert str(got.value) == str(want.value)
 
 
+class TestSharedTestSide:
+    @pytest.mark.parametrize("memory", [True, False], ids=["memory", "no-memory"])
+    def test_masks_on_one_numbering_decode_as_masked_matrices(self, memory):
+        """A featurized test side, numbered once by its distinct rows and
+        masked per variant, decodes as its masked matrices do: tags,
+        segments, spans and score bytes."""
+        docs = generate_corpus(50, 6)
+        lexicons = default_lexicons()
+        gaz = build_gazetteer(docs[:30], lexicons.lemma_table)
+        cards = feature_cardinalities(gaz)
+        model = randomize_model(build_model(FIELDS, cards, memory=memory),
+                                np.random.default_rng(17))
+        chain = compile_chain(model)
+        obs_list = [featurize(doc, gaz, lexicons) for doc in docs[30:]]
+        numbered = number_observations(obs_list, list(cards.values()))
+        for mask in dict.fromkeys(evaluation.ABLATIONS.values()):
+            got = decode_batch(chain, numbered.masked(mask_columns(mask)))
+            want = decode_batch(chain, [apply_mask(obs, mask) for obs in obs_list])
+            assert len(got) == len(want) == len(obs_list)
+            for a, b in zip(got, want):
+                assert a.tags.tobytes() == b.tags.tobytes()
+                assert a.ds.tobytes() == b.ds.tobytes()
+                assert np.float64(a.score).tobytes() == np.float64(b.score).tobytes()
+                assert (a.spans, a.diagnostics) == (b.spans, b.diagnostics)
+
+    def test_numbered_rows_are_checked_against_the_chain(self):
+        rng = np.random.default_rng(19)
+        model = randomize_model(build_model(FIELDS[:2], {"lemma": 5, "case": 3}), rng)
+        obs_list = [sample_example(model, T, rng).obs for T in (4, 7)]
+        numbered = number_observations(obs_list, [9, 3])  # numbered for a larger gazetteer
+        table = numbered.table.copy()
+        table[0, 0] = 7
+        with pytest.raises(InvalidSpec, match="cardinality"):
+            decode_batch(compile_chain(model), model_module.ObservationRows(table, numbered.rows))
+
+
 class TestGoldenDecode:
     """Every decoded tag, segment and score of the 5 holdout runs of the
     default experiment on ``generate_corpus(485, 1993)``, in run and
@@ -549,6 +594,62 @@ class TestExperimentProtocol:
         cfg = replace(tiny_config(runs=1), mask=("bogus",))
         with pytest.raises(InvalidSpec, match="bogus"):
             run_experiment(tiny_corpus(), cfg)
+
+    @pytest.mark.parametrize("variants, runs, packings, numberings", [
+        (None, 1, 2, 1),
+        (("complete",), 2, 2, 2),
+        (("no memory", "no lemma", "no case"), 1, 2, 1),
+    ], ids=["grid", "experiment", "structures-interleaved"])
+    def test_one_packing_per_structure_and_one_numbering_per_split(
+        self, monkeypatch, variants, runs, packings, numberings
+    ):
+        """Per split, the training side is packed once per model structure
+        and the test side numbered once; ``run_experiment`` is the
+        one-config case."""
+        built, numbered = [], []
+
+        class Counted(learning._FactoredBatch):
+            def __init__(self, model, examples):
+                built.append(model.memory)
+                super().__init__(model, examples)
+
+        def counted(*args):
+            numbered.append(args)
+            return number_observations(*args)
+
+        monkeypatch.setattr(learning, "_FactoredBatch", Counted)
+        monkeypatch.setattr(evaluation, "number_observations", counted)
+        monkeypatch.setattr(model_module, "number_observations", counted)
+        corpus, cfg = tiny_corpus(), tiny_config(runs=runs)
+        if variants == ("complete",):
+            run_experiment(corpus, cfg)
+        else:
+            run_ablations(corpus, cfg, variants=variants)
+        assert len(built) == packings and len(numbered) == numberings
+        if variants is None:
+            assert built == [True, False]
+
+    def test_bad_match_mode_raises_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the match mode was checked")
+
+        monkeypatch.setattr(evaluation, "split", no_work)
+        monkeypatch.setattr(evaluation, "train", no_work)
+        cfg = replace(tiny_config(runs=1), match_mode="bogus")
+        with pytest.raises(InvalidSpec, match="bogus"):
+            run_experiment(tiny_corpus(), cfg)
+
+    @pytest.mark.parametrize("setting, value", [
+        ("gazetteer_window", -5), ("gazetteer_max_size", 0),
+    ])
+    def test_bad_gazetteer_setting_raises_before_any_work(self, monkeypatch, setting, value):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the gazetteer settings were checked")
+
+        monkeypatch.setattr(evaluation, "split", no_work)
+        cfg = replace(tiny_config(runs=1), **{setting: value})
+        with pytest.raises(InvalidSpec, match=setting.removeprefix("gazetteer_")):
+            run_ablations(tiny_corpus(), cfg, variants=("complete", "no memory"))
 
     def test_run_reports_em_iterations(self):
         cfg = tiny_config(runs=1)

@@ -191,6 +191,16 @@ class TestGazetteer:
         with pytest.raises(EmptyVocabulary):
             build_gazetteer(tiny_corpus(), LEX.lemma_table, window=0, min_freq=50)
 
+    @pytest.mark.parametrize("kwargs, named", [
+        ({"window": -5}, "window"),
+        ({"window": 1.5}, "window"),
+        ({"max_size": 0}, "max_size"),
+        ({"max_size": -3}, "max_size"),
+    ])
+    def test_bad_settings_raise_naming_the_argument(self, kwargs, named):
+        with pytest.raises(InvalidSpec, match=named):
+            build_gazetteer(tiny_corpus(), LEX.lemma_table, **kwargs)
+
     def test_lookup_ids(self):
         gaz = Gazetteer({"talk": 1, "dr.": 2}, LEX.lemma_table)
         assert gaz.lookup(*word("talks")) == 1

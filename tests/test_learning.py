@@ -13,6 +13,7 @@ from oracles import (
     sample_corpus,
 )
 
+from bien import learning
 from bien.corpus import parse_tagged_document
 from bien.errors import (
     EmptyCorpus,
@@ -21,8 +22,16 @@ from bien.errors import (
     OverlappingSpans,
     UnknownField,
 )
-from bien.features import Gazetteer, build_gazetteer, default_lexicons, feature_cardinalities
+from bien.evaluation import ABLATIONS
+from bien.features import (
+    Gazetteer,
+    apply_mask,
+    build_gazetteer,
+    default_lexicons,
+    feature_cardinalities,
+)
 from bien.learning import (
+    SharedExamples,
     TrainConfig,
     TrainExample,
     _apply_jitter,
@@ -482,6 +491,116 @@ class TestGoldenTraining:
             h.update(result.model.cpts[name].table.tobytes())
         h.update(np.array(result.log_likelihood).tobytes())
         assert h.hexdigest() == digest
+
+
+def assert_same_training(a, b):
+    """Two training results agree bit for bit."""
+    assert a.log_likelihood == b.log_likelihood
+    assert (a.iterations, a.converged) == (b.iterations, b.converged)
+    assert sorted(a.model.cpts) == sorted(b.model.cpts)
+    for name, cpt in a.model.cpts.items():
+        assert np.array_equal(cpt.table, b.model.cpts[name].table), name
+
+
+class TestSharedExamples:
+    @pytest.mark.parametrize("memory", [True, False], ids=["memory", "no-memory"])
+    def test_masks_on_one_packing_train_as_masked_copies(self, memory):
+        """Every mask of the ablation grid, trained on one packing of the
+        unmasked examples, gives what training on masked copies gives."""
+        docs = generate_corpus(60, 4)
+        gaz = build_gazetteer(docs, LEX.lemma_table)
+        m = build_model(FIELDS, feature_cardinalities(gaz), memory=memory)
+        examples = make_examples(docs, gaz, LEX, m)
+        shared = SharedExamples(examples)
+        config = TrainConfig(max_iter=4, tol=0.0, seed=2)
+        for mask in dict.fromkeys(ABLATIONS.values()):
+            masked = [replace(ex, obs=apply_mask(ex.obs, mask)) for ex in examples]
+            got = train(m, shared.masked(mask), config)
+            assert_same_training(got, train(m, masked, config))
+        # the early exit on convergence too
+        got = train(m, shared.masked(("case",)), TrainConfig())
+        masked = [replace(ex, obs=apply_mask(ex.obs, ("case",))) for ex in examples]
+        assert_same_training(got, train(m, masked, TrainConfig()))
+
+    def test_one_packing_for_every_view(self, monkeypatch):
+        built = []
+
+        class Counted(_FactoredBatch):
+            def __init__(self, *args):
+                built.append(self)
+                super().__init__(*args)
+
+        monkeypatch.setattr(learning, "_FactoredBatch", Counted)
+        m = build_model(("x", "y"), OBS)
+        shared = SharedExamples(sample_corpus(randomize_model(m, np.random.default_rng(3)), 12,
+                                              np.random.default_rng(4)))
+        for view in (shared, shared.masked(("lemma",)), shared, shared.masked(())):
+            train(m, view, TrainConfig(max_iter=2))
+        assert len(built) == 1
+        assert [len(ex.tags) for ex in shared] == [len(ex.tags) for ex in shared.examples]
+
+    @pytest.mark.parametrize(
+        "other, named",
+        [
+            (lambda: build_model(("x", "y"), OBS, memory=False), "memory=False"),
+            (lambda: build_model(("x", "z"), OBS), "fields=('x', 'z')"),
+            (lambda: build_model(("x", "y"), {"u": 3, "w": 2}), "observables=(u:3, w:2)"),
+            (lambda: build_model(("x", "y"), {"u": 4, "v": 2}), "observables=(u:4, v:2)"),
+        ],
+        ids=["memory", "fields", "observable-name", "cardinality"],
+    )
+    def test_another_structure_raises_naming_both(self, other, named):
+        m = build_model(("x", "y"), OBS)
+        shared = SharedExamples(
+            sample_corpus(randomize_model(m, np.random.default_rng(3)), 8, np.random.default_rng(4))
+        )
+        train(m, shared, TrainConfig(max_iter=1))
+        with pytest.raises(InvalidSpec) as got:
+            train(other(), shared.masked(()), TrainConfig(max_iter=1))
+        message = str(got.value)
+        assert "memory=True, fields=('x', 'y'), observables=(u:3, v:2)" in message
+        assert named in message
+
+    def test_unknown_mask_name_raises(self):
+        m = build_model(("x",), OBS)
+        shared = SharedExamples([example("a", [0, m.tags.single(0), 0], model=m)])
+        with pytest.raises(InvalidSpec, match="bogus"):
+            shared.masked(("bogus",))
+
+    def test_mask_past_the_model_columns_raises(self):
+        m = build_model(("x",), OBS)
+        shared = SharedExamples([example("a", [0, m.tags.single(0), 0], model=m)])
+        with pytest.raises(InvalidSpec, match="2 observables"):
+            train(m, shared.masked(("semantic",)), TrainConfig(max_iter=1))
+
+
+class TestTrainConfig:
+    """Settings that ``train`` cannot honour raise at construction, naming
+    the field."""
+
+    @pytest.mark.parametrize("value", [0, -1, 2.5, "3"])
+    def test_max_iter(self, value):
+        with pytest.raises(InvalidSpec, match="max_iter"):
+            TrainConfig(max_iter=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.1, None])
+    def test_alpha(self, value):
+        with pytest.raises(InvalidSpec, match="alpha"):
+            TrainConfig(alpha=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-4])
+    def test_tol(self, value):
+        with pytest.raises(InvalidSpec, match="tol"):
+            TrainConfig(tol=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 1.0, 1.5, -1e-3])
+    def test_jitter(self, value):
+        with pytest.raises(InvalidSpec, match="jitter"):
+            TrainConfig(jitter=value)
+
+    def test_edges_are_accepted(self):
+        TrainConfig(max_iter=1, alpha=0, tol=0.0, jitter=0.0)
+        TrainConfig(max_iter=np.int64(2), alpha=np.float64(0.5), jitter=0.999)
 
 
 def malformed(obs, tags=(0, 0), dtype=np.int16):
