@@ -181,12 +181,13 @@ class Document:
 
     def column_codes(self, name, code_of):
         """``code_of(value)`` per token of column ``name`` as an int8 array,
-        coding each distinct value once. The array is kept on the document."""
+        coding each distinct value once and every token by a dict lookup.
+        The array is kept on the document."""
 
         def compute():
             values = self.column(name)
             codes = {v: code_of(v) for v in set(values)}
-            return np.array([codes[v] for v in values], dtype=np.int8)
+            return np.fromiter(map(codes.__getitem__, values), dtype=np.int8, count=len(values))
 
         return self.cached((name, code_of), compute)
 
@@ -293,12 +294,29 @@ _MEMO_LIMIT = 1 << 16
 _COLUMN_CONTEXTS = 4
 
 
+class Numbering(dict):
+    """Strings numbered from 0 in order of first use: ``numbering[s]`` is
+    the number of ``s``, given on first use, and ``numbering.strings[k]``
+    the string numbered ``k``."""
+
+    def __init__(self):
+        super().__init__()
+        self.strings = []
+
+    def __missing__(self, string):
+        k = self[string] = len(self.strings)
+        self.strings.append(string)
+        return k
+
+
 class TypeTable:
     """An append-only table of ``(surface, kind)`` token types; a type's id
     is its index.
 
     :meth:`column` keeps arrays of per-type values derived from the table,
     each computed once per context and then extended for new types only.
+    ``derived`` numbers strings derived from the types (their lemmas, say)
+    for columns that hold such numbers in place of strings.
     """
 
     def __init__(self):
@@ -306,13 +324,15 @@ class TypeTable:
         self.kinds = []
         self._ids = {}
         self._columns = {}
+        self.derived = Numbering()
 
     def __len__(self):
         return len(self.surfaces)
 
     def __getstate__(self):
-        # a pickled table rebuilds its columns where it is used
-        return {**self.__dict__, "_columns": {}}
+        # a pickled table rebuilds its columns, and the numbers they hold,
+        # where it is used
+        return {**self.__dict__, "_columns": {}, "derived": Numbering()}
 
     def id_of(self, surface, kind):
         key = (surface, kind)
@@ -329,7 +349,13 @@ class TypeTable:
         ``compute``, a column is kept for each of the ``_COLUMN_CONTEXTS``
         contexts read last (matched item by item, by identity or ``==``): it
         is computed for a context not kept and extended for types added
-        since it was last read."""
+        since it was last read.
+
+        A column may hold numbers of strings in ``derived`` rather than the
+        strings, so that whole-array passes can count or look them up, as
+        the lemma column of :mod:`bien.features` does. A number lasts as
+        long as the table, so a column recomputed or extended holds the
+        same number for the same string."""
         n = len(self.surfaces)
         kept = self._columns.setdefault(compute, [])
         for k in reversed(range(len(kept))):

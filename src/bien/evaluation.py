@@ -355,7 +355,9 @@ def _run_variants(corpus, cfgs, jobs):
     for cfg in cfgs:
         mask_columns(cfg.mask)
         check_match_mode(cfg.match_mode)
-        check_gazetteer_settings(cfg.gazetteer_window, cfg.gazetteer_max_size)
+        check_gazetteer_settings(
+            cfg.gazetteer_window, cfg.gazetteer_min_freq, cfg.gazetteer_max_size
+        )
     corpus = sorted(corpus, key=lambda d: d.id)
     check_unique_ids([d.id for d in corpus])
     pairs = split(corpus, cfgs[0].plan)

@@ -7,6 +7,7 @@ the observation model rather than the code space.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 import re
 from dataclasses import dataclass, field
@@ -124,16 +125,8 @@ def default_lexicons():
     )
 
 
-_TIME_PATTERNS = (
-    re.compile(r"\d\d"),                      # bare hour written as two digits
-    re.compile(r"\d{1,2}:\d{2}"),             # 3:30
-    re.compile(r"\d{1,2}\.\d{2}"),            # 3.30
-    re.compile(r"\d{1,2}(?::\d{2})?(?:am|pm)"),  # 7pm, 7:30pm
-)
-
-
-def _matches_time(low):
-    return any(p.fullmatch(low) for p in _TIME_PATTERNS)
+# bare hour written as two digits | 3:30 | 3.30 | 7pm, 7:30pm
+_TIME_RE = re.compile(r"\d\d|\d{1,2}:\d{2}|\d{1,2}\.\d{2}|\d{1,2}(?::\d{2})?(?:am|pm)")
 
 
 def semantic_feature(surface, kind, lexicons):
@@ -155,7 +148,7 @@ def semantic_feature(surface, kind, lexicons):
             return "LastName"
         if low in lexicons.locations:
             return "Location"
-    if low in lexicons.timewords or _matches_time(low):
+    if low in lexicons.timewords or _TIME_RE.fullmatch(low):
         return "Time"
     return "None"
 
@@ -168,10 +161,11 @@ class Gazetteer:
     """Ranked lemma vocabulary mapping tokens to ids.
 
     Ids 1..V cover the vocabulary in descending corpus frequency; V+1 is
-    out-of-vocabulary and V+2 is not-a-word (punctuation and symbols).
-    :func:`featurize` looks each token type up once per gazetteer, in a
-    column of the type's :class:`~bien.corpus.TypeTable`; an equal
-    gazetteer shares that column.
+    out-of-vocabulary and V+2 is not-a-word (punctuation and symbols). Any
+    other token type's id is that of its lemma (see :func:`lemmatise`),
+    else that of its lowercased surface, else V+1. :func:`featurize` gives
+    each token type its id once per gazetteer, in a column of the type's
+    :class:`~bien.corpus.TypeTable`; an equal gazetteer shares that column.
     """
 
     def __init__(self, ids, lemma_table):
@@ -200,34 +194,59 @@ class Gazetteer:
         """Number of distinct ids a token can map to."""
         return len(self.ids) + 2
 
-    def lookup(self, surface, kind):
-        """The id of a token type."""
-        if kind in (KIND_PUNCT, KIND_SYMBOL):
-            return self.naw_id
-        got = self.ids.get(lemmatise(surface, self.lemma_table))
-        if got is None:
-            # surfaces whose lemma is unlisted may still match directly
-            got = self.ids.get(surface.lower())
-        return got if got is not None else self.oov_id
 
-
-def _lemma_keys(table, start, lemma_table):
-    """Per type from ``start``: its lemma, or None for punctuation and symbols."""
-    return np.array(
-        [
-            None if kind in (KIND_PUNCT, KIND_SYMBOL) else lemmatise(surface, lemma_table)
-            for surface, kind in zip(table.surfaces[start:], table.kinds[start:])
-        ],
-        dtype=object,
+def _lemma_numbers(table, start, lemma_table):
+    """Per type from ``start``: the numbers in ``table.derived`` of its lemma
+    (see :func:`lemmatise`) and of its lowercased surface, as an int32
+    ``(n, 2)`` array; -1 for both for punctuation and symbols."""
+    n = len(table) - start
+    word = np.fromiter(
+        (kind not in (KIND_PUNCT, KIND_SYMBOL) for kind in table.kinds[start:]), bool, count=n
     )
+    # A surface that is its own lowercase form is numbered as itself, and
+    # before the lemmas, so that the numbering keeps no copy of it.
+    lows = [
+        surface if (low := surface.lower()) == surface else low
+        for surface in itertools.compress(table.surfaces[start:], word)
+    ]
+    number = table.derived.__getitem__
+    out = np.full((n, 2), -1, dtype=np.int32)
+    out[word, 1] = np.fromiter(map(number, lows), np.int32, len(lows))
+    lemmas = map(lemmatise, lows, itertools.repeat(lemma_table))
+    out[word, 0] = np.fromiter(map(number, lemmas), np.int32, len(lows))
+    return out
 
 
-def check_gazetteer_settings(window, max_size):
+def check_gazetteer_settings(window, min_freq, max_size):
     """Raise :class:`InvalidSpec` naming ``window`` unless it is an int of
-    at least 0, or ``max_size`` unless it is an int of at least 1."""
-    for name, value, least in (("window", window, 0), ("max_size", max_size, 1)):
+    at least 0, or ``min_freq`` or ``max_size`` unless it is an int of at
+    least 1. A ``min_freq`` below 1 would keep every candidate, as 1 does."""
+    for name, value, least in (
+        ("window", window, 0), ("min_freq", min_freq, 1), ("max_size", max_size, 1)
+    ):
         if not isinstance(value, numbers.Integral) or value < least:
             raise InvalidSpec(f"gazetteer {name} must be an int >= {least}, got {value!r}")
+
+
+def _near_gold(group, window):
+    """Per token of the ``group``'s documents, concatenated: whether it lies
+    within ``window`` tokens of a gold span of its document (span tokens
+    included). A difference array marks every span's neighbourhood, clipped
+    to its document, in one pass; a neighbourhood clipped to nothing (a span
+    that starts past its document's end) marks nothing."""
+    lengths = np.fromiter((len(doc.type_ids) for doc in group), dtype=np.int64, count=len(group))
+    ends = np.cumsum(lengths)
+    per_doc = [len(doc.gold_spans) for doc in group]
+    spans = list(itertools.chain.from_iterable(doc.gold_spans for doc in group))
+    first = np.repeat(ends - lengths, per_doc)
+    starts = np.fromiter([s.start_token for s in spans], np.int64, len(spans))
+    stops = np.fromiter([s.end_token for s in spans], np.int64, len(spans))
+    lo = first + np.maximum(starts - window, 0)
+    hi = np.minimum(first + stops + window, np.repeat(ends - 1, per_doc))
+    keep = lo <= hi
+    depth = np.bincount(lo[keep], minlength=ends[-1] + 1)
+    depth -= np.bincount(hi[keep] + 1, minlength=len(depth))
+    return np.cumsum(depth, out=depth)[:-1] > 0
 
 
 def build_gazetteer(docs, lemma_table, window=3, min_freq=3, max_size=1200):
@@ -237,42 +256,47 @@ def build_gazetteer(docs, lemma_table, window=3, min_freq=3, max_size=1200):
     (span tokens included). A candidate enters the vocabulary when its
     whole-corpus lemma frequency reaches ``min_freq``; the vocabulary is
     cut to the ``max_size`` most frequent (ties broken alphabetically).
-    Tokens are counted per type and summed per lemma; each type's lemma is
-    computed once per lemma table. A negative ``window`` or a ``max_size``
-    below 1 raises :class:`InvalidSpec` before any work.
+    A ``window`` below 0, or a ``min_freq`` or ``max_size`` below 1, raises
+    :class:`InvalidSpec` before any work.
+
+    The work is whole-array passes over each type table's documents, with
+    their type ids concatenated: every token's lemma is its type's number in
+    the table's lemma column (lemmatised once per type and lemma table), the
+    frequencies are one ``np.bincount`` of those numbers, and the
+    neighbourhoods of all gold spans are marked at once (see
+    :func:`_near_gold`). The lemmas of documents in a later table are
+    renumbered in the first table's numbering.
     """
-    check_gazetteer_settings(window, max_size)
+    check_gazetteer_settings(window, min_freq, max_size)
     by_table = {}
     for doc in docs:
         by_table.setdefault(doc.types, []).append(doc)
-    freq = {}
-    candidates = set()
+    numbering = None  # the first table's, in which every lemma is counted
+    lemmas, near = [], []
     for table, group in by_table.items():
-        lemmas = table.column(_lemma_keys, lemma_table)
-        counts = np.bincount(
-            np.concatenate([doc.type_ids for doc in group]), minlength=len(table)
-        )
-        near = np.zeros(len(table), dtype=bool)
-        for doc in group:
-            last = len(doc.tokens) - 1
-            for span in doc.gold_spans:
-                lo = max(0, span.start_token - window)
-                near[doc.type_ids[lo : min(last, span.end_token + window) + 1]] = True
-        seen = np.flatnonzero(counts)
-        for t, n, is_near in zip(seen.tolist(), counts[seen].tolist(), near[seen].tolist()):
-            lem = lemmas[t]
-            if lem is not None:
-                freq[lem] = freq.get(lem, 0) + n
-                if is_near:
-                    candidates.add(lem)
-    kept = [lem for lem in candidates if freq[lem] >= min_freq]
-    kept.sort(key=lambda lem: (-freq[lem], lem))
-    kept = kept[:max_size]
-    if not kept:
+        lemma = table.column(_lemma_numbers, lemma_table)[:, 0]
+        if numbering is None:
+            numbering = table.derived
+        else:
+            # the number of each string of this table, then -1, which stays -1
+            strings = table.derived.strings
+            renumbered = itertools.chain(map(numbering.__getitem__, strings), [-1])
+            lemma = np.fromiter(renumbered, np.int32, len(strings) + 1)[lemma]
+        lemmas.append(lemma[np.concatenate([doc.type_ids for doc in group])])
+        near.append(_near_gold(group, window))
+    lemmas, near = np.concatenate(lemmas), np.concatenate(near)
+    word = lemmas >= 0
+    freq = np.bincount(lemmas[word], minlength=len(numbering.strings))
+    candidate = np.zeros(len(freq), dtype=bool)
+    candidate[lemmas[word & near]] = True
+    kept = np.flatnonzero(candidate & (freq >= min_freq))
+    # most frequent first, ties alphabetically
+    ranked = sorted(zip((-freq[kept]).tolist(), map(numbering.strings.__getitem__, kept.tolist())))
+    if not ranked:
         raise EmptyVocabulary(
             f"no lemma near a gold span reaches frequency {min_freq}"
         )
-    return Gazetteer({lem: i + 1 for i, lem in enumerate(kept)}, lemma_table)
+    return Gazetteer({lem: i + 1 for i, (_, lem) in enumerate(ranked[:max_size])}, lemma_table)
 
 
 # ---------------------------------------------------------------------------
@@ -290,38 +314,70 @@ def feature_cardinalities(gazetteer):
     }
 
 
+def _code_of(names):
+    """Each of ``names`` mapped to its 0-based code."""
+    return {name: k for k, name in enumerate(names)}
+
+
+_SEMANTIC_CODE, _CASE_CODE, _LENGTH_CODE = map(_code_of, (SEMANTIC, CASES, LENGTH_BUCKETS))
+_POS_CODE, _CHUNK_CODE = _code_of(POS_CLUSTERS), _code_of(CHUNKS)
+
+
+def _coded(code_of, names, n):
+    """The codes of ``n`` names by the dict ``code_of``, as an int16 array."""
+    return np.fromiter(map(code_of.__getitem__, names), dtype=np.int16, count=n)
+
+
 def _lexicon_codes(table, start, lexicons):
     """Per type from ``start``: its semantic, case and length codes."""
-    return np.array(
-        [
-            (
-                SEMANTIC.index(semantic_feature(surface, kind, lexicons)),
-                CASES.index(case_feature(surface)),
-                LENGTH_BUCKETS.index(length_feature(surface)),
-            )
-            for surface, kind in zip(table.surfaces[start:], table.kinds[start:])
-        ],
-        dtype=np.int16,
-    ).reshape(-1, 3)
+    surfaces, kinds = table.surfaces[start:], table.kinds[start:]
+    n = len(surfaces)
+    out = np.empty((n, 3), dtype=np.int16)
+    semantic = map(semantic_feature, surfaces, kinds, itertools.repeat(lexicons))
+    out[:, 0] = _coded(_SEMANTIC_CODE, semantic, n)
+    out[:, 1] = _coded(_CASE_CODE, map(case_feature, surfaces), n)
+    out[:, 2] = _coded(_LENGTH_CODE, map(length_feature, surfaces), n)
+    return out
+
+
+def _gazetteer_ids(table, start, gazetteer):
+    """Per type from ``start``: its id in ``gazetteer`` (see
+    :class:`Gazetteer`), from the numbers of its lemma and lowercased
+    surface in the table's lemma column. Each distinct string among them is
+    looked up once."""
+    numbers = table.column(_lemma_numbers, gazetteer.lemma_table)[start:]
+    strings = table.derived.strings
+    # the id of each string numbered here, 0 when unlisted; the last cell,
+    # which -1 reads, is not-a-word
+    ids = np.zeros(len(strings) + 1, dtype=np.int32)
+    used = np.zeros(len(ids), dtype=bool)
+    used[numbers] = True
+    used[-1] = False
+    used = np.flatnonzero(used).tolist()
+    ids[used] = [gazetteer.ids.get(strings[k], 0) for k in used]
+    ids[-1] = gazetteer.naw_id
+    got = ids[numbers]
+    # a surface whose lemma is unlisted may still match directly
+    got = np.where(got[:, 0] > 0, got[:, 0], got[:, 1])
+    got[got == 0] = gazetteer.oov_id
+    return got
 
 
 def _type_codes(table, start, gazetteer, lexicons):
     """Per type from ``start``: its row of feature codes, with 0 in the pos
     and chunk cells, which come from the document's columns."""
     rows = np.zeros((len(table) - start, len(FEATURE_NAMES)), dtype=np.int16)
-    rows[:, 0] = [
-        gazetteer.lookup(*t) - 1 for t in zip(table.surfaces[start:], table.kinds[start:])
-    ]
+    rows[:, 0] = _gazetteer_ids(table, start, gazetteer) - 1
     rows[:, 3:] = table.column(_lexicon_codes, lexicons)[start:]
     return rows
 
 
 def _pos_code(value):
-    return POS_CLUSTERS.index(pos_cluster(value))
+    return _POS_CODE[pos_cluster(value)]
 
 
 def _chunk_code(value):
-    return CHUNKS.index(chunk_flatten(value))
+    return _CHUNK_CODE[chunk_flatten(value)]
 
 
 def featurize(doc, gazetteer, lexicons, mask=()):
@@ -329,13 +385,17 @@ def featurize(doc, gazetteer, lexicons, mask=()):
 
     Column order follows :data:`FEATURE_NAMES`. Both resources are required
     whatever the mask: ``None`` for either raises :class:`MissingResource`.
-    Masked features are -1 throughout. POS and chunk columns come from the
-    document's annotation columns and degrade to their NA codes when absent.
+    Masked features are -1 throughout; an unknown name in ``mask`` raises
+    :class:`InvalidSpec`. POS and chunk columns come from the document's
+    annotation columns and degrade to their NA codes when absent.
 
     The other codes are one gather of per-type rows, kept as a column of the
     document's :class:`~bien.corpus.TypeTable` and computed once per
-    gazetteer and lexicon set; the semantic, case and length codes in them
-    once per lexicon set. POS and chunk codes are computed once per document.
+    gazetteer and lexicon set: the gazetteer ids from the table's lemma
+    column, kept per lemma table, and the semantic, case and length codes
+    from a column kept per lexicon set. POS and chunk codes are computed
+    once per document. The gather is the only matrix allocated; a mask
+    blanks its columns in place.
     """
     if gazetteer is None or lexicons is None:
         raise MissingResource("featurize needs both a gazetteer and lexicons")
@@ -343,7 +403,9 @@ def featurize(doc, gazetteer, lexicons, mask=()):
     out = doc.types.column(_type_codes, gazetteer, lexicons)[doc.type_ids]
     out[:, 1] = doc.column_codes("pos", _pos_code)
     out[:, 2] = doc.column_codes("chunk", _chunk_code)
-    return apply_mask(out, mask)
+    if mask:
+        out[:, mask_columns(mask)] = MASKED
+    return out
 
 
 def mask_columns(mask):
@@ -353,14 +415,3 @@ def mask_columns(mask):
     if unknown:
         raise InvalidSpec(f"unknown feature names in mask: {sorted(unknown)}")
     return [k for k, name in enumerate(FEATURE_NAMES) if name in mask]
-
-
-def apply_mask(obs, mask):
-    """``obs`` as :func:`featurize` returns it with ``mask``: ``obs`` itself
-    when the mask is empty, else a copy with the masked columns all
-    ``MASKED``. An unknown name raises :class:`InvalidSpec`."""
-    if not mask:
-        return obs
-    out = obs.copy()
-    out[:, mask_columns(mask)] = MASKED
-    return out

@@ -182,8 +182,8 @@ def _check_example(model, ex, cardinalities):
 
 def _check_examples(model, examples):
     """The tags of ``examples`` concatenated in example order, and their
-    observations likewise as a (K, N) array, one row per observable, once
-    every example is known to be well formed (see :func:`_check_example`).
+    observations stacked likewise as an (N, K) array, once every example
+    is known to be well formed (see :func:`_check_example`).
     The observations are checked as one stack, as the decoder checks a
     batch (:func:`bien.model._check_observation_batch`), and the tags on
     their concatenation; only when a check fails are the examples checked
@@ -205,7 +205,7 @@ def _check_examples(model, examples):
     ):
         for ex in examples:  # some example is malformed, so this raises
             _check_example(model, ex, cardinalities)
-    return tags.astype(np.int64, copy=False), obs.T.copy()
+    return tags.astype(np.int64, copy=False), obs
 
 
 def _transition_index(model, tags, lengths):
@@ -286,7 +286,8 @@ class _FactoredBatch:
 
         packed = self._packed_order(lengths)
         trans = _transition_index(model, tags, lengths)[packed]
-        g, obs = tags[packed], obs[:, packed]
+        g, obs = tags[packed], obs[packed]
+        del tags, packed  # not held through the numbering below
 
         # Key each token's row by its transition index and emission codes.
         # Columns masked throughout add nothing and count nothing.
@@ -294,20 +295,20 @@ class _FactoredBatch:
         observed = [
             (k, spec.name, int(spec.cardinality))
             for k, spec in enumerate(model.observables)
-            if (obs[k] >= 0).any()
+            if (obs[:, k] >= 0).any()
         ]
         self.row_of, row = distinct_rows(
             len(trans),
             itertools.chain(
                 [(trans, n_tags * (1 + n_tags * model.lt_card))],
-                ((_emission_codes(obs[k], card), card + 1) for k, _, card in observed),
+                ((_emission_codes(obs[:, k], card), card + 1) for k, _, card in observed),
             ),
         )
         # per distinct row: the transition index, and per observed column
         # (column, CPT name, cardinality, flat emission index)
         self.row_trans = trans[row]
         self.emit = [
-            (k, f"emit:{name}", card, g[row] * (card + 1) + _emission_codes(obs[k, row], card))
+            (k, f"emit:{name}", card, g[row] * (card + 1) + _emission_codes(obs[row, k], card))
             for k, name, card in observed
         ]
         self.structure = _structure(model)
@@ -469,9 +470,9 @@ class SharedExamples:
     model of another structure raises :class:`InvalidSpec` naming both.
     :meth:`masked` returns a view that shares the packing; its mask drops
     the emission columns it names from the factors and counts, so it
-    trains exactly as on copies of the examples masked by
-    ``features.apply_mask``. Iterating yields the examples, unmasked, in
-    training order: sorted by id, zero-token ones skipped.
+    trains exactly as on examples featurized with that mask. Iterating
+    yields the examples, unmasked, in training order: sorted by id,
+    zero-token ones skipped.
     """
 
     def __init__(self, examples):

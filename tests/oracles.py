@@ -16,6 +16,10 @@ generative story. ``viterbi_reference``, ``featurize_reference`` and
 ``build_gazetteer_reference`` are the plain per-step and per-token
 versions of the package's ``viterbi`` (and ``viterbi_batch``),
 ``featurize`` and ``build_gazetteer``, which must match them bit for bit.
+``apply_mask`` masks a featurized matrix by copy, the earlier form of
+``featurize``'s in-place mask. ``matches_time_reference`` tests a
+lowercased surface against the four time patterns one by one, the
+longhand form of the semantic feature's single alternation.
 ``assemble_slots_reference`` is the branch-per-role version of
 ``assemble_slots``. ``tag_spans_reference`` maps tag pairs to tokens by
 scanning every token for every pair, the longhand form of the bisection
@@ -59,6 +63,7 @@ from bien.features import (
     chunk_flatten,
     lemmatise,
     length_feature,
+    mask_columns,
     pos_cluster,
     semantic_feature,
 )
@@ -669,6 +674,30 @@ def build_gazetteer_reference(docs, lemma_table, window=3, min_freq=3, max_size=
             f"no lemma near a gold span reaches frequency {min_freq}"
         )
     return Gazetteer({lem: i + 1 for i, lem in enumerate(kept)}, lemma_table)
+
+
+def apply_mask(obs, mask):
+    """``obs`` as ``featurize`` returns it with ``mask``: ``obs`` itself
+    when the mask is empty, else a copy with the masked columns all
+    ``MASKED``. An unknown name raises :class:`InvalidSpec`."""
+    if not mask:
+        return obs
+    out = obs.copy()
+    out[:, mask_columns(mask)] = MASKED
+    return out
+
+
+TIME_PATTERNS = (
+    re.compile(r"\d\d"),                      # bare hour written as two digits
+    re.compile(r"\d{1,2}:\d{2}"),             # 3:30
+    re.compile(r"\d{1,2}\.\d{2}"),            # 3.30
+    re.compile(r"\d{1,2}(?::\d{2})?(?:am|pm)"),  # 7pm, 7:30pm
+)
+
+
+def matches_time_reference(low):
+    """Whether a lowercased surface is a time by one of the four patterns."""
+    return any(p.fullmatch(low) for p in TIME_PATTERNS)
 
 
 def featurize_reference(doc, gazetteer, lexicons, mask=()):

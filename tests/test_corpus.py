@@ -246,6 +246,28 @@ class TestTypeTable:
         assert starts[40:] == [0]
         assert len(table) == 40 and table.id_of("x", "mixed") == 40
 
+    def test_derived_numbers_outlast_their_columns(self, monkeypatch):
+        monkeypatch.setattr(corpus_module, "_COLUMN_CONTEXTS", 1)
+        table = TypeTable()
+
+        def numbers(table, start, suffix):
+            return np.array(
+                [table.derived[s.lower() + suffix] for s in table.surfaces[start:]], dtype=np.int32
+            )
+
+        for surface in ("Talk", "talk", "Hall"):
+            table.id_of(surface, "word")
+        first = table.column(numbers, "").tolist()
+        assert first == [0, 0, 1]
+        assert table.derived.strings == ["talk", "hall"]
+        table.column(numbers, "s")  # drops the first context's column
+        table.id_of("HALL", "word")
+        assert table.column(numbers, "").tolist() == first + [1]
+        assert table.derived.strings == ["talk", "hall", "talks", "halls"]
+        cold = pickle.loads(pickle.dumps(table))
+        assert cold.derived == {} and cold.derived.strings == []
+        assert cold.column(numbers, "s").tolist() == [0, 0, 1, 1]
+
     def test_alternating_contexts_are_each_computed_once_then_extended(self, monkeypatch):
         monkeypatch.setattr(corpus_module, "_COLUMN_CONTEXTS", 3)
         table = TypeTable()
@@ -448,6 +470,28 @@ class TestColumns:
     def test_unrequested_column_defaults_to_na(self):
         doc = self._doc("a b")
         assert doc.column("pos") == ("NA", "NA")
+
+    @staticmethod
+    def code_of(value):
+        return {"NA": 0, "NN": 1, "VB": 2}.get(value, 3)
+
+    def test_column_codes_per_token(self):
+        doc = self._doc("a b c d").with_columns(pos=("NN", "VB", "NN", "IN"))
+        codes = doc.column_codes("pos", self.code_of)
+        assert codes.dtype == np.int8 and codes.tolist() == [1, 2, 1, 3]
+        assert doc.column_codes("pos", self.code_of) is codes  # kept on the document
+
+    def test_column_codes_of_an_empty_document(self):
+        doc = self._doc("")
+        for name in ("pos", "chunk"):
+            codes = doc.column_codes(name, self.code_of)
+            assert codes.dtype == np.int8 and codes.shape == (0,)
+
+    def test_column_codes_of_an_absent_column_are_all_na(self):
+        doc = self._doc("a b c")
+        for name in ("pos", "chunk"):
+            codes = doc.column_codes(name, self.code_of)
+            assert codes.dtype == np.int8 and codes.tolist() == [0, 0, 0]
 
     def test_column_of_wrong_length_raises_alignment_error(self):
         doc = self._doc("a b")

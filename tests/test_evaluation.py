@@ -26,7 +26,6 @@ from bien.evaluation import (
 )
 from bien.features import (
     Gazetteer,
-    apply_mask,
     build_gazetteer,
     default_lexicons,
     feature_cardinalities,
@@ -38,7 +37,7 @@ from bien.learning import TrainConfig, encode_tags
 from bien.model import build_model, compile_chain, number_observations
 from bien.synth import generate_corpus
 
-from oracles import assemble_slots_reference, randomize_model, sample_example
+from oracles import apply_mask, assemble_slots_reference, randomize_model, sample_example
 
 
 FIELDS = ("speaker", "location", "stime", "etime")
@@ -641,15 +640,19 @@ class TestExperimentProtocol:
 
     @pytest.mark.parametrize("setting, value", [
         ("gazetteer_window", -5), ("gazetteer_max_size", 0),
+        ("gazetteer_min_freq", "3"), ("gazetteer_min_freq", None), ("gazetteer_min_freq", 0),
     ])
     def test_bad_gazetteer_setting_raises_before_any_work(self, monkeypatch, setting, value):
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the gazetteer settings were checked")
 
         monkeypatch.setattr(evaluation, "split", no_work)
+        monkeypatch.setattr(evaluation, "default_lexicons", no_work)
         cfg = replace(tiny_config(runs=1), **{setting: value})
         with pytest.raises(InvalidSpec, match=setting.removeprefix("gazetteer_")):
             run_ablations(tiny_corpus(), cfg, variants=("complete", "no memory"))
+        with pytest.raises(InvalidSpec, match=setting.removeprefix("gazetteer_")):
+            run_experiment(tiny_corpus(), cfg)
 
     def test_run_reports_em_iterations(self):
         cfg = tiny_config(runs=1)

@@ -6,11 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import build_gazetteer_reference, featurize_reference
+from oracles import (
+    apply_mask,
+    build_gazetteer_reference,
+    featurize_reference,
+    matches_time_reference,
+)
 
 from bien import corpus as corpus_module
 from bien import features, synth
-from bien.corpus import Document, Token, parse_tagged_document
+from bien.corpus import Document, TagSpan, Token, parse_tagged_document
 from bien.errors import EmptyVocabulary, InvalidSpec, MissingResource
 from bien.evaluation import ABLATIONS
 from bien.features import (
@@ -40,9 +45,18 @@ LEX = default_lexicons()
 
 
 def word(surface):
-    """A word type: the ``(surface, kind)`` that semantic_feature and
-    Gazetteer.lookup take."""
+    """A word type: the ``(surface, kind)`` that semantic_feature takes."""
     return surface, "word"
+
+
+def lemma_ids(gazetteer, *types):
+    """The gazetteer id that featurize gives each ``(surface, kind)`` type."""
+    tokens, at = [], 0
+    for surface, kind in types:
+        tokens.append(Token(surface, at, at + len(surface), kind))
+        at += len(surface) + 1
+    doc = Document("ids", " ".join(surface for surface, _ in types), tuple(tokens))
+    return (featurize(doc, gazetteer, LEX)[:, 0] + 1).tolist()
 
 
 class TestAtomicFeatures:
@@ -196,6 +210,9 @@ class TestGazetteer:
         ({"window": 1.5}, "window"),
         ({"max_size": 0}, "max_size"),
         ({"max_size": -3}, "max_size"),
+        ({"min_freq": 0}, "min_freq"),
+        ({"min_freq": "3"}, "min_freq"),
+        ({"min_freq": None}, "min_freq"),
     ])
     def test_bad_settings_raise_naming_the_argument(self, kwargs, named):
         with pytest.raises(InvalidSpec, match=named):
@@ -203,12 +220,12 @@ class TestGazetteer:
 
     def test_lookup_ids(self):
         gaz = Gazetteer({"talk": 1, "dr.": 2}, LEX.lemma_table)
-        assert gaz.lookup(*word("talks")) == 1
-        assert gaz.lookup(*word("Doctor")) == 2
-        assert gaz.lookup(*word("zyzzyva")) == gaz.oov_id == 3
-        assert gaz.lookup(".", "punctuation") == gaz.naw_id == 4
-        assert gaz.lookup("$", "symbol") == 4
-        assert gaz.cardinality == 4
+        words = word("talks"), word("Doctor"), word("zyzzyva")
+        assert lemma_ids(gaz, *words, (".", "punctuation"), ("$", "symbol")) == [1, 2, 3, 4, 4]
+        assert gaz.oov_id == 3 and gaz.naw_id == 4 and gaz.cardinality == 4
+        # a surface whose lemma is unlisted still matches directly
+        direct = Gazetteer({"talks": 1, "doctor": 2}, LEX.lemma_table)
+        assert lemma_ids(direct, word("Talks"), word("Doctor"), word("talk")) == [1, 2, 3]
 
     def test_equality_follows_ids_and_lemma_table(self):
         gaz = build_gazetteer(tiny_corpus(), LEX.lemma_table, window=2, min_freq=1)
@@ -225,11 +242,10 @@ class TestGazetteer:
     def test_lookup_memo_is_per_instance(self):
         small = Gazetteer({"talk": 1}, LEX.lemma_table)
         large = Gazetteer({"dr.": 1, "talk": 2}, LEX.lemma_table)
-        talks = word("talks")
-        assert small.lookup(*talks) == small.lookup(*talks) == 1
-        assert large.lookup(*talks) == 2
-        assert small.lookup(*word("Doctor")) == small.oov_id
-        assert large.lookup(*word("Doctor")) == 1
+        types = word("talks"), word("Doctor")
+        assert lemma_ids(small, *types) == lemma_ids(small, *types) == [1, small.oov_id]
+        assert lemma_ids(large, *types) == [2, 1]
+        assert lemma_ids(small, *types) == [1, small.oov_id]
 
 
 class TestFeaturize:
@@ -505,3 +521,77 @@ class TestGazetteerMatchesReference:
     def test_small_corpora(self, corpus, window, min_freq, max_size):
         docs = [small_document(i, segments) for i, segments in enumerate(corpus)]
         assert_same_gazetteer(docs, window=window, min_freq=min_freq, max_size=max_size)
+
+
+class TestNeighbourhoodEdges:
+    """Gold spans whose neighbourhood a whole-array pass over concatenated
+    documents could let spill into the next document."""
+
+    def test_span_that_starts_past_its_document(self):
+        # one token, with a span wholly past it, just before a document
+        # whose first token is tagged
+        stray = Document(
+            "a", "seminar", (Token("seminar", 0, 7, "word"),), (TagSpan("speaker", 5, 9),)
+        )
+        tagged = parse_tagged_document("<speaker>talk</speaker> hall hall", doc_id="b")[0]
+        docs = [stray, tagged]
+        for window in range(8):
+            assert_same_gazetteer(docs, window=window, min_freq=1)
+        assert build_gazetteer(docs, LEX.lemma_table, window=0, min_freq=1).ids == {"talk": 1}
+        # at window 5 the span's neighbourhood reaches the stray token
+        assert "seminar" in build_gazetteer(docs, LEX.lemma_table, window=5, min_freq=1).ids
+
+    def test_window_wider_than_the_document(self):
+        docs = [
+            parse_tagged_document("talk <stime>3:30</stime> hall", doc_id="a")[0],
+            parse_tagged_document("Dr. <speaker>Smith</speaker>", doc_id="b")[0],
+            parse_tagged_document("talks in the hall , talk", doc_id="c")[0],
+        ]
+        for window in (3, 10, 1000):
+            assert_same_gazetteer(docs, window=window, min_freq=1)
+        ids = build_gazetteer(docs, LEX.lemma_table, window=1000, min_freq=1).ids
+        assert "smith" in ids and "talk" in ids and "the" not in ids
+
+    def test_empty_document_with_a_span(self):
+        empty = Document("a", "", (), (TagSpan("speaker", 0, 0),))
+        tagged = parse_tagged_document("<speaker>talk</speaker> hall", doc_id="b")[0]
+        for window in range(3):
+            assert_same_gazetteer([empty, tagged], window=window, min_freq=1)
+            assert_same_gazetteer([tagged, empty], window=window, min_freq=1)
+
+
+class TestTimePattern:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.from_regex(r"\d{0,3}[:.]?\d{0,3}(?:[ap]m?)?", fullmatch=True)
+        | st.text(alphabet="0123456789:.apm x", max_size=8)
+    )
+    def test_one_pattern_accepts_what_the_four_accept(self, low):
+        assert bool(features._TIME_RE.fullmatch(low)) == matches_time_reference(low)
+
+    @pytest.mark.parametrize("low, is_time", [
+        ("12", True), ("3:30", True), ("03.30", True), ("7pm", True), ("7:30am", True),
+        ("1", False), ("123", False), ("3:3", False), ("7:30", True), ("130pm", False),
+        ("pm", False), ("3.30pm", False),
+    ])
+    def test_examples(self, low, is_time):
+        assert bool(features._TIME_RE.fullmatch(low)) == matches_time_reference(low) == is_time
+
+
+class TestMaskInPlace:
+    def test_masked_featurize_equals_a_masked_copy(self):
+        docs = generate_corpus(10, 3)
+        gaz = build_gazetteer(docs, LEX.lemma_table)
+        for mask in dict.fromkeys(ABLATIONS.values()):
+            for doc in docs:
+                got = featurize(doc, gaz, LEX, mask=mask)
+                np.testing.assert_array_equal(got, apply_mask(featurize(doc, gaz, LEX), mask))
+        with pytest.raises(InvalidSpec):
+            featurize(docs[0], gaz, LEX, mask=("lemma", "bogus"))
+
+    def test_a_mask_leaves_the_type_codes_as_they_were(self):
+        docs = generate_corpus(5, 3)
+        gaz = build_gazetteer(docs, LEX.lemma_table)
+        want = featurize(docs[0], gaz, LEX)
+        featurize(docs[0], gaz, LEX, mask=FEATURE_NAMES)
+        np.testing.assert_array_equal(featurize(docs[0], gaz, LEX), want)

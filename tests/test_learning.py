@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     PaddedLogBatch,
     SegmentedExample,
+    apply_mask,
     chain_estep,
     observed_counts,
     randomize_model,
@@ -25,7 +26,6 @@ from bien.errors import (
 from bien.evaluation import ABLATIONS
 from bien.features import (
     Gazetteer,
-    apply_mask,
     build_gazetteer,
     default_lexicons,
     feature_cardinalities,
