@@ -14,6 +14,7 @@ type, on arrays the table holds, and gather them through the ids;
 
 from __future__ import annotations
 
+import numbers
 import re
 import unicodedata
 from bisect import bisect_left, bisect_right
@@ -585,10 +586,12 @@ def split(corpus, plan):
     n = len(corpus)
     if n < 2:
         raise InvalidPlan(f"a train/test split needs at least 2 documents, got {n}")
-    if plan.runs < 1:
-        raise InvalidPlan(f"runs must be >= 1, got {plan.runs}")
-    if not 0.0 < plan.train_fraction < 1.0:
-        raise InvalidPlan(f"train fraction {plan.train_fraction} outside (0, 1)")
+    if not isinstance(plan.runs, numbers.Integral) or plan.runs < 1:
+        raise InvalidPlan(f"runs must be an int >= 1, got {plan.runs!r}")
+    if not isinstance(plan.seed, numbers.Integral):
+        raise InvalidPlan(f"seed must be an int, got {plan.seed!r}")
+    if not (isinstance(plan.train_fraction, numbers.Real) and 0.0 < plan.train_fraction < 1.0):
+        raise InvalidPlan(f"train_fraction must be a real in (0, 1), got {plan.train_fraction!r}")
     n_train = int(round(plan.train_fraction * n))
     n_train = min(max(n_train, 1), n - 1)
     partitions = []

@@ -43,22 +43,10 @@ class MissingResource(DataError):
 
 
 class InvalidSpec(BienError):
-    """A declaration or an argument is inconsistent: a bad field list, an
-    empty or repeated observable, a CPT off its support, an unknown feature
-    mask or match mode, gazetteer ids that are not 1..V, a malformed training
-    example, a repeated document id, an empty token or an inverted span."""
-
-
-class ModelFormatError(BienError):
-    """Model file cannot be read back."""
-
-
-class VersionMismatch(ModelFormatError):
-    """Serialized file carries an unsupported format version."""
-
-
-class ChecksumMismatch(ModelFormatError):
-    """Serialized file content does not match its checksum."""
+    """A declaration or an argument is inconsistent: a bad field list or tag
+    name, a bad or repeated observable, a CPT off its support, an unknown
+    feature mask or match mode, gazetteer ids that are not 1..V, a malformed
+    training example, a repeated document id, an empty token or an inverted span."""
 
 
 class NumericError(BienError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import KIND_PUNCT, KIND_SYMBOL, KIND_WORD, NA_VALUE
-from .errors import EmptyVocabulary, InvalidSpec, MissingResource
+from .errors import EmptyCorpus, EmptyVocabulary, InvalidSpec, MissingResource
 from . import resources
 
 MASKED = -1
@@ -284,6 +284,8 @@ def build_gazetteer(docs, lemma_table, window=3, min_freq=3, max_size=1200):
             lemma = np.fromiter(renumbered, np.int32, len(strings) + 1)[lemma]
         lemmas.append(lemma[np.concatenate([doc.type_ids for doc in group])])
         near.append(_near_gold(group, window))
+    if not by_table:
+        raise EmptyCorpus("a gazetteer needs at least one training document")
     lemmas, near = np.concatenate(lemmas), np.concatenate(near)
     word = lemmas >= 0
     freq = np.bincount(lemmas[word], minlength=len(numbering.strings))

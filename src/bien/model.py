@@ -11,12 +11,12 @@ EM learns.
 
 from __future__ import annotations
 
-import hashlib
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChecksumMismatch, InvalidSpec, ModelFormatError, VersionMismatch
+from .errors import InvalidSpec
 
 ROLE_BACKGROUND = "background"
 ROLE_BEGIN = "begin"
@@ -43,8 +43,9 @@ class TagSpace:
         self.background = 0
 
     def tag(self, role, field_name):
-        fi = self.fields.index(field_name)
-        return 1 + 4 * fi + _FIELD_ROLES.index(role)
+        if role not in _FIELD_ROLES or field_name not in self.fields:
+            raise InvalidSpec(f"no tag {role!r} of field {field_name!r}")
+        return 1 + 4 * self.fields.index(field_name) + _FIELD_ROLES.index(role)
 
     def begin(self, fi):
         return 1 + 4 * fi
@@ -129,7 +130,7 @@ class Cpt:
         sums = np.atleast_1d(self.table.sum(axis=-1))
         bad = ~np.isclose(sums, 1.0, rtol=0.0, atol=atol)
         if bad.any():
-            raise InvalidSpec(f"cpt {self.name}: a row sums to {sums[bad].flat[0]!r}")
+            raise InvalidSpec(f"cpt {self.name}: a row sums to {sums[bad].flat[0]}")
 
     def log_table(self):
         with np.errstate(divide="ignore"):
@@ -230,8 +231,8 @@ def build_model(fields, observables, memory=True):
         observables = tuple(ObservableSpec(n, c) for n, c in observables)
     seen = set()
     for obs in observables:
-        if obs.cardinality < 1:
-            raise InvalidSpec(f"observable {obs.name}: cardinality {obs.cardinality}")
+        if not isinstance(obs.cardinality, numbers.Integral) or obs.cardinality < 1:
+            raise InvalidSpec(f"observable {obs.name}: cardinality {obs.cardinality!r}")
         if obs.name in seen:
             raise InvalidSpec(f"observable {obs.name} is declared more than once")
         seen.add(obs.name)
@@ -429,122 +430,3 @@ def compile_chain(model):
         )
     return chain
 
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-_FORMAT_LINE = "bien-model v2"
-
-
-def _model_body(model):
-    lines = []
-    lines.append("fields " + " ".join(model.fields))
-    lines.append(f"memory {int(model.memory)}")
-    for obs in model.observables:
-        lines.append(f"observable {obs.name} {obs.cardinality}")
-    for name in sorted(model.cpts):
-        cpt = model.cpts[name]
-        lines.append(f"cpt {name}")
-        lines.append("shape " + " ".join(str(n) for n in cpt.shape))
-        for row in np.ndindex(*cpt.shape[:-1]):
-            values = " ".join(repr(float(v)) for v in cpt.table[row])
-            idx = " ".join(str(i) for i in row) or "-"
-            lines.append(f"row {idx} {values}")
-        lines.append("end")
-    return "\n".join(lines) + "\n"
-
-
-def serialize_model(model, path):
-    """Write the model as versioned, checksummed, human-readable text.
-
-    Layout (v2): the format line, the SHA-256 of the body, then the body:
-    ``fields``, ``memory`` and one ``observable`` line each, followed per
-    CPT by ``cpt <name>``, ``shape``, one ``row <index> <values>`` line per
-    parent row and ``end``.
-    """
-    body = _model_body(model)
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_FORMAT_LINE}\n")
-        fh.write(f"checksum {digest}\n")
-        fh.write(body)
-
-
-def load_model(path):
-    """Read a model back, verifying version, checksum, support, and row sums."""
-    with open(path, encoding="utf-8") as fh:
-        version = fh.readline().rstrip("\n")
-        if version != _FORMAT_LINE:
-            raise VersionMismatch(f"unsupported model format {version!r}")
-        checksum_line = fh.readline().split()
-        if len(checksum_line) != 2 or checksum_line[0] != "checksum":
-            raise ModelFormatError("missing checksum line")
-        body = fh.read()
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    if digest != checksum_line[1]:
-        raise ChecksumMismatch("model file checksum does not match its contents")
-
-    try:
-        model = _read_body(body.splitlines())
-        model.validate(atol=1e-9)
-    except (IndexError, ValueError, InvalidSpec) as exc:
-        raise ModelFormatError(f"malformed model file {path}: {exc}") from exc
-    return model
-
-
-def _read_body(lines):
-    """The model a body's lines describe. Malformed lines raise
-    :class:`ModelFormatError`, or the ``IndexError``/``ValueError`` that
-    :func:`load_model` turns into one."""
-    pos = 0
-
-    def take():
-        nonlocal pos
-        if pos >= len(lines):
-            raise ModelFormatError("unexpected end of model file")
-        line = lines[pos]
-        pos += 1
-        return line
-
-    head = take().split()
-    if head[0] != "fields":
-        raise ModelFormatError("expected fields line")
-    fields = tuple(head[1:])
-    memory = take().split()[1]
-    if memory not in ("0", "1"):
-        raise ModelFormatError(f"memory must be 0 or 1, got {memory!r}")
-    observables = []
-    while pos < len(lines) and lines[pos].startswith("observable "):
-        _, name, card = take().split()
-        observables.append((name, int(card)))
-    model = build_model(fields, observables, memory=memory == "1")
-
-    unread = set(model.cpts)
-    while pos < len(lines):
-        head = take().split()
-        if head[0] != "cpt":
-            raise ModelFormatError(f"expected cpt block, got {head[0]!r}")
-        name = head[1]
-        if name not in unread:
-            raise ModelFormatError(f"unknown or repeated cpt {name!r}")
-        unread.remove(name)
-        cpt = model.cpts[name]
-        shape = tuple(int(n) for n in take().split()[1:])
-        if shape != cpt.shape:
-            raise ModelFormatError(f"cpt {name}: shape {shape} != {cpt.shape}")
-        # rows come in the order _model_body writes them
-        for row in np.ndindex(*cpt.shape[:-1]):
-            label = [str(i) for i in row] or ["-"]
-            parts = take().split()
-            if parts[: 1 + len(label)] != ["row", *label]:
-                raise ModelFormatError(f"cpt {name}: expected row {' '.join(label)}")
-            values = parts[1 + len(label) :]
-            if len(values) != cpt.shape[-1]:
-                raise ModelFormatError(f"cpt {name}: row {row} has {len(values)} values")
-            cpt.table[row] = np.array([float(v) for v in values])
-        if take() != "end":
-            raise ModelFormatError(f"cpt {name}: expected end marker")
-    if unread:
-        raise ModelFormatError(f"missing cpt blocks: {sorted(unread)}")
-    return model

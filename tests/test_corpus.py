@@ -541,13 +541,21 @@ class TestSplit:
             alone = split(corpus, SplitPlan(runs=r + 1, seed=11))[-1]
             assert ids(pair) == ids(alone)
 
-    def test_invalid_plans(self):
-        corpus = make_corpus(10)
-        with pytest.raises(InvalidPlan):
-            split([], SplitPlan())
-        with pytest.raises(InvalidPlan):  # one document leaves a side empty
-            split(corpus[:1], SplitPlan())
-        with pytest.raises(InvalidPlan):
-            split(corpus, SplitPlan(train_fraction=1.0))
-        with pytest.raises(InvalidPlan):
-            split(corpus, SplitPlan(runs=0))
+    @pytest.mark.parametrize("n_docs, fields, match", [
+        (0, {}, "at least 2 documents"),
+        (1, {}, "at least 2 documents"),  # one document leaves a side empty
+        (10, {"train_fraction": 0.0}, "train_fraction"),
+        (10, {"train_fraction": 1.0}, "train_fraction"),
+        (10, {"runs": 0}, "runs"),
+        # a mistyped field raises InvalidPlan naming the field
+        (10, {"runs": 1.5}, "runs"),
+        (10, {"runs": "3"}, "runs"),
+        (10, {"seed": 1.5}, "seed"),
+        (10, {"seed": None}, "seed"),
+        (10, {"train_fraction": "0.5"}, "train_fraction"),
+        (10, {"train_fraction": None}, "train_fraction"),
+    ])
+    def test_invalid_plans(self, n_docs, fields, match):
+        corpus = make_corpus(10)[:n_docs]
+        with pytest.raises(InvalidPlan, match=match):
+            split(corpus, SplitPlan(**fields))

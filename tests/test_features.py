@@ -16,7 +16,7 @@ from oracles import (
 from bien import corpus as corpus_module
 from bien import features, synth
 from bien.corpus import Document, TagSpan, Token, parse_tagged_document
-from bien.errors import EmptyVocabulary, InvalidSpec, MissingResource
+from bien.errors import EmptyCorpus, EmptyVocabulary, InvalidSpec, MissingResource
 from bien.evaluation import ABLATIONS
 from bien.features import (
     CASES,
@@ -204,6 +204,13 @@ class TestGazetteer:
     def test_empty_vocabulary(self):
         with pytest.raises(EmptyVocabulary):
             build_gazetteer(tiny_corpus(), LEX.lemma_table, window=0, min_freq=50)
+
+    def test_no_documents(self):
+        for docs in ([], iter([])):
+            with pytest.raises(EmptyCorpus, match="at least one"):
+                build_gazetteer(docs, LEX.lemma_table)
+        with pytest.raises(InvalidSpec, match="window"):  # a bad setting is reported first
+            build_gazetteer([], LEX.lemma_table, window=-1)
 
     @pytest.mark.parametrize("kwargs, named", [
         ({"window": -5}, "window"),

@@ -1,4 +1,4 @@
-import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -10,20 +10,13 @@ from oracles import (
     states_of_assignment,
 )
 
-from bien.errors import (
-    ChecksumMismatch,
-    InvalidSpec,
-    ModelFormatError,
-    VersionMismatch,
-)
+from bien.errors import InvalidSpec
 from bien.model import (
     LT_NONE,
     ROLE_BACKGROUND,
     TagSpace,
     build_model,
     compile_chain,
-    load_model,
-    serialize_model,
 )
 
 FIELDS4 = ("speaker", "location", "stime", "etime")
@@ -75,11 +68,38 @@ class TestTagSpace:
         assert not tags.allows_initial(tags.inside(0))
         assert not tags.allows_initial(tags.end(0))
 
-    def test_rejects_bad_fields(self):
-        with pytest.raises(InvalidSpec):
-            TagSpace(())
-        with pytest.raises(InvalidSpec):
-            TagSpace(("x", "x"))
+    @pytest.mark.parametrize("make, match", [
+        (lambda: TagSpace(()), "bad field list"),
+        (lambda: TagSpace(("x", "x")), "bad field list"),
+        (lambda: TagSpace(FIELDS4).tag("begin", "title"), "'begin' of field 'title'"),
+        (lambda: TagSpace(FIELDS4).tag("middle", "speaker"), "'middle' of field 'speaker'"),
+        (lambda: TagSpace(FIELDS4).tag("background", None), "'background' of field None"),
+        (lambda: TagSpace(FIELDS4).parse("begin:title"), "'begin' of field 'title'"),
+        (lambda: TagSpace(FIELDS4).parse("middle:speaker"), "'middle' of field 'speaker'"),
+        (lambda: TagSpace(FIELDS4).parse("speaker"), "'speaker' of field ''"),
+        (lambda: TagSpace(FIELDS4).parse("background:speaker"), "'background' of field 'speaker'"),
+    ], ids=[
+        "no-fields", "repeated-field", "tag-unknown-field", "tag-unknown-role",
+        "tag-background-with-no-field", "parse-unknown-field", "parse-unknown-role",
+        "parse-no-role", "parse-background-with-field",
+    ])
+    def test_rejects_bad_fields(self, make, match):
+        with pytest.raises(InvalidSpec, match=match):
+            make()
+
+
+def unnormalized_row(m):
+    m.cpts["ds_init"].table[0] += 0.25
+
+
+def negative_cell(m):
+    m.cpts["ds_init"].table[:] = [1.5, -0.5]  # the row still sums to 1
+
+
+def mass_off_support(m):
+    # after background, inside a field is off the support; the row still sums to 1
+    row = m.cpts["tag_trans"].table[0, LT_NONE, 0]
+    row[m.tags.inside(0)], row[0] = row[0], 0.0
 
 
 class TestModelStructure:
@@ -155,15 +175,21 @@ class TestModelStructure:
         assert m.lt_update(2, 0) == 2
         assert m.lt_update(2, tags.single(0)) == 1
 
-    def test_validate_catches_unnormalized_rows(self):
+    @pytest.mark.parametrize("fault, match", [
+        (unnormalized_row, "ds_init: a row sums to 1.25$"),
+        (negative_cell, "ds_init: negative probability"),
+        (mass_off_support, "tag_trans: mass outside allowed support"),
+    ], ids=["unnormalized-row", "negative-cell", "off-support"])
+    def test_validate_catches_unnormalized_rows(self, fault, match):
         m = small_model()
-        m.cpts["ds_init"].table[0] += 0.25
-        with pytest.raises(InvalidSpec):
+        fault(m)
+        with pytest.raises(InvalidSpec, match=match):
             m.validate()
 
-    def test_bad_observable(self):
-        with pytest.raises(InvalidSpec):
-            build_model(("a",), {"lemma": 0})
+    @pytest.mark.parametrize("card", [0, 2.5, "3", None])
+    def test_bad_observable(self, card):
+        with pytest.raises(InvalidSpec, match=re.escape(f"cardinality {card!r}")):
+            build_model(("a",), {"lemma": card})
 
     def test_repeated_observable(self):
         with pytest.raises(InvalidSpec, match="more than once"):
@@ -249,94 +275,3 @@ class TestCompiledChain:
         emis = chain.log_emission(partial)
         assert np.isfinite(emis).all()
 
-
-def replacing(old, new):
-    """A body edit that swaps the first ``old`` for ``new``."""
-
-    def edit(body):
-        assert old in body
-        return body.replace(old, new, 1)
-
-    return edit
-
-
-def last_cpt(body):
-    return body[body.index("cpt tag_trans") :]
-
-
-# bodies with a valid checksum that load_model must reject as ModelFormatError
-MALFORMED_BODIES = {
-    "empty-fields": replacing("fields stime etime\n", "\n"),
-    "memory-without-value": replacing("memory 1\n", "memory\n"),
-    "memory-not-integer": replacing("memory 1\n", "memory yes\n"),
-    "memory-not-a-flag": replacing("memory 1\n", "memory 7\n"),
-    "short-observable": replacing("observable lemma 9\n", "observable lemma\n"),
-    "repeated-observable": replacing(
-        "observable lemma 9\n", "observable lemma 9\nobservable lemma 9\n"
-    ),
-    "row-value-not-float": replacing("row - 0.5 0.5\n", "row - 0.5 half\n"),
-    "shape-not-integer": replacing("shape 2 2\n", "shape 2 two\n"),
-    "row-index-out-of-range": replacing("row 1 0.5 0.5\n", "row 7 0.5 0.5\n"),
-    "row-index-negative": replacing("row 1 0.5 0.5\n", "row -1 0.5 0.5\n"),
-    "empty-cpt": replacing("cpt ds_init\n", "cpt\n"),
-    "missing-cpt-block": lambda body: body[: -len(last_cpt(body))],
-    "repeated-cpt-block": lambda body: body + last_cpt(body),
-}
-
-
-class TestSerialization:
-    def roundtrip(self, m, tmp_path):
-        path = tmp_path / "m.bien"
-        serialize_model(m, path)
-        return path, load_model(path)
-
-    def test_round_trip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(7)
-        m = randomize_model(build_model(FIELDS4, OBS2), rng)
-        path, again = self.roundtrip(m, tmp_path)
-        assert again.fields == m.fields
-        assert again.memory == m.memory
-        assert again.observables == m.observables
-        for name, cpt in m.cpts.items():
-            other = again.cpts[name]
-            assert np.array_equal(cpt.table, other.table)
-            assert np.array_equal(cpt.allowed, other.allowed)
-
-    @pytest.mark.parametrize("version", ["bien-model v1", "bien-model v9"])
-    def test_version_mismatch(self, tmp_path, version):
-        m = small_model()
-        path = tmp_path / "m.bien"
-        serialize_model(m, path)
-        text = path.read_text(encoding="utf-8")
-        path.write_text(text.replace("bien-model v2", version, 1))
-        with pytest.raises(VersionMismatch):
-            load_model(path)
-
-    def test_checksum_mismatch(self, tmp_path):
-        m = small_model()
-        path = tmp_path / "m.bien"
-        serialize_model(m, path)
-        text = path.read_text(encoding="utf-8")
-        path.write_text(text.replace("memory 1", "memory 0", 1))
-        with pytest.raises(ChecksumMismatch):
-            load_model(path)
-
-    def rechecksummed(self, tmp_path, edit):
-        """A saved small model with its body edited and a valid checksum."""
-        path = tmp_path / "m.bien"
-        serialize_model(small_model(), path)
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        body = edit("".join(lines[2:]))
-        digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-        path.write_text(lines[0] + f"checksum {digest}\n" + body)
-        return path
-
-    def test_row_sum_validation_on_load(self, tmp_path):
-        path = self.rechecksummed(tmp_path, replacing("row - 0.5 0.5", "row - 0.5 0.75"))
-        with pytest.raises(ModelFormatError):
-            load_model(path)
-
-    @pytest.mark.parametrize("edit", MALFORMED_BODIES.values(), ids=MALFORMED_BODIES.keys())
-    def test_malformed_body_raises_format_error(self, tmp_path, edit):
-        with pytest.raises(ModelFormatError):
-            load_model(self.rechecksummed(tmp_path, edit))
