@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import itertools
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,11 +20,12 @@ from .features import (
     mask_columns,
 )
 from .inference import EmissionRows, Evidence, viterbi, viterbi_batch
-from .learning import SharedExamples, TrainConfig, check_unique_ids, make_examples, train
+from .learning import TrainConfig, check_unique_ids, make_examples, pack, train
 from .model import (
     ROLE_BEGIN,
     ROLE_END,
     ROLE_INSIDE,
+    ObservationRows,
     build_model,
     compile_chain,
     number_observations,
@@ -46,7 +48,8 @@ def assemble_slots(tag_seq, tag_space):
     Well-formed begin/inside*/end runs and singles map back exactly, so
     assembling an encoded gold sequence returns the gold spans. Ill-formed
     runs (possible on arbitrary input) are salvaged into spans rather than
-    dropped, and counted in the returned diagnostics.
+    dropped, and counted in the returned diagnostics. A labelled tag that
+    is not an integer of ``tag_space`` raises :class:`InvalidSpec`.
     """
     fields = tag_space.fields
     spans = []
@@ -54,6 +57,13 @@ def assemble_slots(tag_seq, tag_space):
     open_run = None  # (field index, start token)
     tags = np.asarray(tag_seq)
     labelled = np.flatnonzero(tags != tag_space.background)
+    values = tags[labelled].tolist()
+    if values and (
+        tags.dtype.kind not in "iu" or min(values) < 0 or max(values) >= tag_space.size
+    ):
+        raise InvalidSpec(
+            f"tags must be integers in 0 .. {tag_space.size - 1}, got {sorted(set(values))}"
+        )
     last = None  # the labelled token before t
 
     def close_open_run():
@@ -62,7 +72,7 @@ def assemble_slots(tag_seq, tag_space):
 
     # only labelled tokens are visited: a background token between two of
     # them, or after the last, closes a run left open
-    for t, tag in zip(labelled.tolist(), tags[labelled].tolist()):
+    for t, tag in zip(labelled.tolist(), values):
         role, fi = tag_space.role(tag), tag_space.field_index(tag)
         if open_run is not None:
             if t == last + 1 and open_run[0] == fi and role in (ROLE_INSIDE, ROLE_END):
@@ -121,8 +131,11 @@ def decode_batch(chain, obs_list):
     ``obs_list`` may also be those rows already numbered
     (:class:`~bien.model.ObservationRows`), as the protocol numbers a test
     side once for every config and masks the rows per config."""
-    table, rows = chain.distinct_log_emission(obs_list)
-    decoded = viterbi_batch(chain, [EmissionRows(table, r) for r in rows])
+    if not isinstance(obs_list, ObservationRows):
+        cardinalities = [spec.cardinality for spec in chain.model.observables]
+        obs_list = number_observations(obs_list, cardinalities)
+    table = chain.log_emission(obs_list.table)
+    decoded = viterbi_batch(chain, [EmissionRows(table, rows) for rows in obs_list.rows])
     return [_decode_result(chain, path, score) for path, score in decoded]
 
 
@@ -272,11 +285,11 @@ def _run_split(cfgs, lexicons, run_index, train_docs, test_docs):
     The configs differ only in ``mask`` and ``memory``. So the gazetteer is
     built once and the training and test documents are featurized once,
     unmasked. The training side is packed for EM once per model structure
-    (:class:`~bien.learning.SharedExamples`), and each packing is freed
-    once the last config of its structure has trained. The test side is
-    numbered by its distinct observation rows once
-    (:func:`~bien.model.number_observations`). Each config reads both
-    through its mask."""
+    (:func:`~bien.learning.pack`), and that structure's configs train on
+    masked views of it; the packing is dropped before the next structure
+    packs, so at most one is alive. The test side is numbered by its
+    distinct observation rows once (:func:`~bien.model.number_observations`).
+    Each config reads both through its mask."""
     cfg = cfgs[0]
     gazetteer = build_gazetteer(
         train_docs,
@@ -290,28 +303,23 @@ def _run_split(cfgs, lexicons, run_index, train_docs, test_docs):
     examples = make_examples(train_docs, gazetteer, lexicons, model)
     for ex in examples:
         ex.obs.flags.writeable = False
-    last = {c.memory: i for i, c in enumerate(cfgs)}  # the last config per structure
-    shared = {}
-    test_side = None  # featurized after the first training, so that it holds none
-    outs = []
-    for i, cfg in enumerate(cfgs):
-        if cfg.memory != model.memory:  # train fits a copy, so a model is reused
-            model = build_model(cfg.fields, cardinalities, memory=cfg.memory)
-        if cfg.memory not in shared:
-            shared[cfg.memory] = SharedExamples(examples)
-        fitted = train(model, shared[cfg.memory].masked(cfg.mask), cfg.train)
-        if last[cfg.memory] == i:
-            del shared[cfg.memory]
-        if test_side is None:
-            test_side = number_observations(
-                [featurize(doc, gazetteer, lexicons) for doc in test_docs],
-                list(cardinalities.values()),
-            )
-        run = _score_run(
-            cfg, fitted, test_docs, test_side.masked(mask_columns(cfg.mask)), run_index,
-            len(train_docs),
-        )
-        outs.append((run, fitted.model, gazetteer))
+    test_side = number_observations(
+        [featurize(doc, gazetteer, lexicons) for doc in test_docs],
+        list(cardinalities.values()),
+    )
+    outs = [None] * len(cfgs)
+    for memory in dict.fromkeys(c.memory for c in cfgs):
+        if memory != model.memory:  # train fits a copy, so a model is reused
+            model = build_model(cfgs[0].fields, cardinalities, memory=memory)
+        packing = pack(model, examples)
+        for i, cfg in enumerate(cfgs):
+            if cfg.memory != memory:
+                continue
+            fitted = train(model, packing.masked(cfg.mask), cfg.train)
+            rows = test_side.masked(mask_columns(cfg.mask))
+            run = _score_run(cfg, fitted, test_docs, rows, run_index, len(train_docs))
+            outs[i] = (run, fitted.model, gazetteer)
+        del packing  # before the next structure packs
     return outs
 
 
@@ -350,8 +358,11 @@ def _run_variants(corpus, cfgs, jobs):
     process pool. Results merge in config and run order, so the outcome is
     identical for any ``jobs``. Document ids must be unique.
 
-    Every mask name, match mode and gazetteer setting is checked before
-    any work: a bad one raises :class:`InvalidSpec` naming it."""
+    ``jobs``, every mask name, match mode and gazetteer setting are
+    checked before any work: a bad one raises :class:`InvalidSpec` naming
+    it."""
+    if not isinstance(jobs, numbers.Integral) or jobs < 1:
+        raise InvalidSpec(f"jobs must be an int >= 1, got {jobs!r}")
     for cfg in cfgs:
         mask_columns(cfg.mask)
         check_match_mode(cfg.match_mode)
@@ -392,8 +403,8 @@ def run_ablations(corpus, cfg, jobs=1, variants=None):
     - Per split: the gazetteer is built, the documents are featurized, and
       the test side is numbered by its distinct observation rows, once.
     - Per memory structure (``no memory`` against the rest): the training
-      side is packed for EM once, by the first variant that trains on it,
-      and freed after the last.
+      side is packed for EM once, and dropped once that structure's
+      variants are done, before the next structure packs.
     - Per variant: the model is trained on that packing and compiled, and
       the test side is decoded and scored, both read through the
       variant's mask.

@@ -257,7 +257,8 @@ def build_gazetteer(docs, lemma_table, window=3, min_freq=3, max_size=1200):
     whole-corpus lemma frequency reaches ``min_freq``; the vocabulary is
     cut to the ``max_size`` most frequent (ties broken alphabetically).
     A ``window`` below 0, or a ``min_freq`` or ``max_size`` below 1, raises
-    :class:`InvalidSpec` before any work.
+    :class:`InvalidSpec` before any work, and a ``lemma_table`` of ``None``
+    raises :class:`MissingResource`.
 
     The work is whole-array passes over each type table's documents, with
     their type ids concatenated: every token's lemma is its type's number in
@@ -268,6 +269,8 @@ def build_gazetteer(docs, lemma_table, window=3, min_freq=3, max_size=1200):
     renumbered in the first table's numbering.
     """
     check_gazetteer_settings(window, min_freq, max_size)
+    if lemma_table is None:
+        raise MissingResource("build_gazetteer needs a lemma table")
     by_table = {}
     for doc in docs:
         by_table.setdefault(doc.types, []).append(doc)

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroProbabilityEvidence
+from .model import TimeMajor
 
 # Documents per packed chunk in ``viterbi_batch``. Each step's (S, k, S)
 # score block then stays cache-sized at 42 states. On 2 vCPU (AMD EPYC,
@@ -62,8 +63,8 @@ class Evidence:
 @dataclass
 class EmissionRows:
     """The evidence of one document whose emission scores are rows of a
-    shared ``(R, S)`` table, as ``CompiledChain.distinct_log_emission``
-    returns them: token t scores ``table[rows[t]]``."""
+    shared ``(R, S)`` table, one row per distinct observation row of a
+    batch: token t scores ``table[rows[t]]``."""
 
     table: np.ndarray
     rows: np.ndarray
@@ -139,21 +140,21 @@ def viterbi_batch(chain, evidences):
     """``viterbi`` for many documents: ``(path, score)`` per evidence, in
     input order, each identical to what ``viterbi`` returns for it.
 
-    Documents are sorted longest first (stably) and cut into chunks of
-    ``_BATCH_DOCS``. A chunk is packed time-major, so the documents alive
-    at step t are a prefix of those alive at step t-1. The forward pass
-    keeps only each state's best score: per step, one add lays out every
-    move of every live document predecessor-major, ``(S, m, S)``, and one
-    maximum over the leading axis reduces it. The backtrace then finds each
-    document's best predecessors along its own path only, one step at a
-    time for the whole chunk. If any document has no live state at some
-    step, this raises the :class:`ZeroProbabilityEvidence` of the first
-    such document in input order, at its first dead step.
+    Documents are sorted longest first and cut into chunks of
+    ``_BATCH_DOCS``, each packed in a :class:`bien.model.TimeMajor`
+    layout. The forward pass keeps only each state's best score: per step,
+    one add lays out every move of every live document predecessor-major,
+    ``(S, m, S)``, and one maximum over the leading axis reduces it. The
+    backtrace then finds each document's best predecessors along its own
+    path only, one step at a time for the whole chunk. If any document has
+    no live state at some step, this raises the
+    :class:`ZeroProbabilityEvidence` of the first such document in input
+    order, at its first dead step.
     """
     if len(evidences) == 1:
         # one document decodes faster without the packing
         return [viterbi(chain, evidences[0])]
-    order = sorted(range(len(evidences)), key=lambda i: -len(evidences[i]))
+    order = TimeMajor([len(ev) for ev in evidences]).order.tolist()
     S = chain.n_states
     # trans_rep[i, d, j] holds the score of the move i -> j once per chunk
     # slot d, so the step's add broadcasts only the previous scores
@@ -176,55 +177,50 @@ def viterbi_batch(chain, evidences):
 
 
 def _viterbi_chunk(chain, trans_rep, trans_T, evidences):
-    """``(path, score)`` per document, for documents sorted longest first,
-    and ``{position: first dead step}`` for those with a step that no
-    state admits."""
+    """``(path, score)`` per document, for documents sorted longest first
+    (so that their layout keeps their order), and ``{position: first dead
+    step}`` for those with a step that no state admits."""
     S = chain.n_states
     k = len(evidences)
-    lengths = np.array([len(ev) for ev in evidences])
-    T = int(lengths[0])
-    # n[t] documents are alive at step t; step t's rows start at starts[t]
-    n = k - np.cumsum(np.bincount(lengths, minlength=T + 1))[:T]
-    starts = np.concatenate([[0], np.cumsum(n)])
+    lengths = [len(ev) for ev in evidences]
+    layout = TimeMajor(lengths)
+    steps, live = layout.steps, layout.live.tolist() + [0]
+    doc_rows = np.split(layout.rows(), np.cumsum(lengths[:-1]))
     # ``best`` holds the packed emissions until the recursion adds to them
-    best = np.empty((starts[-1], S))
-    for p, ev in enumerate(evidences):
-        best[starts[: lengths[p]] + p] = ev.log_emission(chain)
-    n, off = n.tolist() + [0], starts.tolist()
+    best = np.empty((layout.starts[-1], S))
+    for rows, ev in zip(doc_rows, evidences):
+        best[rows] = ev.log_emission(chain)
     moves = np.empty((S, k, S))
     into = np.empty((k, S))
-    if T:
-        best[: n[0]] += chain.log_init
+    if steps:
+        best[steps[0][0]] += chain.log_init
     # per step, for the m documents alive: score every move, keep each
     # state's best, add the emission
-    for t in range(1, T):
-        m, a, b = n[t], off[t - 1], off[t]
-        np.add(trans_rep[:, :m], best[a : a + m].T[:, :, None], out=moves[:, :m])
+    for (cur, prev), m in zip(steps[1:], live[1:]):
+        np.add(trans_rep[:, :m], best[prev].T[:, :, None], out=moves[:, :m])
         np.maximum.reduce(moves[:, :m], axis=0, out=into[:m])
-        best[b : b + m] += into[:m]
+        best[cur] += into[:m]
     # Backtrace. A document starts at the first best state of its last
     # step; each earlier state is the first best predecessor of the state
     # after it.
-    path = np.empty(off[-1], dtype=np.int64)
+    path = np.empty(len(best), dtype=np.int64)
     state = np.empty(k, dtype=np.intp)
     score = np.zeros(k)  # an empty document scores 0
-    for t in range(T - 1, -1, -1):
-        m, ending, b = n[t], n[t + 1], off[t]
+    for t in range(len(steps) - 1, -1, -1):
+        (cur, prev), m, ending = steps[t], live[t], live[t + 1]
         if ending < m:  # the documents whose last step is t
-            state[ending:m] = best[b + ending : b + m].argmax(axis=1)
-            score[ending:m] = best[np.arange(b + ending, b + m), state[ending:m]]
-        path[b : b + m] = state[:m]
-        if t:
-            a = off[t - 1]
-            np.add(trans_T[state[:m]], best[a : a + m], out=into[:m])
+            last = best[cur][ending:]
+            state[ending:m] = last.argmax(axis=1)
+            score[ending:m] = last[np.arange(m - ending), state[ending:m]]
+        path[cur] = state[:m]
+        if prev is not None:
+            np.add(trans_T[state[:m]], best[prev], out=into[:m])
             into[:m].argmax(axis=1, out=state[:m])
     # a step with no live state leaves every later step dead as well, so
     # only a document whose last step has no finite score can have one
     dead = {}
     for p in np.flatnonzero(~(score > -np.inf)).tolist():
-        steps = np.flatnonzero(best[starts[: lengths[p]] + p].max(axis=1) == -np.inf)
-        if steps.size:
-            dead[p] = int(steps[0])
-    return [
-        (path[starts[:length] + p], score.item(p)) for p, length in enumerate(lengths.tolist())
-    ], dead
+        steps_dead = np.flatnonzero(best[doc_rows[p]].max(axis=1) == -np.inf)
+        if steps_dead.size:
+            dead[p] = int(steps_dead[0])
+    return [(path[rows], score.item(p)) for p, rows in enumerate(doc_rows)], dead

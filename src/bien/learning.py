@@ -5,7 +5,8 @@ With the tags observed, the compiled product chain collapses per document
 to a two-state chain over segments. The E-step runs forward-backward on
 that chain for all documents at once, in probability space with each
 step's forward row rescaled to sum to one (the scaling of Rabiner 1989),
-over tokens packed time-major with no padding (see :class:`_FactoredBatch`).
+over tokens packed time-major with no padding, in the layout of
+:class:`bien.model.TimeMajor` that the batched Viterbi also uses.
 A token's factors depend only on its row of tag-transition and emission
 indices, and a corpus holds few distinct rows (about 1,340 among the
 45,000 training tokens of a holdout run of ``generate_corpus(485, 1993)``),
@@ -19,14 +20,13 @@ Counts with the segments observed too are the oracles'
 ``observed_counts``, which the exact maximum-likelihood tests feed to
 :func:`_m_step_cpt`.
 
-The packing of the examples (:class:`_FactoredBatch`) is tied to a
-model structure (memory, fields, and observable names and
-cardinalities), not to a mask: a mask only selects which emission
-columns enter the factors and counts. So configs that differ only in
-their mask share one packing (:class:`SharedExamples`), and train
-exactly as on masked copies, because each token's factors are the same
-terms summed in the same order. The ablation grid packs each split's
-training side once per memory setting.
+The packing of the examples (:func:`pack`) is tied to a model structure
+(memory, fields, and observable names and cardinalities), not to a mask:
+a mask only selects which emission columns enter the factors and counts.
+So configs that differ only in their mask train on masked views of one
+packing, exactly as on masked copies, because each token's factors are
+the same terms summed in the same order. The ablation grid packs each
+split's training side once per memory setting.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import EmptyCorpus, InconsistentGold, InvalidSpec, OverlappingSpans, UnknownField
 from .features import featurize, mask_columns
-from .model import LT_NONE, _check_observation_batch, check_observations, distinct_rows
+from .model import LT_NONE, TimeMajor, _check_observation_batch, check_observations, distinct_rows
 
 
 @dataclass(frozen=True)
@@ -237,17 +237,15 @@ def _emission_codes(col, card):
 
 
 class _FactoredBatch:
-    """The segment-chain E-step over a fixed set of non-empty examples.
+    """The segment-chain E-step over a fixed set of non-empty examples,
+    packed for EM: what :func:`pack` builds and :func:`train` runs on.
 
     With tags observed, the product chain collapses per document to a
     two-state chain over segments whose step factors are tag-transition
-    and emission probabilities evaluated at the gold tags.
-
-    Tokens are packed time-major with no padding. Documents are sorted
-    longest first (stably, so equal lengths keep example order), and step
-    t holds one row per document longer than t, in that order: the
-    documents alive at step t are the first ``n[t]`` rows of step t - 1,
-    so every step of both recursions works on a contiguous prefix.
+    and emission probabilities evaluated at the gold tags. Tokens are
+    packed in a :class:`bien.model.TimeMajor` layout (``layout``), so
+    every step of both recursions works on a contiguous prefix of the
+    step before. ``structure`` names the model structure it is tied to.
 
     A token's factors depend only on its row: its tag-transition index,
     which selects a row of ``tag_init`` at t = 0 and of ``tag_trans``
@@ -269,25 +267,17 @@ class _FactoredBatch:
 
     def __init__(self, model, examples):
         tags, obs = _check_examples(model, examples)
-        lengths = np.array([len(ex.tags) for ex in examples])
+        lengths = [len(ex.tags) for ex in examples]
         self.examples = examples
-        self.order = np.argsort(-lengths, kind="stable")
-        D, Tmax = len(examples), int(lengths.max())
-        self.n = D - np.cumsum(np.bincount(lengths, minlength=Tmax + 1))[:Tmax]
-        self.starts = np.concatenate([[0], np.cumsum(self.n)])
-        # step t's rows, and the rows of step t - 1 holding the same documents
-        self.steps = [(slice(self.starts[0], self.starts[1]), None)] + [
-            (
-                slice(self.starts[t], self.starts[t + 1]),
-                slice(self.starts[t - 1], self.starts[t - 1] + self.n[t]),
-            )
-            for t in range(1, Tmax)
-        ]
+        self.layout = TimeMajor(lengths)
 
-        packed = self._packed_order(lengths)
-        trans = _transition_index(model, tags, lengths)[packed]
+        # the transition index, gold tag and codes of each packed row
+        rows = self.layout.rows()
+        packed = np.empty_like(rows)
+        packed[rows] = np.arange(len(rows))
+        trans = _transition_index(model, tags, np.array(lengths))[packed]
         g, obs = tags[packed], obs[packed]
-        del tags, packed  # not held through the numbering below
+        del tags, packed, rows  # not held through the numbering below
 
         # Key each token's row by its transition index and emission codes.
         # Columns masked throughout add nothing and count nothing.
@@ -311,28 +301,32 @@ class _FactoredBatch:
             (k, f"emit:{name}", card, g[row] * (card + 1) + _emission_codes(obs[row, k], card))
             for k, name, card in observed
         ]
+        self.n_observables = len(model.observables)
         self.structure = _structure(model)
 
-    def without(self, columns):
-        """This packing with the observation ``columns`` left out of the
-        factors and counts, as if masked throughout; every array is shared.
+    def __iter__(self):
+        """The examples, unmasked, in the order they were packed in."""
+        return iter(self.examples)
+
+    def masked(self, mask):
+        """This packing with the observation columns that ``mask`` names
+        left out of the factors and counts, so that it trains exactly as
+        examples featurized with ``mask`` would; every array is shared.
         Tokens stay numbered by their rows over every column, so rows that
-        differ only in those columns get equal factors."""
+        differ only in those columns get equal factors. An unknown feature
+        name, or one past the packed model's observables, raises
+        :class:`InvalidSpec`."""
+        columns = mask_columns(mask)
         if not columns:
             return self
+        if columns[-1] >= self.n_observables:
+            raise InvalidSpec(
+                f"mask {tuple(mask)!r} names a column that the model's "
+                f"{self.n_observables} observables lack"
+            )
         view = copy.copy(self)
         view.emit = [e for e in self.emit if e[0] not in columns]
         return view
-
-    def _packed_order(self, lengths):
-        """The example-order index of the token at each packed row."""
-        offsets = np.cumsum(lengths) - lengths
-        step = np.arange(offsets[-1] + lengths[-1]) - np.repeat(offsets, lengths)
-        rank = np.empty(len(lengths), dtype=np.int64)
-        rank[self.order] = np.arange(len(lengths))
-        packed = np.empty(len(step), dtype=np.int64)
-        packed[self.starts[step] + np.repeat(rank, lengths)] = np.arange(len(step))
-        return packed
 
     def _log_factors(self, model):
         """A[r, ds]: log P(tag | history, ds) + log P(obs | tag, ds) for
@@ -363,7 +357,7 @@ class _FactoredBatch:
         alpha = np.empty_like(B)
         c = np.empty(len(B))
         with np.errstate(invalid="ignore"):  # 0 / 0 on a dead row
-            for cur_rows, prev_rows in self.steps:
+            for cur_rows, prev_rows in self.layout.steps:
                 cur = alpha[cur_rows]
                 if prev_rows is None:
                     cur[:] = model.cpts["ds_init"].table
@@ -386,7 +380,7 @@ class _FactoredBatch:
         beta = np.ones_like(B)
         B /= c[:, None]
         pair = np.zeros((2, 2))
-        for cur_rows, prev_rows in self.steps[:0:-1]:
+        for cur_rows, prev_rows in self.layout.steps[:0:-1]:
             fp = B[cur_rows] * beta[cur_rows]
             np.matmul(fp, P.T, out=beta[prev_rows])
             pair += alpha[prev_rows].T @ fp
@@ -396,7 +390,7 @@ class _FactoredBatch:
 
         counts = {name: np.zeros(cpt.shape) for name, cpt in model.cpts.items()}
         n_tags, lt_card = model.tags.size, model.lt_card
-        counts["ds_init"] = gamma[:, : self.n[0]].sum(axis=1)
+        counts["ds_init"] = gamma[:, self.layout.steps[0][0]].sum(axis=1)
         counts["ds_trans"] = pair * P
         # tallied per token, in token order, through each row's flat index
         idx = self.row_trans[self.row_of]
@@ -419,9 +413,10 @@ class _FactoredBatch:
     def _raise_dead(self, dead):
         """InconsistentGold at the earliest step at which some document's
         gold tags are impossible, naming the first such document there."""
-        t = int(np.searchsorted(self.starts, np.flatnonzero(dead)[0], side="right")) - 1
-        rows = np.flatnonzero(dead[self.starts[t] : self.starts[t + 1]])
-        doc_id = self.examples[int(self.order[rows].min())].doc_id
+        layout = self.layout
+        t = int(np.searchsorted(layout.starts, np.flatnonzero(dead)[0], side="right")) - 1
+        rows = np.flatnonzero(dead[layout.steps[t][0]])
+        doc_id = self.examples[int(layout.order[rows].min())].doc_id
         raise InconsistentGold(
             f"{doc_id}: gold tags impossible at token {t}", doc_id=doc_id, step=t
         )
@@ -459,59 +454,16 @@ def _structure(model):
     return f"memory={model.memory}, fields={model.fields}, observables=({observables})"
 
 
-class SharedExamples:
-    """Training examples that several :func:`train` calls share, each
-    through its own mask.
-
-    The first ``train`` on them packs them for EM (a
-    :class:`_FactoredBatch`, unmasked), and every later one reuses that
-    packing. A packing is tied to the structure of the model it was built
-    for: its memory, fields and observables (names and cardinalities). A
-    model of another structure raises :class:`InvalidSpec` naming both.
-    :meth:`masked` returns a view that shares the packing; its mask drops
-    the emission columns it names from the factors and counts, so it
-    trains exactly as on examples featurized with that mask. Iterating
-    yields the examples, unmasked, in training order: sorted by id,
-    zero-token ones skipped.
-    """
-
-    def __init__(self, examples):
-        self.examples = sorted((e for e in examples if len(e.tags)), key=lambda e: e.doc_id)
-        if not self.examples:
-            raise EmptyCorpus("no non-empty training examples")
-        check_unique_ids([e.doc_id for e in self.examples])
-        self.mask = ()
-        self._packed = []  # the packing once built, shared by every view
-
-    def __iter__(self):
-        return iter(self.examples)
-
-    def masked(self, mask):
-        """A view of these examples that trains with ``mask``; an unknown
-        feature name raises :class:`InvalidSpec`."""
-        mask_columns(mask)
-        view = copy.copy(self)
-        view.mask = tuple(mask)
-        return view
-
-    def packing(self, model):
-        """The packing for ``model``, built on first use, with this view's
-        mask applied."""
-        if not self._packed:
-            self._packed.append(_FactoredBatch(model, self.examples))
-        batch = self._packed[0]
-        if batch.structure != _structure(model):
-            raise InvalidSpec(
-                f"examples packed for a model of {batch.structure} cannot train "
-                f"a model of {_structure(model)}"
-            )
-        columns = mask_columns(self.mask)
-        if columns and columns[-1] >= len(model.observables):
-            raise InvalidSpec(
-                f"mask {self.mask!r} names a column that the model's "
-                f"{len(model.observables)} observables lack"
-            )
-        return batch.without(columns)
+def pack(model, examples):
+    """Training examples packed for EM under ``model``'s structure, for
+    :func:`train` to take in place of a list: sorted by id, zero-token
+    ones skipped. No examples left raises :class:`EmptyCorpus`, and an id
+    used twice or a malformed example :class:`InvalidSpec`."""
+    examples = sorted((e for e in examples if len(e.tags)), key=lambda e: e.doc_id)
+    if not examples:
+        raise EmptyCorpus("no non-empty training examples")
+    check_unique_ids([e.doc_id for e in examples])
+    return _FactoredBatch(model, examples)
 
 
 def train(model, examples, config=TrainConfig()):
@@ -522,21 +474,24 @@ def train(model, examples, config=TrainConfig()):
     documents.
 
     ``examples`` is a list, packed for EM here and dropped on return, or
-    :class:`SharedExamples`, packed by the first ``train`` on them for that
-    model's structure and then trained through the view's mask. Either
-    way the trained tables and the trace are the same, bit for bit.
+    a packing from :func:`pack` or a :meth:`~_FactoredBatch.masked` view
+    of one, which many ``train`` calls share. Either way the trained
+    tables and the trace are the same, bit for bit. A packing built for a
+    model of another structure raises :class:`InvalidSpec` naming both.
 
     ``converged`` is True when the trace's relative change fell within
     ``config.tol`` before ``max_iter`` iterations. With the tags observed,
     that happens at the segment saddle, after 3 iterations, whether or not
     the segment learned anything (see :class:`TrainConfig`)."""
-    if not isinstance(examples, SharedExamples):
-        examples = SharedExamples(examples)
+    batch = examples if isinstance(examples, _FactoredBatch) else pack(model, examples)
+    if batch.structure != _structure(model):
+        raise InvalidSpec(
+            f"examples packed for a model of {batch.structure} cannot train "
+            f"a model of {_structure(model)}"
+        )
     model = model.copy()
     model.validate()
     _apply_jitter(model, config)
-
-    batch = examples.packing(model)
 
     trace = []
     converged = False

@@ -303,17 +303,6 @@ class CompiledChain:
             out += rows[col]
         return out
 
-    def distinct_log_emission(self, obs):
-        """``log_emission`` of many observation matrices, computed once per
-        distinct observation row: ``(table, rows)``, where ``table[rows[i]]``
-        equals ``log_emission`` of matrix i bit for bit. ``obs`` is a list
-        of matrices, numbered here, or :class:`ObservationRows` numbered
-        once for many chains. The first malformed matrix raises the
-        :class:`InvalidSpec` that ``log_emission`` raises for it."""
-        if not isinstance(obs, ObservationRows):
-            obs = number_observations(obs, self._cardinalities)
-        return self.log_emission(obs.table), obs.rows
-
 
 @dataclass(frozen=True)
 class ObservationRows:
@@ -396,6 +385,44 @@ def distinct_rows(n_rows, digits):
     first = np.empty(len(uniq), dtype=np.int64)
     first[row_of] = np.arange(n_rows)
     return row_of, first
+
+
+class TimeMajor:
+    """Documents of the given lengths unrolled time-major into the rows of
+    one table, with no padding: the layout of EM's forward-backward and of
+    the batched Viterbi.
+
+    The documents are sorted longest first, stably (``order``), and step t
+    holds one row per document longer than t, in that order: ``live[t]``
+    rows from row ``starts[t]`` on. So the documents alive at step t are a
+    prefix of those alive at step t - 1, and ``steps[t]`` pairs step t's
+    rows with the rows of step t - 1 that hold the same documents (``None``
+    at t = 0), as slices. Each token's row is computed on demand
+    (:meth:`rows`), so that a layout held for many passes holds nothing
+    per token.
+    """
+
+    def __init__(self, lengths):
+        self.lengths = np.asarray(lengths, dtype=np.int64)
+        self.order = np.argsort(-self.lengths, kind="stable")
+        T = int(self.lengths.max(initial=0))
+        self.live = len(self.lengths) - np.cumsum(np.bincount(self.lengths, minlength=T + 1))[:T]
+        self.starts = np.concatenate([[0], np.cumsum(self.live)])
+        bounds = self.starts.tolist()
+        prev_stops = (self.starts[:-2] + self.live[1:]).tolist()
+        self.steps = list(
+            zip(map(slice, bounds, bounds[1:]), [None, *map(slice, bounds, prev_stops)])
+        )
+
+    def rows(self):
+        """Each token's row, for the documents' tokens concatenated in
+        input order: token t of the document ranked r in ``order`` sits at
+        row ``starts[t] + r``."""
+        lengths = self.lengths
+        rank = np.empty(len(lengths), dtype=np.int64)
+        rank[self.order] = np.arange(len(lengths))
+        step = np.arange(self.starts[-1]) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        return self.starts[step] + np.repeat(rank, lengths)
 
 
 def check_observations(obs_matrix, cardinalities):

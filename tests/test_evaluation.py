@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -109,6 +110,25 @@ class TestAssembleSlots:
         assert spans == [TagSpan("speaker", 0, 0), TagSpan("location", 1, 1)]
         assert diag["unterminated"] == 1
         assert diag["orphan_end"] == 1
+
+    @pytest.mark.parametrize("seq, shown", [
+        ([9], "[9]"),
+        ([-3, 0], "[-3]"),
+        ([0, 5, 1], "[1, 5]"),
+        ([1.5], "[1.5]"),
+        (np.array([0.0, 1.0]), "[1.0]"),
+    ], ids=["past-the-space", "negative", "one-past", "float", "float-array"])
+    def test_tags_outside_the_tag_space_raise(self, seq, shown):
+        space = tiny_space(1)
+        with pytest.raises(InvalidSpec, match=re.escape(f"integers in 0 .. 4, got {shown}")):
+            assemble_slots(seq, space)
+
+    def test_empty_and_background_sequences_are_valid(self):
+        space = tiny_space(1)
+        for seq in ([], np.zeros(0), np.zeros(3)):
+            assert assemble_slots(seq, space) == (
+                [], {"unterminated": 0, "orphan_inside": 0, "orphan_end": 0}
+            )
 
     @pytest.mark.parametrize("n_fields", [1, 2, 4])
     def test_matches_reference_on_random_sequences(self, n_fields):
@@ -313,9 +333,10 @@ class TestDecode:
         pool = rng.integers(-1, 255, size=(60, len(cards)))
         pool[1::2, 1:] = pool[::2, 1:]  # pairs of rows that differ only in column 0
         obs_list = [pool[rng.integers(0, len(pool), size=T)] for T in (9, 0, 14, 5, 11)]
-        table, rows = chain.distinct_log_emission(obs_list)
+        numbered = number_observations(obs_list, list(cards.values()))
+        table = chain.log_emission(numbered.table)
         assert len(table) == len(np.unique(np.concatenate(obs_list), axis=0))
-        for obs, r in zip(obs_list, rows, strict=True):
+        for obs, r in zip(obs_list, numbered.rows, strict=True):
             assert table[r].tobytes() == chain.log_emission(obs).tobytes()
         for result, obs in zip(decode_batch(chain, obs_list), obs_list, strict=True):
             want = decode(chain, obs)
@@ -598,18 +619,22 @@ class TestExperimentProtocol:
         (None, 1, 2, 1),
         (("complete",), 2, 2, 2),
         (("no memory", "no lemma", "no case"), 1, 2, 1),
-    ], ids=["grid", "experiment", "structures-interleaved"])
+        (("complete", "no memory", "no case"), 1, 2, 1),
+    ], ids=["grid", "experiment", "structures-interleaved", "structure-returns"])
     def test_one_packing_per_structure_and_one_numbering_per_split(
         self, monkeypatch, variants, runs, packings, numberings
     ):
         """Per split, the training side is packed once per model structure
         and the test side numbered once; ``run_experiment`` is the
-        one-config case."""
-        built, numbered = [], []
+        one-config case. No packing is alive when the next one is built."""
+        built, numbered, alive = [], [], set()
 
         class Counted(learning._FactoredBatch):
             def __init__(self, model, examples):
+                assert not alive, "a packing is still alive"
                 built.append(model.memory)
+                alive.add(len(built))
+                weakref.finalize(self, alive.discard, len(built))
                 super().__init__(model, examples)
 
         def counted(*args):
@@ -627,6 +652,20 @@ class TestExperimentProtocol:
         assert len(built) == packings and len(numbered) == numberings
         if variants is None:
             assert built == [True, False]
+
+    @pytest.mark.parametrize("jobs", [0, -1, 1.5, "2", None])
+    def test_bad_jobs_raises_before_any_work(self, monkeypatch, jobs):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before jobs was checked")
+
+        monkeypatch.setattr(evaluation, "split", no_work)
+        monkeypatch.setattr(evaluation, "default_lexicons", no_work)
+        cfg = tiny_config(runs=1)
+        named = re.escape(f"jobs must be an int >= 1, got {jobs!r}")
+        with pytest.raises(InvalidSpec, match=named):
+            run_ablations(tiny_corpus(), cfg, jobs=jobs, variants=("complete", "no memory"))
+        with pytest.raises(InvalidSpec, match="jobs"):
+            run_experiment(tiny_corpus(), cfg, jobs=jobs)
 
     def test_bad_match_mode_raises_before_any_work(self, monkeypatch):
         def no_work(*args, **kwargs):

@@ -212,6 +212,11 @@ class TestGazetteer:
         with pytest.raises(InvalidSpec, match="window"):  # a bad setting is reported first
             build_gazetteer([], LEX.lemma_table, window=-1)
 
+    def test_missing_lemma_table(self):
+        for docs in (tiny_corpus(), []):
+            with pytest.raises(MissingResource, match="lemma table"):
+                build_gazetteer(docs, None)
+
     @pytest.mark.parametrize("kwargs, named", [
         ({"window": -5}, "window"),
         ({"window": 1.5}, "window"),

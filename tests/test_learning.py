@@ -31,7 +31,6 @@ from bien.features import (
     feature_cardinalities,
 )
 from bien.learning import (
-    SharedExamples,
     TrainConfig,
     TrainExample,
     _apply_jitter,
@@ -39,6 +38,7 @@ from bien.learning import (
     _m_step_cpt,
     encode_tags,
     make_examples,
+    pack,
     train,
 )
 from bien.model import build_model
@@ -502,7 +502,7 @@ def assert_same_training(a, b):
         assert np.array_equal(cpt.table, b.model.cpts[name].table), name
 
 
-class TestSharedExamples:
+class TestPack:
     @pytest.mark.parametrize("memory", [True, False], ids=["memory", "no-memory"])
     def test_masks_on_one_packing_train_as_masked_copies(self, memory):
         """Every mask of the ablation grid, trained on one packing of the
@@ -511,14 +511,14 @@ class TestSharedExamples:
         gaz = build_gazetteer(docs, LEX.lemma_table)
         m = build_model(FIELDS, feature_cardinalities(gaz), memory=memory)
         examples = make_examples(docs, gaz, LEX, m)
-        shared = SharedExamples(examples)
+        packing = pack(m, examples)
         config = TrainConfig(max_iter=4, tol=0.0, seed=2)
         for mask in dict.fromkeys(ABLATIONS.values()):
             masked = [replace(ex, obs=apply_mask(ex.obs, mask)) for ex in examples]
-            got = train(m, shared.masked(mask), config)
+            got = train(m, packing.masked(mask), config)
             assert_same_training(got, train(m, masked, config))
         # the early exit on convergence too
-        got = train(m, shared.masked(("case",)), TrainConfig())
+        got = train(m, packing.masked(("case",)), TrainConfig())
         masked = [replace(ex, obs=apply_mask(ex.obs, ("case",))) for ex in examples]
         assert_same_training(got, train(m, masked, TrainConfig()))
 
@@ -532,12 +532,15 @@ class TestSharedExamples:
 
         monkeypatch.setattr(learning, "_FactoredBatch", Counted)
         m = build_model(("x", "y"), OBS)
-        shared = SharedExamples(sample_corpus(randomize_model(m, np.random.default_rng(3)), 12,
-                                              np.random.default_rng(4)))
-        for view in (shared, shared.masked(("lemma",)), shared, shared.masked(())):
+        examples = sample_corpus(randomize_model(m, np.random.default_rng(3)), 12,
+                                 np.random.default_rng(4))
+        packing = pack(m, examples + [example("empty", [], obs=np.zeros((0, 2)))])
+        for view in (packing, packing.masked(("lemma",)), packing, packing.masked(())):
             train(m, view, TrainConfig(max_iter=2))
         assert len(built) == 1
-        assert [len(ex.tags) for ex in shared] == [len(ex.tags) for ex in shared.examples]
+        # iterating yields the examples in training order, zero-token ones skipped
+        assert [ex.doc_id for ex in packing] == sorted(ex.doc_id for ex in examples)
+        assert [ex.doc_id for ex in packing.masked(("lemma",))] == [ex.doc_id for ex in packing]
 
     @pytest.mark.parametrize(
         "other, named",
@@ -551,27 +554,34 @@ class TestSharedExamples:
     )
     def test_another_structure_raises_naming_both(self, other, named):
         m = build_model(("x", "y"), OBS)
-        shared = SharedExamples(
-            sample_corpus(randomize_model(m, np.random.default_rng(3)), 8, np.random.default_rng(4))
+        packing = pack(
+            m, sample_corpus(randomize_model(m, np.random.default_rng(3)), 8,
+                             np.random.default_rng(4))
         )
-        train(m, shared, TrainConfig(max_iter=1))
+        train(m, packing, TrainConfig(max_iter=1))
         with pytest.raises(InvalidSpec) as got:
-            train(other(), shared.masked(()), TrainConfig(max_iter=1))
+            train(other(), packing.masked(()), TrainConfig(max_iter=1))
         message = str(got.value)
         assert "memory=True, fields=('x', 'y'), observables=(u:3, v:2)" in message
         assert named in message
 
     def test_unknown_mask_name_raises(self):
         m = build_model(("x",), OBS)
-        shared = SharedExamples([example("a", [0, m.tags.single(0), 0], model=m)])
+        packing = pack(m, [example("a", [0, m.tags.single(0), 0], model=m)])
         with pytest.raises(InvalidSpec, match="bogus"):
-            shared.masked(("bogus",))
+            packing.masked(("bogus",))
 
     def test_mask_past_the_model_columns_raises(self):
         m = build_model(("x",), OBS)
-        shared = SharedExamples([example("a", [0, m.tags.single(0), 0], model=m)])
+        packing = pack(m, [example("a", [0, m.tags.single(0), 0], model=m)])
         with pytest.raises(InvalidSpec, match="2 observables"):
-            train(m, shared.masked(("semantic",)), TrainConfig(max_iter=1))
+            packing.masked(("semantic",))
+
+    def test_repeated_id_raises(self):
+        m = build_model(("x",), OBS)
+        twice = [example("a", [0, m.tags.single(0), 0], model=m)] * 2
+        with pytest.raises(InvalidSpec, match="'a' is used more than once"):
+            pack(m, twice)
 
 
 class TestTrainConfig:

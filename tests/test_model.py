@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     assignment_log_prob,
     joint_log_prob,
@@ -15,6 +17,7 @@ from bien.model import (
     LT_NONE,
     ROLE_BACKGROUND,
     TagSpace,
+    TimeMajor,
     build_model,
     compile_chain,
 )
@@ -275,3 +278,44 @@ class TestCompiledChain:
         emis = chain.log_emission(partial)
         assert np.isfinite(emis).all()
 
+
+
+class TestTimeMajor:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 6), max_size=12))
+    def test_layout(self, lengths):
+        layout = TimeMajor(lengths)
+        token_rows = layout.rows()
+        D, N = len(lengths), sum(lengths)
+        # stable, longest first
+        assert layout.order.tolist() == sorted(range(D), key=lambda i: -lengths[i])
+        # live counts never rise, and each step holds the documents longer than it
+        live = layout.live.tolist()
+        assert live == sorted(live, reverse=True)
+        assert live == [sum(n > t for n in lengths) for t in range(max(lengths, default=0))]
+        assert layout.starts.tolist() == [0, *np.cumsum(live).tolist()]
+        # the packed rows are a permutation of the token rows
+        assert sorted(token_rows.tolist()) == list(range(N))
+        # token t of each document is a row of step t, at the same place in
+        # step t as token t - 1 is in the previous-step slice
+        rank = {int(d): r for r, d in enumerate(layout.order)}
+        assert len(layout.steps) == len(live)
+        offsets = np.cumsum([0, *lengths]).tolist()
+        for d, n in enumerate(lengths):
+            rows = token_rows[offsets[d] : offsets[d] + n].tolist()
+            for t, row in enumerate(rows):
+                cur, prev = layout.steps[t]
+                assert cur.start <= row < cur.stop and row - cur.start == rank[d]
+                if t == 0:
+                    assert prev is None
+                else:
+                    assert prev.start <= rows[t - 1] < prev.stop
+                    assert rows[t - 1] - prev.start == row - cur.start
+                    assert prev.stop - prev.start == cur.stop - cur.start
+
+    def test_all_empty(self):
+        for lengths in ([], [0, 0, 0]):
+            layout = TimeMajor(lengths)
+            assert layout.steps == [] and layout.rows().size == layout.live.size == 0
+            assert layout.starts.tolist() == [0]
+            assert layout.order.tolist() == list(range(len(lengths)))
