@@ -4,6 +4,14 @@ Documents are single token streams. Gold annotations arrive as inline
 ``<field>...</field>`` pairs; parsing strips the markup and records which
 tokens each pair covered. All offsets refer to the tag-stripped text.
 
+Texts are ingested a block of documents at a time
+(:func:`parse_tagged_documents`; :func:`parse_tagged_document` is a block
+of one): tags are stripped per document, and then one :func:`tokenize`
+call and one bisection of the token bounds serve the whole block, so the
+numpy calls made per block, not per document, set the cost. The
+documents of a block share one type table; the table starts over, when
+full, between blocks and never inside one.
+
 A document holds its tokens as columns: a :class:`TypeTable` of
 ``(surface, kind)`` types, an int32 array of each token's type id and an
 int32 array of each token's start offset. A token's end is its start plus
@@ -16,10 +24,12 @@ from __future__ import annotations
 
 import numbers
 import re
+import struct
 import unicodedata
-from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -403,10 +413,15 @@ class TypeMemo(dict):
 
 
 def _typed_pieces(chunk, abbreviations, table):
-    """The chunk's piece offsets and the type ids of its pieces."""
-    pieces = _split_chunk(chunk, abbreviations)
-    offsets = tuple(at for _, at in pieces)
-    return offsets, tuple(table.id_of(surface, token_kind(surface)) for surface, _ in pieces)
+    """The chunk's pieces packed as native int32 pairs, each piece's offset
+    in the chunk and then its type id: bytes, which :func:`tokenize` joins
+    for a whole text and reads as one array."""
+    pairs = [
+        x
+        for surface, at in _split_chunk(chunk, abbreviations)
+        for x in (at, table.id_of(surface, token_kind(surface)))
+    ]
+    return struct.pack(f"={len(pairs)}i", *pairs)
 
 
 def _surface_lengths(table, start):
@@ -428,6 +443,27 @@ def _current_types():
     return _types
 
 
+# per Latin-1 code point: 1 where str.isspace() holds, else 0
+_LATIN1_SPACE = bytes(chr(c).isspace() for c in range(256))
+
+
+def _chunk_starts(text):
+    """The offset of each chunk of ``text.split()``, as int32, from one pass
+    over its code points: a chunk starts at a non-whitespace character that
+    opens the text or follows whitespace. Past Latin-1, whitespace is what
+    ``str.isspace()`` says of each distinct code point."""
+    text = " " + text  # so that a chunk that opens the text follows whitespace
+    if text.isascii():
+        space = np.frombuffer(text.encode("ascii").translate(_LATIN1_SPACE), dtype=np.bool_)
+    else:
+        # surrogatepass keeps a lone surrogate as one code point
+        codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+        space = np.frombuffer(_LATIN1_SPACE, dtype=np.bool_)[np.minimum(codes, 255)]
+        wide = np.unique(codes[codes > 255]).tolist()
+        space |= np.isin(codes, [c for c in wide if chr(c).isspace()])
+    return np.flatnonzero(space[:-1] > space[1:]).astype(np.int32)
+
+
 def tokenize(text, abbreviations=frozenset()):
     """Split raw text into tokens, separating punctuation from words, as
     the columns a :class:`Document` holds.
@@ -442,24 +478,23 @@ def tokenize(text, abbreviations=frozenset()):
     start offset in ``text``; no :class:`Token` is built. Each distinct
     chunk is split once into its piece offsets and type ids, kept in a
     :class:`TypeMemo` bound to ``frozenset(abbreviations)`` and the table,
-    of at most ``_MEMO_LIMIT`` chunks.
+    of at most ``_MEMO_LIMIT`` chunks. A chunk the memo holds costs no
+    Python statement: the memo's entries are joined and read as one array,
+    and the chunks' offsets come from one pass over the text.
+
+    The table is read once per call, so every token of a call gets its
+    type from one table. :func:`parse_tagged_documents` tokenizes a block
+    of documents in one call, so the table starts over between blocks,
+    never inside one.
     """
     table = _current_types()
     pieces_of = _chunk_memo.bind(frozenset(abbreviations), table)
-    bases, counts, offsets, ids = [], [], [], []
-    base = 0
-    for chunk in text.split():
-        # only whitespace lies between the last chunk and this one
-        base = text.find(chunk, base)
-        chunk_offsets, chunk_ids = pieces_of[chunk]
-        bases.append(base)
-        counts.append(len(chunk_offsets))
-        offsets.extend(chunk_offsets)
-        ids.extend(chunk_ids)
-        base += len(chunk)
-    starts = np.repeat(np.array(bases, dtype=np.int32), counts)
-    starts += np.array(offsets, dtype=np.int32)
-    return table, np.array(ids, dtype=np.int32), starts
+    pieces = list(map(pieces_of.__getitem__, text.split()))
+    flat = np.frombuffer(b"".join(pieces), dtype=np.int32)
+    sizes = np.fromiter(map(len, pieces), dtype=np.intp, count=len(pieces))
+    starts = np.repeat(_chunk_starts(text), sizes >> 3)  # 8 bytes a piece
+    starts += flat[0::2]
+    return table, flat[1::2].copy(), starts
 
 
 # ---------------------------------------------------------------------------
@@ -469,29 +504,19 @@ def tokenize(text, abbreviations=frozenset()):
 _TAG_RE = re.compile(r"<(/?)([A-Za-z][A-Za-z0-9_-]*)>")
 
 
-def _malformed(message, raw, pos):
-    return MalformedTag(message, line=raw.count("\n", 0, pos) + 1, offset=pos)
+def _malformed(message, raw, pos, doc_id):
+    line = raw.count("\n", 0, pos) + 1
+    return MalformedTag(
+        f"{message} (document {doc_id!r}, line {line})",
+        line=line,
+        offset=pos,
+        doc_id=doc_id,
+    )
 
 
-def parse_tagged_document(raw, doc_id="doc", fields=DEFAULT_FIELDS, abbreviations=None):
-    """Parse text with inline ``<field>...</field>`` markup into a Document.
-
-    Returns ``(document, lint_issues)``. Tags are stripped from the token
-    stream; offsets refer to the stripped text. A pair covers the tokens
-    that lie wholly inside it, found by bisecting the tokens' starts and
-    ends; an end is the start plus a per-type surface length. A tag naming
-    a field outside ``fields`` is dropped and reported as ``UNKNOWN_FIELD``.
-    Misplaced tags in the source are ingested as-is and flagged, never
-    corrected: a token cut by a tag is ``PARTIAL_BOUNDARY``, a pair covering
-    no token is ``EMPTY_SPAN`` and one covering more than 15 is
-    ``LONG_SPAN``. Unmatched or nested tags raise :class:`MalformedTag`.
-    """
-    if abbreviations is None:
-        from .resources import load_abbreviations
-
-        abbreviations = load_abbreviations()
-    fields = tuple(fields)
-    issues = []
+def _strip_tags(raw, doc_id):
+    """The tag-stripped text of ``raw`` and its tag pairs as ``(field,
+    start, end)`` offsets into that text."""
     pieces = []
     stripped_len = 0
     open_tag = None  # (name, stripped_start, raw_pos)
@@ -504,59 +529,143 @@ def parse_tagged_document(raw, doc_id="doc", fields=DEFAULT_FIELDS, abbreviation
         last = m.end()
         if not closing:
             if open_tag is not None:
-                raise _malformed(f"tag <{name}> opened inside <{open_tag[0]}>", raw, m.start())
+                raise _malformed(
+                    f"tag <{name}> opened inside <{open_tag[0]}>", raw, m.start(), doc_id
+                )
             open_tag = (name, stripped_len, m.start())
         else:
             if open_tag is None or open_tag[0] != name:
-                raise _malformed(f"unmatched closing tag </{name}>", raw, m.start())
+                raise _malformed(f"unmatched closing tag </{name}>", raw, m.start(), doc_id)
             char_spans.append((name, open_tag[1], stripped_len))
             open_tag = None
     if open_tag is not None:
-        raise _malformed(f"tag <{open_tag[0]}> never closed", raw, open_tag[2])
+        raise _malformed(f"tag <{open_tag[0]}> never closed", raw, open_tag[2], doc_id)
     pieces.append(raw[last:])
-    text = "".join(pieces)
+    return "".join(pieces), char_spans
 
-    tokens = TokenView(*tokenize(text, abbreviations))
-    ends = tokens.starts + tokens.types.column(_surface_lengths)[tokens.type_ids]
-    # tokens are ordered and disjoint, so both boundary lists are sorted
-    starts, ends = tokens.starts.tolist(), ends.tolist()
 
-    spans = []
-    for name, cs, ce in char_spans:
-        inside = range(bisect_left(starts, cs), bisect_right(ends, ce))
-        overlap = range(bisect_right(ends, cs), bisect_left(starts, ce))
-        partial = [i for i in overlap if i not in inside]
-        # a pair over no token anchors at the next token, clamped to the last
-        anchor = (inside or partial or [min(inside.start, len(tokens) - 1)])[0]
+class _Parsed(NamedTuple):
+    """One document of a parsed block: its tokens are those from ``lo`` to
+    ``hi`` of the block's."""
+
+    doc_id: str
+    text: str
+    lo: int
+    hi: int
+    spans: tuple
+    issues: list
+
+
+def _parse_block(raws, doc_ids, fields, abbreviations):
+    """The block's tokens, as one :class:`TokenView` with each token's start
+    in its own document's text, and a :class:`_Parsed` per document, in
+    input order."""
+    raws, doc_ids = list(raws), list(doc_ids)
+    if len(raws) != len(doc_ids):
+        raise InvalidSpec(f"{len(raws)} documents for {len(doc_ids)} ids")
+    if abbreviations is None:
+        from .resources import load_abbreviations
+
+        abbreviations = load_abbreviations()
+    fields = tuple(fields)
+    # every document's tags are checked before any text is tokenized
+    stripped = [_strip_tags(raw, doc_id) for raw, doc_id in zip(raws, doc_ids)]
+    texts = [text for text, _ in stripped]
+    # each document's first character in the texts joined by "\n", which is
+    # whitespace, so that no chunk of the joined text crosses two documents
+    bases = list(accumulate((len(text) + 1 for text in texts), initial=0))
+    pairs = [
+        (k, name, base + cs, base + ce)
+        for k, ((_, spans), base) in enumerate(zip(stripped, bases))
+        for name, cs, ce in spans
+    ]
+    table, ids, starts = tokenize("\n".join(texts), abbreviations)
+    bases = np.array(bases, dtype=np.int32)
+    cuts = np.searchsorted(starts, bases)  # each document's first token
+    ends = starts + table.column(_surface_lengths)[ids]
+    # Tokens are ordered and disjoint, so starts and ends are both sorted,
+    # and no token of another document lies between a pair's bounds. In
+    # the block's tokens, a pair holds those from in_lo to in_hi wholly
+    # and overlaps those from over_lo to over_hi.
+    bounds = np.array([(cs, ce) for *_, cs, ce in pairs], dtype=np.int32).reshape(-1, 2)
+    left = np.searchsorted(starts, bounds, "left").tolist()  # in_lo, over_hi
+    right = np.searchsorted(ends, bounds, "right").tolist()  # over_lo, in_hi
+    starts -= np.repeat(bases[:-1], cuts[1:] - cuts[:-1])
+
+    cuts = cuts.tolist()
+    surfaces = table.surfaces
+    found = [([], []) for _ in texts]
+    for (k, name, _, _), (in_lo, over_hi), (over_lo, in_hi) in zip(pairs, left, right):
+        spans, issues = found[k]
+        doc_id, lo = doc_ids[k], cuts[k]
+        # the token numbers of the document
+        inside = range(in_lo - lo, in_hi - lo)
+        partial = [i for i in range(over_lo - lo, over_hi - lo) if i not in inside]
+        # a pair over no token anchors at the next token, clamped to the
+        # document's last
+        anchor = (inside or partial or [min(inside.start, cuts[k + 1] - lo - 1)])[0]
         if name not in fields:
-            issues.append(
-                LintIssue(doc_id, anchor, "UNKNOWN_FIELD", f"tag <{name}> dropped")
-            )
+            issues.append(LintIssue(doc_id, anchor, "UNKNOWN_FIELD", f"tag <{name}> dropped"))
             continue
         for i in partial:
+            surface = surfaces[ids[lo + i]]
             issues.append(
                 LintIssue(
                     doc_id,
                     i,
                     "PARTIAL_BOUNDARY",
-                    f"<{name}> boundary falls inside token {tokens[i].surface!r}",
+                    f"<{name}> boundary falls inside token {surface!r}",
                 )
             )
         if not inside:
-            issues.append(
-                LintIssue(doc_id, anchor, "EMPTY_SPAN", f"<{name}> covers no token")
-            )
+            issues.append(LintIssue(doc_id, anchor, "EMPTY_SPAN", f"<{name}> covers no token"))
             continue
         if len(inside) > 15:
             issues.append(
-                LintIssue(
-                    doc_id, inside[0], "LONG_SPAN", f"<{name}> covers {len(inside)} tokens"
-                )
+                LintIssue(doc_id, inside[0], "LONG_SPAN", f"<{name}> covers {len(inside)} tokens")
             )
         spans.append(TagSpan(name, inside[0], inside[-1]))
 
-    spans.sort(key=lambda s: s.start_token)
-    return Document(doc_id, text, tokens, tuple(spans)), issues
+    parsed = []
+    for doc_id, text, lo, hi, (spans, issues) in zip(doc_ids, texts, cuts, cuts[1:], found):
+        spans.sort(key=lambda s: s.start_token)
+        parsed.append(_Parsed(doc_id, text, lo, hi, tuple(spans), issues))
+    return TokenView(table, ids, starts), parsed
+
+
+def parse_tagged_documents(raws, doc_ids, fields=DEFAULT_FIELDS, abbreviations=None):
+    """Parse texts with inline ``<field>...</field>`` markup into Documents,
+    ``raws[k]`` under the id ``doc_ids[k]``, as one block.
+
+    Returns a ``(document, lint_issues)`` pair per text, in input order.
+    Tags are stripped from each text, one document at a time; offsets refer
+    to the stripped text. Then the whole block is handled at once: its
+    stripped texts, joined by ``"\\n"``, are tokenized in one
+    :func:`tokenize` call, so its documents share one type table, and every
+    tag pair is mapped to tokens by bisecting the block's token starts and
+    ends; an end is the start plus a per-type surface length. A pair covers
+    the tokens that lie wholly inside it. A tag naming a field outside
+    ``fields`` is dropped and reported as ``UNKNOWN_FIELD``. Misplaced tags
+    in the source are ingested as-is and flagged, never corrected: a token
+    cut by a tag is ``PARTIAL_BOUNDARY``, a pair covering no token is
+    ``EMPTY_SPAN`` (anchored at the next token of its document, else its
+    last) and one covering more than 15 is ``LONG_SPAN``.
+
+    Unmatched or nested tags raise :class:`MalformedTag` naming the
+    document, for the first such document in input order, before any text
+    is tokenized. ``raws`` and ``doc_ids`` of different lengths raise
+    :class:`InvalidSpec`.
+    """
+    tokens, parsed = _parse_block(raws, doc_ids, fields, abbreviations)
+    return [
+        (Document(p.doc_id, p.text, tokens[p.lo : p.hi], p.spans), p.issues) for p in parsed
+    ]
+
+
+def parse_tagged_document(raw, doc_id="doc", fields=DEFAULT_FIELDS, abbreviations=None):
+    """:func:`parse_tagged_documents` on one text: its ``(document,
+    lint_issues)`` pair."""
+    return parse_tagged_documents([raw], [doc_id], fields, abbreviations)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@ class DataError(BienError):
 
 
 class MalformedTag(DataError):
-    """Inline tag markup is unmatched or nested."""
+    """Inline tag markup is unmatched or nested: in document ``doc_id``,
+    at character ``offset`` of its raw text, on line ``line``."""
 
-    def __init__(self, message, line=None, offset=None):
+    def __init__(self, message, line=None, offset=None, doc_id=None):
         super().__init__(message)
         self.line = line
         self.offset = offset
+        self.doc_id = doc_id
 
 
 class UnknownField(DataError):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -397,9 +398,10 @@ class TimeMajor:
     rows from row ``starts[t]`` on. So the documents alive at step t are a
     prefix of those alive at step t - 1, and ``steps[t]`` pairs step t's
     rows with the rows of step t - 1 that hold the same documents (``None``
-    at t = 0), as slices. Each token's row is computed on demand
-    (:meth:`rows`), so that a layout held for many passes holds nothing
-    per token.
+    at t = 0), as slices. ``steps`` is built on first read, since a
+    caller that only sorts by ``order`` needs none of it, and each token's
+    row is computed on demand (:meth:`rows`), so that a layout held for
+    many passes holds nothing per token.
     """
 
     def __init__(self, lengths):
@@ -408,9 +410,12 @@ class TimeMajor:
         T = int(self.lengths.max(initial=0))
         self.live = len(self.lengths) - np.cumsum(np.bincount(self.lengths, minlength=T + 1))[:T]
         self.starts = np.concatenate([[0], np.cumsum(self.live)])
+
+    @cached_property
+    def steps(self):
         bounds = self.starts.tolist()
         prev_stops = (self.starts[:-2] + self.live[1:]).tolist()
-        self.steps = list(
+        return list(
             zip(map(slice, bounds, bounds[1:]), [None, *map(slice, bounds, prev_stops)])
         )
 

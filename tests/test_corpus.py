@@ -1,9 +1,10 @@
 import hashlib
 import pickle
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import tag_spans_reference, tokenize_reference
@@ -18,6 +19,7 @@ from bien.corpus import (
     TokenView,
     TypeTable,
     parse_tagged_document,
+    parse_tagged_documents,
     split,
     tokenize,
 )
@@ -26,6 +28,9 @@ from bien.resources import load_abbreviations
 from bien.synth import generate_corpus
 
 ABBREV = load_abbreviations()
+
+# every code point that str.isspace() and str.split() take for whitespace
+WHITESPACE = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
 
 
 def tokens_of(text, abbreviations=ABBREV):
@@ -149,6 +154,8 @@ class TestTokenizeMatchesReference:
     def test_annotate_follows_the_per_token_pos_rule(self, monkeypatch, limit):
         if limit is not None:
             monkeypatch.setattr(corpus_module, "_MEMO_LIMIT", limit)
+            # the table starts over between blocks: make each block one document
+            monkeypatch.setattr(synth, "_BLOCK_DOCS", 1)
         docs = generate_corpus(60, 5)
         if limit is not None:  # the type table started over between documents
             assert len({id(doc.types) for doc in docs}) > 2
@@ -157,6 +164,19 @@ class TestTokenizeMatchesReference:
             pos = tuple(synth._pos_of(t.surface, t.kind) for t in doc.tokens)
             assert doc.column("pos") == pos
             assert doc.column("chunk") == tuple(synth._CHUNK_OF_POS.get(p, "NA") for p in pos)
+
+
+    def test_every_whitespace_code_point_and_a_lone_surrogate(self):
+        assert len(WHITESPACE) > 20 and "\u3000" in WHITESPACE
+        texts = (
+            "x".join(WHITESPACE),
+            WHITESPACE + "Dr." + WHITESPACE + "3:30-5:00" + WHITESPACE,
+            "a\ud800b \udfff. (\ud800)\u2029Dr.\ud800",
+            "\ud800",
+        )
+        for text in texts:
+            assert tokens_of(text) == tokenize_reference(text, ABBREV)
+            assert len(tokens_of(text)) == len(tokenize_reference(text, ABBREV))
 
 
 class TestGoldenDocuments:
@@ -178,6 +198,18 @@ class TestGoldenDocuments:
             )
             h.update(repr(row).encode())
         assert h.hexdigest()[:16] == digest
+
+
+class TestGeneratedBlocks:
+    @pytest.mark.parametrize("n_docs", [1, 63, 64, 65, 129])
+    def test_a_corpus_is_a_prefix_of_a_longer_one(self, n_docs):
+        longer = generate_corpus(200, 5)
+        assert generate_corpus(n_docs, 5) == longer[:n_docs]
+
+    def test_a_block_shares_one_type_table(self):
+        docs = generate_corpus(2 * synth._BLOCK_DOCS, 5)
+        first, second = docs[: synth._BLOCK_DOCS], docs[synth._BLOCK_DOCS :]
+        assert len({id(doc.types) for doc in first}) == len({id(doc.types) for doc in second}) == 1
 
 
 def assert_ids_name_types(doc):
@@ -401,6 +433,122 @@ class TestParseTagged:
         raw = "<stime>3:30</stime> <stime>4:30</stime>"
         doc, _ = parse_tagged_document(raw, doc_id="d")
         assert doc.gold_spans == (TagSpan("stime", 0, 0), TagSpan("stime", 1, 1))
+
+
+def token_rows(tokens):
+    return [(t.surface, t.start, t.end, t.kind) for t in tokens]
+
+
+# tag-free text: pieces of the chunk splitter, or any characters but "<"
+WORDS = st.sampled_from(CHUNK_PIECES) | st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="<"), max_size=4
+)
+
+
+@st.composite
+def tagged_texts(draw):
+    """``(raw, text, char_spans)``: a text whose chunks are separated by
+    runs of any whitespace code points, and tag pairs at offsets drawn
+    anywhere in it, the text's end included, or one pair around all of it."""
+    parts = draw(
+        st.lists(
+            st.tuples(
+                st.lists(WORDS, max_size=3).map("".join),
+                st.text(alphabet=st.sampled_from(WHITESPACE), min_size=1, max_size=3),
+            ),
+            max_size=10,
+        )
+    )
+    text = "".join(chunk + gap for chunk, gap in parts)
+    if draw(st.booleans()):
+        offsets = sorted(draw(st.lists(st.integers(0, len(text)), max_size=6)))
+        bounds = list(zip(offsets[0::2], offsets[1::2]))
+    else:
+        bounds = [(0, len(text))]
+    names = DEFAULT_FIELDS + ("bogus",)
+    char_spans = [(draw(st.sampled_from(names)), cs, ce) for cs, ce in bounds]
+    pieces, last = [], 0
+    for name, cs, ce in char_spans:
+        pieces += [text[last:cs], f"<{name}>", text[cs:ce], f"</{name}>"]
+        last = ce
+    return "".join(pieces) + text[last:], text, char_spans
+
+
+class TestParseTaggedDocuments:
+    """A block parses each document as it parses alone, and as the
+    longhand span oracle maps its pairs."""
+
+    def check(self, docs):
+        raws = [raw for raw, _, _ in docs]
+        ids = [f"d{k}" for k in range(len(docs))]
+        block = parse_tagged_documents(raws, ids)
+        assert len(block) == len(docs)
+        for (doc, issues), (raw, text, char_spans), doc_id in zip(block, docs, ids):
+            alone, alone_issues = parse_tagged_document(raw, doc_id)
+            want = tokenize_reference(text, ABBREV)
+            assert doc.id == doc_id and doc.text == alone.text == text
+            assert token_rows(doc.tokens) == token_rows(alone.tokens) == token_rows(want)
+            want_spans, want_issues = tag_spans_reference(doc_id, want, char_spans, DEFAULT_FIELDS)
+            assert doc.gold_spans == alone.gold_spans == want_spans
+            assert issues == alone_issues == want_issues
+            assert_ids_name_types(doc)
+        return block
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(tagged_texts(), max_size=6))
+    @example([("", "", []), (" \n ", " \n ", []), ("a <stime></stime>", "a ", [("stime", 2, 2)])])
+    def test_block_equals_each_document_alone(self, docs):
+        self.check(docs)
+
+    def test_every_lint_issue_in_one_block(self):
+        long_text = " ".join(["w"] * 17)
+        raws = [
+            "a b <location> </location>",  # over no token, at the document's end
+            " <location></location> ",  # in a document with no token
+            "",
+            "<stime>4</stime>:30 pm",  # partial boundary
+            "<sentence>hi there</sentence> x",  # unknown field
+            f"<speaker>{long_text}</speaker>",  # long span
+            "c <etime>\u3000</etime>\u2028d",  # over a gap of wide whitespace
+        ]
+        docs = [(raw, *corpus_module._strip_tags(raw, "r")) for raw in raws]
+        block = self.check(docs)
+        codes = [[(i.code, i.token_index) for i in issues] for _, issues in block]
+        assert codes == [
+            [("EMPTY_SPAN", 1)],
+            [("EMPTY_SPAN", -1)],
+            [],
+            [("PARTIAL_BOUNDARY", 0), ("EMPTY_SPAN", 0)],
+            [("UNKNOWN_FIELD", 0)],
+            [("LONG_SPAN", 0)],
+            [("EMPTY_SPAN", 1)],
+        ]
+
+    def test_first_malformed_document_raises_before_tokenizing(self, monkeypatch):
+        raws = ["ok <stime>3</stime>", "a\nb <speaker>Dr. Who", "x </location>"]
+        with pytest.raises(MalformedTag) as alone:
+            parse_tagged_document(raws[1], "d1")
+
+        def tokenize(*args):
+            raise AssertionError("tokenized a block with a malformed document")
+
+        monkeypatch.setattr(corpus_module, "tokenize", tokenize)
+        with pytest.raises(MalformedTag, match=r"<speaker> never closed \(document 'd1', line 2\)") as exc:
+            parse_tagged_documents(raws, ["d0", "d1", "d2"])
+        got, want = exc.value, alone.value
+        assert (got.doc_id, got.line, got.offset) == ("d1", want.line, want.offset) == ("d1", 2, 4)
+        with pytest.raises(MalformedTag, match=r"unmatched closing tag </location> \(document 'd2'"):
+            parse_tagged_documents(raws[2:], ["d2"])
+
+    @pytest.mark.parametrize(
+        "raws, ids", [(["a", "b"], ["d0"]), (["a"], []), ([], ["d0"])], ids=["short", "none", "extra"]
+    )
+    def test_ids_that_do_not_match_the_texts_raise(self, raws, ids):
+        with pytest.raises(InvalidSpec, match=f"{len(raws)} documents for {len(ids)} ids"):
+            parse_tagged_documents(raws, ids)
+
+    def test_no_documents(self):
+        assert parse_tagged_documents([], []) == []
 
 
 class TestSpanMappingMatchesReference:

@@ -407,6 +407,8 @@ class TestFeaturizeMatchesReference:
 
     def test_type_table_that_starts_over_mid_corpus(self, monkeypatch):
         monkeypatch.setattr(corpus_module, "_MEMO_LIMIT", 64)
+        # the table starts over between blocks: make each block one document
+        monkeypatch.setattr(synth, "_BLOCK_DOCS", 1)
         docs = generate_corpus(40, 3)
         assert len({id(doc.types) for doc in docs}) > 2
         gaz = build_gazetteer(docs, LEX.lemma_table)

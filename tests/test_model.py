@@ -313,6 +313,12 @@ class TestTimeMajor:
                     assert rows[t - 1] - prev.start == row - cur.start
                     assert prev.stop - prev.start == cur.stop - cur.start
 
+    def test_steps_are_built_on_first_read(self):
+        layout = TimeMajor([3, 1, 2])
+        assert "steps" not in vars(layout)  # a caller that sorts by order builds none
+        steps = layout.steps
+        assert layout.steps is steps and len(steps) == 3
+
     def test_all_empty(self):
         for lengths in ([], [0, 0, 0]):
             layout = TimeMajor(lengths)
