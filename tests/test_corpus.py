@@ -185,7 +185,14 @@ class TestGoldenDocuments:
     became columns. Any change to the token path must keep it."""
 
     @pytest.mark.parametrize(
-        "n_docs,seed,digest", [(485, 1993, "73a909ac2e9e2d01"), (800, 1994, "96880977e3e65030")]
+        "n_docs,seed,digest",
+        [
+            (485, 1993, "73a909ac2e9e2d01"),
+            (800, 1994, "96880977e3e65030"),
+            (485, 7, "286345820b26b4b0"),
+            (800, 8, "38eae000f9dec2dd"),
+            (1188, 1994, "095b2d0bfe945b32"),
+        ],
     )
     def test_generated_documents(self, n_docs, seed, digest):
         h = hashlib.sha256()
