@@ -229,12 +229,12 @@ def token_kind(surface):
         return KIND_WORD
     if surface.isdigit() or _DECIMAL_RE.fullmatch(surface):
         return KIND_NUMBER
-    cats = {unicodedata.category(c)[0] for c in surface}
-    if cats <= {"P", "S"}:
-        if len(surface) == 1 and unicodedata.category(surface)[0] == "P":
-            return KIND_PUNCT
-        return KIND_SYMBOL
-    return KIND_MIXED
+    major = None
+    for c in surface:
+        major = unicodedata.category(c)[0]
+        if major not in "PS":
+            return KIND_MIXED
+    return KIND_PUNCT if len(surface) == 1 and major == "P" else KIND_SYMBOL
 
 
 def _binds(left, ch, right):

@@ -16,15 +16,22 @@ exploits, and with the failure modes that make extraction non-trivial:
   collaborator names, capitalized topic words - that punish tagging on
   surface shape alone.
 
-Everything is drawn from one seeded generator, so a given ``(n_docs,
-seed)`` pair always yields byte-identical documents.
+Everything is drawn from one seeded PCG64 bit generator, by
+:class:`_Draws`, which turns its raw 64-bit words into the draws that
+``np.random.default_rng(seed)`` makes on numpy 2.x. NEP 19 keeps that raw
+stream the same across numpy releases, so a given ``(n_docs, seed)`` pair
+always yields byte-identical documents, whatever numpy's ``Generator``
+methods do in a later release.
 """
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .corpus import DEFAULT_FIELDS, KIND_NUMBER, KIND_PUNCT, KIND_SYMBOL, Document, _parse_block
+from .errors import InvalidSpec
 from .resources import load_ranked, load_wordlist
 
 DEFAULT_DOCS = 485
@@ -131,7 +138,7 @@ class _Pools:
             # deal the cast out in shuffled rounds so everyone genuinely
             # recurs instead of leaving a long tail of near-strangers
             if not self._cast_deck:
-                self._cast_deck = list(rng.permutation(len(self.cast)))
+                self._cast_deck = rng.permutation(len(self.cast))
             first, last = self.cast[self._cast_deck.pop()]
             return first, last, True
         return (_choice(rng, self.firsts), _choice(rng, self.lasts), False)
@@ -160,10 +167,82 @@ class _Pools:
         return _choice(rng, self.rare_venues), False
 
 
+# Raw 64-bit words fetched from the bit generator at a time. The draws do
+# not depend on it: it only spreads the cost of one numpy call over many
+# draws.
+_RAW_BLOCK = 512
+
+_MASK32 = (1 << 32) - 1
+
+
+class _Draws:
+    """The draws of ``np.random.default_rng(seed)`` that the generator
+    makes, computed in Python from PCG64's raw words.
+
+    NEP 19 keeps a bit generator's raw stream the same across numpy
+    releases, but not the algorithms of ``Generator``'s methods. These
+    are the algorithms of numpy 2.x, which the tests check draw for draw:
+
+    * ``random()`` is the top 53 bits of one word;
+    * a 32-bit draw is the low half of a fresh word, and the high half is
+      kept for the next 32-bit draw (a ``random()`` call leaves it kept);
+    * ``below(n)``, for ``1 <= n <= 2**32``, is ``integers(0, n)``:
+      nothing drawn at ``n == 1``, else Lemire's multiply-and-reject
+      method on 32-bit draws (which, in Python's unbounded ints, is one
+      bare 32-bit draw at ``n == 2**32``, as numpy makes);
+    * ``permutation(n)`` is a Fisher-Yates shuffle of ``range(n)`` whose
+      index draws are masked 32-bit draws, redrawn while too large.
+    """
+
+    def __init__(self, seed):
+        self._bits = np.random.PCG64(seed)
+        self._words = []  # unread words of the current block, last first
+        self._half = None  # the kept high half of the last 32-bit draw's word
+
+    def _word(self):
+        if not self._words:
+            self._words = self._bits.random_raw(_RAW_BLOCK).tolist()
+            self._words.reverse()
+        return self._words.pop()
+
+    def _uint32(self):
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        word = self._word()
+        self._half = word >> 32
+        return word & _MASK32
+
+    def random(self):
+        return (self._word() >> 11) * 2.0**-53
+
+    def below(self, n):
+        if n == 1:
+            return 0
+        m = self._uint32() * n
+        if m & _MASK32 < n:
+            threshold = (1 << 32) % n
+            while m & _MASK32 < threshold:
+                m = self._uint32() * n
+        return m >> 32
+
+    def integers(self, lo, hi):
+        return lo + self.below(hi - lo)
+
+    def permutation(self, n):
+        out = list(range(n))
+        for i in range(n - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = self._uint32() & mask
+            while j > i:
+                j = self._uint32() & mask
+            out[i], out[j] = out[j], out[i]
+        return out
+
+
 def _choice(rng, seq):
-    # integers(0, n) draws what integers(n) draws, by the same path, at
-    # about three quarters of its cost per call
-    return seq[rng.integers(0, len(seq))]
+    return seq[rng.below(len(seq))]
 
 
 def _clock(rng, start=None, offset=0):
@@ -171,8 +250,8 @@ def _clock(rng, start=None, offset=0):
     # minutes later, so the two vocabularies of clock strings recur and
     # stay disjoint
     if start is None:
-        hour = int(_choice(rng, (10, 11, 12, 1, 2, 3)))
-        minute = int(_choice(rng, (0, 30)))
+        hour = _choice(rng, (10, 11, 12, 1, 2, 3))
+        minute = _choice(rng, (0, 30))
     else:
         hour, minute = start
         minute += offset
@@ -189,7 +268,7 @@ def _time_string(rng, hour, minute, suffix, with_minutes=True):
 
 
 def _topic(rng, n=None, code_names=()):
-    n = n or int(rng.integers(2, 4))
+    n = n or rng.integers(2, 4)
     words = []
     for _ in range(n - 1):
         if code_names and rng.random() < 0.12:
@@ -232,7 +311,7 @@ def _announcement(rng, pools, seq):
     stime = _time_string(rng, *start, suffix, with_minutes)
     time_line = f"Time:     <stime>{stime}</stime>"
     if has_etime:
-        end = _clock(rng, start=start, offset=int(_choice(rng, (75, 105))))
+        end = _clock(rng, start=start, offset=_choice(rng, (75, 105)))
         etime = _time_string(rng, *end, suffix)
         bare = rng.random() < 0.12 and suffix
         if bare:  # suffix once, on the end time only
@@ -311,10 +390,10 @@ def _announcement(rng, pools, seq):
 
     if rng.random() < 0.50:
         host_first, host_last = pools.host(rng)
-        block.insert(int(rng.integers(0, len(block) + 1)),
+        block.insert(rng.integers(0, len(block) + 1),
                      f"Host:     {host_first} {host_last}")
     if rng.random() < 0.30:
-        block.insert(int(rng.integers(0, len(block) + 1)),
+        block.insert(rng.integers(0, len(block) + 1),
                      f"Sponsor:  the {_choice(rng, pools.code_names)} fund")
 
     day = rng.integers(1, 29)
@@ -323,7 +402,7 @@ def _announcement(rng, pools, seq):
     # posting timestamps use off-grid minutes, so they look like times
     # (and pattern-match as such) without colliding with the recurring
     # seminar-slot vocabulary
-    posted_at = f"{rng.integers(8, 18)}:{int(_choice(rng, (3, 7, 11, 23, 37, 41, 53, 58))):02d}"
+    posted_at = f"{rng.integers(8, 18)}:{_choice(rng, (3, 7, 11, 23, 37, 41, 53, 58)):02d}"
     header_lines = [
         f"<{seq}.{rng.integers(0, 10 ** 8)}.announce@cs.cmu.edu>",
         "Type:     cmu.cs.proj.seminar",
@@ -336,26 +415,26 @@ def _announcement(rng, pools, seq):
     ]
     header = "\n".join(header_lines)
 
-    sentences = [_core_sentence(rng) for _ in range(int(rng.integers(3, 7)))]
+    sentences = [_core_sentence(rng) for _ in range(rng.integers(3, 7))]
     if speaker_in_body:
         # some announcements never get a Who line; the guest is only
         # introduced in the abstract itself
         sentences.insert(
-            int(rng.integers(0, len(sentences) + 1)),
+            rng.integers(0, len(sentences) + 1),
             f"<speaker>{name}</speaker> of {_choice(rng, _AFFILIATIONS)} "
             f"will {_choice(rng, _VERBS)} recent results .",
         )
     if has_speaker and recurring and rng.random() < 0.35:
         mention = f"{title} {last}".strip() if title else f"{first} {last}"
         sentences.insert(
-            int(rng.integers(0, len(sentences) + 1)),
+            rng.integers(0, len(sentences) + 1),
             f"<speaker>{mention}</speaker> will also {_choice(rng, _VERBS)} "
             f"open problems .",
         )
     if rng.random() < 0.70:
         f2, l2 = pools.visitor(rng)
         sentences.insert(
-            int(rng.integers(0, len(sentences) + 1)),
+            rng.integers(0, len(sentences) + 1),
             f"This is joint work with {f2} {l2} of "
             f"{_choice(rng, _AFFILIATIONS)} .",
         )
@@ -365,7 +444,7 @@ def _announcement(rng, pools, seq):
         sentences.append(f"The talk is in <location>{place_filler}</location> .")
     if rng.random() < 0.10:
         sentences.append(f"Refreshments will be served at "
-                         f"{rng.integers(1, 6)}:{int(_choice(rng, (10, 20, 50))):02d} .")
+                         f"{rng.integers(1, 6)}:{_choice(rng, (10, 20, 50)):02d} .")
 
     body = f" {_topic(rng, 3)} Seminar\n " + "\n ".join(sentences)
     return header + "\n\n" + body + "\n"
@@ -458,13 +537,23 @@ _BLOCK_DOCS = 64
 def generate_corpus(n_docs=DEFAULT_DOCS, seed=DEFAULT_SEED):
     """Generate ``n_docs`` announcements; same arguments, same documents.
 
+    ``n_docs`` and ``seed`` must be ints of at least 0, and not bools;
+    anything else raises :class:`~bien.errors.InvalidSpec` before any
+    draw. The documents depend only on PCG64's raw stream from ``seed``,
+    which NEP 19 keeps stable across numpy releases; :class:`_Draws`
+    makes from it the draws ``np.random.default_rng(seed)`` makes on numpy
+    2.x.
+
     The texts are drawn, parsed and annotated ``_BLOCK_DOCS`` documents at
     a time: each block is parsed by one
     :func:`~bien.corpus.parse_tagged_documents` pass, so its documents
     share one type table (the table starts over between blocks, never
     inside one), and the pos/chunk tags of all its tokens come from one
     gather. The draws do not depend on the block size."""
-    rng = np.random.default_rng(seed)
+    for name, value in (("n_docs", n_docs), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+            raise InvalidSpec(f"generate_corpus {name} must be an int >= 0, got {value!r}")
+    rng = _Draws(seed)
     pools = _Pools(rng)
     docs = []
     for first in range(0, n_docs, _BLOCK_DOCS):

@@ -25,17 +25,24 @@ longhand form of the semantic feature's single alternation.
 scanning every token for every pair, the longhand form of the bisection
 in ``parse_tagged_document``. ``tokenize_reference`` splits and classifies
 every whitespace chunk afresh, the memo-free form of ``tokenize``.
+``token_kind_reference`` classifies a surface from the set of its
+characters' major Unicode categories, the earlier form of ``token_kind``.
 """
 
 import re
+import unicodedata
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
 from bien.corpus import (
+    _DECIMAL_RE,
+    KIND_MIXED,
+    KIND_NUMBER,
     KIND_PUNCT,
     KIND_SYMBOL,
+    KIND_WORD,
     LintIssue,
     TagSpan,
     Token,
@@ -779,3 +786,19 @@ def tokenize_reference(text, abbreviations=frozenset()):
             start = m.start() + off
             tokens.append(Token(surface, start, start + len(surface), token_kind(surface)))
     return tuple(tokens)
+
+
+def token_kind_reference(surface):
+    """``token_kind`` with a set of every character's major category."""
+    if surface.isalpha():
+        return KIND_WORD
+    if len(surface) > 1 and surface[-1] == "." and surface[:-1].isalpha():
+        return KIND_WORD
+    if surface.isdigit() or _DECIMAL_RE.fullmatch(surface):
+        return KIND_NUMBER
+    cats = {unicodedata.category(c)[0] for c in surface}
+    if cats <= {"P", "S"}:
+        if len(surface) == 1 and unicodedata.category(surface)[0] == "P":
+            return KIND_PUNCT
+        return KIND_SYMBOL
+    return KIND_MIXED

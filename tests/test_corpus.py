@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import tag_spans_reference, tokenize_reference
+from oracles import tag_spans_reference, token_kind_reference, tokenize_reference
 
 from bien import corpus as corpus_module, synth
 from bien.corpus import (
@@ -21,6 +21,7 @@ from bien.corpus import (
     parse_tagged_document,
     parse_tagged_documents,
     split,
+    token_kind,
     tokenize,
 )
 from bien.errors import AlignmentError, DataError, InvalidPlan, InvalidSpec, MalformedTag
@@ -217,6 +218,99 @@ class TestGeneratedBlocks:
         docs = generate_corpus(2 * synth._BLOCK_DOCS, 5)
         first, second = docs[: synth._BLOCK_DOCS], docs[synth._BLOCK_DOCS :]
         assert len({id(doc.types) for doc in first}) == len({id(doc.types) for doc in second}) == 1
+
+
+# ranges that take each branch of the bounded draw: none at 1, the
+# rejection loop about half the time at 2**31 + 1, one bare 32-bit draw at
+# 2**32
+RANGES = st.one_of(st.sampled_from([1, 2, 3, 2**31 + 1, 2**32 - 1, 2**32]), st.integers(1, 2**32))
+DRAW_CALLS = st.lists(
+    st.one_of(
+        st.just(("random",)),
+        st.tuples(st.just("integers"), st.integers(-(2**31), 2**31), RANGES),
+        st.tuples(st.just("permutation"), st.sampled_from([0, 1, 2, 24]) | st.integers(0, 64)),
+    ),
+    max_size=40,
+)
+
+
+def replay(rng, calls):
+    out = []
+    for name, *args in calls:
+        if name == "random":
+            out.append(rng.random())
+        elif name == "integers":
+            lo, n = args
+            out.append(int(rng.integers(lo, lo + n)))
+        else:
+            out.append([int(i) for i in rng.permutation(*args)])
+    return out
+
+
+class TestDraws:
+    """``synth._Draws`` makes the draws ``np.random.default_rng`` makes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**128), DRAW_CALLS)
+    # a random() between two 32-bit draws must leave the kept half-word
+    @example(0, [("integers", 0, 10), ("random",), ("integers", 0, 10), ("permutation", 24)])
+    @example(
+        1993,
+        [("integers", 5, 2**31 + 1)] * 8
+        + [("random",), ("integers", 0, 1), ("integers", 0, 2**32)],
+    )
+    def test_same_draws_as_the_numpy_generator(self, seed, calls):
+        assert replay(synth._Draws(seed), calls) == replay(np.random.default_rng(seed), calls)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_the_raw_block_size_changes_no_document(self, monkeypatch, block):
+        want = generate_corpus(130, 5)
+        monkeypatch.setattr(synth, "_RAW_BLOCK", block)
+        assert generate_corpus(130, 5) == want
+
+
+class TestGenerateCorpusArguments:
+    @pytest.mark.parametrize(
+        "n_docs,seed,bad",
+        [
+            (3, None, "seed"),
+            (3, -1, "seed"),
+            (3, 1.5, "seed"),
+            (3, "7", "seed"),
+            (3, False, "seed"),
+            (2.5, 3, "n_docs"),
+            (-1, 3, "n_docs"),
+            (True, 3, "n_docs"),
+        ],
+    )
+    def test_a_bad_argument_raises_before_any_draw(self, monkeypatch, n_docs, seed, bad):
+        def no_draws(seed):
+            pytest.fail("drew from a bad argument")
+
+        monkeypatch.setattr(synth, "_Draws", no_draws)
+        with pytest.raises(InvalidSpec, match=bad):
+            generate_corpus(n_docs, seed)
+
+    def test_numpy_ints_and_no_documents_are_accepted(self):
+        assert generate_corpus(np.int64(3), np.uint32(9)) == generate_corpus(3, 9)
+        assert generate_corpus(0, 9) == []
+
+
+class TestTokenKind:
+    """``token_kind`` classifies as the set-per-surface reference does."""
+
+    def test_every_code_point_and_the_empty_string(self):
+        surfaces = ["", *map(chr, range(sys.maxunicode + 1))]
+        assert list(map(token_kind, surfaces)) == list(map(token_kind_reference, surfaces))
+
+    def test_every_generated_surface(self):
+        surfaces = {t.surface for doc in generate_corpus(485, 1993) for t in doc.tokens}
+        surfaces.update(CHUNK_PIECES)
+        assert [token_kind(s) for s in surfaces] == [token_kind_reference(s) for s in surfaces]
+
+    @given(st.text())
+    def test_any_text(self, text):
+        assert token_kind(text) == token_kind_reference(text)
 
 
 def assert_ids_name_types(doc):
