@@ -19,13 +19,12 @@ from .features import (
     featurize,
     mask_columns,
 )
-from .inference import EmissionRows, Evidence, viterbi, viterbi_batch
+from .inference import Evidence, viterbi, viterbi_batch
 from .learning import TrainConfig, check_unique_ids, make_examples, pack, train
 from .model import (
     ROLE_BEGIN,
     ROLE_END,
     ROLE_INSIDE,
-    ObservationRows,
     build_model,
     compile_chain,
     number_observations,
@@ -49,13 +48,18 @@ def assemble_slots(tag_seq, tag_space):
     assembling an encoded gold sequence returns the gold spans. Ill-formed
     runs (possible on arbitrary input) are salvaged into spans rather than
     dropped, and counted in the returned diagnostics. A labelled tag that
-    is not an integer of ``tag_space`` raises :class:`InvalidSpec`.
+    is not an integer of ``tag_space``, or a ``tag_seq`` that is not 1-D,
+    raises :class:`InvalidSpec`.
     """
     fields = tag_space.fields
     spans = []
     diagnostics = {"unterminated": 0, "orphan_inside": 0, "orphan_end": 0}
     open_run = None  # (field index, start token)
     tags = np.asarray(tag_seq)
+    if tags.ndim != 1:
+        raise InvalidSpec(
+            f"tags must be 1-D integers in 0 .. {tag_space.size - 1}, got shape {tags.shape}"
+        )
     labelled = np.flatnonzero(tags != tag_space.background)
     values = tags[labelled].tolist()
     if values and (
@@ -118,24 +122,14 @@ def decode(chain, obs):
     return _decode_result(chain, *viterbi(chain, Evidence(np.asarray(obs))))
 
 
-def decode_batch(chain, obs_list):
-    """``decode`` for many observation matrices at once, through the
-    packed ``viterbi_batch``: one ``DecodeResult`` per matrix, in order,
-    identical to what ``decode`` returns for it. The first malformed
-    matrix raises the :class:`InvalidSpec` that ``decode`` raises for it.
-
-    The matrices of a run's test side share few distinct rows (271 among
-    the 11,435 test tokens of a holdout run of ``generate_corpus(485,
-    1993)``), so emission scores are computed once per distinct row and
-    each document reads its rows of that table as it is decoded.
-    ``obs_list`` may also be those rows already numbered
-    (:class:`~bien.model.ObservationRows`), as the protocol numbers a test
-    side once for every config and masks the rows per config."""
-    if not isinstance(obs_list, ObservationRows):
-        cardinalities = [spec.cardinality for spec in chain.model.observables]
-        obs_list = number_observations(obs_list, cardinalities)
-    table = chain.log_emission(obs_list.table)
-    decoded = viterbi_batch(chain, [EmissionRows(table, rows) for rows in obs_list.rows])
+def decode_batch(chain, numbered):
+    """``decode`` for the observation matrices of ``numbered``
+    (:class:`~bien.model.ObservationRows`): one ``DecodeResult`` per matrix,
+    in order, identical to what ``decode`` returns for it. Each distinct row
+    is scored once (a holdout test side of ``generate_corpus(485, 1993)``
+    has 271 among its 11,435 tokens). A row that does not fit the chain
+    raises :class:`InvalidSpec`."""
+    decoded = viterbi_batch(chain, chain.log_emission(numbered.table), numbered.rows)
     return [_decode_result(chain, path, score) for path, score in decoded]
 
 
@@ -161,11 +155,6 @@ class FieldScore:
     def f1(self):
         p, r = self.precision, self.recall
         return 2 * p * r / (p + r) if p + r else 0.0
-
-    def add(self, other):
-        self.produced += other.produced
-        self.truth += other.truth
-        self.correct += other.correct
 
 
 def slot_filler(doc, span):

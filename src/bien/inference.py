@@ -21,11 +21,10 @@ tiling copy. Its backpointers are flat indices into the step's scores,
 which the gather reads unchecked. The max-only step of ``viterbi_batch``
 is slower for one document, so ``viterbi`` keeps the argmax.
 
-The package's evidence is the observation matrix of a document
-(``Evidence``), or its rows of a table of emission scores that a batch
-computes once per distinct observation row (``EmissionRows``).
-``ClampedEvidence`` in ``tests/oracles.py`` subclasses ``Evidence`` to add
-per-token -inf masks on tag and segment values.
+``viterbi`` scores a document's observation matrix (``Evidence``);
+``ClampedEvidence`` in ``tests/oracles.py`` adds per-token -inf masks on
+tag and segment values. ``viterbi_batch`` reads one ``(R, S)`` table of
+emission scores and each document's row numbers into it.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroProbabilityEvidence
+from .errors import InvalidSpec, ZeroProbabilityEvidence
 from .model import TimeMajor
 
 # Documents per packed chunk in ``viterbi_batch``. Each step's (S, k, S)
@@ -58,22 +57,6 @@ class Evidence:
     def log_emission(self, chain):
         """The (T, S) emission log-probabilities of every chain state."""
         return chain.log_emission(self.obs)
-
-
-@dataclass
-class EmissionRows:
-    """The evidence of one document whose emission scores are rows of a
-    shared ``(R, S)`` table, one row per distinct observation row of a
-    batch: token t scores ``table[rows[t]]``."""
-
-    table: np.ndarray
-    rows: np.ndarray
-
-    def __len__(self):
-        return len(self.rows)
-
-    def log_emission(self, chain):
-        return self.table[self.rows]
 
 
 def viterbi(chain, evidence):
@@ -136,9 +119,12 @@ def viterbi(chain, evidence):
     return np.array(states, dtype=np.int64), score
 
 
-def viterbi_batch(chain, evidences):
-    """``viterbi`` for many documents: ``(path, score)`` per evidence, in
-    input order, each identical to what ``viterbi`` returns for it.
+def viterbi_batch(chain, table, rows):
+    """``viterbi`` for many documents, document i scoring ``table[rows[i]]``:
+    ``(path, score)`` per document, in input order, each identical to what
+    ``viterbi`` returns for those emission scores. Unless ``table`` is a
+    float64 ``(R, S)`` array and each of ``rows`` a 1-D integer array in
+    ``0 .. R - 1``, this raises :class:`InvalidSpec` before decoding.
 
     Documents are sorted longest first and cut into chunks of
     ``_BATCH_DOCS``, each packed in a :class:`bien.model.TimeMajor`
@@ -151,11 +137,24 @@ def viterbi_batch(chain, evidences):
     :class:`ZeroProbabilityEvidence` of the first such document in input
     order, at its first dead step.
     """
-    if len(evidences) == 1:
-        # one document decodes faster without the packing
-        return [viterbi(chain, evidences[0])]
-    order = TimeMajor([len(ev) for ev in evidences]).order.tolist()
-    S = chain.n_states
+    table, S = np.asarray(table), chain.n_states
+    try:
+        flat = np.concatenate(rows) if len(rows) else np.zeros(0, dtype=np.intp)
+    except ValueError:  # a 0-d row, or rows of different dimensions
+        flat = None
+    if not (
+        table.dtype == np.float64
+        and table.shape[1:] == (S,)
+        and flat is not None
+        and flat.dtype.kind in "iu"
+        and flat.ndim == 1
+        and (not flat.size or 0 <= flat.min() <= flat.max() < len(table))
+    ):
+        raise InvalidSpec(
+            f"emissions must be a float64 (R, {S}) table and 1-D integer row numbers "
+            f"in 0 .. R - 1, got a {table.dtype} table of shape {table.shape}"
+        )
+    order = np.argsort([-len(r) for r in rows], kind="stable").tolist()
     # trans_rep[i, d, j] holds the score of the move i -> j once per chunk
     # slot d, so the step's add broadcasts only the previous scores
     trans_rep = np.empty((S, min(len(order), _BATCH_DOCS), S))
@@ -166,30 +165,31 @@ def viterbi_batch(chain, evidences):
     for lo in range(0, len(order), _BATCH_DOCS):
         chunk = order[lo : lo + _BATCH_DOCS]
         decoded, chunk_dead = _viterbi_chunk(
-            chain, trans_rep, trans_T, [evidences[i] for i in chunk]
+            chain, trans_rep, trans_T, table, [rows[i] for i in chunk]
         )
         results.update(zip(chunk, decoded))
         dead.update((chunk[p], step) for p, step in chunk_dead.items())
     if dead:
         step = dead[min(dead)]
         raise ZeroProbabilityEvidence(f"no state admits token {step}", step=step)
-    return [results[i] for i in range(len(evidences))]
+    return [results[i] for i in range(len(rows))]
 
 
-def _viterbi_chunk(chain, trans_rep, trans_T, evidences):
-    """``(path, score)`` per document, for documents sorted longest first
-    (so that their layout keeps their order), and ``{position: first dead
-    step}`` for those with a step that no state admits."""
+def _viterbi_chunk(chain, trans_rep, trans_T, table, rows):
+    """``(path, score)`` per document p, scoring ``table[rows[p]]``, for
+    documents sorted longest first (so that their layout keeps their
+    order), and ``{p: first dead step}`` where no state admits a step."""
     S = chain.n_states
-    k = len(evidences)
-    lengths = [len(ev) for ev in evidences]
+    k = len(rows)
+    lengths = [len(r) for r in rows]
     layout = TimeMajor(lengths)
     steps, live = layout.steps, layout.live.tolist() + [0]
-    doc_rows = np.split(layout.rows(), np.cumsum(lengths[:-1]))
-    # ``best`` holds the packed emissions until the recursion adds to them
-    best = np.empty((layout.starts[-1], S))
-    for rows, ev in zip(doc_rows, evidences):
-        best[rows] = ev.log_emission(chain)
+    packed = layout.rows()
+    doc_rows = np.split(packed, np.cumsum(lengths[:-1]))
+    # each packed row's table row, so one gather makes ``best``, with no temporary
+    table_rows = np.empty(len(packed), dtype=np.intp)
+    table_rows[packed] = np.concatenate(rows)
+    best = table[table_rows]  # the packed emissions, until the recursion adds to them
     moves = np.empty((S, k, S))
     into = np.empty((k, S))
     if steps:

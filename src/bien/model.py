@@ -11,9 +11,9 @@ EM learns.
 
 from __future__ import annotations
 
+import copy
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -138,10 +138,7 @@ class Cpt:
             return np.log(self.table)
 
     def copy(self):
-        dup = Cpt.__new__(Cpt)
-        dup.name = self.name
-        dup.parents = self.parents
-        dup.shape = self.shape
+        dup = copy.copy(self)
         dup.allowed = self.allowed.copy()
         dup.table = self.table.copy()
         return dup
@@ -209,13 +206,7 @@ class BienModel:
             cpt.validate(atol)
 
     def copy(self):
-        dup = BienModel.__new__(BienModel)
-        dup.fields = self.fields
-        dup.tags = self.tags
-        dup.observables = self.observables
-        dup.memory = self.memory
-        dup.lt_card = self.lt_card
-        dup.next_lt = self.next_lt
+        dup = copy.copy(self)
         dup.cpts = {k: v.copy() for k, v in self.cpts.items()}
         return dup
 
@@ -223,21 +214,17 @@ class BienModel:
 def build_model(fields, observables, memory=True):
     """A fresh model with uniform CPTs over the allowed structure.
 
-    ``observables`` maps feature name to cardinality (dict or pairs),
-    in feature-vector column order.
+    ``observables`` is a dict from feature name to cardinality, in
+    feature-vector column order. Anything else, or a cardinality that is
+    not an integer >= 1, raises :class:`InvalidSpec`.
     """
-    if isinstance(observables, dict):
-        observables = tuple(ObservableSpec(n, c) for n, c in observables.items())
-    else:
-        observables = tuple(ObservableSpec(n, c) for n, c in observables)
-    seen = set()
-    for obs in observables:
-        if not isinstance(obs.cardinality, numbers.Integral) or obs.cardinality < 1:
-            raise InvalidSpec(f"observable {obs.name}: cardinality {obs.cardinality!r}")
-        if obs.name in seen:
-            raise InvalidSpec(f"observable {obs.name} is declared more than once")
-        seen.add(obs.name)
-    return BienModel(fields, observables, memory=memory)
+    if not isinstance(observables, dict):
+        raise InvalidSpec(f"observables must be a dict, got {type(observables).__name__}")
+    for name, card in observables.items():
+        if not isinstance(card, numbers.Integral) or card < 1:
+            raise InvalidSpec(f"observable {name}: cardinality {card!r}")
+    specs = tuple(ObservableSpec(n, c) for n, c in observables.items())
+    return BienModel(fields, specs, memory=memory)
 
 
 # ---------------------------------------------------------------------------
@@ -391,17 +378,16 @@ def distinct_rows(n_rows, digits):
 class TimeMajor:
     """Documents of the given lengths unrolled time-major into the rows of
     one table, with no padding: the layout of EM's forward-backward and of
-    the batched Viterbi.
+    each chunk of the batched Viterbi.
 
     The documents are sorted longest first, stably (``order``), and step t
     holds one row per document longer than t, in that order: ``live[t]``
     rows from row ``starts[t]`` on. So the documents alive at step t are a
     prefix of those alive at step t - 1, and ``steps[t]`` pairs step t's
     rows with the rows of step t - 1 that hold the same documents (``None``
-    at t = 0), as slices. ``steps`` is built on first read, since a
-    caller that only sorts by ``order`` needs none of it, and each token's
-    row is computed on demand (:meth:`rows`), so that a layout held for
-    many passes holds nothing per token.
+    at t = 0), as slices. Each token's row is computed on demand
+    (:meth:`rows`), so that a layout held for many passes holds nothing
+    per token.
     """
 
     def __init__(self, lengths):
@@ -410,14 +396,9 @@ class TimeMajor:
         T = int(self.lengths.max(initial=0))
         self.live = len(self.lengths) - np.cumsum(np.bincount(self.lengths, minlength=T + 1))[:T]
         self.starts = np.concatenate([[0], np.cumsum(self.live)])
-
-    @cached_property
-    def steps(self):
         bounds = self.starts.tolist()
-        prev_stops = (self.starts[:-2] + self.live[1:]).tolist()
-        return list(
-            zip(map(slice, bounds, bounds[1:]), [None, *map(slice, bounds, prev_stops)])
-        )
+        stops = (self.starts[:-2] + self.live[1:]).tolist()  # of the previous-step slices
+        self.steps = list(zip(map(slice, bounds, bounds[1:]), [None, *map(slice, bounds, stops)]))
 
     def rows(self):
         """Each token's row, for the documents' tokens concatenated in

@@ -44,6 +44,13 @@ from oracles import apply_mask, assemble_slots_reference, randomize_model, sampl
 FIELDS = ("speaker", "location", "stime", "etime")
 
 
+def decode_matrices(chain, obs_list):
+    """``decode_batch`` of observation matrices, numbered against the
+    chain's observables."""
+    cardinalities = [spec.cardinality for spec in chain.model.observables]
+    return decode_batch(chain, number_observations(obs_list, cardinalities))
+
+
 def tiny_space(n_fields=2):
     model = build_model(FIELDS[:n_fields], {"lemma": 4}, memory=True)
     return model.tags
@@ -117,7 +124,11 @@ class TestAssembleSlots:
         ([0, 5, 1], "[1, 5]"),
         ([1.5], "[1.5]"),
         (np.array([0.0, 1.0]), "[1.0]"),
-    ], ids=["past-the-space", "negative", "one-past", "float", "float-array"])
+        (np.array([[0, 4], [1, 2]]), "shape (2, 2)"),
+        (np.array(4), "shape ()"),
+        ([[4]], "shape (1, 1)"),
+    ], ids=["past-the-space", "negative", "one-past", "float", "float-array",
+            "two-dimensional", "zero-dimensional", "nested-list"])
     def test_tags_outside_the_tag_space_raise(self, seq, shown):
         space = tiny_space(1)
         with pytest.raises(InvalidSpec, match=re.escape(f"integers in 0 .. 4, got {shown}")):
@@ -163,11 +174,6 @@ class TestFieldScore:
         assert FieldScore().recall == 0.0
         assert FieldScore().f1 == 0.0
         assert FieldScore(produced=2, truth=0, correct=0).f1 == 0.0
-
-    def test_add(self):
-        s = FieldScore(1, 2, 1)
-        s.add(FieldScore(3, 4, 2))
-        assert (s.produced, s.truth, s.correct) == (4, 6, 3)
 
 
 def parse(text):
@@ -308,7 +314,7 @@ class TestDecode:
         empty = [obs if i % 3 else obs[:0] for i, obs in enumerate(sampled)]
         for obs_list in (sampled, masked, same, distinct, empty):
             assert len(obs_list) > _BATCH_DOCS
-            got = decode_batch(chain, obs_list)
+            got = decode_matrices(chain, obs_list)
             assert len(got) == len(obs_list)
             for result, obs in zip(got, obs_list):
                 want = decode(chain, obs)
@@ -317,8 +323,8 @@ class TestDecode:
                 assert np.float64(result.score).tobytes() == np.float64(want.score).tobytes()
                 assert result.spans == want.spans
                 assert result.diagnostics == want.diagnostics
-        assert [r.tags.shape for r in decode_batch(chain, [sampled[5]] * 3)] == [(0,)] * 3
-        assert decode_batch(chain, []) == []
+        assert [r.tags.shape for r in decode_matrices(chain, [sampled[5]] * 3)] == [(0,)] * 3
+        assert decode_matrices(chain, []) == []
 
     def test_decode_batch_keys_rows_past_two_to_the_63(self):
         """Nine columns of 256 digits (255 codes and the mask) need a key
@@ -338,7 +344,7 @@ class TestDecode:
         assert len(table) == len(np.unique(np.concatenate(obs_list), axis=0))
         for obs, r in zip(obs_list, numbered.rows, strict=True):
             assert table[r].tobytes() == chain.log_emission(obs).tobytes()
-        for result, obs in zip(decode_batch(chain, obs_list), obs_list, strict=True):
+        for result, obs in zip(decode_matrices(chain, obs_list), obs_list, strict=True):
             want = decode(chain, obs)
             assert result.tags.tobytes() == want.tags.tobytes()
             assert np.float64(result.score).tobytes() == np.float64(want.score).tobytes()
@@ -380,7 +386,7 @@ class TestDecode:
         for i in range(len(good) + 1):
             batch = good[:i] + [bad(good[0]), good[3].astype(float)] + good[i:]
             with pytest.raises(InvalidSpec) as got:
-                decode_batch(chain, batch)
+                decode_matrices(chain, batch)
             assert str(got.value) == str(want.value)
 
 
@@ -401,7 +407,7 @@ class TestSharedTestSide:
         numbered = number_observations(obs_list, list(cards.values()))
         for mask in dict.fromkeys(evaluation.ABLATIONS.values()):
             got = decode_batch(chain, numbered.masked(mask_columns(mask)))
-            want = decode_batch(chain, [apply_mask(obs, mask) for obs in obs_list])
+            want = decode_matrices(chain, [apply_mask(obs, mask) for obs in obs_list])
             assert len(got) == len(want) == len(obs_list)
             for a, b in zip(got, want):
                 assert a.tags.tobytes() == b.tags.tobytes()
@@ -410,14 +416,23 @@ class TestSharedTestSide:
                 assert (a.spans, a.diagnostics) == (b.spans, b.diagnostics)
 
     def test_numbered_rows_are_checked_against_the_chain(self):
+        """A code past the chain's cardinality, and a row number that is
+        negative (which would read the table's last row), past the table
+        or not an integer."""
         rng = np.random.default_rng(19)
         model = randomize_model(build_model(FIELDS[:2], {"lemma": 5, "case": 3}), rng)
+        chain = compile_chain(model)
         obs_list = [sample_example(model, T, rng).obs for T in (4, 7)]
         numbered = number_observations(obs_list, [9, 3])  # numbered for a larger gazetteer
-        table = numbered.table.copy()
-        table[0, 0] = 7
-        with pytest.raises(InvalidSpec, match="cardinality"):
-            decode_batch(compile_chain(model), model_module.ObservationRows(table, numbered.rows))
+        table, (first, second) = numbered.table, numbered.rows
+        for bad_table, bad_rows, match in (
+            (set_lemma(table, 7), numbered.rows, "cardinality"),
+            (table, [first, np.array([-1])], "row numbers"),
+            (table, [first, np.array([len(table)])], "row numbers"),
+            (table, [first, second.astype(float)], "row numbers"),
+        ):
+            with pytest.raises(InvalidSpec, match=match):
+                decode_batch(chain, model_module.ObservationRows(bad_table, bad_rows))
 
 
 class TestGoldenDecode:

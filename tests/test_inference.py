@@ -11,7 +11,7 @@ from oracles import (
     viterbi_reference,
 )
 
-from bien.errors import NumericError, ZeroProbabilityEvidence
+from bien.errors import InvalidSpec, NumericError, ZeroProbabilityEvidence
 from bien.inference import _BATCH_DOCS, Evidence, viterbi, viterbi_batch
 from bien.model import build_model, compile_chain
 
@@ -304,6 +304,16 @@ def mixed_batches(clamp):
         yield chain, [random_evidence(chain, int(T), rng, clamp=clamp) for T in lengths]
 
 
+def stacked(chain, evidences):
+    """The ``(table, rows)`` input of ``viterbi_batch`` for ``evidences``:
+    their ``log_emission`` rows stacked into one table, so that clamps
+    become -inf rows, and each document's row numbers into it."""
+    emis = [ev.log_emission(chain) for ev in evidences]
+    ends = np.cumsum([len(e) for e in emis], dtype=np.int64)
+    rows = [np.arange(end - len(e), end) for e, end in zip(emis, ends)]
+    return np.concatenate([np.zeros((0, chain.n_states)), *emis]), rows
+
+
 class TestViterbiBatch:
     @pytest.mark.parametrize("clamp", [False, True])
     def test_matches_reference(self, clamp):
@@ -317,7 +327,7 @@ class TestViterbiBatch:
                 except ZeroProbabilityEvidence:
                     pass
             assert len(live) > _BATCH_DOCS
-            got = viterbi_batch(chain, [ev for ev, _ in live])
+            got = viterbi_batch(chain, *stacked(chain, [ev for ev, _ in live]))
             for (path, score), (_, (want_path, want_score)) in zip(got, live, strict=True):
                 np.testing.assert_array_equal(path, want_path)
                 assert path.dtype == want_path.dtype
@@ -328,18 +338,18 @@ class TestViterbiBatch:
         chain = make_chain(("a", "b"), seed=9)
         rng = np.random.default_rng(7)
         batch = [random_evidence(chain, T, rng) for T in (0, 1, 0, 1, 3)]
-        got = viterbi_batch(chain, batch)
+        got = viterbi_batch(chain, *stacked(chain, batch))
         for (path, score), ev in zip(got, batch, strict=True):
             want_path, want_score = viterbi_reference(chain, ev)
             np.testing.assert_array_equal(path, want_path)
             assert score == want_score
         assert got[0][0].shape == (0,) and got[0][1] == 0.0
-        empty = [path.shape for path, _ in viterbi_batch(chain, [batch[0], batch[2]])]
-        assert empty == [(0,), (0,)]
-        [(path, score)] = viterbi_batch(chain, [batch[4]])
+        empty = viterbi_batch(chain, *stacked(chain, [batch[0], batch[2]]))
+        assert [path.shape for path, _ in empty] == [(0,), (0,)]
+        [(path, score)] = viterbi_batch(chain, *stacked(chain, [batch[4]]))
         np.testing.assert_array_equal(path, got[4][0])
         assert score == got[4][1]
-        assert viterbi_batch(chain, []) == []
+        assert viterbi_batch(chain, *stacked(chain, [])) == []
 
     @pytest.mark.parametrize("memory", [True, False])
     def test_forced_ties_break_toward_lowest_index(self, memory):
@@ -348,7 +358,8 @@ class TestViterbiBatch:
             table[np.isfinite(table)] = np.log(0.5)
         K = len(chain.model.observables)
         batch = [Evidence(np.full((T, K), -1, dtype=np.int16)) for T in (1, 9, 2, 5, 9)]
-        for (path, score), ev in zip(viterbi_batch(chain, batch), batch, strict=True):
+        got = viterbi_batch(chain, *stacked(chain, batch))
+        for (path, score), ev in zip(got, batch, strict=True):
             want_path, want_score = viterbi_reference(chain, ev)
             np.testing.assert_array_equal(path, want_path)
             assert np.float64(score).tobytes() == np.float64(want_score).tobytes()
@@ -365,7 +376,7 @@ class TestViterbiBatch:
             with pytest.raises(ZeroProbabilityEvidence) as want:
                 viterbi_reference(chain, dying[doc])
             with pytest.raises(ZeroProbabilityEvidence) as got:
-                viterbi_batch(chain, dying)
+                viterbi_batch(chain, *stacked(chain, dying))
             assert got.value.step == want.value.step == step
 
     def test_first_dead_document_in_input_order_is_reported(self):
@@ -378,5 +389,28 @@ class TestViterbiBatch:
             allowed_ds[step] = False
             batch.append(ClampedEvidence(random_obs(chain.model, T, rng), allowed_ds=allowed_ds))
         with pytest.raises(ZeroProbabilityEvidence) as got:
-            viterbi_batch(chain, batch)
+            viterbi_batch(chain, *stacked(chain, batch))
         assert got.value.step == 1
+
+    @pytest.mark.parametrize("bad", [
+        lambda table, rows: (table[:, :-1], rows),
+        lambda table, rows: (np.hstack([table, table[:, :1]]), rows),
+        lambda table, rows: (np.zeros(table.shape, dtype=np.int64), rows),
+        lambda table, rows: (table.astype(np.float32), rows),
+        lambda table, rows: (table[0], rows),
+        lambda table, rows: (table, [rows[0], np.array([-1])]),
+        lambda table, rows: (table, [rows[0], np.array([len(table)])]),
+        lambda table, rows: (table, [rows[0].astype(float), rows[1]]),
+        lambda table, rows: (table, [rows[0][:, None], rows[1][:, None]]),
+        lambda table, rows: (table, [rows[0], np.array(0)]),
+    ], ids=["narrow-table", "wide-table", "integer-table", "float32-table", "1-d-table",
+            "negative-row", "row-past-table", "float-rows", "2-d-rows", "0-d-row"])
+    def test_malformed_input_is_a_typed_error(self, bad):
+        """Before any decoding: a -1 row would read the table's last row, a
+        float32 table would decode in float32, and the others would raise
+        from inside numpy."""
+        chain = make_chain(("a",), seed=6)
+        batch = [random_evidence(chain, T, np.random.default_rng(T)) for T in (3, 5)]
+        table, rows = bad(*stacked(chain, batch))
+        with pytest.raises(InvalidSpec, match="must be a float64"):
+            viterbi_batch(chain, table, rows)

@@ -194,9 +194,25 @@ class TestModelStructure:
         with pytest.raises(InvalidSpec, match=re.escape(f"cardinality {card!r}")):
             build_model(("a",), {"lemma": card})
 
-    def test_repeated_observable(self):
-        with pytest.raises(InvalidSpec, match="more than once"):
-            build_model(("stime",), [("a", 3), ("a", 5)])
+    @pytest.mark.parametrize("observables", [[("a", 3), ("a", 5)], (("a", 3),), None],
+                             ids=["pairs", "tuple-of-pairs", "none"])
+    def test_observables_must_be_a_dict(self, observables):
+        with pytest.raises(InvalidSpec, match="observables must be a dict"):
+            build_model(("stime",), observables)
+
+    def test_copy_keeps_every_attribute_and_owns_its_tables(self):
+        m = small_model()
+        m.cpts["ds_init"].note = m.note = object()  # attributes added later are kept
+        dup = m.copy()
+        assert vars(dup).keys() == vars(m).keys() and dup.note is m.note
+        assert dup.cpts.keys() == m.cpts.keys()
+        for name, cpt in m.cpts.items():
+            twin = dup.cpts[name]
+            assert vars(twin).keys() == vars(cpt).keys()
+            assert twin.table is not cpt.table and twin.allowed is not cpt.allowed
+            assert (twin.table == cpt.table).all() and (twin.allowed == cpt.allowed).all()
+        dup.cpts["ds_init"].table[:] = [1.0, 0.0]
+        assert m.cpts["ds_init"].table.tolist() == [0.5, 0.5]
 
 
 class TestCompiledChain:
@@ -312,12 +328,6 @@ class TestTimeMajor:
                     assert prev.start <= rows[t - 1] < prev.stop
                     assert rows[t - 1] - prev.start == row - cur.start
                     assert prev.stop - prev.start == cur.stop - cur.start
-
-    def test_steps_are_built_on_first_read(self):
-        layout = TimeMajor([3, 1, 2])
-        assert "steps" not in vars(layout)  # a caller that sorts by order builds none
-        steps = layout.steps
-        assert layout.steps is steps and len(steps) == 3
 
     def test_all_empty(self):
         for lengths in ([], [0, 0, 0]):
