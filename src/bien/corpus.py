@@ -23,11 +23,12 @@ type, on arrays the table holds, and gather them through the ids;
 from __future__ import annotations
 
 import numbers
+import operator
 import re
 import struct
 import unicodedata
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -71,8 +72,13 @@ class TagSpan:
     end_token: int
 
     def __post_init__(self):
-        if not 0 <= self.start_token <= self.end_token:
-            raise InvalidSpec(f"bad span range {self.start_token}..{self.end_token}")
+        start, end = self.start_token, self.end_token
+        try:  # operator.index takes ints and numpy ints, not floats or str
+            operator.index(start), operator.index(end)
+        except TypeError:
+            raise InvalidSpec(f"span bounds must be integers, got {start!r}..{end!r}") from None
+        if not 0 <= start <= end:
+            raise InvalidSpec(f"bad span range {start}..{end}")
 
 
 @dataclass(frozen=True)
@@ -169,11 +175,6 @@ class Document:
     def type_ids(self):
         return self.tokens.type_ids
 
-    @property
-    def surfaces(self):
-        surfaces = self.types.surfaces
-        return tuple(surfaces[i] for i in self.type_ids.tolist())
-
     def column(self, name):
         """Per-token values for a column, or all-NA when absent."""
         if name in self.columns:
@@ -201,11 +202,6 @@ class Document:
             return np.fromiter(map(codes.__getitem__, values), dtype=np.int8, count=len(values))
 
         return self.cached((name, code_of), compute)
-
-    def with_columns(self, **cols):
-        merged = dict(self.columns)
-        merged.update({k: tuple(v) for k, v in cols.items()})
-        return replace(self, columns=merged)
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +513,8 @@ def _malformed(message, raw, pos, doc_id):
 def _strip_tags(raw, doc_id):
     """The tag-stripped text of ``raw`` and its tag pairs as ``(field,
     start, end)`` offsets into that text."""
+    if not isinstance(raw, str):
+        raise InvalidSpec(f"document {doc_id!r}: text must be a str, got {type(raw).__name__}")
     pieces = []
     stripped_len = 0
     open_tag = None  # (name, stripped_start, raw_pos)
@@ -651,9 +649,10 @@ def parse_tagged_documents(raws, doc_ids, fields=DEFAULT_FIELDS, abbreviations=N
     ``EMPTY_SPAN`` (anchored at the next token of its document, else its
     last) and one covering more than 15 is ``LONG_SPAN``.
 
-    Unmatched or nested tags raise :class:`MalformedTag` naming the
-    document, for the first such document in input order, before any text
-    is tokenized. ``raws`` and ``doc_ids`` of different lengths raise
+    Unmatched or nested tags raise :class:`MalformedTag`, and a text that
+    is not a ``str`` :class:`InvalidSpec`, naming the document, for the
+    first such document in input order, before any text is tokenized.
+    ``raws`` and ``doc_ids`` of different lengths raise
     :class:`InvalidSpec`.
     """
     tokens, parsed = _parse_block(raws, doc_ids, fields, abbreviations)

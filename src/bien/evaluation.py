@@ -255,16 +255,6 @@ class ExperimentResult:
     def mean_macro(self):
         return float(np.mean([r.macro for r in self.runs]))
 
-    def summary(self):
-        """Per-field averaged precision/recall/F1 plus the macro mean."""
-        out = {}
-        for f in self.config.fields:
-            out[f] = {
-                m: self.mean(f, m) for m in ("precision", "recall", "f1")
-            }
-        out["macro_f1"] = self.mean_macro()
-        return out
-
 
 def _run_split(cfgs, lexicons, run_index, train_docs, test_docs):
     """Train and score every config on one split; a ``(run, model,
@@ -347,12 +337,18 @@ def _run_variants(corpus, cfgs, jobs):
     process pool. Results merge in config and run order, so the outcome is
     identical for any ``jobs``. Document ids must be unique.
 
-    ``jobs``, every mask name, match mode and gazetteer setting are
-    checked before any work: a bad one raises :class:`InvalidSpec` naming
-    it."""
+    ``jobs``, every mask name, match mode and gazetteer setting, and the
+    types of ``plan`` and ``train`` are checked before any work: a bad one
+    raises :class:`InvalidSpec` naming it."""
     if not isinstance(jobs, numbers.Integral) or jobs < 1:
         raise InvalidSpec(f"jobs must be an int >= 1, got {jobs!r}")
     for cfg in cfgs:
+        for name, kind in (("plan", SplitPlan), ("train", TrainConfig)):
+            value = getattr(cfg, name)
+            if not isinstance(value, kind):
+                raise InvalidSpec(
+                    f"ExperimentConfig.{name} must be a {kind.__name__}, got {value!r}"
+                )
         mask_columns(cfg.mask)
         check_match_mode(cfg.match_mode)
         check_gazetteer_settings(

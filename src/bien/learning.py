@@ -70,7 +70,7 @@ class TrainConfig:
         :func:`train` cannot honour: ``max_iter`` must be an int of at
         least 1, ``alpha`` and ``tol`` finite and at least 0, and
         ``jitter`` finite in [0, 1), so that every jittered cell stays
-        positive."""
+        positive, and ``seed`` an int."""
         if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
             raise InvalidSpec(f"TrainConfig.max_iter must be an int >= 1, got {self.max_iter!r}")
         for name in ("alpha", "tol", "jitter"):
@@ -79,6 +79,8 @@ class TrainConfig:
                 raise InvalidSpec(f"TrainConfig.{name} must be finite and >= 0, got {value!r}")
         if self.jitter >= 1:
             raise InvalidSpec(f"TrainConfig.jitter must be below 1, got {self.jitter!r}")
+        if not isinstance(self.seed, numbers.Integral):
+            raise InvalidSpec(f"TrainConfig.seed must be an int, got {self.seed!r}")
 
 
 @dataclass
@@ -404,11 +406,6 @@ class _FactoredBatch:
                 tally = np.bincount(idx, weights=gamma[ds], minlength=n_tags * (card + 1))
                 counts[name][:, ds, :] = tally.reshape(n_tags, card + 1)[:, :card]
         return counts
-
-    def estep(self, model):
-        """Expected counts and the data log-likelihood under ``model``."""
-        alpha, c, B, ll = self.forward(model)
-        return self.expected_counts(model, alpha, c, B), ll
 
     def _raise_dead(self, dead):
         """InconsistentGold at the earliest step at which some document's

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import copy
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,11 +43,6 @@ class TagSpace:
         self.size = 1 + 4 * len(self.fields)
         self.background = 0
 
-    def tag(self, role, field_name):
-        if role not in _FIELD_ROLES or field_name not in self.fields:
-            raise InvalidSpec(f"no tag {role!r} of field {field_name!r}")
-        return 1 + 4 * self.fields.index(field_name) + _FIELD_ROLES.index(role)
-
     def begin(self, fi):
         return 1 + 4 * fi
 
@@ -70,21 +65,6 @@ class TagSpace:
         if tag == 0:
             return None
         return (tag - 1) // 4
-
-    def field(self, tag):
-        fi = self.field_index(tag)
-        return None if fi is None else self.fields[fi]
-
-    def name(self, tag):
-        if tag == 0:
-            return ROLE_BACKGROUND
-        return f"{self.role(tag)}:{self.field(tag)}"
-
-    def parse(self, name):
-        if name == ROLE_BACKGROUND:
-            return 0
-        role, _, field_name = name.partition(":")
-        return self.tag(role, field_name)
 
     def allows_follow(self, prev_tag, cur_tag):
         """Structural rule: inside/end of a field needs begin/inside of it before."""
@@ -197,10 +177,6 @@ class BienModel:
                 f"emit:{obs.name}", ("tag", "ds"), (n_tags, 2, obs.cardinality)
             )
 
-    def lt_update(self, lt, tag):
-        """Memory after emitting ``tag`` with memory ``lt`` before it."""
-        return int(self.next_lt[lt, tag])
-
     def validate(self, atol=1e-9):
         for cpt in self.cpts.values():
             cpt.validate(atol)
@@ -249,7 +225,6 @@ class CompiledChain:
             for ds in (DS_HEADER, DS_BODY)
         )
         self.states = tuple(states)
-        self.index = {s: i for i, s in enumerate(states)}
         self.n_states = len(states)
         self.tag_of = np.array([s[0] for s in states])
         self.lt_of = np.array([s[1] for s in states])

@@ -514,23 +514,12 @@ def _pos_chunk(tokens):
     return tags[:, 0].tolist(), tags[:, 1].tolist()
 
 
-def annotate(doc):
-    """``doc`` with heuristic pos/chunk columns, the step that
-    :func:`generate_corpus` runs on a block of documents run on one. Both
-    are functions of the token type, so each type is tagged once, in a
-    column of its :class:`~bien.corpus.TypeTable`, and the tags of the
-    document's tokens are gathered."""
-    pos, chunk = _pos_chunk(doc.tokens)
-    columns = {**doc.columns, "pos": tuple(pos), "chunk": tuple(chunk)}
-    return Document(doc.id, doc.text, doc.tokens, doc.gold_spans, columns)
-
-
-# Documents drawn, parsed and annotated at a time. Parsing a block costs a
-# fixed number of numpy calls, which outweigh the work on a document's
-# ~116 tokens, so a block should hold many documents; but all of a block's
-# temporaries are alive at once. Generating the 485 + 800 documents of the
-# protocol as one block each peaked at 53.4 MB RSS, in blocks of 64 at
-# 43.3 MB, and one document at a time at 42.9 MB.
+# Documents drawn, parsed and given pos/chunk columns at a time. Parsing a
+# block costs a fixed number of numpy calls, which outweigh the work on a
+# document's ~116 tokens, so a block should hold many documents; but all
+# of a block's temporaries are alive at once. Generating the 485 + 800
+# documents of the protocol as one block each peaked at 53.4 MB RSS, in
+# blocks of 64 at 43.3 MB, and one document at a time at 42.9 MB.
 _BLOCK_DOCS = 64
 
 
@@ -544,12 +533,14 @@ def generate_corpus(n_docs=DEFAULT_DOCS, seed=DEFAULT_SEED):
     makes from it the draws ``np.random.default_rng(seed)`` makes on numpy
     2.x.
 
-    The texts are drawn, parsed and annotated ``_BLOCK_DOCS`` documents at
-    a time: each block is parsed by one
+    Every document has heuristic ``pos`` and ``chunk`` columns, both
+    functions of the token type. The texts are drawn and parsed
+    ``_BLOCK_DOCS`` documents at a time: each block is parsed by one
     :func:`~bien.corpus.parse_tagged_documents` pass, so its documents
     share one type table (the table starts over between blocks, never
-    inside one), and the pos/chunk tags of all its tokens come from one
-    gather. The draws do not depend on the block size."""
+    inside one), each type is tagged once in a column of that table, and
+    the pos/chunk tags of all the block's tokens come from one gather.
+    The draws do not depend on the block size."""
     for name, value in (("n_docs", n_docs), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
             raise InvalidSpec(f"generate_corpus {name} must be an int >= 0, got {value!r}")

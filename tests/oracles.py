@@ -8,9 +8,10 @@ exact log-space smoothing on the compiled product chain, which
 reference for the package's factored E-step, runs it with the tags
 clamped by ``ClampedEvidence``. ``PaddedLogBatch`` is the package's earlier
 padded, log-space segment-chain E-step, the reference on batches too large
-for ``chain_estep``. ``observed_counts`` tallies the counts of
-fully observed ``SegmentedExample`` data, which the exact
-maximum-likelihood tests normalize with the package's M-step.
+for ``chain_estep``; ``factored_estep`` runs the package's E-step in the
+same form. ``observed_counts`` tallies the counts of fully observed
+``SegmentedExample`` data, which the exact maximum-likelihood tests
+normalize with the package's M-step.
 ``sample_example`` and ``sample_corpus`` draw test data from a model's
 generative story. ``viterbi_reference``, ``featurize_reference`` and
 ``build_gazetteer_reference`` are the plain per-step and per-token
@@ -21,9 +22,10 @@ versions of the package's ``viterbi`` (and ``viterbi_batch``),
 lowercased surface against the four time patterns one by one, the
 longhand form of the semantic feature's single alternation.
 ``assemble_slots_reference`` is the branch-per-role version of
-``assemble_slots``. ``tag_spans_reference`` maps tag pairs to tokens by
-scanning every token for every pair, the longhand form of the bisection
-in ``parse_tagged_document``. ``tokenize_reference`` splits and classifies
+``assemble_slots``, and ``tag_name`` writes a tag as its role and field.
+``tag_spans_reference`` maps tag pairs to tokens by scanning every token
+for every pair, the longhand form of the bisection in
+``parse_tagged_document``. ``tokenize_reference`` splits and classifies
 every whitespace chunk afresh, the memo-free form of ``tokenize``.
 ``token_kind_reference`` classifies a surface from the set of its
 characters' major Unicode categories, the earlier form of ``token_kind``.
@@ -271,13 +273,13 @@ def assignment_log_prob(model, tag_seq, ds_seq, obs_matrix):
     with np.errstate(divide="ignore"):
         logp = np.log(model.cpts["ds_init"].table[ds_seq[0]])
         logp += np.log(model.cpts["tag_init"].table[ds_seq[0], tag_seq[0]])
-        lt = model.lt_update(LT_NONE, tag_seq[0])
+        lt = model.next_lt[LT_NONE, tag_seq[0]]
         trans = model.cpts["tag_trans"].table
         ds_trans = model.cpts["ds_trans"].table
         for t in range(1, T):
             logp += np.log(ds_trans[ds_seq[t - 1], ds_seq[t]])
             logp += np.log(trans[tag_seq[t - 1], lt, ds_seq[t], tag_seq[t]])
-            lt = model.lt_update(lt, tag_seq[t])
+            lt = model.next_lt[lt, tag_seq[t]]
         for k, obs in enumerate(model.observables):
             emit = model.cpts[f"emit:{obs.name}"].table
             for t in range(T):
@@ -303,8 +305,8 @@ def states_of_assignment(chain, tag_seq, ds_seq):
     lt = LT_NONE
     out = []
     for tag, ds in zip(tag_seq, ds_seq):
-        lt = chain.model.lt_update(lt, tag)
-        out.append(chain.index[(int(tag), lt, int(ds))])
+        lt = int(chain.model.next_lt[lt, tag])
+        out.append(chain.states.index((int(tag), lt, int(ds))))
     return np.array(out)
 
 
@@ -501,6 +503,15 @@ class PaddedLogBatch:
             )
 
 
+def factored_estep(batch, model):
+    """Expected counts and data log-likelihood of a packing from
+    ``bien.learning.pack`` (or a masked view of one) under ``model``, by
+    its forward and then its backward pass, as ``train`` runs them, in the
+    form of ``chain_estep`` and ``PaddedLogBatch.estep``."""
+    alpha, c, B, ll = batch.forward(model)
+    return batch.expected_counts(model, alpha, c, B), ll
+
+
 def observed_counts(model, examples):
     """Counts and data log-likelihood with tags and segments both observed.
 
@@ -519,7 +530,7 @@ def observed_counts(model, examples):
             else:
                 counts["ds_trans"][ex.ds[t - 1], ds] += 1
                 counts["tag_trans"][ex.tags[t - 1], lt, ds, tag] += 1
-            lt = model.lt_update(lt, tag)
+            lt = model.next_lt[lt, tag]
             for k, spec in enumerate(model.observables):
                 if ex.obs[t, k] >= 0:
                     counts[f"emit:{spec.name}"][tag, ds, ex.obs[t, k]] += 1
@@ -544,7 +555,7 @@ def sample_example(model, T, rng, doc_id="sample"):
         else:
             ds[t] = rng.choice(2, p=ds_trans[ds[t - 1]])
             tags[t] = rng.choice(model.tags.size, p=tag_trans[tags[t - 1], lt, ds[t]])
-        lt = model.lt_update(lt, tags[t])
+        lt = model.next_lt[lt, tags[t]]
         for k, spec in enumerate(model.observables):
             emit = model.cpts[f"emit:{spec.name}"].table
             obs[t, k] = rng.choice(spec.cardinality, p=emit[tags[t], ds[t]])
@@ -586,6 +597,15 @@ def viterbi_reference(chain, evidence):
     for t in range(T - 1, 0, -1):
         path[t - 1] = backptr[t, path[t]]
     return path, score
+
+
+def tag_name(tag_space, tag):
+    """A tag as text: ``background``, or its role and field, such as
+    ``begin:speaker``."""
+    fi = tag_space.field_index(tag)
+    if fi is None:
+        return ROLE_BACKGROUND
+    return f"{tag_space.role(tag)}:{tag_space.fields[fi]}"
 
 
 def assemble_slots_reference(tag_seq, tag_space):

@@ -1,6 +1,8 @@
 import hashlib
 import pickle
+import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,6 +42,10 @@ def tokens_of(text, abbreviations=ABBREV):
 
 def surfaces(text):
     return [t.surface for t in tokens_of(text)]
+
+
+def doc_surfaces(doc):
+    return tuple(t.surface for t in doc.tokens)
 
 
 class TestTokenize:
@@ -464,13 +470,22 @@ class TestEmptyTokensAndSpans:
                 TagSpan("speaker", start, end)
         assert TagSpan("speaker", 1, 1).end_token == 1
 
+    @pytest.mark.parametrize("start, end", [("0", 2), (0.5, 1), (0, 2.0), (None, 1), (0, None)])
+    def test_bounds_that_are_not_integers_raise_invalid_spec(self, start, end):
+        named = re.escape(f"span bounds must be integers, got {start!r}..{end!r}")
+        with pytest.raises(InvalidSpec, match=named):
+            TagSpan("speaker", start, end)
+
+    def test_numpy_integer_bounds_are_accepted(self):
+        assert TagSpan("speaker", np.int64(0), np.int32(2)).end_token == 2
+
 
 class TestParseTagged:
     def test_simple_span(self):
         doc, issues = parse_tagged_document(
             "<speaker>Dr. Steals</speaker> presents", doc_id="d1"
         )
-        assert doc.surfaces == ("Dr.", "Steals", "presents")
+        assert doc_surfaces(doc) == ("Dr.", "Steals", "presents")
         assert doc.gold_spans == (TagSpan("speaker", 0, 1),)
         assert issues == []
         assert doc.text == "Dr. Steals presents"
@@ -481,15 +496,16 @@ class TestParseTagged:
         assert [s.field for s in doc.gold_spans] == ["stime", "etime", "location"]
         by_field = {s.field: s for s in doc.gold_spans}
         st_, et = by_field["stime"], by_field["etime"]
-        assert doc.surfaces[st_.start_token : st_.end_token + 1] == ("3:30",)
-        assert doc.surfaces[et.start_token : et.end_token + 1] == ("5:00",)
+        words = doc_surfaces(doc)
+        assert words[st_.start_token : st_.end_token + 1] == ("3:30",)
+        assert words[et.start_token : et.end_token + 1] == ("5:00",)
         loc = by_field["location"]
-        assert doc.surfaces[loc.start_token : loc.end_token + 1] == ("Wean", "5409")
+        assert words[loc.start_token : loc.end_token + 1] == ("Wean", "5409")
 
     def test_unknown_field_dropped_with_lint(self):
         doc, issues = parse_tagged_document("<sentence>hi there</sentence>", doc_id="d")
         assert doc.gold_spans == ()
-        assert doc.surfaces == ("hi", "there")
+        assert doc_surfaces(doc) == ("hi", "there")
         assert [i.code for i in issues] == ["UNKNOWN_FIELD"]
 
     def test_unclosed_tag(self):
@@ -518,7 +534,8 @@ class TestParseTagged:
         assert [(i.code, i.token_index) for i in issues] == [
             ("EMPTY_SPAN", 3), ("EMPTY_SPAN", 6),
         ]
-        assert (doc.surfaces[3], doc.surfaces[6]) == ("pm", "Wean")
+        words = doc_surfaces(doc)
+        assert (words[3], words[6]) == ("pm", "Wean")
         # past the last token the anchor is clamped to it; -1 only without tokens
         _, issues = parse_tagged_document("Wean <location> </location>", doc_id="d")
         assert [i.token_index for i in issues] == [0]
@@ -641,6 +658,18 @@ class TestParseTaggedDocuments:
         with pytest.raises(MalformedTag, match=r"unmatched closing tag </location> \(document 'd2'"):
             parse_tagged_documents(raws[2:], ["d2"])
 
+    @pytest.mark.parametrize("raw", [7, b"<stime>3</stime>", None], ids=["int", "bytes", "none"])
+    def test_text_that_is_not_a_str_raises_before_tokenizing(self, monkeypatch, raw):
+        def tokenize(*args):
+            raise AssertionError("tokenized a block with a text that is not a str")
+
+        monkeypatch.setattr(corpus_module, "tokenize", tokenize)
+        named = re.escape(f"document 'd1': text must be a str, got {type(raw).__name__}")
+        with pytest.raises(InvalidSpec, match=named):
+            parse_tagged_documents(["ok <stime>3</stime>", raw, "fine"], ["d0", "d1", "d2"])
+        with pytest.raises(InvalidSpec, match=named):
+            parse_tagged_document(raw, "d1")
+
     @pytest.mark.parametrize(
         "raws, ids", [(["a", "b"], ["d0"]), (["a"], []), ([], ["d0"])], ids=["short", "none", "extra"]
     )
@@ -725,7 +754,7 @@ class TestColumns:
         return {"NA": 0, "NN": 1, "VB": 2}.get(value, 3)
 
     def test_column_codes_per_token(self):
-        doc = self._doc("a b c d").with_columns(pos=("NN", "VB", "NN", "IN"))
+        doc = replace(self._doc("a b c d"), columns={"pos": ("NN", "VB", "NN", "IN")})
         codes = doc.column_codes("pos", self.code_of)
         assert codes.dtype == np.int8 and codes.tolist() == [1, 2, 1, 3]
         assert doc.column_codes("pos", self.code_of) is codes  # kept on the document
@@ -745,7 +774,7 @@ class TestColumns:
     def test_column_of_wrong_length_raises_alignment_error(self):
         doc = self._doc("a b")
         with pytest.raises(AlignmentError) as exc:
-            doc.with_columns(pos=("NN",))
+            replace(doc, columns={"pos": ("NN",)})
         assert isinstance(exc.value, DataError)
         with pytest.raises(AlignmentError):
             Document("d", "a", doc.tokens[:1], columns={"chunk": ("NP", "NP")})

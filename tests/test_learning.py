@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,9 +10,11 @@ from oracles import (
     SegmentedExample,
     apply_mask,
     chain_estep,
+    factored_estep,
     observed_counts,
     randomize_model,
     sample_corpus,
+    tag_name,
 )
 
 from bien import learning
@@ -80,7 +83,7 @@ class TestEncodeTags:
         )
         m = build_model(("speaker", "location", "stime", "etime"), OBS)
         got = encode_tags(doc, m.tags)
-        names = [m.tags.name(t) for t in got]
+        names = [tag_name(m.tags, t) for t in got]
         assert names == [
             "background", "background",
             "begin:speaker", "inside:speaker", "end:speaker",
@@ -92,7 +95,7 @@ class TestEncodeTags:
         doc, _ = parse_tagged_document("<stime>3:30</stime> <stime>4:30</stime>", doc_id="d")
         m = build_model(("stime",), OBS)
         got = encode_tags(doc, m.tags)
-        assert [m.tags.name(t) for t in got] == ["single:stime", "single:stime"]
+        assert [tag_name(m.tags, t) for t in got] == ["single:stime", "single:stime"]
 
     def test_unknown_field(self):
         doc, _ = parse_tagged_document("<stime>3:30</stime>", doc_id="d")
@@ -108,7 +111,7 @@ class TestEncodeTags:
         got = encode_tags(doc, one)
         assert encode_tags(doc, build_model(("stime",), OBS).tags) is got
         assert not got.flags.writeable
-        assert [two.name(t) for t in encode_tags(doc, two)] == ["single:stime", "background"]
+        assert [tag_name(two, t) for t in encode_tags(doc, two)] == ["single:stime", "background"]
         assert encode_tags(doc, one) is got
 
     def test_overlap_rejected(self):
@@ -197,7 +200,7 @@ class TestEstepEquivalence:
         m = randomize_model(build_model(("x", "y"), OBS, memory=memory), rng)
         examples = masked_examples(m, rng, segments=False)
         c1, ll1 = chain_estep(m, examples, observe_ds=False)
-        c2, ll2 = _FactoredBatch(m, examples).estep(m)
+        c2, ll2 = factored_estep(_FactoredBatch(m, examples), m)
         assert ll1 == pytest.approx(ll2, rel=1e-12)
         for name in c1:
             np.testing.assert_allclose(c2[name], c1[name], atol=1e-9)
@@ -224,7 +227,7 @@ class TestEstepEquivalence:
         examples = make_examples(docs, gaz, LEX, m, mask=mask)
         m = randomize_model(m, np.random.default_rng(3))
         c1, ll1 = PaddedLogBatch(m, examples).estep(m)
-        c2, ll2 = _FactoredBatch(m, examples).estep(m)
+        c2, ll2 = factored_estep(_FactoredBatch(m, examples), m)
         assert ll2 == pytest.approx(ll1, rel=1e-12)
         for name in c1:
             np.testing.assert_allclose(c2[name], c1[name], atol=1e-9)
@@ -256,7 +259,7 @@ class TestEstepEquivalence:
         batch = _FactoredBatch(m, examples)
         assert len(batch.row_trans) == len(np.unique(rows, axis=0)) < len(rows)
         c1, ll1 = padded.estep(m)
-        c2, ll2 = batch.estep(m)
+        c2, ll2 = factored_estep(batch, m)
         assert ll2 == pytest.approx(ll1, rel=1e-12)
         for name in c1:
             np.testing.assert_allclose(c2[name], c1[name], atol=1e-9)
@@ -277,8 +280,8 @@ class TestEstepEquivalence:
         examples[2].obs[1, 0] = -1
         for batch in (examples, [ex for ex in examples if len(ex.tags) == 1]):
             c1, ll1 = chain_estep(m, batch, observe_ds=False)
-            for estep in (PaddedLogBatch(m, batch).estep, _FactoredBatch(m, batch).estep):
-                c2, ll2 = estep(m)
+            padded = PaddedLogBatch(m, batch).estep(m)
+            for c2, ll2 in (padded, factored_estep(_FactoredBatch(m, batch), m)):
                 assert ll2 == pytest.approx(ll1, rel=1e-12)
                 for name in c1:
                     np.testing.assert_allclose(c2[name], c1[name], atol=1e-9)
@@ -293,7 +296,7 @@ class TestEstepEquivalence:
             cfg = TrainConfig(alpha=0.05, jitter=1e-3, seed=3, max_iter=k, tol=0.0)
             fitted = train(m, examples, cfg).model
             c1, ll1 = chain_estep(fitted, examples, observe_ds=False)
-            c2, ll2 = _FactoredBatch(fitted, examples).estep(fitted)
+            c2, ll2 = factored_estep(_FactoredBatch(fitted, examples), fitted)
             assert ll1 == pytest.approx(ll2, rel=1e-9)
             for name in c1:
                 np.testing.assert_allclose(c2[name], c1[name], atol=1e-9)
@@ -421,7 +424,7 @@ def reference_em(model, examples, config):
     batch = _FactoredBatch(model, sorted(examples, key=lambda e: e.doc_id))
     trace = []
     for _ in range(config.max_iter):
-        counts, ll = batch.estep(model)
+        counts, ll = factored_estep(batch, model)
         trace.append(ll)
         if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= config.tol * max(
             1.0, abs(trace[-2])
@@ -462,7 +465,7 @@ class TestEarlyExit:
         config = TrainConfig(max_iter=4, tol=0.0)
         got = train(m, examples, config)
         longer = train(m, examples, replace(config, max_iter=5))
-        _, ll = _FactoredBatch(got.model, examples).estep(got.model)
+        _, ll = factored_estep(_FactoredBatch(got.model, examples), got.model)
         assert longer.log_likelihood[:4] == got.log_likelihood
         assert ll == longer.log_likelihood[4]
 
@@ -608,9 +611,15 @@ class TestTrainConfig:
         with pytest.raises(InvalidSpec, match="jitter"):
             TrainConfig(jitter=value)
 
+    @pytest.mark.parametrize("value", [1.5, 2.0, None, "3"])
+    def test_seed(self, value):
+        named = re.escape(f"TrainConfig.seed must be an int, got {value!r}")
+        with pytest.raises(InvalidSpec, match=named):
+            TrainConfig(seed=value)
+
     def test_edges_are_accepted(self):
-        TrainConfig(max_iter=1, alpha=0, tol=0.0, jitter=0.0)
-        TrainConfig(max_iter=np.int64(2), alpha=np.float64(0.5), jitter=0.999)
+        TrainConfig(max_iter=1, alpha=0, tol=0.0, jitter=0.0, seed=-1)
+        TrainConfig(max_iter=np.int64(2), alpha=np.float64(0.5), jitter=0.999, seed=np.int64(7))
 
 
 def malformed(obs, tags=(0, 0), dtype=np.int16):
@@ -687,7 +696,7 @@ class TestMakeExamples:
         examples = make_examples(docs, gaz, LEX, m)
         assert [e.doc_id for e in examples] == ["d0", "d1", "d2"]
         assert examples[0].obs.shape == (6, 6)
-        names = [m.tags.name(t) for t in examples[0].tags]
+        names = [tag_name(m.tags, t) for t in examples[0].tags]
         assert names[:2] == ["begin:speaker", "end:speaker"]
 
     def test_empty_corpus(self):

@@ -10,6 +10,7 @@ from oracles import (
     random_obs,
     randomize_model,
     states_of_assignment,
+    tag_name,
 )
 
 from bien.errors import InvalidSpec
@@ -35,17 +36,17 @@ class TestTagSpace:
         tags = TagSpace(FIELDS4)
         assert tags.size == 17
         assert tags.background == 0
-        assert tags.name(0) == "background"
-        assert tags.name(tags.tag("begin", "speaker")) == "begin:speaker"
-        assert tags.name(tags.single(3)) == "single:etime"
-        for t in range(tags.size):
-            assert tags.parse(tags.name(t)) == t
+        names = [tag_name(tags, t) for t in range(tags.size)]
+        assert names == ["background"] + [
+            f"{role}:{field}" for field in FIELDS4 for role in ("begin", "inside", "end", "single")
+        ]
+        assert names[tags.begin(0)] == "begin:speaker"
+        assert names[tags.single(3)] == "single:etime"
 
     def test_roles_and_fields(self):
         tags = TagSpace(FIELDS4)
         assert tags.role(tags.inside(2)) == "inside"
-        assert tags.field(tags.end(1)) == "location"
-        assert tags.field(0) is None
+        assert tags.fields[tags.field_index(tags.end(1))] == "location"
         assert tags.field_index(0) is None
 
     def test_follow_rule(self):
@@ -74,18 +75,7 @@ class TestTagSpace:
     @pytest.mark.parametrize("make, match", [
         (lambda: TagSpace(()), "bad field list"),
         (lambda: TagSpace(("x", "x")), "bad field list"),
-        (lambda: TagSpace(FIELDS4).tag("begin", "title"), "'begin' of field 'title'"),
-        (lambda: TagSpace(FIELDS4).tag("middle", "speaker"), "'middle' of field 'speaker'"),
-        (lambda: TagSpace(FIELDS4).tag("background", None), "'background' of field None"),
-        (lambda: TagSpace(FIELDS4).parse("begin:title"), "'begin' of field 'title'"),
-        (lambda: TagSpace(FIELDS4).parse("middle:speaker"), "'middle' of field 'speaker'"),
-        (lambda: TagSpace(FIELDS4).parse("speaker"), "'speaker' of field ''"),
-        (lambda: TagSpace(FIELDS4).parse("background:speaker"), "'background' of field 'speaker'"),
-    ], ids=[
-        "no-fields", "repeated-field", "tag-unknown-field", "tag-unknown-role",
-        "tag-background-with-no-field", "parse-unknown-field", "parse-unknown-role",
-        "parse-no-role", "parse-background-with-field",
-    ])
+    ], ids=["no-fields", "repeated-field"])
     def test_rejects_bad_fields(self, make, match):
         with pytest.raises(InvalidSpec, match=match):
             make()
@@ -142,7 +132,6 @@ class TestModelStructure:
                 else:
                     expect = fi + 1
                 assert m.next_lt[lt, tag] == expect
-                assert m.lt_update(lt, tag) == expect
         # the compiled states, enumerated longhand: background carries any
         # memory, a field tag only its own field's, and no memory carries 0
         states = []
@@ -168,15 +157,7 @@ class TestModelStructure:
         m = small_model(memory=False)
         assert m.lt_card == 1
         assert m.cpts["tag_trans"].shape == (9, 1, 2, 9)
-        assert m.lt_update(0, m.tags.begin(1)) == 0
-
-    def test_lt_update(self):
-        m = small_model()
-        tags = m.tags
-        assert m.lt_update(LT_NONE, 0) == LT_NONE
-        assert m.lt_update(LT_NONE, tags.begin(1)) == 2
-        assert m.lt_update(2, 0) == 2
-        assert m.lt_update(2, tags.single(0)) == 1
+        assert m.next_lt[0, m.tags.begin(1)] == 0
 
     @pytest.mark.parametrize("fault, match", [
         (unnormalized_row, "ds_init: a row sums to 1.25$"),
