@@ -689,14 +689,18 @@ def split(corpus, plan):
     Each run draws its permutation from its own seeded stream, so run ``r``
     does not depend on ``plan.runs``: it equals the last pair of the same
     plan with ``runs=r + 1``. Identical plans produce identical partitions.
+    A plan whose ``runs`` is not an int of at least 1, whose ``seed`` is
+    not an int (a bool is neither) or whose ``train_fraction`` is not a
+    real in (0, 1) raises :class:`InvalidPlan`, as do fewer than 2
+    documents.
     """
     corpus = list(corpus)
     n = len(corpus)
     if n < 2:
         raise InvalidPlan(f"a train/test split needs at least 2 documents, got {n}")
-    if not isinstance(plan.runs, numbers.Integral) or plan.runs < 1:
+    if isinstance(plan.runs, bool) or not isinstance(plan.runs, numbers.Integral) or plan.runs < 1:
         raise InvalidPlan(f"runs must be an int >= 1, got {plan.runs!r}")
-    if not isinstance(plan.seed, numbers.Integral):
+    if isinstance(plan.seed, bool) or not isinstance(plan.seed, numbers.Integral):
         raise InvalidPlan(f"seed must be an int, got {plan.seed!r}")
     if not (isinstance(plan.train_fraction, numbers.Real) and 0.0 < plan.train_fraction < 1.0):
         raise InvalidPlan(f"train_fraction must be a real in (0, 1), got {plan.train_fraction!r}")

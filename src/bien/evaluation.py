@@ -11,12 +11,14 @@ import numpy as np
 
 from .corpus import SplitPlan, TagSpan, split
 from .errors import InvalidSpec
-from .features import (
+# featurize stays importable here for the benchmark's tracer (perfbench/tracing.py)
+from .features import (  # noqa: F401
     build_gazetteer,
     check_gazetteer_settings,
     default_lexicons,
     feature_cardinalities,
     featurize,
+    featurize_docs,
     mask_columns,
 )
 from .inference import Evidence, viterbi, viterbi_batch
@@ -262,8 +264,10 @@ def _run_split(cfgs, lexicons, run_index, train_docs, test_docs):
     pools can use it.
 
     The configs differ only in ``mask`` and ``memory``. So the gazetteer is
-    built once and the training and test documents are featurized once,
-    unmasked. The training side is packed for EM once per model structure
+    built once and each side is featurized once, unmasked, as one array:
+    one :func:`~bien.features.featurize_docs` pass per side, the training
+    side stacked with its tags by :func:`~bien.learning.make_examples`.
+    The training side is packed for EM once per model structure
     (:func:`~bien.learning.pack`), and that structure's configs train on
     masked views of it; the packing is dropped before the next structure
     packs, so at most one is alive. The test side is numbered by its
@@ -280,10 +284,10 @@ def _run_split(cfgs, lexicons, run_index, train_docs, test_docs):
     cardinalities = feature_cardinalities(gazetteer)
     model = build_model(cfg.fields, cardinalities, memory=cfg.memory)
     examples = make_examples(train_docs, gazetteer, lexicons, model)
-    for ex in examples:
-        ex.obs.flags.writeable = False
+    examples.obs.flags.writeable = False
     test_side = number_observations(
-        [featurize(doc, gazetteer, lexicons) for doc in test_docs],
+        featurize_docs(test_docs, gazetteer, lexicons),
+        [len(doc.type_ids) for doc in test_docs],
         list(cardinalities.values()),
     )
     outs = [None] * len(cfgs)
@@ -337,10 +341,10 @@ def _run_variants(corpus, cfgs, jobs):
     process pool. Results merge in config and run order, so the outcome is
     identical for any ``jobs``. Document ids must be unique.
 
-    ``jobs``, every mask name, match mode and gazetteer setting, and the
-    types of ``plan`` and ``train`` are checked before any work: a bad one
-    raises :class:`InvalidSpec` naming it."""
-    if not isinstance(jobs, numbers.Integral) or jobs < 1:
+    ``jobs`` (an int >= 1, not a bool), every mask name, match mode and
+    gazetteer setting, and the types of ``plan`` and ``train`` are checked
+    before any work: a bad one raises :class:`InvalidSpec` naming it."""
+    if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:
         raise InvalidSpec(f"jobs must be an int >= 1, got {jobs!r}")
     for cfg in cfgs:
         for name, kind in (("plan", SplitPlan), ("train", TrainConfig)):
@@ -385,8 +389,9 @@ def run_ablations(corpus, cfg, jobs=1, variants=None):
     """The feature/structure ablation grid: every variant runs on the same
     holdout splits of ``cfg.plan``.
 
-    - Per split: the gazetteer is built, the documents are featurized, and
-      the test side is numbered by its distinct observation rows, once.
+    - Per split: the gazetteer is built, each side is featurized in one
+      pass, and the test side is numbered by its distinct observation
+      rows, once.
     - Per memory structure (``no memory`` against the rest): the training
       side is packed for EM once, and dropped once that structure's
       variants are done, before the next structure packs.

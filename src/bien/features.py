@@ -220,11 +220,12 @@ def _lemma_numbers(table, start, lemma_table):
 def check_gazetteer_settings(window, min_freq, max_size):
     """Raise :class:`InvalidSpec` naming ``window`` unless it is an int of
     at least 0, or ``min_freq`` or ``max_size`` unless it is an int of at
-    least 1. A ``min_freq`` below 1 would keep every candidate, as 1 does."""
+    least 1; a bool is not an int. A ``min_freq`` below 1 would keep every
+    candidate, as 1 does."""
     for name, value, least in (
         ("window", window, 0), ("min_freq", min_freq, 1), ("max_size", max_size, 1)
     ):
-        if not isinstance(value, numbers.Integral) or value < least:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
             raise InvalidSpec(f"gazetteer {name} must be an int >= {least}, got {value!r}")
 
 
@@ -408,6 +409,34 @@ def featurize(doc, gazetteer, lexicons, mask=()):
     out = doc.types.column(_type_codes, gazetteer, lexicons)[doc.type_ids]
     out[:, 1] = doc.column_codes("pos", _pos_code)
     out[:, 2] = doc.column_codes("chunk", _chunk_code)
+    if mask:
+        out[:, mask_columns(mask)] = MASKED
+    return out
+
+
+def featurize_docs(docs, gazetteer, lexicons, mask=()):
+    """The :func:`featurize` matrices of ``docs`` stacked in order, as one
+    ``(N, 6)`` int16 matrix, made in one pass over the documents' type ids
+    concatenated, with the same errors.
+
+    The per-type rows are one gather; documents of a second type table read
+    its rows after the first table's. The pos and chunk codes are the
+    documents' kept codes, concatenated.
+    """
+    if gazetteer is None or lexicons is None:
+        raise MissingResource("featurize needs both a gazetteer and lexicons")
+    if not docs:
+        return np.empty((0, len(FEATURE_NAMES)), dtype=np.int16)
+    ids = np.concatenate([doc.type_ids for doc in docs])
+    tables = list(dict.fromkeys(doc.types for doc in docs))
+    codes = [table.column(_type_codes, gazetteer, lexicons) for table in tables]
+    if len(tables) > 1:
+        first_row = dict(zip(tables, np.cumsum([0] + [len(c) for c in codes[:-1]]).tolist()))
+        shift = [first_row[doc.types] for doc in docs]
+        ids = ids + np.repeat(shift, [len(doc.type_ids) for doc in docs])
+    out = np.take(np.concatenate(codes), ids, axis=0)
+    out[:, 1] = np.concatenate([doc.column_codes("pos", _pos_code) for doc in docs])
+    out[:, 2] = np.concatenate([doc.column_codes("chunk", _chunk_code) for doc in docs])
     if mask:
         out[:, mask_columns(mask)] = MASKED
     return out

@@ -20,6 +20,13 @@ Counts with the segments observed too are the oracles'
 ``observed_counts``, which the exact maximum-likelihood tests feed to
 :func:`_m_step_cpt`.
 
+A training side moves through featurization and packing as one array:
+:func:`make_examples` featurizes the documents in one pass and stacks
+their tags (:class:`StackedExamples`), and :func:`pack` checks that stack
+with one range check and numbers its rows with no per-example restacking.
+A list of :class:`TrainExample` is stacked first, so hand-built examples
+take the same path.
+
 The packing of the examples (:func:`pack`) is tied to a model structure
 (memory, fields, and observable names and cardinalities), not to a mask:
 a mask only selects which emission columns enter the factors and counts.
@@ -40,8 +47,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCorpus, InconsistentGold, InvalidSpec, OverlappingSpans, UnknownField
-from .features import featurize, mask_columns
-from .model import LT_NONE, TimeMajor, _check_observation_batch, check_observations, distinct_rows
+# featurize stays importable here for the benchmark's tracer (perfbench/tracing.py)
+from .features import featurize, featurize_docs, mask_columns  # noqa: F401
+from .model import LT_NONE, TimeMajor, check_observations, distinct_rows
 
 
 @dataclass(frozen=True)
@@ -70,8 +78,12 @@ class TrainConfig:
         :func:`train` cannot honour: ``max_iter`` must be an int of at
         least 1, ``alpha`` and ``tol`` finite and at least 0, and
         ``jitter`` finite in [0, 1), so that every jittered cell stays
-        positive, and ``seed`` an int."""
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+        positive, and ``seed`` an int. A bool is not an int."""
+        if (
+            isinstance(self.max_iter, bool)
+            or not isinstance(self.max_iter, numbers.Integral)
+            or self.max_iter < 1
+        ):
             raise InvalidSpec(f"TrainConfig.max_iter must be an int >= 1, got {self.max_iter!r}")
         for name in ("alpha", "tol", "jitter"):
             value = getattr(self, name)
@@ -79,7 +91,7 @@ class TrainConfig:
                 raise InvalidSpec(f"TrainConfig.{name} must be finite and >= 0, got {value!r}")
         if self.jitter >= 1:
             raise InvalidSpec(f"TrainConfig.jitter must be below 1, got {self.jitter!r}")
-        if not isinstance(self.seed, numbers.Integral):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
             raise InvalidSpec(f"TrainConfig.seed must be an int, got {self.seed!r}")
 
 
@@ -96,6 +108,26 @@ class TrainExample:
     doc_id: str
     obs: np.ndarray           # (T, K) feature codes
     tags: np.ndarray          # (T,) gold tag values
+
+
+@dataclass(frozen=True)
+class StackedExamples:
+    """Training examples as one side: example i is document ``doc_ids[i]``,
+    whose ``lengths[i]`` tokens are the next rows of ``obs`` and ``tags``.
+    Iterating yields each as a :class:`TrainExample` of views."""
+
+    doc_ids: tuple
+    lengths: np.ndarray       # (n,) int64 tokens per example
+    obs: np.ndarray           # (N, K) feature codes
+    tags: np.ndarray          # (N,) integer gold tag values
+
+    def __len__(self):
+        return len(self.doc_ids)
+
+    def __iter__(self):
+        ends = np.cumsum(self.lengths).tolist()
+        for doc_id, end, n in zip(self.doc_ids, ends, self.lengths.tolist()):
+            yield TrainExample(doc_id, self.obs[end - n : end], self.tags[end - n : end])
 
 
 def encode_tags(doc, tag_space):
@@ -133,21 +165,29 @@ def _tag_sequence(doc, tag_space):
 
 
 def make_examples(docs, gazetteer, lexicons, model, mask=()):
-    """Featurize and tag-encode documents into training examples.
+    """Featurize and tag-encode documents into training examples, stacked
+    as one :class:`StackedExamples` in id order, zero-token documents
+    skipped; none left raises :class:`EmptyCorpus`.
 
-    Documents are keyed and sorted by id, so example order (and therefore
-    training) is invariant to the order documents arrive in.
+    Sorting by id makes the example order, and so training, invariant to
+    the order the documents arrive in. The codes are one
+    :func:`~bien.features.featurize_docs` pass over the sorted documents,
+    and the tags the documents' kept :func:`encode_tags` arrays,
+    concatenated in the smallest integer type that holds the tag space.
     """
-    examples = []
-    for doc in docs:
-        if len(doc.tokens) == 0:
-            continue
-        obs = featurize(doc, gazetteer, lexicons, mask=mask)
-        tags = encode_tags(doc, model.tags)
-        examples.append(TrainExample(doc.id, obs, tags))
-    if not examples:
+    docs = sorted((doc for doc in docs if len(doc.type_ids)), key=lambda doc: doc.id)
+    if not docs:
         raise EmptyCorpus("no non-empty documents to train on")
-    return sorted(examples, key=lambda e: e.doc_id)
+    obs = featurize_docs(docs, gazetteer, lexicons, mask=mask)
+    # every tag lies in 0 .. size - 1, so the smallest type that holds
+    # size - 1 holds them exactly
+    tags = np.concatenate(
+        [encode_tags(doc, model.tags) for doc in docs],
+        dtype=np.min_scalar_type(model.tags.size - 1),
+        casting="unsafe",
+    )
+    lengths = np.fromiter((len(doc.type_ids) for doc in docs), np.int64, len(docs))
+    return StackedExamples(tuple(doc.id for doc in docs), lengths, obs, tags)
 
 
 def check_unique_ids(sorted_ids):
@@ -182,32 +222,41 @@ def _check_example(model, ex, cardinalities):
         raise InvalidSpec(f"{ex.doc_id}: {len(obs)} observation rows for {len(tags)} tags")
 
 
-def _check_examples(model, examples):
-    """The tags of ``examples`` concatenated in example order, and their
-    observations stacked likewise as an (N, K) array, once every example
-    is known to be well formed (see :func:`_check_example`).
-    The observations are checked as one stack, as the decoder checks a
-    batch (:func:`bien.model._check_observation_batch`), and the tags on
-    their concatenation; only when a check fails are the examples checked
-    one by one, so that the error names the first malformed example."""
+def _stack_examples(model, examples):
+    """An iterable of :class:`TrainExample` as :class:`StackedExamples`, in
+    id order with zero-token examples skipped. No example left raises
+    :class:`EmptyCorpus`. Each example is checked on its own
+    (:func:`_check_example`), so that arrays of any integer type stack
+    exactly and a malformed example raises :class:`InvalidSpec` naming
+    it."""
+    examples = sorted((ex for ex in examples if len(ex.tags)), key=lambda ex: ex.doc_id)
+    if not examples:
+        raise EmptyCorpus("no non-empty training examples")
     cardinalities = np.array([spec.cardinality for spec in model.observables])
-    tag_list = [np.asarray(ex.tags) for ex in examples]
+    for ex in examples:
+        _check_example(model, ex, cardinalities)
+    return StackedExamples(
+        tuple(ex.doc_id for ex in examples),
+        np.array([len(ex.tags) for ex in examples], dtype=np.int64),
+        np.concatenate([ex.obs for ex in examples], dtype=np.int64),
+        np.concatenate([ex.tags for ex in examples], dtype=np.int64),
+    )
+
+
+def _check_side(model, side):
+    """Raise :class:`InvalidSpec` unless every code and tag of ``side`` is
+    in range for ``model``. They are checked as one stack; only when the
+    check fails are the examples checked one by one, so that the error
+    names the first malformed one."""
+    cardinalities = np.array([spec.cardinality for spec in model.observables])
     try:
-        tags = np.concatenate(tag_list)
-        obs, lengths = _check_observation_batch([ex.obs for ex in examples], cardinalities)
-    except (ValueError, InvalidSpec):  # tags of mixed dimensions, or malformed observations
-        tags = None
-    if not (
-        tags is not None
-        and {t.dtype.kind for t in tag_list} <= {"i", "u"}
-        and tags.ndim == 1
-        and lengths == [len(t) for t in tag_list]
-        and tags.min() >= 0
-        and tags.max() < model.tags.size
-    ):
-        for ex in examples:  # some example is malformed, so this raises
+        check_observations(side.obs, cardinalities)
+        in_range = side.tags.min() >= 0 and side.tags.max() < model.tags.size
+    except InvalidSpec:
+        in_range = False
+    if not in_range:
+        for ex in side:  # some example is malformed, so this raises
             _check_example(model, ex, cardinalities)
-    return tags.astype(np.int64, copy=False), obs
 
 
 def _transition_index(model, tags, lengths):
@@ -224,7 +273,7 @@ def _transition_index(model, tags, lengths):
     first[np.cumsum(lengths) - lengths] = True
     sets = (model.next_lt == model.next_lt[LT_NONE]).all(axis=0)
     src = np.where(first | sets[tags], np.arange(N), 0)
-    lt = model.next_lt[LT_NONE, tags[np.maximum.accumulate(src, out=src)]]
+    lt = model.next_lt[LT_NONE][tags[np.maximum.accumulate(src, out=src)]]
     n_tags = model.tags.size
     trans = tags.copy()
     trans[1:] += np.where(first[1:], 0, n_tags * (1 + tags[:-1] * model.lt_card + lt[:-1]))
@@ -233,14 +282,13 @@ def _transition_index(model, tags, lengths):
 
 def _emission_codes(col, card):
     """Codes of one observation column as int64, masked (-1) ones as ``card``."""
-    code = col.astype(np.int64)
-    code[col < 0] = card
-    return code
+    return np.take(np.arange(card + 1), col)  # -1 reads the last
 
 
 class _FactoredBatch:
     """The segment-chain E-step over a fixed set of non-empty examples,
-    packed for EM: what :func:`pack` builds and :func:`train` runs on.
+    packed for EM: what :func:`pack` builds, from checked
+    :class:`StackedExamples`, and :func:`train` runs on.
 
     With tags observed, the product chain collapses per document to a
     two-state chain over segments whose step factors are tag-transition
@@ -253,11 +301,12 @@ class _FactoredBatch:
     which selects a row of ``tag_init`` at t = 0 and of ``tag_trans``
     (given the previous tag and memory) after, and its emission index per
     column, where masked (-1) codes select a trailing zero column. Tokens
-    are numbered by their row with :func:`bien.model.distinct_rows`, and
-    ``row_of`` maps each packed token to its distinct row. The log
-    factors, their shift and ``exp`` are computed per distinct row and
-    gathered per token. The counts are tallied per token, in token order,
-    with ``np.bincount`` over each row's flat index gathered per token.
+    are numbered by their row with :func:`bien.model.distinct_rows`, in
+    example order, and ``row_of`` maps each packed token to its distinct
+    row. The log factors, their shift and ``exp`` are computed per
+    distinct row and gathered per token. The counts are tallied per token,
+    in token order, with ``np.bincount`` over each row's flat index
+    gathered per token.
 
     The recursions run on ``B = exp(A - max_ds A)``, each token's factors
     scaled so the larger is 1. Every forward row is divided by its sum
@@ -268,39 +317,34 @@ class _FactoredBatch:
     """
 
     def __init__(self, model, examples):
-        tags, obs = _check_examples(model, examples)
-        lengths = [len(ex.tags) for ex in examples]
         self.examples = examples
-        self.layout = TimeMajor(lengths)
+        self.layout = TimeMajor(examples.lengths)
+        tags, obs = examples.tags.astype(np.int64, copy=False), examples.obs
+        trans = _transition_index(model, tags, examples.lengths)
 
-        # the transition index, gold tag and codes of each packed row
-        rows = self.layout.rows()
-        packed = np.empty_like(rows)
-        packed[rows] = np.arange(len(rows))
-        trans = _transition_index(model, tags, np.array(lengths))[packed]
-        g, obs = tags[packed], obs[packed]
-        del tags, packed, rows  # not held through the numbering below
-
-        # Key each token's row by its transition index and emission codes.
+        # Key each token's row by its transition index and emission codes,
+        # in example order; the numbers are then laid out time-major.
         # Columns masked throughout add nothing and count nothing.
         n_tags = model.tags.size
         observed = [
             (k, spec.name, int(spec.cardinality))
             for k, spec in enumerate(model.observables)
-            if (obs[:, k] >= 0).any()
+            if obs[:, k].max() >= 0
         ]
-        self.row_of, row = distinct_rows(
+        row_of, row = distinct_rows(
             len(trans),
             itertools.chain(
                 [(trans, n_tags * (1 + n_tags * model.lt_card))],
                 ((_emission_codes(obs[:, k], card), card + 1) for k, _, card in observed),
             ),
         )
+        self.row_of = np.empty_like(row_of)
+        self.row_of[self.layout.rows()] = row_of
         # per distinct row: the transition index, and per observed column
         # (column, CPT name, cardinality, flat emission index)
         self.row_trans = trans[row]
         self.emit = [
-            (k, f"emit:{name}", card, g[row] * (card + 1) + _emission_codes(obs[row, k], card))
+            (k, f"emit:{name}", card, tags[row] * (card + 1) + _emission_codes(obs[row, k], card))
             for k, name, card in observed
         ]
         self.n_observables = len(model.observables)
@@ -413,7 +457,7 @@ class _FactoredBatch:
         layout = self.layout
         t = int(np.searchsorted(layout.starts, np.flatnonzero(dead)[0], side="right")) - 1
         rows = np.flatnonzero(dead[layout.steps[t][0]])
-        doc_id = self.examples[int(layout.order[rows].min())].doc_id
+        doc_id = self.examples.doc_ids[int(layout.order[rows].min())]
         raise InconsistentGold(
             f"{doc_id}: gold tags impossible at token {t}", doc_id=doc_id, step=t
         )
@@ -453,13 +497,17 @@ def _structure(model):
 
 def pack(model, examples):
     """Training examples packed for EM under ``model``'s structure, for
-    :func:`train` to take in place of a list: sorted by id, zero-token
-    ones skipped. No examples left raises :class:`EmptyCorpus`, and an id
-    used twice or a malformed example :class:`InvalidSpec`."""
-    examples = sorted((e for e in examples if len(e.tags)), key=lambda e: e.doc_id)
-    if not examples:
-        raise EmptyCorpus("no non-empty training examples")
-    check_unique_ids([e.doc_id for e in examples])
+    :func:`train` to take in place of the examples. ``examples`` is a
+    :class:`StackedExamples`, as :func:`make_examples` returns, or an
+    iterable of :class:`TrainExample`, which is stacked first: sorted by
+    id, zero-token ones skipped. No examples left raises
+    :class:`EmptyCorpus`; an id used twice, or a tag or code out of range,
+    :class:`InvalidSpec` naming the first such example (see
+    :func:`_check_side`)."""
+    if not isinstance(examples, StackedExamples):
+        examples = _stack_examples(model, examples)
+    check_unique_ids(examples.doc_ids)
+    _check_side(model, examples)
     return _FactoredBatch(model, examples)
 
 
@@ -470,11 +518,13 @@ def train(model, examples, config=TrainConfig()):
     Zero-token examples are skipped, as :func:`make_examples` skips empty
     documents.
 
-    ``examples`` is a list, packed for EM here and dropped on return, or
-    a packing from :func:`pack` or a :meth:`~_FactoredBatch.masked` view
-    of one, which many ``train`` calls share. Either way the trained
-    tables and the trace are the same, bit for bit. A packing built for a
-    model of another structure raises :class:`InvalidSpec` naming both.
+    ``examples`` is the :class:`StackedExamples` of :func:`make_examples`
+    or a list of :class:`TrainExample`, packed for EM here (:func:`pack`)
+    and dropped on return, or a packing from :func:`pack` or a
+    :meth:`~_FactoredBatch.masked` view of one, which many ``train`` calls
+    share. Every way the trained tables and the trace are the same, bit
+    for bit. A packing built for a model of another structure raises
+    :class:`InvalidSpec` naming both.
 
     ``converged`` is True when the trace's relative change fell within
     ``config.tol`` before ``max_iter`` iterations. With the tags observed,

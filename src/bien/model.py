@@ -192,12 +192,12 @@ def build_model(fields, observables, memory=True):
 
     ``observables`` is a dict from feature name to cardinality, in
     feature-vector column order. Anything else, or a cardinality that is
-    not an integer >= 1, raises :class:`InvalidSpec`.
+    not an integer >= 1 (a bool is not), raises :class:`InvalidSpec`.
     """
     if not isinstance(observables, dict):
         raise InvalidSpec(f"observables must be a dict, got {type(observables).__name__}")
     for name, card in observables.items():
-        if not isinstance(card, numbers.Integral) or card < 1:
+        if isinstance(card, bool) or not isinstance(card, numbers.Integral) or card < 1:
             raise InvalidSpec(f"observable {name}: cardinality {card!r}")
     specs = tuple(ObservableSpec(n, c) for n, c in observables.items())
     return BienModel(fields, specs, memory=memory)
@@ -288,43 +288,24 @@ class ObservationRows:
         return ObservationRows(table, self.rows)
 
 
-def number_observations(obs_list, cardinalities):
-    """The matrices of ``obs_list`` as :class:`ObservationRows`, once each
-    is known to pass :func:`check_observations` against ``cardinalities``;
-    otherwise the first that fails raises its :class:`InvalidSpec`. Only
-    the distinct rows and each matrix's row numbers are kept, not the
-    stack of matrices."""
-    obs, lengths = _check_observation_batch(obs_list, cardinalities)
-    obs = obs.astype(np.int64, copy=False)
+def number_observations(obs, lengths, cardinalities):
+    """Observation matrices stacked in ``obs``, matrix i its next
+    ``lengths[i]`` rows, as :class:`ObservationRows`. ``obs`` is checked
+    once, as one matrix (:func:`check_observations`), and lengths that do
+    not sum to its rows raise :class:`InvalidSpec`. Only the distinct rows
+    and each matrix's row numbers are kept, not the stack."""
+    obs = check_observations(obs, cardinalities)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.sum() != len(obs) or (lengths < 0).any():
+        raise InvalidSpec(f"lengths {lengths.tolist()} do not split {len(obs)} observation rows")
     # a masked (-1) code is digit 0
-    digits = ((obs[:, k] + 1, int(card) + 1) for k, card in enumerate(cardinalities))
+    digits = (
+        (obs[:, k].astype(np.int64) + 1, int(card) + 1) for k, card in enumerate(cardinalities)
+    )
     row_of, first = distinct_rows(len(obs), digits)
-    ends = np.cumsum(lengths, dtype=np.int64).tolist()
-    return ObservationRows(obs[first], [row_of[end - n : end] for end, n in zip(ends, lengths)])
-
-
-def _check_observation_batch(obs_list, cardinalities):
-    """The matrices of ``obs_list`` stacked into one integer ``(N, K)``
-    array of their common dtype, with their lengths, once each is known to pass
-    :func:`check_observations`; otherwise the first that fails raises its
-    :class:`InvalidSpec`. Codes are range-checked once, on the stack; only
-    when a check fails are the matrices checked one by one."""
-    mats = [np.asarray(m) for m in obs_list]
-    try:
-        stack = np.concatenate(mats)
-    except ValueError:  # no matrices, or they differ in dimensions or column count
-        stack = None
-    if not (
-        stack is not None
-        and {m.dtype.kind for m in mats} <= {"i", "u"}
-        and stack.ndim == 2
-        and stack.shape[1] == len(cardinalities)
-        and not (len(stack) and (stack.min() < -1 or (stack.max(axis=0) >= cardinalities).any()))
-    ):
-        for m in mats:  # unless there are none, some matrix is malformed and this raises
-            check_observations(m, cardinalities)
-        return np.zeros((0, len(cardinalities)), dtype=np.int64), []
-    return stack, [len(m) for m in mats]
+    ends = np.cumsum(lengths).tolist()
+    rows = [row_of[end - n : end] for end, n in zip(ends, lengths.tolist())]
+    return ObservationRows(obs[first].astype(np.int64), rows)
 
 
 def distinct_rows(n_rows, digits):
@@ -332,21 +313,41 @@ def distinct_rows(n_rows, digits):
 
     ``digits`` yields ``(codes, radix)`` pairs: int64 arrays of ``n_rows``
     codes in ``0 .. radix - 1``. Rows are keyed in mixed radix, and the key
-    is re-ranked with ``np.unique`` before it could pass 2**63, so any
-    number of columns keys exactly. Returns ``(row_of, first)``: each row's
-    distinct-row number, in key order, and for each distinct row the index
-    of one row that holds it.
+    is re-ranked (:func:`_ranked`) before it could reach ``2**63 >> shift``,
+    which leaves room for a row index in the low ``shift`` bits, so any
+    number of columns keys exactly. Returns
+    ``(row_of, first)``: each row's distinct-row number, in key order, and
+    for each distinct row the index of one row that holds it.
     """
+    shift = n_rows.bit_length()
     key, radix = np.zeros(n_rows, dtype=np.int64), 1
     for codes, base in digits:
-        if radix * base > 2**63:
-            uniq, key = np.unique(key, return_inverse=True)
-            radix = len(uniq)
+        if radix * base > 2**63 >> shift:
+            key, first = _ranked(key, shift)
+            radix = len(first)
         key = key * base + codes
         radix *= base
-    uniq, row_of = np.unique(key, return_inverse=True)
-    first = np.empty(len(uniq), dtype=np.int64)
-    first[row_of] = np.arange(n_rows)
+    return _ranked(key, shift)
+
+
+def _ranked(key, shift):
+    """Each entry's rank among the distinct values of ``key``, and for each
+    value the last index that holds it, as :func:`distinct_rows` returns
+    them. Each key, below ``2**63 >> shift``, is shifted left over its
+    index, so one plain sort of int64 orders keys and finds their indices,
+    with no argsort."""
+    n = len(key)
+    packed = np.sort((key << shift) | np.arange(n))
+    index = packed & ((1 << shift) - 1)
+    packed >>= shift
+    new = np.empty(n, dtype=bool)
+    new[:1] = True
+    np.not_equal(packed[1:], packed[:-1], out=new[1:])
+    rank = np.cumsum(new) - 1
+    row_of = np.empty(n, dtype=np.int64)
+    row_of[index] = rank
+    first = np.empty(np.count_nonzero(new), dtype=np.int64)
+    first[rank] = index
     return row_of, first
 
 
@@ -398,9 +399,7 @@ def check_observations(obs_matrix, cardinalities):
             f"observations must be an integer (T, {K}) matrix, "
             f"got {obs_matrix.dtype} of shape {obs_matrix.shape}"
         )
-    if len(obs_matrix) and (
-        obs_matrix.min() < -1 or (obs_matrix.max(axis=0) >= cardinalities).any()
-    ):
+    if len(obs_matrix) and (obs_matrix.min() < -1 or (obs_matrix >= cardinalities).any()):
         raise InvalidSpec(
             "observation codes must lie in -1 .. cardinality - 1 "
             f"(cardinalities {np.asarray(cardinalities).tolist()})"

@@ -830,6 +830,9 @@ class TestSplit:
         (10, {"runs": "3"}, "runs"),
         (10, {"seed": 1.5}, "seed"),
         (10, {"seed": None}, "seed"),
+        # a bool is not an int
+        (10, {"runs": True}, re.escape("runs must be an int >= 1, got True")),
+        (10, {"seed": False}, re.escape("seed must be an int, got False")),
         (10, {"train_fraction": "0.5"}, "train_fraction"),
         (10, {"train_fraction": None}, "train_fraction"),
     ])

@@ -10,6 +10,7 @@ import numpy.testing as npt
 import pytest
 
 from bien import evaluation, learning
+from bien import features as features_module
 from bien import model as model_module
 from bien.corpus import SplitPlan, TagSpan, parse_tagged_document
 from bien.errors import InvalidSpec
@@ -48,7 +49,13 @@ def decode_matrices(chain, obs_list):
     """``decode_batch`` of observation matrices, numbered against the
     chain's observables."""
     cardinalities = [spec.cardinality for spec in chain.model.observables]
-    return decode_batch(chain, number_observations(obs_list, cardinalities))
+    return decode_batch(chain, number_matrices(obs_list, cardinalities))
+
+
+def number_matrices(obs_list, cardinalities):
+    """``number_observations`` of a list of matrices, stacked."""
+    stack = np.concatenate([np.zeros((0, len(cardinalities)), dtype=np.int16), *obs_list])
+    return number_observations(stack, [len(obs) for obs in obs_list], cardinalities)
 
 
 def tiny_space(n_fields=2):
@@ -339,7 +346,7 @@ class TestDecode:
         pool = rng.integers(-1, 255, size=(60, len(cards)))
         pool[1::2, 1:] = pool[::2, 1:]  # pairs of rows that differ only in column 0
         obs_list = [pool[rng.integers(0, len(pool), size=T)] for T in (9, 0, 14, 5, 11)]
-        numbered = number_observations(obs_list, list(cards.values()))
+        numbered = number_matrices(obs_list, list(cards.values()))
         table = chain.log_emission(numbered.table)
         assert len(table) == len(np.unique(np.concatenate(obs_list), axis=0))
         for obs, r in zip(obs_list, numbered.rows, strict=True):
@@ -372,22 +379,28 @@ class TestDecode:
             decode(compile_chain(model), bad(obs))
 
     @pytest.mark.parametrize("bad", BAD_OBSERVATIONS)
-    def test_bad_matrix_in_a_batch_raises_what_decode_raises(self, bad):
-        """Among good matrices, the first malformed one raises the error
-        ``decode`` raises for it, never a numpy error from stacking."""
+    def test_bad_stack_raises_what_decode_raises(self, bad):
+        """A malformed stack of matrices raises, when numbered, the error
+        ``decode`` raises for it, never a numpy error."""
         rng = np.random.default_rng(15)
         model = randomize_model(
             build_model(("speaker", "location"), {"lemma": 5, "case": 3}), rng
         )
         chain = compile_chain(model)
-        good = [sample_example(model, T, rng).obs for T in (6, 0, 3, 8)]
+        stack = bad(np.concatenate([sample_example(model, T, rng).obs for T in (6, 0, 3, 8)]))
         with pytest.raises(InvalidSpec) as want:
-            decode(chain, bad(good[0]))
-        for i in range(len(good) + 1):
-            batch = good[:i] + [bad(good[0]), good[3].astype(float)] + good[i:]
-            with pytest.raises(InvalidSpec) as got:
-                decode_matrices(chain, batch)
-            assert str(got.value) == str(want.value)
+            decode(chain, stack)
+        with pytest.raises(InvalidSpec) as got:
+            number_observations(stack, [len(stack)], [5, 3])
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("lengths", [[6, 0, 3], [6, 0, 3, 9], [6, 4, -1, 8]])
+    def test_lengths_that_do_not_split_the_stack_raise(self, lengths):
+        rng = np.random.default_rng(16)
+        model = build_model(("speaker", "location"), {"lemma": 5, "case": 3})
+        stack = np.concatenate([sample_example(model, T, rng).obs for T in (6, 0, 3, 8)])
+        with pytest.raises(InvalidSpec, match="do not split 17 observation rows"):
+            number_observations(stack, lengths, [5, 3])
 
 
 class TestSharedTestSide:
@@ -404,7 +417,7 @@ class TestSharedTestSide:
                                 np.random.default_rng(17))
         chain = compile_chain(model)
         obs_list = [featurize(doc, gaz, lexicons) for doc in docs[30:]]
-        numbered = number_observations(obs_list, list(cards.values()))
+        numbered = number_matrices(obs_list, list(cards.values()))
         for mask in dict.fromkeys(evaluation.ABLATIONS.values()):
             got = decode_batch(chain, numbered.masked(mask_columns(mask)))
             want = decode_matrices(chain, [apply_mask(obs, mask) for obs in obs_list])
@@ -423,7 +436,7 @@ class TestSharedTestSide:
         model = randomize_model(build_model(FIELDS[:2], {"lemma": 5, "case": 3}), rng)
         chain = compile_chain(model)
         obs_list = [sample_example(model, T, rng).obs for T in (4, 7)]
-        numbered = number_observations(obs_list, [9, 3])  # numbered for a larger gazetteer
+        numbered = number_matrices(obs_list, [9, 3])  # numbered for a larger gazetteer
         table, (first, second) = numbered.table, numbered.rows
         for bad_table, bad_rows, match in (
             (set_lemma(table, 7), numbered.rows, "cardinality"),
@@ -663,7 +676,33 @@ class TestExperimentProtocol:
         if variants is None:
             assert built == [True, False]
 
-    @pytest.mark.parametrize("jobs", [0, -1, 1.5, "2", None])
+    def test_each_side_is_featurized_in_one_pass(self, monkeypatch):
+        """A split of ``run_experiment`` featurizes its training side and its
+        test side with one ``featurize_docs`` call each, and calls the
+        per-document ``featurize`` for neither."""
+        per_document, sides = [], []
+
+        def featurize(*args, **kwargs):
+            per_document.append(args[0].id)
+            return features_module.featurize(*args, **kwargs)
+
+        def featurize_docs(docs, *args, **kwargs):
+            sides.append([doc.id for doc in docs])
+            return features_module.featurize_docs(docs, *args, **kwargs)
+
+        for module in (evaluation, learning, features_module):
+            monkeypatch.setattr(module, "featurize", featurize)
+        for module in (evaluation, learning):
+            monkeypatch.setattr(module, "featurize_docs", featurize_docs)
+        corpus, cfg = tiny_corpus(), tiny_config(runs=2)
+        result = run_experiment(corpus, cfg)
+        assert per_document == []
+        assert [len(side) for side in sides] == [27, 9] * 2
+        assert [r.n_train + r.n_test for r in result.runs] == [36, 36]
+        for train_ids, test_ids in zip(sides[::2], sides[1::2]):
+            assert sorted(train_ids + test_ids) == sorted(doc.id for doc in corpus)
+
+    @pytest.mark.parametrize("jobs", [0, -1, 1.5, "2", None, True])
     def test_bad_jobs_raises_before_any_work(self, monkeypatch, jobs):
         def no_work(*args, **kwargs):
             raise AssertionError("work started before jobs was checked")

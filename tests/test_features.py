@@ -34,6 +34,7 @@ from bien.features import (
     default_lexicons,
     feature_cardinalities,
     featurize,
+    featurize_docs,
     lemmatise,
     length_feature,
     pos_cluster,
@@ -225,6 +226,9 @@ class TestGazetteer:
         ({"min_freq": 0}, "min_freq"),
         ({"min_freq": "3"}, "min_freq"),
         ({"min_freq": None}, "min_freq"),
+        ({"window": True}, "window must be an int >= 0, got True"),
+        ({"min_freq": True}, "min_freq must be an int >= 1, got True"),
+        ({"max_size": True}, "max_size must be an int >= 1, got True"),
     ])
     def test_bad_settings_raise_naming_the_argument(self, kwargs, named):
         with pytest.raises(InvalidSpec, match=named):
@@ -609,3 +613,60 @@ class TestMaskInPlace:
         want = featurize(docs[0], gaz, LEX)
         featurize(docs[0], gaz, LEX, mask=FEATURE_NAMES)
         np.testing.assert_array_equal(featurize(docs[0], gaz, LEX), want)
+
+
+def stacked_featurize(docs, gazetteer, lexicons, mask=()):
+    """Each document's ``featurize`` matrix, stacked in order."""
+    empty = np.zeros((0, len(FEATURE_NAMES)), dtype=np.int16)
+    matrices = [featurize(doc, gazetteer, lexicons, mask=mask) for doc in docs]
+    return np.concatenate([empty, *matrices])
+
+
+class TestFeaturizeDocs:
+    """``featurize_docs`` is the documents' ``featurize`` matrices stacked,
+    row for row."""
+
+    def test_every_mask_of_the_grid(self):
+        docs = generate_corpus(30, 3)
+        gaz = build_gazetteer(docs[:20], LEX.lemma_table)
+        for mask in dict.fromkeys(ABLATIONS.values()):
+            got = featurize_docs(docs, gaz, LEX, mask=mask)
+            assert got.dtype == np.int16 and got.shape == (sum(map(len, docs)), 6)
+            np.testing.assert_array_equal(got, stacked_featurize(docs, gaz, LEX, mask))
+
+    def test_a_side_across_type_tables(self, monkeypatch):
+        monkeypatch.setattr(corpus_module, "_MEMO_LIMIT", 64)
+        # the table starts over between blocks: make each block one document
+        monkeypatch.setattr(synth, "_BLOCK_DOCS", 1)
+        docs = generate_corpus(12, 3)
+        gaz = build_gazetteer(docs[:8], LEX.lemma_table)
+        side = docs[1::2] + docs[::2]  # documents of one table apart in the side
+        assert len({id(doc.types) for doc in side}) > 2
+        got = featurize_docs(side, gaz, LEX)  # before any document's codes exist
+        np.testing.assert_array_equal(got, stacked_featurize(side, gaz, LEX))
+        np.testing.assert_array_equal(
+            featurize_docs(side, gaz, LEX, mask=("lemma",)),
+            stacked_featurize(side, gaz, LEX, ("lemma",)),
+        )
+
+    def test_a_side_with_zero_token_documents(self):
+        docs = generate_corpus(6, 3)
+        gaz = build_gazetteer(docs, LEX.lemma_table)
+        texts = ("", " \n\t ")  # no tokens: empty, and whitespace only
+        empty = [parse_tagged_document(text, doc_id=f"e{k}")[0] for k, text in enumerate(texts)]
+        side = [empty[0], *docs[:3], empty[1], *docs[3:]]
+        np.testing.assert_array_equal(
+            featurize_docs(side, gaz, LEX), stacked_featurize(side, gaz, LEX)
+        )
+        for only_empty in ([], empty):
+            got = featurize_docs(only_empty, gaz, LEX)
+            assert got.dtype == np.int16 and got.shape == (0, 6)
+
+    def test_missing_resources_and_bad_masks_raise_as_featurize_does(self):
+        docs = generate_corpus(3, 3)
+        gaz = build_gazetteer(docs, LEX.lemma_table)
+        for gazetteer, lexicons in ((None, LEX), (gaz, None)):
+            with pytest.raises(MissingResource, match="both a gazetteer and lexicons"):
+                featurize_docs(docs, gazetteer, lexicons)
+        with pytest.raises(InvalidSpec, match="bogus"):
+            featurize_docs(docs, gaz, LEX, mask=("case", "bogus"))

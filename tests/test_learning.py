@@ -32,6 +32,7 @@ from bien.features import (
     build_gazetteer,
     default_lexicons,
     feature_cardinalities,
+    featurize,
 )
 from bien.learning import (
     TrainConfig,
@@ -200,7 +201,7 @@ class TestEstepEquivalence:
         m = randomize_model(build_model(("x", "y"), OBS, memory=memory), rng)
         examples = masked_examples(m, rng, segments=False)
         c1, ll1 = chain_estep(m, examples, observe_ds=False)
-        c2, ll2 = factored_estep(_FactoredBatch(m, examples), m)
+        c2, ll2 = factored_estep(pack(m, examples), m)
         assert ll1 == pytest.approx(ll2, rel=1e-12)
         for name in c1:
             np.testing.assert_allclose(c2[name], c1[name], atol=1e-9)
@@ -227,7 +228,7 @@ class TestEstepEquivalence:
         examples = make_examples(docs, gaz, LEX, m, mask=mask)
         m = randomize_model(m, np.random.default_rng(3))
         c1, ll1 = PaddedLogBatch(m, examples).estep(m)
-        c2, ll2 = factored_estep(_FactoredBatch(m, examples), m)
+        c2, ll2 = factored_estep(pack(m, examples), m)
         assert ll2 == pytest.approx(ll1, rel=1e-12)
         for name in c1:
             np.testing.assert_allclose(c2[name], c1[name], atol=1e-9)
@@ -256,7 +257,7 @@ class TestEstepEquivalence:
             padded.g[d, t],
             padded.obs[d, t],
         ])
-        batch = _FactoredBatch(m, examples)
+        batch = pack(m, examples)
         assert len(batch.row_trans) == len(np.unique(rows, axis=0)) < len(rows)
         c1, ll1 = padded.estep(m)
         c2, ll2 = factored_estep(batch, m)
@@ -281,7 +282,7 @@ class TestEstepEquivalence:
         for batch in (examples, [ex for ex in examples if len(ex.tags) == 1]):
             c1, ll1 = chain_estep(m, batch, observe_ds=False)
             padded = PaddedLogBatch(m, batch).estep(m)
-            for c2, ll2 in (padded, factored_estep(_FactoredBatch(m, batch), m)):
+            for c2, ll2 in (padded, factored_estep(pack(m, batch), m)):
                 assert ll2 == pytest.approx(ll1, rel=1e-12)
                 for name in c1:
                     np.testing.assert_allclose(c2[name], c1[name], atol=1e-9)
@@ -296,7 +297,7 @@ class TestEstepEquivalence:
             cfg = TrainConfig(alpha=0.05, jitter=1e-3, seed=3, max_iter=k, tol=0.0)
             fitted = train(m, examples, cfg).model
             c1, ll1 = chain_estep(fitted, examples, observe_ds=False)
-            c2, ll2 = factored_estep(_FactoredBatch(fitted, examples), fitted)
+            c2, ll2 = factored_estep(pack(fitted, examples), fitted)
             assert ll1 == pytest.approx(ll2, rel=1e-9)
             for name in c1:
                 np.testing.assert_allclose(c2[name], c1[name], atol=1e-9)
@@ -421,7 +422,7 @@ def reference_em(model, examples, config):
     included, on every iteration, the converged one too."""
     model = model.copy()
     _apply_jitter(model, config)
-    batch = _FactoredBatch(model, sorted(examples, key=lambda e: e.doc_id))
+    batch = pack(model, examples)
     trace = []
     for _ in range(config.max_iter):
         counts, ll = factored_estep(batch, model)
@@ -465,7 +466,7 @@ class TestEarlyExit:
         config = TrainConfig(max_iter=4, tol=0.0)
         got = train(m, examples, config)
         longer = train(m, examples, replace(config, max_iter=5))
-        _, ll = factored_estep(_FactoredBatch(got.model, examples), got.model)
+        _, ll = factored_estep(pack(got.model, examples), got.model)
         assert longer.log_likelihood[:4] == got.log_likelihood
         assert ll == longer.log_likelihood[4]
 
@@ -591,9 +592,10 @@ class TestTrainConfig:
     """Settings that ``train`` cannot honour raise at construction, naming
     the field."""
 
-    @pytest.mark.parametrize("value", [0, -1, 2.5, "3"])
+    @pytest.mark.parametrize("value", [0, -1, 2.5, "3", True])
     def test_max_iter(self, value):
-        with pytest.raises(InvalidSpec, match="max_iter"):
+        named = re.escape(f"TrainConfig.max_iter must be an int >= 1, got {value!r}")
+        with pytest.raises(InvalidSpec, match=named):
             TrainConfig(max_iter=value)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.1, None])
@@ -611,7 +613,7 @@ class TestTrainConfig:
         with pytest.raises(InvalidSpec, match="jitter"):
             TrainConfig(jitter=value)
 
-    @pytest.mark.parametrize("value", [1.5, 2.0, None, "3"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, None, "3", False, True])
     def test_seed(self, value):
         named = re.escape(f"TrainConfig.seed must be an int, got {value!r}")
         with pytest.raises(InvalidSpec, match=named):
@@ -629,6 +631,8 @@ def malformed(obs, tags=(0, 0), dtype=np.int16):
 MALFORMED = [
     pytest.param(malformed([[3, 0], [0, 0]]), id="code-past-cardinality"),
     pytest.param(malformed([[-2, 0], [0, 0]]), id="code-below-minus-one"),
+    pytest.param(malformed([[2**64 - 1, 0], [0, 0]], dtype=np.uint64),
+                 id="uint64-code-past-cardinality"),
     pytest.param(malformed([[0, 0], [1, 1]], dtype=float), id="float-obs"),
     pytest.param(malformed([[0], [1]]), id="wrong-column-count"),
     pytest.param(malformed([[0, 0]]), id="fewer-obs-rows-than-tags"),
@@ -649,8 +653,8 @@ class TestMalformedExamples:
 
     @pytest.mark.parametrize("bad", MALFORMED)
     def test_named_among_forty_good_examples(self, bad):
-        """Ranges are checked on all examples at once; the error still
-        names the malformed one, which sorts between the good ones."""
+        """The error names the malformed example, which sorts between the
+        good ones."""
         m = build_model(("x",), OBS)
         rng = np.random.default_rng(0)
         good = [
@@ -693,7 +697,7 @@ class TestMakeExamples:
                 fields=("speaker", "stime"),
             )
             docs.append(doc)
-        examples = make_examples(docs, gaz, LEX, m)
+        examples = list(make_examples(docs, gaz, LEX, m))
         assert [e.doc_id for e in examples] == ["d0", "d1", "d2"]
         assert examples[0].obs.shape == (6, 6)
         names = [tag_name(m.tags, t) for t in examples[0].tags]
@@ -703,3 +707,68 @@ class TestMakeExamples:
         m = build_model(("stime",), OBS)
         with pytest.raises(EmptyCorpus):
             make_examples([], None, None, m, mask=("lemma", "semantic"))
+
+
+class TestStackedExamples:
+    """``make_examples`` stacks a side; a list of ``TrainExample`` packs and
+    trains exactly as that stack does."""
+
+    def side(self, memory=True, n_docs=40):
+        docs = generate_corpus(n_docs, 4)
+        gaz = build_gazetteer(docs, LEX.lemma_table)
+        m = build_model(FIELDS, feature_cardinalities(gaz), memory=memory)
+        return docs, gaz, m, make_examples(docs, gaz, LEX, m)
+
+    def test_rows_are_each_documents_features_and_tags(self):
+        docs, gaz, m, stacked = self.side()
+        docs = sorted(docs, key=lambda doc: doc.id)
+        assert stacked.doc_ids == tuple(doc.id for doc in docs) and len(stacked) == len(docs)
+        for ex, doc in zip(stacked, docs, strict=True):
+            assert ex.doc_id == doc.id
+            np.testing.assert_array_equal(ex.obs, featurize(doc, gaz, LEX))
+            np.testing.assert_array_equal(ex.tags, encode_tags(doc, m.tags))
+
+    @pytest.mark.parametrize("memory", [True, False], ids=["memory", "no-memory"])
+    def test_a_list_packs_and_trains_as_the_stack(self, memory):
+        _, _, m, stacked = self.side(memory)
+        listed = [TrainExample(ex.doc_id, ex.obs.copy(), ex.tags.copy()) for ex in stacked]
+        listed.reverse()  # stacking sorts by id
+        a, b = pack(m, stacked), pack(m, listed)
+        assert a.row_of.tobytes() == b.row_of.tobytes()
+        assert a.row_trans.tobytes() == b.row_trans.tobytes()
+        assert [e[:3] for e in a.emit] == [e[:3] for e in b.emit]
+        assert all(x[3].tobytes() == y[3].tobytes() for x, y in zip(a.emit, b.emit, strict=True))
+        for config in (TrainConfig(max_iter=4, tol=0.0, seed=2), TrainConfig()):
+            assert_same_training(train(m, stacked, config), train(m, listed, config))
+            assert_same_training(train(m, a, config), train(m, b, config))
+
+    @pytest.mark.parametrize("fault, match", [
+        ("tag", "tags must be a 1-D integer array"),
+        ("code", "observation codes must lie in"),
+    ])
+    def test_out_of_range_names_the_first_bad_document(self, fault, match):
+        _, gaz, m, stacked = self.side(n_docs=30)
+        first = np.cumsum(stacked.lengths) - stacked.lengths
+        obs, tags = stacked.obs.copy(), stacked.tags.copy()
+        for k in (20, 7):
+            if fault == "tag":
+                tags[first[k] + 1] = m.tags.size
+            else:
+                obs[first[k] + 1, 0] = gaz.cardinality
+        bad = learning.StackedExamples(stacked.doc_ids, stacked.lengths, obs, tags)
+        named = f"^{re.escape(stacked.doc_ids[7])}: {match}"
+        for examples in (bad, list(bad)[::-1]):
+            with pytest.raises(InvalidSpec, match=named):
+                pack(m, examples)
+
+    def test_impossible_gold_names_the_same_document_and_step(self):
+        _, _, m, stacked = self.side(n_docs=30)
+        first = np.cumsum(stacked.lengths) - stacked.lengths
+        tags = stacked.tags.copy()
+        for k, step in ((7, 5), (20, 3)):  # an inside tag after background
+            tags[first[k] + step - 1 : first[k] + step + 1] = [0, m.tags.inside(0)]
+        bad = learning.StackedExamples(stacked.doc_ids, stacked.lengths, stacked.obs, tags)
+        for examples in (bad, list(bad)[::-1]):
+            with pytest.raises(InconsistentGold) as exc:
+                train(m, examples, TrainConfig(max_iter=1))
+            assert (exc.value.doc_id, exc.value.step) == (stacked.doc_ids[20], 3)

@@ -170,7 +170,7 @@ class TestModelStructure:
         with pytest.raises(InvalidSpec, match=match):
             m.validate()
 
-    @pytest.mark.parametrize("card", [0, 2.5, "3", None])
+    @pytest.mark.parametrize("card", [0, 2.5, "3", None, True, np.bool_(True)])
     def test_bad_observable(self, card):
         with pytest.raises(InvalidSpec, match=re.escape(f"cardinality {card!r}")):
             build_model(("a",), {"lemma": card})
