@@ -181,7 +181,8 @@ def score_documents(docs, predictions, fields, mode="slot"):
     ``slot`` mode scores one answer per document and field: the field is
     credited when any predicted filler string matches any gold filler
     string in the document. ``occurrence`` mode counts every span and
-    requires exact token boundaries.
+    requires exact token boundaries. A predicted span that ends past its
+    document raises :class:`InvalidSpec` naming both, in either mode.
     """
     check_match_mode(mode)
     if len(docs) != len(predictions):
@@ -190,6 +191,10 @@ def score_documents(docs, predictions, fields, mode="slot"):
         )
     scores = {f: FieldScore() for f in fields}
     for doc, spans in zip(docs, predictions):
+        n_tokens = len(doc.type_ids)
+        for span in spans:
+            if span.end_token >= n_tokens:
+                raise InvalidSpec(f"{doc.id}: predicted {span} ends past its {n_tokens} tokens")
         for f in fields:
             gold = [s for s in doc.gold_spans if s.field == f]
             pred = [s for s in spans if s.field == f]
@@ -272,7 +277,10 @@ def _run_split(cfgs, lexicons, run_index, train_docs, test_docs):
     masked views of it; the packing is dropped before the next structure
     packs, so at most one is alive. The test side is numbered by its
     distinct observation rows once (:func:`~bien.model.number_observations`).
-    Each config reads both through its mask."""
+    Every config trains first. The last packing and the training examples
+    are dropped before any config decodes, so that decoding's table of
+    forward scores (:func:`~bien.inference.viterbi_batch`) is not held
+    beside them. Each config reads both sides through its mask."""
     cfg = cfgs[0]
     gazetteer = build_gazetteer(
         train_docs,
@@ -290,27 +298,31 @@ def _run_split(cfgs, lexicons, run_index, train_docs, test_docs):
         [len(doc.type_ids) for doc in test_docs],
         list(cardinalities.values()),
     )
-    outs = [None] * len(cfgs)
+    fits = [None] * len(cfgs)
     for memory in dict.fromkeys(c.memory for c in cfgs):
         if memory != model.memory:  # train fits a copy, so a model is reused
             model = build_model(cfgs[0].fields, cardinalities, memory=memory)
         packing = pack(model, examples)
         for i, cfg in enumerate(cfgs):
-            if cfg.memory != memory:
-                continue
-            fitted = train(model, packing.masked(cfg.mask), cfg.train)
-            rows = test_side.masked(mask_columns(cfg.mask))
-            run = _score_run(cfg, fitted, test_docs, rows, run_index, len(train_docs))
-            outs[i] = (run, fitted.model, gazetteer)
-        del packing  # before the next structure packs
+            if cfg.memory == memory:
+                fits[i] = train(model, packing.masked(cfg.mask), cfg.train)
+        del packing  # before the next structure packs, or the first config decodes
+    del examples
+    outs = []
+    for cfg, fitted in zip(cfgs, fits):
+        rows = test_side.masked(mask_columns(cfg.mask))
+        run = _score_run(cfg, fitted, test_docs, rows, run_index, len(train_docs))
+        outs.append((run, fitted.model, gazetteer))
     return outs
 
 
 def _score_run(cfg, fitted, test_docs, test_side, run_index, n_train):
     """Decode ``test_side``, the test documents' observations masked as
     ``cfg`` says, with the trained model of ``fitted`` and score it: the
-    split's :class:`RunResult`. The chain and the decoded paths are freed
-    on return, before the next config trains."""
+    split's :class:`RunResult`. It runs once every config of the split has
+    trained and the training packings are dropped (:func:`_run_split`).
+    The chain and the decoded paths are freed on return, before the next
+    config decodes."""
     chain = compile_chain(fitted.model)
     decoded = decode_batch(chain, test_side)
     predictions = [result.spans for result in decoded]
@@ -394,10 +406,10 @@ def run_ablations(corpus, cfg, jobs=1, variants=None):
       rows, once.
     - Per memory structure (``no memory`` against the rest): the training
       side is packed for EM once, and dropped once that structure's
-      variants are done, before the next structure packs.
-    - Per variant: the model is trained on that packing and compiled, and
-      the test side is decoded and scored, both read through the
-      variant's mask.
+      variants have trained, before the next structure packs.
+    - Per variant: the model is trained on that packing, read through the
+      variant's mask. Once every variant has trained, each is compiled,
+      and the test side is decoded and scored through its mask.
 
     ``variants=None`` runs every entry of
     :data:`ABLATIONS`; an empty, unknown or repeated variant list raises

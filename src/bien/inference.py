@@ -21,6 +21,11 @@ tiling copy. Its backpointers are flat indices into the step's scores,
 which the gather reads unchecked. The max-only step of ``viterbi_batch``
 is slower for one document, so ``viterbi`` keeps the argmax.
 
+``viterbi_batch`` packs the whole batch in one time-major layout, so it
+gathers the emission scores once and walks every document back in one
+backtrace. Only its forward pass works in chunks of documents, each a
+slice of the layout at every step.
+
 ``viterbi`` scores a document's observation matrix (``Evidence``);
 ``ClampedEvidence`` in ``tests/oracles.py`` adds per-token -inf masks on
 tag and segment values. ``viterbi_batch`` reads one ``(R, S)`` table of
@@ -36,12 +41,16 @@ import numpy as np
 from .errors import InvalidSpec, ZeroProbabilityEvidence
 from .model import TimeMajor
 
-# Documents per packed chunk in ``viterbi_batch``. Each step's (S, k, S)
-# score block then stays cache-sized at 42 states. On 2 vCPU (AMD EPYC,
-# 2 MiB L2), decoding the 5 test sides of the default experiment on
+# Documents per chunk of ``viterbi_batch``'s forward pass. Only that pass
+# is chunked: the batch has one layout, one emission gather and one
+# backtrace, over a table of forward scores for the whole batch (3.8 MB on
+# a holdout test side of ``generate_corpus(485, 1993)``). Each step's
+# (S, k, S) score block stays cache-sized at 42 states. On 2 vCPU (AMD
+# EPYC, 2 MiB L2), decoding the 5 test sides of the default experiment on
 # ``generate_corpus(485, 1993)`` (56,749 tokens) took about 1.77, 1.44,
 # 1.32, 1.32, 1.36 and 1.48 us per token at 8, 16, 32, 48, 64 and 97 (all)
-# documents per chunk; 32 ties 48 with the smaller block.
+# documents per chunk (each chunk then had a layout of its own); 32 ties 48
+# with the smaller block.
 _BATCH_DOCS = 32
 
 
@@ -122,20 +131,26 @@ def viterbi(chain, evidence):
 def viterbi_batch(chain, table, rows):
     """``viterbi`` for many documents, document i scoring ``table[rows[i]]``:
     ``(path, score)`` per document, in input order, each identical to what
-    ``viterbi`` returns for those emission scores. Unless ``table`` is a
-    float64 ``(R, S)`` array and each of ``rows`` a 1-D integer array in
-    ``0 .. R - 1``, this raises :class:`InvalidSpec` before decoding.
+    ``viterbi`` returns for those emission scores; the paths are views of
+    one array. Unless ``table`` is a float64 ``(R, S)`` array and each of
+    ``rows`` a 1-D integer array in ``0 .. R - 1``, this raises
+    :class:`InvalidSpec` before decoding.
 
-    Documents are sorted longest first and cut into chunks of
-    ``_BATCH_DOCS``, each packed in a :class:`bien.model.TimeMajor`
-    layout. The forward pass keeps only each state's best score: per step,
-    one add lays out every move of every live document predecessor-major,
-    ``(S, m, S)``, and one maximum over the leading axis reduces it. The
-    backtrace then finds each document's best predecessors along its own
-    path only, one step at a time for the whole chunk. If any document has
-    no live state at some step, this raises the
-    :class:`ZeroProbabilityEvidence` of the first such document in input
-    order, at its first dead step.
+    The batch is packed in one :class:`bien.model.TimeMajor` layout, its
+    documents sorted longest first, and one gather of the emission scores
+    makes the table of forward scores, one row per token: 11,435 x 42
+    float64 (3.8 MB) on a holdout test side of ``generate_corpus(485,
+    1993)``. The forward pass keeps only each state's best score. It runs
+    chunk by chunk, over runs of ``_BATCH_DOCS`` documents of that order;
+    as the documents alive at a step are a prefix of the order, a chunk's
+    rows at each step are one slice of the layout. Per step, one add lays
+    out every move of the chunk's live documents predecessor-major,
+    ``(S, m, S)``, and one maximum over the leading axis reduces it. One
+    backtrace then walks every document back at once: per step, one
+    gather of the moves into each live document's state, one add of the
+    previous scores and one ``argmax``. If any document has no live state
+    at some step, this raises the :class:`ZeroProbabilityEvidence` of the
+    first such document in input order, at its first dead step.
     """
     table, S = np.asarray(table), chain.n_states
     try:
@@ -154,73 +169,60 @@ def viterbi_batch(chain, table, rows):
             f"emissions must be a float64 (R, {S}) table and 1-D integer row numbers "
             f"in 0 .. R - 1, got a {table.dtype} table of shape {table.shape}"
         )
-    order = np.argsort([-len(r) for r in rows], kind="stable").tolist()
-    # trans_rep[i, d, j] holds the score of the move i -> j once per chunk
-    # slot d, so the step's add broadcasts only the previous scores
-    trans_rep = np.empty((S, min(len(order), _BATCH_DOCS), S))
-    trans_rep[:] = chain.log_trans[:, None, :]
-    trans_T = chain.log_trans.T.copy()  # row j: scores of every move into j
-    results = {}
-    dead = {}  # input index -> first dead step
-    for lo in range(0, len(order), _BATCH_DOCS):
-        chunk = order[lo : lo + _BATCH_DOCS]
-        decoded, chunk_dead = _viterbi_chunk(
-            chain, trans_rep, trans_T, table, [rows[i] for i in chunk]
-        )
-        results.update(zip(chunk, decoded))
-        dead.update((chunk[p], step) for p, step in chunk_dead.items())
-    if dead:
-        step = dead[min(dead)]
-        raise ZeroProbabilityEvidence(f"no state admits token {step}", step=step)
-    return [results[i] for i in range(len(rows))]
-
-
-def _viterbi_chunk(chain, trans_rep, trans_T, table, rows):
-    """``(path, score)`` per document p, scoring ``table[rows[p]]``, for
-    documents sorted longest first (so that their layout keeps their
-    order), and ``{p: first dead step}`` where no state admits a step."""
-    S = chain.n_states
-    k = len(rows)
+    n = len(rows)
+    if not n:
+        return []
     lengths = [len(r) for r in rows]
     layout = TimeMajor(lengths)
-    steps, live = layout.steps, layout.live.tolist() + [0]
-    packed = layout.rows()
-    doc_rows = np.split(packed, np.cumsum(lengths[:-1]))
+    starts, live = layout.starts.tolist(), layout.live.tolist() + [0]
     # each packed row's table row, so one gather makes ``best``, with no temporary
+    packed = layout.rows()
     table_rows = np.empty(len(packed), dtype=np.intp)
-    table_rows[packed] = np.concatenate(rows)
+    table_rows[packed] = flat
     best = table[table_rows]  # the packed emissions, until the recursion adds to them
-    moves = np.empty((S, k, S))
-    into = np.empty((k, S))
-    if steps:
-        best[steps[0][0]] += chain.log_init
-    # per step, for the m documents alive: score every move, keep each
-    # state's best, add the emission
-    for (cur, prev), m in zip(steps[1:], live[1:]):
-        np.add(trans_rep[:, :m], best[prev].T[:, :, None], out=moves[:, :m])
-        np.maximum.reduce(moves[:, :m], axis=0, out=into[:m])
-        best[cur] += into[:m]
+    best[: live[0]] += chain.log_init
+    # trans_rep[i, d, j] holds the score of the move i -> j once per chunk
+    # slot d, so the step's add broadcasts only the previous scores
+    trans_rep = np.empty((S, min(n, _BATCH_DOCS), S))
+    trans_rep[:] = chain.log_trans[:, None, :]
+    moves = np.empty_like(trans_rep)
+    into = np.empty((n, S))
+    # per chunk and step, for the m documents of the chunk alive: score
+    # every move, keep each state's best, add the emission
+    ranked = layout.lengths[layout.order]  # the lengths, longest first
+    for lo, T in zip(range(0, n, _BATCH_DOCS), ranked[::_BATCH_DOCS].tolist()):
+        for t in range(1, T):
+            m = min(live[t] - lo, _BATCH_DOCS)
+            cur, prev = starts[t] + lo, starts[t - 1] + lo
+            np.add(trans_rep[:, :m], best[prev : prev + m].T[:, :, None], out=moves[:, :m])
+            np.maximum.reduce(moves[:, :m], axis=0, out=into[:m])
+            best[cur : cur + m] += into[:m]
     # Backtrace. A document starts at the first best state of its last
     # step; each earlier state is the first best predecessor of the state
     # after it.
+    nonempty = np.arange(live[0])  # the ranks of the non-empty documents
+    last = best[layout.starts[ranked[: live[0]] - 1] + nonempty]  # their last rows
+    first = last.argmax(axis=1)
+    score = np.zeros(n)  # an empty document scores 0
+    score[nonempty] = last[nonempty, first]
+    trans_T = chain.log_trans.T.copy()  # row j: scores of every move into j
     path = np.empty(len(best), dtype=np.int64)
-    state = np.empty(k, dtype=np.intp)
-    score = np.zeros(k)  # an empty document scores 0
-    for t in range(len(steps) - 1, -1, -1):
-        (cur, prev), m, ending = steps[t], live[t], live[t + 1]
-        if ending < m:  # the documents whose last step is t
-            last = best[cur][ending:]
-            state[ending:m] = last.argmax(axis=1)
-            score[ending:m] = last[np.arange(m - ending), state[ending:m]]
+    state = np.empty(n, dtype=np.intp)
+    for t in range(len(layout.steps) - 1, -1, -1):
+        (cur, prev), m, ending = layout.steps[t], live[t], live[t + 1]
+        state[ending:m] = first[ending:m]  # the documents whose last step is t
         path[cur] = state[:m]
         if prev is not None:
             np.add(trans_T[state[:m]], best[prev], out=into[:m])
             into[:m].argmax(axis=1, out=state[:m])
     # a step with no live state leaves every later step dead as well, so
     # only a document whose last step has no finite score can have one
-    dead = {}
-    for p in np.flatnonzero(~(score > -np.inf)).tolist():
-        steps_dead = np.flatnonzero(best[doc_rows[p]].max(axis=1) == -np.inf)
-        if steps_dead.size:
-            dead[p] = int(steps_dead[0])
-    return [(path[rows], score.item(p)) for p, rows in enumerate(doc_rows)], dead
+    for r in sorted(np.flatnonzero(~(score > -np.inf)).tolist(), key=layout.order.item):
+        dead = np.flatnonzero(best[layout.starts[: ranked[r]] + r].max(axis=1) == -np.inf)
+        if dead.size:
+            step = int(dead[0])
+            raise ZeroProbabilityEvidence(f"no state admits token {step}", step=step)
+    scores = np.empty(n)
+    scores[layout.order] = score  # in input order
+    paths = np.split(path[packed], np.cumsum(lengths[:-1]))
+    return list(zip(paths, scores.tolist()))

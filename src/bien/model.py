@@ -106,10 +106,10 @@ class Cpt:
     def validate(self, atol=1e-9):
         if (self.table < -atol).any():
             raise InvalidSpec(f"cpt {self.name}: negative probability")
-        if np.where(~self.allowed, self.table, 0.0).any():
+        if np.any(self.table, where=~self.allowed):
             raise InvalidSpec(f"cpt {self.name}: mass outside allowed support")
         sums = np.atleast_1d(self.table.sum(axis=-1))
-        bad = ~np.isclose(sums, 1.0, rtol=0.0, atol=atol)
+        bad = ~(np.abs(sums - 1.0) <= atol)  # a NaN sum is bad too
         if bad.any():
             raise InvalidSpec(f"cpt {self.name}: a row sums to {sums[bad].flat[0]}")
 
@@ -354,7 +354,7 @@ def _ranked(key, shift):
 class TimeMajor:
     """Documents of the given lengths unrolled time-major into the rows of
     one table, with no padding: the layout of EM's forward-backward and of
-    each chunk of the batched Viterbi.
+    the batched Viterbi.
 
     The documents are sorted longest first, stably (``order``), and step t
     holds one row per document longer than t, in that order: ``live[t]``

@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from bien import evaluation, learning
+from bien import evaluation, inference, learning
 from bien import features as features_module
 from bien import model as model_module
 from bien.corpus import SplitPlan, TagSpan, parse_tagged_document
@@ -249,6 +249,18 @@ class TestScoreDocuments:
         docs = [parse(f"<stime>{h} pm</stime> talk") for h in (3, 4, 5)]
         with pytest.raises(InvalidSpec, match="3 documents but 1 prediction lists"):
             score_documents(docs, [[]], FIELDS)
+
+    @pytest.mark.parametrize("mode", ["slot", "occurrence"])
+    def test_span_past_the_document_raises(self, mode):
+        """Unchecked, slot mode would score the truncated filler, and both
+        modes would count the span as produced."""
+        quiet, _ = parse_tagged_document("no speaker today", "quiet", fields=FIELDS)
+        docs = [parse("<speaker>li wu</speaker> presents"), quiet]
+        for span in (TagSpan("speaker", 10**6, 10**6 + 2), TagSpan("speaker", 1, 3)):
+            with pytest.raises(InvalidSpec, match=re.escape(f"quiet: predicted {span} ends")):
+                score_documents(docs, [[], [span]], FIELDS, mode=mode)
+        scores = score_documents(docs, [[], [TagSpan("speaker", 1, 2)]], FIELDS, mode=mode)
+        assert scores["speaker"].produced == 1
 
     def test_macro_f1(self):
         scores = {
@@ -649,8 +661,12 @@ class TestExperimentProtocol:
     ):
         """Per split, the training side is packed once per model structure
         and the test side numbered once; ``run_experiment`` is the
-        one-config case. No packing is alive when the next one is built."""
+        one-config case. No packing is alive when the next one is built.
+        Neither a packing nor the training examples are alive while a test
+        side decodes, and a decode lays the side out once."""
         built, numbered, alive = [], [], set()
+        layouts = []  # per decode_batch call, the layouts it built
+        examples_alive = set()
 
         class Counted(learning._FactoredBatch):
             def __init__(self, model, examples):
@@ -664,15 +680,37 @@ class TestExperimentProtocol:
             numbered.append(args)
             return number_observations(*args)
 
+        class Layout(inference.TimeMajor):
+            def __init__(self, lengths):
+                layouts[-1] += 1
+                super().__init__(lengths)
+
+        def make_examples(*args):
+            examples = learning.make_examples(*args)
+            examples_alive.add(id(examples))
+            weakref.finalize(examples, examples_alive.discard, id(examples))
+            return examples
+
+        def decoding(chain, numbered):
+            assert not alive, "a packing is alive while a test side decodes"
+            assert not examples_alive, "training examples are alive while a test side decodes"
+            layouts.append(0)
+            return decode_batch(chain, numbered)
+
         monkeypatch.setattr(learning, "_FactoredBatch", Counted)
         monkeypatch.setattr(evaluation, "number_observations", counted)
         monkeypatch.setattr(model_module, "number_observations", counted)
+        monkeypatch.setattr(evaluation, "decode_batch", decoding)
+        monkeypatch.setattr(evaluation, "make_examples", make_examples)
+        monkeypatch.setattr(inference, "TimeMajor", Layout)
         corpus, cfg = tiny_corpus(), tiny_config(runs=runs)
         if variants == ("complete",):
             run_experiment(corpus, cfg)
         else:
             run_ablations(corpus, cfg, variants=variants)
         assert len(built) == packings and len(numbered) == numberings
+        n_configs = len(evaluation.ABLATIONS if variants is None else variants)
+        assert layouts == [1] * (n_configs * runs)
         if variants is None:
             assert built == [True, False]
 

@@ -11,6 +11,7 @@ from oracles import (
     viterbi_reference,
 )
 
+from bien import inference
 from bien.errors import InvalidSpec, NumericError, ZeroProbabilityEvidence
 from bien.inference import _BATCH_DOCS, Evidence, viterbi, viterbi_batch
 from bien.model import build_model, compile_chain
@@ -353,16 +354,20 @@ class TestViterbiBatch:
 
     @pytest.mark.parametrize("memory", [True, False])
     def test_forced_ties_break_toward_lowest_index(self, memory):
+        """In one chunk, and with documents of one length at ranks 20 to
+        39, across the edge between the first chunk and the second."""
         chain = make_chain(("a", "b"), memory=memory, seed=4)
         for table in (chain.log_init, chain.log_trans):
             table[np.isfinite(table)] = np.log(0.5)
         K = len(chain.model.observables)
-        batch = [Evidence(np.full((T, K), -1, dtype=np.int16)) for T in (1, 9, 2, 5, 9)]
-        got = viterbi_batch(chain, *stacked(chain, batch))
-        for (path, score), ev in zip(got, batch, strict=True):
-            want_path, want_score = viterbi_reference(chain, ev)
-            np.testing.assert_array_equal(path, want_path)
-            assert np.float64(score).tobytes() == np.float64(want_score).tobytes()
+        across = np.random.default_rng(8).permutation([9] * 20 + [5] * 20 + [1] * 5).tolist()
+        for lengths in ((1, 9, 2, 5, 9), across):
+            batch = [Evidence(np.full((T, K), -1, dtype=np.int16)) for T in lengths]
+            got = viterbi_batch(chain, *stacked(chain, batch))
+            for (path, score), ev in zip(got, batch, strict=True):
+                want_path, want_score = viterbi_reference(chain, ev)
+                np.testing.assert_array_equal(path, want_path)
+                assert np.float64(score).tobytes() == np.float64(want_score).tobytes()
 
     def test_dead_document_raises_at_its_reference_step(self):
         chain = make_chain(("a",), seed=6)
@@ -380,17 +385,61 @@ class TestViterbiBatch:
             assert got.value.step == want.value.step == step
 
     def test_first_dead_document_in_input_order_is_reported(self):
-        """The later-sorted (shorter) document dies first in input order."""
+        """The later-sorted (shorter) document dies first in input order.
+        In the second batch it sorts into the second chunk, and dies at
+        step 4, after document 7 of the first chunk dies at step 1."""
         chain = make_chain(("a",), seed=6)
         rng = np.random.default_rng(4)
-        batch = []
-        for T, step in ((3, 1), (8, 5)):
-            allowed_ds = np.ones((T, 2), dtype=bool)
-            allowed_ds[step] = False
-            batch.append(ClampedEvidence(random_obs(chain.model, T, rng), allowed_ds=allowed_ds))
-        with pytest.raises(ZeroProbabilityEvidence) as got:
-            viterbi_batch(chain, *stacked(chain, batch))
-        assert got.value.step == 1
+        for lengths, dying, step in (
+            ([3, 8], {0: 1, 1: 5}, 1),
+            ([6] + [9] * (_BATCH_DOCS + 4), {0: 4, 7: 1}, 4),
+        ):
+            batch = []
+            for i, T in enumerate(lengths):
+                allowed_ds = np.ones((T, 2), dtype=bool)
+                if i in dying:
+                    allowed_ds[dying[i]] = False
+                obs = random_obs(chain.model, T, rng)
+                batch.append(ClampedEvidence(obs, allowed_ds=allowed_ds))
+            with pytest.raises(ZeroProbabilityEvidence) as want:
+                viterbi_reference(chain, batch[0])
+            with pytest.raises(ZeroProbabilityEvidence) as got:
+                viterbi_batch(chain, *stacked(chain, batch))
+            assert got.value.step == want.value.step == step
+
+    @pytest.mark.parametrize("n_docs, n_empty", [
+        (32, 0), (33, 1), (64, 32), (65, 32), (97, 0), (97, 33),
+    ])
+    def test_chunk_edges_match_reference(self, n_docs, n_empty):
+        """Whole chunks, a last chunk of one document (33, 65 and 97
+        documents), and zero-token documents, which sort last, starting at
+        a chunk edge (33, 64 and 97 with 33 empty) or straddling one (65)."""
+        chain = make_chain(FOUR_FIELDS, seed=5)
+        rng = np.random.default_rng(100 * n_docs + n_empty)
+        lengths = np.r_[rng.integers(1, 12, n_docs - n_empty), np.zeros(n_empty, dtype=int)]
+        batch = [random_evidence(chain, int(T), rng) for T in rng.permutation(lengths)]
+        got = viterbi_batch(chain, *stacked(chain, batch))
+        for (path, score), ev in zip(got, batch, strict=True):
+            want_path, want_score = viterbi_reference(chain, ev)
+            np.testing.assert_array_equal(path, want_path)
+            assert path.dtype == want_path.dtype
+            assert np.float64(score).tobytes() == np.float64(want_score).tobytes()
+
+    def test_one_layout_per_batch(self, monkeypatch):
+        """A batch of four chunks is packed in one layout."""
+        built = []
+
+        class Counted(inference.TimeMajor):
+            def __init__(self, lengths):
+                built.append(len(lengths))
+                super().__init__(lengths)
+
+        monkeypatch.setattr(inference, "TimeMajor", Counted)
+        chain = make_chain(("a",), seed=6)
+        rng = np.random.default_rng(9)
+        batch = [random_evidence(chain, T, rng) for T in rng.integers(0, 8, 3 * _BATCH_DOCS + 1)]
+        assert len(viterbi_batch(chain, *stacked(chain, batch))) == len(batch)
+        assert built == [len(batch)]
 
     @pytest.mark.parametrize("bad", [
         lambda table, rows: (table[:, :-1], rows),

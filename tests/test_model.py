@@ -89,6 +89,10 @@ def negative_cell(m):
     m.cpts["ds_init"].table[:] = [1.5, -0.5]  # the row still sums to 1
 
 
+def nan_row(m):
+    m.cpts["emit:lemma"].table[1, 0, 2] = np.nan  # an allowed cell; no cell is negative
+
+
 def mass_off_support(m):
     # after background, inside a field is off the support; the row still sums to 1
     row = m.cpts["tag_trans"].table[0, LT_NONE, 0]
@@ -163,7 +167,8 @@ class TestModelStructure:
         (unnormalized_row, "ds_init: a row sums to 1.25$"),
         (negative_cell, "ds_init: negative probability"),
         (mass_off_support, "tag_trans: mass outside allowed support"),
-    ], ids=["unnormalized-row", "negative-cell", "off-support"])
+        (nan_row, "emit:lemma: a row sums to nan$"),
+    ], ids=["unnormalized-row", "negative-cell", "off-support", "nan-row"])
     def test_validate_catches_unnormalized_rows(self, fault, match):
         m = small_model()
         fault(m)
