@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AlignmentError, InvalidPlan, InvalidSpec, MalformedTag
+from .errors import AlignmentError, InvalidPlan, InvalidSpec, MalformedTag, check_int
 
 KIND_WORD = "word"
 KIND_NUMBER = "number"
@@ -698,10 +698,8 @@ def split(corpus, plan):
     n = len(corpus)
     if n < 2:
         raise InvalidPlan(f"a train/test split needs at least 2 documents, got {n}")
-    if isinstance(plan.runs, bool) or not isinstance(plan.runs, numbers.Integral) or plan.runs < 1:
-        raise InvalidPlan(f"runs must be an int >= 1, got {plan.runs!r}")
-    if isinstance(plan.seed, bool) or not isinstance(plan.seed, numbers.Integral):
-        raise InvalidPlan(f"seed must be an int, got {plan.seed!r}")
+    check_int("runs", plan.runs, 1, InvalidPlan)
+    check_int("seed", plan.seed, error=InvalidPlan)
     if not (isinstance(plan.train_fraction, numbers.Real) and 0.0 < plan.train_fraction < 1.0):
         raise InvalidPlan(f"train_fraction must be a real in (0, 1), got {plan.train_fraction!r}")
     n_train = int(round(plan.train_fraction * n))

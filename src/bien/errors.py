@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its int check."""
+
+import numbers
 
 
 class BienError(Exception):
@@ -48,7 +50,8 @@ class InvalidSpec(BienError):
     """A declaration or an argument is inconsistent: a bad field list or tag
     name, a bad or repeated observable, a CPT off its support, an unknown
     feature mask or match mode, gazetteer ids that are not 1..V, a malformed
-    training example, a repeated document id, an empty token or an inverted span."""
+    stack of training examples or of observations, document ids out of
+    order or repeated, an empty token or an inverted span."""
 
 
 class NumericError(BienError):
@@ -74,3 +77,12 @@ class InconsistentGold(DataError):
 
 class OverlappingSpans(DataError):
     """Gold spans assign one token to more than one field."""
+
+
+def check_int(name, value, least=None, error=InvalidSpec):
+    """Raise ``error`` saying that ``name`` must be an int (of at least
+    ``least``, unless None) if ``value`` is not one; a bool is not."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integral or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise error(f"{name} must be an int{bound}, got {value!r}")

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import concurrent.futures
 import itertools
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .corpus import SplitPlan, TagSpan, split
-from .errors import InvalidSpec
+from .errors import InvalidSpec, check_int
 # featurize stays importable here for the benchmark's tracer (perfbench/tracing.py)
 from .features import (  # noqa: F401
     build_gazetteer,
@@ -22,7 +21,7 @@ from .features import (  # noqa: F401
     mask_columns,
 )
 from .inference import Evidence, viterbi, viterbi_batch
-from .learning import TrainConfig, check_unique_ids, make_examples, pack, train
+from .learning import TrainConfig, check_increasing_ids, make_examples, pack, train
 from .model import (
     ROLE_BEGIN,
     ROLE_END,
@@ -131,7 +130,9 @@ def decode_batch(chain, numbered):
     is scored once (a holdout test side of ``generate_corpus(485, 1993)``
     has 271 among its 11,435 tokens). A row that does not fit the chain
     raises :class:`InvalidSpec`."""
-    decoded = viterbi_batch(chain, chain.log_emission(numbered.table), numbered.rows)
+    decoded = viterbi_batch(
+        chain, chain.log_emission(numbered.table), numbered.rows, numbered.lengths
+    )
     return [_decode_result(chain, path, score) for path, score in decoded]
 
 
@@ -356,8 +357,7 @@ def _run_variants(corpus, cfgs, jobs):
     ``jobs`` (an int >= 1, not a bool), every mask name, match mode and
     gazetteer setting, and the types of ``plan`` and ``train`` are checked
     before any work: a bad one raises :class:`InvalidSpec` naming it."""
-    if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:
-        raise InvalidSpec(f"jobs must be an int >= 1, got {jobs!r}")
+    check_int("jobs", jobs, 1)
     for cfg in cfgs:
         for name, kind in (("plan", SplitPlan), ("train", TrainConfig)):
             value = getattr(cfg, name)
@@ -371,7 +371,7 @@ def _run_variants(corpus, cfgs, jobs):
             cfg.gazetteer_window, cfg.gazetteer_min_freq, cfg.gazetteer_max_size
         )
     corpus = sorted(corpus, key=lambda d: d.id)
-    check_unique_ids([d.id for d in corpus])
+    check_increasing_ids([d.id for d in corpus])
     pairs = split(corpus, cfgs[0].plan)
     lexicons = default_lexicons()
     tasks = [

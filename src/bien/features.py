@@ -8,14 +8,13 @@ the observation model rather than the code space.
 from __future__ import annotations
 
 import itertools
-import numbers
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import KIND_PUNCT, KIND_SYMBOL, KIND_WORD, NA_VALUE
-from .errors import EmptyCorpus, EmptyVocabulary, InvalidSpec, MissingResource
+from .errors import EmptyCorpus, EmptyVocabulary, InvalidSpec, MissingResource, check_int
 from . import resources
 
 MASKED = -1
@@ -222,11 +221,9 @@ def check_gazetteer_settings(window, min_freq, max_size):
     at least 0, or ``min_freq`` or ``max_size`` unless it is an int of at
     least 1; a bool is not an int. A ``min_freq`` below 1 would keep every
     candidate, as 1 does."""
-    for name, value, least in (
-        ("window", window, 0), ("min_freq", min_freq, 1), ("max_size", max_size, 1)
-    ):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-            raise InvalidSpec(f"gazetteer {name} must be an int >= {least}, got {value!r}")
+    check_int("gazetteer window", window, 0)
+    check_int("gazetteer min_freq", min_freq, 1)
+    check_int("gazetteer max_size", max_size, 1)
 
 
 def _near_gold(group, window):

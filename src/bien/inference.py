@@ -29,7 +29,7 @@ slice of the layout at every step.
 ``viterbi`` scores a document's observation matrix (``Evidence``);
 ``ClampedEvidence`` in ``tests/oracles.py`` adds per-token -inf masks on
 tag and segment values. ``viterbi_batch`` reads one ``(R, S)`` table of
-emission scores and each document's row numbers into it.
+emission scores, a flat array of each token's row in it, and the lengths.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec, ZeroProbabilityEvidence
-from .model import TimeMajor
+from .model import TimeMajor, check_lengths
 
 # Documents per chunk of ``viterbi_batch``'s forward pass. Only that pass
 # is chunked: the batch has one layout, one emission gather and one
@@ -128,13 +128,14 @@ def viterbi(chain, evidence):
     return np.array(states, dtype=np.int64), score
 
 
-def viterbi_batch(chain, table, rows):
-    """``viterbi`` for many documents, document i scoring ``table[rows[i]]``:
-    ``(path, score)`` per document, in input order, each identical to what
+def viterbi_batch(chain, table, rows, lengths):
+    """``viterbi`` for many documents, document i scoring the table rows
+    that the next ``lengths[i]`` entries of ``rows`` number: ``(path,
+    score)`` per document, in input order, each identical to what
     ``viterbi`` returns for those emission scores; the paths are views of
-    one array. Unless ``table`` is a float64 ``(R, S)`` array and each of
-    ``rows`` a 1-D integer array in ``0 .. R - 1``, this raises
-    :class:`InvalidSpec` before decoding.
+    one array. Unless ``table`` is a float64 ``(R, S)`` array, ``rows`` 1-D
+    integers in ``0 .. R - 1`` and ``lengths`` split them
+    (:func:`bien.model.check_lengths`), this raises :class:`InvalidSpec`.
 
     The batch is packed in one :class:`bien.model.TimeMajor` layout, its
     documents sorted longest first, and one gather of the emission scores
@@ -152,33 +153,26 @@ def viterbi_batch(chain, table, rows):
     at some step, this raises the :class:`ZeroProbabilityEvidence` of the
     first such document in input order, at its first dead step.
     """
-    table, S = np.asarray(table), chain.n_states
-    try:
-        flat = np.concatenate(rows) if len(rows) else np.zeros(0, dtype=np.intp)
-    except ValueError:  # a 0-d row, or rows of different dimensions
-        flat = None
+    table, rows, S = np.asarray(table), np.asarray(rows), chain.n_states
     if not (
         table.dtype == np.float64
         and table.shape[1:] == (S,)
-        and flat is not None
-        and flat.dtype.kind in "iu"
-        and flat.ndim == 1
-        and (not flat.size or 0 <= flat.min() <= flat.max() < len(table))
+        and rows.dtype.kind in "iu"
+        and rows.ndim == 1
+        and (not rows.size or 0 <= rows.min() <= rows.max() < len(table))
     ):
         raise InvalidSpec(
             f"emissions must be a float64 (R, {S}) table and 1-D integer row numbers "
             f"in 0 .. R - 1, got a {table.dtype} table of shape {table.shape}"
         )
-    n = len(rows)
-    if not n:
-        return []
-    lengths = [len(r) for r in rows]
+    lengths = check_lengths(lengths, len(rows))
+    n = len(lengths)
     layout = TimeMajor(lengths)
     starts, live = layout.starts.tolist(), layout.live.tolist() + [0]
     # each packed row's table row, so one gather makes ``best``, with no temporary
     packed = layout.rows()
     table_rows = np.empty(len(packed), dtype=np.intp)
-    table_rows[packed] = flat
+    table_rows[packed] = rows
     best = table[table_rows]  # the packed emissions, until the recursion adds to them
     best[: live[0]] += chain.log_init
     # trans_rep[i, d, j] holds the score of the move i -> j once per chunk

@@ -23,9 +23,9 @@ Counts with the segments observed too are the oracles'
 A training side moves through featurization and packing as one array:
 :func:`make_examples` featurizes the documents in one pass and stacks
 their tags (:class:`StackedExamples`), and :func:`pack` checks that stack
-with one range check and numbers its rows with no per-example restacking.
-A list of :class:`TrainExample` is stacked first, so hand-built examples
-take the same path.
+against the model with one range check and numbers its rows with no
+per-example restacking. The stack is the one form a side takes: it checks
+everything that holds for any model once, when it is built.
 
 The packing of the examples (:func:`pack`) is tied to a model structure
 (memory, fields, and observable names and cardinalities), not to a mask:
@@ -47,9 +47,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCorpus, InconsistentGold, InvalidSpec, OverlappingSpans, UnknownField
+from .errors import check_int
 # featurize stays importable here for the benchmark's tracer (perfbench/tracing.py)
 from .features import featurize, featurize_docs, mask_columns  # noqa: F401
-from .model import LT_NONE, TimeMajor, check_observations, distinct_rows
+from .model import LT_NONE, TimeMajor, check_lengths, distinct_rows
 
 
 @dataclass(frozen=True)
@@ -79,20 +80,14 @@ class TrainConfig:
         least 1, ``alpha`` and ``tol`` finite and at least 0, and
         ``jitter`` finite in [0, 1), so that every jittered cell stays
         positive, and ``seed`` an int. A bool is not an int."""
-        if (
-            isinstance(self.max_iter, bool)
-            or not isinstance(self.max_iter, numbers.Integral)
-            or self.max_iter < 1
-        ):
-            raise InvalidSpec(f"TrainConfig.max_iter must be an int >= 1, got {self.max_iter!r}")
+        check_int("TrainConfig.max_iter", self.max_iter, 1)
         for name in ("alpha", "tol", "jitter"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
                 raise InvalidSpec(f"TrainConfig.{name} must be finite and >= 0, got {value!r}")
         if self.jitter >= 1:
             raise InvalidSpec(f"TrainConfig.jitter must be below 1, got {self.jitter!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
-            raise InvalidSpec(f"TrainConfig.seed must be an int, got {self.seed!r}")
+        check_int("TrainConfig.seed", self.seed)
 
 
 @dataclass
@@ -114,15 +109,44 @@ class TrainExample:
 class StackedExamples:
     """Training examples as one side: example i is document ``doc_ids[i]``,
     whose ``lengths[i]`` tokens are the next rows of ``obs`` and ``tags``.
-    Iterating yields each as a :class:`TrainExample` of views."""
+    Iterating yields each as a :class:`TrainExample` of views.
+
+    Built, it is checked once against all that holds for any model:
+    integer tags of at least 0 and codes of at least -1, one positive
+    length per id, splitting the rows, and ids strictly increasing, so
+    training does not depend on document order. No example raises
+    :class:`EmptyCorpus`, anything else :class:`InvalidSpec`, naming the
+    first example, in id order, whose tag or code is out of range."""
 
     doc_ids: tuple
     lengths: np.ndarray       # (n,) int64 tokens per example
     obs: np.ndarray           # (N, K) feature codes
     tags: np.ndarray          # (N,) integer gold tag values
 
-    def __len__(self):
-        return len(self.doc_ids)
+    def __post_init__(self):
+        obs, tags = np.asarray(self.obs), np.asarray(self.tags)
+        if not (
+            tags.dtype.kind in "iu" and tags.ndim == 1
+            and obs.dtype.kind in "iu" and obs.ndim == 2 and len(obs) == len(tags)
+        ):
+            raise InvalidSpec(
+                f"tags must be a 1-D integer array and observations an integer matrix, one "
+                f"row per tag; got {tags.dtype} {tags.shape} and {obs.dtype} {obs.shape}"
+            )
+        lengths = check_lengths(self.lengths, len(tags))
+        if len(lengths) != len(self.doc_ids):
+            raise InvalidSpec(f"{len(self.doc_ids)} document ids for {len(lengths)} lengths")
+        if not len(lengths):
+            raise EmptyCorpus("no training examples")
+        if lengths.min() < 1:
+            raise InvalidSpec(f"{self.doc_ids[int(lengths.argmin())]}: an example with no tokens")
+        check_increasing_ids(self.doc_ids)
+        for name, value in (("lengths", lengths), ("obs", obs), ("tags", tags)):
+            object.__setattr__(self, name, value)
+        _check_rows(
+            self, tags < 0, (obs < -1).any(axis=1),
+            "tags must be integers of at least 0", "observation codes must be at least -1",
+        )
 
     def __iter__(self):
         ends = np.cumsum(self.lengths).tolist()
@@ -167,7 +191,8 @@ def _tag_sequence(doc, tag_space):
 def make_examples(docs, gazetteer, lexicons, model, mask=()):
     """Featurize and tag-encode documents into training examples, stacked
     as one :class:`StackedExamples` in id order, zero-token documents
-    skipped; none left raises :class:`EmptyCorpus`.
+    skipped; none left raises :class:`EmptyCorpus`, and an id used twice
+    :class:`InvalidSpec`.
 
     Sorting by id makes the example order, and so training, invariant to
     the order the documents arrive in. The codes are one
@@ -190,73 +215,33 @@ def make_examples(docs, gazetteer, lexicons, model, mask=()):
     return StackedExamples(tuple(doc.id for doc in docs), lengths, obs, tags)
 
 
-def check_unique_ids(sorted_ids):
-    """Raise :class:`InvalidSpec` naming the first id that repeats in
-    ``sorted_ids``. Training and the protocol order documents by id, so
-    two documents with one id would be ordered by input order."""
-    for a, b in itertools.pairwise(sorted_ids):
+def check_increasing_ids(ids):
+    """Raise :class:`InvalidSpec` naming the first id of ``ids`` that
+    repeats or comes out of order. Training and the protocol order
+    documents by id, so one id twice would leave them in input order."""
+    for a, b in itertools.pairwise(ids):
         if a == b:
             raise InvalidSpec(f"document id {a!r} is used more than once")
+        if not a < b:
+            raise InvalidSpec(f"document ids must increase, got {a!r} before {b!r}")
+
+
+def _check_rows(side, bad_tags, bad_codes, tag_fault, code_fault):
+    """Raise :class:`InvalidSpec` naming the first example of ``side`` with
+    a row flagged in ``bad_tags`` or ``bad_codes`` (a bool per row): with
+    ``tag_fault`` if it has a flagged tag, else with ``code_fault``."""
+    n_rows = len(bad_tags)
+    first = [int(bad.argmax()) if bad.any() else n_rows for bad in (bad_tags, bad_codes)]
+    if min(first) == n_rows:
+        return
+    at_tag, at_code = np.searchsorted(np.cumsum(side.lengths), first, side="right").tolist()
+    i, fault = (at_tag, tag_fault) if at_tag <= at_code else (at_code, code_fault)
+    raise InvalidSpec(f"{side.doc_ids[i]}: {fault}")
 
 
 # ---------------------------------------------------------------------------
 # E-step
 # ---------------------------------------------------------------------------
-
-def _check_example(model, ex, cardinalities):
-    """Raise :class:`InvalidSpec` unless ``ex`` holds integer tags of the
-    model's tag space and one row of valid observation codes per tag."""
-    tags = np.asarray(ex.tags)
-    if tags.dtype.kind not in "iu" or tags.ndim != 1 or (
-        tags.min() < 0 or tags.max() >= model.tags.size
-    ):
-        raise InvalidSpec(
-            f"{ex.doc_id}: tags must be a 1-D integer array of values "
-            f"0 .. {model.tags.size - 1}"
-        )
-    try:
-        obs = check_observations(ex.obs, cardinalities)
-    except InvalidSpec as exc:
-        raise InvalidSpec(f"{ex.doc_id}: {exc}") from None
-    if len(obs) != len(tags):
-        raise InvalidSpec(f"{ex.doc_id}: {len(obs)} observation rows for {len(tags)} tags")
-
-
-def _stack_examples(model, examples):
-    """An iterable of :class:`TrainExample` as :class:`StackedExamples`, in
-    id order with zero-token examples skipped. No example left raises
-    :class:`EmptyCorpus`. Each example is checked on its own
-    (:func:`_check_example`), so that arrays of any integer type stack
-    exactly and a malformed example raises :class:`InvalidSpec` naming
-    it."""
-    examples = sorted((ex for ex in examples if len(ex.tags)), key=lambda ex: ex.doc_id)
-    if not examples:
-        raise EmptyCorpus("no non-empty training examples")
-    cardinalities = np.array([spec.cardinality for spec in model.observables])
-    for ex in examples:
-        _check_example(model, ex, cardinalities)
-    return StackedExamples(
-        tuple(ex.doc_id for ex in examples),
-        np.array([len(ex.tags) for ex in examples], dtype=np.int64),
-        np.concatenate([ex.obs for ex in examples], dtype=np.int64),
-        np.concatenate([ex.tags for ex in examples], dtype=np.int64),
-    )
-
-
-def _check_side(model, side):
-    """Raise :class:`InvalidSpec` unless every code and tag of ``side`` is
-    in range for ``model``. They are checked as one stack; only when the
-    check fails are the examples checked one by one, so that the error
-    names the first malformed one."""
-    cardinalities = np.array([spec.cardinality for spec in model.observables])
-    try:
-        check_observations(side.obs, cardinalities)
-        in_range = side.tags.min() >= 0 and side.tags.max() < model.tags.size
-    except InvalidSpec:
-        in_range = False
-    if not in_range:
-        for ex in side:  # some example is malformed, so this raises
-            _check_example(model, ex, cardinalities)
 
 
 def _transition_index(model, tags, lengths):
@@ -496,18 +481,24 @@ def _structure(model):
 
 
 def pack(model, examples):
-    """Training examples packed for EM under ``model``'s structure, for
-    :func:`train` to take in place of the examples. ``examples`` is a
-    :class:`StackedExamples`, as :func:`make_examples` returns, or an
-    iterable of :class:`TrainExample`, which is stacked first: sorted by
-    id, zero-token ones skipped. No examples left raises
-    :class:`EmptyCorpus`; an id used twice, or a tag or code out of range,
-    :class:`InvalidSpec` naming the first such example (see
-    :func:`_check_side`)."""
-    if not isinstance(examples, StackedExamples):
-        examples = _stack_examples(model, examples)
-    check_unique_ids(examples.doc_ids)
-    _check_side(model, examples)
+    """The :class:`StackedExamples` of :func:`make_examples` packed for EM
+    under ``model``'s structure, for :func:`train` to take in their place.
+    A column count not the model's raises :class:`InvalidSpec`, as does a
+    tag or code out of the model's range, naming the first example, in id
+    order, that holds one, and a tag fault before a code fault."""
+    cardinalities = np.array([spec.cardinality for spec in model.observables])
+    obs = examples.obs
+    if obs.shape[1] != len(cardinalities):
+        raise InvalidSpec(
+            f"observations must be an integer (T, {len(cardinalities)}) matrix, "
+            f"got {obs.dtype} of shape {obs.shape}"
+        )
+    _check_rows(
+        examples, examples.tags >= model.tags.size, (obs >= cardinalities).any(axis=1),
+        f"tags must be a 1-D integer array of values 0 .. {model.tags.size - 1}",
+        "observation codes must lie in -1 .. cardinality - 1 "
+        f"(cardinalities {cardinalities.tolist()})",
+    )
     return _FactoredBatch(model, examples)
 
 
@@ -515,16 +506,13 @@ def train(model, examples, config=TrainConfig()):
     """Fit every CPT by EM; returns the trained copy and the
     per-iteration data log-likelihood trace (likelihood of each iteration's
     starting model, so at ``alpha=0`` the trace never decreases).
-    Zero-token examples are skipped, as :func:`make_examples` skips empty
-    documents.
 
-    ``examples`` is the :class:`StackedExamples` of :func:`make_examples`
-    or a list of :class:`TrainExample`, packed for EM here (:func:`pack`)
-    and dropped on return, or a packing from :func:`pack` or a
-    :meth:`~_FactoredBatch.masked` view of one, which many ``train`` calls
-    share. Every way the trained tables and the trace are the same, bit
-    for bit. A packing built for a model of another structure raises
-    :class:`InvalidSpec` naming both.
+    ``examples`` is the :class:`StackedExamples` of :func:`make_examples`,
+    packed for EM here (:func:`pack`) and dropped on return, or a packing
+    from :func:`pack` or a :meth:`~_FactoredBatch.masked` view of one,
+    which many ``train`` calls share. Either way the trained tables and
+    the trace are the same, bit for bit. A packing built for a model of
+    another structure raises :class:`InvalidSpec` naming both.
 
     ``converged`` is True when the trace's relative change fell within
     ``config.tol`` before ``max_iter`` iterations. With the tags observed,

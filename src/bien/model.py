@@ -269,12 +269,13 @@ class CompiledChain:
 
 @dataclass(frozen=True)
 class ObservationRows:
-    """Observation matrices as their distinct rows: matrix i is
-    ``table[rows[i]]``, with ``table`` an int64 ``(R, K)`` array of
-    distinct rows (see :func:`number_observations`)."""
+    """Observation matrices as their distinct rows, ``table``, an int64
+    ``(R, K)`` array: matrix i is ``table`` at the next ``lengths[i]`` row
+    numbers of the flat int64 ``rows`` (see :func:`number_observations`)."""
 
     table: np.ndarray
-    rows: list
+    rows: np.ndarray
+    lengths: np.ndarray
 
     def masked(self, columns):
         """The same matrices with ``columns`` masked (-1) throughout: a
@@ -285,27 +286,23 @@ class ObservationRows:
             return self
         table = self.table.copy()
         table[:, columns] = -1
-        return ObservationRows(table, self.rows)
+        return ObservationRows(table, self.rows, self.lengths)
 
 
 def number_observations(obs, lengths, cardinalities):
     """Observation matrices stacked in ``obs``, matrix i its next
     ``lengths[i]`` rows, as :class:`ObservationRows`. ``obs`` is checked
-    once, as one matrix (:func:`check_observations`), and lengths that do
-    not sum to its rows raise :class:`InvalidSpec`. Only the distinct rows
-    and each matrix's row numbers are kept, not the stack."""
+    once, as one matrix (:func:`check_observations`), and ``lengths`` once
+    (:func:`check_lengths`). Only the distinct rows and the row number of
+    each row of the stack are kept, not the stack."""
     obs = check_observations(obs, cardinalities)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.sum() != len(obs) or (lengths < 0).any():
-        raise InvalidSpec(f"lengths {lengths.tolist()} do not split {len(obs)} observation rows")
+    lengths = check_lengths(lengths, len(obs))
     # a masked (-1) code is digit 0
     digits = (
         (obs[:, k].astype(np.int64) + 1, int(card) + 1) for k, card in enumerate(cardinalities)
     )
     row_of, first = distinct_rows(len(obs), digits)
-    ends = np.cumsum(lengths).tolist()
-    rows = [row_of[end - n : end] for end, n in zip(ends, lengths.tolist())]
-    return ObservationRows(obs[first].astype(np.int64), rows)
+    return ObservationRows(obs[first].astype(np.int64), row_of, lengths)
 
 
 def distinct_rows(n_rows, digits):
@@ -405,6 +402,22 @@ def check_observations(obs_matrix, cardinalities):
             f"(cardinalities {np.asarray(cardinalities).tolist()})"
         )
     return obs_matrix
+
+
+def check_lengths(lengths, n_rows):
+    """``lengths`` as an int64 array, once it is known to split ``n_rows``
+    stacked rows into runs: 1-D integers (or empty) of at least 0 summing
+    to ``n_rows``. Anything else raises :class:`InvalidSpec`."""
+    lengths = np.asarray(lengths)
+    if lengths.ndim != 1 or (lengths.size and lengths.dtype.kind not in "iu"):
+        raise InvalidSpec(
+            f"lengths must be a 1-D integer array, got {lengths.dtype} of shape {lengths.shape}"
+        )
+    lengths = lengths.astype(np.int64, copy=False)
+    # each length within 0 .. n_rows, so that the sum cannot wrap around
+    if lengths.sum() != n_rows or (lengths < 0).any() or (lengths > n_rows).any():
+        raise InvalidSpec(f"lengths {lengths.tolist()} do not split {n_rows} observation rows")
+    return lengths
 
 
 def compile_chain(model):

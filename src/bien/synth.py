@@ -26,12 +26,10 @@ methods do in a later release.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
 from .corpus import DEFAULT_FIELDS, KIND_NUMBER, KIND_PUNCT, KIND_SYMBOL, Document, _parse_block
-from .errors import InvalidSpec
+from .errors import check_int
 from .resources import load_ranked, load_wordlist
 
 DEFAULT_DOCS = 485
@@ -542,8 +540,7 @@ def generate_corpus(n_docs=DEFAULT_DOCS, seed=DEFAULT_SEED):
     the pos/chunk tags of all the block's tokens come from one gather.
     The draws do not depend on the block size."""
     for name, value in (("n_docs", n_docs), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-            raise InvalidSpec(f"generate_corpus {name} must be an int >= 0, got {value!r}")
+        check_int(f"generate_corpus {name}", value, 0)
     rng = _Draws(seed)
     pools = _Pools(rng)
     docs = []

@@ -13,7 +13,8 @@ same form. ``observed_counts`` tallies the counts of fully observed
 ``SegmentedExample`` data, which the exact maximum-likelihood tests
 normalize with the package's M-step.
 ``sample_example`` and ``sample_corpus`` draw test data from a model's
-generative story. ``viterbi_reference``, ``featurize_reference`` and
+generative story, and ``stack_examples`` stacks hand-built or sampled
+examples into the one form that ``pack`` and ``train`` take. ``viterbi_reference``, ``featurize_reference`` and
 ``build_gazetteer_reference`` are the plain per-step and per-token
 versions of the package's ``viterbi`` (and ``viterbi_batch``),
 ``featurize`` and ``build_gazetteer``, which must match them bit for bit.
@@ -77,7 +78,7 @@ from bien.features import (
     semantic_feature,
 )
 from bien.inference import Evidence
-from bien.learning import TrainExample
+from bien.learning import StackedExamples, TrainExample
 from bien.model import LT_NONE, ROLE_BACKGROUND, compile_chain
 
 
@@ -366,8 +367,8 @@ class PaddedLogBatch:
     """
 
     def __init__(self, model, examples):
-        D = len(examples)
         lengths = np.array([len(ex.tags) for ex in examples])
+        D = len(lengths)
         Tmax = int(lengths.max())
         K = len(model.observables)
         self.examples = examples
@@ -569,6 +570,21 @@ def sample_corpus(model, n_docs, rng, t_range=(4, 12)):
         sample_example(model, int(rng.integers(lo, hi + 1)), rng, doc_id=f"s{i:05d}")
         for i in range(n_docs)
     ]
+
+
+def stack_examples(examples):
+    """A list of examples, in list order, as one ``StackedExamples``: their
+    ids, lengths, and observations and tags concatenated as they are, so
+    that a malformed example makes a malformed stack. No examples make an
+    empty stack."""
+    if not examples:
+        return StackedExamples((), [], np.zeros((0, 0), np.int64), np.zeros(0, np.int64))
+    return StackedExamples(
+        tuple(ex.doc_id for ex in examples),
+        np.array([len(ex.tags) for ex in examples], dtype=np.int64),
+        np.concatenate([ex.obs for ex in examples]),
+        np.concatenate([ex.tags for ex in examples]),
+    )
 
 
 def viterbi_reference(chain, evidence):

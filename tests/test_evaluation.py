@@ -361,7 +361,8 @@ class TestDecode:
         numbered = number_matrices(obs_list, list(cards.values()))
         table = chain.log_emission(numbered.table)
         assert len(table) == len(np.unique(np.concatenate(obs_list), axis=0))
-        for obs, r in zip(obs_list, numbered.rows, strict=True):
+        rows = np.split(numbered.rows, np.cumsum(numbered.lengths)[:-1])
+        for obs, r in zip(obs_list, rows, strict=True):
             assert table[r].tobytes() == chain.log_emission(obs).tobytes()
         for result, obs in zip(decode_matrices(chain, obs_list), obs_list, strict=True):
             want = decode(chain, obs)
@@ -406,12 +407,25 @@ class TestDecode:
             number_observations(stack, [len(stack)], [5, 3])
         assert str(got.value) == str(want.value)
 
-    @pytest.mark.parametrize("lengths", [[6, 0, 3], [6, 0, 3, 9], [6, 4, -1, 8]])
+    @pytest.mark.parametrize("lengths", [
+        [6, 0, 3], [6, 0, 3, 9], [6, 4, -1, 8],
+        [2**62, 2**62, 2**62, 2**62 + 17],  # their int64 sum wraps around to 17
+    ])
     def test_lengths_that_do_not_split_the_stack_raise(self, lengths):
         rng = np.random.default_rng(16)
         model = build_model(("speaker", "location"), {"lemma": 5, "case": 3})
         stack = np.concatenate([sample_example(model, T, rng).obs for T in (6, 0, 3, 8)])
         with pytest.raises(InvalidSpec, match="do not split 17 observation rows"):
+            number_observations(stack, lengths, [5, 3])
+
+    @pytest.mark.parametrize("lengths", [[2.9, 3.1], [[2, 2]]], ids=["float", "2-d"])
+    def test_lengths_that_are_not_integers_raise(self, lengths):
+        """Float lengths would be truncated to 2 + 3, and a 2-D list would
+        raise a TypeError."""
+        rng = np.random.default_rng(16)
+        model = build_model(("speaker", "location"), {"lemma": 5, "case": 3})
+        stack = sample_example(model, 5, rng).obs
+        with pytest.raises(InvalidSpec, match="lengths must be a 1-D integer array"):
             number_observations(stack, lengths, [5, 3])
 
 
@@ -449,15 +463,15 @@ class TestSharedTestSide:
         chain = compile_chain(model)
         obs_list = [sample_example(model, T, rng).obs for T in (4, 7)]
         numbered = number_matrices(obs_list, [9, 3])  # numbered for a larger gazetteer
-        table, (first, second) = numbered.table, numbered.rows
+        table, rows, lengths = numbered.table, numbered.rows, numbered.lengths
         for bad_table, bad_rows, match in (
-            (set_lemma(table, 7), numbered.rows, "cardinality"),
-            (table, [first, np.array([-1])], "row numbers"),
-            (table, [first, np.array([len(table)])], "row numbers"),
-            (table, [first, second.astype(float)], "row numbers"),
+            (set_lemma(table, 7), rows, "cardinality"),
+            (table, np.r_[rows[:-1], -1], "row numbers"),
+            (table, np.r_[rows[:-1], len(table)], "row numbers"),
+            (table, rows.astype(float), "row numbers"),
         ):
             with pytest.raises(InvalidSpec, match=match):
-                decode_batch(chain, model_module.ObservationRows(bad_table, bad_rows))
+                decode_batch(chain, model_module.ObservationRows(bad_table, bad_rows, lengths))
 
 
 class TestGoldenDecode:

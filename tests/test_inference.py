@@ -306,13 +306,13 @@ def mixed_batches(clamp):
 
 
 def stacked(chain, evidences):
-    """The ``(table, rows)`` input of ``viterbi_batch`` for ``evidences``:
-    their ``log_emission`` rows stacked into one table, so that clamps
-    become -inf rows, and each document's row numbers into it."""
+    """The ``(table, rows, lengths)`` input of ``viterbi_batch`` for
+    ``evidences``: their ``log_emission`` rows stacked into one table, so
+    that clamps become -inf rows, every token's row number into it, and
+    the documents' lengths."""
     emis = [ev.log_emission(chain) for ev in evidences]
-    ends = np.cumsum([len(e) for e in emis], dtype=np.int64)
-    rows = [np.arange(end - len(e), end) for e, end in zip(emis, ends)]
-    return np.concatenate([np.zeros((0, chain.n_states)), *emis]), rows
+    table = np.concatenate([np.zeros((0, chain.n_states)), *emis])
+    return table, np.arange(len(table)), [len(ev) for ev in evidences]
 
 
 class TestViterbiBatch:
@@ -447,11 +447,11 @@ class TestViterbiBatch:
         lambda table, rows: (np.zeros(table.shape, dtype=np.int64), rows),
         lambda table, rows: (table.astype(np.float32), rows),
         lambda table, rows: (table[0], rows),
-        lambda table, rows: (table, [rows[0], np.array([-1])]),
-        lambda table, rows: (table, [rows[0], np.array([len(table)])]),
-        lambda table, rows: (table, [rows[0].astype(float), rows[1]]),
-        lambda table, rows: (table, [rows[0][:, None], rows[1][:, None]]),
-        lambda table, rows: (table, [rows[0], np.array(0)]),
+        lambda table, rows: (table, np.r_[rows[:-1], -1]),
+        lambda table, rows: (table, np.r_[rows[:-1], len(table)]),
+        lambda table, rows: (table, rows.astype(float)),
+        lambda table, rows: (table, rows[:, None]),
+        lambda table, rows: (table, np.array(0)),
     ], ids=["narrow-table", "wide-table", "integer-table", "float32-table", "1-d-table",
             "negative-row", "row-past-table", "float-rows", "2-d-rows", "0-d-row"])
     def test_malformed_input_is_a_typed_error(self, bad):
@@ -460,6 +460,21 @@ class TestViterbiBatch:
         from inside numpy."""
         chain = make_chain(("a",), seed=6)
         batch = [random_evidence(chain, T, np.random.default_rng(T)) for T in (3, 5)]
-        table, rows = bad(*stacked(chain, batch))
+        table, rows, lengths = stacked(chain, batch)
+        table, rows = bad(table, rows)
         with pytest.raises(InvalidSpec, match="must be a float64"):
-            viterbi_batch(chain, table, rows)
+            viterbi_batch(chain, table, rows, lengths)
+
+    @pytest.mark.parametrize("lengths, match", [
+        ([3, 4], "do not split 8"),
+        ([3, 6], "do not split 8"),
+        ([9, -1], "do not split 8"),
+        ([3.0, 5.0], "lengths must be a 1-D integer array"),
+        ([[3, 5]], "lengths must be a 1-D integer array"),
+    ], ids=["short", "long", "negative", "float", "2-d"])
+    def test_lengths_that_do_not_split_the_rows_raise(self, lengths, match):
+        chain = make_chain(("a",), seed=6)
+        batch = [random_evidence(chain, T, np.random.default_rng(T)) for T in (3, 5)]
+        table, rows, _ = stacked(chain, batch)
+        with pytest.raises(InvalidSpec, match=match):
+            viterbi_batch(chain, table, rows, lengths)

@@ -14,11 +14,13 @@ from oracles import (
     observed_counts,
     randomize_model,
     sample_corpus,
+    stack_examples,
     tag_name,
 )
 
 from bien import learning
 from bien.corpus import parse_tagged_document
+from bien.corpus import Document, TagSpan, TokenView, tokenize
 from bien.errors import (
     EmptyCorpus,
     InconsistentGold,
@@ -35,6 +37,7 @@ from bien.features import (
     featurize,
 )
 from bien.learning import (
+    StackedExamples,
     TrainConfig,
     TrainExample,
     _apply_jitter,
@@ -116,8 +119,6 @@ class TestEncodeTags:
         assert encode_tags(doc, one) is got
 
     def test_overlap_rejected(self):
-        from bien.corpus import Document, TagSpan, TokenView, tokenize
-
         toks = TokenView(*tokenize("a b c"))
         doc = Document(
             "d", "a b c", toks, (TagSpan("x", 0, 1), TagSpan("x", 1, 2))
@@ -127,8 +128,6 @@ class TestEncodeTags:
             encode_tags(doc, m.tags)
 
     def test_span_past_end_rejected(self):
-        from bien.corpus import Document, TagSpan, TokenView, tokenize
-
         toks = TokenView(*tokenize("a b"))
         doc = Document("d", "a b", toks, (TagSpan("x", 1, 5),))
         m = build_model(("x",), OBS)
@@ -201,7 +200,7 @@ class TestEstepEquivalence:
         m = randomize_model(build_model(("x", "y"), OBS, memory=memory), rng)
         examples = masked_examples(m, rng, segments=False)
         c1, ll1 = chain_estep(m, examples, observe_ds=False)
-        c2, ll2 = factored_estep(pack(m, examples), m)
+        c2, ll2 = factored_estep(pack(m, stack_examples(examples)), m)
         assert ll1 == pytest.approx(ll2, rel=1e-12)
         for name in c1:
             np.testing.assert_allclose(c2[name], c1[name], atol=1e-9)
@@ -257,7 +256,7 @@ class TestEstepEquivalence:
             padded.g[d, t],
             padded.obs[d, t],
         ])
-        batch = pack(m, examples)
+        batch = pack(m, stack_examples(examples))
         assert len(batch.row_trans) == len(np.unique(rows, axis=0)) < len(rows)
         c1, ll1 = padded.estep(m)
         c2, ll2 = factored_estep(batch, m)
@@ -282,7 +281,7 @@ class TestEstepEquivalence:
         for batch in (examples, [ex for ex in examples if len(ex.tags) == 1]):
             c1, ll1 = chain_estep(m, batch, observe_ds=False)
             padded = PaddedLogBatch(m, batch).estep(m)
-            for c2, ll2 in (padded, factored_estep(pack(m, batch), m)):
+            for c2, ll2 in (padded, factored_estep(pack(m, stack_examples(batch)), m)):
                 assert ll2 == pytest.approx(ll1, rel=1e-12)
                 for name in c1:
                     np.testing.assert_allclose(c2[name], c1[name], atol=1e-9)
@@ -293,11 +292,12 @@ class TestEstepEquivalence:
         m = randomize_model(build_model(("x",), OBS), rng)
         src = randomize_model(build_model(("x",), OBS), np.random.default_rng(5))
         examples = sample_corpus(src, 30, np.random.default_rng(6))
+        stacked = stack_examples(examples)
         for k in range(1, 9):
             cfg = TrainConfig(alpha=0.05, jitter=1e-3, seed=3, max_iter=k, tol=0.0)
-            fitted = train(m, examples, cfg).model
+            fitted = train(m, stacked, cfg).model
             c1, ll1 = chain_estep(fitted, examples, observe_ds=False)
-            c2, ll2 = factored_estep(pack(fitted, examples), fitted)
+            c2, ll2 = factored_estep(pack(fitted, stacked), fitted)
             assert ll1 == pytest.approx(ll2, rel=1e-9)
             for name in c1:
                 np.testing.assert_allclose(c2[name], c1[name], atol=1e-9)
@@ -306,7 +306,7 @@ class TestEstepEquivalence:
 class TestEmBehavior:
     def hidden_ds_examples(self, m, n=40, seed=9):
         src = randomize_model(m.copy(), np.random.default_rng(seed))
-        return sample_corpus(src, n, np.random.default_rng(seed + 1))
+        return stack_examples(sample_corpus(src, n, np.random.default_rng(seed + 1)))
 
     def test_likelihood_is_monotone_without_prior(self):
         m = build_model(("x", "y"), OBS)
@@ -345,26 +345,28 @@ class TestEmBehavior:
         )
 
     def test_example_order_does_not_matter(self):
-        m = build_model(("x",), OBS)
-        examples = self.hidden_ds_examples(m, n=15)
-        r1 = train(m, examples, TrainConfig(max_iter=5))
-        r2 = train(m, list(reversed(examples)), TrainConfig(max_iter=5))
-        for name in m.cpts:
-            assert np.array_equal(r1.model.cpts[name].table, r2.model.cpts[name].table)
+        """Documents in any order stack in id order, so they train alike;
+        a stack out of id order is refused (``TestStackedExamples``)."""
+        docs = generate_corpus(15, 3)
+        gaz = build_gazetteer(docs, LEX.lemma_table)
+        m = build_model(FIELDS, feature_cardinalities(gaz))
+        r1 = train(m, make_examples(docs, gaz, LEX, m), TrainConfig(max_iter=5))
+        r2 = train(m, make_examples(docs[::-1], gaz, LEX, m), TrainConfig(max_iter=5))
+        assert_same_training(r1, r2)
 
     def test_duplicate_doc_ids_raise(self):
         m = build_model(("x",), OBS)
         examples = [replace(e, doc_id="same") for e in self.hidden_ds_examples(m, n=15)]
         with pytest.raises(InvalidSpec, match="'same'"):
-            train(m, examples, TrainConfig(max_iter=5))
+            train(m, stack_examples(examples), TrainConfig(max_iter=5))
 
     def test_errors(self):
         m = build_model(("x",), OBS)
         with pytest.raises(EmptyCorpus):
-            train(m, [], TrainConfig())
+            train(m, stack_examples([]), TrainConfig())
         bad = [example("d", [m.tags.inside(0), 0], model=m)]
         for run in (
-            lambda: train(m, bad, TrainConfig(jitter=0.0)),
+            lambda: train(m, stack_examples(bad), TrainConfig(jitter=0.0)),
             lambda: chain_estep(m, bad, observe_ds=False),
         ):
             with pytest.raises(InconsistentGold) as exc:
@@ -392,7 +394,7 @@ class TestEmBehavior:
         step, doc_id = min((s, d) for d, s in steps.items())
         assert (doc_id, step) == (("d", 1) if with_earlier else ("a", 2))
         for run in (
-            lambda: train(m, docs, TrainConfig(jitter=0.0)),
+            lambda: train(m, stack_examples(docs), TrainConfig(jitter=0.0)),
             lambda: PaddedLogBatch(m, docs).estep(m),
         ):
             with pytest.raises(InconsistentGold) as exc:
@@ -400,21 +402,25 @@ class TestEmBehavior:
             assert (exc.value.doc_id, exc.value.step) == (doc_id, step)
 
     def test_zero_token_examples_are_skipped(self):
-        m = build_model(("x",), OBS)
-        examples = self.hidden_ds_examples(m, n=6)
-        empty = example("e", [], obs=np.zeros((0, 2)))
+        """``make_examples`` leaves zero-token documents out of the stack,
+        which holds no zero-token example (``TestStackedExamples``)."""
+        docs = generate_corpus(6, 3)
+        gaz = build_gazetteer(docs, LEX.lemma_table)
+        m = build_model(FIELDS, feature_cardinalities(gaz))
         cfg = TrainConfig(max_iter=3, tol=0.0)
-        r1 = train(m, examples, cfg)
-        r2 = train(m, examples + [empty], cfg)
-        assert r2.log_likelihood == r1.log_likelihood
-        for name in m.cpts:
-            assert np.array_equal(r1.model.cpts[name].table, r2.model.cpts[name].table)
+        r1 = train(m, make_examples(docs, gaz, LEX, m), cfg)
+        r2 = train(m, make_examples(docs + [empty_document("ann0002a")], gaz, LEX, m), cfg)
+        assert_same_training(r1, r2)
 
     def test_only_zero_token_examples_is_an_empty_corpus(self):
-        m = build_model(("x",), OBS)
-        empty = [example(f"e{i}", [], obs=np.zeros((0, 2))) for i in range(2)]
+        m = build_model(FIELDS, OBS)
+        empty = [empty_document(f"e{i}") for i in range(2)]
         with pytest.raises(EmptyCorpus):
-            train(m, empty, TrainConfig())
+            make_examples(empty, None, None, m)
+
+
+def empty_document(doc_id):
+    return Document(doc_id, "", TokenView(*tokenize("")), ())
 
 
 def reference_em(model, examples, config):
@@ -450,7 +456,7 @@ class TestEarlyExit:
     def test_train_matches_the_full_estep_loop(self, config, converged):
         m = build_model(("x", "y"), OBS)
         src = randomize_model(m.copy(), np.random.default_rng(9))
-        examples = sample_corpus(src, 40, np.random.default_rng(10))
+        examples = stack_examples(sample_corpus(src, 40, np.random.default_rng(10)))
         want, trace, want_converged = reference_em(m, examples, config)
         got = train(m, examples, config)
         assert got.converged == want_converged == converged
@@ -462,7 +468,7 @@ class TestEarlyExit:
     def test_the_last_m_step_applies_at_max_iter(self):
         m = build_model(("x", "y"), OBS)
         src = randomize_model(m.copy(), np.random.default_rng(9))
-        examples = sample_corpus(src, 40, np.random.default_rng(10))
+        examples = stack_examples(sample_corpus(src, 40, np.random.default_rng(10)))
         config = TrainConfig(max_iter=4, tol=0.0)
         got = train(m, examples, config)
         longer = train(m, examples, replace(config, max_iter=5))
@@ -518,12 +524,12 @@ class TestPack:
         packing = pack(m, examples)
         config = TrainConfig(max_iter=4, tol=0.0, seed=2)
         for mask in dict.fromkeys(ABLATIONS.values()):
-            masked = [replace(ex, obs=apply_mask(ex.obs, mask)) for ex in examples]
+            masked = stack_examples([replace(ex, obs=apply_mask(ex.obs, mask)) for ex in examples])
             got = train(m, packing.masked(mask), config)
             assert_same_training(got, train(m, masked, config))
         # the early exit on convergence too
         got = train(m, packing.masked(("case",)), TrainConfig())
-        masked = [replace(ex, obs=apply_mask(ex.obs, ("case",))) for ex in examples]
+        masked = stack_examples([replace(ex, obs=apply_mask(ex.obs, ("case",))) for ex in examples])
         assert_same_training(got, train(m, masked, TrainConfig()))
 
     def test_one_packing_for_every_view(self, monkeypatch):
@@ -538,12 +544,12 @@ class TestPack:
         m = build_model(("x", "y"), OBS)
         examples = sample_corpus(randomize_model(m, np.random.default_rng(3)), 12,
                                  np.random.default_rng(4))
-        packing = pack(m, examples + [example("empty", [], obs=np.zeros((0, 2)))])
+        packing = pack(m, stack_examples(examples))
         for view in (packing, packing.masked(("lemma",)), packing, packing.masked(())):
             train(m, view, TrainConfig(max_iter=2))
         assert len(built) == 1
-        # iterating yields the examples in training order, zero-token ones skipped
-        assert [ex.doc_id for ex in packing] == sorted(ex.doc_id for ex in examples)
+        # iterating yields the examples in training order
+        assert [ex.doc_id for ex in packing] == [ex.doc_id for ex in examples]
         assert [ex.doc_id for ex in packing.masked(("lemma",))] == [ex.doc_id for ex in packing]
 
     @pytest.mark.parametrize(
@@ -559,8 +565,8 @@ class TestPack:
     def test_another_structure_raises_naming_both(self, other, named):
         m = build_model(("x", "y"), OBS)
         packing = pack(
-            m, sample_corpus(randomize_model(m, np.random.default_rng(3)), 8,
-                             np.random.default_rng(4))
+            m, stack_examples(sample_corpus(randomize_model(m, np.random.default_rng(3)), 8,
+                                            np.random.default_rng(4)))
         )
         train(m, packing, TrainConfig(max_iter=1))
         with pytest.raises(InvalidSpec) as got:
@@ -571,13 +577,13 @@ class TestPack:
 
     def test_unknown_mask_name_raises(self):
         m = build_model(("x",), OBS)
-        packing = pack(m, [example("a", [0, m.tags.single(0), 0], model=m)])
+        packing = pack(m, stack_examples([example("a", [0, m.tags.single(0), 0], model=m)]))
         with pytest.raises(InvalidSpec, match="bogus"):
             packing.masked(("bogus",))
 
     def test_mask_past_the_model_columns_raises(self):
         m = build_model(("x",), OBS)
-        packing = pack(m, [example("a", [0, m.tags.single(0), 0], model=m)])
+        packing = pack(m, stack_examples([example("a", [0, m.tags.single(0), 0], model=m)]))
         with pytest.raises(InvalidSpec, match="2 observables"):
             packing.masked(("semantic",))
 
@@ -585,7 +591,7 @@ class TestPack:
         m = build_model(("x",), OBS)
         twice = [example("a", [0, m.tags.single(0), 0], model=m)] * 2
         with pytest.raises(InvalidSpec, match="'a' is used more than once"):
-            pack(m, twice)
+            pack(m, stack_examples(twice))
 
 
 class TestTrainConfig:
@@ -628,33 +634,51 @@ def malformed(obs, tags=(0, 0), dtype=np.int16):
     return TrainExample("bad", np.asarray(obs, dtype=dtype), np.asarray(tags))
 
 
+# Each malformed example, stacked between good ones. A tag or code out of
+# range names it; a stack that cannot be read, of the wrong type, shape or
+# column count, names no example.
+STACK_FAULT = "^tags must be a 1-D integer array and observations an integer matrix"
 MALFORMED = [
-    pytest.param(malformed([[3, 0], [0, 0]]), id="code-past-cardinality"),
-    pytest.param(malformed([[-2, 0], [0, 0]]), id="code-below-minus-one"),
+    pytest.param(malformed([[3, 0], [0, 0]]), "^bad: observation codes must lie in",
+                 id="code-past-cardinality"),
+    pytest.param(malformed([[-2, 0], [0, 0]]), "^bad: observation codes must be at least -1",
+                 id="code-below-minus-one"),
     pytest.param(malformed([[2**64 - 1, 0], [0, 0]], dtype=np.uint64),
-                 id="uint64-code-past-cardinality"),
-    pytest.param(malformed([[0, 0], [1, 1]], dtype=float), id="float-obs"),
-    pytest.param(malformed([[0], [1]]), id="wrong-column-count"),
-    pytest.param(malformed([[0, 0]]), id="fewer-obs-rows-than-tags"),
-    pytest.param(malformed([[0, 0]] * 3), id="more-obs-rows-than-tags"),
-    pytest.param(malformed([[0, 0]] * 2, tags=(0, 5)), id="tag-past-tag-space"),
-    pytest.param(malformed([[0, 0]] * 2, tags=(0, -1)), id="negative-tag"),
-    pytest.param(malformed([[0, 0]] * 2, tags=(0.0, 0.0)), id="float-tags"),
+                 "^bad: observation codes must lie in", id="uint64-code-past-cardinality"),
+    pytest.param(malformed([[0, 0], [1, 1]], dtype=float), STACK_FAULT, id="float-obs"),
+    pytest.param(malformed([[0], [1]]), r"^observations must be an integer \(T, 2\) matrix",
+                 id="wrong-column-count"),
+    pytest.param(malformed([[0, 0]]), STACK_FAULT, id="fewer-obs-rows-than-tags"),
+    pytest.param(malformed([[0, 0]] * 3), STACK_FAULT, id="more-obs-rows-than-tags"),
+    pytest.param(malformed([[0, 0]] * 2, tags=(0, 5)), "^bad: tags must be a 1-D integer array",
+                 id="tag-past-tag-space"),
+    pytest.param(malformed([[0, 0]] * 2, tags=(0, -1)), "^bad: tags must be integers of at least 0",
+                 id="negative-tag"),
+    pytest.param(malformed([[0, 0]] * 2, tags=(0.0, 0.0)), STACK_FAULT, id="float-tags"),
 ]
 
 
+def stacked_with(bad, good):
+    """``bad`` among the ``good`` examples, in id order, as one stack; the
+    good examples take ``bad``'s observation type and column count, so
+    that only ``bad`` is out of range."""
+    columns = bad.obs.shape[1]
+    good = [replace(ex, obs=ex.obs[:, :columns].astype(bad.obs.dtype)) for ex in good]
+    return stack_examples(sorted([*good, bad], key=lambda ex: ex.doc_id))
+
+
 class TestMalformedExamples:
-    @pytest.mark.parametrize("bad", MALFORMED)
-    def test_raises_invalid_spec(self, bad):
+    @pytest.mark.parametrize("bad, match", MALFORMED)
+    def test_raises_invalid_spec(self, bad, match):
         m = build_model(("x",), OBS)
         good = example("good", [0, m.tags.single(0), 0], model=m)
-        with pytest.raises(InvalidSpec, match="^bad: "):
-            train(m, [good, bad], TrainConfig(max_iter=1))
+        with pytest.raises(InvalidSpec, match=match):
+            train(m, stacked_with(bad, [good]), TrainConfig(max_iter=1))
 
-    @pytest.mark.parametrize("bad", MALFORMED)
-    def test_named_among_forty_good_examples(self, bad):
-        """The error names the malformed example, which sorts between the
-        good ones."""
+    @pytest.mark.parametrize("bad, match", MALFORMED)
+    def test_named_among_forty_good_examples(self, bad, match):
+        """A range fault names the malformed example, which sorts between
+        the good ones."""
         m = build_model(("x",), OBS)
         rng = np.random.default_rng(0)
         good = [
@@ -662,8 +686,8 @@ class TestMalformedExamples:
             for p in "ac"
             for i in range(20)
         ]
-        with pytest.raises(InvalidSpec, match="^bad: "):
-            train(m, good + [bad], TrainConfig(max_iter=1))
+        with pytest.raises(InvalidSpec, match=match):
+            train(m, stacked_with(bad, good), TrainConfig(max_iter=1))
 
 
 class TestSamplingRecovery:
@@ -710,8 +734,8 @@ class TestMakeExamples:
 
 
 class TestStackedExamples:
-    """``make_examples`` stacks a side; a list of ``TrainExample`` packs and
-    trains exactly as that stack does."""
+    """``make_examples`` stacks a side, which checks itself when built; a
+    stack and its packing train alike."""
 
     def side(self, memory=True, n_docs=40):
         docs = generate_corpus(n_docs, 4)
@@ -722,25 +746,25 @@ class TestStackedExamples:
     def test_rows_are_each_documents_features_and_tags(self):
         docs, gaz, m, stacked = self.side()
         docs = sorted(docs, key=lambda doc: doc.id)
-        assert stacked.doc_ids == tuple(doc.id for doc in docs) and len(stacked) == len(docs)
+        assert stacked.doc_ids == tuple(doc.id for doc in docs) and len(stacked.lengths) == len(docs)
         for ex, doc in zip(stacked, docs, strict=True):
             assert ex.doc_id == doc.id
             np.testing.assert_array_equal(ex.obs, featurize(doc, gaz, LEX))
             np.testing.assert_array_equal(ex.tags, encode_tags(doc, m.tags))
 
     @pytest.mark.parametrize("memory", [True, False], ids=["memory", "no-memory"])
-    def test_a_list_packs_and_trains_as_the_stack(self, memory):
-        _, _, m, stacked = self.side(memory)
-        listed = [TrainExample(ex.doc_id, ex.obs.copy(), ex.tags.copy()) for ex in stacked]
-        listed.reverse()  # stacking sorts by id
-        a, b = pack(m, stacked), pack(m, listed)
-        assert a.row_of.tobytes() == b.row_of.tobytes()
-        assert a.row_trans.tobytes() == b.row_trans.tobytes()
-        assert [e[:3] for e in a.emit] == [e[:3] for e in b.emit]
-        assert all(x[3].tobytes() == y[3].tobytes() for x, y in zip(a.emit, b.emit, strict=True))
+    def test_a_stack_and_its_packing_train_alike(self, memory):
+        """The stack and its packing train bit for bit alike, and so do a
+        masked view of the packing and the side featurized with that mask,
+        at the iteration cap and at convergence."""
+        docs, gaz, m, stacked = self.side(memory)
+        packing = pack(m, stacked)
+        masked = make_examples(docs, gaz, LEX, m, mask=("case",))
         for config in (TrainConfig(max_iter=4, tol=0.0, seed=2), TrainConfig()):
-            assert_same_training(train(m, stacked, config), train(m, listed, config))
-            assert_same_training(train(m, a, config), train(m, b, config))
+            assert_same_training(train(m, packing, config), train(m, stacked, config))
+            assert_same_training(
+                train(m, packing.masked(("case",)), config), train(m, masked, config)
+            )
 
     @pytest.mark.parametrize("fault, match", [
         ("tag", "tags must be a 1-D integer array"),
@@ -755,11 +779,20 @@ class TestStackedExamples:
                 tags[first[k] + 1] = m.tags.size
             else:
                 obs[first[k] + 1, 0] = gaz.cardinality
-        bad = learning.StackedExamples(stacked.doc_ids, stacked.lengths, obs, tags)
-        named = f"^{re.escape(stacked.doc_ids[7])}: {match}"
-        for examples in (bad, list(bad)[::-1]):
-            with pytest.raises(InvalidSpec, match=named):
-                pack(m, examples)
+        bad = StackedExamples(stacked.doc_ids, stacked.lengths, obs, tags)
+        with pytest.raises(InvalidSpec, match=f"^{re.escape(stacked.doc_ids[7])}: {match}"):
+            pack(m, bad)
+
+    def test_a_tag_fault_is_named_before_a_code_fault_of_a_later_example(self):
+        _, gaz, m, stacked = self.side(n_docs=30)
+        first = np.cumsum(stacked.lengths) - stacked.lengths
+        for code_doc, tag_doc, named in ((7, 7, 7), (7, 20, 7), (20, 7, 7)):
+            obs, tags = stacked.obs.copy(), stacked.tags.copy()
+            obs[first[code_doc] + 1, 0] = gaz.cardinality
+            tags[first[tag_doc] + 2] = m.tags.size
+            fault = "tags must" if tag_doc == named else "observation codes"
+            with pytest.raises(InvalidSpec, match=f"^{stacked.doc_ids[named]}: {fault}"):
+                pack(m, StackedExamples(stacked.doc_ids, stacked.lengths, obs, tags))
 
     def test_impossible_gold_names_the_same_document_and_step(self):
         _, _, m, stacked = self.side(n_docs=30)
@@ -767,8 +800,32 @@ class TestStackedExamples:
         tags = stacked.tags.copy()
         for k, step in ((7, 5), (20, 3)):  # an inside tag after background
             tags[first[k] + step - 1 : first[k] + step + 1] = [0, m.tags.inside(0)]
-        bad = learning.StackedExamples(stacked.doc_ids, stacked.lengths, stacked.obs, tags)
-        for examples in (bad, list(bad)[::-1]):
-            with pytest.raises(InconsistentGold) as exc:
-                train(m, examples, TrainConfig(max_iter=1))
-            assert (exc.value.doc_id, exc.value.step) == (stacked.doc_ids[20], 3)
+        bad = StackedExamples(stacked.doc_ids, stacked.lengths, stacked.obs, tags)
+        with pytest.raises(InconsistentGold) as exc:
+            train(m, bad, TrainConfig(max_iter=1))
+        assert (exc.value.doc_id, exc.value.step) == (stacked.doc_ids[20], 3)
+
+    @pytest.mark.parametrize("fields, error, match", [
+        (dict(doc_ids=(), lengths=[], obs=np.zeros((0, 2), np.int16), tags=np.zeros(0, int)),
+         EmptyCorpus, "no training examples"),
+        (dict(lengths=[2, 2, 1]), InvalidSpec, re.escape("lengths [2, 2, 1] do not split 6")),
+        (dict(lengths=[2, 3, 2]), InvalidSpec, re.escape("lengths [2, 3, 2] do not split 6")),
+        (dict(obs=np.zeros((5, 2), np.int16)), InvalidSpec, "one row per tag"),
+        (dict(tags=np.zeros((6, 1), int)), InvalidSpec, "tags must be a 1-D integer array"),
+        (dict(lengths=[2, 5, -1]), InvalidSpec, re.escape("lengths [2, 5, -1] do not split 6")),
+        (dict(doc_ids=("a", "b", "c", "d"), lengths=[2, 3, 1, 0]), InvalidSpec,
+         "^d: an example with no tokens"),
+        (dict(tags=np.zeros(6)), InvalidSpec, "tags must be a 1-D integer array"),
+        (dict(doc_ids=("a", "b", "c", "d")), InvalidSpec, "4 document ids for 3 lengths"),
+        (dict(doc_ids=("a", "b", "a")), InvalidSpec, "must increase, got 'b' before 'a'"),
+    ], ids=["empty", "lengths-short", "lengths-long", "obs-and-tag-rows-differ", "2-d-tags",
+            "negative-length", "trailing-zero-length", "float-tags", "more-ids-than-lengths",
+            "repeated-id-apart"])
+    def test_malformed_stack_is_a_typed_error(self, fields, error, match):
+        """Each stack raises as it is built, never from inside numpy, and
+        never trains."""
+        m = build_model(("x",), OBS)
+        good = dict(doc_ids=("a", "b", "c"), lengths=np.array([2, 3, 1]),
+                    obs=np.zeros((6, 2), np.int16), tags=np.zeros(6, np.int64))
+        with pytest.raises(error, match=match):
+            train(m, StackedExamples(**{**good, **fields}), TrainConfig(max_iter=1))

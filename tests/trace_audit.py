@@ -39,6 +39,9 @@ def _first_line(node):
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         counts = Path(tmp) / "counts"
+        # trace reads the counts file before it adds to it, so start from
+        # an empty one rather than a missing one
+        counts.write_bytes(pickle.dumps(({}, {}, {})))
         for workload in WORKLOADS:
             subprocess.run(
                 [sys.executable, "-m", "trace", "--count", "--coverdir", tmp,
