@@ -3,13 +3,18 @@ time or a batch of documents at once.
 
 Both recursions run in log space over the emission scores that the
 evidence's ``log_emission`` returns, and they return identical paths and
-scores. At every step both form the same sums, the score of each move
-plus the previous score of its source. ``viterbi`` takes each state's
-first best predecessor by ``argmax`` and reads its score through that
-index. ``viterbi_batch`` keeps only the best score, by ``np.maximum``,
-which returns the very float that ``argmax`` picks. Its backtrace forms
-the sums again along the decoded path alone and takes their ``argmax``,
-so ties still break toward the lowest state index.
+scores. Every sum either forms is the score of a move plus the previous
+score of its source. ``viterbi`` forms all S * S of them at each step,
+takes each state's first best predecessor by ``argmax`` and reads its
+score through that index. ``viterbi_batch`` keeps only the best score,
+by ``np.maximum``, which returns the very float that ``argmax`` picks.
+It skips most moves that score -inf: the compiled chain keeps the DBN's
+structure only as -inf transitions (820 of the 1,764 moves are finite at
+42 states), so a state with few finite predecessors is scored over those
+alone. A skipped sum is -inf, so the max is the same float, as long as
+no score is NaN or +inf, which ``viterbi_batch`` refuses. Its backtrace
+forms every sum again along the decoded path alone and takes their
+``argmax``, so ties still break toward the lowest state index.
 
 For one document the cost is numpy's per-call overhead, so ``viterbi``
 makes each step a few calls on fixed buffers. It keeps the previous
@@ -24,7 +29,8 @@ is slower for one document, so ``viterbi`` keeps the argmax.
 ``viterbi_batch`` packs the whole batch in one time-major layout, so it
 gathers the emission scores once and walks every document back in one
 backtrace. Only its forward pass works in chunks of documents, each a
-slice of the layout at every step.
+slice of the layout at every step. That pass is most of its time, and it
+forms 932 sums per document-step at 42 states, not 1,764.
 
 ``viterbi`` scores a document's observation matrix (``Evidence``);
 ``ClampedEvidence`` in ``tests/oracles.py`` adds per-token -inf masks on
@@ -45,12 +51,14 @@ from .model import TimeMajor, check_lengths
 # is chunked: the batch has one layout, one emission gather and one
 # backtrace, over a table of forward scores for the whole batch (3.8 MB on
 # a holdout test side of ``generate_corpus(485, 1993)``). Each step's
-# (S, k, S) score block stays cache-sized at 42 states. On 2 vCPU (AMD
-# EPYC, 2 MiB L2), decoding the 5 test sides of the default experiment on
-# ``generate_corpus(485, 1993)`` (56,749 tokens) took about 1.77, 1.44,
-# 1.32, 1.32, 1.36 and 1.48 us per token at 8, 16, 32, 48, 64 and 97 (all)
-# documents per chunk (each chunk then had a layout of its own); 32 ties 48
-# with the smaller block.
+# blocks stay cache-sized at 42 states: (S, k, 16) sums for the states with
+# many predecessors and (10, 26, k) for the others. On 2 vCPU (AMD EPYC,
+# 2 MiB L2, numpy 2.4.6), decoding the 5 test sides of the default
+# experiment on ``generate_corpus(485, 1993)`` (56,749 tokens), medians of
+# 35 interleaved repeats in one session, twice, took 3.1-3.3, 2.4-2.5,
+# 2.3-2.4, 2.1-2.2, 1.9-2.0, 2.1 and 2.0 us per token at 8, 16, 24, 32, 48,
+# 64 and 97 (all) documents per chunk. 64 is no faster than 32; 48 was
+# about 10% faster in-process, which no end-to-end run has confirmed.
 _BATCH_DOCS = 32
 
 
@@ -128,6 +136,39 @@ def viterbi(chain, evidence):
     return np.array(states, dtype=np.int64), score
 
 
+def _split_by_in_degree(log_trans):
+    """The states of a chain split by their number of finite predecessors
+    (in-degree) at the cut that forms the fewest sums per document-step:
+    the k states of lowest in-degree are each scored over a list of w
+    predecessors, w the largest in-degree among them (at least 1), and
+    the others over all S states, so the step forms k * w + (S - k) * S
+    sums. At 42 states that is 26 states of in-degree at most 10 (932
+    sums, against 1,764), at 34 it is 16 of in-degree 4 (676 against
+    1,156).
+
+    Returns ``(many, few, preds)``: the states scored over all, those
+    scored over their own, both in index order, and the ``(w, k)`` array
+    of the latter's predecessors, in index order, each list padded by
+    repeating its last entry. So a pad repeats a sum already formed, and
+    the max is exact. A state with no finite predecessor gets state 0,
+    whose move into it scores -inf, as every move into it does.
+    """
+    S = len(log_trans)
+    finite = np.isfinite(log_trans)
+    degree = finite.sum(axis=0)
+    by_degree = np.argsort(degree, kind="stable")
+    width = np.maximum(degree[by_degree], 1)
+    k = np.arange(1, S + 1)
+    sums = np.concatenate([[S * S], width * k + (S - k) * S])
+    k = int(sums.argmin())
+    few, many = np.sort(by_degree[:k]), np.sort(by_degree[k:])
+    w = int(width[k - 1]) if k else 1
+    # slot s of a state: its s-th predecessor, or its last past its in-degree
+    slot = np.minimum(np.arange(w)[:, None], np.maximum(degree[few] - 1, 0))
+    listed = np.argsort(~finite[:, few], axis=0, kind="stable")  # predecessors first
+    return many, few, np.take_along_axis(listed, slot, axis=0)
+
+
 def viterbi_batch(chain, table, rows, lengths):
     """``viterbi`` for many documents, document i scoring the table rows
     that the next ``lengths[i]`` entries of ``rows`` number: ``(path,
@@ -135,7 +176,10 @@ def viterbi_batch(chain, table, rows, lengths):
     ``viterbi`` returns for those emission scores; the paths are views of
     one array. Unless ``table`` is a float64 ``(R, S)`` array, ``rows`` 1-D
     integers in ``0 .. R - 1`` and ``lengths`` split them
-    (:func:`bien.model.check_lengths`), this raises :class:`InvalidSpec`.
+    (:func:`bien.model.check_lengths`), this raises :class:`InvalidSpec`,
+    as it does for a NaN or +inf in ``table`` or in the chain's
+    ``log_init`` or ``log_trans``, with which ``viterbi``'s sums can be
+    NaN (a NaN, or +inf plus a -inf move).
 
     The batch is packed in one :class:`bien.model.TimeMajor` layout, its
     documents sorted longest first, and one gather of the emission scores
@@ -144,9 +188,17 @@ def viterbi_batch(chain, table, rows, lengths):
     1993)``. The forward pass keeps only each state's best score. It runs
     chunk by chunk, over runs of ``_BATCH_DOCS`` documents of that order;
     as the documents alive at a step are a prefix of the order, a chunk's
-    rows at each step are one slice of the layout. Per step, one add lays
-    out every move of the chunk's live documents predecessor-major,
-    ``(S, m, S)``, and one maximum over the leading axis reduces it. One
+    rows at each step are one slice of the layout. The states are split
+    once per call by their number of finite predecessors
+    (:func:`_split_by_in_degree`). Per step, for the chunk's m live
+    documents, the states with many predecessors take one add that lays
+    out every move into them predecessor-major, ``(S, m, 16)`` at 42
+    states, and one maximum over the leading axis. The others take one
+    ``take`` of their padded predecessors' scores from the state-major view
+    of the previous step, ``[slot, state, document]``, ``(10, 26, m)``, one
+    add of those moves' scores and one maximum over the slots, so both run
+    with the documents innermost. One gather of the columns puts the
+    states back in order before the emission is added to them. One
     backtrace then walks every document back at once: per step, one
     gather of the moves into each live document's state, one add of the
     previous scores and one ``argmax``. If any document has no live state
@@ -165,6 +217,11 @@ def viterbi_batch(chain, table, rows, lengths):
             f"emissions must be a float64 (R, {S}) table and 1-D integer row numbers "
             f"in 0 .. R - 1, got a {table.dtype} table of shape {table.shape}"
         )
+    for name, scores in (("log_init", chain.log_init), ("log_trans", chain.log_trans),
+                         ("emission table", table)):
+        if not (scores < np.inf).all():
+            raise InvalidSpec(f"the {name} holds NaN or +inf; a batched decode scores only "
+                              "finite values and -inf")
     lengths = check_lengths(lengths, len(rows))
     n = len(lengths)
     layout = TimeMajor(lengths)
@@ -175,22 +232,30 @@ def viterbi_batch(chain, table, rows, lengths):
     table_rows[packed] = rows
     best = table[table_rows]  # the packed emissions, until the recursion adds to them
     best[: live[0]] += chain.log_init
-    # trans_rep[i, d, j] holds the score of the move i -> j once per chunk
-    # slot d, so the step's add broadcasts only the previous scores
-    trans_rep = np.empty((S, min(n, _BATCH_DOCS), S))
-    trans_rep[:] = chain.log_trans[:, None, :]
+    many, few, preds = _split_by_in_degree(chain.log_trans)
+    d = len(many)
+    # trans_rep[i, c, j] holds the score of the move i -> many[j] once per
+    # chunk slot c, so the step's add broadcasts only the previous scores
+    trans_rep = np.empty((S, min(n, _BATCH_DOCS), d))
+    trans_rep[:] = chain.log_trans[:, None, many]
     moves = np.empty_like(trans_rep)
+    few_trans = chain.log_trans[preds, few][:, :, None]  # [slot, state, 1]
+    restore = np.argsort(np.concatenate([many, few]))  # each state's column in ``into``
     into = np.empty((n, S))
-    # per chunk and step, for the m documents of the chunk alive: score
-    # every move, keep each state's best, add the emission
+    by_state = best.T  # the previous step's scores, state by state
+    # per chunk and step, for the m documents of the chunk alive: score the
+    # moves into each state, keep its best, add the emission
     ranked = layout.lengths[layout.order]  # the lengths, longest first
     for lo, T in zip(range(0, n, _BATCH_DOCS), ranked[::_BATCH_DOCS].tolist()):
         for t in range(1, T):
             m = min(live[t] - lo, _BATCH_DOCS)
             cur, prev = starts[t] + lo, starts[t - 1] + lo
-            np.add(trans_rep[:, :m], best[prev : prev + m].T[:, :, None], out=moves[:, :m])
-            np.maximum.reduce(moves[:, :m], axis=0, out=into[:m])
-            best[cur : cur + m] += into[:m]
+            np.add(trans_rep[:, :m], by_state[:, prev : prev + m, None], out=moves[:, :m])
+            np.maximum.reduce(moves[:, :m], axis=0, out=into[:m, :d])
+            block = by_state[:, prev : prev + m].take(preds, axis=0)  # [slot, state, document]
+            block += few_trans
+            np.maximum.reduce(block, axis=0, out=into[:m, d:].T)
+            best[cur : cur + m] += into[:m].take(restore, axis=1)
     # Backtrace. A document starts at the first best state of its last
     # step; each earlier state is the first best predecessor of the state
     # after it.

@@ -143,10 +143,12 @@ class StackedExamples:
         check_increasing_ids(self.doc_ids)
         for name, value in (("lengths", lengths), ("obs", obs), ("tags", tags)):
             object.__setattr__(self, name, value)
-        _check_rows(
-            self, tags < 0, (obs < -1).any(axis=1),
-            "tags must be integers of at least 0", "observation codes must be at least -1",
-        )
+        # the per-row flags only locate a fault, so they are built only for one
+        if tags.min() < 0 or obs.min(initial=0) < -1:
+            _check_rows(
+                self, tags < 0, (obs < -1).any(axis=1),
+                "tags must be integers of at least 0", "observation codes must be at least -1",
+            )
 
     def __iter__(self):
         ends = np.cumsum(self.lengths).tolist()
@@ -493,12 +495,17 @@ def pack(model, examples):
             f"observations must be an integer (T, {len(cardinalities)}) matrix, "
             f"got {obs.dtype} of shape {obs.shape}"
         )
-    _check_rows(
-        examples, examples.tags >= model.tags.size, (obs >= cardinalities).any(axis=1),
-        f"tags must be a 1-D integer array of values 0 .. {model.tags.size - 1}",
-        "observation codes must lie in -1 .. cardinality - 1 "
-        f"(cardinalities {cardinalities.tolist()})",
-    )
+    tags = examples.tags
+    # column by column: ``obs.max(axis=0)`` reduces in inner loops of K codes
+    if tags.max() >= model.tags.size or any(
+        codes.max() >= card for codes, card in zip(obs.T, cardinalities.tolist())
+    ):
+        _check_rows(
+            examples, tags >= model.tags.size, (obs >= cardinalities).any(axis=1),
+            f"tags must be a 1-D integer array of values 0 .. {model.tags.size - 1}",
+            "observation codes must lie in -1 .. cardinality - 1 "
+            f"(cardinalities {cardinalities.tolist()})",
+        )
     return _FactoredBatch(model, examples)
 
 

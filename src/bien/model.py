@@ -396,7 +396,7 @@ def check_observations(obs_matrix, cardinalities):
             f"observations must be an integer (T, {K}) matrix, "
             f"got {obs_matrix.dtype} of shape {obs_matrix.shape}"
         )
-    if len(obs_matrix) and (obs_matrix.min() < -1 or (obs_matrix >= cardinalities).any()):
+    if obs_matrix.size and (obs_matrix.min() < -1 or (obs_matrix >= cardinalities).any()):
         raise InvalidSpec(
             "observation codes must lie in -1 .. cardinality - 1 "
             f"(cardinalities {np.asarray(cardinalities).tolist()})"

@@ -39,7 +39,13 @@ from bien.learning import TrainConfig, encode_tags
 from bien.model import build_model, compile_chain, number_observations
 from bien.synth import generate_corpus
 
-from oracles import apply_mask, assemble_slots_reference, randomize_model, sample_example
+from oracles import (
+    apply_mask,
+    assemble_slots_reference,
+    randomize_model,
+    sample_example,
+    viterbi_reference,
+)
 
 
 FIELDS = ("speaker", "location", "stime", "etime")
@@ -427,6 +433,30 @@ class TestDecode:
         stack = sample_example(model, 5, rng).obs
         with pytest.raises(InvalidSpec, match="lengths must be a 1-D integer array"):
             number_observations(stack, lengths, [5, 3])
+
+
+    @pytest.mark.parametrize("entry", ["log_emission", "number_observations", "decode"])
+    def test_a_model_with_no_observables(self, entry):
+        """A (T, 0) matrix emits nothing: every state scores 0 at every
+        token, and the decoded path follows the transitions alone."""
+        model = randomize_model(build_model(FIELDS[:2], {}), np.random.default_rng(17))
+        chain = compile_chain(model)
+        obs = np.zeros((5, 0), dtype=np.int16)
+        want_path, want_score = viterbi_reference(chain, inference.Evidence(obs))
+        if entry == "log_emission":
+            assert chain.log_emission(obs).tobytes() == np.zeros((5, chain.n_states)).tobytes()
+        elif entry == "number_observations":
+            numbered = number_observations(obs, [5, 0], [])
+            assert numbered.table.shape == (1, 0)
+            npt.assert_array_equal(numbered.rows, np.zeros(5))
+            [full, empty] = decode_batch(chain, numbered)
+            npt.assert_array_equal(full.tags, chain.tag_of[want_path])
+            assert np.float64(full.score).tobytes() == np.float64(want_score).tobytes()
+            assert empty.tags.shape == (0,)
+        else:
+            result = decode(chain, obs)
+            npt.assert_array_equal(result.tags, chain.tag_of[want_path])
+            assert np.float64(result.score).tobytes() == np.float64(want_score).tobytes()
 
 
 class TestSharedTestSide:

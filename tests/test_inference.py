@@ -478,3 +478,84 @@ class TestViterbiBatch:
         table, rows, _ = stacked(chain, batch)
         with pytest.raises(InvalidSpec, match=match):
             viterbi_batch(chain, table, rows, lengths)
+
+    def assert_matches_reference(self, chain, batch):
+        got = viterbi_batch(chain, *stacked(chain, batch))
+        for (path, score), ev in zip(got, batch, strict=True):
+            want_path, want_score = viterbi_reference(chain, ev)
+            np.testing.assert_array_equal(path, want_path)
+            assert path.dtype == want_path.dtype
+            assert np.float64(score).tobytes() == np.float64(want_score).tobytes()
+
+    @pytest.mark.parametrize("memory, n_states, sums", [(True, 42, 932), (False, 34, 676)])
+    def test_states_with_few_predecessors_are_scored_over_their_own(self, memory, n_states, sums):
+        """The cut that forms the fewest sums per document-step, on the
+        four-field chains; each short list holds its state's predecessors
+        in index order, padded with its last one."""
+        chain = make_chain(FOUR_FIELDS, memory=memory, seed=5)
+        many, few, preds = inference._split_by_in_degree(chain.log_trans)
+        assert len(many) + len(few) == chain.n_states == n_states
+        assert sorted([*many, *few]) == list(range(n_states))
+        assert preds.size + len(many) * n_states == sums
+        for state, listed in zip(few, preds.T, strict=True):
+            own = np.flatnonzero(np.isfinite(chain.log_trans[:, state]))
+            padded = own[np.minimum(np.arange(len(listed)), len(own) - 1)]
+            np.testing.assert_array_equal(listed, padded)
+
+    def test_a_state_with_no_finite_predecessor(self):
+        """Only the first token can take an inside state whose every move
+        in is -inf; the state sorts into the short lists."""
+        chain = make_chain(FOUR_FIELDS, seed=5)
+        inside = int(np.flatnonzero(chain.tag_of == chain.model.tags.inside(0))[0])
+        chain.log_trans[:, inside] = -np.inf
+        _, few, preds = inference._split_by_in_degree(chain.log_trans)
+        assert inside in few
+        assert np.isneginf(chain.log_trans[preds[:, list(few).index(inside)], inside]).all()
+        rng = np.random.default_rng(11)
+        self.assert_matches_reference(
+            chain, [random_evidence(chain, int(T), rng) for T in rng.integers(0, 12, 40)]
+        )
+
+    def test_no_state_qualifies_for_the_short_lists(self):
+        """Every move finite: each state is scored over all of them."""
+        chain = make_chain(FOUR_FIELDS, seed=5)
+        rng = np.random.default_rng(12)
+        dead = ~np.isfinite(chain.log_trans)
+        chain.log_trans[dead] = np.log(rng.uniform(1e-3, 1e-2, dead.sum()))
+        many, few, _ = inference._split_by_in_degree(chain.log_trans)
+        assert len(few) == 0 and len(many) == chain.n_states
+        self.assert_matches_reference(
+            chain, [random_evidence(chain, int(T), rng) for T in rng.integers(0, 12, 40)]
+        )
+
+    @pytest.mark.parametrize("n_docs, n_empty", [
+        (32, 0), (33, 1), (64, 32), (65, 32), (97, 0), (97, 33),
+    ])
+    def test_chunk_edges_match_reference_without_memory(self, n_docs, n_empty):
+        """``test_chunk_edges_match_reference`` on the 34-state chain."""
+        chain = make_chain(FOUR_FIELDS, memory=False, seed=5)
+        assert chain.n_states == 34
+        rng = np.random.default_rng(100 * n_docs + n_empty + 1)
+        lengths = np.r_[rng.integers(1, 12, n_docs - n_empty), np.zeros(n_empty, dtype=int)]
+        self.assert_matches_reference(
+            chain, [random_evidence(chain, int(T), rng) for T in rng.permutation(lengths)]
+        )
+
+    @pytest.mark.parametrize("where, value", [
+        ("log_trans", np.nan), ("log_trans", np.inf), ("log_init", np.nan),
+        ("emission table", np.nan), ("emission table", np.inf),
+    ], ids=["nan-move", "inf-move", "nan-init", "nan-table-row", "inf-table"])
+    def test_nan_or_inf_scores_are_a_typed_error(self, where, value):
+        """With these, ``viterbi``'s sums can be NaN (a NaN, or +inf plus
+        a -inf move), which the batched decode, skipping most -inf moves,
+        would not reproduce."""
+        chain = make_chain(FOUR_FIELDS, seed=5)
+        rng = np.random.default_rng(13)
+        table, rows, lengths = stacked(chain, [random_evidence(chain, T, rng) for T in (4, 6)])
+        if where == "emission table":
+            table[3, 7 if value == np.inf else slice(None)] = value
+        else:
+            scores = getattr(chain, where)
+            scores.flat[rng.choice(np.flatnonzero(np.isfinite(scores)))] = value
+        with pytest.raises(InvalidSpec, match=f"the {where} holds NaN or"):
+            viterbi_batch(chain, table, rows, lengths)
