@@ -482,7 +482,12 @@ def tokenize(text, abbreviations=frozenset()):
     type from one table. :func:`parse_tagged_documents` tokenizes a block
     of documents in one call, so the table starts over between blocks,
     never inside one.
+
+    A ``text`` that is not a ``str`` raises :class:`InvalidSpec` before
+    the table or the memo is touched, since every later call reads them.
     """
+    if not isinstance(text, str):
+        raise InvalidSpec(f"text must be a str, got {type(text).__name__}")
     table = _current_types()
     pieces_of = _chunk_memo.bind(frozenset(abbreviations), table)
     pieces = list(map(pieces_of.__getitem__, text.split()))

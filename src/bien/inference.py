@@ -3,18 +3,33 @@ time or a batch of documents at once.
 
 Both recursions run in log space over the emission scores that the
 evidence's ``log_emission`` returns, and they return identical paths and
-scores. Every sum either forms is the score of a move plus the previous
-score of its source. ``viterbi`` forms all S * S of them at each step,
-takes each state's first best predecessor by ``argmax`` and reads its
-score through that index. ``viterbi_batch`` keeps only the best score,
-by ``np.maximum``, which returns the very float that ``argmax`` picks.
-It skips most moves that score -inf: the compiled chain keeps the DBN's
-structure only as -inf transitions (820 of the 1,764 moves are finite at
-42 states), so a state with few finite predecessors is scored over those
-alone. A skipped sum is -inf, so the max is the same float, as long as
-no score is NaN or +inf, which ``viterbi_batch`` refuses. Its backtrace
-forms every sum again along the decoded path alone and takes their
-``argmax``, so ties still break toward the lowest state index.
+scores. ``viterbi`` forms every move's score plus the previous score of
+its source, all S * S of them at each step, takes each state's first
+best predecessor by ``argmax`` and reads its score through that index.
+
+``viterbi_batch`` keeps only each state's best score, and forms far
+fewer sums: the compiled chain's moves factor as the DBN's do (see
+:class:`bien.model.CompiledChain`), a segment move ``log_ds[ds, ds']``
+plus a move between (tag, memory) pairs ``pair_trans[p, ds', q]`` that
+does not depend on the previous segment. So it eliminates the previous
+segment first, as exact inference on a two-slice DBN does: stage 1
+keeps, per pair and next segment, the best of the two previous
+segments, and stage 2 the best pair move into each state, over the few
+pairs that can precede it where there are few (the chain keeps the DBN's
+structure as -inf moves). That is 550 sums per document-step at 42
+states and 406 at 34, where ``viterbi`` forms 1,764 and 1,156. Its
+scores are ``(best + log_ds) + pair_trans`` where ``viterbi``'s are
+``best + log_trans``, which need not round alike, so a guard keeps the
+results identical: the backtrace keeps each document's smallest margin
+between the sum it picks and the next best. A document whose margin
+could be a rounding (at most ``16 * T * ulp(|score|)``) is decoded again
+by ``viterbi``, which breaks ties toward the lowest state index; every
+other path is ``viterbi``'s, and its score is formed again in
+``viterbi``'s order. The
+decoded sides of the 5-run experiment and of the ablation grid at seeds
+1993 and 7 (6,790 documents) need no fallback; their smallest margin is
+3.5e-7. A NaN or +inf score would make the two recursions' sums differ
+in more than rounding, so ``viterbi_batch`` refuses them.
 
 For one document the cost is numpy's per-call overhead, so ``viterbi``
 makes each step a few calls on fixed buffers. It keeps the previous
@@ -23,14 +38,14 @@ contiguous add of S * S values, where adding an ``(S,)`` row to an
 ``(S, S)`` block runs S inner loops of S. On 2 vCPU with numpy 2.4.6, at
 42 states, that add takes 0.34 us against 1.0 us, plus 0.31 us for the
 tiling copy. Its backpointers are flat indices into the step's scores,
-which the gather reads unchecked. The max-only step of ``viterbi_batch``
-is slower for one document, so ``viterbi`` keeps the argmax.
+which the gather reads unchecked. The factored step of ``viterbi_batch``
+is nine calls, slower for one document, so ``viterbi`` keeps the flat
+one.
 
 ``viterbi_batch`` packs the whole batch in one time-major layout, so it
 gathers the emission scores once and walks every document back in one
 backtrace. Only its forward pass works in chunks of documents, each a
-slice of the layout at every step. That pass is most of its time, and it
-forms 932 sums per document-step at 42 states, not 1,764.
+slice of the layout at every step; that pass is most of its time.
 
 ``viterbi`` scores a document's observation matrix (``Evidence``);
 ``ClampedEvidence`` in ``tests/oracles.py`` adds per-token -inf masks on
@@ -45,21 +60,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec, ZeroProbabilityEvidence
-from .model import TimeMajor, check_lengths
+from .model import TimeMajor, check_lengths, join_factors
 
 # Documents per chunk of ``viterbi_batch``'s forward pass. Only that pass
 # is chunked: the batch has one layout, one emission gather and one
 # backtrace, over a table of forward scores for the whole batch (3.8 MB on
 # a holdout test side of ``generate_corpus(485, 1993)``). Each step's
-# blocks stay cache-sized at 42 states: (S, k, 16) sums for the states with
-# many predecessors and (10, 26, k) for the others. On 2 vCPU (AMD EPYC,
-# 2 MiB L2, numpy 2.4.6), decoding the 5 test sides of the default
-# experiment on ``generate_corpus(485, 1993)`` (56,749 tokens), medians of
-# 35 interleaved repeats in one session, twice, took 3.1-3.3, 2.4-2.5,
-# 2.3-2.4, 2.1-2.2, 1.9-2.0, 2.1 and 2.0 us per token at 8, 16, 24, 32, 48,
-# 64 and 97 (all) documents per chunk. 64 is no faster than 32; 48 was
-# about 10% faster in-process, which no end-to-end run has confirmed.
-_BATCH_DOCS = 32
+# buffers span the whole chunk, so a wide chunk makes long contiguous adds
+# and maxima: at 42 states the largest is the stage-2 block, (21, 8, 2,
+# k) float64, 0.26 MB at 97 documents. On 2 vCPU (Intel Xeon, 4 MiB L2,
+# numpy 2.4.6), decoding the 5 test sides of the default experiment on
+# ``generate_corpus(485, 1993)`` (56,749 tokens), medians of 35 interleaved
+# repeats in one session, twice, took 3.3-3.4, 2.3-2.4, 1.8-1.9, 1.8,
+# 1.6-1.7 and 1.4-1.5 us per token at 8, 16, 32, 48, 64 and 97 (all)
+# documents per chunk, against 2.2-2.3 for the unfactored kernel at 32. So
+# a test side of 97 documents is one chunk.
+_BATCH_DOCS = 128
 
 
 @dataclass
@@ -90,7 +106,11 @@ def viterbi(chain, evidence):
     gather through that into the step's row, and add the emission. The
     backtrace walks the backpointers in Python ints.
     """
-    emis = evidence.log_emission(chain)
+    return _viterbi(chain, evidence.log_emission(chain))
+
+
+def _viterbi(chain, emis):
+    """``viterbi`` over the ``(T, S)`` emission scores ``emis``."""
     T, S = emis.shape
     if T == 0:
         return np.zeros(0, dtype=np.int64), 0.0
@@ -142,9 +162,10 @@ def _split_by_in_degree(log_trans):
     the k states of lowest in-degree are each scored over a list of w
     predecessors, w the largest in-degree among them (at least 1), and
     the others over all S states, so the step forms k * w + (S - k) * S
-    sums. At 42 states that is 26 states of in-degree at most 10 (932
-    sums, against 1,764), at 34 it is 16 of in-degree 4 (676 against
-    1,156).
+    sums. ``viterbi_batch`` splits the chain's (tag, memory) pairs this
+    way, given the ``(P, P)`` best move score between two pairs: at 21
+    pairs (42 states) 13 pairs of in-degree at most 5 are scored over
+    their own, at 17 (34 states) 8 pairs of in-degree 2.
 
     Returns ``(many, few, preds)``: the states scored over all, those
     scored over their own, both in index order, and the ``(w, k)`` array
@@ -169,41 +190,106 @@ def _split_by_in_degree(log_trans):
     return many, few, np.take_along_axis(listed, slot, axis=0)
 
 
+def _forward(best, layout, log_ds, trans, d, preds):
+    """The factored max-product pass of ``viterbi_batch``, in place: each
+    row of ``best`` past step 0 holds its emission scores on entry and
+    its forward scores on return.
+
+    The states are in the kernel's order: state 2i + ds is pair i in
+    segment ds, and ``trans[i, ds', j]`` scores the pair move i -> j into
+    segment ds'. Pairs 0 .. d - 1 are scored over every pair, and each
+    later pair over its column of ``preds``. Per step, on a chunk of
+    ``_BATCH_DOCS`` columns, one document per column, pair-major with the
+    documents innermost: a copy of the previous scores, stage 1 (one add
+    and one maximum: ``u[i, ds'] = max_ds prev[2i + ds] + log_ds[ds,
+    ds']``), stage 2 for the first d pairs (one add of every pair's ``u``
+    to its moves, ``(P, d, 2, width)``, and one maximum over the pairs)
+    and for the others (one gather of their predecessors' ``u``, one add
+    and one maximum over the slots), and one add of the result to the
+    emission scores. The stage buffers span the whole chunk, so each of
+    their adds and maxima runs over contiguous blocks; the columns of
+    documents that have ended hold stale scores, finite or -inf, whose
+    results are not read.
+    """
+    P = len(trans)
+    (w, k), n = preds.shape, len(layout.lengths)
+    width = max(min(n, _BATCH_DOCS), 1)
+    prev_scores = np.zeros((P, 2, width))  # [pair, segment, document]
+    u = np.empty((P, 2, width))  # [pair, next segment, document]
+    ds_rep = np.empty((2, 2, width))
+    ds_rep[:] = log_ds[:, :, None]
+    many_rep = np.empty((P, d, 2, width))  # [from pair, to pair, next segment, document]
+    many_rep[:] = trans[:, :, :d].transpose(0, 2, 1)[..., None]
+    few_trans = trans[preds, :, np.arange(d, P)][..., None]  # [slot, pair, next segment, 1]
+    # the sums of stage 1, of stage 2's first pairs and of its others, one
+    # after the other in one buffer, so that the pass holds one at a time
+    sums = np.empty(max(4 * P, 2 * P * d, 2 * w * k) * width)
+    stage1 = sums[: 4 * P * width].reshape(P, 2, 2, width)  # [pair, segment, next segment, document]
+    moves = sums[: many_rep.size].reshape(many_rep.shape)
+    block = sums[: 2 * w * k * width].reshape(w, k, 2, width)  # [slot, pair, next segment, document]
+    into = np.empty((P, 2, width))  # the best move into each state
+    flat_into = into.reshape(2 * P, width)
+    starts, live = layout.starts.tolist(), layout.live.tolist()
+    ranked = layout.lengths[layout.order]  # the lengths, longest first
+    for lo, T in zip(range(0, n, width), ranked[::width].tolist()):
+        for t in range(1, T):
+            m = min(live[t] - lo, width)
+            cur, prev = starts[t] + lo, starts[t - 1] + lo
+            prev_scores[:, :, :m] = best[prev : prev + m].T.reshape(P, 2, m)
+            np.add(prev_scores[:, :, None], ds_rep, out=stage1)
+            np.maximum(stage1[:, 0], stage1[:, 1], out=u)
+            np.add(many_rep, u[:, None], out=moves)
+            np.maximum.reduce(moves, axis=0, out=into[:d])
+            u.take(preds, axis=0, out=block, mode="clip")  # every index is in range
+            block += few_trans
+            np.maximum.reduce(block, axis=0, out=into[d:])
+            best[cur : cur + m] += flat_into[:, :m].T
+
+
 def viterbi_batch(chain, table, rows, lengths):
     """``viterbi`` for many documents, document i scoring the table rows
     that the next ``lengths[i]`` entries of ``rows`` number: ``(path,
     score)`` per document, in input order, each identical to what
-    ``viterbi`` returns for those emission scores; the paths are views of
-    one array. Unless ``table`` is a float64 ``(R, S)`` array, ``rows`` 1-D
-    integers in ``0 .. R - 1`` and ``lengths`` split them
-    (:func:`bien.model.check_lengths`), this raises :class:`InvalidSpec`,
-    as it does for a NaN or +inf in ``table`` or in the chain's
-    ``log_init`` or ``log_trans``, with which ``viterbi``'s sums can be
-    NaN (a NaN, or +inf plus a -inf move).
+    ``viterbi`` returns for those emission scores. Unless ``table`` is a
+    float64 ``(R, S)`` array, ``rows`` 1-D integers in ``0 .. R - 1`` and
+    ``lengths`` split them (:func:`bien.model.check_lengths`), this
+    raises :class:`InvalidSpec`, as it does for a NaN or +inf in
+    ``table`` or in the chain's ``log_init`` or ``log_trans``, with which
+    ``viterbi``'s sums can be NaN (a NaN, or +inf plus a -inf move), and
+    for a ``log_trans`` that is not the sum of the chain's factors
+    (:func:`bien.model.join_factors`), which this decodes.
 
     The batch is packed in one :class:`bien.model.TimeMajor` layout, its
     documents sorted longest first, and one gather of the emission scores
     makes the table of forward scores, one row per token: 11,435 x 42
     float64 (3.8 MB) on a holdout test side of ``generate_corpus(485,
-    1993)``. The forward pass keeps only each state's best score. It runs
-    chunk by chunk, over runs of ``_BATCH_DOCS`` documents of that order;
-    as the documents alive at a step are a prefix of the order, a chunk's
-    rows at each step are one slice of the layout. The states are split
-    once per call by their number of finite predecessors
-    (:func:`_split_by_in_degree`). Per step, for the chunk's m live
-    documents, the states with many predecessors take one add that lays
-    out every move into them predecessor-major, ``(S, m, 16)`` at 42
-    states, and one maximum over the leading axis. The others take one
-    ``take`` of their padded predecessors' scores from the state-major view
-    of the previous step, ``[slot, state, document]``, ``(10, 26, m)``, one
-    add of those moves' scores and one maximum over the slots, so both run
-    with the documents innermost. One gather of the columns puts the
-    states back in order before the emission is added to them. One
-    backtrace then walks every document back at once: per step, one
-    gather of the moves into each live document's state, one add of the
-    previous scores and one ``argmax``. If any document has no live state
-    at some step, this raises the :class:`ZeroProbabilityEvidence` of the
-    first such document in input order, at its first dead step.
+    1993)``. The forward pass (:func:`_forward`) keeps only each state's
+    best score and eliminates the previous segment first: stage 1 takes,
+    per pair and next segment, the best of the two previous segments,
+    ``max_ds best[2p + ds] + log_ds[ds, ds']``, in 4P sums; stage 2 takes,
+    per state ``(q, ds')``, the best pair move into it, ``max_p u[p, ds']
+    + pair_trans[p, ds', q]``, over every pair for the pairs with many
+    finite predecessors and over their own for the others
+    (:func:`_split_by_in_degree`). That is 550 sums per document-step at
+    42 states and 406 at 34. It runs chunk by chunk, over runs of
+    ``_BATCH_DOCS`` documents of that order; as the documents alive at a
+    step are a prefix of the order, a chunk's rows at each step are one
+    slice of the layout. If any document has no live state at some step,
+    this raises the :class:`ZeroProbabilityEvidence` of the first such
+    document in input order, at its first dead step.
+
+    The factored sums ``(best + log_ds) + pair_trans`` need not round as
+    ``viterbi``'s ``best + log_trans`` do, so a guard keeps the results
+    identical. One backtrace walks every document back at once: per step,
+    one gather of the moves into each live document's state, one add of
+    the previous scores and one ``argmax``. It keeps, per document, the
+    smallest margin between the sum it picks and the next best, at every
+    step and at the last state. A document whose margin is not above
+    ``16 * T * ulp(|score|)``, T its length, may hold a tie that
+    ``viterbi`` breaks the other way (the backtrace runs in the kernel's
+    state order, not the chain's), and is decoded by ``viterbi``. Every
+    other path is ``viterbi``'s, and its score is formed again as
+    ``viterbi`` forms it: ``(score + move) + emission`` per step.
     """
     table, rows, S = np.asarray(table), np.asarray(rows), chain.n_states
     if not (
@@ -222,66 +308,103 @@ def viterbi_batch(chain, table, rows, lengths):
         if not (scores < np.inf).all():
             raise InvalidSpec(f"the {name} holds NaN or +inf; a batched decode scores only "
                               "finite values and -inf")
+    if not np.array_equal(join_factors(chain.log_ds, chain.pair_trans), chain.log_trans):
+        raise InvalidSpec("the log_trans is not the sum of the chain's log_ds and pair_trans, "
+                          "which a batched decode scores")
     lengths = check_lengths(lengths, len(rows))
     n = len(lengths)
     layout = TimeMajor(lengths)
-    starts, live = layout.starts.tolist(), layout.live.tolist() + [0]
+    live = layout.live.tolist() + [0]
     # each packed row's table row, so one gather makes ``best``, with no temporary
     packed = layout.rows()
     table_rows = np.empty(len(packed), dtype=np.intp)
     table_rows[packed] = rows
-    best = table[table_rows]  # the packed emissions, until the recursion adds to them
-    best[: live[0]] += chain.log_init
-    many, few, preds = _split_by_in_degree(chain.log_trans)
-    d = len(many)
-    # trans_rep[i, c, j] holds the score of the move i -> many[j] once per
-    # chunk slot c, so the step's add broadcasts only the previous scores
-    trans_rep = np.empty((S, min(n, _BATCH_DOCS), d))
-    trans_rep[:] = chain.log_trans[:, None, many]
-    moves = np.empty_like(trans_rep)
-    few_trans = chain.log_trans[preds, few][:, :, None]  # [slot, state, 1]
-    restore = np.argsort(np.concatenate([many, few]))  # each state's column in ``into``
-    into = np.empty((n, S))
-    by_state = best.T  # the previous step's scores, state by state
-    # per chunk and step, for the m documents of the chunk alive: score the
-    # moves into each state, keep its best, add the emission
-    ranked = layout.lengths[layout.order]  # the lengths, longest first
-    for lo, T in zip(range(0, n, _BATCH_DOCS), ranked[::_BATCH_DOCS].tolist()):
-        for t in range(1, T):
-            m = min(live[t] - lo, _BATCH_DOCS)
-            cur, prev = starts[t] + lo, starts[t - 1] + lo
-            np.add(trans_rep[:, :m], by_state[:, prev : prev + m, None], out=moves[:, :m])
-            np.maximum.reduce(moves[:, :m], axis=0, out=into[:m, :d])
-            block = by_state[:, prev : prev + m].take(preds, axis=0)  # [slot, state, document]
-            block += few_trans
-            np.maximum.reduce(block, axis=0, out=into[:m, d:].T)
-            best[cur : cur + m] += into[:m].take(restore, axis=1)
-    # Backtrace. A document starts at the first best state of its last
-    # step; each earlier state is the first best predecessor of the state
-    # after it.
+    # The kernel's order: the pairs scored over every pair first, so that
+    # each stage writes one block; kernel state i is chain state states[i].
+    many, few, preds = _split_by_in_degree(chain.pair_trans.max(axis=1))
+    pairs = np.concatenate([many, few])
+    states = (2 * pairs[:, None] + [0, 1]).reshape(-1)
+    best = table[:, states][table_rows]  # the packed emissions, until the recursion adds to them
+    del table_rows  # so that the forward pass, the peak of memory, runs without it
+    best[: live[0]] += chain.log_init[states]
+    _forward(best, layout, chain.log_ds, chain.pair_trans[pairs][:, :, pairs], len(many),
+             np.argsort(pairs)[preds])
+    ranked = layout.lengths[layout.order]
     nonempty = np.arange(live[0])  # the ranks of the non-empty documents
     last = best[layout.starts[ranked[: live[0]] - 1] + nonempty]  # their last rows
-    first = last.argmax(axis=1)
+    # a step with no live state leaves every later step dead as well, so
+    # only a document whose last step has no finite score can have one
+    for r in sorted(np.flatnonzero(~(last.max(axis=1) > -np.inf)).tolist(),
+                    key=layout.order.item):
+        dead = np.flatnonzero(best[layout.starts[: ranked[r]] + r].max(axis=1) == -np.inf)
+        if dead.size:
+            step = int(dead[0])
+            raise ZeroProbabilityEvidence(f"no state admits token {step}", step=step)
+    path, margin = _backtrace(best, layout, chain.log_trans[states][:, states], last.argmax(axis=1))
+    del best  # past the backtrace, the rest runs on one value per token
+    path = states[path]
+    emitted = np.empty(len(path))
+    emitted[packed] = table[rows, path[packed]]
     score = np.zeros(n)  # an empty document scores 0
-    score[nonempty] = last[nonempty, first]
-    trans_T = chain.log_trans.T.copy()  # row j: scores of every move into j
-    path = np.empty(len(best), dtype=np.int64)
-    state = np.empty(n, dtype=np.intp)
+    score[nonempty] = _flat_scores(chain, layout, emitted, path)
+    rank_of = np.arange(len(path)) - np.repeat(layout.starts[:-1], layout.live)
+    bound = 16 * ranked * np.spacing(np.abs(score))
+    close = np.zeros(n, dtype=bool)  # by rank: the documents that go to ``viterbi``
+    close[rank_of[~(margin > bound[rank_of])]] = True
+    scores = np.empty(n)
+    scores[layout.order] = score  # in input order
+    paths = np.split(path[packed], np.cumsum(lengths[:-1]))
+    ends = np.cumsum(lengths)
+    for i in layout.order[close].tolist():
+        paths[i], scores[i] = _viterbi(chain, table[rows[ends[i] - lengths[i] : ends[i]]])
+    return list(zip(paths, scores.tolist()))
+
+
+def _backtrace(best, layout, trans, first):
+    """Walk every document of ``layout`` back at once over its forward
+    scores ``best``, from the states ``first`` of the documents' last
+    steps, by rank; ``trans`` scores each move in the same state order.
+    Each earlier state is the first best predecessor of the state after
+    it: per step, one gather of the moves into each live document's
+    state, one add of the previous scores and one ``argmax``.
+
+    Returns the path, one state per row of ``best``, and each row's
+    margin between the score its state was picked by and the next best.
+    The sums into each row's successor overwrite the row, so that
+    afterwards every row holds the scores its state was picked from, and
+    one pass over ``best`` finds every margin.
+    """
+    live = layout.live.tolist() + [0]
+    trans_T = trans.T.copy()  # row j: scores of every move into j
+    path = np.empty(len(best), dtype=np.intp)
+    state = np.empty(len(layout.lengths), dtype=np.intp)
     for t in range(len(layout.steps) - 1, -1, -1):
         (cur, prev), m, ending = layout.steps[t], live[t], live[t + 1]
         state[ending:m] = first[ending:m]  # the documents whose last step is t
         path[cur] = state[:m]
         if prev is not None:
-            np.add(trans_T[state[:m]], best[prev], out=into[:m])
-            into[:m].argmax(axis=1, out=state[:m])
-    # a step with no live state leaves every later step dead as well, so
-    # only a document whose last step has no finite score can have one
-    for r in sorted(np.flatnonzero(~(score > -np.inf)).tolist(), key=layout.order.item):
-        dead = np.flatnonzero(best[layout.starts[: ranked[r]] + r].max(axis=1) == -np.inf)
-        if dead.size:
-            step = int(dead[0])
-            raise ZeroProbabilityEvidence(f"no state admits token {step}", step=step)
-    scores = np.empty(n)
-    scores[layout.order] = score  # in input order
-    paths = np.split(path[packed], np.cumsum(lengths[:-1]))
-    return list(zip(paths, scores.tolist()))
+            sums = best[prev]
+            np.add(trans_T[state[:m]], sums, out=sums)
+            sums.argmax(axis=1, out=state[:m])
+    rows = np.arange(len(best))
+    picked = best[rows, path]
+    best[rows, path] = -np.inf
+    return path, picked - best.max(axis=1)
+
+
+def _flat_scores(chain, layout, emitted, path):
+    """The score of each non-empty document's path, packed in ``layout``
+    with its emission scores ``emitted``, formed as ``viterbi`` forms it:
+    ``log_init + emission`` at step 0, then ``(score + move) + emission``
+    per step; in the layout's order."""
+    live = layout.live
+    start = int(live[0]) if len(live) else 0  # the rows of step 0
+    # a row's previous row, past step 0, is live[t - 1] rows before it
+    before = np.arange(start, len(path)) - np.repeat(live[:-1], live[1:])
+    moved = np.empty(len(path))
+    moved[start:] = chain.log_trans[path[before], path[start:]]
+    score = chain.log_init[path[:start]] + emitted[:start]
+    for (cur, _), m in zip(layout.steps[1:], live[1:].tolist()):
+        score[:m] += moved[cur]
+        score[:m] += emitted[cur]
+    return score

@@ -134,6 +134,8 @@ class BienModel:
     """CPT collection plus the spaces they are indexed by."""
 
     def __init__(self, fields, observables, memory=True):
+        if isinstance(fields, str):
+            raise InvalidSpec(f"fields must be a sequence of field names, got the string {fields!r}")
         self.fields = tuple(fields)
         self.tags = TagSpace(self.fields)
         self.observables = tuple(observables)
@@ -210,9 +212,19 @@ def build_model(fields, observables, memory=True):
 class CompiledChain:
     """First-order Markov chain over reachable (tag, last-target, segment) states.
 
+    The states are sorted, so state ``2p + ds`` is (tag, last-target)
+    pair p in segment ds. The DBN's transition factors: a move ``(p, ds)
+    -> (q, ds')`` scores ``log_ds[ds, ds'] + pair_trans[p, ds', q]``.
+    ``log_ds`` (2 x 2) is the segment chain's, and ``pair_trans`` (P, 2,
+    P) the tag chain's given the new segment, -inf where q's memory is
+    not the one that p leaves on emitting q's tag. ``log_trans`` (S x S)
+    is their sum (:func:`join_factors`); the batched Viterbi scores the
+    factors, and everything else ``log_trans``.
+
     The chain is a snapshot of the model at compile time: ``log_init``,
-    ``log_trans`` and the per-state emission rows are computed once from
-    the CPTs, so changing the model afterwards needs a fresh compile.
+    the factors, ``log_trans`` and the per-state emission rows are
+    computed once from the CPTs, so changing the model afterwards needs a
+    fresh compile.
     """
 
     def __init__(self, model):
@@ -238,12 +250,16 @@ class CompiledChain:
         # a state is entered only with the memory its tag leaves behind
         init = m.cpts["ds_init"].log_table()[ds] + m.cpts["tag_init"].log_table()[ds, tag]
         self.log_init = np.where(lt == m.next_lt[LT_NONE, tag], init, -np.inf)
+        # pair p is the (tag, memory) of states 2p and 2p + 1
+        pair_tag, pair_lt = tag[::2], lt[::2]
+        self.log_ds = m.cpts["ds_trans"].log_table()
+        pair_trans = m.cpts["tag_trans"].log_table()[
+            pair_tag[:, None, None], pair_lt[:, None, None], np.arange(2)[:, None], pair_tag
+        ]
+        follows = pair_lt == m.next_lt[pair_lt[:, None], pair_tag]
+        self.pair_trans = np.where(follows[:, None], pair_trans, -np.inf)
         # rows are the previous state, columns the next
-        trans = (
-            m.cpts["ds_trans"].log_table()[ds[:, None], ds]
-            + m.cpts["tag_trans"].log_table()[tag[:, None], lt[:, None], ds, tag]
-        )
-        self.log_trans = np.where(lt == m.next_lt[lt[:, None], tag], trans, -np.inf)
+        self.log_trans = join_factors(self.log_ds, self.pair_trans)
 
         # Per observable, a (card + 1, S) table: row c holds every state's
         # log P(code c); the last row is zeros, so a masked (-1) code adds 0.
@@ -382,6 +398,14 @@ class TimeMajor:
         rank[self.order] = np.arange(len(lengths))
         step = np.arange(self.starts[-1]) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         return self.starts[step] + np.repeat(rank, lengths)
+
+
+def join_factors(log_ds, pair_trans):
+    """The ``(S, S)`` move scores of a chain with these factors, S = 2P
+    (see :class:`CompiledChain`): ``log_ds[ds, ds'] + pair_trans[p, ds',
+    q]`` for the move from state 2p + ds to state 2q + ds'."""
+    pair, ds = np.divmod(np.arange(2 * len(pair_trans)), 2)
+    return log_ds[ds[:, None], ds] + pair_trans[pair[:, None], ds, pair]
 
 
 def check_observations(obs_matrix, cardinalities):

@@ -1,8 +1,12 @@
 import hashlib
+import json
+import os
 import pickle
 import re
+import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +106,42 @@ class TestTokenize:
             assert tok.start >= prev_end
             prev_end = tok.end
         assert "".join(t.surface for t in toks) == "".join(text.split())
+
+    @pytest.mark.parametrize("text", [b"abc", None, 3, ["a b"]], ids=["bytes", "none", "int", "list"])
+    def test_non_str_text_is_a_typed_error(self, text):
+        with pytest.raises(InvalidSpec, match="text must be a str"):
+            tokenize(text)
+
+    def test_a_refused_text_leaves_no_trace(self):
+        """The process-wide type table and chunk memo are read by every
+        later call: after a refused ``tokenize(b"abc")``, a generated
+        corpus's texts, columns and digest equal a fresh interpreter's.
+        Each side runs in its own interpreter."""
+        script = (
+            "import hashlib, json, sys\n"
+            "from bien.corpus import tokenize\n"
+            "from bien.synth import generate_corpus\n"
+            "if sys.argv[1] == 'bad':\n"
+            "    try:\n"
+            "        tokenize(b'abc')\n"
+            "    except Exception:\n"
+            "        pass\n"
+            "docs = generate_corpus(20, 5)\n"
+            "rows = [[d.text, [[t.surface, t.kind, t.start] for t in d.tokens],\n"
+            "         sorted(d.columns.items())] for d in docs]\n"
+            "print(json.dumps(rows))\n"
+            "print(hashlib.sha256(json.dumps(rows).encode()).hexdigest())\n"
+        )
+        src = str(Path(corpus_module.__file__).resolve().parent.parent)
+        out = {
+            side: subprocess.run(
+                [sys.executable, "-c", script, side], capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": src}, check=True,
+            ).stdout
+            for side in ("fresh", "bad")
+        }
+        assert out["bad"] == out["fresh"]
+        assert len(json.loads(out["fresh"].splitlines()[0])) == 20
 
 
 # whole chunks and pieces that exercise every branch of the chunk splitter

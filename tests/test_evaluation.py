@@ -34,7 +34,6 @@ from bien.features import (
     featurize,
     mask_columns,
 )
-from bien.inference import _BATCH_DOCS
 from bien.learning import TrainConfig, encode_tags
 from bien.model import build_model, compile_chain, number_observations
 from bien.synth import generate_corpus
@@ -315,11 +314,12 @@ class TestDecode:
         assert result.diagnostics == diag
 
     @pytest.mark.parametrize("memory", [True, False])
-    def test_decode_batch_matches_decode(self, memory):
+    def test_decode_batch_matches_decode(self, memory, monkeypatch):
         """Byte for byte, on the 42-state chain and the 34-state one, for
-        batches longer than one chunk: sampled, with a column masked as
+        batches longer than one chunk of 32: sampled, with a column masked as
         an ablation masks it, with every row the same, with every row
         distinct, and with every third document empty."""
+        monkeypatch.setattr(inference, "_BATCH_DOCS", 32)
         rng = np.random.default_rng(13)
         model = build_model(FIELDS, {"lemma": 1200, "case": 3}, memory=memory)
         model = randomize_model(model, rng)
@@ -338,7 +338,7 @@ class TestDecode:
         assert len(np.unique(np.concatenate(distinct), axis=0)) == ends[-1]
         empty = [obs if i % 3 else obs[:0] for i, obs in enumerate(sampled)]
         for obs_list in (sampled, masked, same, distinct, empty):
-            assert len(obs_list) > _BATCH_DOCS
+            assert len(obs_list) > inference._BATCH_DOCS
             got = decode_matrices(chain, obs_list)
             assert len(got) == len(obs_list)
             for result, obs in zip(got, obs_list):

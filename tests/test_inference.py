@@ -13,16 +13,33 @@ from oracles import (
 
 from bien import inference
 from bien.errors import InvalidSpec, NumericError, ZeroProbabilityEvidence
-from bien.inference import _BATCH_DOCS, Evidence, viterbi, viterbi_batch
-from bien.model import build_model, compile_chain
+from bien.inference import Evidence, viterbi, viterbi_batch
+from bien.model import build_model, compile_chain, join_factors
 
 OBS = {"lemma": 6, "case": 4}
 FOUR_FIELDS = ("speaker", "location", "stime", "etime")
+
+# Documents per chunk of the batched forward pass in these tests, so that
+# small batches span several chunks; the library's own width is kept in
+# BATCH_DOCS.
+CHUNK = 32
+BATCH_DOCS = inference._BATCH_DOCS
+
+
+@pytest.fixture(autouse=True)
+def chunks_of_32(monkeypatch):
+    monkeypatch.setattr(inference, "_BATCH_DOCS", CHUNK)
 
 
 def make_chain(fields, memory=True, seed=0):
     model = randomize_model(build_model(fields, OBS, memory=memory), np.random.default_rng(seed))
     return compile_chain(model)
+
+
+def rejoin(chain):
+    """After the chain's factors are written by hand: ``log_trans`` as
+    their sum again, so that both decoders score the same chain."""
+    chain.log_trans = join_factors(chain.log_ds, chain.pair_trans)
 
 
 def clamp_mask_by_hand(chain, evidence):
@@ -301,7 +318,7 @@ def mixed_batches(clamp):
     chains = [*chains.values()]
     chains += [make_chain(FOUR_FIELDS, memory=m, seed=5) for m in (True, False)]
     for chain in chains:
-        lengths = rng.permutation(np.arange(_BATCH_DOCS + 7) % 10)
+        lengths = rng.permutation(np.arange(CHUNK + 7) % 10)
         yield chain, [random_evidence(chain, int(T), rng, clamp=clamp) for T in lengths]
 
 
@@ -327,7 +344,7 @@ class TestViterbiBatch:
                     live.append((ev, viterbi_reference(chain, ev)))
                 except ZeroProbabilityEvidence:
                     pass
-            assert len(live) > _BATCH_DOCS
+            assert len(live) > CHUNK
             got = viterbi_batch(chain, *stacked(chain, [ev for ev, _ in live]))
             for (path, score), (_, (want_path, want_score)) in zip(got, live, strict=True):
                 np.testing.assert_array_equal(path, want_path)
@@ -355,10 +372,13 @@ class TestViterbiBatch:
     @pytest.mark.parametrize("memory", [True, False])
     def test_forced_ties_break_toward_lowest_index(self, memory):
         """In one chunk, and with documents of one length at ranks 20 to
-        39, across the edge between the first chunk and the second."""
+        39, across the edge between the first chunk and the second.
+        Every finite move scores log(0.5) + log(0.5), so every document
+        ties and the guard sends it to ``viterbi``."""
         chain = make_chain(("a", "b"), memory=memory, seed=4)
-        for table in (chain.log_init, chain.log_trans):
+        for table in (chain.log_init, chain.log_ds, chain.pair_trans):
             table[np.isfinite(table)] = np.log(0.5)
+        rejoin(chain)
         K = len(chain.model.observables)
         across = np.random.default_rng(8).permutation([9] * 20 + [5] * 20 + [1] * 5).tolist()
         for lengths in ((1, 9, 2, 5, 9), across):
@@ -392,7 +412,7 @@ class TestViterbiBatch:
         rng = np.random.default_rng(4)
         for lengths, dying, step in (
             ([3, 8], {0: 1, 1: 5}, 1),
-            ([6] + [9] * (_BATCH_DOCS + 4), {0: 4, 7: 1}, 4),
+            ([6] + [9] * (CHUNK + 4), {0: 4, 7: 1}, 4),
         ):
             batch = []
             for i, T in enumerate(lengths):
@@ -437,7 +457,7 @@ class TestViterbiBatch:
         monkeypatch.setattr(inference, "TimeMajor", Counted)
         chain = make_chain(("a",), seed=6)
         rng = np.random.default_rng(9)
-        batch = [random_evidence(chain, T, rng) for T in rng.integers(0, 8, 3 * _BATCH_DOCS + 1)]
+        batch = [random_evidence(chain, T, rng) for T in rng.integers(0, 8, 3 * CHUNK + 1)]
         assert len(viterbi_batch(chain, *stacked(chain, batch))) == len(batch)
         assert built == [len(batch)]
 
@@ -504,13 +524,18 @@ class TestViterbiBatch:
 
     def test_a_state_with_no_finite_predecessor(self):
         """Only the first token can take an inside state whose every move
-        in is -inf; the state sorts into the short lists."""
+        in is -inf; the state sorts into the short lists, and so does its
+        pair, which the kernel splits."""
         chain = make_chain(FOUR_FIELDS, seed=5)
         inside = int(np.flatnonzero(chain.tag_of == chain.model.tags.inside(0))[0])
-        chain.log_trans[:, inside] = -np.inf
+        chain.pair_trans[:, :, inside // 2] = -np.inf
+        rejoin(chain)
         _, few, preds = inference._split_by_in_degree(chain.log_trans)
         assert inside in few
         assert np.isneginf(chain.log_trans[preds[:, list(few).index(inside)], inside]).all()
+        _, few, preds = inference._split_by_in_degree(chain.pair_trans.max(axis=1))
+        listed = preds[:, list(few).index(inside // 2)]
+        assert np.isneginf(chain.pair_trans[listed, :, inside // 2]).all()
         rng = np.random.default_rng(11)
         self.assert_matches_reference(
             chain, [random_evidence(chain, int(T), rng) for T in rng.integers(0, 12, 40)]
@@ -520,10 +545,13 @@ class TestViterbiBatch:
         """Every move finite: each state is scored over all of them."""
         chain = make_chain(FOUR_FIELDS, seed=5)
         rng = np.random.default_rng(12)
-        dead = ~np.isfinite(chain.log_trans)
-        chain.log_trans[dead] = np.log(rng.uniform(1e-3, 1e-2, dead.sum()))
+        dead = ~np.isfinite(chain.pair_trans)
+        chain.pair_trans[dead] = np.log(rng.uniform(1e-3, 1e-2, dead.sum()))
+        rejoin(chain)
         many, few, _ = inference._split_by_in_degree(chain.log_trans)
         assert len(few) == 0 and len(many) == chain.n_states
+        many, few, _ = inference._split_by_in_degree(chain.pair_trans.max(axis=1))
+        assert len(few) == 0 and len(many) == chain.n_states // 2
         self.assert_matches_reference(
             chain, [random_evidence(chain, int(T), rng) for T in rng.integers(0, 12, 40)]
         )
@@ -559,3 +587,155 @@ class TestViterbiBatch:
             scores.flat[rng.choice(np.flatnonzero(np.isfinite(scores)))] = value
         with pytest.raises(InvalidSpec, match=f"the {where} holds NaN or"):
             viterbi_batch(chain, table, rows, lengths)
+
+
+class Scored:
+    """Evidence given as its ``(T, S)`` emission scores."""
+
+    def __init__(self, scores):
+        self.scores = scores
+
+    def __len__(self):
+        return len(self.scores)
+
+    def log_emission(self, chain):
+        return self.scores
+
+
+class TestFactoredViterbiBatch:
+    """The factored forward pass, its guard and the chain's factors."""
+
+    @pytest.mark.parametrize("memory", [True, False])
+    def test_factors_rebuild_log_trans_bit_for_bit(self, memory):
+        """Pair p is the (tag, memory) of states 2p and 2p + 1; the sum of
+        the factors is ``log_trans``, and so is the flat build from the
+        CPTs: segment move plus tag move, -inf where the memory does not
+        follow."""
+        chain = make_chain(FOUR_FIELDS, memory=memory, seed=5)
+        S = chain.n_states
+        assert S == (42 if memory else 34)
+        pair, ds = np.arange(S) // 2, chain.ds_of
+        np.testing.assert_array_equal(ds, np.arange(S) % 2)
+        np.testing.assert_array_equal(chain.tag_of[0::2], chain.tag_of[1::2])
+        np.testing.assert_array_equal(chain.lt_of[0::2], chain.lt_of[1::2])
+        assert chain.log_ds.shape == (2, 2) and chain.pair_trans.shape == (S // 2, 2, S // 2)
+        rebuilt = chain.log_ds[ds[:, None], ds] + chain.pair_trans[pair[:, None], ds, pair]
+        assert rebuilt.tobytes() == chain.log_trans.tobytes()
+        m, tag, lt = chain.model, chain.tag_of, chain.lt_of
+        flat = (
+            m.cpts["ds_trans"].log_table()[ds[:, None], ds]
+            + m.cpts["tag_trans"].log_table()[tag[:, None], lt[:, None], ds, tag]
+        )
+        flat = np.where(lt == m.next_lt[lt[:, None], tag], flat, -np.inf)
+        assert flat.tobytes() == chain.log_trans.tobytes()
+
+    @pytest.mark.parametrize("memory, pairs, sums", [(True, 21, 550), (False, 17, 406)])
+    def test_pairs_with_few_predecessors_are_scored_over_their_own(self, memory, pairs, sums):
+        """Stage 1 forms 4P sums per document-step; stage 2 forms, per
+        next segment, the sums of the split over pairs."""
+        chain = make_chain(FOUR_FIELDS, memory=memory, seed=5)
+        many, few, preds = inference._split_by_in_degree(chain.pair_trans.max(axis=1))
+        assert len(many) + len(few) == chain.n_states // 2 == pairs
+        assert 4 * pairs + 2 * (preds.size + len(many) * pairs) == sums
+
+    def test_a_cpt_written_after_compiling_changes_nothing(self):
+        """The chain holds its factors from compile time: a later write to
+        the model's segment and tag CPTs reaches neither them nor a
+        batched decode, only a fresh compile."""
+        chain = make_chain(FOUR_FIELDS, seed=5)
+        rng = np.random.default_rng(15)
+        args = stacked(chain, [random_evidence(chain, int(T), rng) for T in rng.integers(0, 12, 20)])
+        before = viterbi_batch(chain, *args)
+        factors = [chain.log_ds.tobytes(), chain.pair_trans.tobytes(), chain.log_trans.tobytes()]
+        for name in ("ds_trans", "tag_trans"):
+            cpt = chain.model.cpts[name]
+            cpt.table[...] = cpt.allowed / cpt.allowed.sum(axis=-1, keepdims=True)
+        assert compile_chain(chain.model).pair_trans.tobytes() != factors[1]
+        assert [chain.log_ds.tobytes(), chain.pair_trans.tobytes(),
+                chain.log_trans.tobytes()] == factors
+        for (path, score), (want_path, want_score) in zip(
+            viterbi_batch(chain, *args), before, strict=True
+        ):
+            assert path.tobytes() == want_path.tobytes()
+            assert np.float64(score).tobytes() == np.float64(want_score).tobytes()
+
+    @pytest.mark.parametrize("where", ["finite", "-inf"])
+    def test_a_log_trans_written_by_hand_is_a_typed_error(self, where):
+        """A finite move nudged, or deleted (-inf): ``viterbi`` would
+        score that chain and the batched decode its factors, so the
+        batched decode refuses it."""
+        chain = make_chain(FOUR_FIELDS, seed=5)
+        args = stacked(chain, [random_evidence(chain, T, np.random.default_rng(T)) for T in (3, 5)])
+        move = np.flatnonzero(np.isfinite(chain.log_trans))[7]
+        chain.log_trans.flat[move] = chain.log_trans.flat[move] - 1e-3 if where == "finite" else -np.inf
+        with pytest.raises(InvalidSpec, match="not the sum of the chain's log_ds and pair_trans"):
+            viterbi_batch(chain, *args)
+
+    def test_an_exact_tie_that_the_factored_sums_break_goes_to_viterbi(self, monkeypatch):
+        """A three-token document whose step-1 state is tied exactly in
+        ``viterbi``'s flat sums, between the background state i and the
+        begin state i2 > i, each the only finite predecessor of one pair.
+        The factored forward scores put i2 ahead by a rounding, so the
+        backtrace alone would pick it. Its margin is within the bound, so
+        the document is decoded by ``viterbi``, which keeps the lowest
+        index; the other documents of the batch are not."""
+        chain = make_chain(FOUR_FIELDS, seed=5)
+        state = {triple: k for k, triple in enumerate(chain.states)}
+        tags = chain.model.tags
+        i, i2, j = state[0, 0, 0], state[tags.begin(0), 1, 0], state[tags.begin(1), 2, 0]
+        assert i < i2 and i // 2 != i2 // 2
+        L, PT, LT = chain.log_ds, chain.pair_trans, chain.log_trans
+
+        def flat(b0, x, k):
+            """``viterbi``'s sum for the move k -> j at step 2: step 0 in i
+            scoring b0, k's emission x."""
+            return ((b0 + LT[i, k]) + x) + LT[k, j]
+
+        def factored(b0, x, k):
+            """The same sum over the factored forward score of k."""
+            return (((b0 + L[0, 0]) + PT[0, 0, k // 2]) + x) + LT[k, j]
+
+        rng = np.random.default_rng(21)
+        for _ in range(1000):
+            e0, x = rng.uniform(-3, -1, 2).tolist()
+            b0 = chain.log_init[i] + e0
+            target = flat(b0, x, i)
+            y = target - LT[i2, j] - (b0 + LT[i, i2])
+            for _ in range(64):  # walk y to an exact flat tie
+                if flat(b0, y, i2) == target:
+                    break
+                y = np.nextafter(y, np.inf if flat(b0, y, i2) < target else -np.inf)
+            if flat(b0, y, i2) == target and factored(b0, y, i2) > factored(b0, x, i):
+                break
+        else:
+            pytest.fail("no flat tie that the factored sums break the other way")
+        tie = np.full((3, chain.n_states), -np.inf)
+        tie[0, i], tie[1, [i, i2]], tie[2, j] = e0, [x, y], 0.0
+        others = [random_evidence(chain, int(T), rng) for T in rng.integers(1, 12, 40)]
+        batch = others[:20] + [Scored(tie)] + others[20:]
+        decoded = []
+        real = inference._viterbi
+        monkeypatch.setattr(inference, "_viterbi",
+                            lambda chain, emis: decoded.append(emis.copy()) or real(chain, emis))
+        got = viterbi_batch(chain, *stacked(chain, batch))
+        assert len(decoded) == 1 and decoded[0].tobytes() == tie.tobytes()
+        want_path, want_score = viterbi_reference(chain, Scored(tie))
+        np.testing.assert_array_equal(want_path, [i, i, j])
+        for (path, score), ev in zip(got, batch, strict=True):
+            want_path, want_score = viterbi_reference(chain, ev)
+            np.testing.assert_array_equal(path, want_path)
+            assert np.float64(score).tobytes() == np.float64(want_score).tobytes()
+
+    @pytest.mark.parametrize("memory", [True, False])
+    def test_the_library_chunk_width_matches_reference(self, memory, monkeypatch):
+        """At the library's own width: one whole chunk, and one more
+        document, which sorts into a second chunk."""
+        monkeypatch.setattr(inference, "_BATCH_DOCS", BATCH_DOCS)
+        chain = make_chain(FOUR_FIELDS, memory=memory, seed=5)
+        rng = np.random.default_rng(16 + memory)
+        for n_docs in (BATCH_DOCS, BATCH_DOCS + 1):
+            lengths = rng.integers(0, 10, n_docs)
+            lengths[0] = 10  # the longest, so that the last document sorts alone
+            TestViterbiBatch().assert_matches_reference(
+                chain, [random_evidence(chain, int(T), rng) for T in lengths]
+            )

@@ -186,6 +186,13 @@ class TestModelStructure:
         with pytest.raises(InvalidSpec, match="observables must be a dict"):
             build_model(("stime",), observables)
 
+    @pytest.mark.parametrize("fields", ["ab", "speaker", ""], ids=["letters", "one-name", "empty"])
+    def test_fields_given_as_one_string_are_a_typed_error(self, fields):
+        """A string is a sequence of its letters: ``"ab"`` would build the
+        fields ``("a", "b")``."""
+        with pytest.raises(InvalidSpec, match="fields must be a sequence of field names"):
+            build_model(fields, {"lemma": 3})
+
     def test_copy_keeps_every_attribute_and_owns_its_tables(self):
         m = small_model()
         m.cpts["ds_init"].note = m.note = object()  # attributes added later are kept
