@@ -403,7 +403,7 @@ def featurize(doc, gazetteer, lexicons, mask=()):
     if gazetteer is None or lexicons is None:
         raise MissingResource("featurize needs both a gazetteer and lexicons")
 
-    out = doc.types.column(_type_codes, gazetteer, lexicons)[doc.type_ids]
+    out = np.take(doc.types.column(_type_codes, gazetteer, lexicons), doc.type_ids, axis=0)
     out[:, 1] = doc.column_codes("pos", _pos_code)
     out[:, 2] = doc.column_codes("chunk", _chunk_code)
     if mask:

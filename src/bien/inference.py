@@ -324,7 +324,8 @@ def viterbi_batch(chain, table, rows, lengths):
     many, few, preds = _split_by_in_degree(chain.pair_trans.max(axis=1))
     pairs = np.concatenate([many, few])
     states = (2 * pairs[:, None] + [0, 1]).reshape(-1)
-    best = table[:, states][table_rows]  # the packed emissions, until the recursion adds to them
+    # the packed emissions, until the recursion adds to them
+    best = np.take(table[:, states], table_rows, axis=0)
     del table_rows  # so that the forward pass, the peak of memory, runs without it
     best[: live[0]] += chain.log_init[states]
     _forward(best, layout, chain.log_ds, chain.pair_trans[pairs][:, :, pairs], len(many),

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     PaddedLogBatch,
     SegmentedExample,
@@ -479,8 +481,27 @@ class TestEarlyExit:
 
 class TestGoldenTraining:
     """Every trained table and the log-likelihood trace, pinned bit for bit
-    by one sha256 per memory setting, for a featurized generated corpus.
-    Any change to the arithmetic of the E-step or the M-step shows here."""
+    by one sha256 per memory setting, and per mask on masked views of one
+    packing, as the ablation grid trains, for a featurized generated
+    corpus. Any change to the arithmetic of the E-step or the M-step shows
+    here."""
+
+    @staticmethod
+    def digest(model, examples):
+        result = train(model, examples, TrainConfig(tol=1e-6))
+        h = hashlib.sha256()
+        for name in sorted(result.model.cpts):
+            h.update(name.encode())
+            h.update(result.model.cpts[name].table.tobytes())
+        h.update(np.array(result.log_likelihood).tobytes())
+        return h.hexdigest()
+
+    @staticmethod
+    def corpus(memory):
+        docs = generate_corpus(40, 5)
+        gaz = build_gazetteer(docs, LEX.lemma_table)
+        m = build_model(FIELDS, feature_cardinalities(gaz), memory=memory)
+        return m, make_examples(docs, gaz, LEX, m)
 
     @pytest.mark.parametrize(
         "memory,digest",
@@ -491,16 +512,52 @@ class TestGoldenTraining:
         ids=["memory", "no-memory"],
     )
     def test_trained_tables_and_trace(self, memory, digest):
-        docs = generate_corpus(40, 5)
-        gaz = build_gazetteer(docs, LEX.lemma_table)
-        m = build_model(FIELDS, feature_cardinalities(gaz), memory=memory)
-        result = train(m, make_examples(docs, gaz, LEX, m), TrainConfig(tol=1e-6))
-        h = hashlib.sha256()
-        for name in sorted(result.model.cpts):
-            h.update(name.encode())
-            h.update(result.model.cpts[name].table.tobytes())
-        h.update(np.array(result.log_likelihood).tobytes())
-        assert h.hexdigest() == digest
+        assert self.digest(*self.corpus(memory)) == digest
+
+    @pytest.mark.parametrize(
+        "memory,mask,digest",
+        [
+            (True, ("lemma",), "43bd90f36685b8eeccc02eaa53dd49c4c9b2c5f7b64b32723d14fe50a4fb061e"),
+            (True, ("case",), "5fb37c1f70da402166dbad7786b7ecad781e9f892898c2194a0569f72605c289"),
+            (False, ("lemma",), "a34545a647af8ab6e44c6b2fa9f12f17bb3be9bd50b5ac7338c1089a758f9543"),
+            (False, ("case",), "47841c915ae53488e184d5b06853f3b21b77d3bd9b1a01b7d190ef5f5abe6ac7"),
+        ],
+        ids=["memory-lemma", "memory-case", "no-memory-lemma", "no-memory-case"],
+    )
+    def test_masked_views(self, memory, mask, digest):
+        m, examples = self.corpus(memory)
+        assert self.digest(m, pack(m, examples).masked(mask)) == digest
+
+
+# Posterior-like weights: zeros, subnormals and magnitudes far apart, so
+# that a sum in any other order rounds differently.
+WEIGHTS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308]),
+    st.floats(0.0, 1.0, allow_subnormal=True),
+    st.floats(0.0, 1e12),
+)
+
+
+class TestTally:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_complex_tally_is_two_bincounts(self, data):
+        """One tally of the (N, 2) weights viewed as complex numbers gives
+        each column's ``np.bincount`` tally bit for bit: both add per cell
+        in token order, and complex addition adds each part on its own."""
+        cells = data.draw(st.integers(1, 12))
+        flat = np.array(data.draw(st.lists(st.integers(0, cells - 1), min_size=1, max_size=8)))
+        n = data.draw(st.integers(0, 80))
+        row_of = np.array(
+            data.draw(st.lists(st.integers(0, len(flat) - 1), min_size=n, max_size=n)),
+            dtype=np.int64,
+        )
+        weights = np.array(data.draw(st.lists(WEIGHTS, min_size=2 * n, max_size=2 * n)))
+        weights = weights.reshape(n, 2)
+        got = learning._tally(weights.view(np.complex128).ravel(), flat, row_of, cells)
+        for part, column in zip((got.real, got.imag), weights.T):
+            want = np.bincount(flat[row_of], weights=column, minlength=cells)
+            assert part.tobytes() == want.tobytes()
 
 
 def assert_same_training(a, b):
@@ -586,6 +643,21 @@ class TestPack:
         packing = pack(m, stack_examples([example("a", [0, m.tags.single(0), 0], model=m)]))
         with pytest.raises(InvalidSpec, match="2 observables"):
             packing.masked(("semantic",))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: train(m, None),
+            lambda m: train(m, [1, 2]),
+            lambda m: train(m, [example("a", [0, m.tags.single(0), 0], model=m)]),
+            lambda m: pack(m, "abc"),
+            lambda m: pack(m, pack(m, stack_examples([example("a", [0], model=m)]))),
+        ],
+        ids=["train-none", "train-ints", "train-example-list", "pack-str", "pack-packing"],
+    )
+    def test_wrong_type_raises(self, call):
+        with pytest.raises(InvalidSpec, match="must be the StackedExamples of make_examples"):
+            call(build_model(("x",), OBS))
 
     def test_repeated_id_raises(self):
         m = build_model(("x",), OBS)
