@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package, and its int check."""
+"""Exception hierarchy shared across the package, and its int and
+sequence checks."""
 
 import numbers
 
@@ -86,3 +87,11 @@ def check_int(name, value, least=None, error=InvalidSpec):
     if not integral or (least is not None and value < least):
         bound = "" if least is None else f" >= {least}"
         raise error(f"{name} must be an int{bound}, got {value!r}")
+
+
+def check_sequence(name, value):
+    """Raise :class:`InvalidSpec` saying that ``name`` must be a sequence if
+    ``value`` is a ``str`` or ``bytes``, which iterate as their characters
+    where a sequence of items belongs."""
+    if isinstance(value, (str, bytes)):
+        raise InvalidSpec(f"{name} must be a sequence, not the {type(value).__name__} {value!r}")

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .corpus import SplitPlan, TagSpan, split
-from .errors import InvalidSpec, check_int
+from .errors import InvalidSpec, check_int, check_sequence
 # featurize stays importable here for the benchmark's tracer (perfbench/tracing.py)
 from .features import (  # noqa: F401
     build_gazetteer,
@@ -183,9 +183,11 @@ def score_documents(docs, predictions, fields, mode="slot"):
     credited when any predicted filler string matches any gold filler
     string in the document. ``occurrence`` mode counts every span and
     requires exact token boundaries. A predicted span that ends past its
-    document raises :class:`InvalidSpec` naming both, in either mode.
+    document raises :class:`InvalidSpec` naming both, in either mode, as
+    does a ``str`` for ``fields``.
     """
     check_match_mode(mode)
+    check_sequence("fields", fields)
     if len(docs) != len(predictions):
         raise InvalidSpec(
             f"{len(docs)} documents but {len(predictions)} prediction lists"

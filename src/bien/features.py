@@ -100,9 +100,9 @@ def lemmatise(surface, table):
 class LexiconSet:
     """The word lists consulted by the semantic feature, plus the lemma table.
 
-    :func:`featurize` codes each token type against a set once, in a column
-    of the type's :class:`~bien.corpus.TypeTable`, and again only for a set
-    that differs.
+    :func:`featurize_docs` codes each token type against a set once, in a
+    column of the type's :class:`~bien.corpus.TypeTable`, and again only for
+    a set that differs from the last one.
     """
 
     titles: frozenset
@@ -162,9 +162,10 @@ class Gazetteer:
     Ids 1..V cover the vocabulary in descending corpus frequency; V+1 is
     out-of-vocabulary and V+2 is not-a-word (punctuation and symbols). Any
     other token type's id is that of its lemma (see :func:`lemmatise`),
-    else that of its lowercased surface, else V+1. :func:`featurize` gives
-    each token type its id once per gazetteer, in a column of the type's
-    :class:`~bien.corpus.TypeTable`; an equal gazetteer shares that column.
+    else that of its lowercased surface, else V+1. :func:`featurize_docs`
+    gives each token type its id once per gazetteer, in a column of the
+    type's :class:`~bien.corpus.TypeTable`; an equal gazetteer shares that
+    column.
     """
 
     def __init__(self, ids, lemma_table):
@@ -384,41 +385,32 @@ def _chunk_code(value):
 
 
 def featurize(doc, gazetteer, lexicons, mask=()):
-    """Encode a document as a ``(T, 6)`` int16 matrix of 0-based codes.
+    """:func:`featurize_docs` of the one document ``doc``: its ``(T, 6)``
+    int16 matrix of 0-based codes."""
+    return featurize_docs([doc], gazetteer, lexicons, mask)
+
+
+def featurize_docs(docs, gazetteer, lexicons, mask=()):
+    """Encode ``docs`` as one ``(N, 6)`` int16 matrix of 0-based codes, a
+    row per token, the documents' rows stacked in order.
 
     Column order follows :data:`FEATURE_NAMES`. Both resources are required
     whatever the mask: ``None`` for either raises :class:`MissingResource`.
     Masked features are -1 throughout; an unknown name in ``mask`` raises
-    :class:`InvalidSpec`. POS and chunk columns come from the document's
+    :class:`InvalidSpec`. POS and chunk columns come from the documents'
     annotation columns and degrade to their NA codes when absent.
 
-    The other codes are one gather of per-type rows, kept as a column of the
-    document's :class:`~bien.corpus.TypeTable` and computed once per
-    gazetteer and lexicon set: the gazetteer ids from the table's lemma
-    column, kept per lemma table, and the semantic, case and length codes
-    from a column kept per lexicon set. POS and chunk codes are computed
-    once per document. The gather is the only matrix allocated; a mask
-    blanks its columns in place.
-    """
-    if gazetteer is None or lexicons is None:
-        raise MissingResource("featurize needs both a gazetteer and lexicons")
-
-    out = np.take(doc.types.column(_type_codes, gazetteer, lexicons), doc.type_ids, axis=0)
-    out[:, 1] = doc.column_codes("pos", _pos_code)
-    out[:, 2] = doc.column_codes("chunk", _chunk_code)
-    if mask:
-        out[:, mask_columns(mask)] = MASKED
-    return out
-
-
-def featurize_docs(docs, gazetteer, lexicons, mask=()):
-    """The :func:`featurize` matrices of ``docs`` stacked in order, as one
-    ``(N, 6)`` int16 matrix, made in one pass over the documents' type ids
-    concatenated, with the same errors.
-
-    The per-type rows are one gather; documents of a second type table read
-    its rows after the first table's. The pos and chunk codes are the
-    documents' kept codes, concatenated.
+    The other codes are one gather of per-type rows, through the documents'
+    type ids concatenated. The rows are kept as a column of each document's
+    :class:`~bien.corpus.TypeTable` and computed once per gazetteer and
+    lexicon set: the gazetteer ids from the table's lemma column, kept per
+    lemma table, and the semantic, case and length codes from a column kept
+    per lexicon set. Documents that share one table gather from its column
+    as it is kept; those of a second table, which starts over at
+    ``_MEMO_LIMIT`` types, read its rows after the first table's. POS and
+    chunk codes are computed once per document and kept on it. The gather
+    is the only matrix allocated, so the result is fresh and writable; a
+    mask blanks its columns in place.
     """
     if gazetteer is None or lexicons is None:
         raise MissingResource("featurize needs both a gazetteer and lexicons")
@@ -431,7 +423,8 @@ def featurize_docs(docs, gazetteer, lexicons, mask=()):
         first_row = dict(zip(tables, np.cumsum([0] + [len(c) for c in codes[:-1]]).tolist()))
         shift = [first_row[doc.types] for doc in docs]
         ids = ids + np.repeat(shift, [len(doc.type_ids) for doc in docs])
-    out = np.take(np.concatenate(codes), ids, axis=0)
+        codes = [np.concatenate(codes)]
+    out = np.take(codes[0], ids, axis=0)
     out[:, 1] = np.concatenate([doc.column_codes("pos", _pos_code) for doc in docs])
     out[:, 2] = np.concatenate([doc.column_codes("chunk", _chunk_code) for doc in docs])
     if mask:

@@ -333,14 +333,15 @@ def viterbi_batch(chain, table, rows, lengths):
     ranked = layout.lengths[layout.order]
     nonempty = np.arange(live[0])  # the ranks of the non-empty documents
     last = best[layout.starts[ranked[: live[0]] - 1] + nonempty]  # their last rows
-    # a step with no live state leaves every later step dead as well, so
-    # only a document whose last step has no finite score can have one
-    for r in sorted(np.flatnonzero(~(last.max(axis=1) > -np.inf)).tolist(),
-                    key=layout.order.item):
-        dead = np.flatnonzero(best[layout.starts[: ranked[r]] + r].max(axis=1) == -np.inf)
-        if dead.size:
-            step = int(dead[0])
-            raise ZeroProbabilityEvidence(f"no state admits token {step}", step=step)
+    ends = np.cumsum(lengths)
+    # A step with no live state leaves every later step dead as well, so a
+    # document has a dead step if and only if its last step has no finite
+    # score. With NaN and +inf refused, both recursions find the same live
+    # states, so ``viterbi`` raises at the first such document's first dead step.
+    dead = np.flatnonzero(~(last.max(axis=1) > -np.inf))
+    if dead.size:
+        i = int(layout.order[dead].min())
+        _viterbi(chain, table[rows[ends[i] - lengths[i] : ends[i]]])
     path, margin = _backtrace(best, layout, chain.log_trans[states][:, states], last.argmax(axis=1))
     del best  # past the backtrace, the rest runs on one value per token
     path = states[path]
@@ -354,8 +355,7 @@ def viterbi_batch(chain, table, rows, lengths):
     close[rank_of[~(margin > bound[rank_of])]] = True
     scores = np.empty(n)
     scores[layout.order] = score  # in input order
-    paths = np.split(path[packed], np.cumsum(lengths[:-1]))
-    ends = np.cumsum(lengths)
+    paths = np.split(path[packed], ends[:-1])
     for i in layout.order[close].tolist():
         paths[i], scores[i] = _viterbi(chain, table[rows[ends[i] - lengths[i] : ends[i]]])
     return list(zip(paths, scores.tolist()))

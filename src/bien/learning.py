@@ -333,29 +333,26 @@ class _FactoredBatch:
         trans = _transition_index(model, tags, examples.lengths)
 
         # Key each token's row by its transition index and emission codes,
-        # in example order; the numbers are then laid out time-major.
-        # Columns masked throughout add nothing and count nothing.
+        # in example order; the numbers are then laid out time-major. A
+        # column masked throughout keys to one code, adds 0.0 to every
+        # factor and tallies into the trailing column, which is dropped.
         n_tags = model.tags.size
-        observed = [
-            (k, spec.name, int(spec.cardinality))
-            for k, spec in enumerate(model.observables)
-            if obs[:, k].max() >= 0
-        ]
+        specs = [(k, spec.name, int(spec.cardinality)) for k, spec in enumerate(model.observables)]
         row_of, row = distinct_rows(
             len(trans),
             itertools.chain(
                 [(trans, n_tags * (1 + n_tags * model.lt_card))],
-                ((_emission_codes(obs[:, k], card), card + 1) for k, _, card in observed),
+                ((_emission_codes(obs[:, k], card), card + 1) for k, _, card in specs),
             ),
         )
         self.row_of = np.empty_like(row_of)
         self.row_of[self.layout.rows()] = row_of
-        # per distinct row: the transition index, and per observed column
+        # per distinct row: the transition index, and per observation column
         # (column, CPT name, cardinality, flat emission index)
         self.row_trans = trans[row]
         self.emit = [
             (k, f"emit:{name}", card, tags[row] * (card + 1) + _emission_codes(obs[row, k], card))
-            for k, name, card in observed
+            for k, name, card in specs
         ]
         self.n_observables = len(model.observables)
         self.structure = _structure(model)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import InvalidSpec, check_sequence
 
 ROLE_BACKGROUND = "background"
 ROLE_BEGIN = "begin"
@@ -134,8 +134,7 @@ class BienModel:
     """CPT collection plus the spaces they are indexed by."""
 
     def __init__(self, fields, observables, memory=True):
-        if isinstance(fields, str):
-            raise InvalidSpec(f"fields must be a sequence of field names, got the string {fields!r}")
+        check_sequence("fields", fields)
         self.fields = tuple(fields)
         self.tags = TagSpace(self.fields)
         self.observables = tuple(observables)

@@ -425,8 +425,7 @@ class TestTypeTable:
         assert starts[40:] == [0]
         assert len(table) == 40 and table.id_of("x", "mixed") == 40
 
-    def test_derived_numbers_outlast_their_columns(self, monkeypatch):
-        monkeypatch.setattr(corpus_module, "_COLUMN_CONTEXTS", 1)
+    def test_derived_numbers_outlast_their_columns(self):
         table = TypeTable()
 
         def numbers(table, start, suffix):
@@ -447,8 +446,7 @@ class TestTypeTable:
         assert cold.derived == {} and cold.derived.strings == []
         assert cold.column(numbers, "s").tolist() == [0, 0, 1, 1]
 
-    def test_alternating_contexts_are_each_computed_once_then_extended(self, monkeypatch):
-        monkeypatch.setattr(corpus_module, "_COLUMN_CONTEXTS", 3)
+    def test_alternating_contexts_are_each_computed_once_then_extended(self):
         table = TypeTable()
         calls = []
 
@@ -458,17 +456,20 @@ class TestTypeTable:
 
         for n in range(1, 21):
             table.id_of("x" * n, "word")
-            for offset in (0, 1):
-                assert table.column(lengths, offset).tolist() == list(
-                    range(1 + offset, n + 1 + offset)
-                )
-        assert calls == [(n, offset) for n in range(20) for offset in (0, 1)]
-        for offset in (2, 1, 3):  # the third context drops 0, the least recently read
-            table.column(lengths, offset)
+            for _ in range(2):  # a second read of one context computes nothing
+                assert table.column(lengths, 0).tolist() == list(range(1, n + 1))
+        assert calls == [(n, 0) for n in range(20)]
         del calls[:]
-        assert table.column(lengths, 1).tolist() == list(range(2, 22))
-        assert table.column(lengths, 0).tolist() == list(range(1, 21))
-        assert calls == [(0, 0)]
+        # one column per function: a context that differs from the last one
+        # read recomputes from type 0, and gives the same values each time
+        for offset in (1, 0, 1, 1):
+            assert table.column(lengths, offset).tolist() == list(
+                range(1 + offset, 21 + offset)
+            )
+        assert calls == [(0, 1), (0, 0), (0, 1)]
+        table.id_of("x" * 21, "word")
+        assert table.column(lengths, 1).tolist() == list(range(2, 23))
+        assert calls[3:] == [(20, 1)]
 
 
 class TestTokenView:

@@ -12,7 +12,7 @@ import pytest
 from bien import evaluation, inference, learning
 from bien import features as features_module
 from bien import model as model_module
-from bien.corpus import SplitPlan, TagSpan, parse_tagged_document
+from bien.corpus import SplitPlan, TagSpan, parse_tagged_document, parse_tagged_documents, split
 from bien.errors import InvalidSpec
 from bien.evaluation import (
     FieldScore,
@@ -277,6 +277,38 @@ class TestScoreDocuments:
     def test_slot_filler_surfaces(self):
         doc = parse("meet in <location>wean hall 5409</location> now")
         assert slot_filler(doc, doc.gold_spans[0]) == "wean hall 5409"
+
+
+SPEAKER_TEXT = "<speaker>ann blake</speaker> talks"
+
+STRING_FOR_SEQUENCE = {
+    "raws as a str": ("raws", lambda: parse_tagged_documents("ab", ["d0", "d1"])),
+    "raws as bytes": ("raws", lambda: parse_tagged_documents(b"ab", ["d0", "d1"])),
+    "doc_ids as a str": ("doc_ids", lambda: parse_tagged_documents(["a", "b"], "xy")),
+    "doc_ids as bytes": ("doc_ids", lambda: parse_tagged_documents(["a", "b"], b"xy")),
+    "both as str": ("raws", lambda: parse_tagged_documents("ab", "xy")),
+    "parse fields": (
+        "fields", lambda: parse_tagged_documents([SPEAKER_TEXT], ["d"], fields="speaker")
+    ),
+    "parse one fields": ("fields", lambda: parse_tagged_document(SPEAKER_TEXT, fields="speaker")),
+    "score fields as a str": (
+        "fields", lambda: score_documents([parse(SPEAKER_TEXT)], [[]], "speaker")
+    ),
+    "score fields as bytes": (
+        "fields", lambda: score_documents([parse(SPEAKER_TEXT)], [[]], b"speaker")
+    ),
+    "split a str": ("corpus", lambda: split("abcd", SplitPlan(runs=1))),
+    "split bytes": ("corpus", lambda: split(b"abcd", SplitPlan(runs=1))),
+}
+
+
+@pytest.mark.parametrize("case", STRING_FOR_SEQUENCE)
+def test_a_string_where_a_sequence_belongs_is_refused(case):
+    """A ``str`` or ``bytes`` iterates as its characters, so each of these
+    calls would parse, score or split one item per letter."""
+    name, call = STRING_FOR_SEQUENCE[case]
+    with pytest.raises(InvalidSpec, match=f"^{name} must be a sequence, not the "):
+        call()
 
 
 def set_lemma(obs, code):

@@ -442,8 +442,6 @@ class TestFeaturizeMatchesReference:
             featurize(docs[0], smaller, LEX), featurize_reference(docs[0], smaller, LEX)
         )
         assert not np.shares_memory(table.column(features._type_codes, smaller, LEX), codes)
-        # the first pair's codes are kept beside the other gazetteer's
-        assert np.shares_memory(table.column(features._type_codes, gaz, LEX), codes)
 
     def test_memos_key_on_surface_and_kind(self):
         gaz = Gazetteer({"hall": 1}, LEX.lemma_table)
@@ -614,17 +612,25 @@ class TestMaskInPlace:
         featurize(docs[0], gaz, LEX, mask=FEATURE_NAMES)
         np.testing.assert_array_equal(featurize(docs[0], gaz, LEX), want)
 
+    def test_the_matrix_is_fresh_and_writable(self):
+        docs = generate_corpus(5, 3)
+        gaz = build_gazetteer(docs, LEX.lemma_table)
+        codes = docs[0].types.column(features._type_codes, gaz, LEX)
+        for got in (featurize(docs[0], gaz, LEX), featurize_docs(docs, gaz, LEX)):
+            assert got.dtype == np.int16 and got.flags.writeable
+            assert not np.shares_memory(got, codes)
 
-def stacked_featurize(docs, gazetteer, lexicons, mask=()):
-    """Each document's ``featurize`` matrix, stacked in order."""
+
+def stacked_reference(docs, gazetteer, lexicons, mask=()):
+    """Each document's ``featurize_reference`` matrix, stacked in order."""
     empty = np.zeros((0, len(FEATURE_NAMES)), dtype=np.int16)
-    matrices = [featurize(doc, gazetteer, lexicons, mask=mask) for doc in docs]
+    matrices = [featurize_reference(doc, gazetteer, lexicons, mask=mask) for doc in docs]
     return np.concatenate([empty, *matrices])
 
 
 class TestFeaturizeDocs:
-    """``featurize_docs`` is the documents' ``featurize`` matrices stacked,
-    row for row."""
+    """``featurize_docs`` is the documents' reference matrices, every cell
+    computed afresh, stacked row for row."""
 
     def test_every_mask_of_the_grid(self):
         docs = generate_corpus(30, 3)
@@ -632,7 +638,7 @@ class TestFeaturizeDocs:
         for mask in dict.fromkeys(ABLATIONS.values()):
             got = featurize_docs(docs, gaz, LEX, mask=mask)
             assert got.dtype == np.int16 and got.shape == (sum(map(len, docs)), 6)
-            np.testing.assert_array_equal(got, stacked_featurize(docs, gaz, LEX, mask))
+            np.testing.assert_array_equal(got, stacked_reference(docs, gaz, LEX, mask))
 
     def test_a_side_across_type_tables(self, monkeypatch):
         monkeypatch.setattr(corpus_module, "_MEMO_LIMIT", 64)
@@ -643,10 +649,10 @@ class TestFeaturizeDocs:
         side = docs[1::2] + docs[::2]  # documents of one table apart in the side
         assert len({id(doc.types) for doc in side}) > 2
         got = featurize_docs(side, gaz, LEX)  # before any document's codes exist
-        np.testing.assert_array_equal(got, stacked_featurize(side, gaz, LEX))
+        np.testing.assert_array_equal(got, stacked_reference(side, gaz, LEX))
         np.testing.assert_array_equal(
             featurize_docs(side, gaz, LEX, mask=("lemma",)),
-            stacked_featurize(side, gaz, LEX, ("lemma",)),
+            stacked_reference(side, gaz, LEX, ("lemma",)),
         )
 
     def test_a_side_with_zero_token_documents(self):
@@ -656,7 +662,7 @@ class TestFeaturizeDocs:
         empty = [parse_tagged_document(text, doc_id=f"e{k}")[0] for k, text in enumerate(texts)]
         side = [empty[0], *docs[:3], empty[1], *docs[3:]]
         np.testing.assert_array_equal(
-            featurize_docs(side, gaz, LEX), stacked_featurize(side, gaz, LEX)
+            featurize_docs(side, gaz, LEX), stacked_reference(side, gaz, LEX)
         )
         for only_empty in ([], empty):
             got = featurize_docs(only_empty, gaz, LEX)
