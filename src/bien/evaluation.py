@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,6 +27,7 @@ from .model import (
     ROLE_BEGIN,
     ROLE_END,
     ROLE_INSIDE,
+    ObservationRows,
     build_model,
     compile_chain,
     number_observations,
@@ -128,8 +130,14 @@ def decode_batch(chain, numbered):
     (:class:`~bien.model.ObservationRows`): one ``DecodeResult`` per matrix,
     in order, identical to what ``decode`` returns for it. Each distinct row
     is scored once (a holdout test side of ``generate_corpus(485, 1993)``
-    has 271 among its 11,435 tokens). A row that does not fit the chain
-    raises :class:`InvalidSpec`."""
+    has 271 among its 11,435 tokens). Anything but an
+    :class:`~bien.model.ObservationRows` for ``numbered``, and a row that
+    does not fit the chain, raise :class:`InvalidSpec`."""
+    if not isinstance(numbered, ObservationRows):
+        raise InvalidSpec(
+            "decode_batch takes the ObservationRows of number_observations, "
+            f"got {type(numbered).__name__}"
+        )
     decoded = viterbi_batch(
         chain, chain.log_emission(numbered.table), numbered.rows, numbered.lengths
     )
@@ -182,9 +190,11 @@ def score_documents(docs, predictions, fields, mode="slot"):
     ``slot`` mode scores one answer per document and field: the field is
     credited when any predicted filler string matches any gold filler
     string in the document. ``occurrence`` mode counts every span and
-    requires exact token boundaries. A predicted span that ends past its
-    document raises :class:`InvalidSpec` naming both, in either mode, as
-    does a ``str`` for ``fields``.
+    requires exact token boundaries. Before any tally, a prediction that
+    is not a sequence of :class:`~bien.corpus.TagSpan` (a ``str`` is
+    not), or that holds a span ending past its document, raises
+    :class:`InvalidSpec` naming the document, in either mode, as does a
+    ``str`` for ``fields``.
     """
     check_match_mode(mode)
     check_sequence("fields", fields)
@@ -192,12 +202,22 @@ def score_documents(docs, predictions, fields, mode="slot"):
         raise InvalidSpec(
             f"{len(docs)} documents but {len(predictions)} prediction lists"
         )
-    scores = {f: FieldScore() for f in fields}
     for doc, spans in zip(docs, predictions):
+        if isinstance(spans, str) or not isinstance(spans, Sequence):
+            raise InvalidSpec(
+                f"{doc.id}: a prediction must be a sequence of TagSpan, "
+                f"got {type(spans).__name__}"
+            )
         n_tokens = len(doc.type_ids)
         for span in spans:
+            if not isinstance(span, TagSpan):
+                raise InvalidSpec(
+                    f"{doc.id}: a prediction must hold TagSpan, got {type(span).__name__}"
+                )
             if span.end_token >= n_tokens:
                 raise InvalidSpec(f"{doc.id}: predicted {span} ends past its {n_tokens} tokens")
+    scores = {f: FieldScore() for f in fields}
+    for doc, spans in zip(docs, predictions):
         for f in fields:
             gold = [s for s in doc.gold_spans if s.field == f]
             pred = [s for s in spans if s.field == f]

@@ -414,6 +414,7 @@ def featurize_docs(docs, gazetteer, lexicons, mask=()):
     """
     if gazetteer is None or lexicons is None:
         raise MissingResource("featurize needs both a gazetteer and lexicons")
+    columns = mask_columns(mask)  # checked on an empty side too
     if not docs:
         return np.empty((0, len(FEATURE_NAMES)), dtype=np.int16)
     ids = np.concatenate([doc.type_ids for doc in docs])
@@ -427,8 +428,8 @@ def featurize_docs(docs, gazetteer, lexicons, mask=()):
     out = np.take(codes[0], ids, axis=0)
     out[:, 1] = np.concatenate([doc.column_codes("pos", _pos_code) for doc in docs])
     out[:, 2] = np.concatenate([doc.column_codes("chunk", _chunk_code) for doc in docs])
-    if mask:
-        out[:, mask_columns(mask)] = MASKED
+    if columns:
+        out[:, columns] = MASKED
     return out
 
 

@@ -190,6 +190,20 @@ def _split_by_in_degree(log_trans):
     return many, few, np.take_along_axis(listed, slot, axis=0)
 
 
+def _widths(counts):
+    """The width of :func:`_forward`'s stage buffers at each step of a
+    chunk whose steps hold ``counts`` live documents, a count that never
+    rises: the first count, until a count falls to half the width or
+    less, which becomes the width. So every step runs at least as wide as
+    its live count and less than twice as wide."""
+    widths, width = [], counts[0] if counts else 0
+    for m in counts:
+        if 2 * m <= width:
+            width = m
+        widths.append(width)
+    return widths
+
+
 def _forward(best, layout, log_ds, trans, d, preds):
     """The factored max-product pass of ``viterbi_batch``, in place: each
     row of ``best`` past step 0 holds its emission scores on entry and
@@ -198,51 +212,69 @@ def _forward(best, layout, log_ds, trans, d, preds):
     The states are in the kernel's order: state 2i + ds is pair i in
     segment ds, and ``trans[i, ds', j]`` scores the pair move i -> j into
     segment ds'. Pairs 0 .. d - 1 are scored over every pair, and each
-    later pair over its column of ``preds``. Per step, on a chunk of
-    ``_BATCH_DOCS`` columns, one document per column, pair-major with the
-    documents innermost: a copy of the previous scores, stage 1 (one add
-    and one maximum: ``u[i, ds'] = max_ds prev[2i + ds] + log_ds[ds,
+    later pair over its column of ``preds``. Per step, on a chunk of up
+    to ``_BATCH_DOCS`` columns, one document per column, pair-major with
+    the documents innermost: a copy of the previous scores, stage 1 (one
+    add and one maximum: ``u[i, ds'] = max_ds prev[2i + ds] + log_ds[ds,
     ds']``), stage 2 for the first d pairs (one add of every pair's ``u``
     to its moves, ``(P, d, 2, width)``, and one maximum over the pairs)
     and for the others (one gather of their predecessors' ``u``, one add
     and one maximum over the slots), and one add of the result to the
-    emission scores. The stage buffers span the whole chunk, so each of
-    their adds and maxima runs over contiguous blocks; the columns of
-    documents that have ended hold stale scores, finite or -inf, whose
-    results are not read.
+    emission scores.
+
+    The stage buffers are contiguous, so each of their adds and maxima
+    runs over whole blocks. The documents alive at a step are a prefix of
+    the chunk, and their count only falls, so the buffers are built at
+    the first step's live count and built again, narrower, whenever it
+    falls to half their width or less (:func:`_widths`), together with
+    the views that every step reads. The columns past the live count hold
+    the stale scores of documents that have ended, finite or -inf, whose
+    results are not read. On the 5 test sides of the default experiment
+    on ``generate_corpus(485, 1993)`` the pass runs 60,271 column-steps
+    for 56,264 live ones, where buffers of the chunk's full width ran
+    75,951.
     """
     P = len(trans)
     (w, k), n = preds.shape, len(layout.lengths)
-    width = max(min(n, _BATCH_DOCS), 1)
-    prev_scores = np.zeros((P, 2, width))  # [pair, segment, document]
-    u = np.empty((P, 2, width))  # [pair, next segment, document]
-    ds_rep = np.empty((2, 2, width))
-    ds_rep[:] = log_ds[:, :, None]
-    many_rep = np.empty((P, d, 2, width))  # [from pair, to pair, next segment, document]
-    many_rep[:] = trans[:, :, :d].transpose(0, 2, 1)[..., None]
+    chunk = max(min(n, _BATCH_DOCS), 1)
+    many_trans = trans[:, :, :d].transpose(0, 2, 1)[..., None]  # [from pair, to pair, next segment, 1]
     few_trans = trans[preds, :, np.arange(d, P)][..., None]  # [slot, pair, next segment, 1]
     # the sums of stage 1, of stage 2's first pairs and of its others, one
     # after the other in one buffer, so that the pass holds one at a time
-    sums = np.empty(max(4 * P, 2 * P * d, 2 * w * k) * width)
-    stage1 = sums[: 4 * P * width].reshape(P, 2, 2, width)  # [pair, segment, next segment, document]
-    moves = sums[: many_rep.size].reshape(many_rep.shape)
-    block = sums[: 2 * w * k * width].reshape(w, k, 2, width)  # [slot, pair, next segment, document]
-    into = np.empty((P, 2, width))  # the best move into each state
-    flat_into = into.reshape(2 * P, width)
+    n_sums = max(4 * P, 2 * P * d, 2 * w * k)
     starts, live = layout.starts.tolist(), layout.live.tolist()
     ranked = layout.lengths[layout.order]  # the lengths, longest first
-    for lo, T in zip(range(0, n, width), ranked[::width].tolist()):
-        for t in range(1, T):
-            m = min(live[t] - lo, width)
+    add, maximum, reduce = np.add, np.maximum, np.maximum.reduce
+    for lo, T in zip(range(0, n, chunk), ranked[::chunk].tolist()):
+        counts = [min(live[t] - lo, chunk) for t in range(1, T)]
+        width = 0
+        for t, m, step_width in zip(range(1, T), counts, _widths(counts)):
+            if step_width != width:
+                width = step_width
+                prev_scores = np.empty((P, 2, width))  # [pair, segment, document]
+                u = np.empty((P, 2, width))  # [pair, next segment, document]
+                ds_rep = np.empty((2, 2, width))
+                ds_rep[:] = log_ds[:, :, None]
+                many_rep = np.empty((P, d, 2, width))  # [from pair, to pair, next segment, document]
+                many_rep[:] = many_trans
+                sums = np.empty(n_sums * width)
+                stage1 = sums[: 4 * P * width].reshape(P, 2, 2, width)  # [pair, segment, next segment, document]
+                moves = sums[: many_rep.size].reshape(many_rep.shape)
+                block = sums[: 2 * w * k * width].reshape(w, k, 2, width)  # [slot, pair, next segment, document]
+                into = np.empty((P, 2, width))  # the best move into each state
+                # the views that every step at this width reads
+                prev_b, u_b = prev_scores[:, :, None], u[:, None]
+                from_0, from_1 = stage1[:, 0], stage1[:, 1]
+                into_many, into_few, flat_into = into[:d], into[d:], into.reshape(2 * P, width)
             cur, prev = starts[t] + lo, starts[t - 1] + lo
             prev_scores[:, :, :m] = best[prev : prev + m].T.reshape(P, 2, m)
-            np.add(prev_scores[:, :, None], ds_rep, out=stage1)
-            np.maximum(stage1[:, 0], stage1[:, 1], out=u)
-            np.add(many_rep, u[:, None], out=moves)
-            np.maximum.reduce(moves, axis=0, out=into[:d])
+            add(prev_b, ds_rep, out=stage1)
+            maximum(from_0, from_1, out=u)
+            add(many_rep, u_b, out=moves)
+            reduce(moves, axis=0, out=into_many)
             u.take(preds, axis=0, out=block, mode="clip")  # every index is in range
             block += few_trans
-            np.maximum.reduce(block, axis=0, out=into[d:])
+            reduce(block, axis=0, out=into_few)
             best[cur : cur + m] += flat_into[:, :m].T
 
 
@@ -274,9 +306,10 @@ def viterbi_batch(chain, table, rows, lengths):
     42 states and 406 at 34. It runs chunk by chunk, over runs of
     ``_BATCH_DOCS`` documents of that order; as the documents alive at a
     step are a prefix of the order, a chunk's rows at each step are one
-    slice of the layout. If any document has no live state at some step,
-    this raises the :class:`ZeroProbabilityEvidence` of the first such
-    document in input order, at its first dead step.
+    slice of the layout, and its buffers narrow as its documents end. If
+    any document has no live state at some step, this raises the
+    :class:`ZeroProbabilityEvidence` of the first such document in input
+    order, at its first dead step.
 
     The factored sums ``(best + log_ds) + pair_trans`` need not round as
     ``viterbi``'s ``best + log_trans`` do, so a guard keeps the results

@@ -267,6 +267,20 @@ class TestScoreDocuments:
         scores = score_documents(docs, [[], [TagSpan("speaker", 1, 2)]], FIELDS, mode=mode)
         assert scores["speaker"].produced == 1
 
+    @pytest.mark.parametrize("mode", ["slot", "occurrence"])
+    def test_a_prediction_that_is_not_a_sequence_of_spans_raises(self, mode, monkeypatch):
+        """``None`` would raise a TypeError, a ``str`` an AttributeError
+        on its first letter, and a list holding a non-span either; each is
+        refused, naming the document, before any document is tallied."""
+        quiet, _ = parse_tagged_document("no speaker today", "quiet", fields=FIELDS)
+        docs = [parse("<speaker>li wu</speaker> presents"), quiet]
+        monkeypatch.setattr(evaluation, "slot_filler", None)  # any slot tally would fail
+        not_spans = ((None, "NoneType"), ("speaker", "str"),
+                     ([TagSpan("speaker", 0, 1), (0, 1)], "tuple"))
+        for bad, kind in not_spans:
+            with pytest.raises(InvalidSpec, match=f"^quiet: a prediction must .*got {kind}$"):
+                score_documents(docs, [[TagSpan("speaker", 0, 1)], bad], FIELDS, mode=mode)
+
     def test_macro_f1(self):
         scores = {
             "a": FieldScore(1, 1, 1),   # f1 = 1
@@ -534,6 +548,17 @@ class TestSharedTestSide:
         ):
             with pytest.raises(InvalidSpec, match=match):
                 decode_batch(chain, model_module.ObservationRows(bad_table, bad_rows, lengths))
+
+    def test_anything_but_observation_rows_is_refused(self):
+        """``None``, or the list of matrices that ``decode_matrices``
+        numbers, would raise an AttributeError on ``table``."""
+        rng = np.random.default_rng(20)
+        model = randomize_model(build_model(FIELDS[:2], {"lemma": 5, "case": 3}), rng)
+        chain = compile_chain(model)
+        obs = sample_example(model, 4, rng).obs
+        for bad, name in ((None, "NoneType"), ([obs], "list")):
+            with pytest.raises(InvalidSpec, match=f"ObservationRows .*got {name}$"):
+                decode_batch(chain, bad)
 
 
 class TestGoldenDecode:

@@ -676,3 +676,14 @@ class TestFeaturizeDocs:
                 featurize_docs(docs, gazetteer, lexicons)
         with pytest.raises(InvalidSpec, match="bogus"):
             featurize_docs(docs, gaz, LEX, mask=("case", "bogus"))
+
+    def test_a_bad_mask_raises_on_an_empty_side(self):
+        """As on any other side: an empty one gives no codes to mask, but
+        a mask that names no feature is still an error."""
+        docs = generate_corpus(3, 3)
+        gaz = build_gazetteer(docs, LEX.lemma_table)
+        empty = parse_tagged_document("", doc_id="e0")[0]
+        for side in ([], [empty]):
+            with pytest.raises(InvalidSpec, match="bogus"):
+                featurize_docs(side, gaz, LEX, mask=("bogus",))
+            assert featurize_docs(side, gaz, LEX, mask=("case",)).shape == (0, 6)

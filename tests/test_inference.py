@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from oracles import (
@@ -739,3 +741,57 @@ class TestFactoredViterbiBatch:
             TestViterbiBatch().assert_matches_reference(
                 chain, [random_evidence(chain, int(T), rng) for T in lengths]
             )
+
+
+def ladder_lengths(rungs):
+    """Document lengths on a geometric ladder: 2 ** (rungs - 1 - k)
+    documents of 2 ** k tokens for each k, so that the live count halves
+    at every doubling of the step, plus one zero-token document."""
+    return [2**k for k in range(rungs) for _ in range(2 ** (rungs - 1 - k))] + [0]
+
+
+class TestNarrowing:
+    """The forward pass builds its stage buffers again, narrower, as the
+    documents of a chunk end (``_widths``)."""
+
+    @pytest.mark.parametrize("width", ["chunk", "library"])
+    @pytest.mark.parametrize("memory", [True, False], ids=["memory", "no-memory"])
+    def test_a_halving_batch_matches_reference(self, width, memory, monkeypatch):
+        """Every width a chunk narrows to decodes bit for bit; the ladder
+        holds one-token documents (its first rung) and a zero-token one."""
+        if width == "library":
+            monkeypatch.setattr(inference, "_BATCH_DOCS", BATCH_DOCS)
+        chain = make_chain(FOUR_FIELDS, memory=memory, seed=7)
+        rng = np.random.default_rng(21 + memory)
+        lengths = rng.permutation(ladder_lengths(7))
+        assert len(lengths) == 128 and max(lengths) == 64
+        TestViterbiBatch().assert_matches_reference(
+            chain, [random_evidence(chain, int(T), rng) for T in lengths]
+        )
+
+    @pytest.mark.parametrize("counts", [
+        [], [1], [5, 5, 3, 2], [32, 31, 16, 16, 15, 8, 7, 4, 3, 2, 1],
+        [97, 97, 60, 48, 48, 30, 24, 12, 12, 11, 6, 5, 1],
+    ])
+    def test_no_step_runs_wider_than_twice_its_live_count(self, counts):
+        widths = inference._widths(counts)
+        assert len(widths) == len(counts)
+        assert widths[:1] == counts[:1]
+        for w, m in zip(widths, counts):
+            assert m <= w < 2 * m
+        assert all(a >= b for a, b in itertools.pairwise(widths))
+
+    def test_the_pass_narrows_by_its_width_rule(self, monkeypatch):
+        """Per chunk, the pass asks ``_widths`` for its steps' widths, with
+        one live count per step past the first; on the ladder they halve
+        down to one column."""
+        seen, real = [], inference._widths
+        monkeypatch.setattr(inference, "_widths",
+                            lambda counts: seen.append(counts) or real(counts))
+        chain = make_chain(("a", "b"), seed=8)
+        rng = np.random.default_rng(23)
+        lengths = ladder_lengths(6)
+        viterbi_batch(chain, *stacked(chain, [random_evidence(chain, T, rng) for T in lengths]))
+        assert len(seen) == -(-len(lengths) // CHUNK)
+        assert seen[0] == [min(sum(T > t for T in lengths), CHUNK) for t in range(1, 32)]
+        assert sorted(set(real(seen[0])), reverse=True) == [31, 15, 7, 3, 1]

@@ -529,6 +529,39 @@ class TestGoldenTraining:
         assert self.digest(m, pack(m, examples).masked(mask)) == digest
 
 
+class TestPassBuffers:
+    """A packing keeps one set of pass buffers, which its masked views
+    share, so one pass at a time runs on them."""
+
+    @staticmethod
+    def fingerprint(result):
+        tables = [result.model.cpts[name].table.tobytes() for name in sorted(result.model.cpts)]
+        return tables, np.array(result.log_likelihood).tobytes()
+
+    def test_views_train_alike_in_any_order_on_one_set_of_buffers(self):
+        m, examples = TestGoldenTraining.corpus(True)
+        config = TrainConfig(tol=1e-6)
+        masks = ((), ("lemma",), ("case",))
+        alone = {
+            mask: self.fingerprint(train(m, pack(m, examples).masked(mask), config))
+            for mask in masks
+        }
+        packing = pack(m, examples)
+        views = {mask: packing.masked(mask) for mask in masks}
+        for order in ((1, 0, 2, 1), (2, 2, 0, 1, 0), (0, 1, 2)):
+            for mask in (masks[i] for i in order):
+                assert self.fingerprint(train(m, views[mask], config)) == alone[mask]
+        trained = train(m, packing, config).model
+        passes = []
+        for mask in (masks[1], masks[0], masks[2], masks[1]):
+            alpha, c, B, _ = views[mask].forward(trained)
+            views[mask].expected_counts(trained, alpha, c, B)
+            passes.append((alpha, c, B))
+        for arrays in passes[1:]:
+            for got, first in zip(arrays, passes[0], strict=True):
+                assert np.shares_memory(got, first)
+
+
 # Posterior-like weights: zeros, subnormals and magnitudes far apart, so
 # that a sum in any other order rounds differently.
 WEIGHTS = st.one_of(
