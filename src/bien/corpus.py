@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AlignmentError, InvalidPlan, InvalidSpec, MalformedTag, check_int
-from .errors import check_sequence
+from .errors import check_sequence, check_type
 
 KIND_WORD = "word"
 KIND_NUMBER = "number"
@@ -50,7 +50,10 @@ DEFAULT_FIELDS = ("speaker", "location", "stime", "etime")
 
 @dataclass(frozen=True, slots=True)
 class Token:
-    """An element of ``Document.tokens``, and what a document is built from by hand."""
+    """An element of ``Document.tokens``, and what a document is built from
+    by hand. A surface that is not a ``str`` raises :class:`InvalidSpec`:
+    a document built from the token would add it to the type table that
+    every later call reads."""
 
     surface: str
     start: int
@@ -58,6 +61,7 @@ class Token:
     kind: str
 
     def __post_init__(self):
+        check_type("token surface", self.surface, str)
         if not self.surface or self.end - self.start != len(self.surface):
             raise InvalidSpec(
                 f"token {self.surface!r} does not span [{self.start}, {self.end})"
@@ -141,7 +145,9 @@ class Document:
     here, with its types in the tokenizer's current table. Equality
     compares the id, the text, each token's surface, kind and start, the
     gold spans and the columns, never type ids: documents made on either
-    side of a table restart hold a type under different ids.
+    side of a table restart hold a type under different ids. A column of
+    the wrong length raises :class:`AlignmentError` before any token's
+    type enters the table.
     """
 
     id: str
@@ -152,18 +158,18 @@ class Document:
     _cache: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.tokens, TokenView):
-            table = _current_types()
-            ids = [table.id_of(t.surface, t.kind) for t in self.tokens]
-            starts = [t.start for t in self.tokens]
-            view = TokenView(table, np.array(ids, dtype=np.int32), np.array(starts, dtype=np.int32))
-            object.__setattr__(self, "tokens", view)
         for name, values in self.columns.items():
             if len(values) != len(self.tokens):
                 raise AlignmentError(
                     f"column {name!r} has {len(values)} values for "
                     f"{len(self.tokens)} tokens"
                 )
+        if not isinstance(self.tokens, TokenView):
+            table = _current_types()
+            ids = [table.id_of(t.surface, t.kind) for t in self.tokens]
+            starts = [t.start for t in self.tokens]
+            view = TokenView(table, np.array(ids, dtype=np.int32), np.array(starts, dtype=np.int32))
+            object.__setattr__(self, "tokens", view)
 
     def __len__(self):
         return len(self.tokens)
@@ -492,11 +498,13 @@ def tokenize(text, abbreviations=frozenset()):
     of documents in one call, so the table starts over between blocks,
     never inside one.
 
-    A ``text`` that is not a ``str`` raises :class:`InvalidSpec` before
-    the table or the memo is touched, since every later call reads them.
+    A ``text`` that is not a ``str``, or ``abbreviations`` that are not a
+    sequence (:func:`~bien.errors.check_sequence`), raise
+    :class:`InvalidSpec` before the table or the memo is touched, since
+    every later call reads them.
     """
-    if not isinstance(text, str):
-        raise InvalidSpec(f"text must be a str, got {type(text).__name__}")
+    check_type("text", text, str)
+    check_sequence("abbreviations", abbreviations)
     table = _current_types()
     pieces_of = _chunk_memo.bind(frozenset(abbreviations), table)
     pieces = list(map(pieces_of.__getitem__, text.split()))
@@ -527,8 +535,7 @@ def _malformed(message, raw, pos, doc_id):
 def _strip_tags(raw, doc_id):
     """The tag-stripped text of ``raw`` and its tag pairs as ``(field,
     start, end)`` offsets into that text."""
-    if not isinstance(raw, str):
-        raise InvalidSpec(f"document {doc_id!r}: text must be a str, got {type(raw).__name__}")
+    check_type(f"document {doc_id!r}: text", raw, str)
     pieces = []
     stripped_len = 0
     open_tag = None  # (name, stripped_start, raw_pos)
@@ -668,8 +675,10 @@ def parse_tagged_documents(raws, doc_ids, fields=DEFAULT_FIELDS, abbreviations=N
     Unmatched or nested tags raise :class:`MalformedTag`, and a text that
     is not a ``str`` :class:`InvalidSpec`, naming the document, for the
     first such document in input order, before any text is tokenized.
-    ``raws`` and ``doc_ids`` of different lengths, or a ``str`` for
-    ``raws``, ``doc_ids`` or ``fields``, raise :class:`InvalidSpec`.
+    ``raws`` and ``doc_ids`` of different lengths, or anything but a
+    sequence (:func:`~bien.errors.check_sequence`) for ``raws``,
+    ``doc_ids``, ``fields`` or ``abbreviations``, raise
+    :class:`InvalidSpec`.
     """
     tokens, parsed = _parse_block(raws, doc_ids, fields, abbreviations)
     return [
@@ -708,13 +717,15 @@ def split(corpus, plan):
     A plan whose ``runs`` is not an int of at least 1, whose ``seed`` is
     not an int (a bool is neither) or whose ``train_fraction`` is not a
     real in (0, 1) raises :class:`InvalidPlan`, as do fewer than 2
-    documents; a ``str`` for ``corpus`` raises :class:`InvalidSpec`.
+    documents; anything but a sequence for ``corpus``, or a ``plan`` that
+    is not a :class:`SplitPlan`, raises :class:`InvalidSpec`.
     """
     check_sequence("corpus", corpus)
     corpus = list(corpus)
     n = len(corpus)
     if n < 2:
         raise InvalidPlan(f"a train/test split needs at least 2 documents, got {n}")
+    check_type("plan", plan, SplitPlan)
     check_int("runs", plan.runs, 1, InvalidPlan)
     check_int("seed", plan.seed, error=InvalidPlan)
     if not (isinstance(plan.train_fraction, numbers.Real) and 0.0 < plan.train_fraction < 1.0):

@@ -1,7 +1,56 @@
-"""Exception hierarchy shared across the package, and its int and
-sequence checks."""
+"""Exception hierarchy shared across the package, and the checks that
+refuse an argument of the wrong type.
+
+The contract for wrong types. The pipeline's entry points, from
+``tokenize`` through ``run_ablations``, refuse an argument of a type they
+do not take with :class:`InvalidSpec` naming the argument and the type it
+got, before any work and before any write to state that later calls read
+(the tokenizer's type table and chunk memo, a type table's columns, a
+document's cache). The entry points are ``tokenize``,
+``parse_tagged_documents``, ``parse_tagged_document``,
+``generate_corpus``, ``split``, ``build_gazetteer``, ``featurize``,
+``featurize_docs``, ``build_model``, ``make_examples``, ``pack``,
+``train``, ``compile_chain``, ``number_observations``, ``viterbi``,
+``viterbi_batch``, ``decode``, ``decode_batch``, ``score_documents``,
+``run_experiment`` and ``run_ablations``. Three helpers here make the
+decision and word the refusal:
+
+- :func:`check_type` for a text (``str``), a lemma table or observables
+  (``dict``), and the package's own objects: plans and configs,
+  documents, gazetteers and lexicon sets, models, stacked examples,
+  chains, numbered rows and predicted spans;
+- :func:`check_sequence` for documents, texts, ids, fields, masks,
+  abbreviations, predictions, variant names and cardinalities: any
+  iterable but a ``str`` or ``bytes``, which iterate as their
+  characters, and a ``dict``, which iterates as its keys (a prediction,
+  read twice, must also be a ``Sequence``). A one-pass iterator passes
+  the check, but not every function reads its sequences only once, so
+  give a list or a tuple;
+- :func:`check_int` for a count, a seed or a setting: an int, which a
+  bool is not.
+
+Observation matrices, tables, row numbers and lengths are read with
+``np.asarray``, so whatever their type they get :class:`InvalidSpec`
+from the checks of their dtype and shape. A call with more than one
+wrong argument is refused for one of them. Outside the contract:
+
+- ``None`` for a gazetteer, lexicon set or lemma table raises
+  :class:`MissingResource`, naming the resource;
+- a value inside a sequence or a mapping, such as a ``None`` among the
+  documents, is not checked for type and may raise Python's own
+  ``TypeError`` or ``AttributeError``, unless it would write shared
+  state (a :class:`~bien.corpus.Token`'s surface) or give a wrong result
+  with no error (a predicted span); so may a call that Python cannot
+  bind to the signature;
+- document ids, which are only compared and printed, and ``memory``,
+  which is read by its truth value, are taken as they come;
+- ``viterbi``'s evidence is anything with a ``log_emission(chain)``
+  method.
+"""
 
 import numbers
+import reprlib
+from collections.abc import Iterable
 
 
 class BienError(Exception):
@@ -89,9 +138,20 @@ def check_int(name, value, least=None, error=InvalidSpec):
         raise error(f"{name} must be an int{bound}, got {value!r}")
 
 
+def check_type(name, value, kind):
+    """Raise :class:`InvalidSpec` saying that ``name`` must be a ``kind``,
+    and what type it got, unless ``value`` is an instance of ``kind``."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOUaeiou" else "a"
+        raise InvalidSpec(f"{name} must be {article} {kind.__name__}, got {type(value).__name__}")
+
+
 def check_sequence(name, value):
-    """Raise :class:`InvalidSpec` saying that ``name`` must be a sequence if
-    ``value`` is a ``str`` or ``bytes``, which iterate as their characters
-    where a sequence of items belongs."""
-    if isinstance(value, (str, bytes)):
-        raise InvalidSpec(f"{name} must be a sequence, not the {type(value).__name__} {value!r}")
+    """Raise :class:`InvalidSpec` saying that ``name`` must be a sequence
+    unless ``value`` is iterable, and is neither a ``str`` or ``bytes``,
+    which iterate as their characters, nor a ``dict``, which iterates as
+    its keys, where a sequence of items belongs."""
+    if isinstance(value, (str, bytes, dict)) or not isinstance(value, Iterable):
+        raise InvalidSpec(
+            f"{name} must be a sequence, not the {type(value).__name__} {reprlib.repr(value)}"
+        )

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .corpus import SplitPlan, TagSpan, split
-from .errors import InvalidSpec, check_int, check_sequence
+from .errors import InvalidSpec, check_int, check_sequence, check_type
 # featurize stays importable here for the benchmark's tracer (perfbench/tracing.py)
 from .features import (  # noqa: F401
     build_gazetteer,
@@ -27,6 +27,7 @@ from .model import (
     ROLE_BEGIN,
     ROLE_END,
     ROLE_INSIDE,
+    CompiledChain,
     ObservationRows,
     build_model,
     compile_chain,
@@ -130,14 +131,12 @@ def decode_batch(chain, numbered):
     (:class:`~bien.model.ObservationRows`): one ``DecodeResult`` per matrix,
     in order, identical to what ``decode`` returns for it. Each distinct row
     is scored once (a holdout test side of ``generate_corpus(485, 1993)``
-    has 271 among its 11,435 tokens). Anything but an
+    has 271 among its 11,435 tokens). Anything but a
+    :class:`~bien.model.CompiledChain` for ``chain`` or an
     :class:`~bien.model.ObservationRows` for ``numbered``, and a row that
     does not fit the chain, raise :class:`InvalidSpec`."""
-    if not isinstance(numbered, ObservationRows):
-        raise InvalidSpec(
-            "decode_batch takes the ObservationRows of number_observations, "
-            f"got {type(numbered).__name__}"
-        )
+    check_type("chain", chain, CompiledChain)
+    check_type("numbered", numbered, ObservationRows)
     decoded = viterbi_batch(
         chain, chain.log_emission(numbered.table), numbered.rows, numbered.lengths
     )
@@ -191,29 +190,24 @@ def score_documents(docs, predictions, fields, mode="slot"):
     credited when any predicted filler string matches any gold filler
     string in the document. ``occurrence`` mode counts every span and
     requires exact token boundaries. Before any tally, a prediction that
-    is not a sequence of :class:`~bien.corpus.TagSpan` (a ``str`` is
+    is not a ``Sequence`` of :class:`~bien.corpus.TagSpan` (a ``str`` is
     not), or that holds a span ending past its document, raises
-    :class:`InvalidSpec` naming the document, in either mode, as does a
-    ``str`` for ``fields``.
+    :class:`InvalidSpec` naming the document, in either mode, as does
+    anything but a sequence for ``docs``, ``predictions`` or ``fields``.
     """
     check_match_mode(mode)
-    check_sequence("fields", fields)
+    for name, value in (("docs", docs), ("predictions", predictions), ("fields", fields)):
+        check_sequence(name, value)
     if len(docs) != len(predictions):
         raise InvalidSpec(
             f"{len(docs)} documents but {len(predictions)} prediction lists"
         )
     for doc, spans in zip(docs, predictions):
-        if isinstance(spans, str) or not isinstance(spans, Sequence):
-            raise InvalidSpec(
-                f"{doc.id}: a prediction must be a sequence of TagSpan, "
-                f"got {type(spans).__name__}"
-            )
+        check_sequence(f"{doc.id}: a prediction", spans)
+        check_type(f"{doc.id}: a prediction", spans, Sequence)  # one pass would empty an iterator
         n_tokens = len(doc.type_ids)
         for span in spans:
-            if not isinstance(span, TagSpan):
-                raise InvalidSpec(
-                    f"{doc.id}: a prediction must hold TagSpan, got {type(span).__name__}"
-                )
+            check_type(f"{doc.id}: a predicted span", span, TagSpan)
             if span.end_token >= n_tokens:
                 raise InvalidSpec(f"{doc.id}: predicted {span} ends past its {n_tokens} tokens")
     scores = {f: FieldScore() for f in fields}
@@ -376,17 +370,16 @@ def _run_variants(corpus, cfgs, jobs):
     process pool. Results merge in config and run order, so the outcome is
     identical for any ``jobs``. Document ids must be unique.
 
-    ``jobs`` (an int >= 1, not a bool), every mask name, match mode and
-    gazetteer setting, and the types of ``plan`` and ``train`` are checked
-    before any work: a bad one raises :class:`InvalidSpec` naming it."""
+    ``corpus`` (a sequence), ``jobs`` (an int >= 1, not a bool), and
+    every config's fields, mask name, match mode and gazetteer setting and
+    the types of its ``plan`` and ``train`` are checked before any work: a
+    bad one raises :class:`InvalidSpec` naming it."""
+    check_sequence("corpus", corpus)
     check_int("jobs", jobs, 1)
     for cfg in cfgs:
-        for name, kind in (("plan", SplitPlan), ("train", TrainConfig)):
-            value = getattr(cfg, name)
-            if not isinstance(value, kind):
-                raise InvalidSpec(
-                    f"ExperimentConfig.{name} must be a {kind.__name__}, got {value!r}"
-                )
+        check_sequence("ExperimentConfig.fields", cfg.fields)
+        check_type("ExperimentConfig.plan", cfg.plan, SplitPlan)
+        check_type("ExperimentConfig.train", cfg.train, TrainConfig)
         mask_columns(cfg.mask)
         check_match_mode(cfg.match_mode)
         check_gazetteer_settings(
@@ -415,7 +408,9 @@ def _run_variants(corpus, cfgs, jobs):
 def run_experiment(corpus, cfg, jobs=1):
     """The full protocol: split the corpus into the plan's holdout runs;
     per run, build the gazetteer from the training side only, train,
-    decode the test side, and score."""
+    decode the test side, and score. A ``cfg`` that is not an
+    :class:`ExperimentConfig` raises :class:`InvalidSpec`."""
+    check_type("cfg", cfg, ExperimentConfig)
     return _run_variants(corpus, [cfg], jobs)[0]
 
 
@@ -435,7 +430,11 @@ def run_ablations(corpus, cfg, jobs=1, variants=None):
 
     ``variants=None`` runs every entry of
     :data:`ABLATIONS`; an empty, unknown or repeated variant list raises
-    :class:`InvalidSpec`."""
+    :class:`InvalidSpec`, as do anything but a sequence for ``variants``
+    and a ``cfg`` that is not an :class:`ExperimentConfig`."""
+    check_type("cfg", cfg, ExperimentConfig)
+    if variants is not None:
+        check_sequence("variants", variants)
     names = list(ABLATIONS if variants is None else variants)
     unknown = sorted({n for n in names if n not in ABLATIONS})
     repeated = sorted({n for n in names if names.count(n) > 1})

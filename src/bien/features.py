@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import KIND_PUNCT, KIND_SYMBOL, KIND_WORD, NA_VALUE
+from .corpus import KIND_PUNCT, KIND_SYMBOL, KIND_WORD, NA_VALUE, Document
 from .errors import EmptyCorpus, EmptyVocabulary, InvalidSpec, MissingResource, check_int
+from .errors import check_sequence, check_type
 from . import resources
 
 MASKED = -1
@@ -255,9 +256,10 @@ def build_gazetteer(docs, lemma_table, window=3, min_freq=3, max_size=1200):
     (span tokens included). A candidate enters the vocabulary when its
     whole-corpus lemma frequency reaches ``min_freq``; the vocabulary is
     cut to the ``max_size`` most frequent (ties broken alphabetically).
-    A ``window`` below 0, or a ``min_freq`` or ``max_size`` below 1, raises
-    :class:`InvalidSpec` before any work, and a ``lemma_table`` of ``None``
-    raises :class:`MissingResource`.
+    A ``window`` below 0, a ``min_freq`` or ``max_size`` below 1, anything
+    but a sequence for ``docs`` or a ``lemma_table`` that is not a dict
+    raises :class:`InvalidSpec` before any work, and a ``lemma_table`` of
+    ``None`` raises :class:`MissingResource`.
 
     The work is whole-array passes over each type table's documents, with
     their type ids concatenated: every token's lemma is its type's number in
@@ -270,6 +272,8 @@ def build_gazetteer(docs, lemma_table, window=3, min_freq=3, max_size=1200):
     check_gazetteer_settings(window, min_freq, max_size)
     if lemma_table is None:
         raise MissingResource("build_gazetteer needs a lemma table")
+    check_sequence("docs", docs)
+    check_type("lemma_table", lemma_table, dict)
     by_table = {}
     for doc in docs:
         by_table.setdefault(doc.types, []).append(doc)
@@ -386,7 +390,9 @@ def _chunk_code(value):
 
 def featurize(doc, gazetteer, lexicons, mask=()):
     """:func:`featurize_docs` of the one document ``doc``: its ``(T, 6)``
-    int16 matrix of 0-based codes."""
+    int16 matrix of 0-based codes. A ``doc`` that is not a
+    :class:`~bien.corpus.Document` raises :class:`InvalidSpec`."""
+    check_type("doc", doc, Document)
     return featurize_docs([doc], gazetteer, lexicons, mask)
 
 
@@ -395,10 +401,13 @@ def featurize_docs(docs, gazetteer, lexicons, mask=()):
     row per token, the documents' rows stacked in order.
 
     Column order follows :data:`FEATURE_NAMES`. Both resources are required
-    whatever the mask: ``None`` for either raises :class:`MissingResource`.
-    Masked features are -1 throughout; an unknown name in ``mask`` raises
-    :class:`InvalidSpec`. POS and chunk columns come from the documents'
-    annotation columns and degrade to their NA codes when absent.
+    whatever the mask: ``None`` for either raises :class:`MissingResource`,
+    and anything but a :class:`Gazetteer` and a :class:`LexiconSet`
+    :class:`InvalidSpec`, as does anything but a sequence for ``docs``.
+    Masked features are -1 throughout; a bad ``mask`` raises
+    :class:`InvalidSpec` (:func:`mask_columns`). POS and chunk columns
+    come from the documents' annotation columns and degrade to their NA
+    codes when absent.
 
     The other codes are one gather of per-type rows, through the documents'
     type ids concatenated. The rows are kept as a column of each document's
@@ -414,6 +423,9 @@ def featurize_docs(docs, gazetteer, lexicons, mask=()):
     """
     if gazetteer is None or lexicons is None:
         raise MissingResource("featurize needs both a gazetteer and lexicons")
+    check_sequence("docs", docs)
+    check_type("gazetteer", gazetteer, Gazetteer)
+    check_type("lexicons", lexicons, LexiconSet)
     columns = mask_columns(mask)  # checked on an empty side too
     if not docs:
         return np.empty((0, len(FEATURE_NAMES)), dtype=np.int16)
@@ -435,7 +447,9 @@ def featurize_docs(docs, gazetteer, lexicons, mask=()):
 
 def mask_columns(mask):
     """The columns of :data:`FEATURE_NAMES` that ``mask`` names, in order.
-    An unknown name raises :class:`InvalidSpec`."""
+    Anything but a sequence (:func:`~bien.errors.check_sequence`), or an
+    unknown name, raises :class:`InvalidSpec`."""
+    check_sequence("mask", mask)
     unknown = set(mask) - set(FEATURE_NAMES)
     if unknown:
         raise InvalidSpec(f"unknown feature names in mask: {sorted(unknown)}")

@@ -59,8 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, ZeroProbabilityEvidence
-from .model import TimeMajor, check_lengths, join_factors
+from .errors import InvalidSpec, ZeroProbabilityEvidence, check_type
+from .model import CompiledChain, TimeMajor, check_lengths, join_factors
 
 # Documents per chunk of ``viterbi_batch``'s forward pass. Only that pass
 # is chunked: the batch has one layout, one emission gather and one
@@ -98,7 +98,9 @@ def viterbi(chain, evidence):
     Ties break toward the lowest state index, both for backpointers and
     for the final state. An empty document has an empty path scoring 0.
     A step that no state admits raises :class:`ZeroProbabilityEvidence`
-    at the first such step.
+    at the first such step, and a ``chain`` that is not a
+    :class:`~bien.model.CompiledChain` :class:`InvalidSpec`. ``evidence``
+    is anything with a ``log_emission(chain)`` method.
 
     Each step is six calls on fixed buffers: tile the previous scores,
     add the flat transposed transitions to them, take each state's
@@ -106,6 +108,7 @@ def viterbi(chain, evidence):
     gather through that into the step's row, and add the emission. The
     backtrace walks the backpointers in Python ints.
     """
+    check_type("chain", chain, CompiledChain)
     return _viterbi(chain, evidence.log_emission(chain))
 
 
@@ -282,13 +285,14 @@ def viterbi_batch(chain, table, rows, lengths):
     """``viterbi`` for many documents, document i scoring the table rows
     that the next ``lengths[i]`` entries of ``rows`` number: ``(path,
     score)`` per document, in input order, each identical to what
-    ``viterbi`` returns for those emission scores. Unless ``table`` is a
-    float64 ``(R, S)`` array, ``rows`` 1-D integers in ``0 .. R - 1`` and
-    ``lengths`` split them (:func:`bien.model.check_lengths`), this
-    raises :class:`InvalidSpec`, as it does for a NaN or +inf in
-    ``table`` or in the chain's ``log_init`` or ``log_trans``, with which
-    ``viterbi``'s sums can be NaN (a NaN, or +inf plus a -inf move), and
-    for a ``log_trans`` that is not the sum of the chain's factors
+    ``viterbi`` returns for those emission scores. Unless ``chain`` is a
+    :class:`~bien.model.CompiledChain`, ``table`` a float64 ``(R, S)``
+    array, ``rows`` 1-D integers in ``0 .. R - 1`` and ``lengths`` split
+    them (:func:`bien.model.check_lengths`), this raises
+    :class:`InvalidSpec`, as it does for a NaN or +inf in ``table`` or in
+    the chain's ``log_init`` or ``log_trans``, with which ``viterbi``'s
+    sums can be NaN (a NaN, or +inf plus a -inf move), and for a
+    ``log_trans`` that is not the sum of the chain's factors
     (:func:`bien.model.join_factors`), which this decodes.
 
     The batch is packed in one :class:`bien.model.TimeMajor` layout, its
@@ -324,6 +328,7 @@ def viterbi_batch(chain, table, rows, lengths):
     other path is ``viterbi``'s, and its score is formed again as
     ``viterbi`` forms it: ``(score + move) + emission`` per step.
     """
+    check_type("chain", chain, CompiledChain)
     table, rows, S = np.asarray(table), np.asarray(rows), chain.n_states
     if not (
         table.dtype == np.float64

@@ -47,10 +47,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCorpus, InconsistentGold, InvalidSpec, OverlappingSpans, UnknownField
-from .errors import check_int
+from .errors import check_int, check_sequence, check_type
 # featurize stays importable here for the benchmark's tracer (perfbench/tracing.py)
 from .features import featurize, featurize_docs, mask_columns  # noqa: F401
-from .model import LT_NONE, TimeMajor, check_lengths, distinct_rows
+from .model import LT_NONE, BienModel, TimeMajor, check_lengths, distinct_rows
 
 
 @dataclass(frozen=True)
@@ -194,7 +194,8 @@ def make_examples(docs, gazetteer, lexicons, model, mask=()):
     """Featurize and tag-encode documents into training examples, stacked
     as one :class:`StackedExamples` in id order, zero-token documents
     skipped; none left raises :class:`EmptyCorpus`, and an id used twice
-    :class:`InvalidSpec`.
+    :class:`InvalidSpec`, as do anything but a sequence for ``docs`` and a
+    ``model`` that is not a :class:`~bien.model.BienModel`, before any work.
 
     Sorting by id makes the example order, and so training, invariant to
     the order the documents arrive in. The codes are one
@@ -202,9 +203,11 @@ def make_examples(docs, gazetteer, lexicons, model, mask=()):
     and the tags the documents' kept :func:`encode_tags` arrays,
     concatenated in the smallest integer type that holds the tag space.
     """
+    check_sequence("docs", docs)
     docs = sorted((doc for doc in docs if len(doc.type_ids)), key=lambda doc: doc.id)
     if not docs:
         raise EmptyCorpus("no non-empty documents to train on")
+    check_type("model", model, BienModel)
     obs = featurize_docs(docs, gazetteer, lexicons, mask=mask)
     # every tag lies in 0 .. size - 1, so the smallest type that holds
     # size - 1 holds them exactly
@@ -334,7 +337,8 @@ class _FactoredBatch:
     ``c``, so the data log-likelihood is ``sum(log c) + sum(max_ds A)``
     and ``alpha * beta`` is the segment posterior with no further
     normalizer. :meth:`forward` alone gives the log-likelihood;
-    :meth:`expected_counts` runs the backward pass on its result.
+    :meth:`expected_counts` runs the backward pass on the buffers it
+    filled.
     """
 
     def __init__(self, model, examples):
@@ -429,18 +433,17 @@ class _FactoredBatch:
         return A
 
     def forward(self, model):
-        """The scaled forward pass under ``model``: ``(alpha, c, B, ll)``,
-        with ``ll`` the data log-likelihood. The arrays are the packing's
-        own buffers, valid until its next pass; a packing, and the masked
+        """Run the scaled forward pass under ``model`` into the packing's
+        ``alpha``, ``c`` and ``B``, and return the data log-likelihood. The
+        buffers hold this pass until the next; a packing, and the masked
         views that share its buffers, runs one pass at a time."""
         A = self._log_factors(model)
         # shift each row's factors by their max, so exp keeps them in range;
         # a row with no possible segment gets zeros and is caught below
         shift = A.max(axis=1)
         shift[~np.isfinite(shift)] = 0.0
-        alpha, c, B = self.alpha, self.c, self.B
         # every index is in range; "raise" would gather into a temporary
-        np.take(np.exp(A - shift[:, None]), self.row_of, axis=0, out=B, mode="clip")
+        np.take(np.exp(A - shift[:, None]), self.row_of, axis=0, out=self.B, mode="clip")
         P = model.cpts["ds_trans"].table
         matmul, multiply, add, divide = np.matmul, np.multiply, np.add, np.divide
 
@@ -454,20 +457,19 @@ class _FactoredBatch:
                 add(a0, a1, out=ct)
                 divide(a0, ct, out=a0)
                 divide(a1, ct, out=a1)
-        dead = ~(c > 0)
+        dead = ~(self.c > 0)
         if dead.any():
             self._raise_dead(dead)
-        ll_total = float(np.log(c).sum() + shift[self.row_of].sum())
-        return alpha, c, B, ll_total
+        return float(np.log(self.c).sum() + shift[self.row_of].sum())
 
-    def expected_counts(self, model, alpha, c, B):
-        """Expected counts by the backward pass over :meth:`forward`'s
-        ``alpha``, ``c`` and ``B``, the packing's own buffers; ``B`` is
-        overwritten, and the packing's ``beta`` holds the segment
-        posteriors until its next pass."""
+    def expected_counts(self, model):
+        """Expected counts by the backward pass over the ``alpha``, ``c``
+        and ``B`` of the last :meth:`forward`, which must have run under
+        ``model``; ``B`` is overwritten, and ``beta`` holds the segment
+        posteriors until the next pass."""
         # fp_t = B_t * beta_t / c_t; beta at each document's last token is 1
         P = model.cpts["ds_trans"].table
-        P_T, beta = P.T, self.beta
+        P_T, alpha, beta, c, B = P.T, self.alpha, self.beta, self.c, self.B
         beta.fill(1.0)
         B[:, 0] /= c
         B[:, 1] /= c
@@ -545,15 +547,13 @@ def _structure(model):
 def pack(model, examples):
     """The :class:`StackedExamples` of :func:`make_examples` packed for EM
     under ``model``'s structure, for :func:`train` to take in their place.
-    Anything but a :class:`StackedExamples` raises :class:`InvalidSpec`, as
-    does a column count not the model's, and a tag or code out of the
-    model's range, naming the first example, in id order, that holds one,
-    and a tag fault before a code fault."""
-    if not isinstance(examples, StackedExamples):
-        raise InvalidSpec(
-            "examples must be the StackedExamples of make_examples, or to train, a "
-            f"packing of them; got {type(examples).__name__}"
-        )
+    Anything but a :class:`~bien.model.BienModel` and a
+    :class:`StackedExamples` raises :class:`InvalidSpec`, as does a column
+    count not the model's, and a tag or code out of the model's range,
+    naming the first example, in id order, that holds one, and a tag
+    fault before a code fault."""
+    check_type("model", model, BienModel)
+    check_type("examples", examples, StackedExamples)
     cardinalities = np.array([spec.cardinality for spec in model.observables])
     obs = examples.obs
     if obs.shape[1] != len(cardinalities):
@@ -586,12 +586,16 @@ def train(model, examples, config=TrainConfig()):
     which many ``train`` calls share. Either way the trained tables and
     the trace are the same, bit for bit. A packing built for a model of
     another structure raises :class:`InvalidSpec` naming both, and
-    anything else in their place raises it too.
+    anything else in their place raises it too, as do a ``model`` that is
+    not a :class:`~bien.model.BienModel` and a ``config`` that is not a
+    :class:`TrainConfig`.
 
     ``converged`` is True when the trace's relative change fell within
     ``config.tol`` before ``max_iter`` iterations. With the tags observed,
     that happens at the segment saddle, after 3 iterations, whether or not
     the segment learned anything (see :class:`TrainConfig`)."""
+    check_type("model", model, BienModel)
+    check_type("config", config, TrainConfig)
     batch = examples if isinstance(examples, _FactoredBatch) else pack(model, examples)
     if batch.structure != _structure(model):
         raise InvalidSpec(
@@ -606,14 +610,14 @@ def train(model, examples, config=TrainConfig()):
     converged = False
     for _ in range(config.max_iter):
         # the backward pass runs only when an M-step follows
-        *forward, ll = batch.forward(model)
+        ll = batch.forward(model)
         trace.append(ll)
         if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= config.tol * max(
             1.0, abs(trace[-2])
         ):
             converged = True
             break
-        counts = batch.expected_counts(model, *forward)
+        counts = batch.expected_counts(model)
         for name, cpt in model.cpts.items():
             _m_step_cpt(cpt, counts[name], config.alpha)
         model.validate()

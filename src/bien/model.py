@@ -12,12 +12,11 @@ EM learns.
 from __future__ import annotations
 
 import copy
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, check_sequence
+from .errors import InvalidSpec, check_int, check_sequence, check_type
 
 ROLE_BACKGROUND = "background"
 ROLE_BEGIN = "begin"
@@ -31,6 +30,9 @@ DS_HEADER = 0
 DS_BODY = 1
 
 LT_NONE = 0
+
+# how far a cell may fall below 0, or a row's sum stray from 1, in a valid CPT
+_ROW_TOL = 1e-9
 
 
 class TagSpace:
@@ -103,13 +105,13 @@ class Cpt:
             raise InvalidSpec(f"cpt {self.name}: a row has no allowed cell")
         self.table = self.allowed / counts
 
-    def validate(self, atol=1e-9):
-        if (self.table < -atol).any():
+    def validate(self):
+        if (self.table < -_ROW_TOL).any():
             raise InvalidSpec(f"cpt {self.name}: negative probability")
         if np.any(self.table, where=~self.allowed):
             raise InvalidSpec(f"cpt {self.name}: mass outside allowed support")
         sums = np.atleast_1d(self.table.sum(axis=-1))
-        bad = ~(np.abs(sums - 1.0) <= atol)  # a NaN sum is bad too
+        bad = ~(np.abs(sums - 1.0) <= _ROW_TOL)  # a NaN sum is bad too
         if bad.any():
             raise InvalidSpec(f"cpt {self.name}: a row sums to {sums[bad].flat[0]}")
 
@@ -178,9 +180,9 @@ class BienModel:
                 f"emit:{obs.name}", ("tag", "ds"), (n_tags, 2, obs.cardinality)
             )
 
-    def validate(self, atol=1e-9):
+    def validate(self):
         for cpt in self.cpts.values():
-            cpt.validate(atol)
+            cpt.validate()
 
     def copy(self):
         dup = copy.copy(self)
@@ -195,11 +197,9 @@ def build_model(fields, observables, memory=True):
     feature-vector column order. Anything else, or a cardinality that is
     not an integer >= 1 (a bool is not), raises :class:`InvalidSpec`.
     """
-    if not isinstance(observables, dict):
-        raise InvalidSpec(f"observables must be a dict, got {type(observables).__name__}")
+    check_type("observables", observables, dict)
     for name, card in observables.items():
-        if isinstance(card, bool) or not isinstance(card, numbers.Integral) or card < 1:
-            raise InvalidSpec(f"observable {name}: cardinality {card!r}")
+        check_int(f"observable {name!r}: cardinality", card, 1)
     specs = tuple(ObservableSpec(n, c) for n, c in observables.items())
     return BienModel(fields, specs, memory=memory)
 
@@ -308,8 +308,10 @@ def number_observations(obs, lengths, cardinalities):
     """Observation matrices stacked in ``obs``, matrix i its next
     ``lengths[i]`` rows, as :class:`ObservationRows`. ``obs`` is checked
     once, as one matrix (:func:`check_observations`), and ``lengths`` once
-    (:func:`check_lengths`). Only the distinct rows and the row number of
-    each row of the stack are kept, not the stack."""
+    (:func:`check_lengths`), and ``cardinalities`` must be a sequence
+    (:func:`~bien.errors.check_sequence`). Only the distinct rows and the
+    row number of each row of the stack are kept, not the stack."""
+    check_sequence("cardinalities", cardinalities)
     obs = check_observations(obs, cardinalities)
     lengths = check_lengths(lengths, len(obs))
     # a masked (-1) code is digit 0
@@ -444,6 +446,9 @@ def check_lengths(lengths, n_rows):
 
 
 def compile_chain(model):
+    """The :class:`CompiledChain` of a valid ``model``; anything but a
+    :class:`BienModel` raises :class:`InvalidSpec`."""
+    check_type("model", model, BienModel)
     model.validate()
     chain = CompiledChain(model)
     max_states = 10 * len(model.fields) + 2

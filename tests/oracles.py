@@ -509,8 +509,8 @@ def factored_estep(batch, model):
     ``bien.learning.pack`` (or a masked view of one) under ``model``, by
     its forward and then its backward pass, as ``train`` runs them, in the
     form of ``chain_estep`` and ``PaddedLogBatch.estep``."""
-    alpha, c, B, ll = batch.forward(model)
-    return batch.expected_counts(model, alpha, c, B), ll
+    ll = batch.forward(model)
+    return batch.expected_counts(model), ll
 
 
 def observed_counts(model, examples):

@@ -114,34 +114,37 @@ class TestTokenize:
 
     def test_a_refused_text_leaves_no_trace(self):
         """The process-wide type table and chunk memo are read by every
-        later call: after a refused ``tokenize(b"abc")``, a generated
-        corpus's texts, columns and digest equal a fresh interpreter's.
-        Each side runs in its own interpreter."""
-        script = (
-            "import hashlib, json, sys\n"
-            "from bien.corpus import tokenize\n"
-            "from bien.synth import generate_corpus\n"
-            "if sys.argv[1] == 'bad':\n"
-            "    try:\n"
-            "        tokenize(b'abc')\n"
-            "    except Exception:\n"
-            "        pass\n"
-            "docs = generate_corpus(20, 5)\n"
-            "rows = [[d.text, [[t.surface, t.kind, t.start] for t in d.tokens],\n"
-            "         sorted(d.columns.items())] for d in docs]\n"
-            "print(json.dumps(rows))\n"
-            "print(hashlib.sha256(json.dumps(rows).encode()).hexdigest())\n"
-        )
+        later call: after a refused ``tokenize(b"abc")``, or a refused
+        hand-built token with a ``bytes`` surface, a generated corpus's
+        texts, columns and digest equal a fresh interpreter's. Each call
+        runs in its own interpreter."""
         src = str(Path(corpus_module.__file__).resolve().parent.parent)
-        out = {
-            side: subprocess.run(
-                [sys.executable, "-c", script, side], capture_output=True, text=True,
+        out = {}
+        for refused in (
+            "pass", "tokenize(b'abc')", "Document('x', 'abc', [Token(b'abc', 0, 3, 'word')])",
+        ):
+            script = (
+                "import hashlib, json\n"
+                "from bien.corpus import Document, Token, tokenize\n"
+                "from bien.synth import generate_corpus\n"
+                "try:\n"
+                f"    {refused}\n"
+                "except Exception:\n"
+                "    pass\n"
+                "docs = generate_corpus(20, 5)\n"
+                "rows = [[d.text, [[t.surface, t.kind, t.start] for t in d.tokens],\n"
+                "         sorted(d.columns.items())] for d in docs]\n"
+                "print(json.dumps(rows))\n"
+                "print(hashlib.sha256(json.dumps(rows).encode()).hexdigest())\n"
+            )
+            out[refused] = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True,
                 env={**os.environ, "PYTHONPATH": src}, check=True,
             ).stdout
-            for side in ("fresh", "bad")
-        }
-        assert out["bad"] == out["fresh"]
-        assert len(json.loads(out["fresh"].splitlines()[0])) == 20
+        fresh = out.pop("pass")
+        assert len(json.loads(fresh.splitlines()[0])) == 20
+        for refused, got in out.items():
+            assert got == fresh, refused
 
 
 # whole chunks and pieces that exercise every branch of the chunk splitter

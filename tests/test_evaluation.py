@@ -275,10 +275,13 @@ class TestScoreDocuments:
         quiet, _ = parse_tagged_document("no speaker today", "quiet", fields=FIELDS)
         docs = [parse("<speaker>li wu</speaker> presents"), quiet]
         monkeypatch.setattr(evaluation, "slot_filler", None)  # any slot tally would fail
-        not_spans = ((None, "NoneType"), ("speaker", "str"),
-                     ([TagSpan("speaker", 0, 1), (0, 1)], "tuple"))
-        for bad, kind in not_spans:
-            with pytest.raises(InvalidSpec, match=f"^quiet: a prediction must .*got {kind}$"):
+        not_spans = (
+            (None, "a prediction must be a sequence, not the NoneType None"),
+            ("speaker", "a prediction must be a sequence, not the str 'speaker'"),
+            ([TagSpan("speaker", 0, 1), (0, 1)], "a predicted span must be a TagSpan, got tuple"),
+        )
+        for bad, message in not_spans:
+            with pytest.raises(InvalidSpec, match=f"^quiet: {re.escape(message)}$"):
                 score_documents(docs, [[TagSpan("speaker", 0, 1)], bad], FIELDS, mode=mode)
 
     def test_macro_f1(self):
@@ -557,7 +560,7 @@ class TestSharedTestSide:
         chain = compile_chain(model)
         obs = sample_example(model, 4, rng).obs
         for bad, name in ((None, "NoneType"), ([obs], "list")):
-            with pytest.raises(InvalidSpec, match=f"ObservationRows .*got {name}$"):
+            with pytest.raises(InvalidSpec, match=f"^numbered must be an ObservationRows, got {name}$"):
                 decode_batch(chain, bad)
 
 
@@ -892,7 +895,9 @@ class TestExperimentProtocol:
         monkeypatch.setattr(evaluation, "split", no_work)
         monkeypatch.setattr(evaluation, "default_lexicons", no_work)
         cfg = replace(tiny_config(runs=1), **{setting: value})
-        named = re.escape(f"ExperimentConfig.{setting} must be a {kind}, got {value!r}")
+        named = re.escape(
+            f"ExperimentConfig.{setting} must be a {kind}, got {type(value).__name__}"
+        )
         with pytest.raises(InvalidSpec, match=named):
             run_ablations(tiny_corpus(), cfg, variants=("complete", "no memory"))
         with pytest.raises(InvalidSpec, match=named):

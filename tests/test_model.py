@@ -177,7 +177,10 @@ class TestModelStructure:
 
     @pytest.mark.parametrize("card", [0, 2.5, "3", None, True, np.bool_(True)])
     def test_bad_observable(self, card):
-        with pytest.raises(InvalidSpec, match=re.escape(f"cardinality {card!r}")):
+        with pytest.raises(
+            InvalidSpec,
+            match=re.escape(f"observable 'lemma': cardinality must be an int >= 1, got {card!r}"),
+        ):
             build_model(("a",), {"lemma": card})
 
     @pytest.mark.parametrize("observables", [[("a", 3), ("a", 5)], (("a", 3),), None],
