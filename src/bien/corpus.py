@@ -579,16 +579,15 @@ def _parse_block(raws, doc_ids, fields, abbreviations):
     """The block's tokens, as one :class:`TokenView` with each token's start
     in its own document's text, and a :class:`_Parsed` per document, in
     input order."""
-    for name, value in (("raws", raws), ("doc_ids", doc_ids), ("fields", fields)):
-        check_sequence(name, value)
-    raws, doc_ids = list(raws), list(doc_ids)
+    raws = check_sequence("raws", raws)
+    doc_ids = check_sequence("doc_ids", doc_ids)
+    fields = check_sequence("fields", fields)
     if len(raws) != len(doc_ids):
         raise InvalidSpec(f"{len(raws)} documents for {len(doc_ids)} ids")
     if abbreviations is None:
         from .resources import load_abbreviations
 
         abbreviations = load_abbreviations()
-    fields = tuple(fields)
     # every document's tags are checked before any text is tokenized
     stripped = [_strip_tags(raw, doc_id) for raw, doc_id in zip(raws, doc_ids)]
     texts = [text for text, _ in stripped]
@@ -720,8 +719,7 @@ def split(corpus, plan):
     documents; anything but a sequence for ``corpus``, or a ``plan`` that
     is not a :class:`SplitPlan`, raises :class:`InvalidSpec`.
     """
-    check_sequence("corpus", corpus)
-    corpus = list(corpus)
+    corpus = check_sequence("corpus", corpus)
     n = len(corpus)
     if n < 2:
         raise InvalidPlan(f"a train/test split needs at least 2 documents, got {n}")

@@ -20,12 +20,11 @@ decision and word the refusal:
   documents, gazetteers and lexicon sets, models, stacked examples,
   chains, numbered rows and predicted spans;
 - :func:`check_sequence` for documents, texts, ids, fields, masks,
-  abbreviations, predictions, variant names and cardinalities: any
-  iterable but a ``str`` or ``bytes``, which iterate as their
-  characters, and a ``dict``, which iterates as its keys (a prediction,
-  read twice, must also be a ``Sequence``). A one-pass iterator passes
-  the check, but not every function reads its sequences only once, so
-  give a list or a tuple;
+  abbreviations, predictions and cardinalities: any iterable but a
+  ``str`` or ``bytes``, which iterate as their characters, and a
+  ``dict``, which iterates as its keys. The check returns the items as a
+  tuple, which a function that reads them more than once works on, so a
+  one-pass iterator is read once and gives what a list gives;
 - :func:`check_int` for a count, a seed or a setting: an int, which a
   bool is not.
 
@@ -39,9 +38,9 @@ wrong argument is refused for one of them. Outside the contract:
 - a value inside a sequence or a mapping, such as a ``None`` among the
   documents, is not checked for type and may raise Python's own
   ``TypeError`` or ``AttributeError``, unless it would write shared
-  state (a :class:`~bien.corpus.Token`'s surface) or give a wrong result
-  with no error (a predicted span); so may a call that Python cannot
-  bind to the signature;
+  state (a :class:`~bien.corpus.Token`'s surface, a lemma table's
+  lemma) or give a wrong result with no error (a predicted span); so may
+  a call that Python cannot bind to the signature;
 - document ids, which are only compared and printed, and ``memory``,
   which is read by its truth value, are taken as they come;
 - ``viterbi``'s evidence is anything with a ``log_emission(chain)``
@@ -147,11 +146,13 @@ def check_type(name, value, kind):
 
 
 def check_sequence(name, value):
-    """Raise :class:`InvalidSpec` saying that ``name`` must be a sequence
-    unless ``value`` is iterable, and is neither a ``str`` or ``bytes``,
-    which iterate as their characters, nor a ``dict``, which iterates as
-    its keys, where a sequence of items belongs."""
+    """The items of ``value`` as a tuple, read once. Raise
+    :class:`InvalidSpec` saying that ``name`` must be a sequence unless
+    ``value`` is iterable, and is neither a ``str`` or ``bytes``, which
+    iterate as their characters, nor a ``dict``, which iterates as its
+    keys, where a sequence of items belongs."""
     if isinstance(value, (str, bytes, dict)) or not isinstance(value, Iterable):
         raise InvalidSpec(
             f"{name} must be a sequence, not the {type(value).__name__} {reprlib.repr(value)}"
         )
+    return tuple(value)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import itertools
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,14 +33,15 @@ from .model import (
     number_observations,
 )
 
-# mask name per ablation; "no memory" flips the model structure instead
+# The ablation grid: each variant's mask and memory structure, the
+# ExperimentConfig fields that replace the base config's
 ABLATIONS = {
-    "complete": (),
-    "no lemma": ("lemma",),
-    "no semantic": ("semantic",),
-    "no length": ("length",),
-    "no case": ("case",),
-    "no memory": (),
+    "complete": dict(mask=(), memory=True),
+    "no lemma": dict(mask=("lemma",), memory=True),
+    "no semantic": dict(mask=("semantic",), memory=True),
+    "no length": dict(mask=("length",), memory=True),
+    "no case": dict(mask=("case",), memory=True),
+    "no memory": dict(mask=(), memory=False),
 }
 
 
@@ -190,28 +190,30 @@ def score_documents(docs, predictions, fields, mode="slot"):
     credited when any predicted filler string matches any gold filler
     string in the document. ``occurrence`` mode counts every span and
     requires exact token boundaries. Before any tally, a prediction that
-    is not a ``Sequence`` of :class:`~bien.corpus.TagSpan` (a ``str`` is
+    is not a sequence of :class:`~bien.corpus.TagSpan` (a ``str`` is
     not), or that holds a span ending past its document, raises
     :class:`InvalidSpec` naming the document, in either mode, as does
     anything but a sequence for ``docs``, ``predictions`` or ``fields``.
     """
     check_match_mode(mode)
-    for name, value in (("docs", docs), ("predictions", predictions), ("fields", fields)):
-        check_sequence(name, value)
+    docs = check_sequence("docs", docs)
+    predictions = check_sequence("predictions", predictions)
+    fields = check_sequence("fields", fields)
     if len(docs) != len(predictions):
         raise InvalidSpec(
             f"{len(docs)} documents but {len(predictions)} prediction lists"
         )
+    checked = []
     for doc, spans in zip(docs, predictions):
-        check_sequence(f"{doc.id}: a prediction", spans)
-        check_type(f"{doc.id}: a prediction", spans, Sequence)  # one pass would empty an iterator
+        spans = check_sequence(f"{doc.id}: a prediction", spans)
         n_tokens = len(doc.type_ids)
         for span in spans:
             check_type(f"{doc.id}: a predicted span", span, TagSpan)
             if span.end_token >= n_tokens:
                 raise InvalidSpec(f"{doc.id}: predicted {span} ends past its {n_tokens} tokens")
+        checked.append(spans)
     scores = {f: FieldScore() for f in fields}
-    for doc, spans in zip(docs, predictions):
+    for doc, spans in zip(docs, checked):
         for f in fields:
             gold = [s for s in doc.gold_spans if s.field == f]
             pred = [s for s in spans if s.field == f]
@@ -285,19 +287,24 @@ def _run_split(cfgs, lexicons, run_index, train_docs, test_docs):
     gazetteer)`` triple per config, in config order. Top level so process
     pools can use it.
 
-    The configs differ only in ``mask`` and ``memory``. So the gazetteer is
-    built once and each side is featurized once, unmasked, as one array:
-    one :func:`~bien.features.featurize_docs` pass per side, the training
-    side stacked with its tags by :func:`~bien.learning.make_examples`.
-    The training side is packed for EM once per model structure
-    (:func:`~bien.learning.pack`), and that structure's configs train on
-    masked views of it; the packing is dropped before the next structure
-    packs, so at most one is alive. The test side is numbered by its
-    distinct observation rows once (:func:`~bien.model.number_observations`).
-    Every config trains first. The last packing and the training examples
-    are dropped before any config decodes, so that decoding's table of
-    forward scores (:func:`~bien.inference.viterbi_batch`) is not held
-    beside them. Each config reads both sides through its mask."""
+    The configs differ only in ``mask`` and ``memory``, so they share the
+    split's work:
+
+    - once per split: the gazetteer is built, and each side is featurized
+      unmasked in one :func:`~bien.features.featurize_docs` pass, the
+      training side stacked with its tags by
+      :func:`~bien.learning.make_examples` and the test side numbered by
+      its distinct observation rows
+      (:func:`~bien.model.number_observations`);
+    - once per model structure: the training side is packed for EM
+      (:func:`~bien.learning.pack`), and that structure's configs train on
+      masked views of the packing. It is dropped before the next structure
+      packs, so at most one is alive;
+    - per config: once every config has trained, and the last packing and
+      the training examples are dropped (so that decoding's table of
+      forward scores, :func:`~bien.inference.viterbi_batch`, is not held
+      beside them), its model is compiled and the test side is decoded and
+      scored through its mask."""
     cfg = cfgs[0]
     gazetteer = build_gazetteer(
         train_docs,
@@ -374,10 +381,10 @@ def _run_variants(corpus, cfgs, jobs):
     every config's fields, mask name, match mode and gazetteer setting and
     the types of its ``plan`` and ``train`` are checked before any work: a
     bad one raises :class:`InvalidSpec` naming it."""
-    check_sequence("corpus", corpus)
+    corpus = check_sequence("corpus", corpus)
     check_int("jobs", jobs, 1)
+    cfgs = [replace(c, fields=check_sequence("ExperimentConfig.fields", c.fields)) for c in cfgs]
     for cfg in cfgs:
-        check_sequence("ExperimentConfig.fields", cfg.fields)
         check_type("ExperimentConfig.plan", cfg.plan, SplitPlan)
         check_type("ExperimentConfig.train", cfg.train, TrainConfig)
         mask_columns(cfg.mask)
@@ -414,36 +421,13 @@ def run_experiment(corpus, cfg, jobs=1):
     return _run_variants(corpus, [cfg], jobs)[0]
 
 
-def run_ablations(corpus, cfg, jobs=1, variants=None):
-    """The feature/structure ablation grid: every variant runs on the same
-    holdout splits of ``cfg.plan``.
-
-    - Per split: the gazetteer is built, each side is featurized in one
-      pass, and the test side is numbered by its distinct observation
-      rows, once.
-    - Per memory structure (``no memory`` against the rest): the training
-      side is packed for EM once, and dropped once that structure's
-      variants have trained, before the next structure packs.
-    - Per variant: the model is trained on that packing, read through the
-      variant's mask. Once every variant has trained, each is compiled,
-      and the test side is decoded and scored through its mask.
-
-    ``variants=None`` runs every entry of
-    :data:`ABLATIONS`; an empty, unknown or repeated variant list raises
-    :class:`InvalidSpec`, as do anything but a sequence for ``variants``
-    and a ``cfg`` that is not an :class:`ExperimentConfig`."""
+def run_ablations(corpus, cfg, jobs=1):
+    """The feature/structure ablation grid: ``cfg`` with each row of
+    :data:`ABLATIONS` applied, every variant on the same holdout splits of
+    ``cfg.plan`` and sharing each split's work (:func:`_run_split`). The
+    results map each variant's name to its :class:`ExperimentResult`, in
+    table order. A ``cfg`` that is not an :class:`ExperimentConfig` raises
+    :class:`InvalidSpec`."""
     check_type("cfg", cfg, ExperimentConfig)
-    if variants is not None:
-        check_sequence("variants", variants)
-    names = list(ABLATIONS if variants is None else variants)
-    unknown = sorted({n for n in names if n not in ABLATIONS})
-    repeated = sorted({n for n in names if names.count(n) > 1})
-    if not names or unknown or repeated:
-        raise InvalidSpec(
-            f"ablation variants must be distinct names from {list(ABLATIONS)}; "
-            f"got {names!r} (unknown: {unknown}, repeated: {repeated})"
-        )
-    cfgs = [
-        replace(cfg, mask=ABLATIONS[name], memory=(name != "no memory")) for name in names
-    ]
-    return dict(zip(names, _run_variants(corpus, cfgs, jobs)))
+    cfgs = [replace(cfg, **row) for row in ABLATIONS.values()]
+    return dict(zip(ABLATIONS, _run_variants(corpus, cfgs, jobs)))

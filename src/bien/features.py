@@ -166,7 +166,8 @@ class Gazetteer:
     else that of its lowercased surface, else V+1. :func:`featurize_docs`
     gives each token type its id once per gazetteer, in a column of the
     type's :class:`~bien.corpus.TypeTable`; an equal gazetteer shares that
-    column.
+    column. A lemma table whose lemmas are not all ``str`` raises
+    :class:`InvalidSpec`.
     """
 
     def __init__(self, ids, lemma_table):
@@ -174,6 +175,7 @@ class Gazetteer:
             raise EmptyVocabulary("gazetteer has no entries")
         self.ids = dict(ids)
         self.lemma_table = dict(lemma_table)
+        _check_lemmas(self.lemma_table)
         v = len(self.ids)
         if sorted(self.ids.values()) != list(range(1, v + 1)):
             raise InvalidSpec("gazetteer ids must be exactly 1..V")
@@ -194,6 +196,15 @@ class Gazetteer:
     def cardinality(self):
         """Number of distinct ids a token can map to."""
         return len(self.ids) + 2
+
+
+def _check_lemmas(lemma_table):
+    """Raise :class:`InvalidSpec` naming the first word of ``lemma_table``
+    whose lemma is not a ``str``. Lemmas are numbered in a type table's
+    shared ``derived`` numbering, which every later call reads, and are
+    ranked as strings."""
+    for word, lemma in lemma_table.items():
+        check_type(f"the lemma of {word!r}", lemma, str)
 
 
 def _lemma_numbers(table, start, lemma_table):
@@ -257,9 +268,9 @@ def build_gazetteer(docs, lemma_table, window=3, min_freq=3, max_size=1200):
     whole-corpus lemma frequency reaches ``min_freq``; the vocabulary is
     cut to the ``max_size`` most frequent (ties broken alphabetically).
     A ``window`` below 0, a ``min_freq`` or ``max_size`` below 1, anything
-    but a sequence for ``docs`` or a ``lemma_table`` that is not a dict
-    raises :class:`InvalidSpec` before any work, and a ``lemma_table`` of
-    ``None`` raises :class:`MissingResource`.
+    but a sequence for ``docs``, or a ``lemma_table`` that is not a dict
+    of ``str`` lemmas, raises :class:`InvalidSpec` before any work, and a
+    ``lemma_table`` of ``None`` raises :class:`MissingResource`.
 
     The work is whole-array passes over each type table's documents, with
     their type ids concatenated: every token's lemma is its type's number in
@@ -272,8 +283,9 @@ def build_gazetteer(docs, lemma_table, window=3, min_freq=3, max_size=1200):
     check_gazetteer_settings(window, min_freq, max_size)
     if lemma_table is None:
         raise MissingResource("build_gazetteer needs a lemma table")
-    check_sequence("docs", docs)
+    docs = check_sequence("docs", docs)
     check_type("lemma_table", lemma_table, dict)
+    _check_lemmas(lemma_table)
     by_table = {}
     for doc in docs:
         by_table.setdefault(doc.types, []).append(doc)
@@ -423,7 +435,7 @@ def featurize_docs(docs, gazetteer, lexicons, mask=()):
     """
     if gazetteer is None or lexicons is None:
         raise MissingResource("featurize needs both a gazetteer and lexicons")
-    check_sequence("docs", docs)
+    docs = check_sequence("docs", docs)
     check_type("gazetteer", gazetteer, Gazetteer)
     check_type("lexicons", lexicons, LexiconSet)
     columns = mask_columns(mask)  # checked on an empty side too
@@ -449,7 +461,7 @@ def mask_columns(mask):
     """The columns of :data:`FEATURE_NAMES` that ``mask`` names, in order.
     Anything but a sequence (:func:`~bien.errors.check_sequence`), or an
     unknown name, raises :class:`InvalidSpec`."""
-    check_sequence("mask", mask)
+    mask = check_sequence("mask", mask)
     unknown = set(mask) - set(FEATURE_NAMES)
     if unknown:
         raise InvalidSpec(f"unknown feature names in mask: {sorted(unknown)}")

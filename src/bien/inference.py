@@ -74,7 +74,14 @@ from .model import CompiledChain, TimeMajor, check_lengths, join_factors
 # repeats in one session, twice, took 3.3-3.4, 2.3-2.4, 1.8-1.9, 1.8,
 # 1.6-1.7 and 1.4-1.5 us per token at 8, 16, 32, 48, 64 and 97 (all)
 # documents per chunk, against 2.2-2.3 for the unfactored kernel at 32. So
-# a test side of 97 documents is one chunk.
+# a test side of 97 documents is one chunk. Past 128 documents the chunks
+# pay, where one chunk's stage-2 block would grow to 3.2 MB at 1,188
+# documents. A model trained on ``generate_corpus(485, 1993)`` decoded the
+# 1,188 non-empty documents of ``generate_corpus(1188, 1994)`` (137,172
+# tokens) on the same host: medians of 7 and 15 interleaved repeats, in two
+# sessions, took 1.66 and 1.68 us per token in chunks of 128 against 1.90
+# and 2.03 as one chunk, and on the first 400 documents 1.60 and 1.87
+# against 1.73 and 1.95. Paths and scores were identical either way.
 _BATCH_DOCS = 128
 
 

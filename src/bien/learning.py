@@ -203,7 +203,7 @@ def make_examples(docs, gazetteer, lexicons, model, mask=()):
     and the tags the documents' kept :func:`encode_tags` arrays,
     concatenated in the smallest integer type that holds the tag space.
     """
-    check_sequence("docs", docs)
+    docs = check_sequence("docs", docs)
     docs = sorted((doc for doc in docs if len(doc.type_ids)), key=lambda doc: doc.id)
     if not docs:
         raise EmptyCorpus("no non-empty documents to train on")

@@ -136,8 +136,7 @@ class BienModel:
     """CPT collection plus the spaces they are indexed by."""
 
     def __init__(self, fields, observables, memory=True):
-        check_sequence("fields", fields)
-        self.fields = tuple(fields)
+        self.fields = check_sequence("fields", fields)
         self.tags = TagSpace(self.fields)
         self.observables = tuple(observables)
         self.memory = bool(memory)
@@ -311,7 +310,7 @@ def number_observations(obs, lengths, cardinalities):
     (:func:`check_lengths`), and ``cardinalities`` must be a sequence
     (:func:`~bien.errors.check_sequence`). Only the distinct rows and the
     row number of each row of the stack are kept, not the stack."""
-    check_sequence("cardinalities", cardinalities)
+    cardinalities = check_sequence("cardinalities", cardinalities)
     obs = check_observations(obs, cardinalities)
     lengths = check_lengths(lengths, len(obs))
     # a masked (-1) code is digit 0

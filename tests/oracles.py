@@ -37,7 +37,6 @@ import unicodedata
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from bien.corpus import (
     _DECIMAL_RE,
@@ -240,17 +239,17 @@ def enumerate_posteriors(chain, log_emis, log_clamp=None):
     scores = _sequence_scores(chain, log_emis, log_clamp)
     T = scores.ndim
     S = chain.n_states
-    ll = logsumexp(scores)
+    ll = _logsumexp(scores)
     if ll == -np.inf:
         return ll, np.zeros((T, S)), np.zeros((S, S))
     gamma = np.zeros((T, S))
     for t in range(T):
         axes = tuple(a for a in range(T) if a != t)
-        gamma[t] = np.exp(logsumexp(scores, axis=axes) - ll)
+        gamma[t] = np.exp(_logsumexp(scores, axis=axes) - ll)
     xi_sum = np.zeros((S, S))
     for t in range(T - 1):
         axes = tuple(a for a in range(T) if a not in (t, t + 1))
-        xi_sum += np.exp(logsumexp(scores, axis=axes) - ll)
+        xi_sum += np.exp(_logsumexp(scores, axis=axes) - ll)
     return ll, gamma, xi_sum
 
 

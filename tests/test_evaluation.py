@@ -523,7 +523,7 @@ class TestSharedTestSide:
         chain = compile_chain(model)
         obs_list = [featurize(doc, gaz, lexicons) for doc in docs[30:]]
         numbered = number_matrices(obs_list, list(cards.values()))
-        for mask in dict.fromkeys(evaluation.ABLATIONS.values()):
+        for mask in dict.fromkeys(row["mask"] for row in evaluation.ABLATIONS.values()):
             got = decode_batch(chain, numbered.masked(mask_columns(mask)))
             want = decode_matrices(chain, [apply_mask(obs, mask) for obs in obs_list])
             assert len(got) == len(want) == len(obs_list)
@@ -699,32 +699,15 @@ class TestExperimentProtocol:
         assert [(r.scores, r.macro) for r in a.runs] == [(r.scores, r.macro) for r in b.runs]
 
     def test_ablation_grid(self):
-        results = run_ablations(
-            tiny_corpus(), tiny_config(runs=1), variants=("complete", "no lemma")
-        )
-        assert set(results) == {"complete", "no lemma"}
+        results = run_ablations(tiny_corpus(), tiny_config(runs=1))
+        assert list(results) == list(evaluation.ABLATIONS)
         assert results["complete"].config.mask == ()
         assert results["no lemma"].config.mask == ("lemma",)
         assert results["no lemma"].config.memory is True
 
     def test_no_memory_variant_flips_structure(self):
-        results = run_ablations(
-            tiny_corpus(), tiny_config(runs=1), variants=("no memory",)
-        )
+        results = run_ablations(tiny_corpus(), tiny_config(runs=1))
         assert results["no memory"].model.memory is False
-
-    @pytest.mark.parametrize(
-        "variants, named",
-        [
-            ((), "got []"),
-            (["no lemmas"], "unknown: ['no lemmas']"),
-            (["complete", "complete"], "repeated: ['complete']"),
-        ],
-        ids=["empty", "unknown", "repeated"],
-    )
-    def test_bad_variant_lists_raise(self, variants, named):
-        with pytest.raises(InvalidSpec, match=re.escape(named)):
-            run_ablations(tiny_corpus(), tiny_config(runs=1), variants=variants)
 
     def test_ablation_variants_match_their_own_experiments(self):
         corpus, cfg = tiny_corpus(), tiny_config(runs=2)
@@ -737,11 +720,10 @@ class TestExperimentProtocol:
 
     def test_ablation_jobs_do_not_change_results(self):
         corpus, cfg = tiny_corpus(), tiny_config(runs=2)
-        variants = ("complete", "no lemma", "no memory")
-        serial = run_ablations(corpus, cfg, jobs=1, variants=variants)
-        parallel = run_ablations(corpus, cfg, jobs=2, variants=variants)
+        serial = run_ablations(corpus, cfg, jobs=1)
+        parallel = run_ablations(corpus, cfg, jobs=2)
         assert list(serial) == list(parallel)
-        for name in variants:
+        for name in serial:
             assert_same_experiment(serial[name], parallel[name])
 
     def test_unknown_mask_name_raises_before_any_work(self, monkeypatch):
@@ -767,7 +749,9 @@ class TestExperimentProtocol:
         and the test side numbered once; ``run_experiment`` is the
         one-config case. No packing is alive when the next one is built.
         Neither a packing nor the training examples are alive while a test
-        side decodes, and a decode lays the side out once."""
+        side decodes, and a decode lays the side out once. The grid's
+        table has no config order whose structures interleave or return,
+        so those orders run through ``_run_variants`` itself."""
         built, numbered, alive = [], [], set()
         layouts = []  # per decode_batch call, the layouts it built
         examples_alive = set()
@@ -808,10 +792,13 @@ class TestExperimentProtocol:
         monkeypatch.setattr(evaluation, "make_examples", make_examples)
         monkeypatch.setattr(inference, "TimeMajor", Layout)
         corpus, cfg = tiny_corpus(), tiny_config(runs=runs)
-        if variants == ("complete",):
+        if variants is None:
+            run_ablations(corpus, cfg)
+        elif variants == ("complete",):
             run_experiment(corpus, cfg)
         else:
-            run_ablations(corpus, cfg, variants=variants)
+            cfgs = [replace(cfg, **evaluation.ABLATIONS[name]) for name in variants]
+            evaluation._run_variants(corpus, cfgs, 1)
         assert len(built) == packings and len(numbered) == numberings
         n_configs = len(evaluation.ABLATIONS if variants is None else variants)
         assert layouts == [1] * (n_configs * runs)
@@ -854,7 +841,7 @@ class TestExperimentProtocol:
         cfg = tiny_config(runs=1)
         named = re.escape(f"jobs must be an int >= 1, got {jobs!r}")
         with pytest.raises(InvalidSpec, match=named):
-            run_ablations(tiny_corpus(), cfg, jobs=jobs, variants=("complete", "no memory"))
+            run_ablations(tiny_corpus(), cfg, jobs=jobs)
         with pytest.raises(InvalidSpec, match="jobs"):
             run_experiment(tiny_corpus(), cfg, jobs=jobs)
 
@@ -880,7 +867,7 @@ class TestExperimentProtocol:
         monkeypatch.setattr(evaluation, "default_lexicons", no_work)
         cfg = replace(tiny_config(runs=1), **{setting: value})
         with pytest.raises(InvalidSpec, match=setting.removeprefix("gazetteer_")):
-            run_ablations(tiny_corpus(), cfg, variants=("complete", "no memory"))
+            run_ablations(tiny_corpus(), cfg)
         with pytest.raises(InvalidSpec, match=setting.removeprefix("gazetteer_")):
             run_experiment(tiny_corpus(), cfg)
 
@@ -899,7 +886,7 @@ class TestExperimentProtocol:
             f"ExperimentConfig.{setting} must be a {kind}, got {type(value).__name__}"
         )
         with pytest.raises(InvalidSpec, match=named):
-            run_ablations(tiny_corpus(), cfg, variants=("complete", "no memory"))
+            run_ablations(tiny_corpus(), cfg)
         with pytest.raises(InvalidSpec, match=named):
             run_experiment(tiny_corpus(), cfg)
 

@@ -234,6 +234,22 @@ class TestGazetteer:
         with pytest.raises(InvalidSpec, match=named):
             build_gazetteer(tiny_corpus(), LEX.lemma_table, **kwargs)
 
+    @pytest.mark.parametrize("call", [
+        lambda docs, table: build_gazetteer(docs, table, min_freq=1),
+        lambda docs, table: featurize_docs(docs, Gazetteer({"talk": 1}, table), LEX),
+    ], ids=["build_gazetteer", "Gazetteer"])
+    def test_a_lemma_that_is_not_a_str_is_refused_before_any_write(self, call):
+        """A lemma would be numbered in the type table's shared ``derived``
+        strings, which every later call reads, and ranked as a string."""
+        docs = generate_corpus(12, 3)
+        types = docs[0].types
+        strings, columns = list(types.derived.strings), dict(types._columns)
+        with pytest.raises(InvalidSpec, match="^the lemma of 'seminar' must be a str, got int$"):
+            call(docs, {**LEX.lemma_table, "seminar": 5})
+        assert types.derived.strings == strings
+        assert types._columns.keys() == columns.keys()
+        assert all(types._columns[k] is kept for k, kept in columns.items())
+
     def test_lookup_ids(self):
         gaz = Gazetteer({"talk": 1, "dr.": 2}, LEX.lemma_table)
         words = word("talks"), word("Doctor"), word("zyzzyva")
@@ -348,7 +364,8 @@ class TestFeaturizeMatchesReference:
     def test_corpus_under_every_ablation(self, seed):
         docs = generate_corpus(60, seed)
         base = build_gazetteer(docs, LEX.lemma_table)
-        for name, mask in ABLATIONS.items():
+        for name, row in ABLATIONS.items():
+            mask = row["mask"]
             # unpickled documents share a copy of the table with no columns yet
             cold = pickle.loads(pickle.dumps(docs))
             assert cold == docs
@@ -598,7 +615,7 @@ class TestMaskInPlace:
     def test_masked_featurize_equals_a_masked_copy(self):
         docs = generate_corpus(10, 3)
         gaz = build_gazetteer(docs, LEX.lemma_table)
-        for mask in dict.fromkeys(ABLATIONS.values()):
+        for mask in dict.fromkeys(row["mask"] for row in ABLATIONS.values()):
             for doc in docs:
                 got = featurize(doc, gaz, LEX, mask=mask)
                 np.testing.assert_array_equal(got, apply_mask(featurize(doc, gaz, LEX), mask))
@@ -635,7 +652,7 @@ class TestFeaturizeDocs:
     def test_every_mask_of_the_grid(self):
         docs = generate_corpus(30, 3)
         gaz = build_gazetteer(docs[:20], LEX.lemma_table)
-        for mask in dict.fromkeys(ABLATIONS.values()):
+        for mask in dict.fromkeys(row["mask"] for row in ABLATIONS.values()):
             got = featurize_docs(docs, gaz, LEX, mask=mask)
             assert got.dtype == np.int16 and got.shape == (sum(map(len, docs)), 6)
             np.testing.assert_array_equal(got, stacked_reference(docs, gaz, LEX, mask))

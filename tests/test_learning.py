@@ -614,7 +614,7 @@ class TestPack:
         examples = make_examples(docs, gaz, LEX, m)
         packing = pack(m, examples)
         config = TrainConfig(max_iter=4, tol=0.0, seed=2)
-        for mask in dict.fromkeys(ABLATIONS.values()):
+        for mask in dict.fromkeys(row["mask"] for row in ABLATIONS.values()):
             masked = stack_examples([replace(ex, obs=apply_mask(ex.obs, mask)) for ex in examples])
             got = train(m, packing.masked(mask), config)
             assert_same_training(got, train(m, masked, config))
