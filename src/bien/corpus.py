@@ -504,9 +504,10 @@ def tokenize(text, abbreviations=frozenset()):
     every later call reads them.
     """
     check_type("text", text, str)
-    check_sequence("abbreviations", abbreviations)
+    if not isinstance(abbreviations, frozenset):
+        abbreviations = frozenset(check_sequence("abbreviations", abbreviations))
     table = _current_types()
-    pieces_of = _chunk_memo.bind(frozenset(abbreviations), table)
+    pieces_of = _chunk_memo.bind(abbreviations, table)
     pieces = list(map(pieces_of.__getitem__, text.split()))
     flat = np.frombuffer(b"".join(pieces), dtype=np.int32)
     sizes = np.fromiter(map(len, pieces), dtype=np.intp, count=len(pieces))

@@ -34,7 +34,8 @@ from .model import (
 )
 
 # The ablation grid: each variant's mask and memory structure, the
-# ExperimentConfig fields that replace the base config's
+# ExperimentConfig fields that replace the base config's. Every run reads
+# these rows, so they are never written.
 ABLATIONS = {
     "complete": dict(mask=(), memory=True),
     "no lemma": dict(mask=("lemma",), memory=True),
@@ -383,7 +384,11 @@ def _run_variants(corpus, cfgs, jobs):
     bad one raises :class:`InvalidSpec` naming it."""
     corpus = check_sequence("corpus", corpus)
     check_int("jobs", jobs, 1)
-    cfgs = [replace(c, fields=check_sequence("ExperimentConfig.fields", c.fields)) for c in cfgs]
+    cfgs = [
+        replace(c, fields=check_sequence("ExperimentConfig.fields", c.fields),
+                mask=check_sequence("ExperimentConfig.mask", c.mask))
+        for c in cfgs
+    ]
     for cfg in cfgs:
         check_type("ExperimentConfig.plan", cfg.plan, SplitPlan)
         check_type("ExperimentConfig.train", cfg.train, TrainConfig)

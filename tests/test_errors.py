@@ -278,6 +278,16 @@ READ_TWICE = {
         seq(v["docs"]), v["gazetteer"], v["lexicons"]
     ),
     "mask_columns-mask": lambda v, seq: mask_columns(seq(["lemma"])),
+    "tokenize-abbreviations": lambda v, seq: tokenize("Dr. Li", seq(["dr."]))[1:],
+    "parse_tagged_documents-abbreviations": lambda v, seq: parse_tagged_documents(
+        ["<speaker>Dr. Li</speaker>"], ["d"], FIELDS, seq(["dr."])
+    ),
+    "run_experiment-mask": lambda v, seq: [
+        (run.log_likelihood, run.macro)
+        for run in run_experiment(
+            v["docs"], ExperimentConfig(mask=seq(["lemma"]), plan=SplitPlan(runs=1))
+        ).runs
+    ],
 }
 
 
@@ -285,7 +295,7 @@ READ_TWICE = {
 def test_a_one_pass_iterator_gives_what_a_list_gives(case):
     """A sequence is taken once, as a tuple: a generator gives the result
     that a list gives. These calls returned empty tallies, raised
-    ``IndexError`` and masked nothing."""
+    ``IndexError``, masked nothing, or ignored every abbreviation."""
     call = READ_TWICE[case]
     want = call(valid(), list)
     assert len(want)
