@@ -70,13 +70,16 @@ class Token:
 
 @dataclass(frozen=True)
 class TagSpan:
-    """One gold slot instance as an inclusive token range."""
+    """One gold slot instance as an inclusive token range. A field that is
+    not a ``str``, or bounds that are not integers with ``0 <= start <=
+    end``, raise :class:`InvalidSpec`."""
 
     field: str
     start_token: int
     end_token: int
 
     def __post_init__(self):
+        check_type("span field", self.field, str)
         start, end = self.start_token, self.end_token
         try:  # operator.index takes ints and numpy ints, not floats or str
             operator.index(start), operator.index(end)
@@ -145,9 +148,10 @@ class Document:
     here, with its types in the tokenizer's current table. Equality
     compares the id, the text, each token's surface, kind and start, the
     gold spans and the columns, never type ids: documents made on either
-    side of a table restart hold a type under different ids. A column of
-    the wrong length raises :class:`AlignmentError` before any token's
-    type enters the table.
+    side of a table restart hold a type under different ids. A text that
+    is not a ``str`` raises :class:`InvalidSpec`, and a column of the
+    wrong length :class:`AlignmentError`, before any token's type enters
+    the table.
     """
 
     id: str
@@ -158,6 +162,7 @@ class Document:
     _cache: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check_type("document text", self.text, str)
         for name, values in self.columns.items():
             if len(values) != len(self.tokens):
                 raise AlignmentError(

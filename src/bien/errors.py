@@ -28,6 +28,10 @@ decision and word the refusal:
 - :func:`check_int` for a count, a seed or a setting: an int, which a
   bool is not.
 
+Three public classes check in their constructors too: a
+:class:`~bien.corpus.Token` its surface, a :class:`~bien.corpus.TagSpan`
+its field and a :class:`~bien.corpus.Document` its text, each a ``str``.
+
 Observation matrices, tables, row numbers and lengths are read with
 ``np.asarray``, so whatever their type they get :class:`InvalidSpec`
 from the checks of their dtype and shape. A call with more than one

@@ -194,12 +194,16 @@ def score_documents(docs, predictions, fields, mode="slot"):
     is not a sequence of :class:`~bien.corpus.TagSpan` (a ``str`` is
     not), or that holds a span ending past its document, raises
     :class:`InvalidSpec` naming the document, in either mode, as does
-    anything but a sequence for ``docs``, ``predictions`` or ``fields``.
+    anything but a sequence for ``docs``, ``predictions`` or ``fields``,
+    and a field that ``fields`` names twice.
     """
     check_match_mode(mode)
     docs = check_sequence("docs", docs)
     predictions = check_sequence("predictions", predictions)
     fields = check_sequence("fields", fields)
+    for i, f in enumerate(fields):
+        if f in fields[:i]:
+            raise InvalidSpec(f"fields name {f!r} twice")
     if len(docs) != len(predictions):
         raise InvalidSpec(
             f"{len(docs)} documents but {len(predictions)} prediction lists"

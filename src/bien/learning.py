@@ -18,7 +18,7 @@ forward-backward on the compiled product chain with the tags clamped, and
 padded batch; all three give the same expected counts up to rounding.
 Counts with the segments observed too are the oracles'
 ``observed_counts``, which the exact maximum-likelihood tests feed to
-:func:`_m_step_cpt`.
+:meth:`~bien.model.Cpt.renormalize`.
 
 A training side moves through featurization and packing as one array:
 :func:`make_examples` featurizes the documents in one pass and stacks
@@ -352,7 +352,7 @@ class _FactoredBatch:
         # column masked throughout keys to one code, adds 0.0 to every
         # factor and tallies into the trailing column, which is dropped.
         n_tags = model.tags.size
-        specs = [(k, spec.name, int(spec.cardinality)) for k, spec in enumerate(model.observables)]
+        specs = [(k, name, int(card)) for k, (name, card) in enumerate(model.observables.items())]
         row_of, row = distinct_rows(
             len(trans),
             itertools.chain(
@@ -516,14 +516,6 @@ class _FactoredBatch:
 # M-step and the EM loop
 # ---------------------------------------------------------------------------
 
-def _m_step_cpt(cpt, counts, alpha):
-    c = np.where(cpt.allowed, counts + alpha, 0.0)
-    tot = c.sum(axis=-1, keepdims=True)
-    # rows that saw no evidence (possible only at alpha=0) keep their values
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cpt.table = np.where(tot > 0, c / tot, cpt.table)
-
-
 def _apply_jitter(model, config):
     if config.jitter <= 0:
         return
@@ -532,15 +524,12 @@ def _apply_jitter(model, config):
         if not name.startswith("emit:"):
             continue
         noise = 1.0 + rng.uniform(-config.jitter, config.jitter, size=cpt.shape)
-        perturbed = np.where(cpt.allowed, cpt.table * noise, 0.0)
-        tot = perturbed.sum(axis=-1, keepdims=True)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cpt.table = np.where(tot > 0, perturbed / tot, 0.0)
+        cpt.renormalize(cpt.table * noise)
 
 
 def _structure(model):
     """What a packing of examples depends on in ``model``, as text."""
-    observables = ", ".join(f"{o.name}:{o.cardinality}" for o in model.observables)
+    observables = ", ".join(f"{name}:{card}" for name, card in model.observables.items())
     return f"memory={model.memory}, fields={model.fields}, observables=({observables})"
 
 
@@ -554,7 +543,7 @@ def pack(model, examples):
     fault before a code fault."""
     check_type("model", model, BienModel)
     check_type("examples", examples, StackedExamples)
-    cardinalities = np.array([spec.cardinality for spec in model.observables])
+    cardinalities = np.array(list(model.observables.values()))
     obs = examples.obs
     if obs.shape[1] != len(cardinalities):
         raise InvalidSpec(
@@ -618,7 +607,8 @@ def train(model, examples, config=TrainConfig()):
             converged = True
             break
         counts = batch.expected_counts(model)
+        # a row that saw no evidence (possible only at alpha=0) keeps its values
         for name, cpt in model.cpts.items():
-            _m_step_cpt(cpt, counts[name], config.alpha)
+            cpt.renormalize(counts[name] + config.alpha)
         model.validate()
     return TrainResult(model, trace, len(trace), converged)

@@ -88,7 +88,7 @@ class Cpt:
     ``table`` is normalized over its last axis for every parent row.
     ``allowed`` marks the structural support; cells outside it stay
     exactly zero. A fresh table spreads each row uniformly over its
-    allowed cells.
+    allowed cells. :meth:`renormalize` is the one writer of ``table``.
     """
 
     def __init__(self, name, parents, shape, allowed=None):
@@ -100,10 +100,19 @@ class Cpt:
         self.allowed = (
             np.ones(self.shape, dtype=bool) if allowed is None else allowed.astype(bool)
         )
-        counts = self.allowed.sum(axis=-1, keepdims=True)
-        if (counts == 0).any():
+        if not self.allowed.any(axis=-1).all():
             raise InvalidSpec(f"cpt {self.name}: a row has no allowed cell")
-        self.table = self.allowed / counts
+        self.table = np.zeros(self.shape)
+        self.renormalize(1.0)
+
+    def renormalize(self, weights):
+        """Set each row to the non-negative ``weights`` on its allowed
+        cells, 0.0 elsewhere, divided by the row's sum. A row whose sum is
+        not positive keeps its values."""
+        w = np.where(self.allowed, weights, 0.0)
+        tot = w.sum(axis=-1, keepdims=True)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            self.table = np.where(tot > 0, w / tot, self.table)
 
     def validate(self):
         if (self.table < -_ROW_TOL).any():
@@ -126,19 +135,14 @@ class Cpt:
         return dup
 
 
-@dataclass(frozen=True)
-class ObservableSpec:
-    name: str
-    cardinality: int
-
-
 class BienModel:
-    """CPT collection plus the spaces they are indexed by."""
+    """CPT collection plus the spaces they are indexed by. ``observables``
+    maps each feature name to its cardinality, in column order."""
 
     def __init__(self, fields, observables, memory=True):
         self.fields = check_sequence("fields", fields)
         self.tags = TagSpace(self.fields)
-        self.observables = tuple(observables)
+        self.observables = dict(observables)
         self.memory = bool(memory)
         self.lt_card = (len(self.fields) + 1) if self.memory else 1
         # next_lt[lt, tag]: the last-target memory after emitting ``tag`` with
@@ -174,10 +178,8 @@ class BienModel:
             "tag_trans", ("tag_prev", "last_target", "ds"), shape, allowed=allowed
         )
 
-        for obs in self.observables:
-            self.cpts[f"emit:{obs.name}"] = Cpt(
-                f"emit:{obs.name}", ("tag", "ds"), (n_tags, 2, obs.cardinality)
-            )
+        for name, card in self.observables.items():
+            self.cpts[f"emit:{name}"] = Cpt(f"emit:{name}", ("tag", "ds"), (n_tags, 2, card))
 
     def validate(self):
         for cpt in self.cpts.values():
@@ -199,8 +201,7 @@ def build_model(fields, observables, memory=True):
     check_type("observables", observables, dict)
     for name, card in observables.items():
         check_int(f"observable {name!r}: cardinality", card, 1)
-    specs = tuple(ObservableSpec(n, c) for n, c in observables.items())
-    return BienModel(fields, specs, memory=memory)
+    return BienModel(fields, observables, memory=memory)
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +264,9 @@ class CompiledChain:
         # log P(code c); the last row is zeros, so a masked (-1) code adds 0.
         self._emit_rows = tuple(
             np.vstack([log_emit[self.tag_of, self.ds_of, :].T, np.zeros(S)])
-            for log_emit in (m.cpts[f"emit:{obs.name}"].log_table() for obs in m.observables)
+            for log_emit in (m.cpts[f"emit:{name}"].log_table() for name in m.observables)
         )
-        self._cardinalities = np.array([obs.cardinality for obs in m.observables])
+        self._cardinalities = np.array(list(m.observables.values()))
 
     def log_emission(self, obs_matrix):
         """Per-step state log-likelihoods, shape ``(T, S)``; -1 codes are skipped.

@@ -257,7 +257,7 @@ def _clock(rng, start=None, offset=0):
     return hour, minute
 
 
-def _time_string(rng, hour, minute, suffix, with_minutes=True):
+def _time_string(hour, minute, suffix, with_minutes=True):
     if not with_minutes and minute == 0:
         base = f"{hour}"
     else:
@@ -306,14 +306,14 @@ def _announcement(rng, pools, seq):
     suffix = _choice(rng, ("p.m.", "pm", "p.m.", "pm", ""))
     with_minutes = rng.random() >= 0.08
     start = _clock(rng)
-    stime = _time_string(rng, *start, suffix, with_minutes)
+    stime = _time_string(*start, suffix, with_minutes)
     time_line = f"Time:     <stime>{stime}</stime>"
     if has_etime:
         end = _clock(rng, start=start, offset=_choice(rng, (75, 105)))
-        etime = _time_string(rng, *end, suffix)
+        etime = _time_string(*end, suffix)
         bare = rng.random() < 0.12 and suffix
         if bare:  # suffix once, on the end time only
-            time_line = (f"Time:     <stime>{_time_string(rng, *start, '', with_minutes)}"
+            time_line = (f"Time:     <stime>{_time_string(*start, '', with_minutes)}"
                          f"</stime> - <etime>{etime}</etime>")
         else:
             time_line = f"Time:     <stime>{stime}</stime> - <etime>{etime}</etime>"

@@ -149,8 +149,8 @@ def randomize_model(model, rng):
 def random_obs(model, T, rng, mask_rate=0.0):
     """A (T, K) observation matrix with optional random masking."""
     cols = []
-    for obs in model.observables:
-        cols.append(rng.integers(0, obs.cardinality, size=T))
+    for card in model.observables.values():
+        cols.append(rng.integers(0, card, size=T))
     out = np.stack(cols, axis=1).astype(np.int16)
     if mask_rate:
         out[rng.random(out.shape) < mask_rate] = -1
@@ -280,8 +280,8 @@ def assignment_log_prob(model, tag_seq, ds_seq, obs_matrix):
             logp += np.log(ds_trans[ds_seq[t - 1], ds_seq[t]])
             logp += np.log(trans[tag_seq[t - 1], lt, ds_seq[t], tag_seq[t]])
             lt = model.next_lt[lt, tag_seq[t]]
-        for k, obs in enumerate(model.observables):
-            emit = model.cpts[f"emit:{obs.name}"].table
+        for k, name in enumerate(model.observables):
+            emit = model.cpts[f"emit:{name}"].table
             for t in range(T):
                 o = obs_matrix[t, k]
                 if o >= 0:
@@ -342,13 +342,13 @@ def chain_estep(model, examples, observe_ds):
             (tag_of[:, None], lt_of[:, None], ds_of[None, :], tag_of[None, :]),
             xi,
         )
-        for k, spec in enumerate(model.observables):
+        for k, name in enumerate(model.observables):
             col = ex.obs[:, k]
             seen = col >= 0
             if not seen.any():
                 continue
             np.add.at(
-                counts[f"emit:{spec.name}"],
+                counts[f"emit:{name}"],
                 (tag_of[None, :], ds_of[None, :], col[seen, None]),
                 gamma[seen],
             )
@@ -405,8 +405,8 @@ class PaddedLogBatch:
                 self.g[d_idx, t_idx - 1], self.lt[d_idx, t_idx - 1], :, self.g[d_idx, t_idx]
             ]
             A[d_idx, t_idx, :] = rows
-        for k, spec in enumerate(model.observables):
-            log_emit = model.cpts[f"emit:{spec.name}"].log_table()
+        for k, name in enumerate(model.observables):
+            log_emit = model.cpts[f"emit:{name}"].log_table()
             d_idx, t_idx = np.nonzero(self.valid & (self.obs[:, :, k] >= 0))
             A[d_idx, t_idx, :] += log_emit[
                 self.g[d_idx, t_idx], :, self.obs[d_idx, t_idx, k]
@@ -438,12 +438,12 @@ class PaddedLogBatch:
                 ),
                 gamma[d_idx, t_idx],
             )
-        for k, spec in enumerate(model.observables):
+        for k, name in enumerate(model.observables):
             d_idx, t_idx = np.nonzero(self.valid & (self.obs[:, :, k] >= 0))
             if not d_idx.size:
                 continue
             np.add.at(
-                counts[f"emit:{spec.name}"],
+                counts[f"emit:{name}"],
                 (
                     self.g[d_idx, t_idx][:, None],
                     np.arange(2)[None, :],
@@ -531,9 +531,9 @@ def observed_counts(model, examples):
                 counts["ds_trans"][ex.ds[t - 1], ds] += 1
                 counts["tag_trans"][ex.tags[t - 1], lt, ds, tag] += 1
             lt = model.next_lt[lt, tag]
-            for k, spec in enumerate(model.observables):
+            for k, name in enumerate(model.observables):
                 if ex.obs[t, k] >= 0:
-                    counts[f"emit:{spec.name}"][tag, ds, ex.obs[t, k]] += 1
+                    counts[f"emit:{name}"][tag, ds, ex.obs[t, k]] += 1
         total_ll += assignment_log_prob(model, ex.tags, ex.ds, ex.obs)
     return counts, total_ll
 
@@ -556,9 +556,9 @@ def sample_example(model, T, rng, doc_id="sample"):
             ds[t] = rng.choice(2, p=ds_trans[ds[t - 1]])
             tags[t] = rng.choice(model.tags.size, p=tag_trans[tags[t - 1], lt, ds[t]])
         lt = model.next_lt[lt, tags[t]]
-        for k, spec in enumerate(model.observables):
-            emit = model.cpts[f"emit:{spec.name}"].table
-            obs[t, k] = rng.choice(spec.cardinality, p=emit[tags[t], ds[t]])
+        for k, (name, card) in enumerate(model.observables.items()):
+            emit = model.cpts[f"emit:{name}"].table
+            obs[t, k] = rng.choice(card, p=emit[tags[t], ds[t]])
     return SegmentedExample(doc_id, obs.astype(np.int16), tags, ds)
 
 

@@ -10,7 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bien.corpus import SplitPlan, parse_tagged_document, parse_tagged_documents, split, tokenize
+from bien.corpus import (
+    Document,
+    SplitPlan,
+    TagSpan,
+    parse_tagged_document,
+    parse_tagged_documents,
+    split,
+    tokenize,
+)
 from bien.errors import InvalidSpec, MissingResource
 from bien.evaluation import (
     ExperimentConfig,
@@ -251,14 +259,28 @@ REFUSED = {
         lambda v: featurize(v["docs"][0], v["gazetteer"], v["lexicons"], mask="lemma"),
         "mask must be a sequence, not the str 'lemma'",
     ),
+    "Document-none-text": (
+        lambda v: Document("x", None, []), "document text must be a str, got NoneType"
+    ),
+    # scored as no speaker produced, with no error
+    "TagSpan-bytes-field": (
+        lambda v: score_documents(
+            v["docs"],
+            [[TagSpan(s.field.encode(), s.start_token, s.end_token) for s in doc.gold_spans]
+             for doc in v["docs"]],
+            FIELDS,
+        ),
+        "span field must be a str, got bytes",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", REFUSED)
 def test_a_top_level_argument_of_the_wrong_type_is_refused(case):
     """Each of these calls raised Python's own error deep inside the
-    package, returned an empty result (``featurize_docs(None, ...)``), or
-    refused the letters of a mask given as one name."""
+    package, returned an empty result (``featurize_docs(None, ...)``) or
+    a wrong one (spans of a ``bytes`` field), built a document with no
+    text, or refused the letters of a mask given as one name."""
     call, message = REFUSED[case]
     with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
         call(valid())

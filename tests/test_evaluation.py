@@ -53,7 +53,7 @@ FIELDS = ("speaker", "location", "stime", "etime")
 def decode_matrices(chain, obs_list):
     """``decode_batch`` of observation matrices, numbered against the
     chain's observables."""
-    cardinalities = [spec.cardinality for spec in chain.model.observables]
+    cardinalities = list(chain.model.observables.values())
     return decode_batch(chain, number_matrices(obs_list, cardinalities))
 
 
@@ -254,6 +254,19 @@ class TestScoreDocuments:
         docs = [parse(f"<stime>{h} pm</stime> talk") for h in (3, 4, 5)]
         with pytest.raises(InvalidSpec, match="3 documents but 1 prediction lists"):
             score_documents(docs, [[]], FIELDS)
+
+    @pytest.mark.parametrize("mode", ["slot", "occurrence"])
+    def test_a_repeated_field_raises(self, mode, monkeypatch):
+        """Unchecked, a field listed twice was tallied twice: 6/6/6 for
+        speaker on three documents where the list naming it once gives
+        3/3/3. It is refused, naming it, before any tally."""
+        docs = generate_corpus(6, 3)
+        preds = [doc.gold_spans for doc in docs]
+        scores = score_documents(docs, preds, ("speaker", "location"), mode=mode)
+        assert scores["speaker"].truth == 3
+        monkeypatch.setattr(evaluation, "FieldScore", None)  # any tally would fail
+        with pytest.raises(InvalidSpec, match="^fields name 'speaker' twice$"):
+            score_documents(docs, preds, ("speaker", "speaker", "location"), mode=mode)
 
     @pytest.mark.parametrize("mode", ["slot", "occurrence"])
     def test_span_past_the_document_raises(self, mode):
@@ -657,8 +670,9 @@ def assert_same_experiment(a, b):
             y.log_likelihood, y.iterations, y.converged
         )
         assert (x.diagnostics, x.n_train, x.n_test) == (y.diagnostics, y.n_train, y.n_test)
-    assert (a.model.fields, a.model.memory, a.model.observables) == (
-        b.model.fields, b.model.memory, b.model.observables
+    # observables in column order: two dicts compare equal in any order
+    assert (a.model.fields, a.model.memory, list(a.model.observables.items())) == (
+        b.model.fields, b.model.memory, list(b.model.observables.items())
     )
     assert sorted(a.model.cpts) == sorted(b.model.cpts)
     for name, cpt in a.model.cpts.items():

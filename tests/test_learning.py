@@ -44,7 +44,6 @@ from bien.learning import (
     TrainExample,
     _apply_jitter,
     _FactoredBatch,
-    _m_step_cpt,
     encode_tags,
     make_examples,
     pack,
@@ -63,7 +62,7 @@ def example(doc_id, tags, ds=None, obs=None, model=None, rng=None):
     if obs is None:
         rng = rng or np.random.default_rng(0)
         obs = np.stack(
-            [rng.integers(0, spec.cardinality, T) for spec in model.observables], axis=1
+            [rng.integers(0, card, T) for card in model.observables.values()], axis=1
         )
     obs = np.asarray(obs, dtype=np.int16)
     tags = np.asarray(tags, dtype=np.int64)
@@ -77,7 +76,7 @@ def maximum_likelihood(model, examples):
     model = model.copy()
     counts, _ = observed_counts(model, examples)
     for name, cpt in model.cpts.items():
-        _m_step_cpt(cpt, counts[name], 0.0)
+        cpt.renormalize(counts[name])
     return model
 
 
@@ -440,7 +439,7 @@ def reference_em(model, examples, config):
         ):
             return model, trace, True
         for name, cpt in model.cpts.items():
-            _m_step_cpt(cpt, counts[name], config.alpha)
+            cpt.renormalize(counts[name] + config.alpha)
     return model, trace, False
 
 

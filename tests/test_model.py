@@ -17,6 +17,7 @@ from bien.errors import InvalidSpec
 from bien.model import (
     LT_NONE,
     ROLE_BACKGROUND,
+    Cpt,
     TagSpace,
     TimeMajor,
     build_model,
@@ -209,6 +210,40 @@ class TestModelStructure:
             assert (twin.table == cpt.table).all() and (twin.allowed == cpt.allowed).all()
         dup.cpts["ds_init"].table[:] = [1.0, 0.0]
         assert m.cpts["ds_init"].table.tolist() == [0.5, 0.5]
+
+
+class TestCptRenormalize:
+    """``Cpt.renormalize`` is the one writer of a table: the constructor,
+    EM's M-step and its start jitter all call it."""
+
+    def cpt(self):
+        allowed = np.array([[[1, 0, 1], [1, 1, 1]], [[0, 1, 0], [0, 1, 1]]])
+        return Cpt("c", ("a", "b"), (2, 2, 3), allowed=allowed)
+
+    def test_a_fresh_table_is_uniform_over_the_support_bit_for_bit(self):
+        for cpt in [self.cpt(), *small_model().cpts.values()]:
+            want = cpt.allowed / cpt.allowed.sum(axis=-1, keepdims=True)
+            assert cpt.table.tobytes() == want.tobytes(), cpt.name
+
+    @given(weights=st.lists(st.floats(0, 1e6), min_size=12, max_size=12))
+    @settings(max_examples=25, deadline=None)
+    def test_cells_off_the_support_are_exactly_zero(self, weights):
+        cpt = self.cpt()
+        cpt.renormalize(np.reshape(weights, cpt.shape))
+        assert (cpt.table[~cpt.allowed] == 0.0).all()
+        np.testing.assert_allclose(cpt.table.sum(axis=-1), 1.0, atol=1e-12)
+
+    def test_a_row_of_zero_weight_keeps_its_values(self):
+        cpt = self.cpt()
+        before = cpt.table.copy()
+        weights = np.full(cpt.shape, 2.0)
+        weights[0, 1] = 0.0  # a row with no weight on its support
+        weights[1, 0] = [5.0, 0.0, 5.0]  # weight only off the support
+        cpt.renormalize(weights)
+        assert cpt.table[0, 1].tobytes() == before[0, 1].tobytes()
+        assert cpt.table[1, 0].tobytes() == before[1, 0].tobytes()
+        assert cpt.table[0, 0].tolist() == [0.5, 0.0, 0.5]
+        assert cpt.table[1, 1].tolist() == [0.0, 0.5, 0.5]
 
 
 class TestCompiledChain:
