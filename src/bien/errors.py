@@ -28,9 +28,15 @@ decision and word the refusal:
 - :func:`check_int` for a count, a seed or a setting: an int, which a
   bool is not.
 
-Three public classes check in their constructors too: a
+Four public classes check in their constructors too: a
 :class:`~bien.corpus.Token` its surface, a :class:`~bien.corpus.TagSpan`
-its field and a :class:`~bien.corpus.Document` its text, each a ``str``.
+its field and a :class:`~bien.corpus.Document` its text, each a ``str``,
+and a :class:`~bien.features.LexiconSet` each field against its declared
+type, ``frozenset`` or ``dict``. The two settings classes do not, since
+one function reads each before any work: ``split`` checks a
+:class:`~bien.corpus.SplitPlan`'s fields (with
+:class:`InvalidPlan`), and ``run_experiment`` and ``run_ablations`` an
+:class:`~bien.evaluation.ExperimentConfig`'s.
 
 Observation matrices, tables, row numbers and lengths are read with
 ``np.asarray``, so whatever their type they get :class:`InvalidSpec`

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import SplitPlan, TagSpan, split
+from .corpus import DEFAULT_FIELDS, SplitPlan, TagSpan, split
 from .errors import InvalidSpec, check_int, check_sequence, check_type
 # featurize stays importable here for the benchmark's tracer (perfbench/tracing.py)
 from .features import (  # noqa: F401
@@ -249,7 +249,7 @@ def macro_f1(scores):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    fields: tuple = ("speaker", "location", "stime", "etime")
+    fields: tuple = DEFAULT_FIELDS
     mask: tuple = ()
     memory: bool = True
     plan: SplitPlan = SplitPlan()

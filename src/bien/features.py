@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
+from typing import get_type_hints
 
 import numpy as np
 
@@ -103,7 +104,9 @@ class LexiconSet:
 
     :func:`featurize_docs` codes each token type against a set once, in a
     column of the type's :class:`~bien.corpus.TypeTable`, and again only for
-    a set that differs from the last one.
+    a set that differs from the last one. A field that is not of its
+    declared type raises :class:`InvalidSpec`: a ``str`` word list would
+    match substrings with no error.
     """
 
     titles: frozenset
@@ -112,6 +115,10 @@ class LexiconSet:
     locations: frozenset
     timewords: frozenset
     lemma_table: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name, kind in get_type_hints(LexiconSet).items():
+            check_type(f"LexiconSet.{name}", getattr(self, name), kind)
 
 
 def default_lexicons():
@@ -324,14 +331,9 @@ def build_gazetteer(docs, lemma_table, window=3, min_freq=3, max_size=1200):
 # ---------------------------------------------------------------------------
 
 def feature_cardinalities(gazetteer):
-    return {
-        "lemma": gazetteer.cardinality,
-        "pos": len(POS_CLUSTERS),
-        "chunk": len(CHUNKS),
-        "semantic": len(SEMANTIC),
-        "case": len(CASES),
-        "length": len(LENGTH_BUCKETS),
-    }
+    """The number of codes of each feature, keyed in :data:`FEATURE_NAMES` order."""
+    values = (POS_CLUSTERS, CHUNKS, SEMANTIC, CASES, LENGTH_BUCKETS)
+    return dict(zip(FEATURE_NAMES, (gazetteer.cardinality, *map(len, values)), strict=True))
 
 
 def _code_of(names):

@@ -234,11 +234,10 @@ def check_increasing_ids(ids):
 def _check_rows(side, bad_tags, bad_codes, tag_fault, code_fault):
     """Raise :class:`InvalidSpec` naming the first example of ``side`` with
     a row flagged in ``bad_tags`` or ``bad_codes`` (a bool per row): with
-    ``tag_fault`` if it has a flagged tag, else with ``code_fault``."""
+    ``tag_fault`` if it has a flagged tag, else with ``code_fault``. The
+    caller has found a flagged row in one of them."""
     n_rows = len(bad_tags)
     first = [int(bad.argmax()) if bad.any() else n_rows for bad in (bad_tags, bad_codes)]
-    if min(first) == n_rows:
-        return
     at_tag, at_code = np.searchsorted(np.cumsum(side.lengths), first, side="right").tolist()
     i, fault = (at_tag, tag_fault) if at_tag <= at_code else (at_code, code_fault)
     raise InvalidSpec(f"{side.doc_ids[i]}: {fault}")

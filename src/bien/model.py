@@ -450,11 +450,5 @@ def compile_chain(model):
     :class:`BienModel` raises :class:`InvalidSpec`."""
     check_type("model", model, BienModel)
     model.validate()
-    chain = CompiledChain(model)
-    max_states = 10 * len(model.fields) + 2
-    if model.memory and chain.n_states != max_states:
-        raise InvalidSpec(
-            f"compiled chain has {chain.n_states} states, expected {max_states}"
-        )
-    return chain
+    return CompiledChain(model)
 

@@ -27,22 +27,21 @@ def load_wordlist(name):
     return frozenset(line.lower() for line in _lines(_data_text(name)))
 
 
+def _pairs(name):
+    """The two tab-separated fields of each line of a bundled TSV, the first lowercased."""
+    for line in _lines(_data_text(name)):
+        first, second = line.split("\t")
+        yield first.lower(), second
+
+
 def load_ranked(name):
     """A ``name -> rank`` table from a bundled two-column TSV (rank 1 = most common)."""
-    table = {}
-    for line in _lines(_data_text(name)):
-        word, rank = line.split("\t")
-        table[word.lower()] = int(rank)
-    return table
+    return {word: int(rank) for word, rank in _pairs(name)}
 
 
 def load_lemma_table(name="lemmas.tsv"):
     """A ``surface -> lemma`` table (both lowercase) from a bundled TSV."""
-    table = {}
-    for line in _lines(_data_text(name)):
-        surface, lemma = line.split("\t")
-        table[surface.lower()] = lemma.lower()
-    return table
+    return {surface: lemma.lower() for surface, lemma in _pairs(name)}
 
 
 @lru_cache(maxsize=None)

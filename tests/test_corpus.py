@@ -268,6 +268,11 @@ class TestGeneratedBlocks:
         first, second = docs[: synth._BLOCK_DOCS], docs[synth._BLOCK_DOCS :]
         assert len({id(doc.types) for doc in first}) == len({id(doc.types) for doc in second}) == 1
 
+    def test_a_lint_issue_in_a_generated_text_raises(self, monkeypatch):
+        monkeypatch.setattr(synth, "_announcement", lambda rng, pools, seq: "<room>hall</room>")
+        with pytest.raises(AssertionError, match="lint issues.*UNKNOWN_FIELD"):
+            generate_corpus(2, 1)
+
 
 # ranges that take each branch of the bounded draw: none at 1, the
 # rejection loop about half the time at 2**31 + 1, one bare 32-bit draw at
@@ -492,6 +497,11 @@ class TestTokenView:
         for cut in (slice(None), slice(1, None), slice(-3, -1), slice(None, None, -2), slice(5, 2)):
             assert isinstance(view[cut], TokenView) and view[cut] == want[cut]
         assert view != want + (Token("x", 99, 100, "word"),)
+
+    def test_a_view_does_not_compare_with_a_non_sequence(self):
+        view = Document("d", "Dr. Li", tokens_of("Dr. Li")).tokens
+        assert view.__eq__(5) is NotImplemented
+        assert view != 5
 
     def test_hand_built_document_equals_the_parsed_one(self):
         for doc in generate_corpus(20, 9) + [parse_tagged_document("", doc_id="e")[0]]:

@@ -4,6 +4,7 @@ an entry point of the pipeline refuses one with ``InvalidSpec`` naming it
 
 import functools
 import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from bien.evaluation import (
     score_documents,
 )
 from bien.features import (
+    LexiconSet,
     build_gazetteer,
     default_lexicons,
     feature_cardinalities,
@@ -259,6 +261,21 @@ REFUSED = {
         lambda v: featurize(v["docs"][0], v["gazetteer"], v["lexicons"], mask="lemma"),
         "mask must be a sequence, not the str 'lemma'",
     ),
+    # a str word list matched substrings: "a" was coded Location, as part of "hall"
+    "LexiconSet-str-locations": (
+        lambda v: featurize(v["docs"][0], v["gazetteer"], replace(v["lexicons"], locations="hall")),
+        "LexiconSet.locations must be a frozenset, got str",
+    ),
+    "LexiconSet-none-titles": (
+        lambda v: featurize(v["docs"][0], v["gazetteer"], replace(v["lexicons"], titles=None)),
+        "LexiconSet.titles must be a frozenset, got NoneType",
+    ),
+    "LexiconSet-list-firstnames": (
+        lambda v: featurize(
+            v["docs"][0], v["gazetteer"], replace(v["lexicons"], firstnames=["ann"])
+        ),
+        "LexiconSet.firstnames must be a dict, got list",
+    ),
     "Document-none-text": (
         lambda v: Document("x", None, []), "document text must be a str, got NoneType"
     ),
@@ -284,6 +301,19 @@ def test_a_top_level_argument_of_the_wrong_type_is_refused(case):
     call, message = REFUSED[case]
     with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
         call(valid())
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(LexiconSet)])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_a_lexicon_set_field_of_a_type_it_does_not_take_is_refused(name, data):
+    """A lexicon set checks each of its fields when it is built, so no
+    word list of the wrong type reaches the per-type semantic codes."""
+    takes = {"dict"} if isinstance(getattr(valid()["lexicons"], name), dict) else set()
+    for kind in KINDS.keys() - takes:
+        value = data.draw(KINDS[kind], label=kind)
+        with pytest.raises(InvalidSpec, match=f"^LexiconSet.{name} must be a"):
+            replace(valid()["lexicons"], **{name: value})
 
 
 def one_pass(items):

@@ -692,6 +692,13 @@ class TestExperimentProtocol:
         # strongly cued tiny corpus: the protocol should actually learn it
         assert result.mean("stime", "f1") > 0.5
 
+    def test_mean_macro_is_the_mean_of_the_runs(self):
+        cfg = ExperimentConfig(plan=SplitPlan(runs=3), gazetteer_min_freq=2)
+        result = run_experiment(generate_corpus(30, 3), cfg)
+        macros = [run.macro for run in result.runs]
+        assert len(set(macros)) == 3
+        assert result.mean_macro() == np.mean(macros)
+
     def test_jobs_do_not_change_results(self):
         corpus = tiny_corpus()
         cfg = tiny_config()

@@ -40,6 +40,7 @@ from bien.features import (
     pos_cluster,
     semantic_feature,
 )
+from bien.resources import load_wordlist
 from bien.synth import generate_corpus
 
 LEX = default_lexicons()
@@ -163,6 +164,12 @@ class TestSemantic:
         assert semantic_feature(*word("presents"), LEX) == "None"
 
 
+class TestResources:
+    def test_a_missing_data_file_raises(self):
+        with pytest.raises(MissingResource, match="no-such-file.txt"):
+            load_wordlist("no-such-file.txt")
+
+
 def tiny_corpus():
     texts = [
         "Who: <speaker>Dr. Green</speaker> will talk in <location>Wean Hall</location>",
@@ -174,6 +181,14 @@ def tiny_corpus():
 
 
 class TestGazetteer:
+    def test_no_entries_raise(self):
+        with pytest.raises(EmptyVocabulary):
+            Gazetteer({}, {})
+
+    def test_ids_that_are_not_one_to_v_raise(self):
+        with pytest.raises(InvalidSpec, match="exactly 1..V"):
+            Gazetteer({"a": 2}, {})
+
     def test_build_filters_and_ranks(self):
         gaz = build_gazetteer(tiny_corpus(), LEX.lemma_table, window=2, min_freq=3)
         # "talk"/"talks" share a lemma and reach the threshold; "wean" does not

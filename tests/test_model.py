@@ -246,7 +246,25 @@ class TestCptRenormalize:
         assert cpt.table[1, 1].tolist() == [0.0, 0.5, 0.5]
 
 
+class TestCptChecks:
+    def test_a_parent_count_that_does_not_fit_the_shape_raises(self):
+        with pytest.raises(InvalidSpec, match="1 parents for shape"):
+            Cpt("c", ("a",), (2, 2, 3))
+
+    def test_a_row_with_no_allowed_cell_raises(self):
+        with pytest.raises(InvalidSpec, match="a row has no allowed cell"):
+            Cpt("c", (), (2,), allowed=np.zeros(2, bool))
+
+
 class TestCompiledChain:
+    @pytest.mark.parametrize("n_fields", [1, 2, 3, 4])
+    @pytest.mark.parametrize("memory, per_field", [(True, 10), (False, 8)])
+    def test_state_count_follows_the_structure(self, n_fields, memory, per_field):
+        """Background carries F + 1 memories with memory on and one
+        without; each of the 4F field tags one; two segments each."""
+        chain = compile_chain(build_model(FIELDS4[:n_fields], OBS2, memory=memory))
+        assert chain.n_states == per_field * n_fields + 2
+
     def test_state_count(self):
         for n_fields, fields in ((1, ("a",)), (2, ("a", "b")), (4, FIELDS4)):
             chain = compile_chain(build_model(fields, OBS2))
