@@ -10,7 +10,9 @@ of one): tags are stripped per document, and then one :func:`tokenize`
 call and one bisection of the token bounds serve the whole block, so the
 numpy calls made per block, not per document, set the cost. The
 documents of a block share one type table; the table starts over, when
-full, between blocks and never inside one.
+full, between blocks and never inside one. There is one tokenizer: every
+entry point keeps the periods of the bundled abbreviations, and each
+table memoizes the chunks it has split with its own ids.
 
 A document holds its tokens as columns: a :class:`TypeTable` of
 ``(surface, kind)`` types, an int32 array of each token's type id and an
@@ -36,6 +38,7 @@ import numpy as np
 
 from .errors import AlignmentError, InvalidPlan, InvalidSpec, MalformedTag, check_int
 from .errors import check_sequence, check_type
+from .resources import load_abbreviations
 
 KIND_WORD = "word"
 KIND_NUMBER = "number"
@@ -325,6 +328,29 @@ class Numbering(dict):
         return k
 
 
+class _ChunkMemo(dict):
+    """A :class:`TypeTable`'s chunk memo: ``memo[chunk]`` is the chunk's
+    pieces packed as native int32 pairs, each piece's offset in the chunk
+    and then its type id in the table: bytes, which :func:`tokenize` joins
+    for a whole text and reads as one array. A chunk is split once, with
+    the bundled abbreviations (loaded on the first miss, never at import),
+    and the memo starts over when it holds ``_MEMO_LIMIT`` chunks."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def __missing__(self, chunk):
+        if len(self) >= _MEMO_LIMIT:
+            self.clear()
+        pairs = [
+            x
+            for surface, at in _split_chunk(chunk, load_abbreviations())
+            for x in (at, self.table.id_of(surface, token_kind(surface)))
+        ]
+        packed = self[chunk] = struct.pack(f"={len(pairs)}i", *pairs)
+        return packed
+
+
 class TypeTable:
     """An append-only table of ``(surface, kind)`` token types; a type's id
     is its index.
@@ -334,6 +360,8 @@ class TypeTable:
     extended for new types only.
     ``derived`` numbers strings derived from the types (their lemmas, say)
     for columns that hold such numbers in place of strings.
+    ``chunks`` is the table's own chunk memo (:class:`_ChunkMemo`), so a
+    table that starts over starts with an empty memo.
     """
 
     def __init__(self):
@@ -342,14 +370,16 @@ class TypeTable:
         self._ids = {}
         self._columns = {}
         self.derived = Numbering()
+        self.chunks = _ChunkMemo(self)
 
     def __len__(self):
         return len(self.surfaces)
 
     def __getstate__(self):
-        # a pickled table rebuilds its columns, and the numbers they hold,
-        # where it is used
-        return {**self.__dict__, "_columns": {}, "derived": Numbering()}
+        # a pickled table rebuilds its columns, the numbers they hold and
+        # its chunk memo where it is used
+        fresh = {"_columns": {}, "derived": Numbering(), "chunks": _ChunkMemo(self)}
+        return {**self.__dict__, **fresh}
 
     def id_of(self, surface, kind):
         key = (surface, kind)
@@ -365,9 +395,8 @@ class TypeTable:
         *context)`` returns the values of types ``start`` onwards. Per
         ``compute``, one column is kept, with the context it was computed
         for: it is computed afresh for a context that differs (item by
-        item, by identity or ``==``), as :meth:`TypeMemo.bind` starts its
-        memo over, and otherwise extended for the types added since it was
-        last read.
+        item, by identity or ``==``), and otherwise extended for the types
+        added since it was last read.
 
         One column per function loses nothing to the jobs this package
         runs. Counted over three repeats of each ``perfbench`` workload in
@@ -406,46 +435,11 @@ class TypeTable:
         return values[:done]
 
 
-class TypeMemo(dict):
-    """``memo[key]`` is ``compute(key, *context)``, computed once per key, for
-    the context of the last :meth:`bind`. The memo starts over when bound to
-    a context that differs (item by item, by identity or ``==``) and when it
-    holds ``_MEMO_LIMIT`` keys."""
-
-    def __init__(self, compute):
-        self.compute, self.context = compute, ()
-
-    def bind(self, *context):
-        if context != self.context:
-            self.clear()
-            self.context = context
-        return self
-
-    def __missing__(self, key):
-        if len(self) >= _MEMO_LIMIT:
-            self.clear()
-        value = self[key] = self.compute(key, *self.context)
-        return value
-
-
-def _typed_pieces(chunk, abbreviations, table):
-    """The chunk's pieces packed as native int32 pairs, each piece's offset
-    in the chunk and then its type id: bytes, which :func:`tokenize` joins
-    for a whole text and reads as one array."""
-    pairs = [
-        x
-        for surface, at in _split_chunk(chunk, abbreviations)
-        for x in (at, table.id_of(surface, token_kind(surface)))
-    ]
-    return struct.pack(f"={len(pairs)}i", *pairs)
-
-
 def _surface_lengths(table, start):
     """Per type from ``start``: the length of its surface."""
     return np.fromiter(map(len, table.surfaces[start:]), dtype=np.int32)
 
 
-_chunk_memo = TypeMemo(_typed_pieces)
 _types = TypeTable()
 
 
@@ -480,40 +474,36 @@ def _chunk_starts(text):
     return np.flatnonzero(space[:-1] > space[1:]).astype(np.int32)
 
 
-def tokenize(text, abbreviations=frozenset()):
+def tokenize(text):
     """Split raw text into tokens, separating punctuation from words, as
     the columns a :class:`Document` holds.
 
-    Punctuation becomes its own token except for periods on known
-    abbreviations, decimal points, and punctuation internal to emails,
-    URLs, and glued alphanumeric forms. ``abbreviations`` entries carry
-    their trailing period ("dr.") and are matched case-insensitively.
+    Punctuation becomes its own token except for periods on the bundled
+    abbreviations (``resources.load_abbreviations``: "Dr.", "p.m.",
+    matched case-insensitively), decimal points, and punctuation internal
+    to emails, URLs, and glued alphanumeric forms. The tokens are those of
+    :func:`parse_tagged_documents` on the same text.
 
     Returns ``(types, type_ids, starts)``: the :class:`TypeTable` the
     tokens' types are in, and int32 arrays of each token's type id and
     start offset in ``text``; no :class:`Token` is built. Each distinct
-    chunk is split once into its piece offsets and type ids, kept in a
-    :class:`TypeMemo` bound to ``frozenset(abbreviations)`` and the table,
-    of at most ``_MEMO_LIMIT`` chunks. A chunk the memo holds costs no
-    Python statement: the memo's entries are joined and read as one array,
-    and the chunks' offsets come from one pass over the text.
+    chunk is split once into its piece offsets and type ids, kept in the
+    table's own chunk memo of at most ``_MEMO_LIMIT`` chunks. A chunk the
+    memo holds costs no Python statement: the memo's entries are joined
+    and read as one array, and the chunks' offsets come from one pass over
+    the text.
 
     The table is read once per call, so every token of a call gets its
     type from one table. :func:`parse_tagged_documents` tokenizes a block
     of documents in one call, so the table starts over between blocks,
     never inside one.
 
-    A ``text`` that is not a ``str``, or ``abbreviations`` that are not a
-    sequence (:func:`~bien.errors.check_sequence`), raise
-    :class:`InvalidSpec` before the table or the memo is touched, since
-    every later call reads them.
+    A ``text`` that is not a ``str`` raises :class:`InvalidSpec` before
+    the table or its memo is touched, since every later call reads them.
     """
     check_type("text", text, str)
-    if not isinstance(abbreviations, frozenset):
-        abbreviations = frozenset(check_sequence("abbreviations", abbreviations))
     table = _current_types()
-    pieces_of = _chunk_memo.bind(abbreviations, table)
-    pieces = list(map(pieces_of.__getitem__, text.split()))
+    pieces = list(map(table.chunks.__getitem__, text.split()))
     flat = np.frombuffer(b"".join(pieces), dtype=np.int32)
     sizes = np.fromiter(map(len, pieces), dtype=np.intp, count=len(pieces))
     starts = np.repeat(_chunk_starts(text), sizes >> 3)  # 8 bytes a piece
@@ -581,7 +571,7 @@ class _Parsed(NamedTuple):
     issues: list
 
 
-def _parse_block(raws, doc_ids, fields, abbreviations):
+def _parse_block(raws, doc_ids, fields):
     """The block's tokens, as one :class:`TokenView` with each token's start
     in its own document's text, and a :class:`_Parsed` per document, in
     input order."""
@@ -590,10 +580,6 @@ def _parse_block(raws, doc_ids, fields, abbreviations):
     fields = check_sequence("fields", fields)
     if len(raws) != len(doc_ids):
         raise InvalidSpec(f"{len(raws)} documents for {len(doc_ids)} ids")
-    if abbreviations is None:
-        from .resources import load_abbreviations
-
-        abbreviations = load_abbreviations()
     # every document's tags are checked before any text is tokenized
     stripped = [_strip_tags(raw, doc_id) for raw, doc_id in zip(raws, doc_ids)]
     texts = [text for text, _ in stripped]
@@ -605,7 +591,7 @@ def _parse_block(raws, doc_ids, fields, abbreviations):
         for k, ((_, spans), base) in enumerate(zip(stripped, bases))
         for name, cs, ce in spans
     ]
-    table, ids, starts = tokenize("\n".join(texts), abbreviations)
+    table, ids, starts = tokenize("\n".join(texts))
     bases = np.array(bases, dtype=np.int32)
     cuts = np.searchsorted(starts, bases)  # each document's first token
     ends = starts + table.column(_surface_lengths)[ids]
@@ -659,7 +645,7 @@ def _parse_block(raws, doc_ids, fields, abbreviations):
     return TokenView(table, ids, starts), parsed
 
 
-def parse_tagged_documents(raws, doc_ids, fields=DEFAULT_FIELDS, abbreviations=None):
+def parse_tagged_documents(raws, doc_ids, fields=DEFAULT_FIELDS):
     """Parse texts with inline ``<field>...</field>`` markup into Documents,
     ``raws[k]`` under the id ``doc_ids[k]``, as one block.
 
@@ -682,19 +668,18 @@ def parse_tagged_documents(raws, doc_ids, fields=DEFAULT_FIELDS, abbreviations=N
     first such document in input order, before any text is tokenized.
     ``raws`` and ``doc_ids`` of different lengths, or anything but a
     sequence (:func:`~bien.errors.check_sequence`) for ``raws``,
-    ``doc_ids``, ``fields`` or ``abbreviations``, raise
-    :class:`InvalidSpec`.
+    ``doc_ids`` or ``fields``, raise :class:`InvalidSpec`.
     """
-    tokens, parsed = _parse_block(raws, doc_ids, fields, abbreviations)
+    tokens, parsed = _parse_block(raws, doc_ids, fields)
     return [
         (Document(p.doc_id, p.text, tokens[p.lo : p.hi], p.spans), p.issues) for p in parsed
     ]
 
 
-def parse_tagged_document(raw, doc_id="doc", fields=DEFAULT_FIELDS, abbreviations=None):
+def parse_tagged_document(raw, doc_id="doc", fields=DEFAULT_FIELDS):
     """:func:`parse_tagged_documents` on one text: its ``(document,
     lint_issues)`` pair."""
-    return parse_tagged_documents([raw], [doc_id], fields, abbreviations)[0]
+    return parse_tagged_documents([raw], [doc_id], fields)[0]
 
 
 # ---------------------------------------------------------------------------

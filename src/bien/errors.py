@@ -5,7 +5,7 @@ The contract for wrong types. The pipeline's entry points, from
 ``tokenize`` through ``run_ablations``, refuse an argument of a type they
 do not take with :class:`InvalidSpec` naming the argument and the type it
 got, before any work and before any write to state that later calls read
-(the tokenizer's type table and chunk memo, a type table's columns, a
+(the tokenizer's type table with its chunk memo and columns, a
 document's cache). The entry points are ``tokenize``,
 ``parse_tagged_documents``, ``parse_tagged_document``,
 ``generate_corpus``, ``split``, ``build_gazetteer``, ``featurize``,
@@ -20,11 +20,11 @@ decision and word the refusal:
   documents, gazetteers and lexicon sets, models, stacked examples,
   chains, numbered rows and predicted spans;
 - :func:`check_sequence` for documents, texts, ids, fields, masks,
-  abbreviations, predictions and cardinalities: any iterable but a
-  ``str`` or ``bytes``, which iterate as their characters, and a
-  ``dict``, which iterates as its keys. The check returns the items as a
-  tuple, which a function that reads them more than once works on, so a
-  one-pass iterator is read once and gives what a list gives;
+  predictions and cardinalities: any iterable but a ``str`` or
+  ``bytes``, which iterate as their characters, and a ``dict``, which
+  iterates as its keys. The check returns the items as a tuple, which a
+  function that reads them more than once works on, so a one-pass
+  iterator is read once and gives what a list gives;
 - :func:`check_int` for a count, a seed or a setting: an int, which a
   bool is not.
 
@@ -54,7 +54,10 @@ wrong argument is refused for one of them. Outside the contract:
 - document ids, which are only compared and printed, and ``memory``,
   which is read by its truth value, are taken as they come;
 - ``viterbi``'s evidence is anything with a ``log_emission(chain)``
-  method.
+  method. Its scores are read with ``np.asarray`` and refused as
+  ``viterbi_batch`` refuses its table: unless a float64 ``(T, S)``
+  array, and for a NaN or +inf in them or in the chain's ``log_init`` or
+  ``log_trans`` (which a document of one token does not read).
 """
 
 import numbers

@@ -29,7 +29,7 @@ other path is ``viterbi``'s, and its score is formed again in
 decoded sides of the 5-run experiment and of the ablation grid at seeds
 1993 and 7 (6,790 documents) need no fallback; their smallest margin is
 3.5e-7. A NaN or +inf score would make the two recursions' sums differ
-in more than rounding, so ``viterbi_batch`` refuses them.
+in more than rounding, so both refuse them.
 
 For one document the cost is numpy's per-call overhead, so ``viterbi``
 makes each step a few calls on fixed buffers. It keeps the previous
@@ -107,7 +107,11 @@ def viterbi(chain, evidence):
     A step that no state admits raises :class:`ZeroProbabilityEvidence`
     at the first such step, and a ``chain`` that is not a
     :class:`~bien.model.CompiledChain` :class:`InvalidSpec`. ``evidence``
-    is anything with a ``log_emission(chain)`` method.
+    is anything with a ``log_emission(chain)`` method, whose scores are read
+    with ``np.asarray``; as in ``viterbi_batch``, scores that are not a
+    float64 ``(T, S)`` array raise :class:`InvalidSpec`, and so does a NaN
+    or +inf in them or in the chain's ``log_init`` or, past one token,
+    ``log_trans``, whatever step is dead.
 
     Each step is six calls on fixed buffers: tile the previous scores,
     add the flat transposed transitions to them, take each state's
@@ -116,7 +120,11 @@ def viterbi(chain, evidence):
     backtrace walks the backpointers in Python ints.
     """
     check_type("chain", chain, CompiledChain)
-    return _viterbi(chain, evidence.log_emission(chain))
+    emis, S = np.asarray(evidence.log_emission(chain)), chain.n_states
+    if not (emis.dtype == np.float64 and emis.shape[1:] == (S,)):
+        raise InvalidSpec(f"emissions must be a float64 (T, {S}) array, "
+                          f"got {emis.dtype} of shape {emis.shape}")
+    return _viterbi(chain, emis)
 
 
 def _viterbi(chain, emis):
@@ -148,14 +156,20 @@ def _viterbi(chain, emis):
         add(ptr, row_starts, back)
         take(back, None, cur, "clip")  # every index is in range
         add(cur, e, cur)
-    # a step with no live state leaves every later step dead (-inf, or NaN
-    # where a NaN entered), so only a last step with no finite score needs
-    # the scan for the first dead step
-    if not best[-1].max() > -np.inf:
-        dead = np.flatnonzero(best.max(axis=1) == -np.inf)
-        if dead.size:
-            step = int(dead[0])
-            raise ZeroProbabilityEvidence(f"no state admits token {step}", step=step)
+    # A NaN or +inf in the scores, log_init or log_trans reaches the last
+    # step: once a state's score holds one, every state's best move at the
+    # next step does (argmax takes NaN as the maximum, and +inf plus a -inf
+    # move is NaN), and no finite score is left. So the last step's max,
+    # which propagates NaN, is NaN or +inf.
+    top = best[-1].max()
+    if not top < np.inf:
+        raise InvalidSpec("the emission scores, log_init or log_trans hold NaN or +inf; "
+                          "a decode scores only finite values and -inf")
+    # a step with no live state leaves every later step dead, so only a
+    # dead last step needs the scan for the first dead step
+    if top == -np.inf:
+        step = int(np.flatnonzero(best.max(axis=1) == -np.inf)[0])
+        raise ZeroProbabilityEvidence(f"no state admits token {step}", step=step)
     state = int(best[-1].argmax())
     score = best.item(T - 1, state)
     states = [state] * T
@@ -296,9 +310,8 @@ def viterbi_batch(chain, table, rows, lengths):
     :class:`~bien.model.CompiledChain`, ``table`` a float64 ``(R, S)``
     array, ``rows`` 1-D integers in ``0 .. R - 1`` and ``lengths`` split
     them (:func:`bien.model.check_lengths`), this raises
-    :class:`InvalidSpec`, as it does for a NaN or +inf in ``table`` or in
-    the chain's ``log_init`` or ``log_trans``, with which ``viterbi``'s
-    sums can be NaN (a NaN, or +inf plus a -inf move), and for a
+    :class:`InvalidSpec`, as it does, like ``viterbi``, for a NaN or +inf
+    in ``table`` or in the chain's ``log_init`` or ``log_trans``, and for a
     ``log_trans`` that is not the sum of the chain's factors
     (:func:`bien.model.join_factors`), which this decodes.
 

@@ -547,7 +547,7 @@ def generate_corpus(n_docs=DEFAULT_DOCS, seed=DEFAULT_SEED):
     for first in range(0, n_docs, _BLOCK_DOCS):
         seqs = range(first, min(first + _BLOCK_DOCS, n_docs))
         texts = [_announcement(rng, pools, seq=i) for i in seqs]
-        tokens, parsed = _parse_block(texts, [f"ann{i:04d}" for i in seqs], DEFAULT_FIELDS, None)
+        tokens, parsed = _parse_block(texts, [f"ann{i:04d}" for i in seqs], DEFAULT_FIELDS)
         issues = [issue for p in parsed for issue in p.issues]
         if issues:
             raise AssertionError(f"generator produced lint issues: {issues}")

@@ -813,8 +813,9 @@ def tag_spans_reference(doc_id, tokens, char_spans, fields):
 
 
 def tokenize_reference(text, abbreviations=frozenset()):
-    """The tokens of ``tokenize`` with no memo: every whitespace chunk is
-    split and classified on its own."""
+    """The tokens of ``tokenize`` with no memo, given the bundled
+    abbreviations: every whitespace chunk is split and classified on its
+    own."""
     tokens = []
     for m in re.finditer(r"\S+", text):
         for surface, off in _split_chunk(m.group(), abbreviations):

@@ -40,8 +40,8 @@ ABBREV = load_abbreviations()
 WHITESPACE = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
 
 
-def tokens_of(text, abbreviations=ABBREV):
-    return TokenView(*tokenize(text, abbreviations))
+def tokens_of(text):
+    return TokenView(*tokenize(text))
 
 
 def surfaces(text):
@@ -179,26 +179,15 @@ class TestTokenizeMatchesReference:
     )
     def test_mixed_texts(self, parts):
         text = "".join("".join(chunk) + gap for chunk, gap in parts)
-        for abbreviations in (ABBREV, frozenset()):
-            doc = Document("d", text, tokens_of(text, abbreviations))
-            assert doc.tokens == tokenize_reference(text, abbreviations)
-            assert_ids_name_types(doc)
-
-    def test_memo_keys_on_a_frozen_copy_of_the_abbreviations(self):
-        text = "Dr. mil."
-        mutable = {"dr."}
-        assert [t.surface for t in tokens_of(text, mutable)] == ["Dr.", "mil", "."]
-        mutable.add("mil.")  # the memo must not still answer for {"dr."}
-        assert [t.surface for t in tokens_of(text, mutable)] == ["Dr.", "mil."]
-        for abbreviations in (ABBREV, frozenset(), {"mil."}, frozenset({"dr."}), mutable):
-            assert tokens_of(text, abbreviations) == tokenize_reference(text, abbreviations)
+        doc = Document("d", text, tokens_of(text))
+        assert doc.tokens == tokenize_reference(text, ABBREV)
+        assert_ids_name_types(doc)
 
     def test_memo_that_starts_over_mid_corpus(self, monkeypatch):
         monkeypatch.setattr(corpus_module, "_MEMO_LIMIT", 7)
-        corpus_module._chunk_memo.clear()
         for doc in generate_corpus(60, 5):
             assert tokens_of(doc.text) == tokenize_reference(doc.text, ABBREV)
-            assert len(corpus_module._chunk_memo) <= 7
+            assert len(corpus_module._current_types().chunks) <= 7
 
     @pytest.mark.parametrize("limit", [None, 5])
     def test_annotate_follows_the_per_token_pos_rule(self, monkeypatch, limit):
@@ -227,6 +216,38 @@ class TestTokenizeMatchesReference:
         for text in texts:
             assert tokens_of(text) == tokenize_reference(text, ABBREV)
             assert len(tokens_of(text)) == len(tokenize_reference(text, ABBREV))
+
+    def test_a_table_that_starts_over_starts_with_an_empty_memo(self, monkeypatch):
+        monkeypatch.setattr(corpus_module, "_MEMO_LIMIT", 5)
+        first, _, _ = tokenize("Talk by Dr. Li at 3:30 p.m. in Rm. 5409 .")
+        assert len(first) >= 5 and 0 < len(first.chunks) <= 5
+        table = corpus_module._current_types()
+        assert table is not first and table.chunks == {}
+        second, ids, _ = tokenize("Dr. Li")
+        assert second is table and set(table.chunks) == {"Dr.", "Li"}
+        assert [table.surfaces[i] for i in ids.tolist()] == ["Dr.", "Li"]
+
+    def test_a_pickled_table_holds_no_memo_entries(self):
+        table = TypeTable()
+        pieces = table.chunks["(Dr."]
+        assert table.surfaces == ["(", "Dr."] and list(table.chunks) == ["(Dr."]
+        cold = pickle.loads(pickle.dumps(table))
+        assert cold.chunks == {} and cold.chunks.table is cold
+        assert cold.chunks["(Dr."] == pieces  # the same ids, read from the copy
+        assert np.frombuffer(cold.chunks["Li"], np.int32).tolist() == [0, 2]
+        assert cold.surfaces == ["(", "Dr.", "Li"] and len(table) == 2
+
+    @pytest.mark.parametrize(
+        "text, kept",
+        [
+            ("Talk by Dr. Li at 3:30 p.m. in Rm. 5409.", {"Dr.", "p.m.", "Rm."}),
+            ("DR. X, rm. 7 (p.m.)", {"DR.", "rm.", "p.m."}),
+        ],
+    )
+    def test_tokenize_gives_the_tokens_of_the_parser(self, text, kept):
+        doc, _ = parse_tagged_document(f"<speaker>{text}</speaker>")
+        assert tokens_of(text) == doc.tokens
+        assert kept <= {t.surface for t in doc.tokens}
 
 
 class TestGoldenDocuments:
@@ -378,7 +399,7 @@ def assert_ids_name_types(doc):
 class TestTypeIds:
     def test_one_id_per_type(self):
         text = "Dr. Who , dr. who , Dr. Who"
-        table, ids, starts = tokenize(text, ABBREV)
+        table, ids, starts = tokenize(text)
         assert ids[0] == ids[6] and ids[1] == ids[7] and ids[2] == ids[5]
         assert ids[0] != ids[3]  # case makes another type
         assert_ids_name_types(Document("d", text, TokenView(table, ids, starts)))
@@ -502,6 +523,12 @@ class TestTokenView:
         view = Document("d", "Dr. Li", tokens_of("Dr. Li")).tokens
         assert view.__eq__(5) is NotImplemented
         assert view != 5
+
+    def test_repr_lists_the_tokens(self):
+        assert repr(tokens_of("Dr. Li")) == (
+            "TokenView([Token(surface='Dr.', start=0, end=3, kind='word'), "
+            "Token(surface='Li', start=4, end=6, kind='word')])"
+        )
 
     def test_hand_built_document_equals_the_parsed_one(self):
         for doc in generate_corpus(20, 9) + [parse_tagged_document("", doc_id="e")[0]]:

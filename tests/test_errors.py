@@ -73,13 +73,12 @@ def valid_arguments(entry):
     docs, gaz, lex, model, chain = v["docs"], v["gazetteer"], v["lexicons"], v["model"], v["chain"]
     cfg = ExperimentConfig(plan=SplitPlan(runs=1))
     return {
-        "tokenize": (tokenize, dict(text="Dr. Li", abbreviations=frozenset())),
+        "tokenize": (tokenize, dict(text="Dr. Li")),
         "parse_tagged_documents": (parse_tagged_documents, dict(
             raws=["<stime>3</stime> pm"], doc_ids=["d"], fields=FIELDS,
-            abbreviations=frozenset(),
         )),
         "parse_tagged_document": (parse_tagged_document, dict(
-            raw="<stime>3</stime> pm", fields=FIELDS, abbreviations=frozenset()
+            raw="<stime>3</stime> pm", fields=FIELDS
         )),
         "generate_corpus": (generate_corpus, dict(n_docs=2, seed=1)),
         "split": (split, dict(corpus=docs, plan=SplitPlan(runs=1))),
@@ -129,14 +128,11 @@ KINDS = {
 # ids, ``memory`` and ``viterbi``'s evidence.
 CASES = [
     ("tokenize", "text", {"str"}),
-    ("tokenize", "abbreviations", set()),
     ("parse_tagged_documents", "raws", set()),
     ("parse_tagged_documents", "doc_ids", set()),
     ("parse_tagged_documents", "fields", set()),
-    ("parse_tagged_documents", "abbreviations", {"None"}),
     ("parse_tagged_document", "raw", {"str"}),
     ("parse_tagged_document", "fields", set()),
-    ("parse_tagged_document", "abbreviations", {"None"}),
     ("generate_corpus", "n_docs", {"int"}),
     ("generate_corpus", "seed", {"int"}),
     ("split", "corpus", set()),
@@ -330,10 +326,6 @@ READ_TWICE = {
         seq(v["docs"]), v["gazetteer"], v["lexicons"]
     ),
     "mask_columns-mask": lambda v, seq: mask_columns(seq(["lemma"])),
-    "tokenize-abbreviations": lambda v, seq: tokenize("Dr. Li", seq(["dr."]))[1:],
-    "parse_tagged_documents-abbreviations": lambda v, seq: parse_tagged_documents(
-        ["<speaker>Dr. Li</speaker>"], ["d"], FIELDS, seq(["dr."])
-    ),
     "run_experiment-mask": lambda v, seq: [
         (run.log_likelihood, run.macro)
         for run in run_experiment(
@@ -347,7 +339,7 @@ READ_TWICE = {
 def test_a_one_pass_iterator_gives_what_a_list_gives(case):
     """A sequence is taken once, as a tuple: a generator gives the result
     that a list gives. These calls returned empty tallies, raised
-    ``IndexError``, masked nothing, or ignored every abbreviation."""
+    ``IndexError`` or masked nothing."""
     call = READ_TWICE[case]
     want = call(valid(), list)
     assert len(want)

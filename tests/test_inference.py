@@ -289,9 +289,10 @@ class TestViterbiMatchesReference:
         assert not assert_same_outcome(chain, ClampedEvidence(obs, allowed_ds=allowed_ds))
 
     def test_nan_transition_on_the_full_chain(self):
-        """A NaN in one finite move reaches every later step's scores, in
-        both recursions alike. A step that no state admits before it does
-        (only step 0 can be one) is still raised at that step."""
+        """A NaN in one finite move reaches every later step's scores, where
+        the reference recursion scores NaN, or raises at a dead first step;
+        ``viterbi`` refuses it with :class:`InvalidSpec` whatever step is
+        dead, as ``viterbi_batch`` does before any work."""
         rng = np.random.default_rng(700)
         T = 40
         raised = 0
@@ -304,10 +305,12 @@ class TestViterbiMatchesReference:
             if k % 3:
                 allowed_ds[0 if k % 3 == 1 else rng.integers(1, T)] = False
             ev = ClampedEvidence(random_obs(chain.model, T, rng), allowed_ds=allowed_ds)
-            if assert_same_outcome(chain, ev):
-                assert np.isnan(viterbi(chain, ev)[1])
-            else:
+            try:
+                assert np.isnan(viterbi_reference(chain, ev)[1])
+            except ZeroProbabilityEvidence:
                 raised += 1
+            with pytest.raises(InvalidSpec, match=r"hold NaN or \+inf"):
+                viterbi(chain, ev)
         assert raised == 7
 
 
@@ -602,6 +605,52 @@ class Scored:
 
     def log_emission(self, chain):
         return self.scores
+
+
+# +inf plus a -inf move warns in the loop, before the refusal after it
+@pytest.mark.filterwarnings("ignore:invalid value encountered in add:RuntimeWarning")
+class TestNonFiniteScores:
+    """``viterbi`` refuses what ``viterbi_batch`` refuses: emission scores
+    that are not a float64 ``(T, S)`` array, and a NaN or +inf in them or
+    in the chain's ``log_init`` or ``log_trans``."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("where", ["emission", "log_init", "log_trans"])
+    def test_a_nan_or_inf_anywhere_is_refused_by_both_decoders(self, where, value, seed):
+        chain = make_chain(FOUR_FIELDS, seed=5)
+        rng = np.random.default_rng(seed)
+        T = int(rng.integers(2 if where == "log_trans" else 1, 12))
+        scores = random_evidence(chain, T, rng).log_emission(chain)
+        target = scores if where == "emission" else getattr(chain, where)
+        target.flat[rng.integers(target.size)] = value
+        with pytest.raises(InvalidSpec, match=r"NaN or \+inf"):
+            viterbi(chain, Scored(scores))
+        with pytest.raises(InvalidSpec, match=r"NaN or \+inf"):
+            viterbi_batch(chain, scores, np.arange(T), [T])
+
+    @pytest.mark.parametrize("bad", [
+        lambda s: s[:, :5],
+        lambda s: np.c_[s, s[:, :1]],
+        lambda s: s.astype(np.float32),
+        lambda s: s.astype(int),
+        lambda s: s[0],
+        lambda s: s[..., None],
+        lambda s: s[:, :5].tolist(),
+    ], ids=["narrow", "wide", "float32", "integer", "1-d", "3-d", "narrow-list"])
+    def test_scores_of_the_wrong_shape_or_dtype_are_refused(self, bad):
+        chain = make_chain(FOUR_FIELDS, seed=5)
+        scores = random_evidence(chain, 10, np.random.default_rng(14)).log_emission(chain)
+        with pytest.raises(InvalidSpec, match=r"emissions must be a float64 \(T, 42\) array"):
+            viterbi(chain, Scored(bad(scores)))
+
+    def test_scores_given_as_a_list_are_read_as_an_array(self):
+        chain = make_chain(FOUR_FIELDS, seed=5)
+        scores = random_evidence(chain, 10, np.random.default_rng(14)).log_emission(chain)
+        path, score = viterbi(chain, Scored(scores))
+        got_path, got_score = viterbi(chain, Scored(scores.tolist()))
+        np.testing.assert_array_equal(got_path, path)
+        assert got_score == score
 
 
 class TestFactoredViterbiBatch:
