@@ -57,7 +57,8 @@ wrong argument is refused for one of them. Outside the contract:
   method. Its scores are read with ``np.asarray`` and refused as
   ``viterbi_batch`` refuses its table: unless a float64 ``(T, S)``
   array, and for a NaN or +inf in them or in the chain's ``log_init`` or
-  ``log_trans`` (which a document of one token does not read).
+  ``log_trans`` (which a document of one token does not read), with no
+  numpy warning before the refusal.
 """
 
 import numbers

@@ -145,17 +145,20 @@ def _viterbi(chain, emis):
     best = np.empty((T, S))
     # picked[t, j]: the flat index into step t's ``scores`` of the best move into j
     picked = np.zeros((T, S), dtype=np.intp)
-    np.add(chain.log_init, emis[0], best[0])
     add, argmax, take = np.add, scores.argmax, flat_scores.take
-    # per step: score every move, pick the first best predecessor of each
-    # state, gather its score, add the emission
-    for prev, cur, back, e in zip(best, best[1:], picked[1:], emis[1:]):
-        tiled[...] = prev
-        add(trans_T, flat_tiled, flat_scores)
-        argmax(1, ptr)
-        add(ptr, row_starts, back)
-        take(back, None, cur, "clip")  # every index is in range
-        add(cur, e, cur)
+    # +inf plus a -inf move is NaN, which the check after the loop refuses,
+    # so numpy's warning for it would only come first
+    with np.errstate(invalid="ignore"):
+        add(chain.log_init, emis[0], best[0])
+        # per step: score every move, pick the first best predecessor of
+        # each state, gather its score, add the emission
+        for prev, cur, back, e in zip(best, best[1:], picked[1:], emis[1:]):
+            tiled[...] = prev
+            add(trans_T, flat_tiled, flat_scores)
+            argmax(1, ptr)
+            add(ptr, row_starts, back)
+            take(back, None, cur, "clip")  # every index is in range
+            add(cur, e, cur)
     # A NaN or +inf in the scores, log_init or log_trans reaches the last
     # step: once a state's score holds one, every state's best move at the
     # next step does (argmax takes NaN as the maximum, and +inf plus a -inf

@@ -1,28 +1,32 @@
-"""Which statements of ``src/bien/`` neither tier-1 nor the benchmark jobs run.
+"""Which code of ``src/bien/`` the benchmark jobs and tier-1 never run.
 
 Run from the root of a checkout:
 
     python3 tests/statement_audit.py
 
-It runs the tier-1 suite (``pytest`` over ``tests`` and ``perfbench``) and
-one repeat of each ``perfbench`` workload (``experiment``, ``ablation``
-and ``extract``, seed 1993), each in a child interpreter under the stdlib
-``trace`` module, counting the lines run in ``src/bien/`` only. It then
-prints every statement of ``src/bien/`` that none of them ran, one per
-line, as ``module.py:line`` and the statement's first line. A statement
-ran if any line of its header ran: the whole of a simple statement, the
-lines before the body of a compound one (with its decorators). Docstrings
-and ``global`` and ``nonlocal`` declarations, which compile to nothing,
-are not statements here. Statements that only worker processes run
-(``jobs > 1``) count as not run. A child that fails, such as a failing
-tier-1, stops the audit with its exit status.
+It runs one repeat of each workload that ``BENCHMARK.json`` names (seed
+1993, ``jobs=1``), then prints every function of ``src/bien/`` whose
+first statement (not its docstring, nor a ``global`` or ``nonlocal``
+declaration) none of them ran, as ``module.Class.name``: functions that
+only tests call, and error paths and dunders that the jobs do not reach.
+It then runs tier-1 (``pytest`` over ``tests`` and ``perfbench``) and
+prints every statement of ``src/bien/`` that neither run reached, as
+``module.py:line`` and its first line. A statement ran if any line of
+its header ran: the whole of a simple statement, the lines before the
+body of a compound one (with its decorators). Docstrings and ``global``
+and ``nonlocal`` declarations compile to nothing and are not statements.
 
-It takes five to six minutes on 2 shared vCPUs (4.6 to 6.2 over three
-runs).
+Each run is a child interpreter under the stdlib ``trace`` module,
+counting the lines run in ``src/bien/`` only, so code that only worker
+processes run (``jobs > 1``) counts as not run. A failing child, such as
+a failing tier-1, stops the audit with its exit status. On 2 shared
+vCPUs the function list comes after about 25 seconds and the statement
+list four and a half minutes later.
 """
 
 import ast
 import functools
+import json
 import pickle
 import runpy
 import subprocess
@@ -31,8 +35,7 @@ import tempfile
 import trace
 from pathlib import Path
 
-from test_callers import LIBRARY, ROOT
-from trace_audit import WORKLOADS
+from test_callers import LIBRARY, ROOT, _definitions
 
 SOURCE = ROOT / "src" / "bien"
 
@@ -76,6 +79,24 @@ def _child(counts, argv):
     sys.exit(status)
 
 
+def _first_line(node):
+    """The line of a function's first statement that runs: not its
+    docstring, nor a ``global`` or ``nonlocal`` declaration."""
+    body = node.body
+    if len(body) > 1 and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    while isinstance(body[0], (ast.Global, ast.Nonlocal)):
+        body = body[1:]
+    return body[0].lineno
+
+
+def unentered(paths, ran):
+    """Qualified names of the functions of ``paths`` whose first statement
+    is not in ``ran``, a set of ``(file, line)``."""
+    return [qualified for path in paths for qualified, node, _ in _definitions(path)
+            if (str(path), _first_line(node)) not in ran]
+
+
 def _headers(path):
     """``(first line, last line, first line's text)`` of the header of
     every statement in ``path``."""
@@ -92,21 +113,25 @@ def _headers(path):
         yield first, last, lines[node.lineno - 1].strip()
 
 
+def _traced(counts, argv):
+    """The ``(file, line)`` of ``src/bien/`` that ``argv`` ran in a child."""
+    subprocess.run([sys.executable, __file__, "--child", str(counts), *argv],
+                   check=True, stdout=subprocess.DEVNULL, cwd=ROOT)
+    return {key for key, n in pickle.loads(counts.read_bytes()).items() if n}
+
+
 def main():
-    runs = [["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]]
-    runs += [
-        [str(ROOT / "perfbench" / "run.py"), "--workload", w, "--seed", "1993", "--child"]
-        for w in WORKLOADS
-    ]
+    workloads = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
     ran = set()
     with tempfile.TemporaryDirectory() as tmp:
         counts = Path(tmp) / "counts"
-        for argv in runs:
-            subprocess.run(
-                [sys.executable, __file__, "--child", str(counts), *argv],
-                check=True, stdout=subprocess.DEVNULL, cwd=ROOT,
-            )
-            ran.update(key for key, n in pickle.loads(counts.read_bytes()).items() if n)
+        for workload in workloads:
+            ran |= _traced(counts, [str(ROOT / "perfbench" / "run.py"), "--workload",
+                                    workload["name"], "--seed", "1993", "--child"])
+        for qualified in unentered(LIBRARY, ran):
+            print(qualified, flush=True)
+        ran |= _traced(counts, ["-m", "pytest", "-q", "-p", "no:cacheprovider",
+                                "--continue-on-collection-errors"])
     for path in LIBRARY:
         for first, last, text in sorted(set(_headers(path))):
             if not any((str(path), line) in ran for line in range(first, last + 1)):

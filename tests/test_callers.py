@@ -98,3 +98,44 @@ def test_the_check_finds_what_nothing_refers_to(tmp_path, source, dead):
     path = tmp_path / "m.py"
     path.write_text(source)
     assert unreferenced([path], [path]) == dead
+
+
+# ``statement_audit`` imports this module, so the tests of its parts
+# import them where they use them.
+@pytest.mark.parametrize("source, first", [
+    ("def f():\n    return 1\n", 2),
+    ('def f():\n    """Doc."""\n    return 1\n', 3),
+    ('def f():\n    """Doc."""\n', 2),
+    ("def f():\n    global x\n    x = 1\n", 3),
+    ("def outer():\n    y = 0\n\n    def f():\n"
+     '        """Doc."""\n        global x\n        nonlocal y\n        return y\n', 8),
+], ids=["plain", "docstring", "docstring-only", "global", "docstring-global-nonlocal"])
+def test_a_functions_first_line_is_its_first_statement_that_runs(source, first):
+    from statement_audit import _first_line
+
+    node = next(n for n in ast.walk(ast.parse(source)) if getattr(n, "name", None) == "f")
+    assert _first_line(node) == first
+
+
+def test_a_statement_header_starts_at_its_first_decorator_and_skips_docstrings(tmp_path):
+    from statement_audit import _headers
+
+    path = tmp_path / "m.py"
+    path.write_text('"""Module."""\n\n@a\n@b(\n    1)\ndef f(\n        x):\n'
+                    '    """Doc."""\n    return x\n\n\nclass C:\n    """Doc."""\n')
+    assert sorted(_headers(path)) == [(3, 7, "def f("), (9, 9, "return x"), (12, 12, "class C:")]
+
+
+def test_the_function_report_lists_the_functions_whose_first_line_did_not_run(tmp_path):
+    from statement_audit import unentered
+
+    path = tmp_path / "m.py"
+    path.write_text('def f():\n    return 1\n\n\ndef g():\n    """Doc."""\n    return 2\n\n\n'
+                    "class C:\n    def m(self):\n        global x\n        x = 3\n\n"
+                    "    def n(self):\n        def inner():\n            pass\n        return inner\n")
+    # f and C.n ran their first lines; g and C.m only their ``def`` lines and
+    # docstring or declaration; C.n.inner never ran
+    ran = {(str(path), line) for line in (2, 5, 6, 11, 12, 15, 16, 18)}
+    assert unentered([path], ran) == ["m.g", "m.C.m", "m.C.n.inner"]
+    assert unentered([path], {("other.py", 2), ("other.py", 18)}) == [
+        "m.f", "m.g", "m.C.m", "m.C.n", "m.C.n.inner"]

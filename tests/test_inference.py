@@ -607,8 +607,8 @@ class Scored:
         return self.scores
 
 
-# +inf plus a -inf move warns in the loop, before the refusal after it
-@pytest.mark.filterwarnings("ignore:invalid value encountered in add:RuntimeWarning")
+# a refusal comes with no numpy warning before it
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNonFiniteScores:
     """``viterbi`` refuses what ``viterbi_batch`` refuses: emission scores
     that are not a float64 ``(T, S)`` array, and a NaN or +inf in them or
