@@ -600,6 +600,38 @@ class TestGoldenDecode:
         assert len(result.runs) == 5
         assert h.hexdigest() == "d0da3aabc44f5945e631ab0a29b91c9b767ab8ac693c35e5fe4c8eec15d930b4"
 
+    def test_ablation_grid(self, monkeypatch):
+        """The ablation grid on one split of ``generate_corpus(485, 1993)``,
+        pinned by one sha256: per variant, in table order, every decoded
+        tag, segment and score, every run's tallies and the final model's
+        tables. So the masked variants and the 34-state ``no memory``
+        chain are pinned as ``complete`` is above."""
+        decoded = []  # per decode_batch call, the bytes of its results
+        decode_batch = evaluation.decode_batch
+
+        def hashed(chain, numbered):
+            results = decode_batch(chain, numbered)
+            decoded.append(b"".join(
+                r.tags.tobytes() + r.ds.tobytes() + np.float64(r.score).tobytes()
+                for r in results
+            ))
+            return results
+
+        monkeypatch.setattr(evaluation, "decode_batch", hashed)
+        cfg = replace(ExperimentConfig(), plan=SplitPlan(runs=1))
+        results = run_ablations(generate_corpus(485, 1993), cfg)
+        assert list(results) == list(evaluation.ABLATIONS) and len(decoded) == len(results)
+        h = hashlib.sha256()
+        for result, decodes in zip(results.values(), decoded):
+            h.update(decodes)
+            for run in result.runs:
+                tallies = [(f, s.produced, s.truth, s.correct) for f, s in run.scores.items()]
+                h.update(repr(tallies).encode())
+            for name in sorted(result.model.cpts):
+                h.update(name.encode())
+                h.update(result.model.cpts[name].table.tobytes())
+        assert h.hexdigest() == "3fe2be7fe47c388a4039f09737e7d4ce0b2c5519b3c9c3549995460c8ed99f94"
+
     def test_documents_decode_one_at_a_time(self):
         """``decode`` of the final model, one unseen document at a time:
         150 documents of ``generate_corpus(150, 1994)`` after three
