@@ -277,7 +277,7 @@ class RunResult:
 class ExperimentResult:
     config: ExperimentConfig
     runs: list
-    model: object        # trained model of the final run
+    model: object        # trained model of the final run, masked as the config says
     gazetteer: object
 
     def mean(self, field_name, metric):
@@ -302,14 +302,15 @@ def _run_split(cfgs, lexicons, run_index, train_docs, test_docs):
       its distinct observation rows
       (:func:`~bien.model.number_observations`);
     - once per model structure: the training side is packed for EM
-      (:func:`~bien.learning.pack`), and that structure's configs train on
-      masked views of the packing. It is dropped before the next structure
-      packs, so at most one is alive;
+      (:func:`~bien.learning.pack`), and each of that structure's configs
+      trains on the packing a copy of the model masked as it says
+      (:meth:`~bien.model.BienModel.masked`). The packing is dropped before
+      the next structure packs, so at most one is alive;
     - per config: once every config has trained, and the last packing and
       the training examples are dropped (so that decoding's table of
       forward scores, :func:`~bien.inference.viterbi_batch`, is not held
-      beside them), its model is compiled and the test side is decoded and
-      scored through its mask."""
+      beside them), its masked model is compiled and decodes the one
+      numbered test side, and the result is scored."""
     cfg = cfgs[0]
     gazetteer = build_gazetteer(
         train_docs,
@@ -334,20 +335,19 @@ def _run_split(cfgs, lexicons, run_index, train_docs, test_docs):
         packing = pack(model, examples)
         for i, cfg in enumerate(cfgs):
             if cfg.memory == memory:
-                fits[i] = train(model, packing.masked(cfg.mask), cfg.train)
+                fits[i] = train(model.masked(cfg.mask), packing, cfg.train)
         del packing  # before the next structure packs, or the first config decodes
     del examples
     outs = []
     for cfg, fitted in zip(cfgs, fits):
-        rows = test_side.masked(mask_columns(cfg.mask))
-        run = _score_run(cfg, fitted, test_docs, rows, run_index, len(train_docs))
+        run = _score_run(cfg, fitted, test_docs, test_side, run_index, len(train_docs))
         outs.append((run, fitted.model, gazetteer))
     return outs
 
 
 def _score_run(cfg, fitted, test_docs, test_side, run_index, n_train):
-    """Decode ``test_side``, the test documents' observations masked as
-    ``cfg`` says, with the trained model of ``fitted`` and score it: the
+    """Decode ``test_side``, the test documents' numbered observations,
+    with the trained (and masked) model of ``fitted`` and score it: the
     split's :class:`RunResult`. It runs once every config of the split has
     trained and the training packings are dropped (:func:`_run_split`).
     The chain and the decoded paths are freed on return, before the next

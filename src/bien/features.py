@@ -1,8 +1,11 @@
 """Per-token observable features: lemma, POS cluster, chunk, semantic, case, length.
 
 Every feature maps a token to a small categorical code. Feature vectors use
-0-based codes; a masked feature is all ``MASKED`` (-1) so ablations change
-the observation model rather than the code space.
+0-based codes; a feature that :func:`featurize`'s ``mask`` names is all
+``MASKED`` (-1), a code that adds nothing to a score and trains as missing.
+The experiment protocol featurizes unmasked and masks the model instead
+(:meth:`~bien.model.BienModel.masked`), so an ablation changes the
+observation model rather than the code space.
 """
 
 from __future__ import annotations

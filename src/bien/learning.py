@@ -28,17 +28,17 @@ per-example restacking. The stack is the one form a side takes: it checks
 everything that holds for any model once, when it is built.
 
 The packing of the examples (:func:`pack`) is tied to a model structure
-(memory, fields, and observable names and cardinalities), not to a mask:
-a mask only selects which emission columns enter the factors and counts.
-So configs that differ only in their mask train on masked views of one
-packing, exactly as on masked copies, because each token's factors are
-the same terms summed in the same order. The ablation grid packs each
-split's training side once per memory setting.
+(memory, fields, and observable names and cardinalities), not to the
+model's mask (:meth:`~bien.model.BienModel.masked`): a mask only selects
+which emission families enter the factors and counts. So models that
+differ only in their mask train on one packing, exactly as on examples
+featurized with that mask, because each token's factors are the same terms
+summed in the same order. The ablation grid packs each split's training
+side once per memory setting.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 import numbers
@@ -49,7 +49,7 @@ import numpy as np
 from .errors import EmptyCorpus, InconsistentGold, InvalidSpec, OverlappingSpans, UnknownField
 from .errors import check_int, check_sequence, check_type
 # featurize stays importable here for the benchmark's tracer (perfbench/tracing.py)
-from .features import featurize, featurize_docs, mask_columns  # noqa: F401
+from .features import featurize, featurize_docs  # noqa: F401
 from .model import LT_NONE, BienModel, TimeMajor, check_lengths, distinct_rows
 
 
@@ -297,7 +297,7 @@ class _FactoredBatch:
     A token's factors depend only on its row: its tag-transition index,
     which selects a row of ``tag_init`` at t = 0 and of ``tag_trans``
     (given the previous tag and memory) after, and its emission index per
-    column, where masked (-1) codes select a trailing zero column. Tokens
+    column, where -1 codes select a trailing zero column. Tokens
     are numbered by their row with :func:`bien.model.distinct_rows`, in
     example order, and ``row_of`` maps each packed token to its distinct
     row. The log factors, their shift and ``exp`` are computed per
@@ -323,13 +323,12 @@ class _FactoredBatch:
     A packing keeps the buffers of its passes, ``alpha``, ``beta`` and
     ``B`` of ``(N, 2)`` and ``c`` of ``(N,)``, 2.5 MB on that side, and
     each step's views of them for the forward and the backward pass,
-    built once; its masked views share them all. So a step of either
-    pass is only its ufunc and ``matmul`` calls, writing into those
-    views, and a packing runs one pass at a time. That cut ``train`` on
-    that packing to 0.8 of its time, the forward passes from 9.0 to
-    5.9 ms and the backward passes from 8.2 to 7.1 ms per call. The
-    per-token tally indices are gathered per pass, not kept: they would
-    hold as much again.
+    built once. So a step of either pass is only its ufunc and
+    ``matmul`` calls, writing into those views, and a packing runs one
+    pass at a time. That cut ``train`` on that packing to 0.8 of its
+    time, the forward passes from 9.0 to 5.9 ms and the backward passes
+    from 8.2 to 7.1 ms per call. The per-token tally indices are gathered
+    per pass, not kept: they would hold as much again.
 
     The recursions run on ``B = exp(A - max_ds A)``, each token's factors
     scaled so the larger is 1. Every forward row is divided by its sum
@@ -337,7 +336,7 @@ class _FactoredBatch:
     and ``alpha * beta`` is the segment posterior with no further
     normalizer. :meth:`forward` alone gives the log-likelihood;
     :meth:`expected_counts` runs the backward pass on the buffers it
-    filled.
+    filled. Both skip the emission families that ``model`` masks.
     """
 
     def __init__(self, model, examples):
@@ -348,7 +347,7 @@ class _FactoredBatch:
 
         # Key each token's row by its transition index and emission codes,
         # in example order; the numbers are then laid out time-major. A
-        # column masked throughout keys to one code, adds 0.0 to every
+        # column of -1 codes throughout keys to one code, adds 0.0 to every
         # factor and tallies into the trailing column, which is dropped.
         n_tags = model.tags.size
         specs = [(k, name, int(card)) for k, (name, card) in enumerate(model.observables.items())]
@@ -362,13 +361,12 @@ class _FactoredBatch:
         self.row_of = np.empty_like(row_of)
         self.row_of[self.layout.rows()] = row_of
         # per distinct row: the transition index, and per observation column
-        # (column, CPT name, cardinality, flat emission index)
+        # (observable, cardinality, flat emission index)
         self.row_trans = trans[row]
         self.emit = [
-            (k, f"emit:{name}", card, tags[row] * (card + 1) + _emission_codes(obs[row, k], card))
+            (name, card, tags[row] * (card + 1) + _emission_codes(obs[row, k], card))
             for k, name, card in specs
         ]
-        self.n_observables = len(model.observables)
         self.structure = _structure(model)
 
         # The pass buffers, and each step's views of them, for every pass.
@@ -393,28 +391,12 @@ class _FactoredBatch:
         ]
 
     def __iter__(self):
-        """The examples, unmasked, in the order they were packed in."""
+        """The examples, in the order they were packed in."""
         return iter(self.examples)
 
-    def masked(self, mask):
-        """This packing with the observation columns that ``mask`` names
-        left out of the factors and counts, so that it trains exactly as
-        examples featurized with ``mask`` would; every array is shared.
-        Tokens stay numbered by their rows over every column, so rows that
-        differ only in those columns get equal factors. An unknown feature
-        name, or one past the packed model's observables, raises
-        :class:`InvalidSpec`."""
-        columns = mask_columns(mask)
-        if not columns:
-            return self
-        if columns[-1] >= self.n_observables:
-            raise InvalidSpec(
-                f"mask {tuple(mask)!r} names a column that the model's "
-                f"{self.n_observables} observables lack"
-            )
-        view = copy.copy(self)
-        view.emit = [e for e in self.emit if e[0] not in columns]
-        return view
+    def _emit(self, model):
+        """``emit`` without the families that ``model`` masks."""
+        return [e for e in self.emit if e[0] not in model.mask]
 
     def _log_factors(self, model):
         """A[r, ds]: log P(tag | history, ds) + log P(obs | tag, ds) for
@@ -425,17 +407,17 @@ class _FactoredBatch:
             [model.cpts["tag_init"].log_table().T, log_tt.transpose(0, 1, 3, 2).reshape(-1, 2)]
         )
         A = np.take(trans, self.row_trans, axis=0)
-        for _, name, card, idx in self.emit:
+        for name, card, idx in self._emit(model):
             rows = np.zeros((n_tags, card + 1, 2))
-            rows[:, :card] = model.cpts[name].log_table().transpose(0, 2, 1)
+            rows[:, :card] = model.cpts[f"emit:{name}"].log_table().transpose(0, 2, 1)
             A += np.take(rows.reshape(-1, 2), idx, axis=0)
         return A
 
     def forward(self, model):
         """Run the scaled forward pass under ``model`` into the packing's
         ``alpha``, ``c`` and ``B``, and return the data log-likelihood. The
-        buffers hold this pass until the next; a packing, and the masked
-        views that share its buffers, runs one pass at a time."""
+        buffers hold this pass until the next; a packing runs one pass at a
+        time, whichever model it runs under."""
         A = self._log_factors(model)
         # shift each row's factors by their max, so exp keeps them in range;
         # a row with no possible segment gets zeros and is caught below
@@ -493,10 +475,10 @@ class _FactoredBatch:
         for ds, part in enumerate((tally.real, tally.imag)):
             counts["tag_init"][ds] = part[:n_tags]
             counts["tag_trans"][:, :, ds, :] = part[n_tags:].reshape(n_tags, lt_card, n_tags)
-        for _, name, card, rows in self.emit:
+        for name, card, rows in self._emit(model):
             tally = _tally(post, rows, self.row_of, n_tags * (card + 1))
             for ds, part in enumerate((tally.real, tally.imag)):
-                counts[name][:, ds, :] = part.reshape(n_tags, card + 1)[:, :card]
+                counts[f"emit:{name}"][:, ds, :] = part.reshape(n_tags, card + 1)[:, :card]
         return counts
 
     def _raise_dead(self, dead):
@@ -570,9 +552,11 @@ def train(model, examples, config=TrainConfig()):
 
     ``examples`` is the :class:`StackedExamples` of :func:`make_examples`,
     packed for EM here (:func:`pack`) and dropped on return, or a packing
-    from :func:`pack` or a :meth:`~_FactoredBatch.masked` view of one,
-    which many ``train`` calls share. Either way the trained tables and
-    the trace are the same, bit for bit. A packing built for a model of
+    from :func:`pack`, which many ``train`` calls share, whatever their
+    models' masks. Either way the trained tables and the trace are the
+    same, bit for bit. The emission tables of the observables that
+    ``model`` masks (:meth:`~bien.model.BienModel.masked`) see no counts,
+    and the trained copy keeps the mask. A packing built for a model of
     another structure raises :class:`InvalidSpec` naming both, and
     anything else in their place raises it too, as do a ``model`` that is
     not a :class:`~bien.model.BienModel` and a ``config`` that is not a

@@ -137,12 +137,15 @@ class Cpt:
 
 class BienModel:
     """CPT collection plus the spaces they are indexed by. ``observables``
-    maps each feature name to its cardinality, in column order."""
+    maps each feature name to its cardinality, in column order, and
+    ``mask`` names, in that order, the observables the model leaves out of
+    its scores (:meth:`masked`); a fresh model reads them all."""
 
     def __init__(self, fields, observables, memory=True):
         self.fields = check_sequence("fields", fields)
         self.tags = TagSpace(self.fields)
         self.observables = dict(observables)
+        self.mask = ()
         self.memory = bool(memory)
         self.lt_card = (len(self.fields) + 1) if self.memory else 1
         # next_lt[lt, tag]: the last-target memory after emitting ``tag`` with
@@ -190,6 +193,24 @@ class BienModel:
         dup.cpts = {k: v.copy() for k, v in self.cpts.items()}
         return dup
 
+    def masked(self, mask):
+        """A copy whose scores leave out the observables that ``mask``
+        names, in place of any mask this model has: EM leaves them out of
+        its factors and counts, so the M-step sets their emission tables
+        from the prior alone, and the compiled chain adds nothing for them.
+        Their codes are still range-checked. ``mask`` is a sequence
+        (:func:`~bien.errors.check_sequence`) of the model's own observable
+        names; another name raises :class:`InvalidSpec`."""
+        mask = check_sequence("mask", mask)
+        unknown = sorted(set(mask) - set(self.observables))
+        if unknown:
+            raise InvalidSpec(
+                f"mask names {unknown}, not among the observables {list(self.observables)}"
+            )
+        dup = self.copy()
+        dup.mask = tuple(name for name in self.observables if name in mask)
+        return dup
+
 
 def build_model(fields, observables, memory=True):
     """A fresh model with uniform CPTs over the allowed structure.
@@ -223,7 +244,10 @@ class CompiledChain:
     The chain is a snapshot of the model at compile time: ``log_init``,
     the factors, ``log_trans`` and the per-state emission rows are
     computed once from the CPTs, so changing the model afterwards needs a
-    fresh compile.
+    fresh compile. Emission rows are built only for the observables the
+    model reads, so a masked model's chain scores an observation matrix
+    alike whatever its masked columns hold, though every column's codes
+    are range-checked.
     """
 
     def __init__(self, model):
@@ -260,16 +284,18 @@ class CompiledChain:
         # rows are the previous state, columns the next
         self.log_trans = join_factors(self.log_ds, self.pair_trans)
 
-        # Per observable, a (card + 1, S) table: row c holds every state's
-        # log P(code c); the last row is zeros, so a masked (-1) code adds 0.
+        # Per observable the model reads, its column and a (card + 1, S)
+        # table: row c holds every state's log P(code c); the last row is
+        # zeros, so a -1 code adds 0.
         self._emit_rows = tuple(
-            np.vstack([log_emit[self.tag_of, self.ds_of, :].T, np.zeros(S)])
-            for log_emit in (m.cpts[f"emit:{name}"].log_table() for name in m.observables)
+            (k, np.vstack([m.cpts[f"emit:{name}"].log_table()[tag, ds, :].T, np.zeros(S)]))
+            for k, name in enumerate(m.observables) if name not in m.mask
         )
         self._cardinalities = np.array(list(m.observables.values()))
 
     def log_emission(self, obs_matrix):
-        """Per-step state log-likelihoods, shape ``(T, S)``; -1 codes are skipped.
+        """Per-step state log-likelihoods, shape ``(T, S)``; -1 codes and
+        the model's masked columns are skipped.
 
         ``obs_matrix`` must be an integer ``(T, K)`` matrix over the model's
         K observables with codes in ``-1 .. cardinality - 1``; anything else
@@ -277,8 +303,8 @@ class CompiledChain:
         """
         obs_matrix = check_observations(obs_matrix, self._cardinalities)
         out = np.zeros((len(obs_matrix), self.n_states))
-        for col, rows in zip(obs_matrix.T, self._emit_rows):
-            out += rows[col]
+        for k, rows in self._emit_rows:
+            out += rows[obs_matrix[:, k]]
         return out
 
 
@@ -291,17 +317,6 @@ class ObservationRows:
     table: np.ndarray
     rows: np.ndarray
     lengths: np.ndarray
-
-    def masked(self, columns):
-        """The same matrices with ``columns`` masked (-1) throughout: a
-        blanked copy of the R distinct rows, with the row numbers shared.
-        Rows that differ only in those columns stay apart, and give equal
-        emission scores."""
-        if not columns:
-            return self
-        table = self.table.copy()
-        table[:, columns] = -1
-        return ObservationRows(table, self.rows, self.lengths)
 
 
 def number_observations(obs, lengths, cardinalities):

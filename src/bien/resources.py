@@ -39,12 +39,13 @@ def load_ranked(name):
     return {word: int(rank) for word, rank in _pairs(name)}
 
 
-def load_lemma_table(name="lemmas.tsv"):
-    """A ``surface -> lemma`` table (both lowercase) from a bundled TSV."""
-    return {surface: lemma.lower() for surface, lemma in _pairs(name)}
+def load_lemma_table():
+    """The ``surface -> lemma`` table (both lowercase) of the bundled ``lemmas.tsv``."""
+    return {surface: lemma.lower() for surface, lemma in _pairs("lemmas.tsv")}
 
 
 @lru_cache(maxsize=None)
-def load_abbreviations(name="abbreviations.txt"):
-    """Lowercased abbreviation surfaces that keep their trailing period."""
-    return load_wordlist(name)
+def load_abbreviations():
+    """Lowercased abbreviation surfaces that keep their trailing period,
+    from the bundled ``abbreviations.txt``."""
+    return load_wordlist("abbreviations.txt")

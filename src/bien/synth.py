@@ -79,12 +79,12 @@ class _Pools:
         lasts = sorted(load_ranked("lastnames.tsv"))
         self.firsts = [w.capitalize() for w in firsts]
         self.lasts = [w.capitalize() for w in lasts]
-        venues = sorted(load_wordlist("locations.txt") - _GENERIC_VENUE_WORDS)
-        self.venues = [w.capitalize() for w in venues]
+        locations = load_wordlist("locations.txt")
+        self.venues = [w.capitalize() for w in sorted(locations - _GENERIC_VENUE_WORDS)]
 
         # names no lexicon covers: the extractor must carry these on
         # title anchors, casing, and vocabulary alone
-        known = set(firsts) | set(lasts) | set(load_wordlist("locations.txt"))
+        known = set(firsts) | set(lasts) | locations
         def coin_names(n, parts):
             out = []
             while len(out) < n:

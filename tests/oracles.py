@@ -505,7 +505,7 @@ class PaddedLogBatch:
 
 def factored_estep(batch, model):
     """Expected counts and data log-likelihood of a packing from
-    ``bien.learning.pack`` (or a masked view of one) under ``model``, by
+    ``bien.learning.pack`` under ``model``, whatever its mask, by
     its forward and then its backward pass, as ``train`` runs them, in the
     form of ``chain_estep`` and ``PaddedLogBatch.estep``."""
     ll = batch.forward(model)

@@ -32,7 +32,6 @@ from bien.features import (
     default_lexicons,
     feature_cardinalities,
     featurize,
-    mask_columns,
 )
 from bien.learning import TrainConfig, encode_tags
 from bien.model import build_model, compile_chain, number_observations
@@ -524,9 +523,10 @@ class TestDecode:
 class TestSharedTestSide:
     @pytest.mark.parametrize("memory", [True, False], ids=["memory", "no-memory"])
     def test_masks_on_one_numbering_decode_as_masked_matrices(self, memory):
-        """A featurized test side, numbered once by its distinct rows and
-        masked per variant, decodes as its masked matrices do: tags,
-        segments, spans and score bytes."""
+        """A featurized test side, numbered once by its distinct rows,
+        decodes with each variant's masked model as its masked matrices
+        decode with the unmasked one: tags, segments, spans and score
+        bytes."""
         docs = generate_corpus(50, 6)
         lexicons = default_lexicons()
         gaz = build_gazetteer(docs[:30], lexicons.lemma_table)
@@ -537,7 +537,7 @@ class TestSharedTestSide:
         obs_list = [featurize(doc, gaz, lexicons) for doc in docs[30:]]
         numbered = number_matrices(obs_list, list(cards.values()))
         for mask in dict.fromkeys(row["mask"] for row in evaluation.ABLATIONS.values()):
-            got = decode_batch(chain, numbered.masked(mask_columns(mask)))
+            got = decode_batch(compile_chain(model.masked(mask)), numbered)
             want = decode_matrices(chain, [apply_mask(obs, mask) for obs in obs_list])
             assert len(got) == len(want) == len(obs_list)
             for a, b in zip(got, want):
@@ -545,6 +545,25 @@ class TestSharedTestSide:
                 assert a.ds.tobytes() == b.ds.tobytes()
                 assert np.float64(a.score).tobytes() == np.float64(b.score).tobytes()
                 assert (a.spans, a.diagnostics) == (b.spans, b.diagnostics)
+
+    def test_a_masked_chain_ignores_what_its_masked_columns_hold(self):
+        """A masked model's chain decodes observations as it decodes them
+        with the masked column all -1, one matrix at a time and batched:
+        tags, segments, spans and score bytes."""
+        rng = np.random.default_rng(24)
+        model = randomize_model(build_model(FIELDS[:2], {"u": 3, "v": 2}), rng)
+        chain = compile_chain(model.masked(("v",)))
+        obs_list = [sample_example(model, T, rng).obs for T in (1, 5, 9, 30)]
+        blanked = [obs.copy() for obs in obs_list]
+        for obs in blanked:
+            obs[:, 1] = -1
+        pairs = [(decode(chain, obs), decode(chain, blank)) for obs, blank in zip(obs_list, blanked)]
+        pairs += zip(decode_matrices(chain, obs_list), decode_matrices(chain, blanked), strict=True)
+        for a, b in pairs:
+            assert a.tags.tobytes() == b.tags.tobytes()
+            assert a.ds.tobytes() == b.ds.tobytes()
+            assert np.float64(a.score).tobytes() == np.float64(b.score).tobytes()
+            assert (a.spans, a.diagnostics) == (b.spans, b.diagnostics)
 
     def test_numbered_rows_are_checked_against_the_chain(self):
         """A code past the chain's cardinality, and a row number that is
@@ -703,8 +722,8 @@ def assert_same_experiment(a, b):
         )
         assert (x.diagnostics, x.n_train, x.n_test) == (y.diagnostics, y.n_train, y.n_test)
     # observables in column order: two dicts compare equal in any order
-    assert (a.model.fields, a.model.memory, list(a.model.observables.items())) == (
-        b.model.fields, b.model.memory, list(b.model.observables.items())
+    assert (a.model.fields, a.model.memory, list(a.model.observables.items()), a.model.mask) == (
+        b.model.fields, b.model.memory, list(b.model.observables.items()), b.model.mask
     )
     assert sorted(a.model.cpts) == sorted(b.model.cpts)
     for name, cpt in a.model.cpts.items():

@@ -480,9 +480,9 @@ class TestEarlyExit:
 
 class TestGoldenTraining:
     """Every trained table and the log-likelihood trace, pinned bit for bit
-    by one sha256 per memory setting, and per mask on masked views of one
-    packing, as the ablation grid trains, for a featurized generated
-    corpus. Any change to the arithmetic of the E-step or the M-step shows
+    by one sha256 per memory setting, and per mask for masked copies of the
+    model on one packing, as the ablation grid trains, for a featurized
+    generated corpus. Any change to the arithmetic of the E-step or the M-step shows
     here."""
 
     @staticmethod
@@ -525,12 +525,13 @@ class TestGoldenTraining:
     )
     def test_masked_views(self, memory, mask, digest):
         m, examples = self.corpus(memory)
-        assert self.digest(m, pack(m, examples).masked(mask)) == digest
+        assert self.digest(m.masked(mask), pack(m, examples)) == digest
 
 
 class TestPassBuffers:
-    """A packing keeps one set of pass buffers, which its masked views
-    share, so one pass at a time runs on them."""
+    """A packing keeps one set of pass buffers, which every model that
+    trains on it shares, whatever its mask, so one pass at a time runs on
+    them."""
 
     @staticmethod
     def fingerprint(result):
@@ -541,22 +542,22 @@ class TestPassBuffers:
         m, examples = TestGoldenTraining.corpus(True)
         config = TrainConfig(tol=1e-6)
         masks = ((), ("lemma",), ("case",))
+        models = {mask: m.masked(mask) for mask in masks}
         alone = {
-            mask: self.fingerprint(train(m, pack(m, examples).masked(mask), config))
+            mask: self.fingerprint(train(models[mask], pack(m, examples), config))
             for mask in masks
         }
         packing = pack(m, examples)
-        views = {mask: packing.masked(mask) for mask in masks}
         for order in ((1, 0, 2, 1), (2, 2, 0, 1, 0), (0, 1, 2)):
             for mask in (masks[i] for i in order):
-                assert self.fingerprint(train(m, views[mask], config)) == alone[mask]
+                assert self.fingerprint(train(models[mask], packing, config)) == alone[mask]
         trained = train(m, packing, config).model
         passes = []
         for mask in (masks[1], masks[0], masks[2], masks[1]):
-            view = views[mask]
-            view.forward(trained)
-            view.expected_counts(trained)
-            passes.append((view.alpha, view.c, view.B, view.beta))
+            under = trained.masked(mask)
+            packing.forward(under)
+            packing.expected_counts(under)
+            passes.append((packing.alpha, packing.c, packing.B, packing.beta))
         for arrays in passes[1:]:
             for got, first in zip(arrays, passes[0], strict=True):
                 assert np.shares_memory(got, first)
@@ -605,8 +606,9 @@ def assert_same_training(a, b):
 class TestPack:
     @pytest.mark.parametrize("memory", [True, False], ids=["memory", "no-memory"])
     def test_masks_on_one_packing_train_as_masked_copies(self, memory):
-        """Every mask of the ablation grid, trained on one packing of the
-        unmasked examples, gives what training on masked copies gives."""
+        """Every mask of the ablation grid, on a copy of the model trained
+        on one packing of the unmasked examples, gives what training on
+        masked copies of the examples gives."""
         docs = generate_corpus(60, 4)
         gaz = build_gazetteer(docs, LEX.lemma_table)
         m = build_model(FIELDS, feature_cardinalities(gaz), memory=memory)
@@ -615,10 +617,10 @@ class TestPack:
         config = TrainConfig(max_iter=4, tol=0.0, seed=2)
         for mask in dict.fromkeys(row["mask"] for row in ABLATIONS.values()):
             masked = stack_examples([replace(ex, obs=apply_mask(ex.obs, mask)) for ex in examples])
-            got = train(m, packing.masked(mask), config)
+            got = train(m.masked(mask), packing, config)
             assert_same_training(got, train(m, masked, config))
         # the early exit on convergence too
-        got = train(m, packing.masked(("case",)), TrainConfig())
+        got = train(m.masked(("case",)), packing, TrainConfig())
         masked = stack_examples([replace(ex, obs=apply_mask(ex.obs, ("case",))) for ex in examples])
         assert_same_training(got, train(m, masked, TrainConfig()))
 
@@ -635,12 +637,11 @@ class TestPack:
         examples = sample_corpus(randomize_model(m, np.random.default_rng(3)), 12,
                                  np.random.default_rng(4))
         packing = pack(m, stack_examples(examples))
-        for view in (packing, packing.masked(("lemma",)), packing, packing.masked(())):
-            train(m, view, TrainConfig(max_iter=2))
+        for model in (m, m.masked(("u",)), m, m.masked(())):
+            train(model, packing, TrainConfig(max_iter=2))
         assert len(built) == 1
         # iterating yields the examples in training order
         assert [ex.doc_id for ex in packing] == [ex.doc_id for ex in examples]
-        assert [ex.doc_id for ex in packing.masked(("lemma",))] == [ex.doc_id for ex in packing]
 
     @pytest.mark.parametrize(
         "other, named",
@@ -660,22 +661,20 @@ class TestPack:
         )
         train(m, packing, TrainConfig(max_iter=1))
         with pytest.raises(InvalidSpec) as got:
-            train(other(), packing.masked(()), TrainConfig(max_iter=1))
+            train(other(), packing, TrainConfig(max_iter=1))
         message = str(got.value)
         assert "memory=True, fields=('x', 'y'), observables=(u:3, v:2)" in message
         assert named in message
 
     def test_unknown_mask_name_raises(self):
         m = build_model(("x",), OBS)
-        packing = pack(m, stack_examples([example("a", [0, m.tags.single(0), 0], model=m)]))
         with pytest.raises(InvalidSpec, match="bogus"):
-            packing.masked(("bogus",))
+            m.masked(("bogus",))
 
     def test_mask_past_the_model_columns_raises(self):
         m = build_model(("x",), OBS)
-        packing = pack(m, stack_examples([example("a", [0, m.tags.single(0), 0], model=m)]))
-        with pytest.raises(InvalidSpec, match="2 observables"):
-            packing.masked(("semantic",))
+        with pytest.raises(InvalidSpec, match="'semantic'"):
+            m.masked(("semantic",))
 
     @pytest.mark.parametrize(
         "call",
@@ -838,6 +837,40 @@ class TestMakeExamples:
             make_examples([], None, None, m, mask=("lemma", "semantic"))
 
 
+class TestModelMask:
+    """EM reads a model's mask: the families it names get no counts and add
+    nothing to the factors, on a packing of unmasked examples."""
+
+    def test_a_masked_family_gets_no_counts(self):
+        rng = np.random.default_rng(23)
+        m = randomize_model(build_model(("x", "y"), OBS), rng)
+        examples = stack_examples(sample_corpus(m, 12, rng))
+        blanked = replace(examples, obs=examples.obs.copy())
+        blanked.obs[:, 1] = -1
+        counts, ll = factored_estep(pack(m, examples), m.masked(("v",)))
+        want, want_ll = factored_estep(pack(m, blanked), m)
+        full, full_ll = factored_estep(pack(m, examples), m)
+        assert not counts["emit:v"].any() and full["emit:v"].any()
+        assert counts["emit:u"].sum() > 0
+        assert ll == want_ll != full_ll
+        for name, table in counts.items():
+            assert table.tobytes() == want[name].tobytes(), name
+
+    def test_every_ablation_mask_trains_as_its_featurized_side(self):
+        """``train(m.masked(mask), pack(m, examples))`` is training on the
+        side featurized with ``mask``, bit for bit, and the trained copy
+        keeps the mask."""
+        docs = generate_corpus(40, 5)
+        gaz = build_gazetteer(docs, LEX.lemma_table)
+        m = build_model(FIELDS, feature_cardinalities(gaz))
+        packing = pack(m, make_examples(docs, gaz, LEX, m))
+        config = TrainConfig(max_iter=4, tol=0.0, seed=2)
+        for mask in dict.fromkeys(row["mask"] for row in ABLATIONS.values()):
+            got = train(m.masked(mask), packing, config)
+            assert got.model.mask == mask
+            assert_same_training(got, train(m, make_examples(docs, gaz, LEX, m, mask=mask), config))
+
+
 class TestStackedExamples:
     """``make_examples`` stacks a side, which checks itself when built; a
     stack and its packing train alike."""
@@ -860,7 +893,7 @@ class TestStackedExamples:
     @pytest.mark.parametrize("memory", [True, False], ids=["memory", "no-memory"])
     def test_a_stack_and_its_packing_train_alike(self, memory):
         """The stack and its packing train bit for bit alike, and so do a
-        masked view of the packing and the side featurized with that mask,
+        masked model on the packing and the side featurized with that mask,
         at the iteration cap and at convergence."""
         docs, gaz, m, stacked = self.side(memory)
         packing = pack(m, stacked)
@@ -868,7 +901,7 @@ class TestStackedExamples:
         for config in (TrainConfig(max_iter=4, tol=0.0, seed=2), TrainConfig()):
             assert_same_training(train(m, packing, config), train(m, stacked, config))
             assert_same_training(
-                train(m, packing.masked(("case",)), config), train(m, masked, config)
+                train(m.masked(("case",)), packing, config), train(m, masked, config)
             )
 
     @pytest.mark.parametrize("fault, match", [

@@ -344,6 +344,53 @@ class TestCompiledChain:
         assert np.isfinite(emis).all()
 
 
+class TestMask:
+    """A model's mask names its own observables, and its chain adds
+    nothing for their columns."""
+
+    OBS = {"u": 3, "v": 2}
+
+    def test_a_masked_observable_is_left_out_of_the_chains_scores(self):
+        rng = np.random.default_rng(21)
+        m = randomize_model(build_model(("a", "b"), self.OBS), rng)
+        obs = random_obs(m, 6, rng)
+        without_v, u_only = obs.copy(), np.full_like(obs, -1)
+        without_v[:, 1] = -1
+        u_only[:, 0] = obs[:, 0]
+        masked = compile_chain(m.masked(("v",)))
+        got = masked.log_emission(obs)
+        assert got.tobytes() == compile_chain(m).log_emission(without_v).tobytes()
+        assert got.tobytes() == masked.log_emission(u_only).tobytes()
+        assert got.tobytes() != compile_chain(m).log_emission(obs).tobytes()
+        assert (got != 0).any()  # u still scores
+        # the masked column's codes are still range-checked
+        bad = obs.copy()
+        bad[0, 1] = 2
+        with pytest.raises(InvalidSpec, match="cardinality"):
+            masked.log_emission(bad)
+
+    @pytest.mark.parametrize("mask", [("lemma",), ("u", "lemma")])
+    def test_a_name_that_is_not_an_observable_raises(self, mask):
+        m = build_model(("a",), self.OBS)
+        with pytest.raises(InvalidSpec, match=r"\['lemma'\].*\['u', 'v'\]"):
+            m.masked(mask)
+        with pytest.raises(InvalidSpec, match="^mask must be a sequence, not the str 'u'$"):
+            m.masked("u")
+
+    def test_masked_is_a_copy_that_keeps_its_mask(self):
+        m = randomize_model(build_model(("a",), self.OBS), np.random.default_rng(22))
+        tables = {name: cpt.table.copy() for name, cpt in m.cpts.items()}
+        masked = m.masked(iter(["v"]))  # a one-pass iterator is read once
+        assert masked.mask == ("v",) and m.mask == ()
+        assert masked.copy().mask == ("v",)
+        masked.cpts["emit:u"].table[:] = 0.0
+        for name, cpt in m.cpts.items():
+            assert cpt.table.tobytes() == tables[name].tobytes(), name
+        # a mask replaces the one before, and lists names in column order
+        assert masked.masked(["v", "u", "v"]).mask == ("u", "v")
+        assert masked.masked(()).mask == ()
+
+
 
 class TestTimeMajor:
     @settings(max_examples=200, deadline=None)
