@@ -482,8 +482,8 @@ class TestGoldenTraining:
     """Every trained table and the log-likelihood trace, pinned bit for bit
     by one sha256 per memory setting, and per mask for masked copies of the
     model on one packing, as the ablation grid trains, for a featurized
-    generated corpus. Any change to the arithmetic of the E-step or the M-step shows
-    here."""
+    generated corpus. Any change to the arithmetic of the E-step or the
+    M-step shows here."""
 
     @staticmethod
     def digest(model, examples):
@@ -845,8 +845,9 @@ class TestModelMask:
         rng = np.random.default_rng(23)
         m = randomize_model(build_model(("x", "y"), OBS), rng)
         examples = stack_examples(sample_corpus(m, 12, rng))
-        blanked = replace(examples, obs=examples.obs.copy())
-        blanked.obs[:, 1] = -1
+        obs = examples.obs.copy()
+        obs[:, 1] = -1
+        blanked = replace(examples, obs=obs)
         counts, ll = factored_estep(pack(m, examples), m.masked(("v",)))
         want, want_ll = factored_estep(pack(m, blanked), m)
         full, full_ll = factored_estep(pack(m, examples), m)
