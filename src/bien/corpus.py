@@ -20,6 +20,9 @@ int32 array of each token's start offset. A token's end is its start plus
 the length of its surface. The annotation and feature layers work once per
 type, on arrays the table holds, and gather them through the ids;
 ``Document.tokens`` builds a :class:`Token` only for an element that is read.
+An annotation column (POS, chunk) is held the same way, as a
+:class:`ColumnView`: a tuple of its distinct values and an unsigned-int
+array of each token's code in it, so that no string is kept per token.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ KIND_SYMBOL = "symbol"
 KIND_MIXED = "mixed"
 
 NA_VALUE = "NA"
+_NA_VALUES = (NA_VALUE,)  # the values of every absent column
 
 DEFAULT_FIELDS = ("speaker", "location", "stime", "etime")
 
@@ -71,7 +75,7 @@ class Token:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TagSpan:
     """One gold slot instance as an inclusive token range. A field that is
     not a ``str``, or bounds that are not integers with ``0 <= start <=
@@ -100,7 +104,22 @@ class LintIssue:
     message: str
 
 
-class TokenView(Sequence):
+class _View(Sequence):
+    """A read-only sequence over columns: equal to any sequence of equal
+    elements, and shown as the list of them."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+class TokenView(_View):
     """A document's tokens as a read-only sequence over its columns: the
     :class:`TypeTable` ``types``, and int32 arrays of each token's
     ``type_ids`` and ``starts``. A :class:`Token` is built only for an
@@ -132,13 +151,26 @@ class TokenView(Sequence):
         surface = self.types.surfaces[type_id]
         return Token(surface, start, start + len(surface), self.types.kinds[type_id])
 
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
-    def __repr__(self):
-        return f"TokenView({list(self)!r})"
+class ColumnView(_View):
+    """A per-token annotation column as a read-only sequence of strings:
+    the tuple ``values`` of its distinct values, and an unsigned-int array
+    of each token's ``codes``, an index into ``values``. A value is looked
+    up only for an element that is read; a slice is a view too. Equal to
+    any sequence of the same strings, whatever its codes."""
+
+    __slots__ = ("values", "codes")
+
+    def __init__(self, values, codes):
+        self.values, self.codes = values, codes
+
+    def __len__(self):
+        return len(self.codes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ColumnView(self.values, self.codes[i])
+        return self.values[self.codes[i]]
 
 
 @dataclass(frozen=True)
@@ -146,32 +178,43 @@ class Document:
     """A token stream with its gold spans and annotation columns.
 
     ``tokens`` is a :class:`TokenView` over the token columns; ``types``
-    and ``type_ids`` read two of them from it. A document built by hand
-    from a sequence of :class:`Token` is converted to those columns once,
-    here, with its types in the tokenizer's current table. Equality
-    compares the id, the text, each token's surface, kind and start, the
-    gold spans and the columns, never type ids: documents made on either
-    side of a table restart hold a type under different ids. A text that
-    is not a ``str`` raises :class:`InvalidSpec`, and a column of the
-    wrong length :class:`AlignmentError`, before any token's type enters
-    the table.
+    and ``type_ids`` read two of them from it. Each of ``columns`` is a
+    :class:`ColumnView` of per-token values. A document built by hand from
+    a sequence of :class:`Token` is converted to the token columns once,
+    here, with its types in the tokenizer's current table, and a column
+    given as any other sequence to a :class:`ColumnView` of its distinct
+    values, numbered in order of first use. Equality compares the id, the
+    text, each token's surface, kind and start, the gold spans and each
+    column's values token by token, never type ids or codes: documents
+    made on either side of a table restart hold a type under different
+    ids. A text that is not a ``str`` raises :class:`InvalidSpec`, and a
+    column of the wrong length :class:`AlignmentError`, before any token's
+    type enters the table.
     """
 
     id: str
     text: str
     tokens: TokenView
     gold_spans: tuple[TagSpan, ...] = ()
-    columns: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    columns: dict[str, ColumnView] = field(default_factory=dict)
     _cache: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_type("document text", self.text, str)
+        columns = {}
         for name, values in self.columns.items():
             if len(values) != len(self.tokens):
                 raise AlignmentError(
                     f"column {name!r} has {len(values)} values for "
                     f"{len(self.tokens)} tokens"
                 )
+            if not isinstance(values, ColumnView):
+                numbering = Numbering()
+                codes = list(map(numbering.__getitem__, values))
+                dtype = np.min_scalar_type(max(len(numbering) - 1, 0))
+                values = ColumnView(tuple(numbering.strings), np.array(codes, dtype=dtype))
+            columns[name] = values
+        object.__setattr__(self, "columns", columns)
         if not isinstance(self.tokens, TokenView):
             table = _current_types()
             ids = [table.id_of(t.surface, t.kind) for t in self.tokens]
@@ -191,10 +234,16 @@ class Document:
         return self.tokens.type_ids
 
     def column(self, name):
-        """Per-token values for a column, or all-NA when absent."""
-        if name in self.columns:
-            return self.columns[name]
-        return (NA_VALUE,) * len(self.tokens)
+        """Per-token values for a column as a tuple, all-NA when absent."""
+        view = self.column_view(name)
+        return tuple(map(view.values.__getitem__, view.codes.tolist()))
+
+    def column_view(self, name):
+        """The :class:`ColumnView` of a column, all-NA when absent."""
+        view = self.columns.get(name)
+        if view is None:
+            view = ColumnView(_NA_VALUES, np.zeros(len(self), dtype=np.uint8))
+        return view
 
     def cached(self, key, compute):
         """``compute()``, computed once per ``key`` and kept on the
@@ -205,18 +254,6 @@ class Document:
         if got is None:
             got = self._cache[key] = compute()
         return got
-
-    def column_codes(self, name, code_of):
-        """``code_of(value)`` per token of column ``name`` as an int8 array,
-        coding each distinct value once and every token by a dict lookup.
-        The array is kept on the document."""
-
-        def compute():
-            values = self.column(name)
-            codes = {v: code_of(v) for v in set(values)}
-            return np.fromiter(map(codes.__getitem__, values), dtype=np.int8, count=len(values))
-
-        return self.cached((name, code_of), compute)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from typing import get_type_hints
 
 import numpy as np
@@ -405,6 +406,32 @@ def _chunk_code(value):
     return _CHUNK_CODE[chunk_flatten(value)]
 
 
+@lru_cache(maxsize=64)
+def _value_codes(code_of, values):
+    """``code_of`` of each of ``values``, a column's tuple of distinct
+    values, as a read-only int16 array. Generated documents share one
+    tuple, so it is coded once per process."""
+    out = np.fromiter(map(code_of, values), dtype=np.int16, count=len(values))
+    out.flags.writeable = False
+    return out
+
+
+def _gather(parts, rows_of):
+    """``rows_of(key)[ids]`` for each ``(key, ids)`` of ``parts``, stacked in
+    order, by one take. ``rows_of`` is called once per distinct key, by
+    identity, and the ids of a later key are shifted past the rows of the
+    keys before it."""
+    ids = np.concatenate([ids for _, ids in parts])
+    keys = list({id(key): key for key, _ in parts}.values())
+    rows = [rows_of(key) for key in keys]
+    if len(keys) > 1:
+        first = dict(zip(map(id, keys), np.cumsum([0] + [len(r) for r in rows[:-1]]).tolist()))
+        shift = [first[id(key)] for key, _ in parts]
+        ids = ids + np.repeat(shift, [len(part_ids) for _, part_ids in parts])
+        rows = [np.concatenate(rows)]
+    return np.take(rows[0], ids, axis=0)
+
+
 def featurize(doc, gazetteer, lexicons, mask=()):
     """:func:`featurize_docs` of the one document ``doc``: its ``(T, 6)``
     int16 matrix of 0-based codes. A ``doc`` that is not a
@@ -434,9 +461,11 @@ def featurize_docs(docs, gazetteer, lexicons, mask=()):
     per lexicon set. Documents that share one table gather from its column
     as it is kept; those of a second table, which starts over at
     ``_MEMO_LIMIT`` types, read its rows after the first table's. POS and
-    chunk codes are computed once per document and kept on it. The gather
-    is the only matrix allocated, so the result is fresh and writable; a
-    mask blanks its columns in place.
+    chunk codes are gathered the same way, through each
+    :class:`~bien.corpus.ColumnView`'s codes, from its tuple of values
+    coded once; nothing is kept on a document. The type-code gather is the
+    only matrix allocated, so the result is fresh and writable; a mask
+    blanks its columns in place.
     """
     if gazetteer is None or lexicons is None:
         raise MissingResource("featurize needs both a gazetteer and lexicons")
@@ -446,17 +475,13 @@ def featurize_docs(docs, gazetteer, lexicons, mask=()):
     columns = mask_columns(mask)  # checked on an empty side too
     if not docs:
         return np.empty((0, len(FEATURE_NAMES)), dtype=np.int16)
-    ids = np.concatenate([doc.type_ids for doc in docs])
-    tables = list(dict.fromkeys(doc.types for doc in docs))
-    codes = [table.column(_type_codes, gazetteer, lexicons) for table in tables]
-    if len(tables) > 1:
-        first_row = dict(zip(tables, np.cumsum([0] + [len(c) for c in codes[:-1]]).tolist()))
-        shift = [first_row[doc.types] for doc in docs]
-        ids = ids + np.repeat(shift, [len(doc.type_ids) for doc in docs])
-        codes = [np.concatenate(codes)]
-    out = np.take(codes[0], ids, axis=0)
-    out[:, 1] = np.concatenate([doc.column_codes("pos", _pos_code) for doc in docs])
-    out[:, 2] = np.concatenate([doc.column_codes("chunk", _chunk_code) for doc in docs])
+    out = _gather(
+        [(doc.types, doc.type_ids) for doc in docs],
+        lambda table: table.column(_type_codes, gazetteer, lexicons),
+    )
+    for k, name, code_of in ((1, "pos", _pos_code), (2, "chunk", _chunk_code)):
+        views = [doc.column_view(name) for doc in docs]
+        out[:, k] = _gather([(v.values, v.codes) for v in views], partial(_value_codes, code_of))
     if columns:
         out[:, columns] = MASKED
     return out

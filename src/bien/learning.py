@@ -158,14 +158,15 @@ class StackedExamples:
 
 def encode_tags(doc, tag_space):
     """Gold spans to a per-token tag sequence (begin/inside/end/single), as
-    a read-only array kept on the document per field tuple, so that each
-    holdout run reuses it. Invalid spans raise on every call."""
+    a read-only array of the smallest unsigned type that holds the tag
+    space, kept on the document per field tuple, so that each holdout run
+    reuses it. Invalid spans raise on every call."""
     return doc.cached((encode_tags, tag_space.fields), lambda: _tag_sequence(doc, tag_space))
 
 
 def _tag_sequence(doc, tag_space):
     T = len(doc.tokens)
-    out = np.zeros(T, dtype=np.int64)
+    out = np.zeros(T, dtype=np.min_scalar_type(tag_space.size - 1))
     prev_end = -1
     for span in sorted(doc.gold_spans, key=lambda s: s.start_token):
         if span.field not in tag_space.fields:
@@ -200,8 +201,9 @@ def make_examples(docs, gazetteer, lexicons, model, mask=()):
     Sorting by id makes the example order, and so training, invariant to
     the order the documents arrive in. The codes are one
     :func:`~bien.features.featurize_docs` pass over the sorted documents,
-    and the tags the documents' kept :func:`encode_tags` arrays,
-    concatenated in the smallest integer type that holds the tag space.
+    and the tags the documents' kept :func:`encode_tags` arrays, which
+    are of the smallest integer type that holds the tag space,
+    concatenated.
     """
     docs = check_sequence("docs", docs)
     docs = sorted((doc for doc in docs if len(doc.type_ids)), key=lambda doc: doc.id)
@@ -209,13 +211,7 @@ def make_examples(docs, gazetteer, lexicons, model, mask=()):
         raise EmptyCorpus("no non-empty documents to train on")
     check_type("model", model, BienModel)
     obs = featurize_docs(docs, gazetteer, lexicons, mask=mask)
-    # every tag lies in 0 .. size - 1, so the smallest type that holds
-    # size - 1 holds them exactly
-    tags = np.concatenate(
-        [encode_tags(doc, model.tags) for doc in docs],
-        dtype=np.min_scalar_type(model.tags.size - 1),
-        casting="unsafe",
-    )
+    tags = np.concatenate([encode_tags(doc, model.tags) for doc in docs])
     lengths = np.fromiter((len(doc.type_ids) for doc in docs), np.int64, len(docs))
     return StackedExamples(tuple(doc.id for doc in docs), lengths, obs, tags)
 

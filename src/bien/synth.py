@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import DEFAULT_FIELDS, KIND_NUMBER, KIND_PUNCT, KIND_SYMBOL, Document, _parse_block
+from .corpus import DEFAULT_FIELDS, KIND_NUMBER, KIND_PUNCT, KIND_SYMBOL, ColumnView, Document
+from .corpus import _parse_block
 from .errors import check_int
 from .resources import load_ranked, load_wordlist
 
@@ -499,25 +500,27 @@ def _pos_of(surface, kind):
     return "NNP" if surface[:1].isupper() else "NN"
 
 
-def _pos_chunk_tags(table, start):
-    """Per type from ``start``: its POS and chunk tags."""
+# Every POS and chunk tag of the rules above. The pos and chunk columns of
+# every generated document hold their codes in this one tuple.
+_TAGS = (*_CHUNK_OF_POS, ".", ",", ":", "SYM", "NP", "VP", "PP", "NA")
+_TAG_CODE = {tag: k for k, tag in enumerate(_TAGS)}
+
+
+def _pos_chunk_codes(table, start):
+    """Per type from ``start``: the codes in ``_TAGS`` of its POS and chunk
+    tags, as a uint8 ``(n, 2)`` array."""
     pos = [_pos_of(*t) for t in zip(table.surfaces[start:], table.kinds[start:])]
-    return np.array([(p, _CHUNK_OF_POS.get(p, "NA")) for p in pos], dtype=object).reshape(-1, 2)
-
-
-def _pos_chunk(tokens):
-    """The pos and chunk tags of every token of ``tokens``, from one gather
-    of the type column of their table."""
-    tags = tokens.types.column(_pos_chunk_tags)[tokens.type_ids]
-    return tags[:, 0].tolist(), tags[:, 1].tolist()
+    codes = [(_TAG_CODE[p], _TAG_CODE[_CHUNK_OF_POS.get(p, "NA")]) for p in pos]
+    return np.array(codes, dtype=np.uint8).reshape(-1, 2)
 
 
 # Documents drawn, parsed and given pos/chunk columns at a time. Parsing a
 # block costs a fixed number of numpy calls, which outweigh the work on a
 # document's ~116 tokens, so a block should hold many documents; but all
 # of a block's temporaries are alive at once. Generating the 485 + 800
-# documents of the protocol as one block each peaked at 53.4 MB RSS, in
-# blocks of 64 at 43.3 MB, and one document at a time at 42.9 MB.
+# documents of the protocol (seeds 1993 and 1994) in one process peaked at
+# 52.1 MB RSS as one block each, and at 40.8 MB both in blocks of 64 and
+# one document at a time (Python 3.11, numpy 2.4).
 _BLOCK_DOCS = 64
 
 
@@ -536,9 +539,12 @@ def generate_corpus(n_docs=DEFAULT_DOCS, seed=DEFAULT_SEED):
     ``_BLOCK_DOCS`` documents at a time: each block is parsed by one
     :func:`~bien.corpus.parse_tagged_documents` pass, so its documents
     share one type table (the table starts over between blocks, never
-    inside one), each type is tagged once in a column of that table, and
-    the pos/chunk tags of all the block's tokens come from one gather.
-    The draws do not depend on the block size."""
+    inside one). Each type is tagged once, as its codes in the module's
+    one tuple of tags, in a column of that table; one gather through the
+    block's type ids gives every token's codes, and each document's
+    :class:`~bien.corpus.ColumnView` is a slice of them, so no Python
+    statement runs per token. The draws do not depend on the block
+    size."""
     for name, value in (("n_docs", n_docs), ("seed", seed)):
         check_int(f"generate_corpus {name}", value, 0)
     rng = _Draws(seed)
@@ -551,14 +557,15 @@ def generate_corpus(n_docs=DEFAULT_DOCS, seed=DEFAULT_SEED):
         issues = [issue for p in parsed for issue in p.issues]
         if issues:
             raise AssertionError(f"generator produced lint issues: {issues}")
-        pos, chunk = _pos_chunk(tokens)
+        codes = tokens.types.column(_pos_chunk_codes)[tokens.type_ids]
+        pos, chunk = ColumnView(_TAGS, codes[:, 0]), ColumnView(_TAGS, codes[:, 1])
         docs += [
             Document(
                 p.doc_id,
                 p.text,
                 tokens[p.lo : p.hi],
                 p.spans,
-                {"pos": tuple(pos[p.lo : p.hi]), "chunk": tuple(chunk[p.lo : p.hi])},
+                {"pos": pos[p.lo : p.hi], "chunk": chunk[p.lo : p.hi]},
             )
             for p in parsed
         ]

@@ -768,7 +768,8 @@ class TestExperimentProtocol:
         cfg = tiny_config(runs=1)
         a = run_experiment(corpus, cfg)
         b = run_experiment(list(reversed(corpus)), cfg)
-        assert [(r.scores, r.macro) for r in a.runs] == [(r.scores, r.macro) for r in b.runs]
+        assert_same_experiment(a, b)
+        assert a.gazetteer == b.gazetteer
 
     def test_ablation_grid(self):
         results = run_ablations(tiny_corpus(), tiny_config(runs=1))

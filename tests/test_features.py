@@ -459,7 +459,7 @@ class TestFeaturizeMatchesReference:
                 featurize(doc, gaz, LEX), featurize_reference(doc, gaz, LEX), err_msg=doc.id
             )
             pos = tuple(synth._pos_of(t.surface, t.kind) for t in doc.tokens)
-            assert synth._pos_chunk(doc.tokens)[0] == list(doc.column("pos")) == list(pos)
+            assert list(doc.column("pos")) == list(pos)
 
     def test_an_equal_gazetteer_and_lexicon_set_share_the_codes(self):
         docs = generate_corpus(10, 3)
@@ -699,6 +699,20 @@ class TestFeaturizeDocs:
         for only_empty in ([], empty):
             got = featurize_docs(only_empty, gaz, LEX)
             assert got.dtype == np.int16 and got.shape == (0, 6)
+
+    def test_a_side_of_columns_under_other_values(self):
+        docs = generate_corpus(6, 3)
+        gaz = build_gazetteer(docs, LEX.lemma_table)
+        # the same strings numbered afresh, other strings, and no columns
+        renumbered = replace(docs[0], columns={k: tuple(v) for k, v in docs[0].columns.items()})
+        pos = [("NNS", "VBD", "CC")[k % 3] for k in range(len(docs[1]))]
+        other = replace(docs[1], columns={"pos": pos})
+        bare = parse_tagged_document(docs[2].text, doc_id="bare")[0]
+        side = [docs[3], renumbered, other, docs[4], bare, docs[5]]
+        assert len({id(doc.column_view("pos").values) for doc in side}) == 4
+        np.testing.assert_array_equal(
+            featurize_docs(side, gaz, LEX), stacked_reference(side, gaz, LEX)
+        )
 
     def test_missing_resources_and_bad_masks_raise_as_featurize_does(self):
         docs = generate_corpus(3, 3)

@@ -49,7 +49,7 @@ from bien.learning import (
     pack,
     train,
 )
-from bien.model import build_model
+from bien.model import TagSpace, build_model
 from bien.synth import generate_corpus
 
 LEX = default_lexicons()
@@ -118,6 +118,14 @@ class TestEncodeTags:
         assert not got.flags.writeable
         assert [tag_name(two, t) for t in encode_tags(doc, two)] == ["single:stime", "background"]
         assert encode_tags(doc, one) is got
+
+    @pytest.mark.parametrize("n_fields, dtype", [(1, np.uint8), (63, np.uint8), (64, np.uint16)])
+    def test_kept_in_the_smallest_type_of_the_tag_space(self, n_fields, dtype):
+        fields = ("stime",) + tuple(f"f{k}" for k in range(n_fields - 1))
+        doc, _ = parse_tagged_document("talk <stime>3:30</stime>", doc_id="d", fields=fields)
+        space = TagSpace(fields)
+        got = encode_tags(doc, space)
+        assert got.dtype == dtype and got.tolist() == [0, space.single(0)]
 
     def test_overlap_rejected(self):
         toks = TokenView(*tokenize("a b c"))
