@@ -55,12 +55,24 @@ _NA_VALUES = (NA_VALUE,)  # the values of every absent column
 DEFAULT_FIELDS = ("speaker", "location", "stime", "etime")
 
 
+def _check_integers(what, start, end):
+    """Raise :class:`InvalidSpec` saying that ``what`` must be integers
+    unless ``start`` and ``end`` are: ints or numpy ints, not floats or
+    ``str``, as ``operator.index`` takes them."""
+    try:
+        operator.index(start), operator.index(end)
+    except TypeError:
+        raise InvalidSpec(f"{what} must be integers, got {start!r}..{end!r}") from None
+
+
 @dataclass(frozen=True, slots=True)
 class Token:
     """An element of ``Document.tokens``, and what a document is built from
     by hand. A surface that is not a ``str`` raises :class:`InvalidSpec`:
     a document built from the token would add it to the type table that
-    every later call reads."""
+    every later call reads. So do offsets that are not integers, a
+    ``start`` below 0, and an empty surface or one whose length is not
+    ``end - start``."""
 
     surface: str
     start: int
@@ -69,7 +81,8 @@ class Token:
 
     def __post_init__(self):
         check_type("token surface", self.surface, str)
-        if not self.surface or self.end - self.start != len(self.surface):
+        _check_integers("token offsets", self.start, self.end)
+        if not self.surface or self.start < 0 or self.end - self.start != len(self.surface):
             raise InvalidSpec(
                 f"token {self.surface!r} does not span [{self.start}, {self.end})"
             )
@@ -88,10 +101,7 @@ class TagSpan:
     def __post_init__(self):
         check_type("span field", self.field, str)
         start, end = self.start_token, self.end_token
-        try:  # operator.index takes ints and numpy ints, not floats or str
-            operator.index(start), operator.index(end)
-        except TypeError:
-            raise InvalidSpec(f"span bounds must be integers, got {start!r}..{end!r}") from None
+        _check_integers("span bounds", start, end)
         if not 0 <= start <= end:
             raise InvalidSpec(f"bad span range {start}..{end}")
 
@@ -187,9 +197,12 @@ class Document:
     text, each token's surface, kind and start, the gold spans and each
     column's values token by token, never type ids or codes: documents
     made on either side of a table restart hold a type under different
-    ids. A text that is not a ``str`` raises :class:`InvalidSpec`, and a
-    column of the wrong length :class:`AlignmentError`, before any token's
-    type enters the table.
+    ids. A text that is not a ``str``, ``tokens`` (unless a
+    :class:`TokenView`) or ``gold_spans`` that are not a sequence
+    (:func:`~bien.errors.check_sequence`) and ``columns`` that are not a
+    ``dict`` raise :class:`InvalidSpec`, and a column of the wrong length
+    :class:`AlignmentError`, before any token's type enters the table. The
+    gold spans are kept as a tuple.
     """
 
     id: str
@@ -201,12 +214,17 @@ class Document:
 
     def __post_init__(self):
         check_type("document text", self.text, str)
+        tokens = self.tokens
+        if not isinstance(tokens, TokenView):
+            tokens = check_sequence("document tokens", tokens)
+        spans = check_sequence("document gold_spans", self.gold_spans)
+        object.__setattr__(self, "gold_spans", spans)
+        check_type("document columns", self.columns, dict)
         columns = {}
         for name, values in self.columns.items():
-            if len(values) != len(self.tokens):
+            if len(values) != len(tokens):
                 raise AlignmentError(
-                    f"column {name!r} has {len(values)} values for "
-                    f"{len(self.tokens)} tokens"
+                    f"column {name!r} has {len(values)} values for {len(tokens)} tokens"
                 )
             if not isinstance(values, ColumnView):
                 numbering = Numbering()
@@ -215,10 +233,10 @@ class Document:
                 values = ColumnView(tuple(numbering.strings), np.array(codes, dtype=dtype))
             columns[name] = values
         object.__setattr__(self, "columns", columns)
-        if not isinstance(self.tokens, TokenView):
+        if not isinstance(tokens, TokenView):
             table = _current_types()
-            ids = [table.id_of(t.surface, t.kind) for t in self.tokens]
-            starts = [t.start for t in self.tokens]
+            ids = [table.id_of(t.surface, t.kind) for t in tokens]
+            starts = [t.start for t in tokens]
             view = TokenView(table, np.array(ids, dtype=np.int32), np.array(starts, dtype=np.int32))
             object.__setattr__(self, "tokens", view)
 

@@ -12,7 +12,7 @@ document's cache). The entry points are ``tokenize``,
 ``featurize_docs``, ``build_model``, ``make_examples``, ``pack``,
 ``train``, ``compile_chain``, ``number_observations``, ``viterbi``,
 ``viterbi_batch``, ``decode``, ``decode_batch``, ``score_documents``,
-``run_experiment`` and ``run_ablations``. Three helpers here make the
+``run_experiment`` and ``run_ablations``. Four helpers here make the
 decision and word the refusal:
 
 - :func:`check_type` for a text (``str``), a lemma table or observables
@@ -26,22 +26,28 @@ decision and word the refusal:
   function that reads them more than once works on, so a one-pass
   iterator is read once and gives what a list gives;
 - :func:`check_int` for a count, a seed or a setting: an int, which a
-  bool is not.
+  bool is not;
+- :func:`check_array` for observation matrices, emission tables and
+  scores, row numbers, lengths, cardinalities and tags: whatever their
+  type, they are read with ``np.asarray`` and refused unless of the
+  dtype and shape the function takes. Nesting that is not one array,
+  such as rows of unequal length, is refused too.
 
 Four public classes check in their constructors too: a
-:class:`~bien.corpus.Token` its surface, a :class:`~bien.corpus.TagSpan`
-its field and a :class:`~bien.corpus.Document` its text, each a ``str``,
-and a :class:`~bien.features.LexiconSet` each field against its declared
+:class:`~bien.corpus.Token` its surface, a ``str``, and its offsets,
+integers with ``start >= 0``; a :class:`~bien.corpus.TagSpan` its field,
+a ``str``, and its bounds; a :class:`~bien.corpus.Document` its text, a
+``str``, its tokens (unless a :class:`~bien.corpus.TokenView`) and gold
+spans, each a sequence, and its columns, a ``dict``; and a
+:class:`~bien.features.LexiconSet` each field against its declared
 type, ``frozenset`` or ``dict``. The two settings classes do not, since
 one function reads each before any work: ``split`` checks a
 :class:`~bien.corpus.SplitPlan`'s fields (with
 :class:`InvalidPlan`), and ``run_experiment`` and ``run_ablations`` an
 :class:`~bien.evaluation.ExperimentConfig`'s.
 
-Observation matrices, tables, row numbers and lengths are read with
-``np.asarray``, so whatever their type they get :class:`InvalidSpec`
-from the checks of their dtype and shape. A call with more than one
-wrong argument is refused for one of them. Outside the contract:
+A call with more than one wrong argument is refused for one of them.
+Outside the contract:
 
 - ``None`` for a gazetteer, lexicon set or lemma table raises
   :class:`MissingResource`, naming the resource;
@@ -54,7 +60,7 @@ wrong argument is refused for one of them. Outside the contract:
 - document ids, which are only compared and printed, and ``memory``,
   which is read by its truth value, are taken as they come;
 - ``viterbi``'s evidence is anything with a ``log_emission(chain)``
-  method. Its scores are read with ``np.asarray`` and refused as
+  method. Its scores are read by :func:`check_array` and refused as
   ``viterbi_batch`` refuses its table: unless a float64 ``(T, S)``
   array, and for a NaN or +inf in them or in the chain's ``log_init`` or
   ``log_trans`` (which a document of one token does not read), with no
@@ -64,6 +70,8 @@ wrong argument is refused for one of them. Outside the contract:
 import numbers
 import reprlib
 from collections.abc import Iterable
+
+import numpy as np
 
 
 class BienError(Exception):
@@ -170,3 +178,17 @@ def check_sequence(name, value):
             f"{name} must be a sequence, not the {type(value).__name__} {reprlib.repr(value)}"
         )
     return tuple(value)
+
+
+def check_array(what, value, ok):
+    """``value`` read with ``np.asarray``, once ``ok`` holds for it. Raise
+    :class:`InvalidSpec` saying ``what``, and what ``value`` is: a nesting
+    that numpy cannot read as one array, such as rows of unequal length,
+    or the dtype and shape of an array ``ok`` refuses."""
+    try:
+        array = np.asarray(value)
+    except ValueError:
+        raise InvalidSpec(f"{what}, got a {type(value).__name__} that is not one array") from None
+    if not ok(array):
+        raise InvalidSpec(f"{what}, got {array.dtype} of shape {array.shape}")
+    return array

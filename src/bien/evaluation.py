@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .corpus import DEFAULT_FIELDS, SplitPlan, TagSpan, split
-from .errors import InvalidSpec, check_int, check_sequence, check_type
+from .errors import InvalidSpec, check_array, check_int, check_sequence, check_type
 # featurize stays importable here for the benchmark's tracer (perfbench/tracing.py)
 from .features import (  # noqa: F401
     build_gazetteer,
@@ -60,11 +60,8 @@ def assemble_slots(tag_seq, tag_space):
     spans = []
     diagnostics = {"unterminated": 0, "orphan_inside": 0, "orphan_end": 0}
     open_run = None  # (field index, start token)
-    tags = np.asarray(tag_seq)
-    if tags.ndim != 1:
-        raise InvalidSpec(
-            f"tags must be 1-D integers in 0 .. {tag_space.size - 1}, got shape {tags.shape}"
-        )
+    tags = check_array(f"tags must be 1-D integers in 0 .. {tag_space.size - 1}", tag_seq,
+                       lambda a: a.ndim == 1)
     labelled = np.flatnonzero(tags != tag_space.background)
     values = tags[labelled].tolist()
     if values and (
@@ -123,8 +120,10 @@ def _decode_result(chain, path, score):
 
 
 def decode(chain, obs):
-    """Viterbi-decode one observation matrix into tags, segments, and spans."""
-    return _decode_result(chain, *viterbi(chain, Evidence(np.asarray(obs))))
+    """Viterbi-decode one observation matrix into tags, segments, and spans.
+    An ``obs`` that is not an integer ``(T, K)`` matrix of the chain's
+    codes raises :class:`InvalidSpec` (:func:`bien.model.check_observations`)."""
+    return _decode_result(chain, *viterbi(chain, Evidence(obs)))
 
 
 def decode_batch(chain, numbered):

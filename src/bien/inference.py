@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, ZeroProbabilityEvidence, check_type
+from .errors import InvalidSpec, ZeroProbabilityEvidence, check_array, check_type
 from .model import CompiledChain, TimeMajor, check_lengths, join_factors
 
 # Documents per chunk of ``viterbi_batch``'s forward pass. Only that pass
@@ -92,7 +92,7 @@ class Evidence:
     obs: np.ndarray
 
     def __len__(self):
-        return self.obs.shape[0]
+        return len(self.obs)
 
     def log_emission(self, chain):
         """The (T, S) emission log-probabilities of every chain state."""
@@ -108,10 +108,10 @@ def viterbi(chain, evidence):
     at the first such step, and a ``chain`` that is not a
     :class:`~bien.model.CompiledChain` :class:`InvalidSpec`. ``evidence``
     is anything with a ``log_emission(chain)`` method, whose scores are read
-    with ``np.asarray``; as in ``viterbi_batch``, scores that are not a
-    float64 ``(T, S)`` array raise :class:`InvalidSpec`, and so does a NaN
-    or +inf in them or in the chain's ``log_init`` or, past one token,
-    ``log_trans``, whatever step is dead.
+    by :func:`~bien.errors.check_array`; as in ``viterbi_batch``, scores
+    that are not a float64 ``(T, S)`` array raise :class:`InvalidSpec`, and
+    so does a NaN or +inf in them or in the chain's ``log_init`` or, past
+    one token, ``log_trans``, whatever step is dead.
 
     Each step is six calls on fixed buffers: tile the previous scores,
     add the flat transposed transitions to them, take each state's
@@ -120,10 +120,9 @@ def viterbi(chain, evidence):
     backtrace walks the backpointers in Python ints.
     """
     check_type("chain", chain, CompiledChain)
-    emis, S = np.asarray(evidence.log_emission(chain)), chain.n_states
-    if not (emis.dtype == np.float64 and emis.shape[1:] == (S,)):
-        raise InvalidSpec(f"emissions must be a float64 (T, {S}) array, "
-                          f"got {emis.dtype} of shape {emis.shape}")
+    S = chain.n_states
+    emis = check_array(f"emissions must be a float64 (T, {S}) array", evidence.log_emission(chain),
+                       lambda a: a.dtype == np.float64 and a.shape[1:] == (S,))
     return _viterbi(chain, emis)
 
 
@@ -352,18 +351,14 @@ def viterbi_batch(chain, table, rows, lengths):
     ``viterbi`` forms it: ``(score + move) + emission`` per step.
     """
     check_type("chain", chain, CompiledChain)
-    table, rows, S = np.asarray(table), np.asarray(rows), chain.n_states
-    if not (
-        table.dtype == np.float64
-        and table.shape[1:] == (S,)
-        and rows.dtype.kind in "iu"
-        and rows.ndim == 1
-        and (not rows.size or 0 <= rows.min() <= rows.max() < len(table))
-    ):
-        raise InvalidSpec(
-            f"emissions must be a float64 (R, {S}) table and 1-D integer row numbers "
-            f"in 0 .. R - 1, got a {table.dtype} table of shape {table.shape}"
-        )
+    S = chain.n_states
+    table = check_array(f"emissions must be a float64 (R, {S}) table", table,
+                        lambda a: a.dtype == np.float64 and a.shape[1:] == (S,))
+    rows = check_array(
+        f"row numbers must be 1-D integers in 0 .. {len(table) - 1}", rows,
+        lambda a: a.dtype.kind in "iu" and a.ndim == 1
+        and (not a.size or 0 <= a.min() <= a.max() < len(table)),
+    )
     for name, scores in (("log_init", chain.log_init), ("log_trans", chain.log_trans),
                          ("emission table", table)):
         if not (scores < np.inf).all():

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCorpus, InconsistentGold, InvalidSpec, OverlappingSpans, UnknownField
-from .errors import check_int, check_sequence, check_type
+from .errors import check_array, check_int, check_sequence, check_type
 # featurize stays importable here for the benchmark's tracer (perfbench/tracing.py)
 from .features import featurize, featurize_docs  # noqa: F401
 from .model import LT_NONE, BienModel, TimeMajor, check_lengths, distinct_rows
@@ -124,15 +124,10 @@ class StackedExamples:
     tags: np.ndarray          # (N,) integer gold tag values
 
     def __post_init__(self):
-        obs, tags = np.asarray(self.obs), np.asarray(self.tags)
-        if not (
-            tags.dtype.kind in "iu" and tags.ndim == 1
-            and obs.dtype.kind in "iu" and obs.ndim == 2 and len(obs) == len(tags)
-        ):
-            raise InvalidSpec(
-                f"tags must be a 1-D integer array and observations an integer matrix, one "
-                f"row per tag; got {tags.dtype} {tags.shape} and {obs.dtype} {obs.shape}"
-            )
+        tags = check_array("tags must be a 1-D integer array", self.tags,
+                           lambda a: a.dtype.kind in "iu" and a.ndim == 1)
+        obs = check_array("observations must be an integer matrix, one row per tag", self.obs,
+                          lambda a: a.dtype.kind in "iu" and a.ndim == 2 and len(a) == len(tags))
         lengths = check_lengths(self.lengths, len(tags))
         if len(lengths) != len(self.doc_ids):
             raise InvalidSpec(f"{len(self.doc_ids)} document ids for {len(lengths)} lengths")
@@ -521,12 +516,8 @@ def pack(model, examples):
     check_type("model", model, BienModel)
     check_type("examples", examples, StackedExamples)
     cardinalities = np.array(list(model.observables.values()))
-    obs = examples.obs
-    if obs.shape[1] != len(cardinalities):
-        raise InvalidSpec(
-            f"observations must be an integer (T, {len(cardinalities)}) matrix, "
-            f"got {obs.dtype} of shape {obs.shape}"
-        )
+    obs = check_array(f"observations must be an integer (T, {len(cardinalities)}) matrix",
+                      examples.obs, lambda a: a.shape[1] == len(cardinalities))
     tags = examples.tags
     # column by column: ``obs.max(axis=0)`` reduces in inner loops of K codes
     if tags.max() >= model.tags.size or any(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, check_int, check_sequence, check_type
+from .errors import InvalidSpec, check_array, check_int, check_sequence, check_type
 
 ROLE_BACKGROUND = "background"
 ROLE_BEGIN = "begin"
@@ -324,9 +324,12 @@ def number_observations(obs, lengths, cardinalities):
     ``lengths[i]`` rows, as :class:`ObservationRows`. ``obs`` is checked
     once, as one matrix (:func:`check_observations`), and ``lengths`` once
     (:func:`check_lengths`), and ``cardinalities`` must be a sequence
-    (:func:`~bien.errors.check_sequence`). Only the distinct rows and the
-    row number of each row of the stack are kept, not the stack."""
-    cardinalities = check_sequence("cardinalities", cardinalities)
+    (:func:`~bien.errors.check_sequence`) of integers. Only the distinct
+    rows and the row number of each row of the stack are kept, not the
+    stack."""
+    cardinalities = check_array("cardinalities must be a 1-D integer array",
+                                check_sequence("cardinalities", cardinalities),
+                                lambda a: a.ndim == 1 and (not a.size or a.dtype.kind in "iu"))
     obs = check_observations(obs, cardinalities)
     lengths = check_lengths(lengths, len(obs))
     # a masked (-1) code is digit 0
@@ -426,20 +429,18 @@ def join_factors(log_ds, pair_trans):
 
 def check_observations(obs_matrix, cardinalities):
     """``obs_matrix`` as an array, once it is known to be an integer
-    ``(T, K)`` matrix over K observables of the given cardinalities, with
-    codes in ``-1 .. cardinality - 1``; anything else raises
-    :class:`InvalidSpec`."""
-    obs_matrix = np.asarray(obs_matrix)
+    ``(T, K)`` matrix over K observables of the given cardinalities (an
+    integer array), with codes in ``-1 .. cardinality - 1``; anything else
+    raises :class:`InvalidSpec`."""
     K = len(cardinalities)
-    if obs_matrix.dtype.kind not in "iu" or obs_matrix.ndim != 2 or obs_matrix.shape[1] != K:
-        raise InvalidSpec(
-            f"observations must be an integer (T, {K}) matrix, "
-            f"got {obs_matrix.dtype} of shape {obs_matrix.shape}"
-        )
+    obs_matrix = check_array(
+        f"observations must be an integer (T, {K}) matrix", obs_matrix,
+        lambda a: a.dtype.kind in "iu" and a.ndim == 2 and a.shape[1] == K,
+    )
     if obs_matrix.size and (obs_matrix.min() < -1 or (obs_matrix >= cardinalities).any()):
         raise InvalidSpec(
             "observation codes must lie in -1 .. cardinality - 1 "
-            f"(cardinalities {np.asarray(cardinalities).tolist()})"
+            f"(cardinalities {cardinalities.tolist()})"
         )
     return obs_matrix
 
@@ -448,12 +449,10 @@ def check_lengths(lengths, n_rows):
     """``lengths`` as an int64 array, once it is known to split ``n_rows``
     stacked rows into runs: 1-D integers (or empty) of at least 0 summing
     to ``n_rows``. Anything else raises :class:`InvalidSpec`."""
-    lengths = np.asarray(lengths)
-    if lengths.ndim != 1 or (lengths.size and lengths.dtype.kind not in "iu"):
-        raise InvalidSpec(
-            f"lengths must be a 1-D integer array, got {lengths.dtype} of shape {lengths.shape}"
-        )
-    lengths = lengths.astype(np.int64, copy=False)
+    lengths = check_array(
+        "lengths must be a 1-D integer array", lengths,
+        lambda a: a.ndim == 1 and (not a.size or a.dtype.kind in "iu"),
+    ).astype(np.int64, copy=False)
     # each length within 0 .. n_rows, so that the sum cannot wrap around
     if lengths.sum() != n_rows or (lengths < 0).any() or (lengths > n_rows).any():
         raise InvalidSpec(f"lengths {lengths.tolist()} do not split {n_rows} observation rows")

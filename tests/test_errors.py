@@ -15,6 +15,7 @@ from bien.corpus import (
     Document,
     SplitPlan,
     TagSpan,
+    Token,
     parse_tagged_document,
     parse_tagged_documents,
     split,
@@ -23,6 +24,7 @@ from bien.corpus import (
 from bien.errors import InvalidSpec, MissingResource
 from bien.evaluation import (
     ExperimentConfig,
+    assemble_slots,
     decode,
     decode_batch,
     run_ablations,
@@ -39,7 +41,7 @@ from bien.features import (
     mask_columns,
 )
 from bien.inference import Evidence, viterbi, viterbi_batch
-from bien.learning import TrainConfig, make_examples, pack, train
+from bien.learning import StackedExamples, TrainConfig, make_examples, pack, train
 from bien.model import build_model, compile_chain, number_observations
 from bien.synth import generate_corpus
 
@@ -275,6 +277,29 @@ REFUSED = {
     "Document-none-text": (
         lambda v: Document("x", None, []), "document text must be a str, got NoneType"
     ),
+    "Document-none-tokens": (
+        lambda v: Document("x", "", None),
+        "document tokens must be a sequence, not the NoneType None",
+    ),
+    # built a document whose gold spans build_gazetteer could not read
+    "Document-none-gold_spans": (
+        lambda v: Document("x", "", [], None),
+        "document gold_spans must be a sequence, not the NoneType None",
+    ),
+    "Document-list-columns": (
+        lambda v: Document("x", "", [], (), [("pos", [])]),
+        "document columns must be a dict, got list",
+    ),
+    "Token-str-offsets": (
+        lambda v: Token("a", "x", "y", "word"), "token offsets must be integers, got 'x'..'y'"
+    ),
+    "Token-none-offsets": (
+        lambda v: Token("a", None, None, "word"), "token offsets must be integers, got None..None"
+    ),
+    # built a token that no text holds
+    "Token-negative-start": (
+        lambda v: Token("a", -1, 0, "word"), "token 'a' does not span [-1, 0)"
+    ),
     # scored as no speaker produced, with no error
     "TagSpan-bytes-field": (
         lambda v: score_documents(
@@ -293,9 +318,61 @@ def test_a_top_level_argument_of_the_wrong_type_is_refused(case):
     """Each of these calls raised Python's own error deep inside the
     package, returned an empty result (``featurize_docs(None, ...)``) or
     a wrong one (spans of a ``bytes`` field), built a document with no
-    text, or refused the letters of a mask given as one name."""
+    text or no gold spans or a token before its text, or refused the
+    letters of a mask given as one name."""
     call, message = REFUSED[case]
     with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
+        call(valid())
+
+
+class RaggedScores:
+    """Evidence whose scores are two rows of unequal length."""
+
+    def log_emission(self, chain):
+        return [[0.0] * chain.n_states, [0.0]]
+
+
+def call_with(entry, **argument):
+    """A valid call of ``entry`` with ``argument`` in place of its own."""
+    function, arguments = valid_arguments(entry)
+    return function(**{**arguments, **argument})
+
+
+# Calls with one array argument given as rows of unequal length, which
+# numpy cannot read as one array, and the name their refusal gives it.
+# ``KINDS`` holds no such value, since a sequence argument such as
+# ``docs`` takes nested lists.
+RAGGED = {
+    "number_observations-obs": (
+        lambda v: call_with("number_observations", obs=[[1, 2], [3]]), "observations"
+    ),
+    "number_observations-lengths": (
+        lambda v: call_with("number_observations", lengths=[[1], [2, 3]]), "lengths"
+    ),
+    "viterbi_batch-table": (
+        lambda v: call_with("viterbi_batch", table=[[0.0], [0.0, 0.0]]), "emissions"
+    ),
+    "viterbi_batch-rows": (lambda v: call_with("viterbi_batch", rows=[[0], [0, 0]]), "row numbers"),
+    "viterbi_batch-lengths": (
+        lambda v: call_with("viterbi_batch", lengths=[[1], [2, 3]]), "lengths"
+    ),
+    "viterbi-evidence": (lambda v: call_with("viterbi", evidence=RaggedScores()), "emissions"),
+    "decode-obs": (lambda v: call_with("decode", obs=[[1, 2], [3]]), "observations"),
+    "log_emission-obs_matrix": (lambda v: v["chain"].log_emission([[1], [1, 2]]), "observations"),
+    "assemble_slots-tag_seq": (lambda v: assemble_slots([[1], [1, 2]], v["model"].tags), "tags"),
+    "StackedExamples-obs": (
+        lambda v: StackedExamples(("a",), [2], [[1, 2], [3]], [0, 0]), "observations"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", RAGGED)
+def test_an_array_argument_that_is_not_one_array_is_refused(case):
+    """Rows of unequal length raised numpy's own ``ValueError``; now the
+    call raises ``InvalidSpec`` naming the argument."""
+    call, named = RAGGED[case]
+    message = f"^{re.escape(named)} must be .*, got a list that is not one array$"
+    with pytest.raises(InvalidSpec, match=message):
         call(valid())
 
 

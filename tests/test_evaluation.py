@@ -135,9 +135,9 @@ class TestAssembleSlots:
         ([0, 5, 1], "[1, 5]"),
         ([1.5], "[1.5]"),
         (np.array([0.0, 1.0]), "[1.0]"),
-        (np.array([[0, 4], [1, 2]]), "shape (2, 2)"),
-        (np.array(4), "shape ()"),
-        ([[4]], "shape (1, 1)"),
+        (np.array([[0, 4], [1, 2]]), "int64 of shape (2, 2)"),
+        (np.array(4), "int64 of shape ()"),
+        ([[4]], "int64 of shape (1, 1)"),
     ], ids=["past-the-space", "negative", "one-past", "float", "float-array",
             "two-dimensional", "zero-dimensional", "nested-list"])
     def test_tags_outside_the_tag_space_raise(self, seq, shown):
@@ -495,6 +495,15 @@ class TestDecode:
         with pytest.raises(InvalidSpec, match="lengths must be a 1-D integer array"):
             number_observations(stack, lengths, [5, 3])
 
+    @pytest.mark.parametrize("cardinalities", [[5, 3.5], [5, [3]], [[5, 3]]],
+                             ids=["float", "ragged", "2-d"])
+    def test_cardinalities_that_are_not_integers_raise(self, cardinalities):
+        """A float cardinality keyed codes past its radix, so that the rows
+        (-1, 3) and (0, -1) got one row number under ``[5, 3.5]``; a ragged
+        list raised numpy's own error."""
+        stack = np.array([[-1, 3], [0, -1]])
+        with pytest.raises(InvalidSpec, match="^cardinalities must be a 1-D integer array, got "):
+            number_observations(stack, [2], cardinalities)
 
     @pytest.mark.parametrize("entry", ["log_emission", "number_observations", "decode"])
     def test_a_model_with_no_observables(self, entry):

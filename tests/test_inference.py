@@ -337,6 +337,10 @@ def stacked(chain, evidences):
     return table, np.arange(len(table)), [len(ev) for ev in evidences]
 
 
+TABLE_FAULT = r"^emissions must be a float64 \(R, 12\) table, got "
+ROWS_FAULT = r"^row numbers must be 1-D integers in 0 \.\. \d+, got "
+
+
 class TestViterbiBatch:
     @pytest.mark.parametrize("clamp", [False, True])
     def test_matches_reference(self, clamp):
@@ -466,20 +470,20 @@ class TestViterbiBatch:
         assert len(viterbi_batch(chain, *stacked(chain, batch))) == len(batch)
         assert built == [len(batch)]
 
-    @pytest.mark.parametrize("bad", [
-        lambda table, rows: (table[:, :-1], rows),
-        lambda table, rows: (np.hstack([table, table[:, :1]]), rows),
-        lambda table, rows: (np.zeros(table.shape, dtype=np.int64), rows),
-        lambda table, rows: (table.astype(np.float32), rows),
-        lambda table, rows: (table[0], rows),
-        lambda table, rows: (table, np.r_[rows[:-1], -1]),
-        lambda table, rows: (table, np.r_[rows[:-1], len(table)]),
-        lambda table, rows: (table, rows.astype(float)),
-        lambda table, rows: (table, rows[:, None]),
-        lambda table, rows: (table, np.array(0)),
+    @pytest.mark.parametrize("bad, match", [
+        (lambda table, rows: (table[:, :-1], rows), TABLE_FAULT),
+        (lambda table, rows: (np.hstack([table, table[:, :1]]), rows), TABLE_FAULT),
+        (lambda table, rows: (np.zeros(table.shape, dtype=np.int64), rows), TABLE_FAULT),
+        (lambda table, rows: (table.astype(np.float32), rows), TABLE_FAULT),
+        (lambda table, rows: (table[0], rows), TABLE_FAULT),
+        (lambda table, rows: (table, np.r_[rows[:-1], -1]), ROWS_FAULT),
+        (lambda table, rows: (table, np.r_[rows[:-1], len(table)]), ROWS_FAULT),
+        (lambda table, rows: (table, rows.astype(float)), ROWS_FAULT),
+        (lambda table, rows: (table, rows[:, None]), ROWS_FAULT),
+        (lambda table, rows: (table, np.array(0)), ROWS_FAULT),
     ], ids=["narrow-table", "wide-table", "integer-table", "float32-table", "1-d-table",
             "negative-row", "row-past-table", "float-rows", "2-d-rows", "0-d-row"])
-    def test_malformed_input_is_a_typed_error(self, bad):
+    def test_malformed_input_is_a_typed_error(self, bad, match):
         """Before any decoding: a -1 row would read the table's last row, a
         float32 table would decode in float32, and the others would raise
         from inside numpy."""
@@ -487,7 +491,7 @@ class TestViterbiBatch:
         batch = [random_evidence(chain, T, np.random.default_rng(T)) for T in (3, 5)]
         table, rows, lengths = stacked(chain, batch)
         table, rows = bad(table, rows)
-        with pytest.raises(InvalidSpec, match="must be a float64"):
+        with pytest.raises(InvalidSpec, match=match):
             viterbi_batch(chain, table, rows, lengths)
 
     @pytest.mark.parametrize("lengths, match", [

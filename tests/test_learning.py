@@ -749,7 +749,8 @@ def malformed(obs, tags=(0, 0), dtype=np.int16):
 # Each malformed example, stacked between good ones. A tag or code out of
 # range names it; a stack that cannot be read, of the wrong type, shape or
 # column count, names no example.
-STACK_FAULT = "^tags must be a 1-D integer array and observations an integer matrix"
+OBS_FAULT = "^observations must be an integer matrix, one row per tag, got "
+TAGS_FAULT = "^tags must be a 1-D integer array, got float64 of shape"
 MALFORMED = [
     pytest.param(malformed([[3, 0], [0, 0]]), "^bad: observation codes must lie in",
                  id="code-past-cardinality"),
@@ -757,16 +758,16 @@ MALFORMED = [
                  id="code-below-minus-one"),
     pytest.param(malformed([[2**64 - 1, 0], [0, 0]], dtype=np.uint64),
                  "^bad: observation codes must lie in", id="uint64-code-past-cardinality"),
-    pytest.param(malformed([[0, 0], [1, 1]], dtype=float), STACK_FAULT, id="float-obs"),
+    pytest.param(malformed([[0, 0], [1, 1]], dtype=float), OBS_FAULT, id="float-obs"),
     pytest.param(malformed([[0], [1]]), r"^observations must be an integer \(T, 2\) matrix",
                  id="wrong-column-count"),
-    pytest.param(malformed([[0, 0]]), STACK_FAULT, id="fewer-obs-rows-than-tags"),
-    pytest.param(malformed([[0, 0]] * 3), STACK_FAULT, id="more-obs-rows-than-tags"),
+    pytest.param(malformed([[0, 0]]), OBS_FAULT, id="fewer-obs-rows-than-tags"),
+    pytest.param(malformed([[0, 0]] * 3), OBS_FAULT, id="more-obs-rows-than-tags"),
     pytest.param(malformed([[0, 0]] * 2, tags=(0, 5)), "^bad: tags must be a 1-D integer array",
                  id="tag-past-tag-space"),
     pytest.param(malformed([[0, 0]] * 2, tags=(0, -1)), "^bad: tags must be integers of at least 0",
                  id="negative-tag"),
-    pytest.param(malformed([[0, 0]] * 2, tags=(0.0, 0.0)), STACK_FAULT, id="float-tags"),
+    pytest.param(malformed([[0, 0]] * 2, tags=(0.0, 0.0)), TAGS_FAULT, id="float-tags"),
 ]
 
 
