@@ -34,7 +34,7 @@ import struct
 import unicodedata
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, count, filterfalse
 from typing import NamedTuple
 
 import numpy as np
@@ -199,10 +199,11 @@ class Document:
     made on either side of a table restart hold a type under different
     ids. A text that is not a ``str``, ``tokens`` (unless a
     :class:`TokenView`) or ``gold_spans`` that are not a sequence
-    (:func:`~bien.errors.check_sequence`) and ``columns`` that are not a
-    ``dict`` raise :class:`InvalidSpec`, and a column of the wrong length
-    :class:`AlignmentError`, before any token's type enters the table. The
-    gold spans are kept as a tuple.
+    (:func:`~bien.errors.check_sequence`), a gold span that is not a
+    :class:`TagSpan` or ends at or past the token count and ``columns``
+    that are not a ``dict`` raise :class:`InvalidSpec`, naming the document
+    (and the span, for one past the end), and a column of the wrong length :class:`AlignmentError`, before any
+    token's type enters the table. The gold spans are kept as a tuple.
     """
 
     id: str
@@ -218,6 +219,11 @@ class Document:
         if not isinstance(tokens, TokenView):
             tokens = check_sequence("document tokens", tokens)
         spans = check_sequence("document gold_spans", self.gold_spans)
+        n_tokens = len(tokens)
+        for span in spans:
+            check_type(f"{self.id}: a gold span", span, TagSpan)
+            if span.end_token >= n_tokens:
+                raise InvalidSpec(f"{self.id}: gold {span} ends past its {n_tokens} tokens")
         object.__setattr__(self, "gold_spans", spans)
         check_type("document columns", self.columns, dict)
         columns = {}
@@ -228,9 +234,9 @@ class Document:
                 )
             if not isinstance(values, ColumnView):
                 numbering = Numbering()
-                codes = list(map(numbering.__getitem__, values))
+                codes = numbering.numbers_of(list(values))
                 dtype = np.min_scalar_type(max(len(numbering) - 1, 0))
-                values = ColumnView(tuple(numbering.strings), np.array(codes, dtype=dtype))
+                values = ColumnView(tuple(numbering.strings), codes.astype(dtype))
             columns[name] = values
         object.__setattr__(self, "columns", columns)
         if not isinstance(tokens, TokenView):
@@ -369,18 +375,22 @@ _MEMO_LIMIT = 1 << 16
 
 
 class Numbering(dict):
-    """Strings numbered from 0 in order of first use: ``numbering[s]`` is
-    the number of ``s``, given on first use, and ``numbering.strings[k]``
-    the string numbered ``k``."""
+    """Strings numbered from 0 in order of first use: :meth:`numbers_of`
+    numbers a list of strings, ``numbering[s]`` is then the number of
+    ``s``, and ``numbering.strings[k]`` the string numbered ``k``."""
 
     def __init__(self):
         super().__init__()
         self.strings = []
 
-    def __missing__(self, string):
-        k = self[string] = len(self.strings)
-        self.strings.append(string)
-        return k
+    def numbers_of(self, strings):
+        """The number of each of the list ``strings``, as an int32 array;
+        the strings not yet numbered are numbered all at once, in order of
+        first use, with no Python call per string."""
+        new = list(dict.fromkeys(filterfalse(self.__contains__, strings)))
+        self.update(zip(new, count(len(self.strings))))
+        self.strings += new
+        return np.fromiter(map(self.__getitem__, strings), np.int32, len(strings))
 
 
 class _ChunkMemo(dict):
@@ -490,8 +500,9 @@ class TypeTable:
         return values[:done]
 
 
-def _surface_lengths(table, start):
-    """Per type from ``start``: the length of its surface."""
+def surface_lengths(table, start):
+    """Per type from ``start``: the length of its surface, a column of the
+    :class:`TypeTable` (:meth:`TypeTable.column`)."""
     return np.fromiter(map(len, table.surfaces[start:]), dtype=np.int32)
 
 
@@ -649,7 +660,7 @@ def _parse_block(raws, doc_ids, fields):
     table, ids, starts = tokenize("\n".join(texts))
     bases = np.array(bases, dtype=np.int32)
     cuts = np.searchsorted(starts, bases)  # each document's first token
-    ends = starts + table.column(_surface_lengths)[ids]
+    ends = starts + table.column(surface_lengths)[ids]
     # Tokens are ordered and disjoint, so starts and ends are both sorted,
     # and no token of another document lies between a pair's bounds. In
     # the block's tokens, a pair holds those from in_lo to in_hi wholly

@@ -38,7 +38,9 @@ Four public classes check in their constructors too: a
 integers with ``start >= 0``; a :class:`~bien.corpus.TagSpan` its field,
 a ``str``, and its bounds; a :class:`~bien.corpus.Document` its text, a
 ``str``, its tokens (unless a :class:`~bien.corpus.TokenView`) and gold
-spans, each a sequence, and its columns, a ``dict``; and a
+spans, each a sequence, each gold span, a
+:class:`~bien.corpus.TagSpan` whose end is below the token count (naming
+the document), and its columns, a ``dict``; and a
 :class:`~bien.features.LexiconSet` each field against its declared
 type, ``frozenset`` or ``dict``. The two settings classes do not, since
 one function reads each before any work: ``split`` checks a

@@ -78,8 +78,9 @@ def assemble_slots(tag_seq, tag_space):
 
     # only labelled tokens are visited: a background token between two of
     # them, or after the last, closes a run left open
+    role_of, field_index_of = tag_space.role_of, tag_space.field_index_of
     for t, tag in zip(labelled.tolist(), values):
-        role, fi = tag_space.role(tag), tag_space.field_index(tag)
+        role, fi = role_of[tag], field_index_of[tag]
         if open_run is not None:
             if t == last + 1 and open_run[0] == fi and role in (ROLE_INSIDE, ROLE_END):
                 if role == ROLE_END:
@@ -167,13 +168,6 @@ class FieldScore:
         return 2 * p * r / (p + r) if p + r else 0.0
 
 
-def slot_filler(doc, span):
-    """A span's filler string, whitespace-normalized."""
-    surfaces = doc.types.surfaces
-    ids = doc.type_ids[span.start_token : span.end_token + 1]
-    return " ".join(surfaces[i] for i in ids.tolist())
-
-
 MATCH_MODES = ("slot", "occurrence")
 
 
@@ -181,6 +175,14 @@ def check_match_mode(mode):
     """Raise :class:`InvalidSpec` unless ``mode`` is one of :data:`MATCH_MODES`."""
     if mode not in MATCH_MODES:
         raise InvalidSpec(f"unknown match mode {mode!r}")
+
+
+def _by_field(spans):
+    """``spans`` grouped by field, in order: a dict of lists."""
+    out = {}
+    for span in spans:
+        out.setdefault(span.field, []).append(span)
+    return out
 
 
 def score_documents(docs, predictions, fields, mode="slot"):
@@ -195,6 +197,12 @@ def score_documents(docs, predictions, fields, mode="slot"):
     :class:`InvalidSpec` naming the document, in either mode, as does
     anything but a sequence for ``docs``, ``predictions`` or ``fields``,
     and a field that ``fields`` names twice.
+
+    Each document's gold and predicted spans are grouped by field in one
+    pass each. A slot whose predicted and gold spans share their token
+    bounds is credited at once, since their fillers are equal; only
+    otherwise are filler strings built, the tokens' surfaces joined by
+    one space, from one list of the document's surfaces.
     """
     check_match_mode(mode)
     docs = check_sequence("docs", docs)
@@ -210,31 +218,36 @@ def score_documents(docs, predictions, fields, mode="slot"):
     checked = []
     for doc, spans in zip(docs, predictions):
         spans = check_sequence(f"{doc.id}: a prediction", spans)
-        n_tokens = len(doc.type_ids)
+        n_tokens, what = len(doc.type_ids), f"{doc.id}: a predicted span"
         for span in spans:
-            check_type(f"{doc.id}: a predicted span", span, TagSpan)
+            check_type(what, span, TagSpan)
             if span.end_token >= n_tokens:
                 raise InvalidSpec(f"{doc.id}: predicted {span} ends past its {n_tokens} tokens")
-        checked.append(spans)
+        checked.append(_by_field(spans))
     scores = {f: FieldScore() for f in fields}
-    for doc, spans in zip(docs, checked):
-        for f in fields:
-            gold = [s for s in doc.gold_spans if s.field == f]
-            pred = [s for s in spans if s.field == f]
-            tally = scores[f]
-            if mode == "slot":
-                tally.truth += bool(gold)
-                tally.produced += bool(pred)
-                if gold and pred:
-                    truths = {slot_filler(doc, s) for s in gold}
-                    tally.correct += any(slot_filler(doc, p) in truths for p in pred)
-            else:
+    for doc, predicted in zip(docs, checked):
+        truth = _by_field(doc.gold_spans)
+        surfaces = None  # the document's, built for the first filler string
+        for f, tally in scores.items():
+            gold, pred = truth.get(f, ()), predicted.get(f, ())
+            bounds = {(s.start_token, s.end_token) for s in gold}
+            exact = sum((s.start_token, s.end_token) in bounds for s in pred)
+            if mode == "occurrence":
                 tally.truth += len(gold)
                 tally.produced += len(pred)
-                gold_keys = {(s.start_token, s.end_token) for s in gold}
-                tally.correct += sum(
-                    1 for s in pred if (s.start_token, s.end_token) in gold_keys
-                )
+                tally.correct += exact
+                continue
+            tally.truth += bool(gold)
+            tally.produced += bool(pred)
+            if exact or not (gold and pred):
+                tally.correct += bool(exact)
+                continue
+            if surfaces is None:
+                surfaces = list(map(doc.types.surfaces.__getitem__, doc.type_ids.tolist()))
+            fillers = {" ".join(surfaces[s.start_token : s.end_token + 1]) for s in gold}
+            tally.correct += any(
+                " ".join(surfaces[s.start_token : s.end_token + 1]) in fillers for s in pred
+            )
     return scores
 
 

@@ -18,7 +18,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .corpus import KIND_PUNCT, KIND_SYMBOL, KIND_WORD, NA_VALUE, Document
+from .corpus import KIND_PUNCT, KIND_SYMBOL, KIND_WORD, NA_VALUE, Document, surface_lengths
 from .errors import EmptyCorpus, EmptyVocabulary, InvalidSpec, MissingResource, check_int
 from .errors import check_sequence, check_type
 from . import resources
@@ -69,37 +69,6 @@ def chunk_flatten(value):
     if len(value) > 2 and value[1] == "-":
         value = value[2:]
     return value if value in ("NP", "VP", "PP") else "NA"
-
-
-def case_feature(surface):
-    letters = [c for c in surface if c.isalpha()]
-    if not letters:
-        return "NA"
-    if letters[0].isupper() and all(c.islower() for c in letters[1:]):
-        return "UpperInitial"
-    if all(c.isupper() for c in letters):
-        return "AllCaps"
-    if all(c.islower() for c in letters):
-        return "Lower"
-    return "Mixed"
-
-
-def length_feature(surface):
-    n = len(surface)
-    if n == 0:
-        raise InvalidSpec("an empty surface has no length bucket")
-    if n <= 3:
-        return LENGTH_BUCKETS[n - 1]
-    if n <= 5:
-        return "4-5"
-    if n <= 8:
-        return "6-8"
-    return "9+"
-
-
-def lemmatise(surface, table):
-    low = surface.lower()
-    return table.get(low, low)
 
 
 @dataclass(frozen=True)
@@ -173,8 +142,9 @@ class Gazetteer:
 
     Ids 1..V cover the vocabulary in descending corpus frequency; V+1 is
     out-of-vocabulary and V+2 is not-a-word (punctuation and symbols). Any
-    other token type's id is that of its lemma (see :func:`lemmatise`),
-    else that of its lowercased surface, else V+1. :func:`featurize_docs`
+    other token type's id is that of its lemma (its lowercased surface
+    looked up in the lemma table, else that surface itself), else that of
+    its lowercased surface, else V+1. :func:`featurize_docs`
     gives each token type its id once per gazetteer, in a column of the
     type's :class:`~bien.corpus.TypeTable`; an equal gazetteer shares that
     column. A lemma table whose lemmas are not all ``str`` raises
@@ -209,6 +179,9 @@ class Gazetteer:
         return len(self.ids) + 2
 
 
+_NOT_A_WORD = frozenset((KIND_PUNCT, KIND_SYMBOL))
+
+
 def _check_lemmas(lemma_table):
     """Raise :class:`InvalidSpec` naming the first word of ``lemma_table``
     whose lemma is not a ``str``. Lemmas are numbered in a type table's
@@ -220,23 +193,23 @@ def _check_lemmas(lemma_table):
 
 def _lemma_numbers(table, start, lemma_table):
     """Per type from ``start``: the numbers in ``table.derived`` of its lemma
-    (see :func:`lemmatise`) and of its lowercased surface, as an int32
-    ``(n, 2)`` array; -1 for both for punctuation and symbols."""
-    n = len(table) - start
-    word = np.fromiter(
-        (kind not in (KIND_PUNCT, KIND_SYMBOL) for kind in table.kinds[start:]), bool, count=n
-    )
-    # A surface that is its own lowercase form is numbered as itself, and
-    # before the lemmas, so that the numbering keeps no copy of it.
-    lows = [
-        surface if (low := surface.lower()) == surface else low
-        for surface in itertools.compress(table.surfaces[start:], word)
-    ]
-    number = table.derived.__getitem__
+    (its lowercased surface looked up in ``lemma_table``, else that surface)
+    and of its lowercased surface, as an int32 ``(n, 2)`` array; -1 for
+    both for punctuation and symbols. The strings are lowercased, looked
+    up and numbered (:meth:`~bien.corpus.Numbering.numbers_of`) by ``map``
+    over the new types, with no Python call per type."""
+    kinds = table.kinds[start:]
+    n = len(kinds)
+    word = ~np.fromiter(map(_NOT_A_WORD.__contains__, kinds), bool, n)
+    surfaces = list(itertools.compress(table.surfaces[start:], word))
+    # A lowercase form equal to a new surface is numbered as that surface,
+    # so that the numbering keeps no copy of it.
+    own = dict(zip(surfaces, surfaces))
+    lows = list(map(str.lower, surfaces))
+    lows = list(map(own.get, lows, lows))
     out = np.full((n, 2), -1, dtype=np.int32)
-    out[word, 1] = np.fromiter(map(number, lows), np.int32, len(lows))
-    lemmas = map(lemmatise, lows, itertools.repeat(lemma_table))
-    out[word, 0] = np.fromiter(map(number, lemmas), np.int32, len(lows))
+    out[word, 1] = table.derived.numbers_of(lows)
+    out[word, 0] = table.derived.numbers_of(list(map(lemma_table.get, lows, lows)))
     return out
 
 
@@ -254,8 +227,9 @@ def _near_gold(group, window):
     """Per token of the ``group``'s documents, concatenated: whether it lies
     within ``window`` tokens of a gold span of its document (span tokens
     included). A difference array marks every span's neighbourhood, clipped
-    to its document, in one pass; a neighbourhood clipped to nothing (a span
-    that starts past its document's end) marks nothing."""
+    to its document, in one pass; every span lies inside its document
+    (:class:`~bien.corpus.Document` checks it), so no neighbourhood is
+    empty."""
     lengths = np.fromiter((len(doc.type_ids) for doc in group), dtype=np.int64, count=len(group))
     ends = np.cumsum(lengths)
     per_doc = [len(doc.gold_spans) for doc in group]
@@ -265,9 +239,8 @@ def _near_gold(group, window):
     stops = np.fromiter([s.end_token for s in spans], np.int64, len(spans))
     lo = first + np.maximum(starts - window, 0)
     hi = np.minimum(first + stops + window, np.repeat(ends - 1, per_doc))
-    keep = lo <= hi
-    depth = np.bincount(lo[keep], minlength=ends[-1] + 1)
-    depth -= np.bincount(hi[keep] + 1, minlength=len(depth))
+    depth = np.bincount(lo, minlength=ends[-1] + 1)
+    depth -= np.bincount(hi + 1, minlength=len(depth))
     return np.cumsum(depth, out=depth)[:-1] > 0
 
 
@@ -308,9 +281,8 @@ def build_gazetteer(docs, lemma_table, window=3, min_freq=3, max_size=1200):
             numbering = table.derived
         else:
             # the number of each string of this table, then -1, which stays -1
-            strings = table.derived.strings
-            renumbered = itertools.chain(map(numbering.__getitem__, strings), [-1])
-            lemma = np.fromiter(renumbered, np.int32, len(strings) + 1)[lemma]
+            renumbered = numbering.numbers_of(table.derived.strings)
+            lemma = np.append(renumbered, np.int32(-1))[lemma]
         lemmas.append(lemma[np.concatenate([doc.type_ids for doc in group])])
         near.append(_near_gold(group, window))
     if not by_table:
@@ -345,7 +317,7 @@ def _code_of(names):
     return {name: k for k, name in enumerate(names)}
 
 
-_SEMANTIC_CODE, _CASE_CODE, _LENGTH_CODE = map(_code_of, (SEMANTIC, CASES, LENGTH_BUCKETS))
+_SEMANTIC_CODE, _CASE_CODE = _code_of(SEMANTIC), _code_of(CASES)
 _POS_CODE, _CHUNK_CODE = _code_of(POS_CLUSTERS), _code_of(CHUNKS)
 
 
@@ -354,15 +326,78 @@ def _coded(code_of, names, n):
     return np.fromiter(map(code_of.__getitem__, names), dtype=np.int16, count=n)
 
 
+# the upper bound of each length bucket but the last: 1, 2, 3, 5 and 8
+_LENGTH_BOUNDS = np.array([int(bucket.split("-")[-1]) for bucket in LENGTH_BUCKETS[:-1]])
+_CASE_OF_COUNTS = [_CASE_CODE[c] for c in ("NA", "UpperInitial", "AllCaps", "Lower")]
+
+
+def _letter_case(c):
+    """A character's case class: 0 if it is not a letter (``str.isalpha``),
+    else 2 for a capital, 1 for a lowercase letter and 3 for neither."""
+    if not c.isalpha():
+        return 0
+    return 2 if c.isupper() else 1 if c.islower() else 3
+
+
+# per Latin-1 code point: its case class
+_LATIN1_CASE = np.array([_letter_case(chr(c)) for c in range(256)], dtype=np.uint8)
+
+
+def _case_classes(text):
+    """The case class (:func:`_letter_case`) of each code point of
+    ``text``, as uint8, from one pass over its code points: a code point in
+    Latin-1 is looked up in a table, and each distinct code point past
+    Latin-1 is classified once."""
+    # surrogatepass keeps a lone surrogate as one code point
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    classes = _LATIN1_CASE[np.minimum(codes, 255)]
+    wide = codes > 255
+    distinct, at = np.unique(codes[wide], return_inverse=True)
+    classes[wide] = np.array([_letter_case(chr(c)) for c in distinct.tolist()], np.uint8)[at]
+    return classes
+
+
+def _case_codes(surfaces, lengths):
+    """The case code of each of ``surfaces``, whose lengths are
+    ``lengths``, from the case classes of their join: a surface with no
+    letter is NA; one whose first letter is a capital and whose other
+    letters are all lowercase is UpperInitial (a single capital too); then
+    AllCaps, Lower, else Mixed. Each surface's letters, capitals and
+    lowercase letters are counted by ``np.add.reduceat``."""
+    classes = _case_classes("".join(surfaces))
+    starts = np.cumsum(lengths) - lengths
+    letters, lower, upper = (
+        np.add.reduceat(hit, starts, dtype=np.int32)
+        for hit in (classes > 0, classes == 1, classes == 2)
+    )
+    # each surface's first letter, past the last letter for a surface with none
+    at = np.flatnonzero(classes)
+    first = np.append(classes[at], 0)[np.searchsorted(at, starts)]
+    return np.select(
+        [letters == 0, (first == 2) & (lower == letters - 1), upper == letters, lower == letters],
+        _CASE_OF_COUNTS,
+        _CASE_CODE["Mixed"],
+    )
+
+
 def _lexicon_codes(table, start, lexicons):
-    """Per type from ``start``: its semantic, case and length codes."""
+    """Per type from ``start``: its semantic, case and length codes, as an
+    int16 ``(n, 3)`` array.
+
+    The length codes are one ``np.searchsorted`` of the table's surface
+    lengths (:func:`~bien.corpus.surface_lengths`) among the buckets'
+    bounds. The case codes are whole-array passes over the new surfaces
+    joined (:func:`_case_codes`), with one call per distinct code point
+    past Latin-1. The semantic codes are one :func:`semantic_feature` call
+    per type."""
     surfaces, kinds = table.surfaces[start:], table.kinds[start:]
     n = len(surfaces)
+    lengths = table.column(surface_lengths)[start:]
     out = np.empty((n, 3), dtype=np.int16)
     semantic = map(semantic_feature, surfaces, kinds, itertools.repeat(lexicons))
     out[:, 0] = _coded(_SEMANTIC_CODE, semantic, n)
-    out[:, 1] = _coded(_CASE_CODE, map(case_feature, surfaces), n)
-    out[:, 2] = _coded(_LENGTH_CODE, map(length_feature, surfaces), n)
+    out[:, 1] = _case_codes(surfaces, lengths)
+    out[:, 2] = np.searchsorted(_LENGTH_BOUNDS, lengths)
     return out
 
 
@@ -379,8 +414,9 @@ def _gazetteer_ids(table, start, gazetteer):
     used = np.zeros(len(ids), dtype=bool)
     used[numbers] = True
     used[-1] = False
-    used = np.flatnonzero(used).tolist()
-    ids[used] = [gazetteer.ids.get(strings[k], 0) for k in used]
+    used = np.flatnonzero(used)
+    listed = map(gazetteer.ids.get, map(strings.__getitem__, used.tolist()), itertools.repeat(0))
+    ids[used] = np.fromiter(listed, np.int32, len(used))
     ids[-1] = gazetteer.naw_id
     got = ids[numbers]
     # a surface whose lemma is unlisted may still match directly
@@ -458,10 +494,17 @@ def featurize_docs(docs, gazetteer, lexicons, mask=()):
     :class:`~bien.corpus.TypeTable` and computed once per gazetteer and
     lexicon set: the gazetteer ids from the table's lemma column, kept per
     lemma table, and the semantic, case and length codes from a column kept
-    per lexicon set. Documents that share one table gather from its column
-    as it is kept; those of a second table, which starts over at
-    ``_MEMO_LIMIT`` types, read its rows after the first table's. POS and
-    chunk codes are gathered the same way, through each
+    per lexicon set. A column is coded a table at a time, for the types
+    added since it was last read: lemmas, lowercase forms and gazetteer ids
+    are looked up by ``map`` over the new types (:func:`_lemma_numbers`,
+    :func:`_gazetteer_ids`), and the case and length codes are whole-array
+    passes over their surfaces joined and their lengths
+    (:func:`_lexicon_codes`), with one call per distinct code point past
+    Latin-1. Only the semantic code is one Python call per type. Documents
+    that share one table gather from its column as it is kept; those of a
+    second table, which starts over at ``_MEMO_LIMIT`` types, read its rows
+    after the first table's. POS and chunk codes are gathered the same
+    way, through each
     :class:`~bien.corpus.ColumnView`'s codes, from its tuple of values
     coded once; nothing is kept on a document. The type-code gather is the
     only matrix allocated, so the result is fresh and writable; a mask

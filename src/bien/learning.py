@@ -168,12 +168,6 @@ def _tag_sequence(doc, tag_space):
             raise UnknownField(f"{doc.id}: span field {span.field!r} not modeled")
         if span.start_token <= prev_end:
             raise OverlappingSpans(f"{doc.id}: spans overlap at token {span.start_token}")
-        if span.end_token >= T:
-            raise InconsistentGold(
-                f"{doc.id}: span ends past the document",
-                doc_id=doc.id,
-                step=span.end_token,
-            )
         fi = tag_space.fields.index(span.field)
         if span.start_token == span.end_token:
             out[span.start_token] = tag_space.single(fi)

@@ -36,7 +36,10 @@ _ROW_TOL = 1e-9
 
 
 class TagSpace:
-    """The 4F+1 token tags: background plus begin/inside/end/single per field."""
+    """The 4F+1 token tags: background plus begin/inside/end/single per field.
+
+    ``role_of[tag]`` is a tag's role and ``field_index_of[tag]`` the index
+    of its field, None for the background tag: tuples built once."""
 
     def __init__(self, fields):
         self.fields = tuple(fields)
@@ -44,6 +47,8 @@ class TagSpace:
             raise InvalidSpec(f"bad field list {fields!r}")
         self.size = 1 + 4 * len(self.fields)
         self.background = 0
+        self.role_of = (ROLE_BACKGROUND, *_FIELD_ROLES * len(self.fields))
+        self.field_index_of = (None, *(fi for fi in range(len(self.fields)) for _ in _FIELD_ROLES))
 
     def begin(self, fi):
         return 1 + 4 * fi
@@ -57,29 +62,18 @@ class TagSpace:
     def single(self, fi):
         return 4 + 4 * fi
 
-    def role(self, tag):
-        if tag == 0:
-            return ROLE_BACKGROUND
-        return _FIELD_ROLES[(tag - 1) % 4]
-
-    def field_index(self, tag):
-        """Index of the tag's field, or None for the background tag."""
-        if tag == 0:
-            return None
-        return (tag - 1) // 4
-
     def allows_follow(self, prev_tag, cur_tag):
         """Structural rule: inside/end of a field needs begin/inside of it before."""
         if cur_tag == 0:
             return True
-        role = self.role(cur_tag)
+        role = self.role_of[cur_tag]
         if role in (ROLE_BEGIN, ROLE_SINGLE):
             return True
-        fi = self.field_index(cur_tag)
+        fi = self.field_index_of[cur_tag]
         return prev_tag in (self.begin(fi), self.inside(fi))
 
     def allows_initial(self, tag):
-        return tag == 0 or self.role(tag) in (ROLE_BEGIN, ROLE_SINGLE)
+        return tag == 0 or self.role_of[tag] in (ROLE_BEGIN, ROLE_SINGLE)
 
 
 class Cpt:
@@ -154,7 +148,7 @@ class BienModel:
         self.next_lt = np.full((self.lt_card, self.tags.size), LT_NONE)
         if self.memory:
             for tag in range(self.tags.size):
-                fi = self.tags.field_index(tag)
+                fi = self.tags.field_index_of[tag]
                 self.next_lt[:, tag] = np.arange(self.lt_card) if fi is None else fi + 1
         self.next_lt.flags.writeable = False
         self.cpts = {}

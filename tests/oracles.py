@@ -24,6 +24,11 @@ lowercased surface against the four time patterns one by one, the
 longhand form of the semantic feature's single alternation.
 ``assemble_slots_reference`` is the branch-per-role version of
 ``assemble_slots``, and ``tag_name`` writes a tag as its role and field.
+``score_documents_reference`` is the package's earlier per-field tally
+of ``score_documents``, building every filler with ``slot_filler``.
+``case_feature``, ``length_feature`` and ``lemmatise`` are the
+per-type forms of the case class, the length bucket and the lemma, which
+the package computes a table at a time.
 ``tag_spans_reference`` maps tag pairs to tokens by scanning every token
 for every pair, the longhand form of the bisection in
 ``parse_tagged_document``. ``tokenize_reference`` splits and classifies
@@ -59,6 +64,7 @@ from bien.errors import (
     NumericError,
     ZeroProbabilityEvidence,
 )
+from bien.evaluation import FieldScore
 from bien.features import (
     CASES,
     CHUNKS,
@@ -68,10 +74,7 @@ from bien.features import (
     MASKED,
     POS_CLUSTERS,
     SEMANTIC,
-    case_feature,
     chunk_flatten,
-    lemmatise,
-    length_feature,
     mask_columns,
     pos_cluster,
     semantic_feature,
@@ -381,9 +384,7 @@ class PaddedLogBatch:
         # last-target memory after each token, deterministic given gold tags
         lt = np.zeros((D, Tmax), dtype=np.int64)
         running = np.zeros(D, dtype=np.int64)
-        fi_of = np.array(
-            [-1] + [model.tags.field_index(t) for t in range(1, model.tags.size)]
-        )
+        fi_of = np.array([-1, *model.tags.field_index_of[1:]])
         for t in range(Tmax):
             tag_fi = fi_of[self.g[:, t]]
             if model.memory:
@@ -617,10 +618,10 @@ def viterbi_reference(chain, evidence):
 def tag_name(tag_space, tag):
     """A tag as text: ``background``, or its role and field, such as
     ``begin:speaker``."""
-    fi = tag_space.field_index(tag)
+    fi = tag_space.field_index_of[tag]
     if fi is None:
         return ROLE_BACKGROUND
-    return f"{tag_space.role(tag)}:{tag_space.fields[fi]}"
+    return f"{tag_space.role_of[tag]}:{tag_space.fields[fi]}"
 
 
 def assemble_slots_reference(tag_seq, tag_space):
@@ -636,8 +637,8 @@ def assemble_slots_reference(tag_seq, tag_space):
         spans.append(TagSpan(tag_space.fields[fi], start, upto))
 
     for t, tag in enumerate(np.asarray(tag_seq).tolist()):
-        role = tag_space.role(tag)
-        fi = tag_space.field_index(tag)
+        role = tag_space.role_of[tag]
+        fi = tag_space.field_index_of[tag]
         if role == ROLE_BACKGROUND:
             if open_run is not None:
                 close(t - 1)
@@ -678,7 +679,45 @@ def assemble_slots_reference(tag_seq, tag_space):
     return spans, diagnostics
 
 
-def _gazetteer_id(gazetteer, token):
+def case_feature(surface):
+    """A surface's case class, from its letters (``str.isalpha``):
+    NA without one, UpperInitial for a capital followed by lowercase
+    letters only (a single capital too), AllCaps, Lower, else Mixed."""
+    letters = [c for c in surface if c.isalpha()]
+    if not letters:
+        return "NA"
+    if letters[0].isupper() and all(c.islower() for c in letters[1:]):
+        return "UpperInitial"
+    if all(c.isupper() for c in letters):
+        return "AllCaps"
+    if all(c.islower() for c in letters):
+        return "Lower"
+    return "Mixed"
+
+
+def length_feature(surface):
+    """A surface's length bucket, by comparisons; an empty surface has none."""
+    n = len(surface)
+    if n == 0:
+        raise InvalidSpec("an empty surface has no length bucket")
+    if n <= 3:
+        return LENGTH_BUCKETS[n - 1]
+    if n <= 5:
+        return "4-5"
+    if n <= 8:
+        return "6-8"
+    return "9+"
+
+
+def lemmatise(surface, table):
+    """A surface's lemma: its lowercased form looked up in ``table``, else
+    that form itself."""
+    low = surface.lower()
+    return table.get(low, low)
+
+
+def gazetteer_id_reference(gazetteer, token):
+    """A token's id in ``gazetteer``, looked up for that token alone."""
     if token.kind in (KIND_PUNCT, KIND_SYMBOL):
         return gazetteer.naw_id
     got = gazetteer.ids.get(lemmatise(token.surface, gazetteer.lemma_table))
@@ -716,6 +755,40 @@ def build_gazetteer_reference(docs, lemma_table, window=3, min_freq=3, max_size=
             f"no lemma near a gold span reaches frequency {min_freq}"
         )
     return Gazetteer({lem: i + 1 for i, lem in enumerate(kept)}, lemma_table)
+
+
+def slot_filler(doc, span):
+    """A span's filler string: its tokens' surfaces joined by one space."""
+    surfaces = doc.types.surfaces
+    ids = doc.type_ids[span.start_token : span.end_token + 1]
+    return " ".join(surfaces[i] for i in ids.tolist())
+
+
+def score_documents_reference(docs, predictions, fields, mode="slot"):
+    """The package's earlier tally of ``score_documents``, on checked
+    input: per document and field, the gold and predicted spans of the
+    field found by scanning every span, and in slot mode every filler
+    string built (:func:`slot_filler`) before any is compared."""
+    scores = {f: FieldScore() for f in fields}
+    for doc, spans in zip(docs, predictions):
+        for f in fields:
+            gold = [s for s in doc.gold_spans if s.field == f]
+            pred = [s for s in spans if s.field == f]
+            tally = scores[f]
+            if mode == "slot":
+                tally.truth += bool(gold)
+                tally.produced += bool(pred)
+                if gold and pred:
+                    truths = {slot_filler(doc, s) for s in gold}
+                    tally.correct += any(slot_filler(doc, p) in truths for p in pred)
+            else:
+                tally.truth += len(gold)
+                tally.produced += len(pred)
+                gold_keys = {(s.start_token, s.end_token) for s in gold}
+                tally.correct += sum(
+                    1 for s in pred if (s.start_token, s.end_token) in gold_keys
+                )
+    return scores
 
 
 def apply_mask(obs, mask):
@@ -757,7 +830,7 @@ def featurize_reference(doc, gazetteer, lexicons, mask=()):
     chunk_col = doc.column("chunk")
     for t, tok in enumerate(doc.tokens):
         if "lemma" not in mask:
-            out[t, 0] = _gazetteer_id(gazetteer, tok) - 1
+            out[t, 0] = gazetteer_id_reference(gazetteer, tok) - 1
         if "pos" not in mask:
             out[t, 1] = POS_CLUSTERS.index(pos_cluster(pos_col[t]))
         if "chunk" not in mask:

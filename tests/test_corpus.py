@@ -21,6 +21,7 @@ from bien.corpus import (
     DEFAULT_FIELDS,
     ColumnView,
     Document,
+    Numbering,
     SplitPlan,
     TagSpan,
     Token,
@@ -472,13 +473,20 @@ class TestTypeTable:
         assert starts[40:] == [0]
         assert len(table) == 40 and table.id_of("x", "mixed") == 40
 
+    def test_numbering_numbers_new_strings_in_order_of_first_use(self):
+        numbering = Numbering()
+        assert numbering.numbers_of(["b", "a", "b"]).tolist() == [0, 1, 0]
+        got = numbering.numbers_of(["c", "a", "d", "c"])
+        assert got.dtype == np.int32 and got.tolist() == [2, 1, 3, 2]
+        assert numbering.strings == ["b", "a", "c", "d"]
+        assert numbering == {"b": 0, "a": 1, "c": 2, "d": 3}
+        assert numbering.numbers_of([]).tolist() == []
+
     def test_derived_numbers_outlast_their_columns(self):
         table = TypeTable()
 
         def numbers(table, start, suffix):
-            return np.array(
-                [table.derived[s.lower() + suffix] for s in table.surfaces[start:]], dtype=np.int32
-            )
+            return table.derived.numbers_of([s.lower() + suffix for s in table.surfaces[start:]])
 
         for surface in ("Talk", "talk", "Hall"):
             table.id_of(surface, "word")

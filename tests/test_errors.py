@@ -286,6 +286,14 @@ REFUSED = {
         lambda v: Document("x", "", [], None),
         "document gold_spans must be a sequence, not the NoneType None",
     ),
+    # raised an AttributeError reading the span's end
+    "Document-none-gold-span": (
+        lambda v: Document("x", "", [], [None]), "x: a gold span must be a TagSpan, got NoneType"
+    ),
+    "Document-tuple-gold-span": (
+        lambda v: Document("x", "", [], [("speaker", 0, 0)]),
+        "x: a gold span must be a TagSpan, got tuple",
+    ),
     "Document-list-columns": (
         lambda v: Document("x", "", [], (), [("pos", [])]),
         "document columns must be a dict, got list",

@@ -8,13 +8,17 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bien import evaluation, inference, learning
 from bien import features as features_module
 from bien import model as model_module
-from bien.corpus import SplitPlan, TagSpan, parse_tagged_document, parse_tagged_documents, split
+from bien.corpus import Document, SplitPlan, TagSpan, Token, parse_tagged_document
+from bien.corpus import parse_tagged_documents, split
 from bien.errors import InvalidSpec
 from bien.evaluation import (
+    MATCH_MODES,
     FieldScore,
     assemble_slots,
     decode,
@@ -23,7 +27,6 @@ from bien.evaluation import (
     run_ablations,
     run_experiment,
     score_documents,
-    slot_filler,
     ExperimentConfig,
 )
 from bien.features import (
@@ -42,6 +45,8 @@ from oracles import (
     assemble_slots_reference,
     randomize_model,
     sample_example,
+    score_documents_reference,
+    slot_filler,
     viterbi_reference,
 )
 
@@ -286,7 +291,7 @@ class TestScoreDocuments:
         refused, naming the document, before any document is tallied."""
         quiet, _ = parse_tagged_document("no speaker today", "quiet", fields=FIELDS)
         docs = [parse("<speaker>li wu</speaker> presents"), quiet]
-        monkeypatch.setattr(evaluation, "slot_filler", None)  # any slot tally would fail
+        monkeypatch.setattr(evaluation, "FieldScore", None)  # any tally would fail
         not_spans = (
             (None, "a prediction must be a sequence, not the NoneType None"),
             ("speaker", "a prediction must be a sequence, not the str 'speaker'"),
@@ -306,6 +311,111 @@ class TestScoreDocuments:
     def test_slot_filler_surfaces(self):
         doc = parse("meet in <location>wean hall 5409</location> now")
         assert slot_filler(doc, doc.gold_spans[0]) == "wean hall 5409"
+
+
+def tallies(scores):
+    return {f: (s.produced, s.truth, s.correct) for f, s in scores.items()}
+
+
+def assert_same_tallies(docs, predictions, fields=FIELDS):
+    """``score_documents`` tallies as its per-field reference does, in
+    both match modes."""
+    for mode in MATCH_MODES:
+        got = score_documents(docs, predictions, fields, mode=mode)
+        want = score_documents_reference(docs, predictions, fields, mode=mode)
+        assert tallies(got) == tallies(want), mode
+
+
+def hand_built(doc_id, pieces, gold=()):
+    """A document of ``(surface, kind)`` tokens, one space apart."""
+    tokens, at = [], 0
+    for surface, kind in pieces:
+        tokens.append(Token(surface, at, at + len(surface), kind))
+        at += len(surface) + 1
+    return Document(doc_id, " ".join(s for s, _ in pieces), tuple(tokens), tuple(gold))
+
+
+# equal surfaces of different kinds, and a surface that holds a space
+PIECES = (("3", "number"), ("3", "mixed"), ("pm", "word"), ("pm", "symbol"),
+          ("3 pm", "mixed"), ("ann", "word"))
+
+
+@st.composite
+def scored_documents(draw):
+    """Hand-built documents from :data:`PIECES`, gold spans and
+    predictions inside each, some of a field that is not scored."""
+    docs, predictions = [], []
+    for i in range(draw(st.integers(0, 4))):
+        pieces = draw(st.lists(st.sampled_from(PIECES), max_size=6))
+
+        def spans():
+            if not pieces:
+                return []
+            bounds = st.tuples(st.integers(0, len(pieces) - 1), st.integers(0, len(pieces) - 1))
+            drawn = draw(st.lists(
+                st.tuples(st.sampled_from(("speaker", "stime", "other")), bounds), max_size=4
+            ))
+            return [TagSpan(f, min(b), max(b)) for f, b in drawn]
+
+        docs.append(hand_built(f"h{i}", pieces, spans()))
+        predictions.append(spans())
+    return docs, predictions
+
+
+class TestScoreMatchesReference:
+    """The tally of ``score_documents`` equals its reference's, which
+    builds every filler string, where token bounds and fillers agree and
+    where they do not."""
+
+    def test_generated_documents_with_perturbed_predictions(self):
+        docs = generate_corpus(60, 7)
+        rng = np.random.default_rng(0)
+        predictions = []
+        for doc in docs:
+            n, spans = len(doc), []
+            for s in doc.gold_spans:
+                move = rng.integers(5)
+                if move == 1:  # other bounds, maybe the same filler elsewhere
+                    start = int(rng.integers(n))
+                    s = TagSpan(s.field, start, min(n - 1, start + s.end_token - s.start_token))
+                elif move == 2:
+                    s = TagSpan(FIELDS[rng.integers(len(FIELDS))], s.start_token, s.end_token)
+                elif move == 3:
+                    continue
+                spans.append(s)
+            predictions.append(spans)
+        assert_same_tallies(docs, predictions)
+        assert_same_tallies(docs, [doc.gold_spans for doc in docs])
+        assert_same_tallies(docs, [[] for _ in docs])
+
+    def test_equal_surfaces_of_different_kinds(self):
+        # "3 pm" twice: its tokens differ in kind, so in type id, not in filler
+        doc = hand_built(
+            "kinds", [("3", "number"), ("pm", "word"), ("at", "word"), ("3", "mixed"),
+                      ("pm", "symbol")], [TagSpan("stime", 0, 1)]
+        )
+        predictions = [[TagSpan("stime", 3, 4)]]
+        assert_same_tallies([doc], predictions)
+        assert tallies(score_documents([doc], predictions, FIELDS))["stime"] == (1, 1, 1)
+        got = score_documents([doc], predictions, FIELDS, mode="occurrence")
+        assert tallies(got)["stime"] == (1, 1, 0)
+
+    def test_a_surface_that_holds_a_space(self):
+        # one token "3 pm" and two tokens "3", "pm" have one filler
+        doc = hand_built(
+            "space", [("3 pm", "mixed"), ("to", "word"), ("3", "number"), ("pm", "word")],
+            [TagSpan("stime", 0, 0), TagSpan("etime", 2, 3)],
+        )
+        predictions = [[TagSpan("stime", 2, 3), TagSpan("etime", 0, 0)]]
+        assert_same_tallies([doc], predictions)
+        scores = tallies(score_documents([doc], predictions, FIELDS))
+        assert scores["stime"] == scores["etime"] == (1, 1, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scored_documents())
+    def test_hand_built_documents(self, drawn):
+        assert_same_tallies(*drawn)
+        assert_same_tallies(*drawn, fields=("stime", "speaker"))
 
 
 SPEAKER_TEXT = "<speaker>ann blake</speaker> talks"

@@ -1,3 +1,4 @@
+import itertools
 import pickle
 from collections import Counter
 from dataclasses import replace
@@ -9,13 +10,28 @@ from hypothesis import strategies as st
 from oracles import (
     apply_mask,
     build_gazetteer_reference,
+    case_feature,
     featurize_reference,
+    gazetteer_id_reference,
+    lemmatise,
+    length_feature,
     matches_time_reference,
 )
 
 from bien import corpus as corpus_module
 from bien import features, synth
-from bien.corpus import Document, TagSpan, Token, parse_tagged_document
+from bien.corpus import (
+    KIND_MIXED,
+    KIND_NUMBER,
+    KIND_PUNCT,
+    KIND_SYMBOL,
+    KIND_WORD,
+    Document,
+    TagSpan,
+    Token,
+    TypeTable,
+    parse_tagged_document,
+)
 from bien.errors import EmptyCorpus, EmptyVocabulary, InvalidSpec, MissingResource
 from bien.evaluation import ABLATIONS
 from bien.features import (
@@ -29,14 +45,11 @@ from bien.features import (
     Gazetteer,
     LexiconSet,
     build_gazetteer,
-    case_feature,
     chunk_flatten,
     default_lexicons,
     feature_cardinalities,
     featurize,
     featurize_docs,
-    lemmatise,
-    length_feature,
     pos_cluster,
     semantic_feature,
 )
@@ -489,6 +502,106 @@ class TestFeaturizeMatchesReference:
             assert list(vec[:, 0] + 1) == [1, 1, gaz.naw_id, 1]
 
 
+def assert_type_codes_match_reference(table, gazetteer):
+    """Every type's columns of ``table`` (its gazetteer id, semantic, case
+    and length codes, and the strings its lemma numbers stand for) equal
+    the per-type reference functions of its surface and kind."""
+    lexicon = table.column(features._lexicon_codes, LEX)
+    numbers = table.column(features._lemma_numbers, gazetteer.lemma_table)
+    ids = table.column(features._gazetteer_ids, gazetteer)
+    strings = table.derived.strings + [None]  # -1 reads None
+    for k, (surface, kind) in enumerate(zip(table.surfaces, table.kinds)):
+        want = [
+            SEMANTIC.index(semantic_feature(surface, kind, LEX)),
+            CASES.index(case_feature(surface)),
+            LENGTH_BUCKETS.index(length_feature(surface)),
+        ]
+        assert lexicon[k].tolist() == want, (surface, kind)
+        token = Token(surface, 0, len(surface), kind)
+        assert ids[k] == gazetteer_id_reference(gazetteer, token), (surface, kind)
+        lemma = [lemmatise(surface, gazetteer.lemma_table), surface.lower()]
+        if kind in (KIND_PUNCT, KIND_SYMBOL):
+            lemma = [None, None]
+        assert [strings[n] for n in numbers[k].tolist()] == lemma, (surface, kind)
+
+
+def types_of(docs):
+    """The distinct ``(surface, kind)`` types of ``docs``' tokens, in order."""
+    return list(dict.fromkeys((t.surface, t.kind) for doc in docs for t in doc.tokens))
+
+
+def table_of(types, gazetteer, calls=()):
+    """A fresh :class:`TypeTable` of ``types``, its columns for ``gazetteer``
+    and :data:`LEX` read after the first ``calls[0]`` types, again after the
+    next ``calls[1]``, and so on."""
+    table = TypeTable()
+    types = iter(types)
+    for count in calls:
+        for surface, kind in itertools.islice(types, count):
+            table.id_of(surface, kind)
+        table.column(features._type_codes, gazetteer, LEX)
+    for surface, kind in types:
+        table.id_of(surface, kind)
+    return table
+
+
+KINDS = (KIND_WORD, KIND_NUMBER, KIND_PUNCT, KIND_SYMBOL, KIND_MIXED)
+SURFACES = st.one_of(
+    st.text(st.characters(codec="ascii"), min_size=1, max_size=8),
+    st.text("aAzZ09.-İıΣσςßẞǅⒶ東京é", min_size=1, max_size=6),
+    st.text(min_size=1, max_size=6),
+    st.sampled_from(["A", "a", "7", "2024", "McBride", "CMU", "Dr.", "Doctor", "Steals",
+                     "İstanbul", "ΣΟΦΙΑ", "σοφίας", "東京", "x中", "3:30", "Hall"]),
+)
+
+
+class TestTypeCodesMatchReference:
+    """The per-type columns, coded a table at a time, equal the per-type
+    reference functions, and do so however the table was extended."""
+
+    @pytest.mark.parametrize("calls", [(), (1, 1, 1, 40, 200), (1,) * 60])
+    def test_generated_tables(self, calls):
+        docs = generate_corpus(40, 3)
+        gaz = build_gazetteer(docs, LEX.lemma_table)
+        assert_type_codes_match_reference(table_of(types_of(docs), gaz, calls), gaz)
+
+    def test_a_table_extended_one_type_at_a_time_codes_as_one_made_whole(self):
+        docs = generate_corpus(20, 5)
+        types = types_of(docs)
+        gaz = build_gazetteer(docs, LEX.lemma_table)
+        whole, stepped = table_of(types, gaz), table_of(types, gaz, (1,) * len(types))
+        for compute, context in (
+            (features._lexicon_codes, LEX), (features._gazetteer_ids, gaz)
+        ):
+            np.testing.assert_array_equal(
+                stepped.column(compute, context), whole.column(compute, context)
+            )
+
+    def test_surfaces_past_ascii(self):
+        """Code points past Latin-1 are classified once each, in the same
+        pass as ASCII and Latin-1 surfaces."""
+        surfaces = ["İ", "Σ", "ς", "ΣΑΣ", "Σας", "東京", "İstanbul", "ß", "ẞ", "ǅ", "Ⓐ",
+                    "café", "Éa", "a", "A", "7", "McBride"]
+        gaz = Gazetteer({"istanbul": 1, "i̇stanbul": 2, "σας": 3}, LEX.lemma_table)
+        table = table_of([(s, KIND_WORD) for s in surfaces], gaz, (3, 1))
+        assert_type_codes_match_reference(table, gaz)
+        cases = table.column(features._lexicon_codes, LEX)[:, 1]
+        assert [CASES[c] for c in cases[:6]] == [
+            "UpperInitial", "UpperInitial", "Lower", "AllCaps", "UpperInitial", "Mixed"
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(SURFACES, st.sampled_from(KINDS)), max_size=30),
+        st.lists(st.integers(0, 6), max_size=6),
+    )
+    def test_hypothesis_tables(self, types, calls):
+        words = [s.lower() for s, kind in types if kind not in (KIND_PUNCT, KIND_SYMBOL)]
+        vocabulary = list(dict.fromkeys(["talk", *words]))[:4]
+        gaz = Gazetteer({w: i + 1 for i, w in enumerate(vocabulary)}, LEX.lemma_table)
+        assert_type_codes_match_reference(table_of(types, gaz, calls), gaz)
+
+
 def assert_same_gazetteer(docs, **kwargs):
     """build_gazetteer equals its per-token reference, ids in the same order,
     or both raise EmptyVocabulary."""
@@ -576,18 +689,20 @@ class TestNeighbourhoodEdges:
     documents could let spill into the next document."""
 
     def test_span_that_starts_past_its_document(self):
-        # one token, with a span wholly past it, just before a document
-        # whose first token is tagged
-        stray = Document(
-            "a", "seminar", (Token("seminar", 0, 7, "word"),), (TagSpan("speaker", 5, 9),)
-        )
+        # a span wholly past the document's one token is refused when the
+        # document is built, so no neighbourhood is clipped to nothing
+        seminar = (Token("seminar", 0, 7, "word"),)
+        with pytest.raises(InvalidSpec, match=r"^a: gold TagSpan\(.*\) ends past its 1 tokens$"):
+            Document("a", "seminar", seminar, (TagSpan("speaker", 5, 9),))
+        # a span on the last token, just before a document whose first
+        # token is tagged
+        last = Document("a", "seminar", seminar, (TagSpan("speaker", 0, 0),))
         tagged = parse_tagged_document("<speaker>talk</speaker> hall hall", doc_id="b")[0]
-        docs = [stray, tagged]
+        docs = [last, tagged]
         for window in range(8):
             assert_same_gazetteer(docs, window=window, min_freq=1)
-        assert build_gazetteer(docs, LEX.lemma_table, window=0, min_freq=1).ids == {"talk": 1}
-        # at window 5 the span's neighbourhood reaches the stray token
-        assert "seminar" in build_gazetteer(docs, LEX.lemma_table, window=5, min_freq=1).ids
+        ids = build_gazetteer(docs, LEX.lemma_table, window=0, min_freq=1).ids
+        assert ids == {"seminar": 1, "talk": 2}  # one each, ties alphabetically
 
     def test_window_wider_than_the_document(self):
         docs = [
@@ -601,7 +716,10 @@ class TestNeighbourhoodEdges:
         assert "smith" in ids and "talk" in ids and "the" not in ids
 
     def test_empty_document_with_a_span(self):
-        empty = Document("a", "", (), (TagSpan("speaker", 0, 0),))
+        # refused when built; an empty document without one is read
+        with pytest.raises(InvalidSpec, match=r"^a: gold TagSpan\(.*\) ends past its 0 tokens$"):
+            Document("a", "", (), (TagSpan("speaker", 0, 0),))
+        empty = Document("a", "", ())
         tagged = parse_tagged_document("<speaker>talk</speaker> hall", doc_id="b")[0]
         for window in range(3):
             assert_same_gazetteer([empty, tagged], window=window, min_freq=1)

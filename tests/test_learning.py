@@ -137,12 +137,15 @@ class TestEncodeTags:
             encode_tags(doc, m.tags)
 
     def test_span_past_end_rejected(self):
-        toks = TokenView(*tokenize("a b"))
-        doc = Document("d", "a b", toks, (TagSpan("x", 1, 5),))
+        """The document refuses a gold span that ends at or past its token
+        count, naming itself and the span, so no tag encoding meets one."""
+        for span in (TagSpan("x", 1, 5), TagSpan("x", 2, 2)):
+            message = f"^d: gold {re.escape(str(span))} ends past its 2 tokens$"
+            with pytest.raises(InvalidSpec, match=message):
+                Document("d", "a b", TokenView(*tokenize("a b")), (span,))
+        doc = Document("d", "a b", TokenView(*tokenize("a b")), (TagSpan("x", 1, 1),))
         m = build_model(("x",), OBS)
-        with pytest.raises(InconsistentGold) as exc:
-            encode_tags(doc, m.tags)
-        assert exc.value.doc_id == "d"
+        assert encode_tags(doc, m.tags).tolist() == [0, m.tags.single(0)]
 
 
 def fully_observed_examples(m):

@@ -46,9 +46,19 @@ class TestTagSpace:
 
     def test_roles_and_fields(self):
         tags = TagSpace(FIELDS4)
-        assert tags.role(tags.inside(2)) == "inside"
-        assert tags.fields[tags.field_index(tags.end(1))] == "location"
-        assert tags.field_index(0) is None
+        assert tags.role_of[tags.inside(2)] == "inside"
+        assert tags.fields[tags.field_index_of[tags.end(1)]] == "location"
+        assert tags.field_index_of[0] is None
+
+    @pytest.mark.parametrize("n_fields", [1, 2, 4])
+    def test_role_and_field_tuples_follow_the_layout(self, n_fields):
+        tags = TagSpace(FIELDS4[:n_fields])
+        assert len(tags.role_of) == len(tags.field_index_of) == tags.size
+        assert (tags.role_of[0], tags.field_index_of[0]) == (ROLE_BACKGROUND, None)
+        for fi in range(n_fields):
+            for role in ("begin", "inside", "end", "single"):
+                tag = getattr(tags, role)(fi)
+                assert (tags.role_of[tag], tags.field_index_of[tag]) == (role, fi)
 
     def test_follow_rule(self):
         tags = TagSpace(("a", "b"))
@@ -129,7 +139,7 @@ class TestModelStructure:
         assert m.copy().next_lt is m.next_lt
         for lt in range(m.lt_card):
             for tag in range(tags.size):
-                fi = tags.field_index(tag)
+                fi = tags.field_index_of[tag]
                 if not memory:
                     expect = LT_NONE
                 elif fi is None:
@@ -141,7 +151,7 @@ class TestModelStructure:
         # memory, a field tag only its own field's, and no memory carries 0
         states = []
         for tag in range(tags.size):
-            fi = tags.field_index(tag)
+            fi = tags.field_index_of[tag]
             if not memory:
                 lts = [LT_NONE]
             else:
@@ -280,7 +290,7 @@ class TestCompiledChain:
         chain = compile_chain(small_model())
         tags = chain.model.tags
         for tag, lt, ds in chain.states:
-            fi = tags.field_index(tag)
+            fi = tags.field_index_of[tag]
             if fi is not None:
                 assert lt == fi + 1
 
@@ -291,7 +301,7 @@ class TestCompiledChain:
             finite = np.isfinite(chain.log_init[s])
             if tag == 0:
                 assert finite == (lt == LT_NONE)
-            elif tags.role(tag) in ("begin", "single"):
+            elif tags.role_of[tag] in ("begin", "single"):
                 assert finite
             else:
                 assert not finite
