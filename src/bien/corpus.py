@@ -211,7 +211,6 @@ class Document:
     tokens: TokenView
     gold_spans: tuple[TagSpan, ...] = ()
     columns: dict[str, ColumnView] = field(default_factory=dict)
-    _cache: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_type("document text", self.text, str)
@@ -269,15 +268,21 @@ class Document:
             view = ColumnView(_NA_VALUES, np.zeros(len(self), dtype=np.uint8))
         return view
 
-    def cached(self, key, compute):
-        """``compute()``, computed once per ``key`` and kept on the
-        document. A call that raises keeps nothing."""
-        if self._cache is None:
-            object.__setattr__(self, "_cache", {})
-        got = self._cache.get(key)
-        if got is None:
-            got = self._cache[key] = compute()
-        return got
+
+def side_spans(docs):
+    """The gold spans of the sequence ``docs``, read once for the layers
+    that work a side at a time: ``(lengths, counts, starts, ends,
+    fields)``. ``lengths`` and ``counts`` are int64 arrays of each
+    document's token count and span count; ``starts``, ``ends`` and the
+    tuple ``fields`` give every span's first and last token, numbered in
+    its own document, and its field, the documents' spans one after
+    another in document order and each document's in its gold order."""
+    spans = [span for doc in docs for span in doc.gold_spans]
+    lengths = np.fromiter([len(doc.type_ids) for doc in docs], np.int64, len(docs))
+    counts = np.fromiter([len(doc.gold_spans) for doc in docs], np.int64, len(docs))
+    starts = np.fromiter([span.start_token for span in spans], np.int64, len(spans))
+    ends = np.fromiter([span.end_token for span in spans], np.int64, len(spans))
+    return lengths, counts, starts, ends, tuple(span.field for span in spans)
 
 
 # ---------------------------------------------------------------------------

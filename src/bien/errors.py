@@ -5,10 +5,10 @@ The contract for wrong types. The pipeline's entry points, from
 ``tokenize`` through ``run_ablations``, refuse an argument of a type they
 do not take with :class:`InvalidSpec` naming the argument and the type it
 got, before any work and before any write to state that later calls read
-(the tokenizer's type table with its chunk memo and columns, a
-document's cache). The entry points are ``tokenize``,
-``parse_tagged_documents``, ``parse_tagged_document``,
-``generate_corpus``, ``split``, ``build_gazetteer``, ``featurize``,
+(the tokenizer's type table with its chunk memo and columns). The
+entry points are ``tokenize``, ``parse_tagged_documents``,
+``parse_tagged_document``, ``generate_corpus``, ``split``,
+``build_gazetteer``, ``feature_cardinalities``, ``featurize``,
 ``featurize_docs``, ``build_model``, ``make_examples``, ``pack``,
 ``train``, ``compile_chain``, ``number_observations``, ``viterbi``,
 ``viterbi_batch``, ``decode``, ``decode_batch``, ``score_documents``,

@@ -196,7 +196,7 @@ def score_documents(docs, predictions, fields, mode="slot"):
     not), or that holds a span ending past its document, raises
     :class:`InvalidSpec` naming the document, in either mode, as does
     anything but a sequence for ``docs``, ``predictions`` or ``fields``,
-    and a field that ``fields`` names twice.
+    an empty ``fields`` and a field that ``fields`` names twice.
 
     Each document's gold and predicted spans are grouped by field in one
     pass each. A slot whose predicted and gold spans share their token
@@ -208,6 +208,8 @@ def score_documents(docs, predictions, fields, mode="slot"):
     docs = check_sequence("docs", docs)
     predictions = check_sequence("predictions", predictions)
     fields = check_sequence("fields", fields)
+    if not fields:
+        raise InvalidSpec(f"bad field list {fields!r}")
     for i, f in enumerate(fields):
         if f in fields[:i]:
             raise InvalidSpec(f"fields name {f!r} twice")
@@ -252,6 +254,10 @@ def score_documents(docs, predictions, fields, mode="slot"):
 
 
 def macro_f1(scores):
+    """The mean F1 over the fields of ``scores``; with no field it raises
+    :class:`InvalidSpec`, as :func:`score_documents` does."""
+    if not scores:
+        raise InvalidSpec(f"bad field list {tuple(scores)!r}")
     return float(np.mean([s.f1 for s in scores.values()]))
 
 

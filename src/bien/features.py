@@ -18,7 +18,8 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .corpus import KIND_PUNCT, KIND_SYMBOL, KIND_WORD, NA_VALUE, Document, surface_lengths
+from .corpus import KIND_PUNCT, KIND_SYMBOL, KIND_WORD, NA_VALUE, Document, side_spans
+from .corpus import surface_lengths
 from .errors import EmptyCorpus, EmptyVocabulary, InvalidSpec, MissingResource, check_int
 from .errors import check_sequence, check_type
 from . import resources
@@ -147,13 +148,15 @@ class Gazetteer:
     its lowercased surface, else V+1. :func:`featurize_docs`
     gives each token type its id once per gazetteer, in a column of the
     type's :class:`~bien.corpus.TypeTable`; an equal gazetteer shares that
-    column. A lemma table whose lemmas are not all ``str`` raises
-    :class:`InvalidSpec`.
+    column. A lemma table of ``None`` raises :class:`MissingResource`, and
+    one whose lemmas are not all ``str`` :class:`InvalidSpec`.
     """
 
     def __init__(self, ids, lemma_table):
         if not ids:
             raise EmptyVocabulary("gazetteer has no entries")
+        if lemma_table is None:
+            raise MissingResource("a gazetteer needs a lemma table")
         self.ids = dict(ids)
         self.lemma_table = dict(lemma_table)
         _check_lemmas(self.lemma_table)
@@ -226,19 +229,16 @@ def check_gazetteer_settings(window, min_freq, max_size):
 def _near_gold(group, window):
     """Per token of the ``group``'s documents, concatenated: whether it lies
     within ``window`` tokens of a gold span of its document (span tokens
-    included). A difference array marks every span's neighbourhood, clipped
-    to its document, in one pass; every span lies inside its document
+    included). The spans are read once (:func:`~bien.corpus.side_spans`),
+    and a difference array marks every span's neighbourhood, clipped to its
+    document, in one pass; every span lies inside its document
     (:class:`~bien.corpus.Document` checks it), so no neighbourhood is
     empty."""
-    lengths = np.fromiter((len(doc.type_ids) for doc in group), dtype=np.int64, count=len(group))
+    lengths, counts, starts, stops, _ = side_spans(group)
     ends = np.cumsum(lengths)
-    per_doc = [len(doc.gold_spans) for doc in group]
-    spans = list(itertools.chain.from_iterable(doc.gold_spans for doc in group))
-    first = np.repeat(ends - lengths, per_doc)
-    starts = np.fromiter([s.start_token for s in spans], np.int64, len(spans))
-    stops = np.fromiter([s.end_token for s in spans], np.int64, len(spans))
+    first = np.repeat(ends - lengths, counts)
     lo = first + np.maximum(starts - window, 0)
-    hi = np.minimum(first + stops + window, np.repeat(ends - 1, per_doc))
+    hi = np.minimum(first + stops + window, np.repeat(ends - 1, counts))
     depth = np.bincount(lo, minlength=ends[-1] + 1)
     depth -= np.bincount(hi + 1, minlength=len(depth))
     return np.cumsum(depth, out=depth)[:-1] > 0
@@ -307,7 +307,12 @@ def build_gazetteer(docs, lemma_table, window=3, min_freq=3, max_size=1200):
 # ---------------------------------------------------------------------------
 
 def feature_cardinalities(gazetteer):
-    """The number of codes of each feature, keyed in :data:`FEATURE_NAMES` order."""
+    """The number of codes of each feature, keyed in :data:`FEATURE_NAMES`
+    order. ``None`` for ``gazetteer`` raises :class:`MissingResource`, and
+    anything else but a :class:`Gazetteer` :class:`InvalidSpec`."""
+    if gazetteer is None:
+        raise MissingResource("feature_cardinalities needs a gazetteer")
+    check_type("gazetteer", gazetteer, Gazetteer)
     values = (POS_CLUSTERS, CHUNKS, SEMANTIC, CASES, LENGTH_BUCKETS)
     return dict(zip(FEATURE_NAMES, (gazetteer.cardinality, *map(len, values)), strict=True))
 

@@ -21,10 +21,11 @@ Counts with the segments observed too are the oracles'
 :meth:`~bien.model.Cpt.renormalize`.
 
 A training side moves through featurization and packing as one array:
-:func:`make_examples` featurizes the documents in one pass and stacks
-their tags (:class:`StackedExamples`), and :func:`pack` checks that stack
-against the model with one range check and numbers its rows with no
-per-example restacking. The stack is the one form a side takes: it checks
+:func:`make_examples` featurizes the documents in one pass, encodes their
+tags from the side's gold spans in another (:func:`encode_side_tags`)
+and stacks both (:class:`StackedExamples`), and :func:`pack` checks that
+stack against the model with one range check and numbers its rows with
+no per-example restacking. The stack is the one form a side takes: it checks
 everything that holds for any model once, when it is built.
 
 The packing of the examples (:func:`pack`) is tied to a model structure
@@ -46,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import side_spans
 from .errors import EmptyCorpus, InconsistentGold, InvalidSpec, OverlappingSpans, UnknownField
 from .errors import check_array, check_int, check_sequence, check_type
 # featurize stays importable here for the benchmark's tracer (perfbench/tracing.py)
@@ -151,31 +153,45 @@ class StackedExamples:
             yield TrainExample(doc_id, self.obs[end - n : end], self.tags[end - n : end])
 
 
-def encode_tags(doc, tag_space):
-    """Gold spans to a per-token tag sequence (begin/inside/end/single), as
-    a read-only array of the smallest unsigned type that holds the tag
-    space, kept on the document per field tuple, so that each holdout run
-    reuses it. Invalid spans raise on every call."""
-    return doc.cached((encode_tags, tag_space.fields), lambda: _tag_sequence(doc, tag_space))
+def encode_side_tags(docs, tag_space):
+    """Gold spans to per-token tags (begin/inside/end/single), the tags of
+    ``docs`` one after another, as a read-only array of the smallest
+    unsigned type that holds the tag space.
 
+    Each document's spans are taken in start order, equal starts in gold
+    order. The first document that has a faulty span raises for its first
+    one: :class:`UnknownField` for a field that ``tag_space`` does not
+    model, else :class:`OverlappingSpans` for a start at or before the end
+    of the span before it.
 
-def _tag_sequence(doc, tag_space):
-    T = len(doc.tokens)
-    out = np.zeros(T, dtype=np.min_scalar_type(tag_space.size - 1))
-    prev_end = -1
-    for span in sorted(doc.gold_spans, key=lambda s: s.start_token):
-        if span.field not in tag_space.fields:
-            raise UnknownField(f"{doc.id}: span field {span.field!r} not modeled")
-        if span.start_token <= prev_end:
-            raise OverlappingSpans(f"{doc.id}: spans overlap at token {span.start_token}")
-        fi = tag_space.fields.index(span.field)
-        if span.start_token == span.end_token:
-            out[span.start_token] = tag_space.single(fi)
-        else:
-            out[span.start_token] = tag_space.begin(fi)
-            out[span.start_token + 1 : span.end_token] = tag_space.inside(fi)
-            out[span.end_token] = tag_space.end(fi)
-        prev_end = span.end_token
+    The side's spans are read once (:func:`~bien.corpus.side_spans`) and
+    numbered by their tokens in the side, where every span lies inside its
+    own document's tokens. So one stable sort puts them in start order
+    document by document, and a span overlaps when it starts at or before
+    the end of the span sorted before it. Each span's inside tag is filled
+    over all its tokens from a difference array, then its end tag written
+    at its end and its begin or single tag at its start.
+    """
+    lengths, counts, starts, ends, fields = side_spans(docs)
+    offset = np.repeat(np.cumsum(lengths) - lengths, counts)
+    order = np.argsort(offset + starts, kind="stable")
+    first, last = (offset + starts)[order], (offset + ends)[order]
+    index = {f: k for k, f in enumerate(tag_space.fields)}
+    fi = np.fromiter(map(index.get, fields, itertools.repeat(-1)), np.int64, len(order))[order]
+    bad = fi < 0
+    bad[1:] |= first[1:] <= last[:-1]
+    if bad.any():
+        span = int(order[bad.argmax()])
+        doc_id = docs[int(np.searchsorted(np.cumsum(counts), span, "right"))].id
+        if fields[span] not in index:
+            raise UnknownField(f"{doc_id}: span field {fields[span]!r} not modeled")
+        raise OverlappingSpans(f"{doc_id}: spans overlap at token {starts[span]}")
+    depth = np.zeros(int(lengths.sum()) + 1, np.int64)
+    depth[first] += tag_space.inside(fi)
+    depth[last + 1] -= tag_space.inside(fi)
+    out = np.cumsum(depth[:-1]).astype(np.min_scalar_type(tag_space.size - 1))
+    out[last] = tag_space.end(fi)
+    out[first] = np.where(first < last, tag_space.begin(fi), tag_space.single(fi))
     out.flags.writeable = False
     return out
 
@@ -190,9 +206,10 @@ def make_examples(docs, gazetteer, lexicons, model, mask=()):
     Sorting by id makes the example order, and so training, invariant to
     the order the documents arrive in. The codes are one
     :func:`~bien.features.featurize_docs` pass over the sorted documents,
-    and the tags the documents' kept :func:`encode_tags` arrays, which
-    are of the smallest integer type that holds the tag space,
-    concatenated.
+    and then the tags one :func:`encode_side_tags` pass, of the smallest
+    integer type that holds the tag space. So a fault of featurization
+    raises before a fault of the gold spans, and of those the first
+    document's in id order.
     """
     docs = check_sequence("docs", docs)
     docs = sorted((doc for doc in docs if len(doc.type_ids)), key=lambda doc: doc.id)
@@ -200,7 +217,7 @@ def make_examples(docs, gazetteer, lexicons, model, mask=()):
         raise EmptyCorpus("no non-empty documents to train on")
     check_type("model", model, BienModel)
     obs = featurize_docs(docs, gazetteer, lexicons, mask=mask)
-    tags = np.concatenate([encode_tags(doc, model.tags) for doc in docs])
+    tags = encode_side_tags(docs, model.tags)
     lengths = np.fromiter((len(doc.type_ids) for doc in docs), np.int64, len(docs))
     return StackedExamples(tuple(doc.id for doc in docs), lengths, obs, tags)
 

@@ -24,6 +24,8 @@ lowercased surface against the four time patterns one by one, the
 longhand form of the semantic feature's single alternation.
 ``assemble_slots_reference`` is the branch-per-role version of
 ``assemble_slots``, and ``tag_name`` writes a tag as its role and field.
+``tag_sequence_reference`` is the per-document, span-by-span form of
+``encode_side_tags``.
 ``score_documents_reference`` is the package's earlier per-field tally
 of ``score_documents``, building every filler with ``slot_filler``.
 ``case_feature``, ``length_feature`` and ``lemmatise`` are the
@@ -62,6 +64,8 @@ from bien.errors import (
     InvalidSpec,
     MissingResource,
     NumericError,
+    OverlappingSpans,
+    UnknownField,
     ZeroProbabilityEvidence,
 )
 from bien.evaluation import FieldScore
@@ -622,6 +626,33 @@ def tag_name(tag_space, tag):
     if fi is None:
         return ROLE_BACKGROUND
     return f"{tag_space.role_of[tag]}:{tag_space.fields[fi]}"
+
+
+def tag_sequence_reference(doc, tag_space):
+    """The package's earlier per-document tag encoding: the spans in start
+    order (a stable sort), each checked against the field list and the
+    span before it, then written tag by tag. ``encode_side_tags`` must
+    give the same array, dtype and read-only flag, document by document
+    and on the documents joined, and raise the same error for the same
+    span."""
+    T = len(doc.tokens)
+    out = np.zeros(T, dtype=np.min_scalar_type(tag_space.size - 1))
+    prev_end = -1
+    for span in sorted(doc.gold_spans, key=lambda s: s.start_token):
+        if span.field not in tag_space.fields:
+            raise UnknownField(f"{doc.id}: span field {span.field!r} not modeled")
+        if span.start_token <= prev_end:
+            raise OverlappingSpans(f"{doc.id}: spans overlap at token {span.start_token}")
+        fi = tag_space.fields.index(span.field)
+        if span.start_token == span.end_token:
+            out[span.start_token] = tag_space.single(fi)
+        else:
+            out[span.start_token] = tag_space.begin(fi)
+            out[span.start_token + 1 : span.end_token] = tag_space.inside(fi)
+            out[span.end_token] = tag_space.end(fi)
+        prev_end = span.end_token
+    out.flags.writeable = False
+    return out
 
 
 def assemble_slots_reference(tag_seq, tag_space):

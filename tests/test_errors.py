@@ -32,6 +32,7 @@ from bien.evaluation import (
     score_documents,
 )
 from bien.features import (
+    Gazetteer,
     LexiconSet,
     build_gazetteer,
     default_lexicons,
@@ -87,6 +88,7 @@ def valid_arguments(entry):
         "build_gazetteer": (build_gazetteer, dict(
             docs=docs, lemma_table=lex.lemma_table, window=3, min_freq=3, max_size=1200
         )),
+        "feature_cardinalities": (feature_cardinalities, dict(gazetteer=gaz)),
         "featurize": (featurize, dict(doc=docs[0], gazetteer=gaz, lexicons=lex, mask=())),
         "featurize_docs": (featurize_docs, dict(docs=docs, gazetteer=gaz, lexicons=lex, mask=())),
         "build_model": (build_model, dict(fields=FIELDS, observables=v["cardinalities"])),
@@ -144,6 +146,7 @@ CASES = [
     ("build_gazetteer", "window", {"int"}),
     ("build_gazetteer", "min_freq", {"int"}),
     ("build_gazetteer", "max_size", {"int"}),
+    ("feature_cardinalities", "gazetteer", set()),
     ("featurize", "doc", set()),
     ("featurize", "gazetteer", set()),
     ("featurize", "lexicons", set()),
@@ -331,6 +334,25 @@ def test_a_top_level_argument_of_the_wrong_type_is_refused(case):
     call, message = REFUSED[case]
     with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
         call(valid())
+
+
+# Calls that raised a TypeError or an AttributeError for a resource of
+# ``None``, with the message each now raises.
+MISSING = {
+    "feature_cardinalities-none": (
+        lambda: feature_cardinalities(None), "feature_cardinalities needs a gazetteer"
+    ),
+    "Gazetteer-none-lemma_table": (
+        lambda: Gazetteer({"a": 1}, None), "a gazetteer needs a lemma table"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MISSING)
+def test_a_resource_of_none_is_missing(case):
+    call, message = MISSING[case]
+    with pytest.raises(MissingResource, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class RaggedScores:

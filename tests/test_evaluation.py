@@ -36,7 +36,7 @@ from bien.features import (
     feature_cardinalities,
     featurize,
 )
-from bien.learning import TrainConfig, encode_tags
+from bien.learning import TrainConfig, encode_side_tags
 from bien.model import build_model, compile_chain, number_observations
 from bien.synth import generate_corpus
 
@@ -84,7 +84,7 @@ class TestAssembleSlots:
         space = build_model(FIELDS, {"lemma": 4}).tags
         for text in texts:
             doc, _ = parse_tagged_document(text, "d", fields=FIELDS)
-            tags = encode_tags(doc, space)
+            tags = encode_side_tags([doc], space)
             spans, diag = assemble_slots(tags, space)
             assert sorted(spans, key=lambda s: s.start_token) == sorted(
                 doc.gold_spans, key=lambda s: s.start_token
@@ -307,6 +307,18 @@ class TestScoreDocuments:
             "b": FieldScore(2, 2, 1),   # f1 = 0.5
         }
         npt.assert_allclose(macro_f1(scores), 0.75)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", MATCH_MODES)
+    def test_no_fields_are_refused_with_no_warning(self, mode):
+        """An empty field list scored ``{}``, whose macro F1 was NaN after
+        numpy's "Mean of empty slice" warning; both now refuse it, as
+        ``TagSpace`` does."""
+        doc = parse("<speaker>ann</speaker> talks")
+        with pytest.raises(InvalidSpec, match=r"^bad field list \(\)$"):
+            score_documents([doc], [doc.gold_spans], (), mode=mode)
+        with pytest.raises(InvalidSpec, match=r"^bad field list \(\)$"):
+            macro_f1({})
 
     def test_slot_filler_surfaces(self):
         doc = parse("meet in <location>wean hall 5409</location> now")

@@ -18,6 +18,7 @@ from oracles import (
     sample_corpus,
     stack_examples,
     tag_name,
+    tag_sequence_reference,
 )
 
 from bien import learning
@@ -27,6 +28,7 @@ from bien.errors import (
     EmptyCorpus,
     InconsistentGold,
     InvalidSpec,
+    MissingResource,
     OverlappingSpans,
     UnknownField,
 )
@@ -44,7 +46,7 @@ from bien.learning import (
     TrainExample,
     _apply_jitter,
     _FactoredBatch,
-    encode_tags,
+    encode_side_tags,
     make_examples,
     pack,
     train,
@@ -87,7 +89,7 @@ class TestEncodeTags:
             doc_id="d",
         )
         m = build_model(("speaker", "location", "stime", "etime"), OBS)
-        got = encode_tags(doc, m.tags)
+        got = encode_side_tags([doc], m.tags)
         names = [tag_name(m.tags, t) for t in got]
         assert names == [
             "background", "background",
@@ -99,32 +101,31 @@ class TestEncodeTags:
     def test_adjacent_spans(self):
         doc, _ = parse_tagged_document("<stime>3:30</stime> <stime>4:30</stime>", doc_id="d")
         m = build_model(("stime",), OBS)
-        got = encode_tags(doc, m.tags)
+        got = encode_side_tags([doc], m.tags)
         assert [tag_name(m.tags, t) for t in got] == ["single:stime", "single:stime"]
 
     def test_unknown_field(self):
         doc, _ = parse_tagged_document("<stime>3:30</stime>", doc_id="d")
         m = build_model(("etime",), OBS)
-        for _ in range(2):  # a failed encoding is not kept
+        for _ in range(2):  # raises on every call
             with pytest.raises(UnknownField):
-                encode_tags(doc, m.tags)
+                encode_side_tags([doc], m.tags)
 
     def test_kept_on_the_document_per_field_tuple(self):
         doc, _ = parse_tagged_document("<stime>3:30</stime> talk", doc_id="d")
         one = build_model(("stime",), OBS).tags
         two = build_model(("etime", "stime"), OBS).tags
-        got = encode_tags(doc, one)
-        assert encode_tags(doc, build_model(("stime",), OBS).tags) is got
+        got = encode_side_tags([doc], one)
         assert not got.flags.writeable
-        assert [tag_name(two, t) for t in encode_tags(doc, two)] == ["single:stime", "background"]
-        assert encode_tags(doc, one) is got
+        names = [tag_name(two, t) for t in encode_side_tags([doc], two)]
+        assert names == ["single:stime", "background"]
 
     @pytest.mark.parametrize("n_fields, dtype", [(1, np.uint8), (63, np.uint8), (64, np.uint16)])
     def test_kept_in_the_smallest_type_of_the_tag_space(self, n_fields, dtype):
         fields = ("stime",) + tuple(f"f{k}" for k in range(n_fields - 1))
         doc, _ = parse_tagged_document("talk <stime>3:30</stime>", doc_id="d", fields=fields)
         space = TagSpace(fields)
-        got = encode_tags(doc, space)
+        got = encode_side_tags([doc], space)
         assert got.dtype == dtype and got.tolist() == [0, space.single(0)]
 
     def test_overlap_rejected(self):
@@ -134,7 +135,7 @@ class TestEncodeTags:
         )
         m = build_model(("x",), OBS)
         with pytest.raises(OverlappingSpans):
-            encode_tags(doc, m.tags)
+            encode_side_tags([doc], m.tags)
 
     def test_span_past_end_rejected(self):
         """The document refuses a gold span that ends at or past its token
@@ -145,7 +146,108 @@ class TestEncodeTags:
                 Document("d", "a b", TokenView(*tokenize("a b")), (span,))
         doc = Document("d", "a b", TokenView(*tokenize("a b")), (TagSpan("x", 1, 1),))
         m = build_model(("x",), OBS)
-        assert encode_tags(doc, m.tags).tolist() == [0, m.tags.single(0)]
+        assert encode_side_tags([doc], m.tags).tolist() == [0, m.tags.single(0)]
+
+
+def outcome(encode, *args):
+    """What ``encode(*args)`` gives: its tags, dtype and writeable flag, or
+    the type and message of the span fault it raises."""
+    try:
+        tags = encode(*args)
+    except (UnknownField, OverlappingSpans) as fault:
+        return type(fault), str(fault)
+    return tags.tolist(), tags.dtype, tags.flags.writeable
+
+
+def reference_side(docs, tag_space):
+    """The reference :func:`outcome` of a side: its documents' tags
+    joined, or the fault of its first faulty document."""
+    parts = [outcome(tag_sequence_reference, doc, tag_space) for doc in docs]
+    fault = next((part for part in parts if len(part) == 2), None)
+    if fault is not None:
+        return fault
+    tags = [tag for part in parts for tag in part[0]]
+    return tags, np.min_scalar_type(tag_space.size - 1), False
+
+
+UNMODELED = "unmodeled"
+
+
+@st.composite
+def spanned_side(draw, fields):
+    """1-6 documents of 0-12 tokens, their ids shuffled, each with up to 5
+    gold spans of 1-4 tokens in shuffled order. Each span starts -2..2
+    tokens after the one laid before it ends, so spans overlap, are
+    adjacent, share a start or leave gaps; one field in ten is not
+    modeled."""
+    docs = []
+    for k in draw(st.permutations(range(draw(st.integers(1, 6))))):
+        n_tokens = draw(st.integers(0, 12))
+        spans, end = [], -1
+        for _ in range(draw(st.integers(0, 5)) if n_tokens else 0):
+            start = max(end + 1 + draw(st.integers(-2, 2)), 0)
+            if start >= n_tokens:
+                break
+            end = min(start + draw(st.integers(0, 3)), n_tokens - 1)
+            unmodeled = draw(st.integers(0, 9)) == 0
+            spans.append(TagSpan(UNMODELED if unmodeled else draw(st.sampled_from(fields)),
+                                 start, end))
+        text = " ".join(["w"] * n_tokens)
+        spans = draw(st.permutations(spans))
+        docs.append(Document(f"d{k}", text, TokenView(*tokenize(text)), spans))
+    return docs
+
+
+class TestSideTagsAgainstTheReference:
+    """``encode_side_tags`` gives what the per-document reference gives:
+    on each document alone and on a side in id order, the same tags,
+    dtype and read-only flag, or the same fault of the same span."""
+
+    def check(self, docs, tag_space):
+        docs = sorted(docs, key=lambda doc: doc.id)
+        for doc in docs:
+            got = outcome(encode_side_tags, [doc], tag_space)
+            assert got == outcome(tag_sequence_reference, doc, tag_space)
+        assert outcome(encode_side_tags, docs, tag_space) == reference_side(docs, tag_space)
+
+    @pytest.mark.parametrize("n_docs, seed", [(485, 1993), (800, 1994)])
+    @pytest.mark.parametrize("fields", [FIELDS, FIELDS[::2]], ids=["all-fields", "two-fields"])
+    def test_generated_corpora(self, n_docs, seed, fields):
+        self.check(generate_corpus(n_docs, seed), TagSpace(fields))
+
+    @pytest.mark.parametrize("n_fields", [1, 4, 64])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_drawn_sides(self, n_fields, data):
+        fields = tuple(f"f{k}" for k in range(n_fields))
+        self.check(data.draw(spanned_side(fields)), TagSpace(fields))
+
+    def test_equal_starts_keep_their_gold_order_in_a_long_sort(self):
+        """Twenty pairs of spans that share a start, laid last to first: a
+        sort that is not stable names the second span of the first pair."""
+        text = " ".join(["w"] * 20)
+        spans = [TagSpan(f"x{t}{half}", t, t) for t in range(19, -1, -1) for half in "ab"]
+        doc = Document("d", text, TokenView(*tokenize(text)), spans)
+        space = TagSpace(("f0",))
+        self.check([doc], space)
+        with pytest.raises(UnknownField, match="^d: span field 'x0a' not modeled$"):
+            encode_side_tags([doc], space)
+
+    def test_make_examples_featurizes_then_names_the_first_faulty_document_by_id(self):
+        docs = generate_corpus(6, 3)
+        gaz = build_gazetteer(docs, LEX.lemma_table)
+        m = build_model(FIELDS, feature_cardinalities(gaz))
+        toks = TokenView(*tokenize("a b c"))
+        faulty = [
+            Document("zz-unknown", "a b c", toks, (TagSpan(UNMODELED, 0, 0),)),
+            Document(
+                "aa-overlap", "a b c", toks, (TagSpan("speaker", 1, 2), TagSpan("stime", 0, 1))
+            ),
+        ]
+        with pytest.raises(OverlappingSpans, match="^aa-overlap: spans overlap at token 1$"):
+            make_examples(faulty + docs, gaz, LEX, m)
+        with pytest.raises(MissingResource):
+            make_examples(faulty + docs, None, LEX, m)
 
 
 def fully_observed_examples(m):
@@ -901,7 +1003,7 @@ class TestStackedExamples:
         for ex, doc in zip(stacked, docs, strict=True):
             assert ex.doc_id == doc.id
             np.testing.assert_array_equal(ex.obs, featurize(doc, gaz, LEX))
-            np.testing.assert_array_equal(ex.tags, encode_tags(doc, m.tags))
+            np.testing.assert_array_equal(ex.tags, encode_side_tags([doc], m.tags))
 
     @pytest.mark.parametrize("memory", [True, False], ids=["memory", "no-memory"])
     def test_a_stack_and_its_packing_train_alike(self, memory):
