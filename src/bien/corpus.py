@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AlignmentError, InvalidPlan, InvalidSpec, MalformedTag, check_int
-from .errors import check_sequence, check_type
+from .errors import check_array, check_sequence, check_type
 from .resources import load_abbreviations
 
 KIND_WORD = "word"
@@ -129,26 +129,53 @@ class _View(Sequence):
         return f"{type(self).__name__}({list(self)!r})"
 
 
+def _check_codes(what, codes, n):
+    """``codes`` read with :func:`~bien.errors.check_array`, once it is
+    known to be 1-D integers in ``0 .. n - 1``; anything else raises
+    :class:`InvalidSpec` saying ``what`` they are."""
+    rule = f"{what} must be 1-D integers in 0 .. {n - 1}"
+    codes = check_array(rule, codes, lambda a: a.ndim == 1 and a.dtype.kind in "iu")
+    if codes.size and (codes.min() < 0 or codes.max() >= n):
+        raise InvalidSpec(f"{rule}, got {codes.min()} .. {codes.max()}")
+    return codes
+
+
 class TokenView(_View):
     """A document's tokens as a read-only sequence over its columns: the
     :class:`TypeTable` ``types``, and int32 arrays of each token's
     ``type_ids`` and ``starts``. A :class:`Token` is built only for an
     element that is read; a slice is a view too. Equal to any sequence of
-    equal tokens, whatever table the types are in."""
+    equal tokens, whatever table the types are in.
+
+    The columns are checked once, when the view is built, and a slice is
+    not checked again: ``type_ids`` must be 1-D integers in ``0 ..
+    len(types) - 1`` and ``starts`` 1-D integers, else :class:`InvalidSpec`,
+    and of one length, else :class:`AlignmentError`."""
 
     __slots__ = ("types", "type_ids", "starts")
 
     def __init__(self, types, type_ids, starts):
-        if len(type_ids) != len(starts):
-            raise AlignmentError(f"{len(type_ids)} type ids for {len(starts)} starts")
-        self.types, self.type_ids, self.starts = types, type_ids, starts
+        self.type_ids = _check_codes("token type ids", type_ids, len(types))
+        self.starts = check_array("token starts must be 1-D integers", starts,
+                                  lambda a: a.ndim == 1 and a.dtype.kind in "iu")
+        if len(self.type_ids) != len(self.starts):
+            raise AlignmentError(f"{len(self.type_ids)} type ids for {len(self.starts)} starts")
+        self.types = types
+
+    @classmethod
+    def _of(cls, types, type_ids, starts):
+        """A view over columns known to be valid, such as a slice of a
+        checked view's: not checked again."""
+        view = object.__new__(cls)
+        view.types, view.type_ids, view.starts = types, type_ids, starts
+        return view
 
     def __len__(self):
         return len(self.type_ids)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return TokenView(self.types, self.type_ids[i], self.starts[i])
+            return TokenView._of(self.types, self.type_ids[i], self.starts[i])
         n = len(self)
         if not -n <= i < n:
             raise IndexError(f"token index {i} out of range for {n} tokens")
@@ -167,20 +194,46 @@ class ColumnView(_View):
     the tuple ``values`` of its distinct values, and an unsigned-int array
     of each token's ``codes``, an index into ``values``. A value is looked
     up only for an element that is read; a slice is a view too. Equal to
-    any sequence of the same strings, whatever its codes."""
+    any sequence of the same strings, whatever its codes. The codes are
+    checked once, when the view is built, and a slice is not checked
+    again: anything but 1-D integers in ``0 .. len(values) - 1`` raises
+    :class:`InvalidSpec`."""
 
     __slots__ = ("values", "codes")
 
     def __init__(self, values, codes):
-        self.values, self.codes = values, codes
+        self.values, self.codes = values, _check_codes("column codes", codes, len(values))
+
+    @classmethod
+    def _of(cls, values, codes):
+        """A view over columns known to be valid, such as a slice of a
+        checked view's: not checked again."""
+        view = object.__new__(cls)
+        view.values, view.codes = values, codes
+        return view
 
     def __len__(self):
         return len(self.codes)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return ColumnView(self.values, self.codes[i])
+            return ColumnView._of(self.values, self.codes[i])
         return self.values[self.codes[i]]
+
+
+def check_spans(doc_id, role, spans, n_tokens):
+    """The span list ``spans`` of document ``doc_id`` as a tuple
+    (:func:`~bien.errors.check_sequence`), once it is known to hold only
+    :class:`TagSpan` instances that end before the document's ``n_tokens``
+    tokens. Anything else raises :class:`InvalidSpec` naming the document,
+    the ``role`` of the spans (``"gold"`` or ``"predicted"``) and, for a
+    span past the end, the span."""
+    spans = check_sequence(f"{doc_id}: {role} spans", spans)
+    for span in spans:
+        check_type(f"{doc_id}: a {role} span", span, TagSpan)
+        if span.end_token >= n_tokens:
+            raise InvalidSpec(f"{doc_id}: {role} {span} ends past its {n_tokens} tokens")
+    return spans
 
 
 @dataclass(frozen=True)
@@ -197,13 +250,12 @@ class Document:
     text, each token's surface, kind and start, the gold spans and each
     column's values token by token, never type ids or codes: documents
     made on either side of a table restart hold a type under different
-    ids. A text that is not a ``str``, ``tokens`` (unless a
-    :class:`TokenView`) or ``gold_spans`` that are not a sequence
-    (:func:`~bien.errors.check_sequence`), a gold span that is not a
-    :class:`TagSpan` or ends at or past the token count and ``columns``
-    that are not a ``dict`` raise :class:`InvalidSpec`, naming the document
-    (and the span, for one past the end), and a column of the wrong length :class:`AlignmentError`, before any
-    token's type enters the table. The gold spans are kept as a tuple.
+    ids. A text that is not a ``str``, ``tokens`` that are neither a
+    :class:`TokenView` nor a sequence (:func:`~bien.errors.check_sequence`),
+    gold spans that :func:`check_spans` refuses and ``columns`` that are
+    not a ``dict`` raise :class:`InvalidSpec`, and a column of the wrong
+    length :class:`AlignmentError`, before any token's type enters the
+    table. The gold spans are kept as a tuple.
     """
 
     id: str
@@ -217,12 +269,7 @@ class Document:
         tokens = self.tokens
         if not isinstance(tokens, TokenView):
             tokens = check_sequence("document tokens", tokens)
-        spans = check_sequence("document gold_spans", self.gold_spans)
-        n_tokens = len(tokens)
-        for span in spans:
-            check_type(f"{self.id}: a gold span", span, TagSpan)
-            if span.end_token >= n_tokens:
-                raise InvalidSpec(f"{self.id}: gold {span} ends past its {n_tokens} tokens")
+        spans = check_spans(self.id, "gold", self.gold_spans, len(tokens))
         object.__setattr__(self, "gold_spans", spans)
         check_type("document columns", self.columns, dict)
         columns = {}
@@ -235,14 +282,14 @@ class Document:
                 numbering = Numbering()
                 codes = numbering.numbers_of(list(values))
                 dtype = np.min_scalar_type(max(len(numbering) - 1, 0))
-                values = ColumnView(tuple(numbering.strings), codes.astype(dtype))
+                values = ColumnView._of(tuple(numbering.strings), codes.astype(dtype))
             columns[name] = values
         object.__setattr__(self, "columns", columns)
         if not isinstance(tokens, TokenView):
             table = _current_types()
             ids = [table.id_of(t.surface, t.kind) for t in tokens]
             starts = [t.start for t in tokens]
-            view = TokenView(table, np.array(ids, dtype=np.int32), np.array(starts, dtype=np.int32))
+            view = TokenView._of(table, np.array(ids, np.int32), np.array(starts, np.int32))
             object.__setattr__(self, "tokens", view)
 
     def __len__(self):
@@ -265,7 +312,7 @@ class Document:
         """The :class:`ColumnView` of a column, all-NA when absent."""
         view = self.columns.get(name)
         if view is None:
-            view = ColumnView(_NA_VALUES, np.zeros(len(self), dtype=np.uint8))
+            view = ColumnView._of(_NA_VALUES, np.zeros(len(self), dtype=np.uint8))
         return view
 
 
@@ -524,6 +571,21 @@ def _current_types():
     return _types
 
 
+def code_point_classes(text, latin1, classify):
+    """The class of each code point of ``text``, from one pass over its
+    code points: a code point in Latin-1 is looked up in ``latin1``, an
+    array of the 256 classes, and each distinct code point past Latin-1 is
+    classified once, as ``classify`` of its character. The result is an
+    array of ``latin1``'s dtype."""
+    # surrogatepass keeps a lone surrogate as one code point
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    classes = latin1[np.minimum(codes, 255)]
+    wide = codes > 255
+    distinct, at = np.unique(codes[wide], return_inverse=True)
+    classes[wide] = np.array([classify(chr(c)) for c in distinct.tolist()], latin1.dtype)[at]
+    return classes
+
+
 # per Latin-1 code point: 1 where str.isspace() holds, else 0
 _LATIN1_SPACE = bytes(chr(c).isspace() for c in range(256))
 
@@ -531,17 +593,14 @@ _LATIN1_SPACE = bytes(chr(c).isspace() for c in range(256))
 def _chunk_starts(text):
     """The offset of each chunk of ``text.split()``, as int32, from one pass
     over its code points: a chunk starts at a non-whitespace character that
-    opens the text or follows whitespace. Past Latin-1, whitespace is what
-    ``str.isspace()`` says of each distinct code point."""
+    opens the text or follows whitespace. Whitespace is what
+    ``str.isspace()`` says, of each distinct code point past Latin-1
+    (:func:`code_point_classes`); ASCII text takes one ``bytes.translate``."""
     text = " " + text  # so that a chunk that opens the text follows whitespace
     if text.isascii():
         space = np.frombuffer(text.encode("ascii").translate(_LATIN1_SPACE), dtype=np.bool_)
     else:
-        # surrogatepass keeps a lone surrogate as one code point
-        codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-        space = np.frombuffer(_LATIN1_SPACE, dtype=np.bool_)[np.minimum(codes, 255)]
-        wide = np.unique(codes[codes > 255]).tolist()
-        space |= np.isin(codes, [c for c in wide if chr(c).isspace()])
+        space = code_point_classes(text, np.frombuffer(_LATIN1_SPACE, np.bool_), str.isspace)
     return np.flatnonzero(space[:-1] > space[1:]).astype(np.int32)
 
 

@@ -33,20 +33,24 @@ decision and word the refusal:
   dtype and shape the function takes. Nesting that is not one array,
   such as rows of unequal length, is refused too.
 
-Four public classes check in their constructors too: a
+Six public classes check in their constructors too: a
 :class:`~bien.corpus.Token` its surface, a ``str``, and its offsets,
 integers with ``start >= 0``; a :class:`~bien.corpus.TagSpan` its field,
-a ``str``, and its bounds; a :class:`~bien.corpus.Document` its text, a
-``str``, its tokens (unless a :class:`~bien.corpus.TokenView`) and gold
-spans, each a sequence, each gold span, a
-:class:`~bien.corpus.TagSpan` whose end is below the token count (naming
-the document), and its columns, a ``dict``; and a
+a ``str``, and its bounds; a :class:`~bien.corpus.TokenView` its type
+ids and starts, and a :class:`~bien.corpus.ColumnView` its codes, 1-D
+integer arrays read by :func:`check_array`, ids and codes indexing the
+view's table or values, once per view and not again for a slice; a
+:class:`~bien.corpus.Document` its text, a ``str``, its tokens (unless a
+:class:`~bien.corpus.TokenView`), a sequence, its gold spans, as
+:func:`~bien.corpus.check_spans` checks a predicted span list too
+(naming the document), and its columns, a ``dict``; and a
 :class:`~bien.features.LexiconSet` each field against its declared
 type, ``frozenset`` or ``dict``. The two settings classes do not, since
 one function reads each before any work: ``split`` checks a
 :class:`~bien.corpus.SplitPlan`'s fields (with
 :class:`InvalidPlan`), and ``run_experiment`` and ``run_ablations`` an
-:class:`~bien.evaluation.ExperimentConfig`'s.
+:class:`~bien.evaluation.ExperimentConfig`'s, its field list by
+:func:`~bien.model.check_fields` as every reader of a field list does.
 
 A call with more than one wrong argument is refused for one of them.
 Outside the contract:

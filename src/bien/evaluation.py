@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import DEFAULT_FIELDS, SplitPlan, TagSpan, split
+from .corpus import DEFAULT_FIELDS, SplitPlan, TagSpan, check_spans, split
 from .errors import InvalidSpec, check_array, check_int, check_sequence, check_type
 # featurize stays importable here for the benchmark's tracer (perfbench/tracing.py)
 from .features import (  # noqa: F401
@@ -29,6 +29,7 @@ from .model import (
     CompiledChain,
     ObservationRows,
     build_model,
+    check_fields,
     compile_chain,
     number_observations,
 )
@@ -192,11 +193,10 @@ def score_documents(docs, predictions, fields, mode="slot"):
     credited when any predicted filler string matches any gold filler
     string in the document. ``occurrence`` mode counts every span and
     requires exact token boundaries. Before any tally, a prediction that
-    is not a sequence of :class:`~bien.corpus.TagSpan` (a ``str`` is
-    not), or that holds a span ending past its document, raises
-    :class:`InvalidSpec` naming the document, in either mode, as does
-    anything but a sequence for ``docs``, ``predictions`` or ``fields``,
-    an empty ``fields`` and a field that ``fields`` names twice.
+    :func:`~bien.corpus.check_spans` refuses, as a document refuses its
+    gold spans, raises :class:`InvalidSpec` naming the document, in either
+    mode, as do anything but a sequence for ``docs`` or ``predictions``
+    and a field list that :func:`~bien.model.check_fields` refuses.
 
     Each document's gold and predicted spans are grouped by field in one
     pass each. A slot whose predicted and gold spans share their token
@@ -207,25 +207,15 @@ def score_documents(docs, predictions, fields, mode="slot"):
     check_match_mode(mode)
     docs = check_sequence("docs", docs)
     predictions = check_sequence("predictions", predictions)
-    fields = check_sequence("fields", fields)
-    if not fields:
-        raise InvalidSpec(f"bad field list {fields!r}")
-    for i, f in enumerate(fields):
-        if f in fields[:i]:
-            raise InvalidSpec(f"fields name {f!r} twice")
+    fields = check_fields("fields", fields)
     if len(docs) != len(predictions):
         raise InvalidSpec(
             f"{len(docs)} documents but {len(predictions)} prediction lists"
         )
-    checked = []
-    for doc, spans in zip(docs, predictions):
-        spans = check_sequence(f"{doc.id}: a prediction", spans)
-        n_tokens, what = len(doc.type_ids), f"{doc.id}: a predicted span"
-        for span in spans:
-            check_type(what, span, TagSpan)
-            if span.end_token >= n_tokens:
-                raise InvalidSpec(f"{doc.id}: predicted {span} ends past its {n_tokens} tokens")
-        checked.append(_by_field(spans))
+    checked = [
+        _by_field(check_spans(doc.id, "predicted", spans, len(doc.type_ids)))
+        for doc, spans in zip(docs, predictions)
+    ]
     scores = {f: FieldScore() for f in fields}
     for doc, predicted in zip(docs, checked):
         truth = _by_field(doc.gold_spans)
@@ -255,9 +245,9 @@ def score_documents(docs, predictions, fields, mode="slot"):
 
 def macro_f1(scores):
     """The mean F1 over the fields of ``scores``; with no field it raises
-    :class:`InvalidSpec`, as :func:`score_documents` does."""
-    if not scores:
-        raise InvalidSpec(f"bad field list {tuple(scores)!r}")
+    :class:`InvalidSpec`, as :func:`score_documents` does
+    (:func:`~bien.model.check_fields`)."""
+    check_fields("scores", tuple(scores))
     return float(np.mean([s.f1 for s in scores.values()]))
 
 
@@ -401,13 +391,14 @@ def _run_variants(corpus, cfgs, jobs):
     identical for any ``jobs``. Document ids must be unique.
 
     ``corpus`` (a sequence), ``jobs`` (an int >= 1, not a bool), and
-    every config's fields, mask name, match mode and gazetteer setting and
-    the types of its ``plan`` and ``train`` are checked before any work: a
-    bad one raises :class:`InvalidSpec` naming it."""
+    every config's field list (:func:`~bien.model.check_fields`), mask
+    name, match mode and gazetteer setting and the types of its ``plan``
+    and ``train`` are checked before any work: a bad one raises
+    :class:`InvalidSpec` naming it."""
     corpus = check_sequence("corpus", corpus)
     check_int("jobs", jobs, 1)
     cfgs = [
-        replace(c, fields=check_sequence("ExperimentConfig.fields", c.fields),
+        replace(c, fields=check_fields("ExperimentConfig.fields", c.fields),
                 mask=check_sequence("ExperimentConfig.mask", c.mask))
         for c in cfgs
     ]

@@ -19,7 +19,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .corpus import KIND_PUNCT, KIND_SYMBOL, KIND_WORD, NA_VALUE, Document, side_spans
-from .corpus import surface_lengths
+from .corpus import code_point_classes, surface_lengths
 from .errors import EmptyCorpus, EmptyVocabulary, InvalidSpec, MissingResource, check_int
 from .errors import check_sequence, check_type
 from . import resources
@@ -348,20 +348,6 @@ def _letter_case(c):
 _LATIN1_CASE = np.array([_letter_case(chr(c)) for c in range(256)], dtype=np.uint8)
 
 
-def _case_classes(text):
-    """The case class (:func:`_letter_case`) of each code point of
-    ``text``, as uint8, from one pass over its code points: a code point in
-    Latin-1 is looked up in a table, and each distinct code point past
-    Latin-1 is classified once."""
-    # surrogatepass keeps a lone surrogate as one code point
-    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    classes = _LATIN1_CASE[np.minimum(codes, 255)]
-    wide = codes > 255
-    distinct, at = np.unique(codes[wide], return_inverse=True)
-    classes[wide] = np.array([_letter_case(chr(c)) for c in distinct.tolist()], np.uint8)[at]
-    return classes
-
-
 def _case_codes(surfaces, lengths):
     """The case code of each of ``surfaces``, whose lengths are
     ``lengths``, from the case classes of their join: a surface with no
@@ -369,7 +355,7 @@ def _case_codes(surfaces, lengths):
     letters are all lowercase is UpperInitial (a single capital too); then
     AllCaps, Lower, else Mixed. Each surface's letters, capitals and
     lowercase letters are counted by ``np.add.reduceat``."""
-    classes = _case_classes("".join(surfaces))
+    classes = code_point_classes("".join(surfaces), _LATIN1_CASE, _letter_case)
     starts = np.cumsum(lengths) - lengths
     letters, lower, upper = (
         np.add.reduceat(hit, starts, dtype=np.int32)

@@ -52,7 +52,7 @@ from .errors import EmptyCorpus, InconsistentGold, InvalidSpec, OverlappingSpans
 from .errors import check_array, check_int, check_sequence, check_type
 # featurize stays importable here for the benchmark's tracer (perfbench/tracing.py)
 from .features import featurize, featurize_docs  # noqa: F401
-from .model import LT_NONE, BienModel, TimeMajor, check_lengths, distinct_rows
+from .model import LT_NONE, BienModel, TimeMajor, check_lengths, code_slots, distinct_rows
 
 
 @dataclass(frozen=True)
@@ -271,11 +271,6 @@ def _transition_index(model, tags, lengths):
     return trans
 
 
-def _emission_codes(col, card):
-    """Codes of one observation column as int64, masked (-1) ones as ``card``."""
-    return np.take(np.arange(card + 1), col)  # -1 reads the last
-
-
 def _tally(weights, flat, row_of, size):
     """``size`` sums: each token's weight added, in token order, to the cell
     ``flat[row_of[token]]``."""
@@ -357,7 +352,7 @@ class _FactoredBatch:
             len(trans),
             itertools.chain(
                 [(trans, n_tags * (1 + n_tags * model.lt_card))],
-                ((_emission_codes(obs[:, k], card), card + 1) for k, _, card in specs),
+                ((code_slots(obs[:, k], card), card + 1) for k, _, card in specs),
             ),
         )
         self.row_of = np.empty_like(row_of)
@@ -366,7 +361,7 @@ class _FactoredBatch:
         # (observable, cardinality, flat emission index)
         self.row_trans = trans[row]
         self.emit = [
-            (name, card, tags[row] * (card + 1) + _emission_codes(obs[row, k], card))
+            (name, card, tags[row] * (card + 1) + code_slots(obs[row, k], card))
             for k, name, card in specs
         ]
         self.structure = _structure(model)

@@ -35,16 +35,29 @@ LT_NONE = 0
 _ROW_TOL = 1e-9
 
 
+def check_fields(name, fields):
+    """The field list ``fields`` as a tuple
+    (:func:`~bien.errors.check_sequence`, naming it ``name``), once it is
+    known to name at least one field and no field twice; anything else
+    raises :class:`InvalidSpec`."""
+    fields = check_sequence(name, fields)
+    if not fields:
+        raise InvalidSpec(f"{name} must name at least one field")
+    for i, f in enumerate(fields):
+        if f in fields[:i]:
+            raise InvalidSpec(f"{name} name {f!r} twice")
+    return fields
+
+
 class TagSpace:
     """The 4F+1 token tags: background plus begin/inside/end/single per field.
 
     ``role_of[tag]`` is a tag's role and ``field_index_of[tag]`` the index
-    of its field, None for the background tag: tuples built once."""
+    of its field, None for the background tag: tuples built once. A field
+    list that :func:`check_fields` refuses raises :class:`InvalidSpec`."""
 
     def __init__(self, fields):
-        self.fields = tuple(fields)
-        if len(set(self.fields)) != len(self.fields) or not self.fields:
-            raise InvalidSpec(f"bad field list {fields!r}")
+        self.fields = check_fields("fields", fields)
         self.size = 1 + 4 * len(self.fields)
         self.background = 0
         self.role_of = (ROLE_BACKGROUND, *_FIELD_ROLES * len(self.fields))
@@ -136,8 +149,8 @@ class BienModel:
     its scores (:meth:`masked`); a fresh model reads them all."""
 
     def __init__(self, fields, observables, memory=True):
-        self.fields = check_sequence("fields", fields)
-        self.tags = TagSpace(self.fields)
+        self.tags = TagSpace(fields)
+        self.fields = self.tags.fields
         self.observables = dict(observables)
         self.mask = ()
         self.memory = bool(memory)
@@ -318,20 +331,26 @@ def number_observations(obs, lengths, cardinalities):
     ``lengths[i]`` rows, as :class:`ObservationRows`. ``obs`` is checked
     once, as one matrix (:func:`check_observations`), and ``lengths`` once
     (:func:`check_lengths`), and ``cardinalities`` must be a sequence
-    (:func:`~bien.errors.check_sequence`) of integers. Only the distinct
-    rows and the row number of each row of the stack are kept, not the
-    stack."""
+    (:func:`~bien.errors.check_sequence`) of integers. Rows are keyed by
+    each code's slot (:func:`code_slots`). Only the distinct rows and the
+    row number of each row of the stack are kept, not the stack."""
     cardinalities = check_array("cardinalities must be a 1-D integer array",
                                 check_sequence("cardinalities", cardinalities),
                                 lambda a: a.ndim == 1 and (not a.size or a.dtype.kind in "iu"))
     obs = check_observations(obs, cardinalities)
     lengths = check_lengths(lengths, len(obs))
-    # a masked (-1) code is digit 0
-    digits = (
-        (obs[:, k].astype(np.int64) + 1, int(card) + 1) for k, card in enumerate(cardinalities)
-    )
+    cards = cardinalities.tolist()
+    digits = ((code_slots(obs[:, k], card), card + 1) for k, card in enumerate(cards))
     row_of, first = distinct_rows(len(obs), digits)
     return ObservationRows(obs[first].astype(np.int64), row_of, lengths)
+
+
+def code_slots(codes, card):
+    """The slot of each of ``codes``, codes of an observable of cardinality
+    ``card``, as int64: a code in ``0 .. card - 1`` is its own slot, and a
+    masked (-1) code is slot ``card``, the zero row that the emission tables
+    of the chain and of EM keep last."""
+    return np.take(np.arange(card + 1), codes)  # -1 reads the last
 
 
 def distinct_rows(n_rows, digits):

@@ -215,6 +215,8 @@ class TestTokenizeMatchesReference:
             WHITESPACE + "Dr." + WHITESPACE + "3:30-5:00" + WHITESPACE,
             "a\ud800b \udfff. (\ud800)\u2029Dr.\ud800",
             "\ud800",
+            "\u2003\u0391\u0398\u0397\u039d\u0391\u3000\u041c\u041e\u0421\u041a\u0412\u0410"
+            "\u2003\u0416\ud800 \u0436\u3000\u03a3\u03b1\u03c2",
         )
         for text in texts:
             assert tokens_of(text) == tokenize_reference(text, ABBREV)
@@ -563,6 +565,52 @@ class TestTokenView:
             assert hand == doc and doc == hand
             np.testing.assert_array_equal(hand.tokens.starts, doc.tokens.starts)
             assert_ids_name_types(hand)
+
+
+def _token_view(type_ids):
+    """A view of the two tokens of "a b" with the given type ids."""
+    table, _, starts = tokenize("a b")
+    return TokenView(table, type_ids, starts)
+
+
+# Views of two tokens built by hand, on which featurize read past a table:
+# numpy's IndexError, TypeError or ValueError, or, for -1, the last type or
+# value.
+BAD_VIEWS = {
+    "last-type-id-past-the-table": lambda: _token_view(np.array([0, 10**6], np.int32)),
+    "pos-code-past-one-value": lambda: ColumnView(("NN",), np.array([0, 5], np.uint8)),
+    "float-type-ids": lambda: _token_view(np.array([0.0, 1.0])),
+    "float-codes": lambda: ColumnView(("NN",), np.array([0.0, 0.0])),
+    "2-D-type-ids": lambda: _token_view(np.zeros((2, 1), np.int32)),
+    "2-D-codes": lambda: ColumnView(("NN",), np.zeros((2, 1), np.uint8)),
+    "type-id-minus-one": lambda: _token_view(np.array([-1, 0], np.int32)),
+    "code-minus-one": lambda: ColumnView(("NN",), np.array([-1, 0], np.int16)),
+}
+
+
+class TestHandBuiltViews:
+    @pytest.mark.parametrize("case", BAD_VIEWS)
+    def test_a_view_of_bad_ids_or_codes_is_refused_when_built(self, case):
+        rule = r"^(token type ids|column codes) must be 1-D integers in 0 \.\. \d+, got "
+        with pytest.raises(InvalidSpec, match=rule):
+            BAD_VIEWS[case]()
+
+    def test_a_slice_of_a_checked_view_is_not_checked_again(self, monkeypatch):
+        tokens, pos = tokens_of("a b"), ColumnView(("NN",), np.zeros(2, np.uint8))
+        monkeypatch.setattr(corpus_module, "_check_codes", None)  # any check would fail
+        assert tokens[1:] == [Token("b", 2, 3, "word")] and pos[1:] == ("NN",)
+        assert isinstance(tokens[1:], TokenView) and isinstance(pos[:1], ColumnView)
+
+    def test_a_block_of_documents_is_checked_once(self, monkeypatch):
+        checked, check = [], corpus_module._check_codes
+        monkeypatch.setattr(
+            corpus_module, "_check_codes", lambda *a: checked.append(a[0]) or check(*a)
+        )
+        parse_tagged_documents(["a b", "<speaker>c</speaker> d", ""], ["x", "y", "z"])
+        assert checked == ["token type ids"]
+        checked.clear()
+        generate_corpus(synth._BLOCK_DOCS + 1, 3)  # two blocks
+        assert checked == ["token type ids", "column codes", "column codes"] * 2
 
 
 class TestEmptyTokensAndSpans:

@@ -287,7 +287,7 @@ REFUSED = {
     # built a document whose gold spans build_gazetteer could not read
     "Document-none-gold_spans": (
         lambda v: Document("x", "", [], None),
-        "document gold_spans must be a sequence, not the NoneType None",
+        "x: gold spans must be a sequence, not the NoneType None",
     ),
     # raised an AttributeError reading the span's end
     "Document-none-gold-span": (

@@ -288,18 +288,24 @@ class TestScoreDocuments:
     def test_a_prediction_that_is_not_a_sequence_of_spans_raises(self, mode, monkeypatch):
         """``None`` would raise a TypeError, a ``str`` an AttributeError
         on its first letter, and a list holding a non-span either; each is
-        refused, naming the document, before any document is tallied."""
+        refused, naming the document, before any document is tallied, in
+        the words a document refuses the same list as its gold spans."""
         quiet, _ = parse_tagged_document("no speaker today", "quiet", fields=FIELDS)
         docs = [parse("<speaker>li wu</speaker> presents"), quiet]
         monkeypatch.setattr(evaluation, "FieldScore", None)  # any tally would fail
         not_spans = (
-            (None, "a prediction must be a sequence, not the NoneType None"),
-            ("speaker", "a prediction must be a sequence, not the str 'speaker'"),
-            ([TagSpan("speaker", 0, 1), (0, 1)], "a predicted span must be a TagSpan, got tuple"),
+            (None, "{} spans must be a sequence, not the NoneType None"),
+            ("speaker", "{} spans must be a sequence, not the str 'speaker'"),
+            ([TagSpan("speaker", 0, 1), (0, 1)], "a {} span must be a TagSpan, got tuple"),
+            ([TagSpan("speaker", 1, 3)], "{} %s ends past its 3 tokens" % TagSpan("speaker", 1, 3)),
         )
         for bad, message in not_spans:
-            with pytest.raises(InvalidSpec, match=f"^quiet: {re.escape(message)}$"):
+            with pytest.raises(InvalidSpec) as predicted:
                 score_documents(docs, [[TagSpan("speaker", 0, 1)], bad], FIELDS, mode=mode)
+            with pytest.raises(InvalidSpec) as gold:
+                replace(quiet, gold_spans=bad)
+            assert str(predicted.value) == "quiet: " + message.format("predicted")
+            assert str(gold.value) == "quiet: " + message.format("gold")
 
     def test_macro_f1(self):
         scores = {
@@ -315,9 +321,9 @@ class TestScoreDocuments:
         numpy's "Mean of empty slice" warning; both now refuse it, as
         ``TagSpace`` does."""
         doc = parse("<speaker>ann</speaker> talks")
-        with pytest.raises(InvalidSpec, match=r"^bad field list \(\)$"):
+        with pytest.raises(InvalidSpec, match="^fields must name at least one field$"):
             score_documents([doc], [doc.gold_spans], (), mode=mode)
-        with pytest.raises(InvalidSpec, match=r"^bad field list \(\)$"):
+        with pytest.raises(InvalidSpec, match="^scores must name at least one field$"):
             macro_f1({})
 
     def test_slot_filler_surfaces(self):
@@ -500,8 +506,9 @@ class TestDecode:
     def test_decode_batch_matches_decode(self, memory, monkeypatch):
         """Byte for byte, on the 42-state chain and the 34-state one, for
         batches longer than one chunk of 32: sampled, with a column masked as
-        an ablation masks it, with every row the same, with every row
-        distinct, and with every third document empty."""
+        an ablation masks it, with that column and every other code of the
+        next masked, with every row the same, with every row distinct, and
+        with every third document empty."""
         monkeypatch.setattr(inference, "_BATCH_DOCS", 32)
         rng = np.random.default_rng(13)
         model = build_model(FIELDS, {"lemma": 1200, "case": 3}, memory=memory)
@@ -513,6 +520,9 @@ class TestDecode:
         masked = [obs.copy() for obs in sampled]
         for obs in masked:
             obs[:, 0] = -1
+        both = [obs.copy() for obs in masked]
+        for obs in both:
+            obs[::2, 1] = -1
         same = [np.broadcast_to(sampled[0][:1], obs.shape).copy() for obs in sampled]
         distinct = [obs.copy() for obs in sampled]
         ends = np.cumsum([len(obs) for obs in distinct])
@@ -520,7 +530,7 @@ class TestDecode:
             obs[:, 0] = np.arange(end - len(obs), end)
         assert len(np.unique(np.concatenate(distinct), axis=0)) == ends[-1]
         empty = [obs if i % 3 else obs[:0] for i, obs in enumerate(sampled)]
-        for obs_list in (sampled, masked, same, distinct, empty):
+        for obs_list in (sampled, masked, both, same, distinct, empty):
             assert len(obs_list) > inference._BATCH_DOCS
             got = decode_matrices(chain, obs_list)
             assert len(got) == len(obs_list)
@@ -1062,10 +1072,11 @@ class TestExperimentProtocol:
     @pytest.mark.parametrize("setting, value", [
         ("gazetteer_window", -5), ("gazetteer_max_size", 0),
         ("gazetteer_min_freq", "3"), ("gazetteer_min_freq", None), ("gazetteer_min_freq", 0),
+        ("fields", ()), ("fields", ("speaker", "location", "speaker")),
     ])
-    def test_bad_gazetteer_setting_raises_before_any_work(self, monkeypatch, setting, value):
+    def test_bad_setting_raises_before_any_work(self, monkeypatch, setting, value):
         def no_work(*args, **kwargs):
-            raise AssertionError("work started before the gazetteer settings were checked")
+            raise AssertionError(f"work started before {setting} was checked")
 
         monkeypatch.setattr(evaluation, "split", no_work)
         monkeypatch.setattr(evaluation, "default_lexicons", no_work)

@@ -578,10 +578,12 @@ class TestTypeCodesMatchReference:
             )
 
     def test_surfaces_past_ascii(self):
-        """Code points past Latin-1 are classified once each, in the same
-        pass as ASCII and Latin-1 surfaces."""
+        """Code points past Latin-1 (Greek and Cyrillic capitals, a lone
+        surrogate) are classified once each, in the same pass as ASCII and
+        Latin-1 surfaces."""
         surfaces = ["İ", "Σ", "ς", "ΣΑΣ", "Σας", "東京", "İstanbul", "ß", "ẞ", "ǅ", "Ⓐ",
-                    "café", "Éa", "a", "A", "7", "McBride"]
+                    "café", "Éa", "a", "A", "7", "McBride", "ΑΘΗΝΑ", "МОСКВА", "Москва",
+                    "Ж\ud800", "\ud800ж", "\ud800"]
         gaz = Gazetteer({"istanbul": 1, "i̇stanbul": 2, "σας": 3}, LEX.lemma_table)
         table = table_of([(s, KIND_WORD) for s in surfaces], gaz, (3, 1))
         assert_type_codes_match_reference(table, gaz)

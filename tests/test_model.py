@@ -84,8 +84,8 @@ class TestTagSpace:
         assert not tags.allows_initial(tags.end(0))
 
     @pytest.mark.parametrize("make, match", [
-        (lambda: TagSpace(()), "bad field list"),
-        (lambda: TagSpace(("x", "x")), "bad field list"),
+        (lambda: TagSpace(()), "^fields must name at least one field$"),
+        (lambda: TagSpace(("x", "x")), "^fields name 'x' twice$"),
     ], ids=["no-fields", "repeated-field"])
     def test_rejects_bad_fields(self, make, match):
         with pytest.raises(InvalidSpec, match=match):
