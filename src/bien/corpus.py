@@ -6,13 +6,15 @@ tokens each pair covered. All offsets refer to the tag-stripped text.
 
 Texts are ingested a block of documents at a time
 (:func:`parse_tagged_documents`; :func:`parse_tagged_document` is a block
-of one): tags are stripped per document, and then one :func:`tokenize`
-call and one bisection of the token bounds serve the whole block, so the
-numpy calls made per block, not per document, set the cost. The
-documents of a block share one type table; the table starts over, when
-full, between blocks and never inside one. There is one tokenizer: every
-entry point keeps the periods of the bundled abbreviations, and each
-table memoizes the chunks it has split with its own ids.
+of one): one regex split strips the tags of the whole block, and then one
+:func:`tokenize` call and one bisection of the token bounds serve it, so
+the calls made per block, not per document, set the cost; only a pair
+that may raise a lint issue, and a block with a malformed document, are
+read one at a time. The documents of a block share one type table; the
+table starts over, when full, between blocks and never inside one. There
+is one tokenizer: every entry point keeps the periods of the bundled
+abbreviations, and each table memoizes the chunks it has split with its
+own ids, splitting a call's new chunks together.
 
 A document holds its tokens as columns: a :class:`TypeTable` of
 ``(surface, kind)`` types, an int32 array of each token's type id and an
@@ -34,7 +36,7 @@ import struct
 import unicodedata
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, count, filterfalse
+from itertools import accumulate, chain, compress, count, filterfalse, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -148,13 +150,15 @@ class TokenView(_View):
     equal tokens, whatever table the types are in.
 
     The columns are checked once, when the view is built, and a slice is
-    not checked again: ``type_ids`` must be 1-D integers in ``0 ..
-    len(types) - 1`` and ``starts`` 1-D integers, else :class:`InvalidSpec`,
-    and of one length, else :class:`AlignmentError`."""
+    not checked again: ``types`` must be a :class:`TypeTable`, ``type_ids``
+    1-D integers in ``0 .. len(types) - 1`` and ``starts`` 1-D integers,
+    else :class:`InvalidSpec`, and the arrays of one length, else
+    :class:`AlignmentError`."""
 
     __slots__ = ("types", "type_ids", "starts")
 
     def __init__(self, types, type_ids, starts):
+        check_type("token types", types, TypeTable)
         self.type_ids = _check_codes("token type ids", type_ids, len(types))
         self.starts = check_array("token starts must be 1-D integers", starts,
                                   lambda a: a.ndim == 1 and a.dtype.kind in "iu")
@@ -194,14 +198,16 @@ class ColumnView(_View):
     the tuple ``values`` of its distinct values, and an unsigned-int array
     of each token's ``codes``, an index into ``values``. A value is looked
     up only for an element that is read; a slice is a view too. Equal to
-    any sequence of the same strings, whatever its codes. The codes are
+    any sequence of the same strings, whatever its codes. The columns are
     checked once, when the view is built, and a slice is not checked
-    again: anything but 1-D integers in ``0 .. len(values) - 1`` raises
+    again: ``values`` that are not a ``tuple``, or codes that are anything
+    but 1-D integers in ``0 .. len(values) - 1``, raise
     :class:`InvalidSpec`."""
 
     __slots__ = ("values", "codes")
 
     def __init__(self, values, codes):
+        check_type("column values", values, tuple)
         self.values, self.codes = values, _check_codes("column codes", codes, len(values))
 
     @classmethod
@@ -287,9 +293,9 @@ class Document:
         object.__setattr__(self, "columns", columns)
         if not isinstance(tokens, TokenView):
             table = _current_types()
-            ids = [table.id_of(t.surface, t.kind) for t in tokens]
-            starts = [t.start for t in tokens]
-            view = TokenView._of(table, np.array(ids, np.int32), np.array(starts, np.int32))
+            ids = table.ids_of([(t.surface, t.kind) for t in tokens])
+            starts = np.array([t.start for t in tokens], np.int32)
+            view = TokenView._of(table, ids, starts)
             object.__setattr__(self, "tokens", view)
 
     def __len__(self):
@@ -445,29 +451,6 @@ class Numbering(dict):
         return np.fromiter(map(self.__getitem__, strings), np.int32, len(strings))
 
 
-class _ChunkMemo(dict):
-    """A :class:`TypeTable`'s chunk memo: ``memo[chunk]`` is the chunk's
-    pieces packed as native int32 pairs, each piece's offset in the chunk
-    and then its type id in the table: bytes, which :func:`tokenize` joins
-    for a whole text and reads as one array. A chunk is split once, with
-    the bundled abbreviations (loaded on the first miss, never at import),
-    and the memo starts over when it holds ``_MEMO_LIMIT`` chunks."""
-
-    def __init__(self, table):
-        self.table = table
-
-    def __missing__(self, chunk):
-        if len(self) >= _MEMO_LIMIT:
-            self.clear()
-        pairs = [
-            x
-            for surface, at in _split_chunk(chunk, load_abbreviations())
-            for x in (at, self.table.id_of(surface, token_kind(surface)))
-        ]
-        packed = self[chunk] = struct.pack(f"={len(pairs)}i", *pairs)
-        return packed
-
-
 class TypeTable:
     """An append-only table of ``(surface, kind)`` token types; a type's id
     is its index.
@@ -477,7 +460,7 @@ class TypeTable:
     extended for new types only.
     ``derived`` numbers strings derived from the types (their lemmas, say)
     for columns that hold such numbers in place of strings.
-    ``chunks`` is the table's own chunk memo (:class:`_ChunkMemo`), so a
+    ``chunks`` is the table's own chunk memo (:meth:`pieces_of`), so a
     table that starts over starts with an empty memo.
     """
 
@@ -487,7 +470,7 @@ class TypeTable:
         self._ids = {}
         self._columns = {}
         self.derived = Numbering()
-        self.chunks = _ChunkMemo(self)
+        self.chunks = {}
 
     def __len__(self):
         return len(self.surfaces)
@@ -495,17 +478,50 @@ class TypeTable:
     def __getstate__(self):
         # a pickled table rebuilds its columns, the numbers they hold and
         # its chunk memo where it is used
-        fresh = {"_columns": {}, "derived": Numbering(), "chunks": _ChunkMemo(self)}
-        return {**self.__dict__, **fresh}
+        return {**self.__dict__, "_columns": {}, "derived": Numbering(), "chunks": {}}
 
-    def id_of(self, surface, kind):
-        key = (surface, kind)
-        got = self._ids.get(key)
-        if got is None:
-            got = self._ids[key] = len(self.surfaces)
-            self.surfaces.append(surface)
-            self.kinds.append(kind)
-        return got
+    def ids_of(self, types):
+        """The id of each of the list ``types`` of ``(surface, kind)``
+        pairs, as an int32 array; the types not yet in the table are added
+        all at once, in order of first use, with no Python call per type."""
+        ids = self._ids
+        new = list(dict.fromkeys(filterfalse(ids.__contains__, types)))
+        ids.update(zip(new, count(len(self.surfaces))))
+        self.surfaces += [surface for surface, _ in new]
+        self.kinds += [kind for _, kind in new]
+        return np.fromiter(map(ids.__getitem__, types), np.int32, len(types))
+
+    def pieces_of(self, chunks):
+        """The pieces of each of the list ``chunks`` packed as native int32
+        pairs, each piece's offset in its chunk and then its type id: bytes,
+        which :func:`tokenize` joins for a whole text and reads as one
+        array. A chunk the memo ``chunks`` holds costs no Python statement.
+        The chunks it does not hold are split together, once each, with the
+        bundled abbreviations (loaded then, never at import), and their new
+        types get ids in order of first use, as if split one at a time. The
+        memo starts over when it would hold more than ``_MEMO_LIMIT`` chunks,
+        and then keeps at most that many of the new ones."""
+        memo = self.chunks
+        new = list(dict.fromkeys(filterfalse(memo.__contains__, chunks)))
+        if new:
+            abbreviations = load_abbreviations()
+            split = [_split_chunk(chunk, abbreviations) for chunk in new]
+            pieces = list(chain.from_iterable(split))
+            surfaces = [surface for surface, _ in pieces]
+            pairs = np.empty((len(pieces), 2), np.int32)
+            pairs[:, 0] = [at for _, at in pieces]
+            pairs[:, 1] = self.ids_of(list(zip(surfaces, map(token_kind, surfaces))))
+            packed = pairs.tobytes()
+            sizes = np.fromiter(map(len, split), np.intp, len(split)) * 8  # 8 bytes a piece
+            ends = np.cumsum(sizes).tolist()
+            fresh = dict(zip(new, map(packed.__getitem__, map(slice, [0, *ends], ends))))
+            if len(memo) + len(fresh) > _MEMO_LIMIT:
+                whole = {**memo, **fresh}
+                memo.clear()
+                memo.update(islice(fresh.items(), _MEMO_LIMIT))
+                return list(map(whole.__getitem__, chunks))
+            memo.update(fresh)
+        return list(map(memo.__getitem__, chunks))
 
     def column(self, compute, *context):
         """The array of ``compute`` over every type. ``compute(table, start,
@@ -633,7 +649,7 @@ def tokenize(text):
     """
     check_type("text", text, str)
     table = _current_types()
-    pieces = list(map(table.chunks.__getitem__, text.split()))
+    pieces = table.pieces_of(text.split())
     flat = np.frombuffer(b"".join(pieces), dtype=np.int32)
     sizes = np.fromiter(map(len, pieces), dtype=np.intp, count=len(pieces))
     starts = np.repeat(_chunk_starts(text), sizes >> 3)  # 8 bytes a piece
@@ -658,35 +674,68 @@ def _malformed(message, raw, pos, doc_id):
     )
 
 
-def _strip_tags(raw, doc_id):
-    """The tag-stripped text of ``raw`` and its tag pairs as ``(field,
-    start, end)`` offsets into that text."""
-    check_type(f"document {doc_id!r}: text", raw, str)
-    pieces = []
-    stripped_len = 0
-    open_tag = None  # (name, stripped_start, raw_pos)
-    char_spans = []
-    last = 0
-    for m in _TAG_RE.finditer(raw):
-        closing, name = m.group(1) == "/", m.group(2)
-        pieces.append(raw[last : m.start()])
-        stripped_len += m.start() - last
-        last = m.end()
-        if not closing:
-            if open_tag is not None:
-                raise _malformed(
-                    f"tag <{name}> opened inside <{open_tag[0]}>", raw, m.start(), doc_id
-                )
-            open_tag = (name, stripped_len, m.start())
-        else:
-            if open_tag is None or open_tag[0] != name:
+def _raise_first_error(raws, doc_ids):
+    """Raise the error of the first of ``raws`` in input order whose text
+    is not a ``str`` (:class:`InvalidSpec`) or whose tags are unmatched or
+    nested (:class:`MalformedTag`), reading one document at a time."""
+    for raw, doc_id in zip(raws, doc_ids):
+        check_type(f"document {doc_id!r}: text", raw, str)
+        open_tag = None  # (name, raw_pos)
+        for m in _TAG_RE.finditer(raw):
+            name = m.group(2)
+            if not m.group(1):
+                if open_tag is not None:
+                    raise _malformed(
+                        f"tag <{name}> opened inside <{open_tag[0]}>", raw, m.start(), doc_id
+                    )
+                open_tag = (name, m.start())
+            elif open_tag is None or open_tag[0] != name:
                 raise _malformed(f"unmatched closing tag </{name}>", raw, m.start(), doc_id)
-            char_spans.append((name, open_tag[1], stripped_len))
-            open_tag = None
-    if open_tag is not None:
-        raise _malformed(f"tag <{open_tag[0]}> never closed", raw, open_tag[2], doc_id)
-    pieces.append(raw[last:])
-    return "".join(pieces), char_spans
+            else:
+                open_tag = None
+        if open_tag is not None:
+            raise _malformed(f"tag <{open_tag[0]}> never closed", raw, open_tag[1], doc_id)
+
+
+def _strip_block(raws, doc_ids):
+    """The block's texts stripped of their tags, from one pass of
+    ``_TAG_RE.split`` over the raw texts joined by ``"\\n"``: ``(text,
+    bases, names, docs, bounds)``. ``text`` is the stripped texts joined by
+    ``"\\n"``, which is whitespace, so that no chunk of it crosses two
+    documents; ``bases`` is an int64 array of each document's first
+    character in it and, last, its length plus one. Each tag pair gives
+    its field in the list ``names``, its document in the int64 array
+    ``docs`` and its start and end in ``text`` as a row of the int64
+    ``(pairs, 2)`` array ``bounds``, in text order.
+
+    A tag cannot hold a ``"\\n"``, so each tag the pass finds lies in one
+    document. When the tags do not alternate opening and closing the same
+    field, or a pair opens in one document and closes in another, or a
+    text is not a ``str``, the documents are read one at a time for the
+    first error in input order (:func:`_raise_first_error`)."""
+    try:
+        parts = _TAG_RE.split("\n".join(raws))
+    except TypeError:  # a text that is not a str
+        _raise_first_error(raws, doc_ids)
+    segments, closing, names = parts[0::3], parts[1::3], parts[2::3]
+    n = len(names)
+    # each tag's offset in the stripped text, and in the raw one
+    at = np.cumsum(np.fromiter(map(len, segments), np.int64, n + 1)[:-1])
+    tag_lengths = np.fromiter(map(len, names), np.int64, n) + 2
+    tag_lengths[1::2] += 1  # the closing tags' "/", once they alternate
+    removed = np.concatenate(([0], np.cumsum(tag_lengths)))
+    raw_at = at + removed[:-1]
+    raw_bases = np.zeros(len(raws) + 1, np.int64)
+    np.cumsum(np.fromiter(map(len, raws), np.int64, len(raws)) + 1, out=raw_bases[1:])
+    docs = np.searchsorted(raw_bases, raw_at, "right") - 1
+    if not (
+        closing == ["", "/"] * (n // 2)
+        and names[0::2] == names[1::2]
+        and np.array_equal(docs[0::2], docs[1::2])
+    ):
+        _raise_first_error(raws, doc_ids)
+    bases = raw_bases - removed[np.searchsorted(raw_at, raw_bases)]
+    return "".join(segments), bases, names[0::2], docs[0::2], at.reshape(-1, 2)
 
 
 class _Parsed(NamedTuple):
@@ -711,46 +760,46 @@ def _parse_block(raws, doc_ids, fields):
     if len(raws) != len(doc_ids):
         raise InvalidSpec(f"{len(raws)} documents for {len(doc_ids)} ids")
     # every document's tags are checked before any text is tokenized
-    stripped = [_strip_tags(raw, doc_id) for raw, doc_id in zip(raws, doc_ids)]
-    texts = [text for text, _ in stripped]
-    # each document's first character in the texts joined by "\n", which is
-    # whitespace, so that no chunk of the joined text crosses two documents
-    bases = list(accumulate((len(text) + 1 for text in texts), initial=0))
-    pairs = [
-        (k, name, base + cs, base + ce)
-        for k, ((_, spans), base) in enumerate(zip(stripped, bases))
-        for name, cs, ce in spans
-    ]
-    table, ids, starts = tokenize("\n".join(texts))
-    bases = np.array(bases, dtype=np.int32)
+    text, bases, names, docs, bounds = _strip_block(raws, doc_ids)
+    table, ids, starts = tokenize(text)
     cuts = np.searchsorted(starts, bases)  # each document's first token
     ends = starts + table.column(surface_lengths)[ids]
     # Tokens are ordered and disjoint, so starts and ends are both sorted,
     # and no token of another document lies between a pair's bounds. In
     # the block's tokens, a pair holds those from in_lo to in_hi wholly
     # and overlaps those from over_lo to over_hi.
-    bounds = np.array([(cs, ce) for *_, cs, ce in pairs], dtype=np.int32).reshape(-1, 2)
-    left = np.searchsorted(starts, bounds, "left").tolist()  # in_lo, over_hi
-    right = np.searchsorted(ends, bounds, "right").tolist()  # over_lo, in_hi
-    starts -= np.repeat(bases[:-1], cuts[1:] - cuts[:-1])
+    in_lo, over_hi = np.searchsorted(starts, bounds, "left").T
+    over_lo, in_hi = np.searchsorted(ends, bounds, "right").T
+    starts -= np.repeat(bases[:-1], np.diff(cuts)).astype(np.int32)
+    # A pair of a known field over at least one token is a gold span. Only
+    # a pair that may raise an issue takes the lint branch: its field is
+    # unknown, it holds no token or more than 15, or it cuts a token.
+    known = np.fromiter(map(fields.__contains__, names), bool, len(names))
+    held = in_hi - in_lo
+    gold = known & (held > 0)
+    lint = ~gold | (held > 15) | (over_lo < in_lo) | (over_hi > in_hi)
+    first = cuts[docs]  # each pair's document's first token
+    spans = list(map(TagSpan, compress(names, gold), (in_lo - first)[gold].tolist(),
+                     (in_hi - 1 - first)[gold].tolist()))
+    span_cuts = np.searchsorted(docs[gold], np.arange(len(raws) + 1)).tolist()
+    texts = map(text.__getitem__, map(slice, bases[:-1].tolist(), (bases[1:] - 1).tolist()))
 
     cuts = cuts.tolist()
-    surfaces = table.surfaces
-    found = [([], []) for _ in texts]
-    for (k, name, _, _), (in_lo, over_hi), (over_lo, in_hi) in zip(pairs, left, right):
-        spans, issues = found[k]
-        doc_id, lo = doc_ids[k], cuts[k]
+    found = [[] for _ in raws]
+    for p in np.flatnonzero(lint).tolist():
+        k, name = int(docs[p]), names[p]
+        issues, doc_id, lo = found[k], doc_ids[k], cuts[k]
         # the token numbers of the document
-        inside = range(in_lo - lo, in_hi - lo)
-        partial = [i for i in range(over_lo - lo, over_hi - lo) if i not in inside]
+        inside = range(in_lo[p] - lo, in_hi[p] - lo)
+        partial = [i for i in range(over_lo[p] - lo, over_hi[p] - lo) if i not in inside]
         # a pair over no token anchors at the next token, clamped to the
         # document's last
         anchor = (inside or partial or [min(inside.start, cuts[k + 1] - lo - 1)])[0]
-        if name not in fields:
+        if not known[p]:
             issues.append(LintIssue(doc_id, anchor, "UNKNOWN_FIELD", f"tag <{name}> dropped"))
             continue
         for i in partial:
-            surface = surfaces[ids[lo + i]]
+            surface = table.surfaces[ids[lo + i]]
             issues.append(
                 LintIssue(
                     doc_id,
@@ -761,17 +810,17 @@ def _parse_block(raws, doc_ids, fields):
             )
         if not inside:
             issues.append(LintIssue(doc_id, anchor, "EMPTY_SPAN", f"<{name}> covers no token"))
-            continue
-        if len(inside) > 15:
+        elif len(inside) > 15:
             issues.append(
                 LintIssue(doc_id, inside[0], "LONG_SPAN", f"<{name}> covers {len(inside)} tokens")
             )
-        spans.append(TagSpan(name, inside[0], inside[-1]))
 
-    parsed = []
-    for doc_id, text, lo, hi, (spans, issues) in zip(doc_ids, texts, cuts, cuts[1:], found):
-        spans.sort(key=lambda s: s.start_token)
-        parsed.append(_Parsed(doc_id, text, lo, hi, tuple(spans), issues))
+    parsed = [
+        _Parsed(doc_id, doc_text, lo, hi, tuple(spans[a:b]), issues)
+        for doc_id, doc_text, lo, hi, a, b, issues in zip(
+            doc_ids, texts, cuts, cuts[1:], span_cuts, span_cuts[1:], found
+        )
+    ]
     return TokenView(table, ids, starts), parsed
 
 
@@ -780,22 +829,28 @@ def parse_tagged_documents(raws, doc_ids, fields=DEFAULT_FIELDS):
     ``raws[k]`` under the id ``doc_ids[k]``, as one block.
 
     Returns a ``(document, lint_issues)`` pair per text, in input order.
-    Tags are stripped from each text, one document at a time; offsets refer
-    to the stripped text. Then the whole block is handled at once: its
-    stripped texts, joined by ``"\\n"``, are tokenized in one
-    :func:`tokenize` call, so its documents share one type table, and every
-    tag pair is mapped to tokens by bisecting the block's token starts and
-    ends; an end is the start plus a per-type surface length. A pair covers
-    the tokens that lie wholly inside it. A tag naming a field outside
-    ``fields`` is dropped and reported as ``UNKNOWN_FIELD``. Misplaced tags
-    in the source are ingested as-is and flagged, never corrected: a token
-    cut by a tag is ``PARTIAL_BOUNDARY``, a pair covering no token is
-    ``EMPTY_SPAN`` (anchored at the next token of its document, else its
-    last) and one covering more than 15 is ``LONG_SPAN``.
+    The whole block is handled at once: one ``re.split`` of its texts,
+    joined by ``"\\n"``, strips every tag and gives each pair's offsets;
+    offsets refer to the stripped text. The stripped texts, joined by
+    ``"\\n"``, are tokenized in one :func:`tokenize` call, so its documents
+    share one type table, and every tag pair is mapped to tokens by
+    bisecting the block's token starts and ends; an end is the start plus a
+    per-type surface length. A pair covers the tokens that lie wholly
+    inside it. A tag naming a field outside ``fields`` is dropped and
+    reported as ``UNKNOWN_FIELD``. Misplaced tags in the source are
+    ingested as-is and flagged, never corrected: a token cut by a tag is
+    ``PARTIAL_BOUNDARY``, a pair covering no token is ``EMPTY_SPAN``
+    (anchored at the next token of its document, else its last) and one
+    covering more than 15 is ``LONG_SPAN``. Which pairs may raise an issue
+    is decided on their bounds in whole-array passes, and only those pairs
+    take a Python loop.
 
     Unmatched or nested tags raise :class:`MalformedTag`, and a text that
     is not a ``str`` :class:`InvalidSpec`, naming the document, for the
-    first such document in input order, before any text is tokenized.
+    first such document in input order, before any text is tokenized; a
+    pair that opens in one text and closes in the next is never closed in
+    the first. Such a block is read again one document at a time to find
+    that document.
     ``raws`` and ``doc_ids`` of different lengths, or anything but a
     sequence (:func:`~bien.errors.check_sequence`) for ``raws``,
     ``doc_ids`` or ``fields``, raise :class:`InvalidSpec`.

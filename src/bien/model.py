@@ -38,12 +38,13 @@ _ROW_TOL = 1e-9
 def check_fields(name, fields):
     """The field list ``fields`` as a tuple
     (:func:`~bien.errors.check_sequence`, naming it ``name``), once it is
-    known to name at least one field and no field twice; anything else
-    raises :class:`InvalidSpec`."""
+    known to name at least one field, each a ``str``, and no field twice;
+    anything else raises :class:`InvalidSpec`."""
     fields = check_sequence(name, fields)
     if not fields:
         raise InvalidSpec(f"{name} must name at least one field")
     for i, f in enumerate(fields):
+        check_type(f"each of {name}", f, str)
         if f in fields[:i]:
             raise InvalidSpec(f"{name} name {f!r} twice")
     return fields

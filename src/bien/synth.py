@@ -89,7 +89,7 @@ class _Pools:
         def coin_names(n, parts):
             out = []
             while len(out) < n:
-                word = "".join(_choice(rng, _SYLLABLES) for _ in range(parts))
+                word = "".join(rng.choice(_SYLLABLES) for _ in range(parts))
                 if 4 <= len(word) <= 10 and word not in known:
                     known.add(word)
                     out.append(word.capitalize())
@@ -105,7 +105,7 @@ class _Pools:
             lasts = lasts or self.lasts
             pairs = []
             while len(pairs) < n:
-                pair = (_choice(rng, firsts), _choice(rng, lasts))
+                pair = (rng.choice(firsts), rng.choice(lasts))
                 if pair[1] not in used:
                     used.add(pair[1])
                     pairs.append(pair)
@@ -140,30 +140,30 @@ class _Pools:
                 self._cast_deck = rng.permutation(len(self.cast))
             first, last = self.cast[self._cast_deck.pop()]
             return first, last, True
-        return (_choice(rng, self.firsts), _choice(rng, self.lasts), False)
+        return (rng.choice(self.firsts), rng.choice(self.lasts), False)
 
     def host(self, rng):
         """A faculty host: first name from the familiar crowd, surname not."""
-        return (_choice(rng, self.cast)[0], _choice(rng, self.host_lasts))
+        return (rng.choice(self.cast)[0], rng.choice(self.host_lasts))
 
     def visitor(self, rng):
         """A collaborator named in the prose: an ordinary name, never seen
         twice and never a tagged speaker."""
-        return (_choice(rng, self.visitor_firsts), _choice(rng, self.visitor_lasts))
+        return (rng.choice(self.visitor_firsts), rng.choice(self.visitor_lasts))
 
     def poster(self, rng):
         draw = rng.random()
         if draw < 0.80:
-            return _choice(rng, self.posters)
+            return rng.choice(self.posters)
         if draw < 0.85:
-            return (_choice(rng, self.firsts), _choice(rng, self.lasts))
-        return (_choice(rng, self.foreign_firsts), _choice(rng, self.foreign_lasts))
+            return (rng.choice(self.firsts), rng.choice(self.lasts))
+        return (rng.choice(self.foreign_firsts), rng.choice(self.foreign_lasts))
 
     def venue(self, rng):
         """Returns (name, recurring?)."""
         if rng.random() < 0.45:
-            return _choice(rng, self.frequent_venues), True
-        return _choice(rng, self.rare_venues), False
+            return rng.choice(self.frequent_venues), True
+        return rng.choice(self.rare_venues), False
 
 
 # Raw 64-bit words fetched from the bit generator at a time. The draws do
@@ -189,6 +189,10 @@ class _Draws:
       nothing drawn at ``n == 1``, else Lemire's multiply-and-reject
       method on 32-bit draws (which, in Python's unbounded ints, is one
       bare 32-bit draw at ``n == 2**32``, as numpy makes);
+    * ``choice(seq)`` is ``seq[below(len(seq))]``, in one method call:
+      the generator draws mostly this way, so its first 32-bit draw is
+      made inline, and only a draw that Lemire's method rejects calls
+      ``_uint32``;
     * ``permutation(n)`` is a Fisher-Yates shuffle of ``range(n)`` whose
       index draws are masked 32-bit draws, redrawn while too large.
     """
@@ -226,6 +230,27 @@ class _Draws:
                 m = self._uint32() * n
         return m >> 32
 
+    def choice(self, seq):
+        n = len(seq)
+        if n == 1:
+            return seq[0]
+        half = self._half
+        if half is None:
+            if not self._words:
+                self._words = self._bits.random_raw(_RAW_BLOCK).tolist()
+                self._words.reverse()
+            word = self._words.pop()
+            self._half = word >> 32
+            m = (word & _MASK32) * n
+        else:
+            self._half = None
+            m = half * n
+        if m & _MASK32 < n:
+            threshold = (1 << 32) % n
+            while m & _MASK32 < threshold:
+                m = self._uint32() * n
+        return seq[m >> 32]
+
     def integers(self, lo, hi):
         return lo + self.below(hi - lo)
 
@@ -240,17 +265,13 @@ class _Draws:
         return out
 
 
-def _choice(rng, seq):
-    return seq[rng.below(len(seq))]
-
-
 def _clock(rng, start=None, offset=0):
     # seminar slots start on the hour or half hour; ends sit 75 or 105
     # minutes later, so the two vocabularies of clock strings recur and
     # stay disjoint
     if start is None:
-        hour = _choice(rng, (10, 11, 12, 1, 2, 3))
-        minute = _choice(rng, (0, 30))
+        hour = rng.choice((10, 11, 12, 1, 2, 3))
+        minute = rng.choice((0, 30))
     else:
         hour, minute = start
         minute += offset
@@ -271,30 +292,30 @@ def _topic(rng, n=None, code_names=()):
     words = []
     for _ in range(n - 1):
         if code_names and rng.random() < 0.12:
-            words.append(_choice(rng, code_names))
+            words.append(rng.choice(code_names))
         else:
-            words.append(_choice(rng, _TOPIC_MODS))
-    words.append(_choice(rng, _TOPIC_HEADS))
+            words.append(rng.choice(_TOPIC_MODS))
+    words.append(rng.choice(_TOPIC_HEADS))
     return " ".join(words)
 
 
 def _core_sentence(rng):
     kind = rng.random()
     if kind < 0.35:
-        return (f"We {_choice(rng, _VERBS)} a {_choice(rng, _ADJS)} "
-                f"{_choice(rng, _NOUNS)} for {_choice(rng, _ADJS)} "
-                f"{_choice(rng, _NOUNS)} construction .")
+        return (f"We {rng.choice(_VERBS)} a {rng.choice(_ADJS)} "
+                f"{rng.choice(_NOUNS)} for {rng.choice(_ADJS)} "
+                f"{rng.choice(_NOUNS)} construction .")
     if kind < 0.6:
-        return (f"The {_choice(rng, _NOUNS)} extends recent work on "
-                f"{_choice(rng, _TOPIC_MODS)} {_choice(rng, _TOPIC_HEADS)} "
-                f"to the {_choice(rng, _NOUNS)} setting .")
+        return (f"The {rng.choice(_NOUNS)} extends recent work on "
+                f"{rng.choice(_TOPIC_MODS)} {rng.choice(_TOPIC_HEADS)} "
+                f"to the {rng.choice(_NOUNS)} setting .")
     if kind < 0.8:
-        return (f"Experiments over a {_choice(rng, _ADJS)} "
-                f"{_choice(rng, _NOUNS)} show that the {_choice(rng, _NOUNS)} "
-                f"is {_choice(rng, _ADJS)} in practice .")
-    return (f"This talk will {_choice(rng, _VERBS)} the "
-            f"{_choice(rng, _ADJS)} {_choice(rng, _NOUNS)} behind a "
-            f"{_choice(rng, _ADJS)} {_choice(rng, _NOUNS)} .")
+        return (f"Experiments over a {rng.choice(_ADJS)} "
+                f"{rng.choice(_NOUNS)} show that the {rng.choice(_NOUNS)} "
+                f"is {rng.choice(_ADJS)} in practice .")
+    return (f"This talk will {rng.choice(_VERBS)} the "
+            f"{rng.choice(_ADJS)} {rng.choice(_NOUNS)} behind a "
+            f"{rng.choice(_ADJS)} {rng.choice(_NOUNS)} .")
 
 
 def _announcement(rng, pools, seq):
@@ -304,13 +325,13 @@ def _announcement(rng, pools, seq):
     has_location = rng.random() >= 0.05
 
     # start/end times share one suffix style per document
-    suffix = _choice(rng, ("p.m.", "pm", "p.m.", "pm", ""))
+    suffix = rng.choice(("p.m.", "pm", "p.m.", "pm", ""))
     with_minutes = rng.random() >= 0.08
     start = _clock(rng)
     stime = _time_string(*start, suffix, with_minutes)
     time_line = f"Time:     <stime>{stime}</stime>"
     if has_etime:
-        end = _clock(rng, start=start, offset=_choice(rng, (75, 105)))
+        end = _clock(rng, start=start, offset=rng.choice((75, 105)))
         etime = _time_string(*end, suffix)
         bare = rng.random() < 0.12 and suffix
         if bare:  # suffix once, on the end time only
@@ -328,25 +349,25 @@ def _announcement(rng, pools, seq):
         # one-off guests get introduced with an honorific; only the
         # recurring faculty cast is familiar enough to appear bare
         if recurring:
-            title = _choice(rng, ("Dr.", "Dr.", "Professor", "", ""))
+            title = rng.choice(("Dr.", "Dr.", "Professor", "", ""))
         else:
-            title = _choice(rng, ("Dr.", "Dr.", "Professor"))
+            title = rng.choice(("Dr.", "Dr.", "Professor"))
         name = f"{title} {first} {last}".strip()
         # a cast member sometimes skips the Who line and is only introduced
         # in the abstract; visiting guests always get a proper header entry
         speaker_in_body = recurring and rng.random() < 0.40
         if not speaker_in_body:
-            key = _choice(rng, ("Who:     ", "Speaker: "))
+            key = rng.choice(("Who:     ", "Speaker: "))
             who_line = f"{key} <speaker>{name}</speaker>"
             if rng.random() < 0.3:
-                who_line += f" , {_choice(rng, _AFFILIATIONS)}"
+                who_line += f" , {rng.choice(_AFFILIATIONS)}"
 
     place_filler = None
     place_line = None
     # some announcements only name the venue in passing, in the prose
     body_only_location = has_location and rng.random() < 0.09
     if has_location and body_only_location:
-        place_filler = _choice(rng, pools.rare_venues)
+        place_filler = rng.choice(pools.rare_venues)
     elif has_location:
         style = rng.random()
         number = f"{rng.integers(1, 80)}{rng.integers(10, 100)}"
@@ -356,9 +377,9 @@ def _announcement(rng, pools, seq):
             if style < 0.25:
                 place_filler = venue
             elif style < 0.60:
-                place_filler = f"{venue} {_choice(rng, _HEADS)} {number}"
+                place_filler = f"{venue} {rng.choice(_HEADS)} {number}"
             elif style < 0.85:
-                place_filler = f"{_choice(rng, _HEADS)} {number}"
+                place_filler = f"{rng.choice(_HEADS)} {number}"
             else:
                 place_filler = f"{venue} {number}"
         else:
@@ -369,9 +390,9 @@ def _announcement(rng, pools, seq):
             elif style < 0.77:
                 place_filler = f"{venue} {number}"
             elif style < 0.82:
-                place_filler = f"{venue} {_choice(rng, _HEADS)}"
+                place_filler = f"{venue} {rng.choice(_HEADS)}"
             else:
-                place_filler = f"{venue} {_choice(rng, _HEADS)} {number}"
+                place_filler = f"{venue} {rng.choice(_HEADS)} {number}"
         place_line = f"Place:    <location>{place_filler}</location>"
 
     # who/where/when line order drives which field tends to come first
@@ -393,15 +414,15 @@ def _announcement(rng, pools, seq):
                      f"Host:     {host_first} {host_last}")
     if rng.random() < 0.30:
         block.insert(rng.integers(0, len(block) + 1),
-                     f"Sponsor:  the {_choice(rng, pools.code_names)} fund")
+                     f"Sponsor:  the {rng.choice(pools.code_names)} fund")
 
     day = rng.integers(1, 29)
-    date = f"{day}-{_choice(rng, _MONTHS)}-1993"
+    date = f"{day}-{rng.choice(_MONTHS)}-1993"
     poster_first, poster_last = pools.poster(rng)
     # posting timestamps use off-grid minutes, so they look like times
     # (and pattern-match as such) without colliding with the recurring
     # seminar-slot vocabulary
-    posted_at = f"{rng.integers(8, 18)}:{_choice(rng, (3, 7, 11, 23, 37, 41, 53, 58)):02d}"
+    posted_at = f"{rng.integers(8, 18)}:{rng.choice((3, 7, 11, 23, 37, 41, 53, 58)):02d}"
     header_lines = [
         f"<{seq}.{rng.integers(0, 10 ** 8)}.announce@cs.cmu.edu>",
         "Type:     cmu.cs.proj.seminar",
@@ -420,14 +441,14 @@ def _announcement(rng, pools, seq):
         # introduced in the abstract itself
         sentences.insert(
             rng.integers(0, len(sentences) + 1),
-            f"<speaker>{name}</speaker> of {_choice(rng, _AFFILIATIONS)} "
-            f"will {_choice(rng, _VERBS)} recent results .",
+            f"<speaker>{name}</speaker> of {rng.choice(_AFFILIATIONS)} "
+            f"will {rng.choice(_VERBS)} recent results .",
         )
     if has_speaker and recurring and rng.random() < 0.35:
         mention = f"{title} {last}".strip() if title else f"{first} {last}"
         sentences.insert(
             rng.integers(0, len(sentences) + 1),
-            f"<speaker>{mention}</speaker> will also {_choice(rng, _VERBS)} "
+            f"<speaker>{mention}</speaker> will also {rng.choice(_VERBS)} "
             f"open problems .",
         )
     if rng.random() < 0.70:
@@ -435,7 +456,7 @@ def _announcement(rng, pools, seq):
         sentences.insert(
             rng.integers(0, len(sentences) + 1),
             f"This is joint work with {f2} {l2} of "
-            f"{_choice(rng, _AFFILIATIONS)} .",
+            f"{rng.choice(_AFFILIATIONS)} .",
         )
     if rng.random() < 0.25:
         sentences.append(f"The talk begins at <stime>{stime}</stime> .")
@@ -443,7 +464,7 @@ def _announcement(rng, pools, seq):
         sentences.append(f"The talk is in <location>{place_filler}</location> .")
     if rng.random() < 0.10:
         sentences.append(f"Refreshments will be served at "
-                         f"{rng.integers(1, 6)}:{_choice(rng, (10, 20, 50)):02d} .")
+                         f"{rng.integers(1, 6)}:{rng.choice((10, 20, 50)):02d} .")
 
     body = f" {_topic(rng, 3)} Seminar\n " + "\n ".join(sentences)
     return header + "\n\n" + body + "\n"

@@ -916,6 +916,21 @@ def tag_spans_reference(doc_id, tokens, char_spans, fields):
     return tuple(spans), issues
 
 
+def strip_tags_reference(raw):
+    """The tag-stripped text of the well-formed ``raw`` and its tag pairs as
+    ``(field, start, end)`` offsets into that text, one tag at a time."""
+    pieces, char_spans, last, opened = [], [], 0, None
+    for m in re.finditer(r"<(/?)([A-Za-z][A-Za-z0-9_-]*)>", raw):
+        pieces.append(raw[last : m.start()])
+        last = m.end()
+        at = sum(map(len, pieces))
+        if m.group(1):
+            char_spans.append((m.group(2), opened, at))
+        else:
+            opened = at
+    return "".join(pieces) + raw[last:], char_spans
+
+
 def tokenize_reference(text, abbreviations=frozenset()):
     """The tokens of ``tokenize`` with no memo, given the bundled
     abbreviations: every whitespace chunk is split and classified on its

@@ -14,7 +14,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import tag_spans_reference, token_kind_reference, tokenize_reference
+from oracles import (
+    strip_tags_reference,
+    tag_spans_reference,
+    token_kind_reference,
+    tokenize_reference,
+)
 
 from bien import corpus as corpus_module, synth
 from bien.corpus import (
@@ -234,12 +239,12 @@ class TestTokenizeMatchesReference:
 
     def test_a_pickled_table_holds_no_memo_entries(self):
         table = TypeTable()
-        pieces = table.chunks["(Dr."]
+        pieces = table.pieces_of(["(Dr."])
         assert table.surfaces == ["(", "Dr."] and list(table.chunks) == ["(Dr."]
         cold = pickle.loads(pickle.dumps(table))
-        assert cold.chunks == {} and cold.chunks.table is cold
-        assert cold.chunks["(Dr."] == pieces  # the same ids, read from the copy
-        assert np.frombuffer(cold.chunks["Li"], np.int32).tolist() == [0, 2]
+        assert cold.chunks == {}
+        assert cold.pieces_of(["(Dr."]) == pieces  # the same ids, read from the copy
+        assert np.frombuffer(cold.pieces_of(["Li"])[0], np.int32).tolist() == [0, 2]
         assert cold.surfaces == ["(", "Dr.", "Li"] and len(table) == 2
 
     @pytest.mark.parametrize(
@@ -325,12 +330,16 @@ DRAW_CALLS = st.lists(
         st.just(("random",)),
         st.tuples(st.just("integers"), st.integers(-(2**31), 2**31), RANGES),
         st.tuples(st.just("permutation"), st.sampled_from([0, 1, 2, 24]) | st.integers(0, 64)),
+        st.tuples(st.just("choice"), st.integers(-(2**31), 2**31), RANGES),
     ),
     max_size=40,
 )
 
 
 def replay(rng, calls):
+    """The draws of ``calls`` from ``rng``; a choice is from ``range(lo, lo
+    + n)``, and numpy's generator makes it as the generator module does
+    with it, as ``seq[rng.integers(0, len(seq))]``."""
     out = []
     for name, *args in calls:
         if name == "random":
@@ -338,6 +347,13 @@ def replay(rng, calls):
         elif name == "integers":
             lo, n = args
             out.append(int(rng.integers(lo, lo + n)))
+        elif name == "choice":
+            lo, n = args
+            seq = range(lo, lo + n)
+            if isinstance(rng, synth._Draws):
+                out.append(rng.choice(seq))
+            else:
+                out.append(seq[int(rng.integers(0, len(seq)))])
         else:
             out.append([int(i) for i in rng.permutation(*args)])
     return out
@@ -354,6 +370,14 @@ class TestDraws:
         1993,
         [("integers", 5, 2**31 + 1)] * 8
         + [("random",), ("integers", 0, 1), ("integers", 0, 2**32)],
+    )
+    # a choice from one item draws nothing; the others take each branch of
+    # the bounded draw, between kept half-words and fresh words
+    @example(
+        7,
+        [("choice", 3, 1), ("choice", 0, 5), ("choice", 0, 1), ("random",), ("choice", 9, 1)]
+        + [("choice", -4, 2**31 + 1)] * 8
+        + [("choice", 0, 2**32), ("integers", 0, 10), ("choice", 0, 2**32 - 1)],
     )
     def test_same_draws_as_the_numpy_generator(self, seed, calls):
         assert replay(synth._Draws(seed), calls) == replay(np.random.default_rng(seed), calls)
@@ -439,7 +463,7 @@ class TestTypeIds:
     def test_ids_are_not_compared_and_must_fit_the_tokens(self):
         doc, _ = parse_tagged_document("a b a", doc_id="d")
         other = TypeTable()
-        ids = np.array([other.id_of(t.surface, t.kind) for t in doc.tokens], dtype=np.int32)
+        ids = other.ids_of([(t.surface, t.kind) for t in doc.tokens])
         again = Document("d", "a b a", TokenView(other, ids, doc.tokens.starts))
         assert again == doc and again.types is not doc.types
         shifted = TokenView(doc.types, doc.type_ids, doc.tokens.starts + 1)
@@ -466,14 +490,13 @@ class TestTypeTable:
             return np.array([len(s) + offset for s in table.surfaces[start:]])
 
         for n in range(1, 41):
-            assert table.id_of("x" * n, "word") == n - 1
-            assert table.id_of("x" * n, "word") == n - 1
+            assert table.ids_of([("x" * n, "word")] * 2).tolist() == [n - 1] * 2
             assert table.column(lengths, 0).tolist() == list(range(1, n + 1))
         assert starts == list(range(40))  # each read computed only the new type
         assert table.column(lengths, 0).tolist() == list(range(1, 41))
         assert table.column(lengths, 1).tolist() == list(range(2, 42))
         assert starts[40:] == [0]
-        assert len(table) == 40 and table.id_of("x", "mixed") == 40
+        assert len(table) == 40 and table.ids_of([("x", "mixed")]).tolist() == [40]
 
     def test_numbering_numbers_new_strings_in_order_of_first_use(self):
         numbering = Numbering()
@@ -490,13 +513,12 @@ class TestTypeTable:
         def numbers(table, start, suffix):
             return table.derived.numbers_of([s.lower() + suffix for s in table.surfaces[start:]])
 
-        for surface in ("Talk", "talk", "Hall"):
-            table.id_of(surface, "word")
+        table.ids_of([("Talk", "word"), ("talk", "word"), ("Hall", "word")])
         first = table.column(numbers, "").tolist()
         assert first == [0, 0, 1]
         assert table.derived.strings == ["talk", "hall"]
         table.column(numbers, "s")  # drops the first context's column
-        table.id_of("HALL", "word")
+        table.ids_of([("HALL", "word")])
         assert table.column(numbers, "").tolist() == first + [1]
         assert table.derived.strings == ["talk", "hall", "talks", "halls"]
         cold = pickle.loads(pickle.dumps(table))
@@ -512,7 +534,7 @@ class TestTypeTable:
             return np.array([len(s) + offset for s in table.surfaces[start:]])
 
         for n in range(1, 21):
-            table.id_of("x" * n, "word")
+            table.ids_of([("x" * n, "word")])
             for _ in range(2):  # a second read of one context computes nothing
                 assert table.column(lengths, 0).tolist() == list(range(1, n + 1))
         assert calls == [(n, 0) for n in range(20)]
@@ -524,7 +546,7 @@ class TestTypeTable:
                 range(1 + offset, 21 + offset)
             )
         assert calls == [(0, 1), (0, 0), (0, 1)]
-        table.id_of("x" * 21, "word")
+        table.ids_of([("x" * 21, "word")])
         assert table.column(lengths, 1).tolist() == list(range(2, 23))
         assert calls[3:] == [(20, 1)]
 
@@ -594,6 +616,19 @@ class TestHandBuiltViews:
         rule = r"^(token type ids|column codes) must be 1-D integers in 0 \.\. \d+, got "
         with pytest.raises(InvalidSpec, match=rule):
             BAD_VIEWS[case]()
+
+    @pytest.mark.parametrize("types", [None, ["a", "b"]], ids=["none", "list"])
+    def test_a_token_view_needs_a_type_table(self, types):
+        _, ids, starts = tokenize("a b")
+        named = re.escape(f"token types must be a TypeTable, got {type(types).__name__}")
+        with pytest.raises(InvalidSpec, match=named):
+            TokenView(types, ids, starts)
+
+    @pytest.mark.parametrize("values", [None, ["NN"], "NN"], ids=["none", "list", "str"])
+    def test_a_column_view_needs_a_tuple_of_values(self, values):
+        named = re.escape(f"column values must be a tuple, got {type(values).__name__}")
+        with pytest.raises(InvalidSpec, match=named):
+            ColumnView(values, np.zeros(2, np.uint8))
 
     def test_a_slice_of_a_checked_view_is_not_checked_again(self, monkeypatch):
         tokens, pos = tokens_of("a b"), ColumnView(("NN",), np.zeros(2, np.uint8))
@@ -792,7 +827,7 @@ class TestParseTaggedDocuments:
             f"<speaker>{long_text}</speaker>",  # long span
             "c <etime>\u3000</etime>\u2028d",  # over a gap of wide whitespace
         ]
-        docs = [(raw, *corpus_module._strip_tags(raw, "r")) for raw in raws]
+        docs = [(raw, *strip_tags_reference(raw)) for raw in raws]
         block = self.check(docs)
         codes = [[(i.code, i.token_index) for i in issues] for _, issues in block]
         assert codes == [
@@ -820,6 +855,74 @@ class TestParseTaggedDocuments:
         assert (got.doc_id, got.line, got.offset) == ("d1", want.line, want.offset) == ("d1", 2, 4)
         with pytest.raises(MalformedTag, match=r"unmatched closing tag </location> \(document 'd2'"):
             parse_tagged_documents(raws[2:], ["d2"])
+
+    def first_error_alone(self, raws, ids):
+        """The error of the first text in input order that fails to parse
+        alone, with what it says, or None."""
+        for raw, doc_id in zip(raws, ids):
+            try:
+                parse_tagged_document(raw, doc_id)
+            except (MalformedTag, InvalidSpec) as alone:
+                return alone
+        return None
+
+    def assert_same_error_as_alone(self, raws):
+        ids = [f"d{k}" for k in range(len(raws))]
+        want = self.first_error_alone(raws, ids)
+        assert want is not None
+        with pytest.raises(type(want)) as got:
+            parse_tagged_documents(raws, ids)
+        assert str(got.value) == str(want)
+        if isinstance(want, MalformedTag):
+            assert (got.value.doc_id, got.value.line, got.value.offset) == (
+                want.doc_id, want.line, want.offset
+            )
+        return got.value
+
+    def test_a_pair_that_crosses_two_documents_is_never_closed_in_the_first(self):
+        got = self.assert_same_error_as_alone(["a <speaker>Dr. Who", "x</speaker> b", "c"])
+        assert str(got) == "tag <speaker> never closed (document 'd0', line 1)"
+        got = self.assert_same_error_as_alone(["ok", "a\n<stime>3", "</stime>", "<stime>4</stime>"])
+        assert (got.doc_id, got.line) == ("d1", 2)
+
+    @pytest.mark.parametrize(
+        "raws, kind, doc_id",
+        [
+            (["a <speaker>b", 7], MalformedTag, "d0"),
+            ([7, "a <speaker>b"], InvalidSpec, "d0"),
+            (["fine", "</stime> x", None], MalformedTag, "d1"),
+            (["fine", None, "</stime> x"], InvalidSpec, "d1"),
+        ],
+        ids=["malformed-then-int", "int-then-malformed", "unmatched-then-none", "none-then-unmatched"],
+    )
+    def test_the_first_bad_document_in_input_order_raises(self, raws, kind, doc_id):
+        got = self.assert_same_error_as_alone(raws)
+        assert isinstance(got, kind) and f"document {doc_id!r}" in str(got)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.sampled_from(("<stime>", "</stime>", "<speaker>", "</speaker>", "<x>", "</x>"))
+                | WORDS
+                | st.sampled_from((" ", "\n", "\u2028")),
+                max_size=8,
+            ).map("".join)
+            | st.sampled_from((None, 7)),
+            max_size=5,
+        )
+    )
+    @example(["a <stime>b", "c</stime>"])
+    @example(["<stime>", "</stime>", "<stime></stime>"])
+    def test_a_block_fails_or_parses_as_its_documents_alone(self, raws):
+        ids = [f"d{k}" for k in range(len(raws))]
+        if self.first_error_alone(raws, ids) is not None:
+            self.assert_same_error_as_alone(raws)
+            return
+        block = parse_tagged_documents(raws, ids)
+        for (doc, issues), raw, doc_id in zip(block, raws, ids):
+            alone, alone_issues = parse_tagged_document(raw, doc_id)
+            assert doc == alone and issues == alone_issues
 
     @pytest.mark.parametrize("raw", [7, b"<stime>3</stime>", None], ids=["int", "bytes", "none"])
     def test_text_that_is_not_a_str_raises_before_tokenizing(self, monkeypatch, raw):

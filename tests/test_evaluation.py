@@ -1072,7 +1072,7 @@ class TestExperimentProtocol:
     @pytest.mark.parametrize("setting, value", [
         ("gazetteer_window", -5), ("gazetteer_max_size", 0),
         ("gazetteer_min_freq", "3"), ("gazetteer_min_freq", None), ("gazetteer_min_freq", 0),
-        ("fields", ()), ("fields", ("speaker", "location", "speaker")),
+        ("fields", ()), ("fields", ("speaker", "location", "speaker")), ("fields", (1, 2)),
     ])
     def test_bad_setting_raises_before_any_work(self, monkeypatch, setting, value):
         def no_work(*args, **kwargs):

@@ -537,11 +537,9 @@ def table_of(types, gazetteer, calls=()):
     table = TypeTable()
     types = iter(types)
     for count in calls:
-        for surface, kind in itertools.islice(types, count):
-            table.id_of(surface, kind)
+        table.ids_of(list(itertools.islice(types, count)))
         table.column(features._type_codes, gazetteer, LEX)
-    for surface, kind in types:
-        table.id_of(surface, kind)
+    table.ids_of(list(types))
     return table
 
 

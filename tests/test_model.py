@@ -86,7 +86,8 @@ class TestTagSpace:
     @pytest.mark.parametrize("make, match", [
         (lambda: TagSpace(()), "^fields must name at least one field$"),
         (lambda: TagSpace(("x", "x")), "^fields name 'x' twice$"),
-    ], ids=["no-fields", "repeated-field"])
+        (lambda: TagSpace(("x", 1)), "^each of fields must be a str, got int$"),
+    ], ids=["no-fields", "repeated-field", "field-not-a-str"])
     def test_rejects_bad_fields(self, make, match):
         with pytest.raises(InvalidSpec, match=match):
             make()
