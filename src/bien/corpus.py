@@ -32,11 +32,10 @@ from __future__ import annotations
 import numbers
 import operator
 import re
-import struct
 import unicodedata
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, count, filterfalse, islice
+from itertools import chain, compress, count, filterfalse, islice
 from typing import NamedTuple
 
 import numpy as np

@@ -185,14 +185,15 @@ class _Draws:
     * ``random()`` is the top 53 bits of one word;
     * a 32-bit draw is the low half of a fresh word, and the high half is
       kept for the next 32-bit draw (a ``random()`` call leaves it kept);
-    * ``below(n)``, for ``1 <= n <= 2**32``, is ``integers(0, n)``:
-      nothing drawn at ``n == 1``, else Lemire's multiply-and-reject
-      method on 32-bit draws (which, in Python's unbounded ints, is one
-      bare 32-bit draw at ``n == 2**32``, as numpy makes);
-    * ``choice(seq)`` is ``seq[below(len(seq))]``, in one method call:
-      the generator draws mostly this way, so its first 32-bit draw is
-      made inline, and only a draw that Lemire's method rejects calls
-      ``_uint32``;
+    * ``choice(seq)``, for ``1 <= len(seq) <= 2**32``, is
+      ``seq[integers(0, len(seq))]``: nothing drawn at length 1, else
+      Lemire's multiply-and-reject method on 32-bit draws (which, in
+      Python's unbounded ints, is one bare 32-bit draw at length
+      ``2**32``, as numpy makes), and ``integers(lo, hi)`` is
+      ``choice(range(lo, hi))``. The generator draws mostly through
+      ``choice`` and ``random``, so they read a word inline, and only a
+      draw that Lemire's method rejects, or a block of words used up,
+      costs a call;
     * ``permutation(n)`` is a Fisher-Yates shuffle of ``range(n)`` whose
       index draws are masked 32-bit draws, redrawn while too large.
     """
@@ -218,17 +219,8 @@ class _Draws:
         return word & _MASK32
 
     def random(self):
-        return (self._word() >> 11) * 2.0**-53
-
-    def below(self, n):
-        if n == 1:
-            return 0
-        m = self._uint32() * n
-        if m & _MASK32 < n:
-            threshold = (1 << 32) % n
-            while m & _MASK32 < threshold:
-                m = self._uint32() * n
-        return m >> 32
+        word = self._words.pop() if self._words else self._word()
+        return (word >> 11) * 2.0**-53
 
     def choice(self, seq):
         n = len(seq)
@@ -236,10 +228,7 @@ class _Draws:
             return seq[0]
         half = self._half
         if half is None:
-            if not self._words:
-                self._words = self._bits.random_raw(_RAW_BLOCK).tolist()
-                self._words.reverse()
-            word = self._words.pop()
+            word = self._words.pop() if self._words else self._word()
             self._half = word >> 32
             m = (word & _MASK32) * n
         else:
@@ -252,7 +241,7 @@ class _Draws:
         return seq[m >> 32]
 
     def integers(self, lo, hi):
-        return lo + self.below(hi - lo)
+        return self.choice(range(lo, hi))
 
     def permutation(self, n):
         out = list(range(n))
