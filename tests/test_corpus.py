@@ -337,9 +337,9 @@ DRAW_CALLS = st.lists(
 
 
 def replay(rng, calls):
-    """The draws of ``calls`` from ``rng``; a choice is from ``range(lo, lo
-    + n)``, and numpy's generator makes it as the generator module does
-    with it, as ``seq[rng.integers(0, len(seq))]``."""
+    """The draws of ``calls`` from ``rng``. A choice is from ``seq =
+    range(lo, lo + n)``: ``_Draws.choice(seq)``, and for numpy's generator
+    ``seq[rng.integers(0, len(seq))]``."""
     out = []
     for name, *args in calls:
         if name == "random":
