@@ -10,11 +10,12 @@ of one): one regex split strips the tags of the whole block, and then one
 :func:`tokenize` call and one bisection of the token bounds serve it, so
 the calls made per block, not per document, set the cost; only a pair
 that may raise a lint issue, and a block with a malformed document, are
-read one at a time. The documents of a block share one type table; the
-table starts over, when full, between blocks and never inside one. There
-is one tokenizer: every entry point keeps the periods of the bundled
-abbreviations, and each table memoizes the chunks it has split with its
-own ids, splitting a call's new chunks together.
+read one at a time. The documents of a block share one type table, and
+each table memoizes the chunks it has split with its own ids, splitting a
+call's new chunks together. A table and its memo start over together,
+between calls and never inside one, once the table holds ``_MEMO_LIMIT``
+types or chunks. There is one tokenizer: every entry point keeps the
+periods of the bundled abbreviations.
 
 A document holds its tokens as columns: a :class:`TypeTable` of
 ``(surface, kind)`` types, an int32 array of each token's type id and an
@@ -35,7 +36,7 @@ import re
 import unicodedata
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, filterfalse, islice
+from itertools import chain, compress, count, filterfalse
 from typing import NamedTuple
 
 import numpy as np
@@ -49,6 +50,7 @@ KIND_NUMBER = "number"
 KIND_PUNCT = "punctuation"
 KIND_SYMBOL = "symbol"
 KIND_MIXED = "mixed"
+_KINDS = (KIND_WORD, KIND_NUMBER, KIND_PUNCT, KIND_SYMBOL, KIND_MIXED)
 
 NA_VALUE = "NA"
 _NA_VALUES = (NA_VALUE,)  # the values of every absent column
@@ -69,11 +71,11 @@ def _check_integers(what, start, end):
 @dataclass(frozen=True, slots=True)
 class Token:
     """An element of ``Document.tokens``, and what a document is built from
-    by hand. A surface that is not a ``str`` raises :class:`InvalidSpec`:
-    a document built from the token would add it to the type table that
-    every later call reads. So do offsets that are not integers, a
-    ``start`` below 0, and an empty surface or one whose length is not
-    ``end - start``."""
+    by hand. A surface that is not a ``str``, or a kind that is not one of
+    the five ``KIND_*`` values, raises :class:`InvalidSpec`: a document
+    built from the token would add it to the type table that every later
+    call reads. So do offsets that are not integers, a ``start`` below 0,
+    and an empty surface or one whose length is not ``end - start``."""
 
     surface: str
     start: int
@@ -82,6 +84,8 @@ class Token:
 
     def __post_init__(self):
         check_type("token surface", self.surface, str)
+        if self.kind not in _KINDS:  # a tuple, so an unhashable kind is refused too
+            raise InvalidSpec(f"token kind must be one of {', '.join(_KINDS)}, got {self.kind!r}")
         _check_integers("token offsets", self.start, self.end)
         if not self.surface or self.start < 0 or self.end - self.start != len(self.surface):
             raise InvalidSpec(
@@ -257,8 +261,9 @@ class Document:
     made on either side of a table restart hold a type under different
     ids. A text that is not a ``str``, ``tokens`` that are neither a
     :class:`TokenView` nor a sequence (:func:`~bien.errors.check_sequence`),
-    gold spans that :func:`check_spans` refuses and ``columns`` that are
-    not a ``dict`` raise :class:`InvalidSpec`, and a column of the wrong
+    gold spans that :func:`check_spans` refuses, ``columns`` that are
+    not a ``dict`` and a column that is neither a :class:`ColumnView` nor
+    a sequence raise :class:`InvalidSpec`, and a column of the wrong
     length :class:`AlignmentError`, before any token's type enters the
     table. The gold spans are kept as a tuple.
     """
@@ -279,15 +284,15 @@ class Document:
         check_type("document columns", self.columns, dict)
         columns = {}
         for name, values in self.columns.items():
+            if not isinstance(values, ColumnView):
+                numbering = Numbering()
+                codes = numbering.numbers_of(check_sequence(f"column {name!r}", values))
+                dtype = np.min_scalar_type(max(len(numbering) - 1, 0))
+                values = ColumnView._of(tuple(numbering.strings), codes.astype(dtype))
             if len(values) != len(tokens):
                 raise AlignmentError(
                     f"column {name!r} has {len(values)} values for {len(tokens)} tokens"
                 )
-            if not isinstance(values, ColumnView):
-                numbering = Numbering()
-                codes = numbering.numbers_of(list(values))
-                dtype = np.min_scalar_type(max(len(numbering) - 1, 0))
-                values = ColumnView._of(tuple(numbering.strings), codes.astype(dtype))
             columns[name] = values
         object.__setattr__(self, "columns", columns)
         if not isinstance(tokens, TokenView):
@@ -427,12 +432,14 @@ def _split_chunk(chunk, abbreviations):
     return pieces
 
 
-# Bound on the chunk memo and on the type table that tokenize fills.
+# A type table with this many types or memo chunks is replaced by a new one
+# before the next call; one call's new entries may pass it.
 _MEMO_LIMIT = 1 << 16
 
 
 class Numbering(dict):
-    """Strings numbered from 0 in order of first use: :meth:`numbers_of`
+    """Strings (or any hashable keys, such as a :class:`TypeTable`'s
+    types) numbered from 0 in order of first use: :meth:`numbers_of`
     numbers a list of strings, ``numbering[s]`` is then the number of
     ``s``, and ``numbering.strings[k]`` the string numbered ``k``."""
 
@@ -452,21 +459,23 @@ class Numbering(dict):
 
 class TypeTable:
     """An append-only table of ``(surface, kind)`` token types; a type's id
-    is its index.
+    is its index, numbered in order of first use by the :class:`Numbering`
+    ``_ids``.
 
     :meth:`column` keeps an array of per-type values derived from the
     table per compute function, computed once per context and then
     extended for new types only.
     ``derived`` numbers strings derived from the types (their lemmas, say)
     for columns that hold such numbers in place of strings.
-    ``chunks`` is the table's own chunk memo (:meth:`pieces_of`), so a
-    table that starts over starts with an empty memo.
+    ``chunks`` is the table's own chunk memo (:meth:`pieces_of`). The two
+    live and start over together: once a table holds ``_MEMO_LIMIT`` types
+    or chunks, the next call gets a new table (:func:`_current_types`).
     """
 
     def __init__(self):
         self.surfaces = []
         self.kinds = []
-        self._ids = {}
+        self._ids = Numbering()
         self._columns = {}
         self.derived = Numbering()
         self.chunks = {}
@@ -482,13 +491,12 @@ class TypeTable:
     def ids_of(self, types):
         """The id of each of the list ``types`` of ``(surface, kind)``
         pairs, as an int32 array; the types not yet in the table are added
-        all at once, in order of first use, with no Python call per type."""
-        ids = self._ids
-        new = list(dict.fromkeys(filterfalse(ids.__contains__, types)))
-        ids.update(zip(new, count(len(self.surfaces))))
+        all at once, in order of first use (:meth:`Numbering.numbers_of`)."""
+        ids = self._ids.numbers_of(types)
+        new = self._ids.strings[len(self.surfaces):]
         self.surfaces += [surface for surface, _ in new]
         self.kinds += [kind for _, kind in new]
-        return np.fromiter(map(ids.__getitem__, types), np.int32, len(types))
+        return ids
 
     def pieces_of(self, chunks):
         """The pieces of each of the list ``chunks`` packed as native int32
@@ -498,8 +506,9 @@ class TypeTable:
         The chunks it does not hold are split together, once each, with the
         bundled abbreviations (loaded then, never at import), and their new
         types get ids in order of first use, as if split one at a time. The
-        memo starts over when it would hold more than ``_MEMO_LIMIT`` chunks,
-        and then keeps at most that many of the new ones."""
+        memo keeps every chunk of the call, past ``_MEMO_LIMIT`` if need be:
+        it is bounded where the table is, between calls
+        (:func:`_current_types`)."""
         memo = self.chunks
         new = list(dict.fromkeys(filterfalse(memo.__contains__, chunks)))
         if new:
@@ -513,13 +522,7 @@ class TypeTable:
             packed = pairs.tobytes()
             sizes = np.fromiter(map(len, split), np.intp, len(split)) * 8  # 8 bytes a piece
             ends = np.cumsum(sizes).tolist()
-            fresh = dict(zip(new, map(packed.__getitem__, map(slice, [0, *ends], ends))))
-            if len(memo) + len(fresh) > _MEMO_LIMIT:
-                whole = {**memo, **fresh}
-                memo.clear()
-                memo.update(islice(fresh.items(), _MEMO_LIMIT))
-                return list(map(whole.__getitem__, chunks))
-            memo.update(fresh)
+            memo.update(zip(new, map(packed.__getitem__, map(slice, [0, *ends], ends))))
         return list(map(memo.__getitem__, chunks))
 
     def column(self, compute, *context):
@@ -578,10 +581,10 @@ _types = TypeTable()
 
 def _current_types():
     """The table that new tokens get their type ids from. A table that holds
-    ``_MEMO_LIMIT`` types is left to the documents that use it, and a new
-    one is started."""
+    ``_MEMO_LIMIT`` types or memo chunks is left, with its memo, to the
+    documents that use it, and a new one is started."""
     global _types
-    if len(_types) >= _MEMO_LIMIT:
+    if max(len(_types), len(_types.chunks)) >= _MEMO_LIMIT:
         _types = TypeTable()
     return _types
 
@@ -633,15 +636,16 @@ def tokenize(text):
     tokens' types are in, and int32 arrays of each token's type id and
     start offset in ``text``; no :class:`Token` is built. Each distinct
     chunk is split once into its piece offsets and type ids, kept in the
-    table's own chunk memo of at most ``_MEMO_LIMIT`` chunks. A chunk the
-    memo holds costs no Python statement: the memo's entries are joined
-    and read as one array, and the chunks' offsets come from one pass over
-    the text.
+    table's own chunk memo. A chunk the memo holds costs no Python
+    statement: the memo's entries are joined and read as one array, and
+    the chunks' offsets come from one pass over the text.
 
     The table is read once per call, so every token of a call gets its
-    type from one table. :func:`parse_tagged_documents` tokenizes a block
-    of documents in one call, so the table starts over between blocks,
-    never inside one.
+    type from one table, and the call's chunks all enter its memo. A
+    table that holds ``_MEMO_LIMIT`` types or chunks after a call is
+    replaced, with its memo, before the next one.
+    :func:`parse_tagged_documents` tokenizes a block of documents in one
+    call, so the table starts over between blocks, never inside one.
 
     A ``text`` that is not a ``str`` raises :class:`InvalidSpec` before
     the table or its memo is touched, since every later call reads them.

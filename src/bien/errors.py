@@ -4,9 +4,10 @@ refuse an argument of the wrong type.
 The contract for wrong types. The pipeline's entry points, from
 ``tokenize`` through ``run_ablations``, refuse an argument of a type they
 do not take with :class:`InvalidSpec` naming the argument and the type it
-got, before any work and before any write to state that later calls read
-(the tokenizer's type table with its chunk memo and columns). The
-entry points are ``tokenize``, ``parse_tagged_documents``,
+got, before any work and before any write to state that later calls read:
+the tokenizer's type table with its chunk memo and columns, which start
+over together, between calls, once the table holds ``_MEMO_LIMIT`` types
+or chunks. The entry points are ``tokenize``, ``parse_tagged_documents``,
 ``parse_tagged_document``, ``generate_corpus``, ``split``,
 ``build_gazetteer``, ``feature_cardinalities``, ``featurize``,
 ``featurize_docs``, ``build_model``, ``make_examples``, ``pack``,
@@ -34,8 +35,9 @@ decision and word the refusal:
   such as rows of unequal length, is refused too.
 
 Six public classes check in their constructors too: a
-:class:`~bien.corpus.Token` its surface, a ``str``, and its offsets,
-integers with ``start >= 0``; a :class:`~bien.corpus.TagSpan` its field,
+:class:`~bien.corpus.Token` its surface, a ``str``, its kind, one of the
+five ``KIND_*`` values of :mod:`bien.corpus`, and its offsets, integers
+with ``start >= 0``; a :class:`~bien.corpus.TagSpan` its field,
 a ``str``, and its bounds; a :class:`~bien.corpus.TokenView` its type
 ids and starts, and a :class:`~bien.corpus.ColumnView` its codes, 1-D
 integer arrays read by :func:`check_array`, ids and codes indexing the
@@ -43,7 +45,8 @@ view's table or values, once per view and not again for a slice; a
 :class:`~bien.corpus.Document` its text, a ``str``, its tokens (unless a
 :class:`~bien.corpus.TokenView`), a sequence, its gold spans, as
 :func:`~bien.corpus.check_spans` checks a predicted span list too
-(naming the document), and its columns, a ``dict``; and a
+(naming the document), and its columns, a ``dict`` of which each value
+that is not a :class:`~bien.corpus.ColumnView` is a sequence; and a
 :class:`~bien.features.LexiconSet` each field against its declared
 type, ``frozenset`` or ``dict``. The two settings classes do not, since
 one function reads each before any work: ``split`` checks a
@@ -60,9 +63,9 @@ Outside the contract:
 - a value inside a sequence or a mapping, such as a ``None`` among the
   documents, is not checked for type and may raise Python's own
   ``TypeError`` or ``AttributeError``, unless it would write shared
-  state (a :class:`~bien.corpus.Token`'s surface, a lemma table's
-  lemma) or give a wrong result with no error (a predicted span); so may
-  a call that Python cannot bind to the signature;
+  state (a :class:`~bien.corpus.Token`'s surface and kind, a lemma
+  table's lemma) or give a wrong result with no error (a predicted
+  span); so may a call that Python cannot bind to the signature;
 - document ids, which are only compared and printed, and ``memory``,
   which is read by its truth value, are taken as they come;
 - ``viterbi``'s evidence is anything with a ``log_emission(chain)``

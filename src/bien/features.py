@@ -493,8 +493,8 @@ def featurize_docs(docs, gazetteer, lexicons, mask=()):
     (:func:`_lexicon_codes`), with one call per distinct code point past
     Latin-1. Only the semantic code is one Python call per type. Documents
     that share one table gather from its column as it is kept; those of a
-    second table, which starts over at ``_MEMO_LIMIT`` types, read its rows
-    after the first table's. POS and chunk codes are gathered the same
+    second table, started once the first was full, read its rows after the
+    first table's. POS and chunk codes are gathered the same
     way, through each
     :class:`~bien.corpus.ColumnView`'s codes, from its tuple of values
     coded once; nothing is kept on a document. The type-code gather is the

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import pytest
 
+from code_lines import code_lines
+
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "bien").glob("*.py"))
 CALLERS = LIBRARY + sorted((ROOT / "perfbench").glob("*.py"))
@@ -139,3 +141,27 @@ def test_the_function_report_lists_the_functions_whose_first_line_did_not_run(tm
     assert unentered([path], ran) == ["m.g", "m.C.m", "m.C.n.inner"]
     assert unentered([path], {("other.py", 2), ("other.py", 18)}) == [
         "m.f", "m.g", "m.C.m", "m.C.n", "m.C.n.inner"]
+
+
+# Sources of known code-line counts (``tests/code_lines.py``).
+@pytest.mark.parametrize("source, n", [
+    ("\n# a comment\n\n    # an indented one\n", 0),
+    ('"""Module."""\n', 0),
+    ('"""Module,\n\nover three lines."""\nx = 1\n', 1),
+    ('class C:\n    """Doc."""\n', 1),
+    ('class C:\n    """Doc,\n    over two."""\n\n    y = 2\n', 2),
+    ('def f():\n    """Doc."""\n    return 1\n', 2),
+    ('async def f():\n    """Doc,\n\n    over three."""\n', 1),
+    ("def f():\n    # why\n\n    return 1  # a trailing comment\n", 2),
+    ('x = 1\n"""Not a docstring."""\n', 2),
+    ('def f():\n    x = 1\n    """Not a docstring."""\n', 3),
+    ("f(\n    1,\n    # no\n    2,\n)\n", 4),
+    ('x = """a string\nover two lines"""\n', 2),
+], ids=[
+    "comments-and-blanks", "module-docstring", "multi-line-module-docstring", "class-docstring",
+    "multi-line-class-docstring", "function-docstring", "multi-line-async-docstring",
+    "comment-lines-and-a-trailing-comment", "string-statement-after-code",
+    "string-statement-in-a-body", "multi-line-call", "multi-line-string-value",
+])
+def test_the_code_line_count(source, n):
+    assert code_lines(source) == n

@@ -60,6 +60,31 @@ def doc_surfaces(doc):
     return tuple(t.surface for t in doc.tokens)
 
 
+def tokenize_checking_restarts(monkeypatch, texts, limit):
+    """Tokenize each of ``texts`` in turn, from a new type table, with
+    ``_MEMO_LIMIT`` patched to ``limit``, checking the one restart rule of
+    a table and its chunk memo; return, per restart, which of ``"types"``
+    and ``"chunks"`` had reached the limit."""
+    monkeypatch.setattr(corpus_module, "_MEMO_LIMIT", limit)
+    previous = TypeTable()
+    monkeypatch.setattr(corpus_module, "_types", previous)
+    restarts = []
+    for text in texts:
+        full = tuple(what for what, n in (("types", len(previous)),
+                                          ("chunks", len(previous.chunks))) if n >= limit)
+        table, ids, starts = tokenize(text)
+        # a call gets a new table, with an empty memo, once the last is full
+        assert (table is not previous) == bool(full)
+        if full:
+            assert table.chunks.keys() == set(text.split())
+            restarts.append(full)
+        # the table a call used holds every chunk of the call
+        assert set(text.split()) <= table.chunks.keys()
+        assert TokenView(table, ids, starts) == tokenize_reference(text, ABBREV)
+        previous = table
+    return restarts
+
+
 class TestTokenize:
     def test_abbreviation_and_decimal(self):
         assert surfaces("Dr. Steals, worth $10.5 mil.") == [
@@ -192,10 +217,10 @@ class TestTokenizeMatchesReference:
         assert_ids_name_types(doc)
 
     def test_memo_that_starts_over_mid_corpus(self, monkeypatch):
-        monkeypatch.setattr(corpus_module, "_MEMO_LIMIT", 7)
-        for doc in generate_corpus(60, 5):
-            assert tokens_of(doc.text) == tokenize_reference(doc.text, ABBREV)
-            assert len(corpus_module._current_types().chunks) <= 7
+        texts = [doc.text for doc in generate_corpus(60, 5)]
+        assert len(tokenize_checking_restarts(monkeypatch, texts, 100)) > 20
+        # over more text, chunks outnumber types: the memo fills first
+        assert tokenize_checking_restarts(monkeypatch, texts, 500) == [("chunks",)]
 
     @pytest.mark.parametrize("limit", [None, 5])
     def test_annotate_follows_the_per_token_pos_rule(self, monkeypatch, limit):
@@ -228,14 +253,15 @@ class TestTokenizeMatchesReference:
             assert len(tokens_of(text)) == len(tokenize_reference(text, ABBREV))
 
     def test_a_table_that_starts_over_starts_with_an_empty_memo(self, monkeypatch):
-        monkeypatch.setattr(corpus_module, "_MEMO_LIMIT", 5)
-        first, _, _ = tokenize("Talk by Dr. Li at 3:30 p.m. in Rm. 5409 .")
-        assert len(first) >= 5 and 0 < len(first.chunks) <= 5
-        table = corpus_module._current_types()
-        assert table is not first and table.chunks == {}
-        second, ids, _ = tokenize("Dr. Li")
-        assert second is table and set(table.chunks) == {"Dr.", "Li"}
-        assert [table.surfaces[i] for i in ids.tolist()] == ["Dr.", "Li"]
+        texts = [
+            "a a, ,a ,a, a,, ,,a",  # 6 chunks of 3 types: the memo is full
+            "a",
+            "(a) [b]",  # 3 chunks, with 6 types: the table is full
+            "Talk by Dr. Li at 3:30 p.m. in Rm. 5409 .",  # past the limit in one call
+            "Dr. Li",
+        ]
+        assert tokenize_checking_restarts(monkeypatch, texts, 5) == [
+            ("chunks",), ("types",), ("types", "chunks")]
 
     def test_a_pickled_table_holds_no_memo_entries(self):
         table = TypeTable()
@@ -654,6 +680,14 @@ class TestEmptyTokensAndSpans:
             with pytest.raises(InvalidSpec):
                 Token(*args, "word")
 
+    @pytest.mark.parametrize("kind", [None, "Word", ["word"]], ids=["none", "capitalised", "list"])
+    def test_a_kind_outside_the_five_raises_invalid_spec(self, kind):
+        # such a kind entered the type table, and the semantic code skipped
+        # its word lists; a list kind raised a TypeError from ids_of
+        rule = f"token kind must be one of word, number, punctuation, symbol, mixed, got {kind!r}"
+        with pytest.raises(InvalidSpec, match=f"^{re.escape(rule)}$"):
+            Token("a", 0, 1, kind)
+
     def test_inverted_span_raises_invalid_spec(self):
         for start, end in ((2, 1), (-1, 0)):
             with pytest.raises(InvalidSpec):
@@ -1069,6 +1103,21 @@ class TestColumns:
             cold = pickle.loads(pickle.dumps(doc))
             assert cold == doc and cold.column("pos") == doc.column("pos")
             assert cold.columns["pos"].values == doc.columns["pos"].values
+
+    @pytest.mark.parametrize("column, got", [
+        ("NN", "str 'NN'"), (b"NN", "bytes b'NN'"), ({"NN": 1, "VB": 2}, "dict {'NN': 1, 'VB': 2}"),
+        (7, "int 7"),
+    ], ids=["str", "bytes", "dict", "int"])
+    def test_a_hand_built_column_that_is_not_a_sequence_raises_invalid_spec(self, column, got):
+        # a str or bytes column was read as its characters or their codes,
+        # a dict as its keys, and an int raised a TypeError from len
+        rule = f"column 'pos' must be a sequence, not the {got}"
+        with pytest.raises(InvalidSpec, match=f"^{re.escape(rule)}$"):
+            replace(self._doc("a b"), columns={"pos": column})
+
+    def test_a_hand_built_column_may_be_a_generator(self):
+        doc = replace(self._doc("a b"), columns={"pos": (tag for tag in ("NN", "VB"))})
+        assert doc.column("pos") == ("NN", "VB")
 
     def test_column_of_wrong_length_raises_alignment_error(self):
         doc = self._doc("a b")
