@@ -31,7 +31,6 @@ array of each token's code in it, so that no string is kept per token.
 from __future__ import annotations
 
 import numbers
-import operator
 import re
 import unicodedata
 from collections.abc import Sequence
@@ -42,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AlignmentError, InvalidPlan, InvalidSpec, MalformedTag, check_int
-from .errors import check_array, check_sequence, check_type
+from .errors import check_integers, check_sequence, check_type
 from .resources import load_abbreviations
 
 KIND_WORD = "word"
@@ -58,24 +57,15 @@ _NA_VALUES = (NA_VALUE,)  # the values of every absent column
 DEFAULT_FIELDS = ("speaker", "location", "stime", "etime")
 
 
-def _check_integers(what, start, end):
-    """Raise :class:`InvalidSpec` saying that ``what`` must be integers
-    unless ``start`` and ``end`` are: ints or numpy ints, not floats or
-    ``str``, as ``operator.index`` takes them."""
-    try:
-        operator.index(start), operator.index(end)
-    except TypeError:
-        raise InvalidSpec(f"{what} must be integers, got {start!r}..{end!r}") from None
-
-
 @dataclass(frozen=True, slots=True)
 class Token:
     """An element of ``Document.tokens``, and what a document is built from
     by hand. A surface that is not a ``str``, or a kind that is not one of
     the five ``KIND_*`` values, raises :class:`InvalidSpec`: a document
     built from the token would add it to the type table that every later
-    call reads. So do offsets that are not integers, a ``start`` below 0,
-    and an empty surface or one whose length is not ``end - start``."""
+    call reads. So do offsets that :func:`~bien.errors.check_int` refuses,
+    a ``start`` below 0, and an empty surface or one whose length is not
+    ``end - start``. The offsets are kept as Python ints."""
 
     surface: str
     start: int
@@ -86,29 +76,34 @@ class Token:
         check_type("token surface", self.surface, str)
         if self.kind not in _KINDS:  # a tuple, so an unhashable kind is refused too
             raise InvalidSpec(f"token kind must be one of {', '.join(_KINDS)}, got {self.kind!r}")
-        _check_integers("token offsets", self.start, self.end)
-        if not self.surface or self.start < 0 or self.end - self.start != len(self.surface):
-            raise InvalidSpec(
-                f"token {self.surface!r} does not span [{self.start}, {self.end})"
-            )
+        start = check_int("token start", self.start, 0)
+        end = check_int("token end", self.end)
+        if not self.surface or end - start != len(self.surface):
+            raise InvalidSpec(f"token {self.surface!r} does not span [{start}, {end})")
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TagSpan:
     """One gold slot instance as an inclusive token range. A field that is
-    not a ``str``, or bounds that are not integers with ``0 <= start <=
-    end``, raise :class:`InvalidSpec`."""
+    not a ``str``, or bounds that :func:`~bien.errors.check_int` refuses or
+    that are not ``0 <= start <= end``, raise :class:`InvalidSpec`. The
+    bounds are kept as Python ints. Its own ``__init__`` sets each field
+    once, as checked: a span is built per span of every parsed and every
+    decoded document."""
 
     field: str
     start_token: int
     end_token: int
 
-    def __post_init__(self):
-        check_type("span field", self.field, str)
-        start, end = self.start_token, self.end_token
-        _check_integers("span bounds", start, end)
-        if not 0 <= start <= end:
-            raise InvalidSpec(f"bad span range {start}..{end}")
+    def __init__(self, field, start_token, end_token):
+        check_type("span field", field, str)
+        start = check_int("span start", start_token, 0)
+        end = check_int("span end", end_token, start)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "start_token", start)
+        object.__setattr__(self, "end_token", end)
 
 
 @dataclass(frozen=True)
@@ -134,17 +129,6 @@ class _View(Sequence):
         return f"{type(self).__name__}({list(self)!r})"
 
 
-def _check_codes(what, codes, n):
-    """``codes`` read with :func:`~bien.errors.check_array`, once it is
-    known to be 1-D integers in ``0 .. n - 1``; anything else raises
-    :class:`InvalidSpec` saying ``what`` they are."""
-    rule = f"{what} must be 1-D integers in 0 .. {n - 1}"
-    codes = check_array(rule, codes, lambda a: a.ndim == 1 and a.dtype.kind in "iu")
-    if codes.size and (codes.min() < 0 or codes.max() >= n):
-        raise InvalidSpec(f"{rule}, got {codes.min()} .. {codes.max()}")
-    return codes
-
-
 class TokenView(_View):
     """A document's tokens as a read-only sequence over its columns: the
     :class:`TypeTable` ``types``, and int32 arrays of each token's
@@ -153,18 +137,18 @@ class TokenView(_View):
     equal tokens, whatever table the types are in.
 
     The columns are checked once, when the view is built, and a slice is
-    not checked again: ``types`` must be a :class:`TypeTable`, ``type_ids``
-    1-D integers in ``0 .. len(types) - 1`` and ``starts`` 1-D integers,
-    else :class:`InvalidSpec`, and the arrays of one length, else
-    :class:`AlignmentError`."""
+    not checked again: ``types`` must be a :class:`TypeTable`, else
+    :class:`InvalidSpec`, ``type_ids`` integers in ``0 .. len(types) - 1``
+    and ``starts`` integers of at least 0, as
+    :func:`~bien.errors.check_integers` reads them, and the arrays of one
+    length, else :class:`AlignmentError`."""
 
     __slots__ = ("types", "type_ids", "starts")
 
     def __init__(self, types, type_ids, starts):
         check_type("token types", types, TypeTable)
-        self.type_ids = _check_codes("token type ids", type_ids, len(types))
-        self.starts = check_array("token starts must be 1-D integers", starts,
-                                  lambda a: a.ndim == 1 and a.dtype.kind in "iu")
+        self.type_ids = check_integers("token type ids", type_ids, low=0, high=len(types))
+        self.starts = check_integers("token starts", starts, low=0)
         if len(self.type_ids) != len(self.starts):
             raise AlignmentError(f"{len(self.type_ids)} type ids for {len(self.starts)} starts")
         self.types = types
@@ -203,15 +187,16 @@ class ColumnView(_View):
     up only for an element that is read; a slice is a view too. Equal to
     any sequence of the same strings, whatever its codes. The columns are
     checked once, when the view is built, and a slice is not checked
-    again: ``values`` that are not a ``tuple``, or codes that are anything
-    but 1-D integers in ``0 .. len(values) - 1``, raise
-    :class:`InvalidSpec`."""
+    again: ``values`` that are not a ``tuple``, or codes that are not
+    integers in ``0 .. len(values) - 1``
+    (:func:`~bien.errors.check_integers`), raise :class:`InvalidSpec`."""
 
     __slots__ = ("values", "codes")
 
     def __init__(self, values, codes):
         check_type("column values", values, tuple)
-        self.values, self.codes = values, _check_codes("column codes", codes, len(values))
+        self.values = values
+        self.codes = check_integers("column codes", codes, low=0, high=len(values))
 
     @classmethod
     def _of(cls, values, codes):

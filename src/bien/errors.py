@@ -13,7 +13,7 @@ or chunks. The entry points are ``tokenize``, ``parse_tagged_documents``,
 ``featurize_docs``, ``build_model``, ``make_examples``, ``pack``,
 ``train``, ``compile_chain``, ``number_observations``, ``viterbi``,
 ``viterbi_batch``, ``decode``, ``decode_batch``, ``score_documents``,
-``run_experiment`` and ``run_ablations``. Four helpers here make the
+``run_experiment`` and ``run_ablations``. Five helpers here make the
 decision and word the refusal:
 
 - :func:`check_type` for a text (``str``), a lemma table or observables
@@ -26,24 +26,35 @@ decision and word the refusal:
   iterates as its keys. The check returns the items as a tuple, which a
   function that reads them more than once works on, so a one-pass
   iterator is read once and gives what a list gives;
-- :func:`check_int` for a count, a seed or a setting: an int, which a
-  bool is not;
-- :func:`check_array` for observation matrices, emission tables and
-  scores, row numbers, lengths, cardinalities and tags: whatever their
-  type, they are read with ``np.asarray`` and refused unless of the
-  dtype and shape the function takes. Nesting that is not one array,
-  such as rows of unequal length, is refused too.
+- :func:`check_int` for a count, a seed, a setting and the offsets and
+  bounds of tokens and spans: an int or a numpy int, which a bool or a
+  numpy bool is not, returned as a Python int;
+- :func:`check_array` for emission tables and scores, and the column
+  count of a packing: whatever their type, they are read with
+  ``np.asarray`` and refused unless of the dtype and shape the function
+  takes. Nesting that is not one array, such as rows of unequal length,
+  is refused too;
+- :func:`check_integers` for every array of integers: observation
+  matrices, row numbers, lengths, cardinalities, tags, and the type ids,
+  starts and codes of the views below. It reads them with
+  :func:`check_array` and refuses any but integer arrays of the number of
+  dimensions it is given, and entries outside the bounds it is given,
+  all in the one wording of :class:`IntegerRule`. An array with no
+  entries is taken whatever dtype numpy gives it, since an empty list is
+  read as float64, and is returned as an empty int64 array unless its
+  dtype is an integer one.
 
 Six public classes check in their constructors too: a
 :class:`~bien.corpus.Token` its surface, a ``str``, its kind, one of the
-five ``KIND_*`` values of :mod:`bien.corpus`, and its offsets, integers
-with ``start >= 0``; a :class:`~bien.corpus.TagSpan` its field,
-a ``str``, and its bounds; a :class:`~bien.corpus.TokenView` its type
-ids and starts, and a :class:`~bien.corpus.ColumnView` its codes, 1-D
-integer arrays read by :func:`check_array`, ids and codes indexing the
-view's table or values, once per view and not again for a slice; a
-:class:`~bien.corpus.Document` its text, a ``str``, its tokens (unless a
-:class:`~bien.corpus.TokenView`), a sequence, its gold spans, as
+five ``KIND_*`` values of :mod:`bien.corpus`, and its offsets, read by
+:func:`check_int`, with ``start >= 0``; a :class:`~bien.corpus.TagSpan`
+its field, a ``str``, and its bounds, read by :func:`check_int`; a
+:class:`~bien.corpus.TokenView` its type ids and starts, and a
+:class:`~bien.corpus.ColumnView` its codes, read by
+:func:`check_integers`, ids and codes indexing the view's table or
+values and starts of at least 0, once per view and not again for a
+slice; a :class:`~bien.corpus.Document` its text, a ``str``, its tokens
+(unless a :class:`~bien.corpus.TokenView`), a sequence, its gold spans, as
 :func:`~bien.corpus.check_spans` checks a predicted span list too
 (naming the document), and its columns, a ``dict`` of which each value
 that is not a :class:`~bien.corpus.ColumnView` is a sequence; and a
@@ -76,9 +87,10 @@ Outside the contract:
   numpy warning before the refusal.
 """
 
-import numbers
+import operator
 import reprlib
 from collections.abc import Iterable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,12 +172,23 @@ class OverlappingSpans(DataError):
 
 
 def check_int(name, value, least=None, error=InvalidSpec):
-    """Raise ``error`` saying that ``name`` must be an int (of at least
-    ``least``, unless None) if ``value`` is not one; a bool is not."""
-    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    if not integral or (least is not None and value < least):
+    """``value`` as a Python int, read with ``operator.index``, so a numpy
+    int is taken, once it is known to be at least ``least`` (unless None).
+    Else raise ``error`` saying that ``name`` must be an int (of at least
+    ``least``); a ``bool`` or a numpy bool is not one."""
+    if type(value) is int:  # the common case, read with no call
+        number = value
+    elif isinstance(value, (bool, np.bool_)):
+        number = None
+    else:
+        try:
+            number = operator.index(value)
+        except TypeError:
+            number = None
+    if number is None or least is not None and number < least:
         bound = "" if least is None else f" >= {least}"
         raise error(f"{name} must be an int{bound}, got {value!r}")
+    return number
 
 
 def check_type(name, value, kind):
@@ -200,4 +223,48 @@ def check_array(what, value, ok):
         raise InvalidSpec(f"{what}, got a {type(value).__name__} that is not one array") from None
     if not ok(array):
         raise InvalidSpec(f"{what}, got {array.dtype} of shape {array.shape}")
+    return array
+
+
+class IntegerRule(NamedTuple):
+    """The rule that :func:`check_integers` words its refusals by, shown as
+    text: ``what`` must be ``ndim``-D integers of at least ``low``, or in
+    ``low .. high - 1`` (per column for one bound per column); ``high``
+    goes with a ``low``. The text is made only when it is shown, so a read
+    that passes makes none."""
+
+    what: str
+    ndim: int = 1
+    low: object = None
+    high: object = None
+
+    def __str__(self):
+        if self.high is None:
+            bounds = "" if self.low is None else f" of at least {self.low}"
+        else:
+            by_column = " by column" if np.ndim(self.high) else ""
+            bounds = f" in {self.low} .. {np.subtract(self.high, 1).tolist()}{by_column}"
+        return f"{self.what} must be {self.ndim}-D integers{bounds}"
+
+
+def check_integers(what, value, ndim=1, low=None, high=None):
+    """``value`` read with :func:`check_array`, once it is known to be an
+    ``ndim``-D integer array whose every entry v has ``low <= v < high``,
+    a bound of None left out; ``high`` is one bound, or for a matrix an
+    array of one per column, which fixes the column count. An array with
+    no entries is taken whatever its dtype, as the module docstring says;
+    any other bool or float array is not integers. Anything else raises
+    :class:`InvalidSpec` worded by :class:`IntegerRule`, with the dtype
+    and shape that ``value`` has, or its first entry out of range and
+    where it is."""
+    rule, columns = IntegerRule(what, ndim, low, high), getattr(high, "shape", ())
+    array = check_array(rule, value, lambda a: a.ndim == ndim
+                        and a.shape[ndim - len(columns):] == columns
+                        and (a.dtype.kind in "iu" or not a.size))
+    if not array.size:
+        return array if array.dtype.kind in "iu" else array.astype(np.int64)
+    below = low is not None and array.min() < low
+    if below or high is not None and (array >= high).any():
+        index = np.argwhere(array < low if below else array >= high)[0].tolist()
+        raise InvalidSpec(f"{rule}, got {array[tuple(index)]} at {index}")
     return array

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .corpus import DEFAULT_FIELDS, SplitPlan, TagSpan, check_spans, split
-from .errors import InvalidSpec, check_array, check_int, check_sequence, check_type
+from .errors import InvalidSpec, check_int, check_integers, check_sequence, check_type
 # featurize stays importable here for the benchmark's tracer (perfbench/tracing.py)
 from .features import (  # noqa: F401
     build_gazetteer,
@@ -53,24 +53,17 @@ def assemble_slots(tag_seq, tag_space):
     Well-formed begin/inside*/end runs and singles map back exactly, so
     assembling an encoded gold sequence returns the gold spans. Ill-formed
     runs (possible on arbitrary input) are salvaged into spans rather than
-    dropped, and counted in the returned diagnostics. A labelled tag that
-    is not an integer of ``tag_space``, or a ``tag_seq`` that is not 1-D,
-    raises :class:`InvalidSpec`.
+    dropped, and counted in the returned diagnostics. A ``tag_seq`` that
+    is not integers in ``0 .. tag_space.size - 1``
+    (:func:`~bien.errors.check_integers`) raises :class:`InvalidSpec`.
     """
     fields = tag_space.fields
     spans = []
     diagnostics = {"unterminated": 0, "orphan_inside": 0, "orphan_end": 0}
     open_run = None  # (field index, start token)
-    tags = check_array(f"tags must be 1-D integers in 0 .. {tag_space.size - 1}", tag_seq,
-                       lambda a: a.ndim == 1)
+    tags = check_integers("tags", tag_seq, low=0, high=tag_space.size)
     labelled = np.flatnonzero(tags != tag_space.background)
     values = tags[labelled].tolist()
-    if values and (
-        tags.dtype.kind not in "iu" or min(values) < 0 or max(values) >= tag_space.size
-    ):
-        raise InvalidSpec(
-            f"tags must be integers in 0 .. {tag_space.size - 1}, got {sorted(set(values))}"
-        )
     last = None  # the labelled token before t
 
     def close_open_run():

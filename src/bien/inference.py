@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, ZeroProbabilityEvidence, check_array, check_type
+from .errors import InvalidSpec, ZeroProbabilityEvidence, check_array, check_integers, check_type
 from .model import CompiledChain, TimeMajor, check_lengths, join_factors
 
 # Documents per chunk of ``viterbi_batch``'s forward pass. Only that pass
@@ -310,8 +310,9 @@ def viterbi_batch(chain, table, rows, lengths):
     score)`` per document, in input order, each identical to what
     ``viterbi`` returns for those emission scores. Unless ``chain`` is a
     :class:`~bien.model.CompiledChain`, ``table`` a float64 ``(R, S)``
-    array, ``rows`` 1-D integers in ``0 .. R - 1`` and ``lengths`` split
-    them (:func:`bien.model.check_lengths`), this raises
+    array, ``rows`` integers in ``0 .. R - 1``
+    (:func:`~bien.errors.check_integers`) and ``lengths`` split them
+    (:func:`bien.model.check_lengths`), this raises
     :class:`InvalidSpec`, as it does, like ``viterbi``, for a NaN or +inf
     in ``table`` or in the chain's ``log_init`` or ``log_trans``, and for a
     ``log_trans`` that is not the sum of the chain's factors
@@ -354,11 +355,7 @@ def viterbi_batch(chain, table, rows, lengths):
     S = chain.n_states
     table = check_array(f"emissions must be a float64 (R, {S}) table", table,
                         lambda a: a.dtype == np.float64 and a.shape[1:] == (S,))
-    rows = check_array(
-        f"row numbers must be 1-D integers in 0 .. {len(table) - 1}", rows,
-        lambda a: a.dtype.kind in "iu" and a.ndim == 1
-        and (not a.size or 0 <= a.min() <= a.max() < len(table)),
-    )
+    rows = check_integers("row numbers", rows, low=0, high=len(table))
     for name, scores in (("log_init", chain.log_init), ("log_trans", chain.log_trans),
                          ("emission table", table)):
         if not (scores < np.inf).all():

@@ -49,7 +49,7 @@ import numpy as np
 
 from .corpus import side_spans
 from .errors import EmptyCorpus, InconsistentGold, InvalidSpec, OverlappingSpans, UnknownField
-from .errors import check_array, check_int, check_sequence, check_type
+from .errors import IntegerRule, check_array, check_int, check_integers, check_sequence, check_type
 # featurize stays importable here for the benchmark's tracer (perfbench/tracing.py)
 from .features import featurize, featurize_docs  # noqa: F401
 from .model import LT_NONE, BienModel, TimeMajor, check_lengths, code_slots, distinct_rows
@@ -114,11 +114,13 @@ class StackedExamples:
     Iterating yields each as a :class:`TrainExample` of views.
 
     Built, it is checked once against all that holds for any model:
-    integer tags of at least 0 and codes of at least -1, one positive
-    length per id, splitting the rows, and ids strictly increasing, so
-    training does not depend on document order. No example raises
-    :class:`EmptyCorpus`, anything else :class:`InvalidSpec`, naming the
-    first example, in id order, whose tag or code is out of range."""
+    integer tags and codes (:func:`~bien.errors.check_integers`), one row
+    of codes per tag, tags of at least 0 and codes of at least -1, one
+    positive length per id, splitting the rows, and ids strictly
+    increasing, so training does not depend on document order. No example
+    raises :class:`EmptyCorpus`, anything else :class:`InvalidSpec`,
+    naming the first example, in id order, whose tag or code is out of
+    range."""
 
     doc_ids: tuple
     lengths: np.ndarray       # (n,) int64 tokens per example
@@ -126,10 +128,10 @@ class StackedExamples:
     tags: np.ndarray          # (N,) integer gold tag values
 
     def __post_init__(self):
-        tags = check_array("tags must be a 1-D integer array", self.tags,
-                           lambda a: a.dtype.kind in "iu" and a.ndim == 1)
-        obs = check_array("observations must be an integer matrix, one row per tag", self.obs,
-                          lambda a: a.dtype.kind in "iu" and a.ndim == 2 and len(a) == len(tags))
+        tags = check_integers("tags", self.tags)
+        obs = check_integers("observations", self.obs, ndim=2)
+        if len(obs) != len(tags):
+            raise InvalidSpec(f"{len(obs)} observation rows for {len(tags)} tags")
         lengths = check_lengths(self.lengths, len(tags))
         if len(lengths) != len(self.doc_ids):
             raise InvalidSpec(f"{len(self.doc_ids)} document ids for {len(lengths)} lengths")
@@ -142,10 +144,8 @@ class StackedExamples:
             object.__setattr__(self, name, value)
         # the per-row flags only locate a fault, so they are built only for one
         if tags.min() < 0 or obs.min(initial=0) < -1:
-            _check_rows(
-                self, tags < 0, (obs < -1).any(axis=1),
-                "tags must be integers of at least 0", "observation codes must be at least -1",
-            )
+            _check_rows(self, tags < 0, (obs < -1).any(axis=1),
+                        IntegerRule("tags", low=0), IntegerRule("observations", 2, low=-1))
 
     def __iter__(self):
         ends = np.cumsum(self.lengths).tolist()
@@ -236,8 +236,9 @@ def check_increasing_ids(ids):
 def _check_rows(side, bad_tags, bad_codes, tag_fault, code_fault):
     """Raise :class:`InvalidSpec` naming the first example of ``side`` with
     a row flagged in ``bad_tags`` or ``bad_codes`` (a bool per row): with
-    ``tag_fault`` if it has a flagged tag, else with ``code_fault``. The
-    caller has found a flagged row in one of them."""
+    the rule ``tag_fault`` if it has a flagged tag, else with the rule
+    ``code_fault`` (each a :class:`~bien.errors.IntegerRule`). The caller
+    has found a flagged row in one of them."""
     n_rows = len(bad_tags)
     first = [int(bad.argmax()) if bad.any() else n_rows for bad in (bad_tags, bad_codes)]
     at_tag, at_code = np.searchsorted(np.cumsum(side.lengths), first, side="right").tolist()
@@ -531,9 +532,8 @@ def pack(model, examples):
     ):
         _check_rows(
             examples, tags >= model.tags.size, (obs >= cardinalities).any(axis=1),
-            f"tags must be a 1-D integer array of values 0 .. {model.tags.size - 1}",
-            "observation codes must lie in -1 .. cardinality - 1 "
-            f"(cardinalities {cardinalities.tolist()})",
+            IntegerRule("tags", low=0, high=model.tags.size),
+            IntegerRule("observations", 2, low=-1, high=cardinalities),
         )
     return _FactoredBatch(model, examples)
 

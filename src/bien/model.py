@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, check_array, check_int, check_sequence, check_type
+from .errors import InvalidSpec, check_int, check_integers, check_sequence, check_type
 
 ROLE_BACKGROUND = "background"
 ROLE_BEGIN = "begin"
@@ -306,8 +306,8 @@ class CompiledChain:
         the model's masked columns are skipped.
 
         ``obs_matrix`` must be an integer ``(T, K)`` matrix over the model's
-        K observables with codes in ``-1 .. cardinality - 1``; anything else
-        raises :class:`InvalidSpec`.
+        K observables with codes in ``-1 .. cardinality - 1``
+        (:func:`check_observations`).
         """
         obs_matrix = check_observations(obs_matrix, self._cardinalities)
         out = np.zeros((len(obs_matrix), self.n_states))
@@ -332,12 +332,13 @@ def number_observations(obs, lengths, cardinalities):
     ``lengths[i]`` rows, as :class:`ObservationRows`. ``obs`` is checked
     once, as one matrix (:func:`check_observations`), and ``lengths`` once
     (:func:`check_lengths`), and ``cardinalities`` must be a sequence
-    (:func:`~bien.errors.check_sequence`) of integers. Rows are keyed by
-    each code's slot (:func:`code_slots`). Only the distinct rows and the
-    row number of each row of the stack are kept, not the stack."""
-    cardinalities = check_array("cardinalities must be a 1-D integer array",
-                                check_sequence("cardinalities", cardinalities),
-                                lambda a: a.ndim == 1 and (not a.size or a.dtype.kind in "iu"))
+    (:func:`~bien.errors.check_sequence`) of integers of at least 1
+    (:func:`~bien.errors.check_integers`). Rows are keyed by each code's
+    slot (:func:`code_slots`). Only the distinct rows and the row number of
+    each row of the stack are kept, not the stack."""
+    cardinalities = check_integers(
+        "cardinalities", check_sequence("cardinalities", cardinalities), low=1
+    )
     obs = check_observations(obs, cardinalities)
     lengths = check_lengths(lengths, len(obs))
     cards = cardinalities.tolist()
@@ -444,31 +445,19 @@ def join_factors(log_ds, pair_trans):
 def check_observations(obs_matrix, cardinalities):
     """``obs_matrix`` as an array, once it is known to be an integer
     ``(T, K)`` matrix over K observables of the given cardinalities (an
-    integer array), with codes in ``-1 .. cardinality - 1``; anything else
-    raises :class:`InvalidSpec`."""
-    K = len(cardinalities)
-    obs_matrix = check_array(
-        f"observations must be an integer (T, {K}) matrix", obs_matrix,
-        lambda a: a.dtype.kind in "iu" and a.ndim == 2 and a.shape[1] == K,
-    )
-    if obs_matrix.size and (obs_matrix.min() < -1 or (obs_matrix >= cardinalities).any()):
-        raise InvalidSpec(
-            "observation codes must lie in -1 .. cardinality - 1 "
-            f"(cardinalities {cardinalities.tolist()})"
-        )
-    return obs_matrix
+    integer array), with codes in ``-1 .. cardinality - 1``
+    (:func:`~bien.errors.check_integers`)."""
+    return check_integers("observations", obs_matrix, ndim=2, low=-1, high=cardinalities)
 
 
 def check_lengths(lengths, n_rows):
     """``lengths`` as an int64 array, once it is known to split ``n_rows``
-    stacked rows into runs: 1-D integers (or empty) of at least 0 summing
-    to ``n_rows``. Anything else raises :class:`InvalidSpec`."""
-    lengths = check_array(
-        "lengths must be a 1-D integer array", lengths,
-        lambda a: a.ndim == 1 and (not a.size or a.dtype.kind in "iu"),
-    ).astype(np.int64, copy=False)
-    # each length within 0 .. n_rows, so that the sum cannot wrap around
-    if lengths.sum() != n_rows or (lengths < 0).any() or (lengths > n_rows).any():
+    stacked rows into runs: integers in ``0 .. n_rows``
+    (:func:`~bien.errors.check_integers`), so that their sum cannot wrap
+    around, summing to ``n_rows``, else :class:`InvalidSpec`."""
+    lengths = check_integers("lengths", lengths, low=0, high=n_rows + 1)
+    lengths = lengths.astype(np.int64, copy=False)
+    if lengths.sum() != n_rows:
         raise InvalidSpec(f"lengths {lengths.tolist()} do not split {n_rows} observation rows")
     return lengths
 

@@ -658,20 +658,20 @@ class TestHandBuiltViews:
 
     def test_a_slice_of_a_checked_view_is_not_checked_again(self, monkeypatch):
         tokens, pos = tokens_of("a b"), ColumnView(("NN",), np.zeros(2, np.uint8))
-        monkeypatch.setattr(corpus_module, "_check_codes", None)  # any check would fail
+        monkeypatch.setattr(corpus_module, "check_integers", None)  # any check would fail
         assert tokens[1:] == [Token("b", 2, 3, "word")] and pos[1:] == ("NN",)
         assert isinstance(tokens[1:], TokenView) and isinstance(pos[:1], ColumnView)
 
     def test_a_block_of_documents_is_checked_once(self, monkeypatch):
-        checked, check = [], corpus_module._check_codes
+        checked, check = [], corpus_module.check_integers
         monkeypatch.setattr(
-            corpus_module, "_check_codes", lambda *a: checked.append(a[0]) or check(*a)
+            corpus_module, "check_integers", lambda *a, **k: checked.append(a[0]) or check(*a, **k)
         )
         parse_tagged_documents(["a b", "<speaker>c</speaker> d", ""], ["x", "y", "z"])
-        assert checked == ["token type ids"]
+        assert checked == ["token type ids", "token starts"]
         checked.clear()
         generate_corpus(synth._BLOCK_DOCS + 1, 3)  # two blocks
-        assert checked == ["token type ids", "column codes", "column codes"] * 2
+        assert checked == ["token type ids", "token starts", "column codes", "column codes"] * 2
 
 
 class TestEmptyTokensAndSpans:
@@ -694,10 +694,15 @@ class TestEmptyTokensAndSpans:
                 TagSpan("speaker", start, end)
         assert TagSpan("speaker", 1, 1).end_token == 1
 
-    @pytest.mark.parametrize("start, end", [("0", 2), (0.5, 1), (0, 2.0), (None, 1), (0, None)])
-    def test_bounds_that_are_not_integers_raise_invalid_spec(self, start, end):
-        named = re.escape(f"span bounds must be integers, got {start!r}..{end!r}")
-        with pytest.raises(InvalidSpec, match=named):
+    @pytest.mark.parametrize("start, end, named", [
+        ("0", 2, "span start must be an int >= 0, got '0'"),
+        (0.5, 1, "span start must be an int >= 0, got 0.5"),
+        (0, 2.0, "span end must be an int >= 0, got 2.0"),
+        (None, 1, "span start must be an int >= 0, got None"),
+        (0, None, "span end must be an int >= 0, got None"),
+    ])
+    def test_bounds_that_are_not_integers_raise_invalid_spec(self, start, end, named):
+        with pytest.raises(InvalidSpec, match=f"^{re.escape(named)}$"):
             TagSpan("speaker", start, end)
 
     def test_numpy_integer_bounds_are_accepted(self):

@@ -3,8 +3,10 @@ an entry point of the pipeline refuses one with ``InvalidSpec`` naming it
 (``MissingResource`` for a resource that is ``None``), before any work."""
 
 import functools
+import json
 import re
 from dataclasses import fields, replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,16 +14,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bien.corpus import (
+    ColumnView,
     Document,
     SplitPlan,
     TagSpan,
     Token,
+    TokenView,
+    TypeTable,
     parse_tagged_document,
     parse_tagged_documents,
     split,
     tokenize,
 )
-from bien.errors import InvalidSpec, MissingResource
+from bien.errors import EmptyCorpus, InvalidSpec, MissingResource
 from bien.evaluation import (
     ExperimentConfig,
     assemble_slots,
@@ -43,7 +48,13 @@ from bien.features import (
 )
 from bien.inference import Evidence, viterbi, viterbi_batch
 from bien.learning import StackedExamples, TrainConfig, make_examples, pack, train
-from bien.model import build_model, compile_chain, number_observations
+from bien.model import (
+    build_model,
+    check_lengths,
+    check_observations,
+    compile_chain,
+    number_observations,
+)
 from bien.synth import generate_corpus
 
 FIELDS = ("speaker", "location", "stime", "etime")
@@ -302,14 +313,14 @@ REFUSED = {
         "document columns must be a dict, got list",
     ),
     "Token-str-offsets": (
-        lambda v: Token("a", "x", "y", "word"), "token offsets must be integers, got 'x'..'y'"
+        lambda v: Token("a", "x", "y", "word"), "token start must be an int >= 0, got 'x'"
     ),
     "Token-none-offsets": (
-        lambda v: Token("a", None, None, "word"), "token offsets must be integers, got None..None"
+        lambda v: Token("a", None, None, "word"), "token start must be an int >= 0, got None"
     ),
     # built a token that no text holds
     "Token-negative-start": (
-        lambda v: Token("a", -1, 0, "word"), "token 'a' does not span [-1, 0)"
+        lambda v: Token("a", -1, 0, "word"), "token start must be an int >= 0, got -1"
     ),
     # scored as no speaker produced, with no error
     "TagSpan-bytes-field": (
@@ -451,3 +462,168 @@ def test_a_one_pass_iterator_gives_what_a_list_gives(case):
     want = call(valid(), list)
     assert len(want)
     np.testing.assert_equal(call(valid(), one_pass), want)
+
+
+def _two_types():
+    table = TypeTable()
+    table.ids_of([("a", "word"), ("b", "word")])
+    return table
+
+
+def _stack(obs, tags):
+    """A stack of one example, document "d", or of none for no rows."""
+    n = len(tags)
+    return StackedExamples(("d",) if n else (), [n] if n else [], obs, tags)
+
+
+class IntegerRead(NamedTuple):
+    """A read of an integer array: ``call(v, x)`` makes an otherwise valid
+    call (``v`` from :func:`valid`) with ``x`` where the read takes its
+    array, ``good`` is an array it takes, ``rule`` the text of its
+    refusals, and ``low`` and ``high`` its bounds. A stack of examples
+    names the example that holds an entry out of range, with ``located``
+    as its rule."""
+
+    call: object
+    good: list
+    rule: str
+    low: int
+    high: object = None
+    located: str = None
+
+
+INTEGER_READS = {
+    "TokenView-type_ids": IntegerRead(
+        lambda v, x: TokenView(_two_types(), x, np.zeros(len(x), np.int32)),
+        [0, 1], "token type ids must be 1-D integers in 0 .. 1", 0, 2,
+    ),
+    "TokenView-starts": IntegerRead(
+        lambda v, x: TokenView(_two_types(), np.zeros(len(x), np.int32), x),
+        [0, 2], "token starts must be 1-D integers of at least 0", 0,
+    ),
+    "ColumnView-codes": IntegerRead(
+        lambda v, x: ColumnView(("NN", "VB"), x),
+        [0, 1], "column codes must be 1-D integers in 0 .. 1", 0, 2,
+    ),
+    "viterbi_batch-rows": IntegerRead(
+        lambda v, x: viterbi_batch(v["chain"], np.zeros((3, v["chain"].n_states)), x, [len(x)]),
+        [0, 2], "row numbers must be 1-D integers in 0 .. 2", 0, 3,
+    ),
+    "assemble_slots-tags": IntegerRead(
+        lambda v, x: assemble_slots(x, v["model"].tags),
+        [0, 1, 2], "tags must be 1-D integers in 0 .. 16", 0, 17,
+    ),
+    "check_lengths": IntegerRead(
+        lambda v, x: check_lengths(x, 3 if len(x) else 0),
+        [1, 2], "lengths must be 1-D integers in 0 .. 3", 0, 4,
+    ),
+    "number_observations-cardinalities": IntegerRead(
+        lambda v, x: number_observations(np.zeros((2, len(x)), np.int16), [2], x),
+        [3, 2], "cardinalities must be 1-D integers of at least 1", 1,
+    ),
+    "check_observations": IntegerRead(
+        lambda v, x: check_observations(x, np.array([3, 2])),
+        [[0, 1], [2, -1]], "observations must be 2-D integers in -1 .. [2, 1] by column", -1,
+        [3, 2],
+    ),
+    "StackedExamples-tags": IntegerRead(
+        lambda v, x: _stack(np.zeros((len(x), 2), np.int16), x),
+        [0, 1], "tags must be 1-D integers", 0,
+        located="d: tags must be 1-D integers of at least 0",
+    ),
+    "StackedExamples-obs": IntegerRead(
+        lambda v, x: _stack(x, np.zeros(len(x), np.int64)),
+        [[0, 1], [2, -1]], "observations must be 2-D integers", -1,
+        located="d: observations must be 2-D integers of at least -1",
+    ),
+}
+
+
+def _faults(read):
+    """``(value, message)`` of each fault ``read`` refuses: a bool array, a
+    float array of whole numbers, one dimension too many, and an entry
+    below ``low`` and one at ``high``, the second entry in both."""
+    good = np.array(read.good, np.int64)
+    faults = {
+        "bool": (good.astype(bool), f"bool of shape {good.shape}"),
+        "whole-floats": (good.astype(float), f"float64 of shape {good.shape}"),
+        "wrong-ndim": (good[..., None], f"int64 of shape {good.shape + (1,)}"),
+    }
+    index = list(np.unravel_index(1, good.shape))
+    for case, bound in (("below-low", read.low - 1), ("at-high", read.high)):
+        if bound is not None:
+            bound = int(np.broadcast_to(bound, good.shape)[tuple(index)])
+            bad = good.copy()
+            bad[tuple(index)] = bound
+            faults[case] = (bad, f"{bound} at {[int(i) for i in index]}")
+    return faults
+
+
+INTEGER_FAULTS = [
+    (read, case) for read in INTEGER_READS for case in _faults(INTEGER_READS[read])
+]
+
+
+@pytest.mark.parametrize("read, case", INTEGER_FAULTS, ids=[f"{r}-{c}" for r, c in INTEGER_FAULTS])
+def test_every_integer_read_refuses_by_the_one_rule(read, case):
+    """Each of the ten reads of an integer array refuses a bool array, a
+    float array (though its entries are whole), the wrong number of
+    dimensions and an entry out of its bounds, in the one wording of
+    ``errors.check_integers``: the rule and what it got. A stack of
+    examples names the example instead for an entry out of range."""
+    integer_read = INTEGER_READS[read]
+    value, got = _faults(integer_read)[case]
+    message = f"{integer_read.rule}, got {got}"
+    if integer_read.located and case == "below-low":
+        message = integer_read.located
+    with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
+        integer_read.call(valid(), value)
+
+
+@pytest.mark.parametrize("read", INTEGER_READS)
+def test_every_integer_read_takes_an_empty_list(read):
+    """An empty list, which numpy reads as float64, and an empty matrix
+    for the 2-D reads: ``TokenView`` and ``viterbi_batch`` refused what
+    ``check_lengths`` took. A stack of no examples is refused, as empty."""
+    empty = [] if np.ndim(INTEGER_READS[read].good) == 1 else np.zeros((0, 2))
+    try:
+        INTEGER_READS[read].call(valid(), empty)
+    except EmptyCorpus:
+        assert read.startswith("StackedExamples")
+
+
+class TestOneIntegerRule:
+    """Reads that disagreed before the rule was one. The fourth, a view
+    that took a negative start, is ``TokenView-starts-below-low`` above."""
+
+    def test_an_empty_view_and_an_empty_batch_are_taken(self):
+        view = TokenView(_two_types(), [], [])
+        assert len(view) == 0 and view.type_ids.dtype == np.int64
+        chain = valid()["chain"]
+        assert viterbi_batch(chain, np.zeros((0, chain.n_states)), [], []) == []
+
+    @pytest.mark.parametrize("tags", [np.zeros(3), np.array([0.0, 1.0])], ids=["zeros", "labelled"])
+    def test_float_tags_are_refused_labelled_or_not(self, tags):
+        rule = f"tags must be 1-D integers in 0 .. 16, got float64 of shape {tags.shape}"
+        with pytest.raises(InvalidSpec, match=f"^{re.escape(rule)}$"):
+            assemble_slots(tags, valid()["model"].tags)
+
+    @pytest.mark.parametrize("build, named", [
+        (lambda value: Token("a", value, 1, "word"), "token start must be an int >= 0"),
+        (lambda value: Token("a", 0, value, "word"), "token end must be an int"),
+        (lambda value: TagSpan("speaker", value, 2), "span start must be an int >= 0"),
+        (lambda value: TagSpan("speaker", 0, value), "span end must be an int >= 0"),
+    ], ids=["token-start", "token-end", "span-start", "span-end"])
+    @pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "numpy-bool"])
+    def test_a_bool_offset_or_bound_is_refused(self, build, named, value):
+        with pytest.raises(InvalidSpec, match=f"^{re.escape(f'{named}, got {value!r}')}$"):
+            build(value)
+
+    def test_numpy_ints_are_kept_as_python_ints(self):
+        token = Token("ab", np.int64(1), np.int32(3), "word")
+        span = TagSpan("speaker", np.int64(1), np.uint8(2))
+        assert [type(x) for x in (token.start, token.end, span.start_token, span.end_token)] == [
+            int, int, int, int
+        ]
+        bounds = json.loads(json.dumps([span.start_token, span.end_token]))
+        assert TagSpan(span.field, *bounds) == span

@@ -852,24 +852,26 @@ def malformed(obs, tags=(0, 0), dtype=np.int16):
 # Each malformed example, stacked between good ones. A tag or code out of
 # range names it; a stack that cannot be read, of the wrong type, shape or
 # column count, names no example.
-OBS_FAULT = "^observations must be an integer matrix, one row per tag, got "
-TAGS_FAULT = "^tags must be a 1-D integer array, got float64 of shape"
+OBS_FAULT = "^observations must be 2-D integers, got float64 of shape"
+ROWS_FAULT = r"^\d+ observation rows for \d+ tags$"
+TAGS_FAULT = "^tags must be 1-D integers, got float64 of shape"
+CODE_PAST = re.escape("bad: observations must be 2-D integers in -1 .. [2, 1] by column")
 MALFORMED = [
-    pytest.param(malformed([[3, 0], [0, 0]]), "^bad: observation codes must lie in",
-                 id="code-past-cardinality"),
-    pytest.param(malformed([[-2, 0], [0, 0]]), "^bad: observation codes must be at least -1",
+    pytest.param(malformed([[3, 0], [0, 0]]), f"^{CODE_PAST}$", id="code-past-cardinality"),
+    pytest.param(malformed([[-2, 0], [0, 0]]),
+                 "^bad: observations must be 2-D integers of at least -1$",
                  id="code-below-minus-one"),
-    pytest.param(malformed([[2**64 - 1, 0], [0, 0]], dtype=np.uint64),
-                 "^bad: observation codes must lie in", id="uint64-code-past-cardinality"),
+    pytest.param(malformed([[2**64 - 1, 0], [0, 0]], dtype=np.uint64), f"^{CODE_PAST}$",
+                 id="uint64-code-past-cardinality"),
     pytest.param(malformed([[0, 0], [1, 1]], dtype=float), OBS_FAULT, id="float-obs"),
     pytest.param(malformed([[0], [1]]), r"^observations must be an integer \(T, 2\) matrix",
                  id="wrong-column-count"),
-    pytest.param(malformed([[0, 0]]), OBS_FAULT, id="fewer-obs-rows-than-tags"),
-    pytest.param(malformed([[0, 0]] * 3), OBS_FAULT, id="more-obs-rows-than-tags"),
-    pytest.param(malformed([[0, 0]] * 2, tags=(0, 5)), "^bad: tags must be a 1-D integer array",
-                 id="tag-past-tag-space"),
-    pytest.param(malformed([[0, 0]] * 2, tags=(0, -1)), "^bad: tags must be integers of at least 0",
-                 id="negative-tag"),
+    pytest.param(malformed([[0, 0]]), ROWS_FAULT, id="fewer-obs-rows-than-tags"),
+    pytest.param(malformed([[0, 0]] * 3), ROWS_FAULT, id="more-obs-rows-than-tags"),
+    pytest.param(malformed([[0, 0]] * 2, tags=(0, 5)),
+                 "^bad: tags must be 1-D integers in 0 \\.\\. 4$", id="tag-past-tag-space"),
+    pytest.param(malformed([[0, 0]] * 2, tags=(0, -1)),
+                 "^bad: tags must be 1-D integers of at least 0$", id="negative-tag"),
     pytest.param(malformed([[0, 0]] * 2, tags=(0.0, 0.0)), TAGS_FAULT, id="float-tags"),
 ]
 
@@ -1018,8 +1020,8 @@ class TestStackedExamples:
             )
 
     @pytest.mark.parametrize("fault, match", [
-        ("tag", "tags must be a 1-D integer array"),
-        ("code", "observation codes must lie in"),
+        ("tag", re.escape("tags must be 1-D integers in 0 .. ")),
+        ("code", re.escape("observations must be 2-D integers in -1 .. [")),
     ])
     def test_out_of_range_names_the_first_bad_document(self, fault, match):
         _, gaz, m, stacked = self.side(n_docs=30)
@@ -1041,7 +1043,7 @@ class TestStackedExamples:
             obs, tags = stacked.obs.copy(), stacked.tags.copy()
             obs[first[code_doc] + 1, 0] = gaz.cardinality
             tags[first[tag_doc] + 2] = m.tags.size
-            fault = "tags must" if tag_doc == named else "observation codes"
+            fault = "tags must" if tag_doc == named else "observations must"
             with pytest.raises(InvalidSpec, match=f"^{stacked.doc_ids[named]}: {fault}"):
                 pack(m, StackedExamples(stacked.doc_ids, stacked.lengths, obs, tags))
 
@@ -1061,12 +1063,14 @@ class TestStackedExamples:
          EmptyCorpus, "no training examples"),
         (dict(lengths=[2, 2, 1]), InvalidSpec, re.escape("lengths [2, 2, 1] do not split 6")),
         (dict(lengths=[2, 3, 2]), InvalidSpec, re.escape("lengths [2, 3, 2] do not split 6")),
-        (dict(obs=np.zeros((5, 2), np.int16)), InvalidSpec, "one row per tag"),
-        (dict(tags=np.zeros((6, 1), int)), InvalidSpec, "tags must be a 1-D integer array"),
-        (dict(lengths=[2, 5, -1]), InvalidSpec, re.escape("lengths [2, 5, -1] do not split 6")),
+        (dict(obs=np.zeros((5, 2), np.int16)), InvalidSpec, "^5 observation rows for 6 tags$"),
+        (dict(tags=np.zeros((6, 1), int)), InvalidSpec,
+         re.escape("tags must be 1-D integers, got int64 of shape (6, 1)")),
+        (dict(lengths=[2, 5, -1]), InvalidSpec,
+         re.escape("lengths must be 1-D integers in 0 .. 6, got -1 at [2]")),
         (dict(doc_ids=("a", "b", "c", "d"), lengths=[2, 3, 1, 0]), InvalidSpec,
          "^d: an example with no tokens"),
-        (dict(tags=np.zeros(6)), InvalidSpec, "tags must be a 1-D integer array"),
+        (dict(tags=np.zeros(6)), InvalidSpec, "tags must be 1-D integers, got float64"),
         (dict(doc_ids=("a", "b", "c", "d")), InvalidSpec, "4 document ids for 3 lengths"),
         (dict(doc_ids=("a", "b", "a")), InvalidSpec, "must increase, got 'b' before 'a'"),
     ], ids=["empty", "lengths-short", "lengths-long", "obs-and-tag-rows-differ", "2-d-tags",
